@@ -515,18 +515,19 @@ class TDComplexData:
                     raise AxiomError(
                         "differential leaves the induction kernel at degree %d" % k)
 
-            # differential on the quotient bases, one solve per basis column
+            # differential on the quotient bases: the images of the quotient
+            # basis columns, solved against the next basis in one elimination
             pos = iota_keys[k + 1]
             sub = _select_columns(dense_iotas[k + 1], pivots[k + 1])
-            q_mat = RationalMatrix.zero(len(pivots[k + 1]), len(pivots[k]))
+            rhs = RationalMatrix.zero(len(pos), len(pivots[k]))
             for j, ci in enumerate(pivots[k]):
-                rhs = [ZERO] * len(pos)
                 for row_key, q in composite.columns[ci].items():
                     if row_key not in pos:
                         raise AxiomError(
                             "induced image leaves the induction row space at degree %d" % k)
-                    rhs[pos[row_key]] = q
-                x = solve(sub, rhs)
+                    rhs.set(pos[row_key], j, q)
+            q_mat = RationalMatrix.zero(len(pivots[k + 1]), len(pivots[k]))
+            for j, x in enumerate(solve(sub, rhs)):
                 if x is None:
                     raise AxiomError(
                         "quotient differential is unsolvable at degree %d" % k)

@@ -4,9 +4,12 @@ Scalars are fractions.Fraction throughout: always lowest terms, positive
 denominator, exact field arithmetic.  Nothing in the package ever touches a
 float.
 
-Elimination is fraction-free (Bareiss) on denominator-cleared rows with
-first-nonzero pivoting, so every rank, kernel and solve is reproducible
-bit for bit.
+Every rank, pivot set, kernel and solve comes from one sparse echelon form
+(Echelon): rows stored as {column: Fraction} dicts, fed shortest first and
+reduced by their leading column.  Its answers are the unique ones fixed by
+the lexicographically first independent column set, so they are
+reproducible bit for bit whatever the row order.  The dense fraction-free
+elimination RationalMatrix._echelon is kept only as the test oracle.
 """
 
 import itertools
@@ -25,7 +28,8 @@ class BasedSpace:
 
     def __init__(self, name, labels):
         labels = tuple(labels)
-        assert len(set(labels)) == len(labels), "duplicate basis labels"
+        if len(set(labels)) != len(labels):
+            raise ShapeError("duplicate basis labels in %r" % (name,))
         self.name = name
         self.labels = labels
 
@@ -103,7 +107,9 @@ class Permutation:
 
     def then(self, other):
         """self followed by other: (self.then(other))(k) = other(self(k))."""
-        assert self.size == other.size
+        if self.size != other.size:
+            raise ShapeError("cannot compose permutations of sizes %d and %d"
+                             % (self.size, other.size))
         return Permutation(other.images[j] for j in self.images)
 
     def sign(self):
@@ -183,9 +189,12 @@ class DenseTensor:
         return cls(shape, [ZERO] * total)
 
     def flat(self, idx):
+        if len(idx) != len(self.shape):
+            raise ShapeError("index %r for a tensor of shape %r" % (idx, self.shape))
         pos = 0
         for i, d in zip(idx, self.shape):
-            assert 0 <= i < d
+            if not 0 <= i < d:
+                raise ShapeError("index %r out of range for shape %r" % (idx, self.shape))
             pos = pos * d + i
         return pos
 
@@ -238,10 +247,10 @@ def _gcd(a, b):
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions with Bareiss elimination."""
+    """Dense matrix of Fractions; eliminate it with rank, solve and friends."""
 
     def __init__(self, rows, cols, entries):
-        entries = [Fraction(x) for x in entries]
+        entries = [x if type(x) is Fraction else Fraction(x) for x in entries]
         if len(entries) != rows * cols:
             raise ShapeError("need %d entries, got %d" % (rows * cols, len(entries)))
         self.rows = rows
@@ -253,7 +262,8 @@ class RationalMatrix:
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
         for r in rows_list:
-            assert len(r) == cols, "ragged rows"
+            if len(r) != cols:
+                raise ShapeError("ragged rows: %d entries, expected %d" % (len(r), cols))
         return cls(rows, cols, [x for r in rows_list for x in r])
 
     @classmethod
@@ -279,17 +289,14 @@ class RationalMatrix:
     def matmul(self, other):
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        out = RationalMatrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                for j in range(other.cols):
-                    b = other.get(k, j)
-                    if b != 0:
-                        out.entries[i * other.cols + j] += a * b
+        n = other.cols
+        out = RationalMatrix.zero(self.rows, n)
+        other_rows = _row_dicts(other)
+        for i, row in enumerate(_row_dicts(self)):
+            base = i * n
+            for k, a in row.items():
+                for j, b in other_rows[k].items():
+                    out.entries[base + j] += a * b
         return out
 
     def is_zero(self):
@@ -306,7 +313,9 @@ class RationalMatrix:
         return "RationalMatrix(%dx%d)" % (self.rows, self.cols)
 
     def _echelon(self):
-        """Fraction-free forward elimination.
+        """Fraction-free (Bareiss) forward elimination: the test oracle only.
+
+        Nothing in the package calls it; the tests compare Echelon against it.
 
         Returns (echelon integer rows, pivots, row_origin) where pivots is a
         list of (echelon row, column) pairs and row_origin[r] is the input row
@@ -347,23 +356,131 @@ class RationalMatrix:
         return work, pivots, origin
 
 
+def _subtract_scaled(target, a, source):
+    """target -= a * source on sparse dicts, dropping entries that cancel."""
+    for k, v in source.items():
+        new = target.get(k, ZERO) - a * v
+        if new:
+            target[k] = new
+        else:
+            del target[k]
+
+
+class Echelon:
+    """Sparse exact row echelon form of a matrix given by its rows.
+
+    Rows are dicts {column: Fraction} holding the nonzero entries.  They are
+    fed shortest first, and each is reduced by its leading column against
+    the pivot rows stored so far, until its leading column carries no pivot
+    (it becomes a pivot row, scaled to a leading 1) or nothing is left.
+
+    In any row echelon form the leading columns are the lexicographically
+    first independent column set, so pivot columns, the kernel basis (one
+    free variable 1, the others 0) and solutions (free variables 0) do not
+    depend on the order rows are fed or on which rows end up as pivots.
+
+    Right-hand sides ride along: rhs[i] is a dict {index: Fraction} of the
+    entries of row i in each right-hand side, reduced with the row.  A row
+    whose matrix part reduces to zero is a left-null residue, and right-hand
+    side t is inconsistent exactly when some residue is nonzero at t.
+    """
+
+    def __init__(self, ncols, rows, rhs=None):
+        self.ncols = ncols
+        self.pivots = {}      # leading column -> (row, rhs part), row[col] == 1
+        self.origin = {}      # leading column -> index of the row fed there
+        self.inconsistent = set()
+        for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
+            row = dict(rows[i])
+            extra = dict(rhs[i]) if rhs else {}
+            while row:
+                c = min(row)
+                hit = self.pivots.get(c)
+                if hit is None:
+                    inv = ONE / row[c]
+                    self.pivots[c] = ({j: v * inv for j, v in row.items()},
+                                      {t: v * inv for t, v in extra.items()})
+                    self.origin[c] = i
+                    break
+                f = row[c]
+                _subtract_scaled(row, f, hit[0])
+                _subtract_scaled(extra, f, hit[1])
+            else:
+                self.inconsistent.update(extra)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def pivot_columns(self):
+        return sorted(self.pivots)
+
+    def kernel_basis(self):
+        """One null vector per free column, in column order: entry 1 at its
+        free column, 0 at every other free column."""
+        free = [c for c in range(self.ncols) if c not in self.pivots]
+        values = self._back_substitute({f: {f: ONE} for f in free}, False)
+        return self._vectors(values, free)
+
+    def solutions(self, count):
+        """For right-hand sides 0..count-1, the solution with every free
+        variable zero, or None where the right-hand side is inconsistent."""
+        values = self._back_substitute({}, True)
+        vectors = self._vectors(values, range(count))
+        return [None if t in self.inconsistent else vectors[t]
+                for t in range(count)]
+
+    def _back_substitute(self, values, with_rhs):
+        """Fill in values[c] for every pivot column c, highest first, from
+        its pivot row: x_c = rhs_c - sum over j > c of row[j] x_j.
+
+        values maps a column to {index: Fraction}, one entry per kernel
+        vector or right-hand side; a column missing from it is zero.
+        """
+        for c in sorted(self.pivots, reverse=True):
+            row, extra = self.pivots[c]
+            acc = dict(extra) if with_rhs else {}
+            for j, v in row.items():
+                if j != c and j in values:
+                    _subtract_scaled(acc, v, values[j])
+            values[c] = acc
+        return values
+
+    def _vectors(self, values, indices):
+        """Transpose {column: {index: value}} into one dense list per index."""
+        out = {t: [ZERO] * self.ncols for t in indices}
+        for c, column in values.items():
+            for t, v in column.items():
+                out[t][c] = v
+        return [out[t] for t in indices]
+
+
+def _row_dicts(m):
+    n = m.cols
+    return [{j: x for j, x in enumerate(m.entries[i * n:(i + 1) * n]) if x}
+            for i in range(m.rows)]
+
+
+def echelon(m):
+    """The sparse echelon form of a RationalMatrix."""
+    return Echelon(m.cols, _row_dicts(m))
+
+
 def rank(m):
-    """Exact rank by fraction-free elimination."""
-    _, pivots, _ = m._echelon()
-    return len(pivots)
+    """Exact rank."""
+    return echelon(m).rank
 
 
 def pivot_rows(m):
-    """Original indices of the rows carrying pivots; deterministic."""
-    _, pivots, origin = m._echelon()
-    return [origin[r] for r, _ in pivots]
+    """Original indices of the rows the echelon form took as pivot rows,
+    ascending; deterministic, and a basis of the row space."""
+    return sorted(echelon(m).origin.values())
 
 
 def pivot_columns(m):
     """Columns carrying pivots, ascending: the lexicographically first
     maximal independent column set."""
-    _, pivots, _ = m._echelon()
-    return [c for _, c in pivots]
+    return echelon(m).pivot_columns()
 
 
 def kernel_basis(m):
@@ -372,58 +489,34 @@ def kernel_basis(m):
     The vector for free column f has entry 1 at f and 0 at every other free
     column; pivot entries are back-substituted exactly.
     """
-    work, pivots, _ = m._echelon()
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        x = [ZERO] * m.cols
-        x[f] = ONE
-        for r, c in reversed(pivots):
-            row = work[r]
-            s = ZERO
-            for j in range(c + 1, m.cols):
-                if row[j] != 0 and x[j] != 0:
-                    s += Fraction(row[j]) * x[j]
-            x[c] = -s / Fraction(row[c])
-        basis.append(x)
-    return basis
+    return echelon(m).kernel_basis()
 
 
 def solve(m, b):
     """One exact solution of m x = b, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  When b
+    is a RationalMatrix, each of its columns is a right-hand side, all are
+    solved in one elimination, and the result is a list with one solution
+    (or None) per column.
     """
+    if isinstance(b, RationalMatrix):
+        if b.rows != m.rows:
+            raise ShapeError("rhs has %d rows vs %d" % (b.rows, m.rows))
+        return Echelon(m.cols, _row_dicts(m), _row_dicts(b)).solutions(b.cols)
     if len(b) != m.rows:
         raise ShapeError("rhs length %d vs %d rows" % (len(b), m.rows))
-    aug = RationalMatrix(m.rows, m.cols + 1, [ZERO] * (m.rows * (m.cols + 1)))
-    for i in range(m.rows):
-        for j in range(m.cols):
-            aug.set(i, j, m.get(i, j))
-        aug.set(i, m.cols, b[i])
-    work, pivots, _ = aug._echelon()
-    for r, c in pivots:
-        if c == m.cols:
-            return None
-    x = [ZERO] * m.cols
-    for r, c in reversed(pivots):
-        row = work[r]
-        s = Fraction(row[m.cols])
-        for j in range(c + 1, m.cols):
-            if row[j] != 0 and x[j] != 0:
-                s -= Fraction(row[j]) * x[j]
-        x[c] = s / Fraction(row[c])
-    return x
+    rhs = [{0: Fraction(x)} if x else {} for x in b]
+    return Echelon(m.cols, _row_dicts(m), rhs).solutions(1)[0]
 
 
 class SparseColumns:
     """A tall sparse matrix stored column by column.
 
     Rows are keyed by arbitrary sortable keys (the materialized-operator
-    coordinates); only rows with a nonzero entry in some column exist.  Dense
-    elimination happens on the restriction to those rows, which is exact and
-    loses nothing: all-zero rows never affect rank, kernel or solving.
+    coordinates); only rows with a nonzero entry in some column exist.  Rank
+    and kernel come from the echelon form of those rows, built straight from
+    the columns; to_dense gives the same matrix as a RationalMatrix.
     """
 
     def __init__(self, ncols):
@@ -456,10 +549,15 @@ class SparseColumns:
                 m.set(pos[k], c, v)
         return keys, m
 
+    def echelon(self):
+        rows = {}
+        for c, d in enumerate(self.columns):
+            for k, v in d.items():
+                rows.setdefault(k, {})[c] = v
+        return Echelon(self.ncols, list(rows.values()))
+
     def rank(self):
-        _, m = self.to_dense()
-        return rank(m)
+        return self.echelon().rank
 
     def kernel_basis(self):
-        _, m = self.to_dense()
-        return kernel_basis(m)
+        return self.echelon().kernel_basis()

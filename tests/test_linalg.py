@@ -2,10 +2,14 @@
 
 Oracles here are deliberately independent of the implementation: signs come
 from cycle parity instead of inversion counts, ranks from sympy or hand
-determinants, tensor permutation from a brute-force index loop.
+determinants, tensor permutation from a brute-force index loop, and the
+sparse echelon form from dense fraction-free Bareiss elimination.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdhom
 from tdhom.errors import InvalidPermutation, ShapeError
 from tdhom.linalg import (
     DenseTensor,
@@ -23,6 +28,7 @@ from tdhom.linalg import (
     gather,
     kernel_basis,
     permutation_sign,
+    pivot_columns,
     pivot_rows,
     rank,
     scatter,
@@ -290,3 +296,154 @@ class TestSparseColumns:
         sc = SparseColumns(2)
         basis = sc.kernel_basis()
         assert len(basis) == 2
+
+
+# Dense oracle: fraction-free Bareiss elimination (RationalMatrix._echelon)
+# followed by dense back-substitution, as the package did before it had a
+# sparse echelon form.
+
+def oracle_pivot_columns(m):
+    _, pivots, _ = m._echelon()
+    return [c for _, c in pivots]
+
+
+def oracle_kernel_basis(m):
+    work, pivots, _ = m._echelon()
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_cols):
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for r, c in reversed(pivots):
+            s = sum((Fraction(work[r][j]) * x[j] for j in range(c + 1, m.cols)),
+                    Fraction(0))
+            x[c] = -s / work[r][c]
+        basis.append(x)
+    return basis
+
+
+def oracle_solve(m, b):
+    aug = RationalMatrix(m.rows, m.cols + 1,
+                         [x for i in range(m.rows) for x in m.row(i) + [b[i]]])
+    work, pivots, _ = aug._echelon()
+    if any(c == m.cols for _, c in pivots):
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in reversed(pivots):
+        s = Fraction(work[r][m.cols]) - sum(
+            (work[r][j] * x[j] for j in range(c + 1, m.cols)), Fraction(0))
+        x[c] = s / work[r][c]
+    return x
+
+
+def rationals(data, density):
+    if data.draw(st.floats(0, 1)) >= density:
+        return Fraction(0)
+    return Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4)))
+
+
+def draw_matrix(data, rows, cols, density):
+    return RationalMatrix(rows, cols, [rationals(data, density)
+                                       for _ in range(rows * cols)])
+
+
+class TestEchelonAgainstDenseOracle:
+    """The sparse echelon form gives exactly the Fractions of dense Bareiss."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_pivots_kernel_solve(self, data):
+        rows = data.draw(st.integers(0, 7), label="rows")
+        cols = data.draw(st.integers(0, 7), label="cols")
+        density = data.draw(st.sampled_from([0.15, 0.4, 1.0]), label="density")
+        m = draw_matrix(data, rows, cols, density)
+
+        pivots = oracle_pivot_columns(m)
+        assert rank(m) == len(pivots)
+        assert pivot_columns(m) == pivots
+        assert kernel_basis(m) == oracle_kernel_basis(m)
+
+        # consistent: b = m x; arbitrary: often inconsistent when rank < rows
+        x = [rationals(data, density) for _ in range(cols)]
+        consistent = [sum((m.get(i, j) * x[j] for j in range(cols)), Fraction(0))
+                      for i in range(rows)]
+        arbitrary = [rationals(data, density) for _ in range(rows)]
+        for b in (consistent, arbitrary):
+            assert solve(m, b) == oracle_solve(m, b)
+        assert solve(m, consistent) is not None
+
+        # one batched elimination equals the single solves one by one
+        rhs = [consistent, arbitrary, [Fraction(0)] * rows]
+        batch = RationalMatrix(rows, len(rhs),
+                               [b[i] for i in range(rows) for b in rhs])
+        assert solve(m, batch) == [solve(m, b) for b in rhs]
+
+        other = draw_matrix(data, cols, data.draw(st.integers(0, 4)), density)
+        expected = [sum((m.get(i, k) * other.get(k, j) for k in range(cols)),
+                        Fraction(0))
+                    for i in range(rows) for j in range(other.cols)]
+        assert m.matmul(other).entries == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_columns_match_oracle(self, data):
+        ncols = data.draw(st.integers(0, 6))
+        sc = SparseColumns(ncols)
+        for _ in range(data.draw(st.integers(0, 20)) if ncols else 0):
+            sc.add(data.draw(st.integers(0, ncols - 1)),
+                   ("r", data.draw(st.integers(0, 8))),
+                   Fraction(data.draw(st.integers(-3, 3))))
+        _, m = sc.to_dense()
+        assert sc.rank() == len(oracle_pivot_columns(m))
+        assert sc.kernel_basis() == oracle_kernel_basis(m)
+
+    def test_inconsistent_batch_column_is_none(self):
+        m = RationalMatrix.from_rows([[1, 1], [2, 2], [0, 0]])
+        batch = RationalMatrix.from_rows([[1, 1], [2, 3], [0, 0]])
+        assert solve(m, batch) == [[Fraction(1), Fraction(0)], None]
+        assert solve(m, [1, 2, 1]) is None
+
+    def test_empty_shapes(self):
+        assert rank(RationalMatrix(0, 3, [])) == 0
+        assert kernel_basis(RationalMatrix(0, 2, [])) == [
+            [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        assert solve(RationalMatrix(0, 2, []), []) == [Fraction(0)] * 2
+        assert kernel_basis(RationalMatrix(3, 0, [])) == []
+        assert solve(RationalMatrix(2, 0, []), [0, 0]) == []
+        assert solve(RationalMatrix(2, 0, []), [0, 1]) is None
+
+    def test_pivot_rows_ascending_row_basis(self):
+        m = RationalMatrix.from_rows([[1, 2, 3], [0, 0, 1], [2, 4, 6], [1, 2, 4]])
+        rows = pivot_rows(m)
+        assert rows == sorted(rows) and len(rows) == rank(m) == 2
+        sub = RationalMatrix.from_rows([m.row(i) for i in rows])
+        assert rank(sub) == 2
+
+
+def test_shape_checks_survive_optimize_flag():
+    """Input checks raise ShapeError, not assert, so python -O keeps them."""
+    script = """
+from tdhom.errors import ShapeError
+from tdhom.linalg import BasedSpace, DenseTensor, Permutation, RationalMatrix
+cases = [
+    lambda: DenseTensor((2, 2), [1, 2, 3, 4]).get((0, -1)),
+    lambda: DenseTensor((2, 2), [1, 2, 3, 4]).get((0,)),
+    lambda: Permutation.identity(2).then(Permutation.identity(3)),
+    lambda: RationalMatrix.from_rows([[1, 2], [3]]),
+    lambda: BasedSpace("V", ("a", "a")),
+]
+for case in cases:
+    try:
+        case()
+    except ShapeError:
+        continue
+    raise SystemExit("no ShapeError from case %d" % cases.index(case))
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "ok"
+
