@@ -8,12 +8,14 @@ first failing tuple.
 """
 
 from .checks import combine
-from .errors import AxiomError
-from .linalg import Permutation
-from .maps import MultilinearMap, map_identity_check
+from .errors import AxiomError, ShapeError
+from .linalg import Permutation, table_sum
+from .maps import map_identity_check
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
 JACOBI_CYCLE = Permutation([1, 2, 0])
+# its two nontrivial powers, the rearrangements added to the nested term
+JACOBI_ROTATIONS = (JACOBI_CYCLE, JACOBI_CYCLE.then(JACOBI_CYCLE))
 # the inverse cycle: moves the last argument in front, fixing the order of
 # the other two; this is the twist in the bracket/product compatibility law
 PRODUCT_CYCLE = Permutation([2, 0, 1])
@@ -21,10 +23,15 @@ SWAP = Permutation([1, 0])
 SWAP_FIRST_TWO = Permutation([1, 0, 2])
 
 
+def _require_binary(op, space, what):
+    """ShapeError unless op is a binary map into space."""
+    if op.arity != 2 or op.codomain is not space:
+        raise ShapeError("%s must be a binary map into %s" % (what, space.name))
+
+
 class LieAlgebra:
     def __init__(self, space, bracket, check=True, name=""):
-        assert bracket.arity == 2
-        assert bracket.codomain is space
+        _require_binary(bracket, space, "bracket")
         self.space = space
         self.bracket = bracket
         self.name = name or space.name
@@ -39,9 +46,10 @@ class LieAlgebra:
 
 class LieModule:
     def __init__(self, base, space, action, check=True, name=""):
-        assert action.arity == 2
-        assert action.domain[0] is base.space
-        assert action.domain[1] is space and action.codomain is space
+        _require_binary(action, space, "action")
+        if action.domain[0] is not base.space or action.domain[1] is not space:
+            raise ShapeError("action must map %s x %s -> %s"
+                             % (base.space.name, space.name, space.name))
         self.base = base
         self.space = space
         self.action = action
@@ -57,7 +65,7 @@ class LieModule:
 
 class AssociativeAlgebra:
     def __init__(self, space, product, check=True, name=""):
-        assert product.arity == 2 and product.codomain is space
+        _require_binary(product, space, "product")
         self.space = space
         self.product = product
         self.name = name or space.name
@@ -69,8 +77,8 @@ class AssociativeAlgebra:
 
 class PoissonAlgebra:
     def __init__(self, space, bracket, product, check=True, name=""):
-        assert bracket.arity == 2 and product.arity == 2
-        assert bracket.codomain is space and product.codomain is space
+        _require_binary(bracket, space, "bracket")
+        _require_binary(product, space, "product")
         self.space = space
         self.bracket = bracket
         self.product = product
@@ -92,13 +100,8 @@ def skew_symmetry_check(bracket):
 def jacobi_check(bracket):
     """bracket(1 x bracket) summed over the three cyclic rotations is zero."""
     nested = bracket.compose_at(bracket, 1)
-    total = nested
-    rot = JACOBI_CYCLE
-    for _ in range(2):
-        total = total.add(nested.precompose_perm(rot))
-        rot = rot.then(JACOBI_CYCLE)
-    zero = MultilinearMap.zero(nested.domain, nested.codomain)
-    return map_identity_check("jacobi", total, zero)
+    total = table_sum([nested] + [nested.precompose_perm(r) for r in JACOBI_ROTATIONS])
+    return map_identity_check("jacobi", total, total.scale(0))
 
 
 def check_lie(L):

@@ -33,17 +33,10 @@ class Coalgebra:
                     raise MalformedInput(
                         "coproduct index %d out of range for %s (dim %d)"
                         % (idx, space.name, space.dim))
-            q = Fraction(q)
-            if q == 0:
-                continue
             key = (i, j, k)
-            new = table.get(key, ZERO) + q
-            if new == 0:
-                table.pop(key, None)
-            else:
-                table[key] = new
+            table[key] = table.get(key, ZERO) + Fraction(q)
         self.space = space
-        self.coproduct = table
+        self.coproduct = {key: q for key, q in table.items() if q}
         self._iterated = {}
         if check:
             result = check_coassociativity(self)
@@ -67,7 +60,8 @@ class Coalgebra:
         time, matching the left-iterated composite; coassociativity makes
         every other association order agree (tested, not assumed here).
         """
-        assert n >= 1
+        if n < 1:
+            raise ValueError("order must be >= 1")
         if n in self._iterated:
             return self._iterated[n]
         if n == 1:
@@ -80,13 +74,10 @@ class Coalgebra:
                 for legs, q in entries:
                     for j, k, p in self.splits(legs[0]):
                         key = (j, k) + legs[1:]
-                        new = acc.get(key, ZERO) + q * p
-                        if new == 0:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = new
-                if acc:
-                    terms[c] = sorted(acc.items())
+                        acc[key] = acc.get(key, ZERO) + q * p
+                expansion = sorted(kv for kv in acc.items() if kv[1])
+                if expansion:
+                    terms[c] = expansion
         self._iterated[n] = terms
         return terms
 

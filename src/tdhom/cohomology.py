@@ -19,17 +19,18 @@ from math import comb
 from .convolution import induced, matrix_units, resolve_guard_limit, twisted_term
 from .errors import AxiomError, GuardError, ShapeError
 from .linalg import (
+    ZERO,
     Permutation,
     RationalMatrix,
     SparseColumns,
+    SparseTable,
     kernel_basis,
+    table_sum,
     pivot_columns,
     rank,
     solve,
 )
 from .maps import MultilinearMap
-
-ZERO = Fraction(0)
 
 
 def increasing_tuples(dim, n):
@@ -77,12 +78,14 @@ def unshuffles(k, m):
     return out
 
 
-class AltCochain:
+class AltCochain(SparseTable):
     """A skew multilinear map into a module, compressed to increasing tuples.
 
     Degree zero is an element of the target space, stored under the empty
     tuple.  Values off the increasing tuples are recovered by sign.
     """
+
+    TABLE = "values"
 
     def __init__(self, lie_space, target, degree, values):
         table = {}
@@ -155,28 +158,12 @@ class AltCochain:
                 entries[(arrangement, o)] = sign * q
         return MultilinearMap([self.lie_space] * self.degree, self.target, entries)
 
-    def scale(self, q):
-        q = Fraction(q)
-        return AltCochain(self.lie_space, self.target, self.degree,
-                          {k: q * v for k, v in self.values.items()})
-
-    def add(self, other):
-        if self.degree != other.degree:
-            raise ShapeError("degree %d vs %d" % (self.degree, other.degree))
-        table = dict(self.values)
-        for k, v in other.values.items():
-            new = table.get(k, ZERO) + v
-            if new == 0:
-                table.pop(k, None)
-            else:
-                table[k] = new
+    def _like(self, table):
         return AltCochain(self.lie_space, self.target, self.degree, table)
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def is_zero(self):
-        return not self.values
+    def _check_compatible(self, other):
+        if self.degree != other.degree:
+            raise ShapeError("degree %d vs %d" % (self.degree, other.degree))
 
     def __eq__(self, other):
         return (
@@ -242,13 +229,11 @@ def ce_parts_unshuffle(f, M):
     # rebuilt over the module's own spaces so compositions type-check
     fmap = MultilinearMap([M.base.space] * n, M.space, f.as_map().entries)
     acted = M.action.compose_at(fmap, 1)
-    part1 = MultilinearMap.zero(acted.domain, acted.codomain)
-    for s in unshuffles(1, n):
-        part1 = part1.add(acted.precompose_perm(s).scale(s.sign()))
+    part1 = table_sum(acted.precompose_perm(s).scale(s.sign())
+                      for s in unshuffles(1, n))
     bracketed = fmap.compose_at(M.base.bracket, 0)
-    part2 = MultilinearMap.zero(bracketed.domain, bracketed.codomain)
-    for s in unshuffles(2, n - 1):
-        part2 = part2.add(bracketed.precompose_perm(s).scale(s.sign()))
+    part2 = table_sum(bracketed.precompose_perm(s).scale(s.sign())
+                      for s in unshuffles(2, n - 1))
     return part1, part2
 
 
@@ -326,13 +311,18 @@ def induction_matrix(n, L, B, C, guard_limit=None):
         for b in range(B.dim):
             sc.add(b, (b,), 1)
         return sc
-    limit = resolve_guard_limit(guard_limit)
-    basis = alt_basis(L, B, n)
-    sc = SparseColumns(len(basis))
-    for ci, key in enumerate(basis):
-        f = AltCochain(L, B, n, {key: 1})
-        op = induced(f.as_map(), C).materialize(limit)
-        for row_key, q in op.entries.items():
+    basis = [AltCochain(L, B, n, {key: 1}) for key in alt_basis(L, B, n)]
+    return _induced_columns(basis, C, resolve_guard_limit(guard_limit))
+
+
+def _induced_columns(cochains, C, limit):
+    """Column j: the materialized operator induced by cochains[j], which
+    must have degree >= 1; a zero cochain gives a zero column."""
+    sc = SparseColumns(len(cochains))
+    for ci, f in enumerate(cochains):
+        if f.is_zero():
+            continue
+        for row_key, q in induced(f.as_map(), C).materialize(limit).entries.items():
             sc.add(ci, row_key, q)
     return sc
 
@@ -411,37 +401,19 @@ def td_differential_direct(F, tdm, guard_limit=None):
         fmap = MultilinearMap([L] * n, B, F.inducing.as_map().entries)
         acted = M.action.compose_at(fmap, 1)
         bracketed = fmap.compose_at(M.base.bracket, 0)
-        op = None
-        for s in unshuffles(1, n):
-            term = twisted_term(acted, C, s, limit).scale(s.sign())
-            op = term if op is None else op.add(term)
-        for s in unshuffles(2, n - 1):
-            op = op.sub(twisted_term(bracketed, C, s, limit).scale(s.sign()))
+        parts = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
+                 + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
+        op = table_sum(twisted_term(m, C, s, limit).scale(sign)
+                       for m, s, sign in parts)
     iota = induction_matrix(n + 1, L, B, C, limit)
-    keys = sorted(set(iota.row_keys()) | set(op.entries.keys()))
-    pos = {k: i for i, k in enumerate(keys)}
-    dense = RationalMatrix.zero(len(keys), len(iota.columns))
-    for c, col in enumerate(iota.columns):
-        for k, v in col.items():
-            dense.set(pos[k], c, v)
-    rhs = [ZERO] * len(keys)
-    for k, v in op.entries.items():
-        rhs[pos[k]] = v
-    x = solve(dense, rhs)
+    keys = sorted(set(iota.row_keys()) | set(op.entries))
+    dense = RationalMatrix.from_columns(
+        len(keys), [[col.get(k, ZERO) for k in keys] for col in iota.columns])
+    x = solve(dense, [op.entries.get(k, ZERO) for k in keys])
     if x is None:
         raise AxiomError(
             "twisted differential output is not induced at degree %d" % (n + 1))
     return TDCochain(AltCochain.from_vector(L, B, n + 1, x), C)
-
-
-def _select_columns(m, cols):
-    out = RationalMatrix.zero(m.rows, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(m.rows):
-            v = m.get(i, c)
-            if v != 0:
-                out.set(i, j, v)
-    return out
 
 
 class TDComplexData:
@@ -487,15 +459,9 @@ class TDComplexData:
         self.a_ranks = []
         quotient = []
         for k in range(maxdeg + 1):
-            basis = alt_basis(L, B, k)
-            composite = SparseColumns(len(basis))
-            for ci, key in enumerate(basis):
-                df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
-                if df.is_zero():
-                    continue
-                op = induced(df.as_map(), C).materialize(limit)
-                for row_key, q in op.entries.items():
-                    composite.add(ci, row_key, q)
+            composite = _induced_columns(
+                [ce_differential(AltCochain(L, B, k, {key: 1}), M)
+                 for key in alt_basis(L, B, k)], C, limit)
             _, dense_a = composite.to_dense()
             self.a_ranks.append(rank(dense_a))
 
@@ -506,19 +472,17 @@ class TDComplexData:
                     if coeff == 0:
                         continue
                     for row_key, q in composite.columns[ci].items():
-                        new = image.get(row_key, ZERO) + coeff * q
-                        if new == 0:
-                            image.pop(row_key, None)
-                        else:
-                            image[row_key] = new
-                if image:
+                        image[row_key] = image.get(row_key, ZERO) + coeff * q
+                if any(image.values()):
                     raise AxiomError(
                         "differential leaves the induction kernel at degree %d" % k)
 
             # differential on the quotient bases: the images of the quotient
             # basis columns, solved against the next basis in one elimination
             pos = iota_keys[k + 1]
-            sub = _select_columns(dense_iotas[k + 1], pivots[k + 1])
+            iota = dense_iotas[k + 1]
+            sub = RationalMatrix.from_columns(
+                iota.rows, [iota.column(c) for c in pivots[k + 1]])
             rhs = RationalMatrix.zero(len(pos), len(pivots[k]))
             for j, ci in enumerate(pivots[k]):
                 for row_key, q in composite.columns[ci].items():
@@ -526,15 +490,11 @@ class TDComplexData:
                         raise AxiomError(
                             "induced image leaves the induction row space at degree %d" % k)
                     rhs.set(pos[row_key], j, q)
-            q_mat = RationalMatrix.zero(len(pivots[k + 1]), len(pivots[k]))
-            for j, x in enumerate(solve(sub, rhs)):
-                if x is None:
-                    raise AxiomError(
-                        "quotient differential is unsolvable at degree %d" % k)
-                for i, val in enumerate(x):
-                    if val != 0:
-                        q_mat.set(i, j, val)
-            quotient.append(q_mat)
+            solved = solve(sub, rhs)
+            if None in solved:
+                raise AxiomError(
+                    "quotient differential is unsolvable at degree %d" % k)
+            quotient.append(RationalMatrix.from_columns(len(pivots[k + 1]), solved))
             if k == 0:
                 self.h0_kernel = kernel_basis(dense_a)
 

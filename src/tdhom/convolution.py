@@ -16,8 +16,15 @@ import os
 from fractions import Fraction
 
 from .checks import CheckResult, Witness
-from .errors import GuardError, ShapeError, TdhomError
-from .linalg import ZERO, Permutation, all_permutations, gather, tensor_space
+from .errors import GuardError, MalformedInput, ShapeError, TdhomError
+from .linalg import (
+    ZERO,
+    Permutation,
+    SparseTable,
+    all_permutations,
+    gather,
+    tensor_space,
+)
 from .maps import MultilinearMap
 
 DEFAULT_GUARD_LIMIT = 20000
@@ -32,28 +39,27 @@ def resolve_guard_limit(limit=None):
     return DEFAULT_GUARD_LIMIT
 
 
-class HomElement:
+class HomElement(SparseTable):
     """A linear map from a coalgebra's space to a target space."""
 
     def __init__(self, source, target, entries):
         """entries: {(target index, source index): Fraction} or dense rows."""
-        if isinstance(entries, dict):
-            table = {}
-            for (t, c), q in entries.items():
-                assert 0 <= t < target.dim and 0 <= c < source.dim
-                q = Fraction(q)
-                if q != 0:
-                    table[(t, c)] = q
-        else:
+        if not isinstance(entries, dict):
             rows = list(entries)
-            assert len(rows) == target.dim
-            table = {}
-            for t, row in enumerate(rows):
-                assert len(row) == source.dim
-                for c, q in enumerate(row):
-                    q = Fraction(q)
-                    if q != 0:
-                        table[(t, c)] = q
+            if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+                raise ShapeError("dense rows do not form a %dx%d matrix"
+                                 % (target.dim, source.dim))
+            entries = {(t, c): q for t, row in enumerate(rows)
+                       for c, q in enumerate(row)}
+        table = {}
+        for (t, c), q in entries.items():
+            if not (0 <= t < target.dim and 0 <= c < source.dim):
+                raise MalformedInput(
+                    "entry (%d, %d) out of range for a %dx%d Hom element"
+                    % (t, c, target.dim, source.dim))
+            q = Fraction(q)
+            if q != 0:
+                table[(t, c)] = q
         self.source = source
         self.target = target
         self.entries = table
@@ -73,24 +79,12 @@ class HomElement:
         """Image of the c-th basis vector: {target index: Fraction}."""
         return {t: q for (t, cc), q in self.entries.items() if cc == c}
 
-    def add(self, other):
-        assert self.source is other.source and self.target is other.target
-        table = dict(self.entries)
-        for k, v in other.entries.items():
-            new = table.get(k, ZERO) + v
-            if new == 0:
-                table.pop(k, None)
-            else:
-                table[k] = new
+    def _like(self, table):
         return HomElement(self.source, self.target, table)
 
-    def scale(self, q):
-        q = Fraction(q)
-        return HomElement(self.source, self.target,
-                          {k: q * v for k, v in self.entries.items()})
-
-    def is_zero(self):
-        return not self.entries
+    def _check_compatible(self, other):
+        if self.source is not other.source or self.target is not other.target:
+            raise ShapeError("Hom elements between different spaces do not add")
 
     def __eq__(self, other):
         return (
@@ -139,11 +133,7 @@ def interchange(fs):
         for _tc, q in combo:
             coeff *= q
         key = (cs, flat)
-        new = entries.get(key, ZERO) + coeff
-        if new == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = new
+        entries[key] = entries.get(key, ZERO) + coeff
     return MultilinearMap(domain, target, entries)
 
 
@@ -173,10 +163,15 @@ class InducedOperator:
 
     def apply(self, fs):
         """Evaluate on HomElements; returns a HomElement into the codomain."""
-        assert len(fs) == self.arity
+        if len(fs) != self.arity:
+            raise ShapeError("%d arguments for an operator of arity %d"
+                             % (len(fs), self.arity))
         for f, space in zip(fs, self.base.domain):
-            assert f.source is self.coalgebra
-            assert f.target.dim == space.dim
+            if f.source is not self.coalgebra:
+                raise ShapeError("argument is a map out of another coalgebra")
+            if f.target.dim != space.dim:
+                raise ShapeError("argument target %s does not fit %s"
+                                 % (f.target.name, space.name))
         C = self.coalgebra
         out = {}
         terms = C.iterated_terms(self.arity)
@@ -192,11 +187,7 @@ class InducedOperator:
                     if coeff == 0:
                         continue
                     key = (o, c)
-                    new = out.get(key, ZERO) + coeff
-                    if new == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = new
+                    out[key] = out.get(key, ZERO) + coeff
         return HomElement(C, self.base.codomain, out)
 
     def materialize(self, guard_limit=None):
@@ -222,11 +213,7 @@ class InducedOperator:
                 for (tup, o), p in self.base.entries.items():
                     cols = tuple(zip(tup, routed))
                     key = (o, c, cols)
-                    new = entries.get(key, ZERO) + q * p
-                    if new == 0:
-                        entries.pop(key, None)
-                    else:
-                        entries[key] = new
+                    entries[key] = entries.get(key, ZERO) + q * p
         return MaterializedOperator(self.arity, C, self.base.domain,
                                     self.base.codomain, entries)
 
@@ -235,7 +222,7 @@ class InducedOperator:
         return "InducedOperator(arity=%d%s)" % (self.arity, tag)
 
 
-class MaterializedOperator:
+class MaterializedOperator(SparseTable):
     """A multilinear operator on Hom spaces, laid out on matrix-unit tuples.
 
     Keys are (output index, source basis index, cols) where cols is the tuple
@@ -254,30 +241,21 @@ class MaterializedOperator:
         return MaterializedOperator(self.arity, self.coalgebra, self.domain,
                                     self.codomain, entries)
 
+    def _check_compatible(self, other):
+        if self.arity != other.arity:
+            raise ShapeError("operators of arity %d and %d do not add"
+                             % (self.arity, other.arity))
+
+    # kept in the class body, not only inherited: perfbench's tracer wraps
+    # it through MaterializedOperator.__dict__
     def add(self, other):
-        assert self.arity == other.arity
-        table = dict(self.entries)
-        for k, v in other.entries.items():
-            new = table.get(k, ZERO) + v
-            if new == 0:
-                table.pop(k, None)
-            else:
-                table[k] = new
-        return self._like(table)
-
-    def scale(self, q):
-        q = Fraction(q)
-        if q == 0:
-            return self._like({})
-        return self._like({k: q * v for k, v in self.entries.items()})
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
+        return SparseTable.add(self, other)
 
     def argument_permute(self, sigma):
         """The operator evaluated on rearranged arguments: position i gets
         the old argument sigma(i)."""
-        assert sigma.size == self.arity
+        if sigma.size != self.arity:
+            raise ShapeError("permutation size %d vs arity %d" % (sigma.size, self.arity))
         inv = sigma.inverse()
         table = {}
         for (o, c, cols), v in self.entries.items():
@@ -285,9 +263,6 @@ class MaterializedOperator:
         return MaterializedOperator(self.arity, self.coalgebra,
                                     gather(inv, self.domain) if self.domain else self.domain,
                                     self.codomain, table)
-
-    def is_zero(self):
-        return not self.entries
 
     def __eq__(self, other):
         return (

@@ -31,7 +31,7 @@ from .convolution import (
     twisted_term,
 )
 from .errors import AxiomError, ShapeError
-from .linalg import Permutation, RationalMatrix, SparseColumns, solve
+from .linalg import Permutation, RationalMatrix, SparseColumns, solve, table_sum
 from .maps import map_identity_check
 from .td_structures import TDLieStructure, TDModuleStructure
 
@@ -173,13 +173,9 @@ def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
     """
     C = s.coalgebra
     lhs = lhs_op.materialize()
-    total = None
-    for m, sign in untwisted:
-        part = induced(m, C).materialize().scale(sign)
-        total = part if total is None else total.add(part)
-    for m, perm, sign in twisted_parts:
-        part = twisted_term(m, C, perm).scale(sign)
-        total = part if total is None else total.add(part)
+    total = table_sum(
+        [induced(m, C).materialize().scale(sign) for m, sign in untwisted]
+        + [twisted_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
     return operator_identity_check(name, lhs, total)
 
 
@@ -285,7 +281,7 @@ def _violating_slot(cochain, s, limit):
 
 def check_subcomplex(s, maxdeg, guard_limit=None):
     """The differential keeps ring-linear cochains ring-linear, degree by
-    degree up to maxdeg; membership is decided by an exact solve.
+    degree up to maxdeg; membership is decided by one exact solve per degree.
 
     A cochain escaping the subspace would be a counterexample to the
     underlying structure theorem, so that raises instead of reporting.
@@ -304,20 +300,22 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     for n in range(maxdeg + 1):
         target = blinear_subspace(n + 1, s, limit)
         if current:
-            span = RationalMatrix.zero(len(alt_basis(L, B, n + 1)), len(target))
-            for j, vec in enumerate(target):
-                for i, q in enumerate(vec):
-                    if q != 0:
-                        span.set(i, j, q)
-            for vec in current:
-                F = TDCochain(AltCochain.from_vector(L, B, n, vec), s.coalgebra)
-                image = td_differential_induced(F, tdm, limit).inducing
-                if solve(span, image.components()) is None:
+            nrows = len(alt_basis(L, B, n + 1))
+            images = [
+                td_differential_induced(
+                    TDCochain(AltCochain.from_vector(L, B, n, vec), s.coalgebra),
+                    tdm, limit).inducing
+                for vec in current]
+            span = RationalMatrix.from_columns(nrows, target)
+            rhs = RationalMatrix.from_columns(
+                nrows, [image.components() for image in images])
+            for image, x in zip(images, solve(span, rhs)):
+                if x is None:
                     slot = _violating_slot(image, s, limit)
                     raise AxiomError(
                         "image %r of a linear degree-%d cochain leaves the "
                         "linear subspace (slot %d fails)" % (image, n, slot))
-                checked += 1
+            checked += len(images)
         current = target
     return CheckResult("td-subcomplex", True,
                        detail="%d images checked" % checked)

@@ -10,8 +10,13 @@ reduced by their leading column.  Its answers are the unique ones fixed by
 the lexicographically first independent column set, so they are
 reproducible bit for bit whatever the row order.  The dense fraction-free
 elimination RationalMatrix._echelon is kept only as the test oracle.
+
+SparseTable holds the sparse arithmetic (add, sub, scale, is_zero) shared by
+every class stored as a {key: Fraction} table with no zero entry: maps,
+Hom elements, materialized operators and cochains.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -267,6 +272,14 @@ class RationalMatrix:
         return cls(rows, cols, [x for r in rows_list for x in r])
 
     @classmethod
+    def from_columns(cls, rows, columns):
+        """The matrix whose column j is the dense vector columns[j]."""
+        for c in columns:
+            if len(c) != rows:
+                raise ShapeError("column of %d entries, expected %d" % (len(c), rows))
+        return cls(rows, len(columns), [c[i] for i in range(rows) for c in columns])
+
+    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols, [ZERO] * (rows * cols))
 
@@ -285,6 +298,9 @@ class RationalMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def column(self, j):
+        return self.entries[j::self.cols]
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -354,6 +370,43 @@ class RationalMatrix:
             if r == self.rows:
                 break
         return work, pivots, origin
+
+
+class SparseTable:
+    """Shared arithmetic for objects stored as one {key: Fraction} table.
+
+    A stored table never holds a zero entry; the subclass constructor drops
+    them, so sums are accumulated plainly and handed to it.  A subclass
+    names its table attribute in TABLE, rebuilds itself from a table in
+    _like, and raises ShapeError from _check_compatible when the other
+    operand does not live on the same spaces.
+    """
+
+    TABLE = "entries"
+
+    def add(self, other):
+        self._check_compatible(other)
+        table = dict(getattr(self, self.TABLE))
+        for k, v in getattr(other, self.TABLE).items():
+            table[k] = table.get(k, ZERO) + v
+        return self._like(table)
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, q):
+        q = Fraction(q)
+        if q == 0:
+            return self._like({})
+        return self._like({k: q * v for k, v in getattr(self, self.TABLE).items()})
+
+    def is_zero(self):
+        return not getattr(self, self.TABLE)
+
+
+def table_sum(terms):
+    """The sum of a nonempty iterable of SparseTables of one shape."""
+    return functools.reduce(lambda a, b: a.add(b), terms)
 
 
 def _subtract_scaled(target, a, source):
@@ -524,14 +577,13 @@ class SparseColumns:
         self.columns = [dict() for _ in range(ncols)]
 
     def add(self, col, row_key, value):
-        if value == 0:
-            return
+        """Add value at (row_key, col), dropping the entry if it cancels."""
         d = self.columns[col]
         new = d.get(row_key, ZERO) + value
-        if new == 0:
-            d.pop(row_key, None)
-        else:
+        if new:
             d[row_key] = new
+        else:
+            d.pop(row_key, None)
 
     def row_keys(self):
         keys = set()

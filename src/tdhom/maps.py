@@ -8,10 +8,10 @@ coproduct composites, cochains) is one of these.
 from fractions import Fraction
 
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, gather, scatter
+from .linalg import ZERO, SparseTable, gather, scatter
 
 
-class MultilinearMap:
+class MultilinearMap(SparseTable):
     def __init__(self, domain, codomain, entries):
         domain = tuple(domain)
         table = {}
@@ -42,7 +42,8 @@ class MultilinearMap:
 
     def apply_basis(self, tup):
         """Value on a basis tuple, as a sparse {output index: Fraction} dict."""
-        assert len(tup) == self.arity
+        if len(tup) != self.arity:
+            raise ShapeError("tuple %r for a map of arity %d" % (tup, self.arity))
         out = {}
         for (key, o), q in self.entries.items():
             if key == tup:
@@ -52,34 +53,18 @@ class MultilinearMap:
     def coefficient(self, tup, out):
         return self.entries.get((tuple(tup), out), ZERO)
 
-    def add(self, other):
-        assert self.domain == other.domain and self.codomain is other.codomain
-        table = dict(self.entries)
-        for k, v in other.entries.items():
-            new = table.get(k, ZERO) + v
-            if new == 0:
-                table.pop(k, None)
-            else:
-                table[k] = new
+    def _like(self, table):
         return MultilinearMap(self.domain, self.codomain, table)
 
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return MultilinearMap.zero(self.domain, self.codomain)
-        return MultilinearMap(self.domain, self.codomain,
-                              {k: c * v for k, v in self.entries.items()})
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def is_zero(self):
-        return not self.entries
+    def _check_compatible(self, other):
+        if self.domain != other.domain or self.codomain is not other.codomain:
+            raise ShapeError("maps on different spaces do not add")
 
     def precompose_perm(self, p):
         """self composed with a permutation of its arguments:
         (f . p)(x_1,..,x_n) = f(x_{p(1)},..,x_{p(n)})."""
-        assert p.size == self.arity
+        if p.size != self.arity:
+            raise ShapeError("permutation size %d vs arity %d" % (p.size, self.arity))
         table = {}
         for (tup, out), q in self.entries.items():
             table[(scatter(p, tup), out)] = q
@@ -101,11 +86,7 @@ class MultilinearMap:
                 if iout != mid:
                     continue
                 key = (tup[:slot] + itup + tup[slot + 1:], out)
-                new = table.get(key, ZERO) + q * p
-                if new == 0:
-                    table.pop(key, None)
-                else:
-                    table[key] = new
+                table[key] = table.get(key, ZERO) + q * p
         return MultilinearMap(domain, self.codomain, table)
 
     def __eq__(self, other):

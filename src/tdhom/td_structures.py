@@ -10,7 +10,7 @@ turns symmetric and satisfies Jordan-style cube identities instead.
 """
 
 from .algebra import (
-    JACOBI_CYCLE,
+    JACOBI_ROTATIONS,
     PRODUCT_CYCLE,
     SWAP,
     SWAP_FIRST_TWO,
@@ -19,7 +19,12 @@ from .algebra import (
     check_poisson,
 )
 from .checks import CheckResult, Witness, combine
-from .coalgebra import COCOMMUTATIVE, check_coassociativity, symmetry_class
+from .coalgebra import (
+    COCOMMUTATIVE,
+    SKEW_COCOMMUTATIVE,
+    check_coassociativity,
+    symmetry_class,
+)
 from .convolution import (
     compose_induced,
     induced,
@@ -30,6 +35,7 @@ from .convolution import (
     unit_label,
 )
 from .errors import AxiomError, ShapeError
+from .linalg import table_sum
 
 
 def _require(result, what):
@@ -41,8 +47,7 @@ def _require(result, what):
 def _skew_coproduct(C):
     """Whether flipping the legs negates the coproduct.  The zero coproduct
     qualifies even though symmetry_class files it under cocommutative."""
-    flipped = {(i, k, j): q for (i, j, k), q in C.coproduct.items()}
-    return flipped == {key: -q for key, q in C.coproduct.items()}
+    return not C.coproduct or symmetry_class(C) == SKEW_COCOMMUTATIVE
 
 
 class TDLieStructure:
@@ -110,12 +115,17 @@ def _td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
     nested_op = compose_induced(induced(bracket, C), induced(bracket, C), 1)
-    total = nested_op.materialize()
-    rot = JACOBI_CYCLE
-    for _ in range(2):
-        total = total.add(twisted_term(nested_op.base, C, rot))
-        rot = rot.then(JACOBI_CYCLE)
-    return total
+    return table_sum([nested_op.materialize()]
+                     + [twisted_term(nested_op.base, C, r) for r in JACOBI_ROTATIONS])
+
+
+def _untwisted_jacobi_check(name, bracket, C):
+    """The plain cyclic identity for the induced bracket: the nested
+    operator plus its untwisted rearrangements along the rotation and its
+    square sums to zero."""
+    nested = induced(bracket.compose_at(bracket, 1), C).materialize()
+    total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
+    return operator_identity_check(name, total, total.scale(0))
 
 
 def check_td_lie(lie, C):
@@ -140,14 +150,7 @@ def check_cocommutative_collapse(lie, C):
     plain = induced(lie.bracket, C).materialize()
     skew = operator_identity_check(
         "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
-
-    nested = induced(lie.bracket.compose_at(lie.bracket, 1), C).materialize()
-    total = nested
-    rot = JACOBI_CYCLE
-    for _ in range(2):
-        total = total.add(nested.argument_permute(rot))
-        rot = rot.then(JACOBI_CYCLE)
-    jacobi = operator_identity_check("collapse-jacobi", total, total.scale(0))
+    jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
     return combine("cocommutative-collapse", [skew, jacobi])
 
 
@@ -164,14 +167,7 @@ def check_jordan(lie, C):
     plain = op.materialize()
     sym = operator_identity_check(
         "jordan-symmetry", plain.argument_permute(SWAP), plain)
-
-    nested = induced(lie.bracket.compose_at(lie.bracket, 1), C).materialize()
-    total = nested
-    rot = JACOBI_CYCLE
-    for _ in range(2):
-        total = total.add(nested.argument_permute(rot))
-        rot = rot.then(JACOBI_CYCLE)
-    jacobi = operator_identity_check("jordan-jacobi", total, total.scale(0))
+    jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
 
     return combine("jordan", [
         sym,

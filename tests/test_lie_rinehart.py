@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from tdhom import corpus
+from tdhom import corpus, lie_rinehart
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.cohomology import AltCochain, TDCochain
+from tdhom.cohomology import AltCochain, TDCochain, alt_basis, td_differential_induced
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import (
     LieRinehartPair,
@@ -26,7 +26,7 @@ from tdhom.lie_rinehart import (
     check_td_lr,
     linearity_twist,
 )
-from tdhom.linalg import BasedSpace, Permutation
+from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
 
 ONE = Fraction(1)
@@ -217,3 +217,37 @@ class TestSubcomplex:
                           corpus.get_coalgebra("tensor-ab-2"))
         with pytest.raises(AxiomError, match="slot 1"):
             check_subcomplex(s, 1)
+
+    def test_batched_solve_reports_first_escaping_image(self, monkeypatch):
+        """With one vector cut from the degree-2 linear basis, the second and
+        sixth degree-1 images escape; the one batched solve must report the
+        image that one solve per image finds first, with the same slot."""
+        s = TDLRStructure(corpus.load("lr-derx3"), corpus.get_coalgebra("zero-ab"))
+        L, B = s.pair.lie_space, s.pair.ring_space
+        full = lie_rinehart.blinear_subspace
+        cut = full(2, s)[:2] + full(2, s)[3:]
+        monkeypatch.setattr(lie_rinehart, "blinear_subspace",
+                            lambda n, s, limit=None: cut if n == 2 else full(n, s, limit))
+        span = RationalMatrix.from_columns(len(alt_basis(L, B, 2)), cut)
+        tdm = lie_rinehart._hom_module(s)
+        escaping = []
+        for vec in full(1, s):
+            image = td_differential_induced(
+                TDCochain(AltCochain.from_vector(L, B, 1, vec), s.coalgebra), tdm).inducing
+            if solve(span, image.components()) is None:
+                escaping.append(image)
+        assert len(escaping) == 2
+        reported = []
+        slot_of = lie_rinehart._violating_slot
+
+        def recording_slot(image, s, limit):
+            reported.append(image)
+            return slot_of(image, s, limit)
+
+        monkeypatch.setattr(lie_rinehart, "_violating_slot", recording_slot)
+        expected = "image %r of a linear degree-1 cochain leaves the linear " \
+            "subspace (slot %d fails)" % (escaping[0], slot_of(escaping[0], s, None))
+        with pytest.raises(AxiomError) as info:
+            check_subcomplex(s, 1)
+        assert reported == [escaping[0]]
+        assert str(info.value) == expected
