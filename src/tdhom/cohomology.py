@@ -2,7 +2,10 @@
 
 Classical cochains are skew maps stored by their values on strictly
 increasing basis tuples; differentials become exact rational matrices in
-that basis and ranks decide everything.
+that basis and ranks decide everything.  A differential is pushed forward
+from the cochain's stored values through the bracket and action indexed
+by output and by input, so its cost follows the nonzeros, not the number
+of tuples.
 
 The Hom-space complex never works in the huge operator spaces directly: a
 cochain there is named by an inducing classical cochain, two names being
@@ -12,6 +15,7 @@ kernel containment that makes this legal verified numerically, and the
 displayed twisted-unshuffle formula evaluated separately as a cross-check.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -184,37 +188,54 @@ def _check_module_shapes(f, M):
 
 
 def ce_differential(f, M):
-    """The degree-raising double sum, computed on increasing tuples.
+    """The degree-raising double sum, pushed forward from f's stored values.
 
-    Evaluated on t_1 < ... < t_{n+1}: act with the removed argument on the
-    rest, then feed each bracketed pair back in with the alternating signs.
+    On an increasing tuple T = (t_0 < .. < t_n) the differential is
+
+        sum_i (-1)^i t_i . f(T without t_i)
+          + sum_{j<k} (-1)^(j+k) f([t_j, t_k], T without t_j, t_k).
+
+    Instead of evaluating every T, each stored value f(S) = q e_b is sent
+    to the tuples whose summands read it:
+
+    - action: each t outside S lands at position i of T = sorted(S + t)
+      and gives (-1)^i q (t . e_b) at T;
+    - bracket: each a at position p of S may be the bracket of a pair
+      x < y outside S - a, with coefficient c.  Then T = sorted(S - a + x
+      + y), x and y sit at positions j < k of T, and the (j, k) summand
+      reads f(a, S - a), which sorting turns into (-1)^p f(S); so it gives
+      (-1)^(p+j+k) q c e_b at T.
+
+    Only bracket entries with x < y are read, exactly the pairs the sum
+    over j < k evaluates, so the result does not assume a skew bracket.
     """
     _check_module_shapes(f, M)
     L, B = M.base.space, M.space
-    n = f.degree
-    action, bracket = M.action, M.base.bracket
-    out_values = {}
-    for T in increasing_tuples(L.dim, n + 1):
-        acc = {}
-        for i in range(n + 1):
-            inner = f.eval_basis(T[:i] + T[i + 1:])
-            if not inner:
+    acting = M.action.by_input()
+    pairs = {a: [(x, y, c) for (x, y), c in group.items() if x < y]
+             for a, group in M.base.bracket.by_output().items()}
+    acc = {}
+    for (S, b), q in f.values.items():
+        for t in range(L.dim):
+            if t in S:
                 continue
-            sign = 1 if i % 2 == 0 else -1
-            for b, q in inner.items():
-                for o, p in action.apply_basis((T[i], b)).items():
-                    acc[o] = acc.get(o, ZERO) + sign * q * p
-        for j in range(n + 1):
-            for k in range(j + 1, n + 1):
-                sign = 1 if (j + k) % 2 == 0 else -1
-                rest = T[:j] + T[j + 1:k] + T[k + 1:]
-                for a, c in bracket.apply_basis((T[j], T[k])).items():
-                    for o, q in f.eval_basis((a,) + rest).items():
-                        acc[o] = acc.get(o, ZERO) + sign * c * q
-        for o, q in acc.items():
-            if q != 0:
-                out_values[(T, o)] = q
-    return AltCochain(L, B, n + 1, out_values)
+            i = bisect_left(S, t)
+            T = S[:i] + (t,) + S[i:]
+            sq = q if i % 2 == 0 else -q
+            for o, r in acting.get((t, b), {}).items():
+                acc[(T, o)] = acc.get((T, o), ZERO) + sq * r
+        for p, a in enumerate(S):
+            rest = S[:p] + S[p + 1:]
+            for x, y, c in pairs.get(a, ()):
+                if x in rest or y in rest:
+                    continue
+                j = bisect_left(rest, x)
+                k = bisect_left(rest, y)
+                # x lands at position j of T and y at position k + 1
+                T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
+                sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
+                acc[(T, b)] = acc.get((T, b), ZERO) + sq
+    return AltCochain(L, B, f.degree + 1, acc)
 
 
 def ce_parts_unshuffle(f, M):

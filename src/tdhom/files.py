@@ -110,6 +110,9 @@ def _parse_map(entry, spaces, path):
         _fail(path + ".domain", "empty domain")
     domain = []
     for pos, sp in enumerate(domain_names):
+        if not isinstance(sp, str):
+            _fail("%s.domain[%d]" % (path, pos),
+                  "expected a space name, got %s" % type(sp).__name__)
         if sp not in spaces:
             _fail("%s.domain[%d]" % (path, pos), "unknown space %r" % sp)
         domain.append(spaces[sp])

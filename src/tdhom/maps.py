@@ -31,6 +31,8 @@ class MultilinearMap(SparseTable):
         self.domain = domain
         self.codomain = codomain
         self.entries = table
+        self._by_input = None
+        self._by_output = None
 
     @classmethod
     def zero(cls, domain, codomain):
@@ -40,15 +42,35 @@ class MultilinearMap(SparseTable):
     def arity(self):
         return len(self.domain)
 
+    def by_input(self):
+        """The entries grouped by input tuple: {tuple: {output: Fraction}}.
+
+        Built on first use and cached.  Nothing mutates entries after
+        construction (arithmetic builds a new map), so the cache stays
+        valid for the map's lifetime.
+        """
+        if self._by_input is None:
+            self._by_input = {}
+            for (tup, o), q in self.entries.items():
+                self._by_input.setdefault(tup, {})[o] = q
+        return self._by_input
+
+    def by_output(self):
+        """The entries grouped by output: {output: {tuple: Fraction}}.
+
+        Cached like by_input.
+        """
+        if self._by_output is None:
+            self._by_output = {}
+            for (tup, o), q in self.entries.items():
+                self._by_output.setdefault(o, {})[tup] = q
+        return self._by_output
+
     def apply_basis(self, tup):
         """Value on a basis tuple, as a sparse {output index: Fraction} dict."""
         if len(tup) != self.arity:
             raise ShapeError("tuple %r for a map of arity %d" % (tup, self.arity))
-        out = {}
-        for (key, o), q in self.entries.items():
-            if key == tup:
-                out[o] = out.get(o, ZERO) + q
-        return out
+        return dict(self.by_input().get(tuple(tup), {}))
 
     def coefficient(self, tup, out):
         return self.entries.get((tuple(tup), out), ZERO)
@@ -80,11 +102,9 @@ class MultilinearMap(SparseTable):
                 % (inner.codomain.name, slot, self.domain[slot].name))
         domain = self.domain[:slot] + inner.domain + self.domain[slot + 1:]
         table = {}
+        feeding = inner.by_output()
         for (tup, out), q in self.entries.items():
-            mid = tup[slot]
-            for (itup, iout), p in inner.entries.items():
-                if iout != mid:
-                    continue
+            for itup, p in feeding.get(tup[slot], {}).items():
                 key = (tup[:slot] + itup + tup[slot + 1:], out)
                 table[key] = table.get(key, ZERO) + q * p
         return MultilinearMap(domain, self.codomain, table)

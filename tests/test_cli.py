@@ -153,6 +153,21 @@ class TestVerify:
         assert code == 2
         assert "tdhom/9" in err
 
+    def test_malformed_domain_entry(self, tmp_path):
+        # an unhashable space name once escaped the parser as a TypeError
+        doc = json.loads(corpus.fixture_text("sl2"))
+        doc["maps"][0]["domain"][1] = ["L"]
+        bad = tmp_path / "domain.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdhom.cli", "verify", str(bad)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "$.maps[0].domain[1]" in proc.stderr
+
     def test_missing_paths_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])

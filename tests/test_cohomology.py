@@ -14,6 +14,7 @@ complex dies above degree one and H^1 = 9 - 3 by hand.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdhom import corpus
+from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cohomology import (
     AltCochain,
     ComplexMatrices,
@@ -43,7 +45,7 @@ from tdhom.cohomology import (
     unshuffles,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
-from tdhom.linalg import Permutation, RationalMatrix, kernel_basis, rank
+from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
 
@@ -65,6 +67,32 @@ def hom_module(module_name, coalgebra_name):
 @pytest.fixture(scope="module")
 def adjoint():
     return corpus.load("sl2-adjoint")
+
+
+@lru_cache(maxsize=None)
+def gl_adjoint(n):
+    """gl_n acting on itself, from [E_ij, E_kl] = d_jk E_il - d_li E_kj.
+
+    Every ordered pair is stored, so the bracket holds entries of both
+    signs, not only those on increasing pairs.
+    """
+    units = [(i, j) for i in range(n) for j in range(n)]
+    L = BasedSpace("gl%d" % n, ["E%d%d" % (i + 1, j + 1) for i, j in units])
+    entries = {}
+    for x, (i, j) in enumerate(units):
+        for y, (k, l) in enumerate(units):
+            if j == k:
+                key = ((x, y), units.index((i, l)))
+                entries[key] = entries.get(key, 0) + 1
+            if l == i:
+                key = ((x, y), units.index((k, j)))
+                entries[key] = entries.get(key, 0) - 1
+    bracket = MultilinearMap([L, L], L, entries)
+    return LieModule(LieAlgebra(L, bracket), L, bracket)
+
+
+def classical_module(name):
+    return gl_adjoint(2) if name == "gl2-adjoint" else corpus.load(name)
 
 
 class TestUnshuffles:
@@ -185,6 +213,15 @@ CLASSICAL_GOLDENS = {
 }
 
 
+# the corpus modules through degree 3, whose ids predate gl2-adjoint, and
+# gl2-adjoint through its top degree 4, whose differential lands in zero
+UNSHUFFLE_CASES = (
+    [pytest.param(m, d, id="%d-%s" % (d, m))
+     for d in (1, 2, 3) for m in sorted(CLASSICAL_GOLDENS)]
+    + [pytest.param("gl2-adjoint", d, id="%d-gl2-adjoint" % d)
+       for d in (1, 2, 3, 4)])
+
+
 class TestClassicalComplex:
     @pytest.mark.parametrize("mname", sorted(CLASSICAL_GOLDENS))
     def test_square_zero_and_dims(self, mname):
@@ -201,10 +238,13 @@ class TestClassicalComplex:
         assert cx.cohomology_dims() == CLASSICAL_GOLDENS[mname]
 
     def test_degree_zero_is_the_action(self, adjoint):
-        L, B = adjoint.base.space, adjoint.space
-        d0 = ce_differential(AltCochain(L, B, 0, {((), 1): ONE}), adjoint)
-        for (tup, o), q in d0.values.items():
-            assert adjoint.action.apply_basis((tup[0], 1)).get(o) == q
+        for M in (adjoint, gl_adjoint(2)):
+            L, B = M.base.space, M.space
+            for b in range(B.dim):
+                d0 = ce_differential(AltCochain(L, B, 0, {((), b): ONE}), M)
+                assert d0.values == {
+                    ((t,), o): q for t in range(L.dim)
+                    for o, q in M.action.apply_basis((t, b)).items()}
 
     def test_maxdeg_bounds(self, adjoint):
         with pytest.raises(ValueError):
@@ -212,10 +252,9 @@ class TestClassicalComplex:
         with pytest.raises(ValueError):
             ce_complex(adjoint, -1)
 
-    @pytest.mark.parametrize("mname", sorted(CLASSICAL_GOLDENS))
-    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("mname,degree", UNSHUFFLE_CASES)
     def test_unshuffle_form_agrees(self, mname, degree):
-        M = corpus.load(mname)
+        M = classical_module(mname)
         L, B = M.base.space, M.space
         if degree > L.dim:
             pytest.skip("no cochains that high")
@@ -223,13 +262,30 @@ class TestClassicalComplex:
             f = AltCochain(L, B, degree, {key: 1})
             assert ce_differential_unshuffle(f, M) == ce_differential(f, M)
 
-    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+           st.integers(1, 4).flatmap(lambda d: st.tuples(
+               st.just(d), st.lists(st.integers(-3, 3), min_size=4 * comb(4, d),
+                                    max_size=4 * comb(4, d)))))
     @settings(max_examples=20, deadline=None)
-    def test_unshuffle_form_agrees_on_random_cochains(self, ints):
+    def test_unshuffle_form_agrees_on_random_cochains(self, ints, gl2_cochain):
         M = corpus.load("heis-adjoint")
         L, B = M.base.space, M.space
         f = AltCochain.from_vector(L, B, 2, [Fraction(i) for i in ints])
         assert ce_differential_unshuffle(f, M) == ce_differential(f, M)
+        degree, gl2_ints = gl2_cochain
+        M = gl_adjoint(2)
+        L, B = M.base.space, M.space
+        f = AltCochain.from_vector(L, B, degree, [Fraction(i) for i in gl2_ints])
+        assert ce_differential_unshuffle(f, M) == ce_differential(f, M)
+
+    def test_gl3_adjoint_through_degree_three(self):
+        # Whitehead: H*(sl3; sl3) = 0, and gl3 = sl3 + k, so by Kunneth
+        # H*(gl3; gl3) = H*(sl3; k) (x) Lambda[z], which is 1, 1, 0, 1 in
+        # degrees 0..3; the ranks then follow from the cochain dimensions
+        cx = ce_complex(gl_adjoint(3), 3)
+        assert cx.cochain_dims() == [9, 81, 324, 756, 1134]
+        assert cx.ranks() == [8, 72, 252, 503]
+        assert cx.cohomology_dims() == [1, 1, 0, 1]
 
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
     @settings(max_examples=20, deadline=None)

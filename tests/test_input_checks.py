@@ -6,14 +6,23 @@ subprocess replays bad inputs with and without -O.
 """
 
 import ast
+import copy
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tdhom
+from tdhom import corpus
+from tdhom.coalgebra import build_tensor_coalgebra
+from tdhom.errors import AxiomError, MalformedInput, ParseError
+from tdhom.files import parse_structure, serialize_structure
+from tdhom.linalg import BasedSpace
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdhom"
 
@@ -45,11 +54,14 @@ def test_package_has_no_assert_statements():
 
 
 BAD_INPUTS = """
+import json
+
 from tdhom import corpus
 from tdhom.algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.cohomology import AltCochain
 from tdhom.convolution import HomElement, induced, matrix_units
-from tdhom.errors import MalformedInput, ShapeError
+from tdhom.errors import MalformedInput, ParseError, ShapeError
+from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
 
@@ -64,6 +76,14 @@ t2 = corpus.get_coalgebra("tensor-ab-2")
 tx3 = corpus.get_coalgebra("tensor-x-3")
 op = induced(sl2.bracket, t2)
 lie_v = LieAlgebra(V, binary)
+
+
+def sl2_with_domain_entry(value):
+    doc = json.loads(corpus.fixture_text("sl2"))
+    doc["maps"][0]["domain"][1] = value
+    return json.dumps(doc)
+
+
 cases = [
     (ShapeError, lambda: LieAlgebra(V, ternary)),
     (ShapeError, lambda: LieAlgebra(V, into_w)),
@@ -87,6 +107,8 @@ cases = [
     (ShapeError, lambda: sl2.bracket.add(heis.bracket)),
     (ShapeError, lambda: HomElement.zero(t2, V).add(HomElement.zero(tx3, V))),
     (ShapeError, lambda: AltCochain(V, W, 1, {}).sub(AltCochain(V, W, 2, {}))),
+    (ParseError, lambda: parse_structure(sl2_with_domain_entry([1]))),
+    (ParseError, lambda: parse_structure(sl2_with_domain_entry({"L": 1}))),
 ]
 for pos, (error, case) in enumerate(cases):
     try:
@@ -108,3 +130,60 @@ def test_bad_inputs_raise_typed_errors(flags):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert proc.stdout.strip() == "ok"
+
+
+# every shipped fixture, plus a coalgebra document, which no fixture is
+FUZZ_SEEDS = [json.loads(corpus.fixture_text(name)) for name in corpus.FIXTURES]
+FUZZ_SEEDS.append(json.loads(serialize_structure(
+    build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 2), name="tensor-ab-2")))
+
+# swapped types, negative and out-of-range indices, and a zero denominator
+REPLACEMENTS = (None, True, 0, -1, 2, 99, 1.5, "", "L", "1/0", "x",
+                [], [0], [[1]], {}, {"L": 1})
+
+
+def _paths(node, path=()):
+    """Every path below node, as tuples of dict keys and list positions."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _pattern(path):
+    return tuple("*" if isinstance(k, int) else k for k in path)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        by_pattern = {}
+        for path in _paths(doc):
+            by_pattern.setdefault(_pattern(path), []).append(path)
+        if not by_pattern:
+            break
+        # pick the kind of field first, so rare fields are hit as often
+        # as the many coefficient entries
+        paths = by_pattern[draw(st.sampled_from(sorted(by_pattern, key=repr)))]
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return json.dumps(doc)
+
+
+@given(mutated_documents(), st.booleans())
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_documents_fail_only_with_typed_errors(text, skip_axioms):
+    # the CLI turns exactly these into exit 2; anything else is a traceback
+    try:
+        parse_structure(text, unsafe_skip_axioms=skip_axioms)
+    except (ParseError, MalformedInput, AxiomError):
+        pass

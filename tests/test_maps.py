@@ -1,6 +1,7 @@
 """Sparse multilinear maps: composition, argument rearrangement, skewness."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,27 @@ class TestBasics:
         assert m.apply_basis((1, 0)) == {}
         assert m.coefficient((0, 1), 2) == 2
         assert m.coefficient((1, 1), 2) == 0
+
+
+class TestIndexes:
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), entries_strategy(n))))
+    @settings(max_examples=50)
+    def test_indexes_regroup_the_stored_entries(self, drawn):
+        arity, entries = drawn
+        m = random_map(entries, arity)
+        for tup in product(range(L.dim), repeat=arity):
+            scan = {o: q for (k, o), q in m.entries.items() if k == tup}
+            assert m.apply_basis(tup) == scan
+        regrouped = {(tup, o): q for o, group in m.by_output().items()
+                     for tup, q in group.items()}
+        assert regrouped == m.entries
+        assert all(m.by_output().values())
+
+    def test_apply_basis_returns_a_copy(self):
+        m = random_map({((0, 1), 2): Fraction(2)}, 2)
+        m.apply_basis((0, 1))[2] = Fraction(5)
+        assert m.apply_basis((0, 1)) == {2: Fraction(2)}
 
 
 class TestComposeAt:
