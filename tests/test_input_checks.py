@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdhom
@@ -137,53 +137,69 @@ FUZZ_SEEDS = [json.loads(corpus.fixture_text(name)) for name in corpus.FIXTURES]
 FUZZ_SEEDS.append(json.loads(serialize_structure(
     build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 2), name="tensor-ab-2")))
 
-# swapped types, negative and out-of-range indices, and a zero denominator
-REPLACEMENTS = (None, True, 0, -1, 2, 99, 1.5, "", "L", "1/0", "x",
-                [], [0], [[1]], {}, {"L": 1})
+# a deleted key or list element, swapped types, negative and out-of-range
+# indices, and a zero denominator
+DELETE = object()
+MUTATIONS = (DELETE, None, True, 0, -1, 2, 99, 1.5, "", "L", "1/0", "x",
+             [], [0], [[1]], {}, {"L": 1})
 
 
-def _paths(node, path=()):
-    """Every path below node, as tuples of dict keys and list positions."""
-    children = (node.items() if isinstance(node, dict)
-                else enumerate(node) if isinstance(node, list) else ())
-    for key, child in children:
-        yield path + (key,)
-        yield from _paths(child, path + (key,))
+def _paths_by_field(doc):
+    """Every path into doc, grouped by field: list positions read as '*'."""
+    groups = {}
+    stack = [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            field = tuple("*" if isinstance(k, int) else k for k in path + (key,))
+            groups.setdefault(field, []).append(path + (key,))
+            stack.append((path + (key,), child))
+    return groups
 
 
-def _pattern(path):
-    return tuple("*" if isinstance(k, int) else k for k in path)
+def _mutate(doc, path, mutation):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(mutation)
+
+
+def _parse_or_typed_error(text, skip_axioms=False):
+    # the CLI turns exactly these into exit 2; anything else is a traceback
+    try:
+        parse_structure(text, unsafe_skip_axioms=skip_axioms)
+    except (ParseError, MalformedInput, AxiomError):
+        pass
+
+
+def test_every_single_mutation_fails_only_with_typed_errors():
+    # each field of each seed document, at its first occurrence, under
+    # each mutation: rare fields get the same attention as coefficients
+    for seed in FUZZ_SEEDS:
+        for paths in _paths_by_field(seed).values():
+            for mutation in MUTATIONS:
+                doc = copy.deepcopy(seed)
+                _mutate(doc, paths[0], mutation)
+                for skip_axioms in (False, True):
+                    _parse_or_typed_error(json.dumps(doc), skip_axioms)
 
 
 @st.composite
 def mutated_documents(draw):
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
     for _ in range(draw(st.integers(1, 3))):
-        by_pattern = {}
-        for path in _paths(doc):
-            by_pattern.setdefault(_pattern(path), []).append(path)
-        if not by_pattern:
-            break
-        # pick the kind of field first, so rare fields are hit as often
-        # as the many coefficient entries
-        paths = by_pattern[draw(st.sampled_from(sorted(by_pattern, key=repr)))]
-        path = draw(st.sampled_from(paths))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        by_field = _paths_by_field(doc)
+        paths = by_field[draw(st.sampled_from(sorted(by_field)))]
+        _mutate(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(MUTATIONS)))
     return json.dumps(doc)
 
 
 @given(mutated_documents(), st.booleans())
-@settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_mutated_documents_fail_only_with_typed_errors(text, skip_axioms):
-    # the CLI turns exactly these into exit 2; anything else is a traceback
-    try:
-        parse_structure(text, unsafe_skip_axioms=skip_axioms)
-    except (ParseError, MalformedInput, AxiomError):
-        pass
+    _parse_or_typed_error(text, skip_axioms)
