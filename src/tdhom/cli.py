@@ -31,15 +31,7 @@ from .algebra import (
     check_poisson,
 )
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
-from .cohomology import (
-    AltCochain,
-    TDCochain,
-    TDComplexData,
-    alt_basis,
-    ce_complex,
-    td_differential_direct,
-    td_differential_induced,
-)
+from .cohomology import TDComplexData, ce_complex
 from .convolution import HomElement
 from .errors import (
     AxiomError,
@@ -275,27 +267,6 @@ def render_verify(report):
     return "\n".join(lines)
 
 
-def _unit_vector(length, i):
-    from fractions import Fraction
-    return [Fraction(int(j == i)) for j in range(length)]
-
-
-def _direct_vs_induced(tdm, maxdeg, guard_limit):
-    """Compare the two differential constructions on every basis cochain."""
-    L = tdm.module.base.space
-    B = tdm.module.space
-    for n in range(maxdeg + 1):
-        size = len(alt_basis(L, B, n))
-        for i in range(size):
-            inducing = AltCochain.from_vector(L, B, n, _unit_vector(size, i))
-            F = TDCochain(inducing, tdm.coalgebra)
-            a = td_differential_induced(F, tdm, guard_limit)
-            b = td_differential_direct(F, tdm, guard_limit)
-            if not a.same_as(b, guard_limit):
-                return "disagree at degree %d" % n
-    return "agree"
-
-
 def build_cohomology_report(args):
     objs = []
     for path in args.paths:
@@ -343,7 +314,7 @@ def build_cohomology_report(args):
     tdm = TDModuleStructure(td, M, check=False)
     data = TDComplexData(tdm, maxdeg, args.guard_limit,
                          max_arity=maxdeg + 1)
-    agreement = _direct_vs_induced(tdm, maxdeg, args.guard_limit)
+    agreement = data.direct_vs_induced()
     return {
         "format": REPORT_TAG,
         "command": "cohomology",

@@ -13,6 +13,10 @@ equal when their difference is killed by the induction map.  The twisted
 differential is then the classical one pushed to the quotient, with the
 kernel containment that makes this legal verified numerically, and the
 displayed twisted-unshuffle formula evaluated separately as a cross-check.
+TDComplexData builds the complex once per degree and takes three routes:
+rank counts, quotient bases, and the twisted formula against the induced
+differential per basis cochain; td_differential_induced, _direct and
+TDCochain.same_as, one cochain at a time, are the oracle for the third.
 """
 
 from bisect import bisect_left
@@ -28,9 +32,7 @@ from .linalg import (
     RationalMatrix,
     SparseColumns,
     SparseTable,
-    kernel_basis,
     table_sum,
-    pivot_columns,
     rank,
     solve,
 )
@@ -394,14 +396,29 @@ def td_differential_induced(F, tdm, guard_limit=None):
     if n >= 1:
         L, B = M.base.space, M.space
         iota = induction_matrix(n, L, B, C, limit)
-        _, dense = iota.to_dense()
-        for v in kernel_basis(dense):
+        for v in iota.kernel_basis():
             dv = ce_differential(AltCochain.from_vector(L, B, n, v), M)
             if not (dv.is_zero()
                     or induced(dv.as_map(), C).materialize(limit).is_zero()):
                 raise AxiomError(
                     "differential leaves the induction kernel at degree %d" % n)
     return TDCochain(ce_differential(F.inducing, M), C)
+
+
+def _twisted_operator(f, tdm, limit):
+    """The displayed twisted formula applied to the cochain f: the
+    operator d f, evaluated in the operator space."""
+    M, C, n = tdm.module, tdm.coalgebra, f.degree
+    if n == 0:
+        return induced(ce_differential(f, M).as_map(), C).materialize(limit)
+    L, B = M.base.space, M.space
+    fmap = MultilinearMap([L] * n, B, f.as_map().entries)
+    acted = M.action.compose_at(fmap, 1)
+    bracketed = fmap.compose_at(M.base.bracket, 0)
+    parts = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
+             + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
+    return table_sum(twisted_term(m, C, s, limit).scale(sign)
+                     for m, s, sign in parts)
 
 
 def td_differential_direct(F, tdm, guard_limit=None):
@@ -411,22 +428,11 @@ def td_differential_direct(F, tdm, guard_limit=None):
     No solution would falsify the containment the construction rests on,
     so that case raises instead of reporting.
     """
-    M = tdm.module
-    C = tdm.coalgebra
-    L, B = M.base.space, M.space
+    L, B = tdm.module.base.space, tdm.module.space
     n = F.degree
     limit = resolve_guard_limit(guard_limit)
-    if n == 0:
-        op = induced(ce_differential(F.inducing, M).as_map(), C).materialize(limit)
-    else:
-        fmap = MultilinearMap([L] * n, B, F.inducing.as_map().entries)
-        acted = M.action.compose_at(fmap, 1)
-        bracketed = fmap.compose_at(M.base.bracket, 0)
-        parts = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
-                 + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
-        op = table_sum(twisted_term(m, C, s, limit).scale(sign)
-                       for m, s, sign in parts)
-    iota = induction_matrix(n + 1, L, B, C, limit)
+    op = _twisted_operator(F.inducing, tdm, limit)
+    iota = induction_matrix(n + 1, L, B, tdm.coalgebra, limit)
     keys = sorted(set(iota.row_keys()) | set(op.entries))
     dense = RationalMatrix.from_columns(
         len(keys), [[col.get(k, ZERO) for k in keys] for col in iota.columns])
@@ -434,7 +440,7 @@ def td_differential_direct(F, tdm, guard_limit=None):
     if x is None:
         raise AxiomError(
             "twisted differential output is not induced at degree %d" % (n + 1))
-    return TDCochain(AltCochain.from_vector(L, B, n + 1, x), C)
+    return TDCochain(AltCochain.from_vector(L, B, n + 1, x), tdm.coalgebra)
 
 
 class TDComplexData:
@@ -444,7 +450,9 @@ class TDComplexData:
     the classical spaces (cochain dim minus composite rank minus kernel dim
     minus previous composite rank), and assembling the differential on
     explicit quotient bases where the squared differential is also checked.
-    The constructor insists the routes agree.
+    The constructor insists the routes agree.  A third route,
+    direct_vs_induced, compares the twisted formula with the induced
+    differential per basis cochain; the per-cochain functions are its oracle.
     """
 
     def __init__(self, tdm, maxdeg=2, guard_limit=None, max_arity=3):
@@ -461,30 +469,32 @@ class TDComplexData:
 
         self.tdm = tdm
         self.maxdeg = maxdeg
+        self.guard_limit = limit
         self.alt_dims = [alt_dim(L, B, k) for k in range(maxdeg + 2)]
 
-        dense_iotas, iota_keys = [], []
+        iotas, kernels, pivots = [], [], []
         self.td_dims, self.ker_dims = [], []
-        kernels, pivots = [], []
         for k in range(maxdeg + 2):
             sc = induction_matrix(k, L, B, C, limit)
-            keys, dense = sc.to_dense()
-            kern = kernel_basis(dense)
-            dense_iotas.append(dense)
-            iota_keys.append({key: i for i, key in enumerate(keys)})
-            kernels.append(kern)
-            pivots.append(pivot_columns(dense))
-            self.td_dims.append(rank(dense))
-            self.ker_dims.append(len(kern))
+            ech = sc.echelon()
+            iotas.append(sc)
+            kernels.append(ech.kernel_basis())
+            pivots.append(ech.pivot_columns())
+            self.td_dims.append(ech.rank)
+            self.ker_dims.append(len(kernels[k]))
 
         self.a_ranks = []
+        self.composites = []  # column ci: d of basis cochain ci, induced
         quotient = []
         for k in range(maxdeg + 1):
             composite = _induced_columns(
                 [ce_differential(AltCochain(L, B, k, {key: 1}), M)
                  for key in alt_basis(L, B, k)], C, limit)
-            _, dense_a = composite.to_dense()
-            self.a_ranks.append(rank(dense_a))
+            ech = composite.echelon()
+            self.composites.append(composite)
+            self.a_ranks.append(ech.rank)
+            if k == 0:
+                self.h0_kernel = ech.kernel_basis()
 
             # names of zero must map to names of zero
             for v in kernels[k]:
@@ -500,11 +510,13 @@ class TDComplexData:
 
             # differential on the quotient bases: the images of the quotient
             # basis columns, solved against the next basis in one elimination
-            pos = iota_keys[k + 1]
-            iota = dense_iotas[k + 1]
+            iota = iotas[k + 1]
+            keys = iota.row_keys()
+            pos = {key: i for i, key in enumerate(keys)}
             sub = RationalMatrix.from_columns(
-                iota.rows, [iota.column(c) for c in pivots[k + 1]])
-            rhs = RationalMatrix.zero(len(pos), len(pivots[k]))
+                len(keys), [[iota.columns[c].get(key, ZERO) for key in keys]
+                            for c in pivots[k + 1]])
+            rhs = RationalMatrix.zero(len(keys), len(pivots[k]))
             for j, ci in enumerate(pivots[k]):
                 for row_key, q in composite.columns[ci].items():
                     if row_key not in pos:
@@ -516,8 +528,6 @@ class TDComplexData:
                 raise AxiomError(
                     "quotient differential is unsolvable at degree %d" % k)
             quotient.append(RationalMatrix.from_columns(len(pivots[k + 1]), solved))
-            if k == 0:
-                self.h0_kernel = kernel_basis(dense_a)
 
         for a, b in zip(quotient, quotient[1:]):
             if not b.matmul(a).is_zero():
@@ -536,6 +546,24 @@ class TDComplexData:
                     "cohomology routes disagree at degree %d: %d vs %d"
                     % (k, direct, via_quotient))
             self.h_dims.append(direct)
+
+    def direct_vs_induced(self):
+        """Return "agree", or "disagree at degree k" at the first basis
+        cochain whose twisted-formula image differs from its composite column.
+
+        A mismatch goes to td_differential_direct, which raises AxiomError
+        if the output is not induced, as the per-cochain comparison does.
+        """
+        L, B = self.tdm.module.base.space, self.tdm.module.space
+        for k, composite in enumerate(self.composites):
+            for ci, key in enumerate(alt_basis(L, B, k)):
+                f = AltCochain(L, B, k, {key: 1})
+                op = _twisted_operator(f, self.tdm, self.guard_limit)
+                if op.entries != composite.columns[ci]:
+                    td_differential_direct(TDCochain(f, self.tdm.coalgebra),
+                                           self.tdm, self.guard_limit)
+                    return "disagree at degree %d" % k
+        return "agree"
 
 
 def td_cohomology_dims(tdm, maxdeg=2, guard_limit=None, max_arity=3):

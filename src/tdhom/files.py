@@ -35,7 +35,7 @@ from fractions import Fraction
 from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
-from .errors import AxiomError, MalformedInput, ParseError
+from .errors import MalformedInput, ParseError
 from .linalg import BasedSpace
 from .maps import MultilinearMap
 

@@ -8,7 +8,7 @@ coproduct composites, cochains) is one of these.
 from fractions import Fraction
 
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, gather, scatter
+from .linalg import ZERO, SparseTable, scatter
 
 
 class MultilinearMap(SparseTable):

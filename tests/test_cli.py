@@ -6,6 +6,7 @@ runs on identical inputs, and the human rendering must be a function of
 the machine body alone.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -310,6 +311,109 @@ class TestCohomology:
         code, out, _ = run(argv + ["--json"], capsys)
         assert code == 0
         assert json.loads(out)["cohomology_dims"] == [1, 0, 0]
+
+
+# cohomology --td --json at the default maxdeg and guard: exit code and
+# SHA-256 of stdout, recorded before direct_vs_induced moved into
+# TDComplexData; a guard refusal (exit 3) prints no report
+TD_REPORTS = {
+    ("sl2-adjoint", "exterior-ab"):
+        (0, "9b7026685a855af4744c36171757b99b9adafe798a70f72190a77f7e07c2e9fc"),
+    ("sl2-adjoint", "symmetric-xy-2"):
+        (0, "dd8ee37eed037795514bcc5bdf7119b96b4d66323a3ee5646d7b6bf4cef55771"),
+    ("sl2-adjoint", "tensor-ab-2"):
+        (0, "36280b800cf08c9afc0d7fb1ba23c61e732a54984e393fa1c712e61f41e1b07f"),
+    ("sl2-adjoint", "tensor-ab-3"): (3, None),
+    ("sl2-adjoint", "tensor-x-3"):
+        (0, "12c213dee81682bfd785c7a774273a81c32aaed1ea7acacb3b0e84b46660a8a4"),
+    ("sl2-adjoint", "zero-ab"):
+        (0, "dbb2c90879bca016ee2e37c371a3ea36bb95d3fa13af869901bcd335b18055ff"),
+    ("sl2-trivial", "exterior-ab"):
+        (0, "fbfffd6696fa855caf4031f83bcba9cc142aa2822d2d2cdaea27ce474ccf2588"),
+    ("sl2-trivial", "symmetric-xy-2"):
+        (0, "cb6cb5a9abc554ba733c844cc0c7256c93d31c3d8f3329f9305c4b515165193c"),
+    ("sl2-trivial", "tensor-ab-2"):
+        (0, "91bd8c154d347a60e43da85430198268de5d3636b018228242660983940e559c"),
+    ("sl2-trivial", "tensor-ab-3"): (3, None),
+    ("sl2-trivial", "tensor-x-3"):
+        (0, "2e79411d86ce27855b9a29ad445679da995dcf422ffc65fc3ca45ce6f497ab69"),
+    ("sl2-trivial", "zero-ab"):
+        (0, "5a102a0364670e9ce69d808bfbc64dee9c93398329140befdb1a410cad7be512"),
+    ("heis-adjoint", "exterior-ab"):
+        (0, "ce64fd4553e47f6e4f089568804f8a75b5d6df1c0aafa8f597f7c195fb47f5ae"),
+    ("heis-adjoint", "symmetric-xy-2"):
+        (0, "50c3602793496add9f829c3233b77e13bc1f70948f68050f9c3c930849a8346c"),
+    ("heis-adjoint", "tensor-ab-2"):
+        (0, "5e1bba79555ae9d57431073b5cfad265c28b5958910a34a20ef384ede9fd42a2"),
+    ("heis-adjoint", "tensor-ab-3"): (3, None),
+    ("heis-adjoint", "tensor-x-3"):
+        (0, "91705c0efaa7af9f3f37dff6a818939b8b456aec6d12d2eca2c6419400536123"),
+    ("heis-adjoint", "zero-ab"):
+        (0, "4cad6237b225ea5a2e1ba7e4c2580b5ed9717f813b87ecd0f0928a02db93c599"),
+    ("abelian2-trivial", "exterior-ab"):
+        (0, "c02ff2f486428fe22c6e43c30555e217c904feda7c5697c8c326794dfff50663"),
+    ("abelian2-trivial", "symmetric-xy-2"):
+        (0, "fb23c976229d7628e24f9748349f36dae4e56d4fc6b5067586c1b03094cbcd91"),
+    ("abelian2-trivial", "tensor-ab-2"):
+        (0, "aa5145de0faad429a5139cadfbc15cffa6f4377ec72c6f0b1362a3235d12df4b"),
+    ("abelian2-trivial", "tensor-ab-3"): (3, None),
+    ("abelian2-trivial", "tensor-x-3"):
+        (0, "e2397e5196c0cb937842e569ab37ddc3ce966d2892ee1a3ce900ef08113b3599"),
+    ("abelian2-trivial", "zero-ab"):
+        (0, "a60138beaf5c1b9e8ca9264a0426e27f69e53a65ea2eb29ccbf5d124972ed90f"),
+}
+
+
+@pytest.mark.parametrize("mname,cname", sorted(TD_REPORTS))
+def test_td_report_is_pinned(mname, cname, monkeypatch, capsys):
+    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+    code, out, _ = run(["cohomology", "--module", mname, "--coalgebra", cname,
+                        "--td", "--json"], capsys)
+    expected_code, digest = TD_REPORTS[(mname, cname)]
+    assert code == expected_code
+    if digest is not None:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def heis_adjoint_file(tmp_path, map_name, entries):
+    doc = json.loads(corpus.fixture_text("heis-adjoint"))
+    for m in doc["maps"]:
+        if m["name"] == map_name:
+            m["entries"] = entries
+    path = tmp_path / "heis-adjoint-variant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+ADJOINT_ACTION = [[[0, 1], 2, "1"], [[1, 0], 2, "-1"]]
+SYMMETRIC_BRACKET = [[[0, 1], 2, "1"], [[1, 0], 2, "1"]]
+
+
+@pytest.mark.parametrize("map_name,entries,cname,code,message", [
+    # a symmetric bracket: the twisted formula leaves the induced operators
+    ("bracket", SYMMETRIC_BRACKET, "tensor-ab-2", 2,
+     "error: twisted differential output is not induced at degree 2"),
+    # the same bracket over a zero coproduct, where nothing above degree
+    # one survives to tell the two differentials apart
+    ("bracket", SYMMETRIC_BRACKET, "zero-ab", 0, None),
+    # an action that is no representation: d squared is not zero
+    ("action", ADJOINT_ACTION + [[[0, 0], 0, "1"]], "tensor-ab-2", 2,
+     "error: quotient differentials do not square to zero"),
+], ids=["symmetric-bracket", "symmetric-bracket-zero-ab", "extra-action"])
+def test_td_report_on_unchecked_module(tmp_path, map_name, entries, cname,
+                                       code, message):
+    path = heis_adjoint_file(tmp_path, map_name, entries)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdhom.cli", "cohomology", path,
+         "--coalgebra", cname, "--td", "--json", "--unsafe-skip-axioms"],
+        capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if message is None:
+        assert json.loads(proc.stdout)["direct_vs_induced"] == "agree"
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == message + "\n"
 
 
 class TestRendering:

@@ -13,6 +13,7 @@ must reproduce the classical ones, and they do; with a zero coproduct the
 complex dies above degree one and H^1 = 9 - 3 by hand.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -45,6 +46,7 @@ from tdhom.cohomology import (
     unshuffles,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
+from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
@@ -515,6 +517,64 @@ class TestTDComplex:
         data = TDComplexData(hom_self("sl2", "tensor-ab-3"), maxdeg=2,
                              guard_limit=100000)
         assert data.h_dims == [0, 0, 0]
+
+
+def per_cochain_direct_vs_induced(tdm, maxdeg, guard_limit=None):
+    """Oracle for TDComplexData.direct_vs_induced: both differentials of
+    every basis cochain, each rebuilt on its own, compared by same_as."""
+    L, B = tdm.module.base.space, tdm.module.space
+    for n in range(maxdeg + 1):
+        for key in alt_basis(L, B, n):
+            F = TDCochain(AltCochain(L, B, n, {key: 1}), tdm.coalgebra)
+            a = td_differential_induced(F, tdm, guard_limit)
+            b = td_differential_direct(F, tdm, guard_limit)
+            if not a.same_as(b, guard_limit):
+                return "disagree at degree %d" % n
+    return "agree"
+
+
+def heis_adjoint_with(map_name, entries):
+    """heis-adjoint with one map's entries replaced, loaded unchecked."""
+    doc = json.loads(corpus.fixture_text("heis-adjoint"))
+    for m in doc["maps"]:
+        if m["name"] == map_name:
+            m["entries"] = entries
+    return parse_structure(json.dumps(doc), unsafe_skip_axioms=True)
+
+
+def td_module_over(M, coalgebra_name):
+    s = TDLieStructure(M.base, corpus.get_coalgebra(coalgebra_name), check=False)
+    return TDModuleStructure(s, M, check=False)
+
+
+SYMMETRIC_BRACKET = [[[0, 1], 2, "1"], [[1, 0], 2, "1"]]
+
+
+class TestDirectVsInduced:
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("mname", corpus.MODULE_NAMES)
+    def test_matches_per_cochain_oracle(self, mname, cname):
+        tdm = hom_module(mname, cname)
+        data = TDComplexData(tdm, maxdeg=2, guard_limit=100000)
+        expected = per_cochain_direct_vs_induced(tdm, 2, 100000)
+        assert data.direct_vs_induced() == expected == "agree"
+
+    def test_non_skew_bracket_raises_like_the_oracle(self):
+        tdm = td_module_over(
+            heis_adjoint_with("bracket", SYMMETRIC_BRACKET), "tensor-ab-2")
+        data = TDComplexData(tdm, maxdeg=2)
+        with pytest.raises(AxiomError) as new:
+            data.direct_vs_induced()
+        with pytest.raises(AxiomError) as old:
+            per_cochain_direct_vs_induced(tdm, 2)
+        assert str(new.value) == str(old.value) \
+            == "twisted differential output is not induced at degree 2"
+
+    def test_non_skew_bracket_agrees_over_zero_coproduct(self):
+        tdm = td_module_over(
+            heis_adjoint_with("bracket", SYMMETRIC_BRACKET), "zero-ab")
+        assert TDComplexData(tdm, maxdeg=2).direct_vs_induced() \
+            == per_cochain_direct_vs_induced(tdm, 2) == "agree"
 
 
 class TestInvariants:

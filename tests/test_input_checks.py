@@ -2,7 +2,8 @@
 
 Callers' mistakes must end in a typed error, never in an assert that -O
 strips: a lint pass forbids assert statements in the package, and a
-subprocess replays bad inputs with and without -O.
+subprocess replays bad inputs with and without -O.  A second lint pass
+fails on imported names the package never reads.
 """
 
 import ast
@@ -51,6 +52,25 @@ def test_package_has_no_assert_statements():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Assert) and id(node) not in allowed)
     assert found == [], "assert statements vanish under python -O: %s" % found
+
+
+def test_package_reads_every_name_it_imports():
+    # __init__.py imports to re-export, so it is exempt
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append("%s:%d %s" % (path.relative_to(PACKAGE),
+                                                   node.lineno, bound))
+    assert found == [], "imported names never read: %s" % found
 
 
 BAD_INPUTS = """
