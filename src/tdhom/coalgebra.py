@@ -37,6 +37,9 @@ class Coalgebra:
             table[key] = table.get(key, ZERO) + Fraction(q)
         self.space = space
         self.coproduct = {key: q for key, q in table.items() if q}
+        self._splits = {}
+        for (i, j, k), q in sorted(self.coproduct.items()):
+            self._splits.setdefault(i, []).append((j, k, q))
         self._iterated = {}
         if check:
             result = check_coassociativity(self)
@@ -49,9 +52,7 @@ class Coalgebra:
 
     def splits(self, i):
         """Sorted [(j, k, q)] with the coproduct of basis vector i."""
-        out = [(j, k, q) for (si, j, k), q in self.coproduct.items() if si == i]
-        out.sort()
-        return out
+        return list(self._splits.get(i, ()))
 
     def iterated_terms(self, n):
         """Sparse n-fold expansion: {source index: [(leg index tuple, q)]}.
@@ -90,15 +91,13 @@ def check_coassociativity(C):
     diff = {}
     for (i, j, k), q in C.coproduct.items():
         # expand the left leg: (j -> a,b) gives (a, b, k)
-        for (sj, a, b), p in C.coproduct.items():
-            if sj == j:
-                key = (i, (a, b, k))
-                diff[key] = diff.get(key, ZERO) + q * p
+        for a, b, p in C.splits(j):
+            key = (i, (a, b, k))
+            diff[key] = diff.get(key, ZERO) + q * p
         # expand the right leg: (k -> a,b) gives (j, a, b)
-        for (sk, a, b), p in C.coproduct.items():
-            if sk == k:
-                key = (i, (j, a, b))
-                diff[key] = diff.get(key, ZERO) - q * p
+        for a, b, p in C.splits(k):
+            key = (i, (j, a, b))
+            diff[key] = diff.get(key, ZERO) - q * p
     bad = sorted((i, legs) for (i, legs), v in diff.items() if v != 0)
     if not bad:
         return CheckResult("coassociativity", True)

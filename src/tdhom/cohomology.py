@@ -7,16 +7,17 @@ from the cochain's stored values through the bracket and action indexed
 by output and by input, so its cost follows the nonzeros, not the number
 of tuples.
 
-The Hom-space complex never works in the huge operator spaces directly: a
-cochain there is named by an inducing classical cochain, two names being
-equal when their difference is killed by the induction map.  The twisted
-differential is then the classical one pushed to the quotient, with the
-kernel containment that makes this legal verified numerically, and the
-displayed twisted-unshuffle formula evaluated separately as a cross-check.
-TDComplexData builds the complex once per degree and takes three routes:
-rank counts, quotient bases, and the twisted formula against the induced
-differential per basis cochain; td_differential_induced, _direct and
-TDCochain.same_as, one cochain at a time, are the oracle for the third.
+A Hom-space cochain is named by an inducing classical cochain, two names
+being equal when their difference is killed by the induction map, and the
+twisted differential is the classical one pushed to the quotient.  The
+induction map is the outer product f (x) Delta^(n), so it is injective
+while the n-fold coproduct is nonzero and zero after, and TDComplexData
+reads the whole complex off the classical differentials and that depth
+without materializing an operator.  The materializing construction it
+replaced is the test oracle in tests/td_oracle.py.  induction_matrix,
+td_differential_induced, td_differential_direct and TDCochain work in the
+operator spaces one cochain at a time; they are the per-cochain library
+API and the oracle's building blocks.
 """
 
 from bisect import bisect_left
@@ -24,7 +25,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from .convolution import induced, matrix_units, resolve_guard_limit, twisted_term
+from .convolution import (
+    check_materialization_size,
+    induced,
+    matrix_units,
+    resolve_guard_limit,
+    twisted_term,
+)
 from .errors import AxiomError, GuardError, ShapeError
 from .linalg import (
     ZERO,
@@ -32,11 +39,12 @@ from .linalg import (
     RationalMatrix,
     SparseColumns,
     SparseTable,
-    table_sum,
+    kernel_basis,
     rank,
     solve,
+    table_sum,
 )
-from .maps import MultilinearMap
+from .maps import MultilinearMap, is_skew
 
 
 def increasing_tuples(dim, n):
@@ -306,22 +314,25 @@ class ComplexMatrices:
         return out
 
 
+def _differential_matrix(M, k):
+    """d_k in the increasing-tuple bases, one column per basis cochain."""
+    L, B = M.base.space, M.space
+    source = alt_basis(L, B, k)
+    target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
+    m = RationalMatrix.zero(len(target_index), len(source))
+    for ci, key in enumerate(source):
+        df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
+        for out_key, q in df.values.items():
+            m.set(target_index[out_key], ci, q)
+    return m
+
+
 def ce_complex(M, maxdeg):
     """Differentials d_0 .. d_maxdeg of the classical complex."""
-    L, B = M.base.space, M.space
+    L = M.base.space
     if not 0 <= maxdeg <= L.dim:
         raise ValueError("maxdeg must lie in 0..%d, got %d" % (L.dim, maxdeg))
-    matrices = []
-    for k in range(maxdeg + 1):
-        source = alt_basis(L, B, k)
-        target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
-        m = RationalMatrix.zero(len(target_index), len(source))
-        for ci, key in enumerate(source):
-            df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
-            for out_key, q in df.values.items():
-                m.set(target_index[out_key], ci, q)
-        matrices.append(m)
-    return ComplexMatrices(matrices)
+    return ComplexMatrices(_differential_matrix(M, k) for k in range(maxdeg + 1))
 
 
 def induction_matrix(n, L, B, C, guard_limit=None):
@@ -444,15 +455,24 @@ def td_differential_direct(F, tdm, guard_limit=None):
 
 
 class TDComplexData:
-    """Dimensions, ranks and consistency checks for one Hom-space complex.
+    """Dimensions, ranks and quotient differentials of one Hom-space complex.
 
-    Two independent routes produce the cohomology dimensions: counting in
-    the classical spaces (cochain dim minus composite rank minus kernel dim
-    minus previous composite rank), and assembling the differential on
-    explicit quotient bases where the squared differential is also checked.
-    The constructor insists the routes agree.  A third route,
-    direct_vs_induced, compares the twisted formula with the induced
-    differential per basis cochain; the per-cochain functions are its oracle.
+    The induction map is an outer product, iota_k(f) = f (x) Delta^(k), so it
+    is injective while the k-fold coproduct lives (k = 0 or
+    C.iterated_terms(k) nonempty) and zero from the first k where it dies.
+    Every field follows from that and the classical differentials d_k:
+
+    - td_dims[k] is alt_dims[k] while Delta^(k) lives, else 0, and
+      ker_dims[k] is the rest of alt_dims[k];
+    - quotient_matrices[k] is d_k when td_dims[k] and td_dims[k+1] are both
+      nonzero, else the zero matrix of that shape;
+    - a_ranks (composite ranks) and q_ranks (quotient ranks) are both the
+      ranks of the quotient matrices;
+    - h0_kernel is the kernel of d_0 when Delta^(1) lives, else the unit
+      vectors of B.
+
+    Guards and errors keep the order, the arithmetic and the messages of the
+    materializing construction, which tests/td_oracle.py keeps as the oracle.
     """
 
     def __init__(self, tdm, maxdeg=2, guard_limit=None, max_arity=3):
@@ -471,97 +491,63 @@ class TDComplexData:
         self.maxdeg = maxdeg
         self.guard_limit = limit
         self.alt_dims = [alt_dim(L, B, k) for k in range(maxdeg + 2)]
+        # refuse what materializing each induction matrix would have
+        # refused, so the same jobs still exit 3
+        for k in range(1, maxdeg + 2):
+            if self.alt_dims[k]:
+                check_materialization_size((L.dim * C.dim) ** k, limit)
 
-        iotas, kernels, pivots = [], [], []
-        self.td_dims, self.ker_dims = [], []
-        for k in range(maxdeg + 2):
-            sc = induction_matrix(k, L, B, C, limit)
-            ech = sc.echelon()
-            iotas.append(sc)
-            kernels.append(ech.kernel_basis())
-            pivots.append(ech.pivot_columns())
-            self.td_dims.append(ech.rank)
-            self.ker_dims.append(len(kernels[k]))
-
-        self.a_ranks = []
-        self.composites = []  # column ci: d of basis cochain ci, induced
-        quotient = []
-        for k in range(maxdeg + 1):
-            composite = _induced_columns(
-                [ce_differential(AltCochain(L, B, k, {key: 1}), M)
-                 for key in alt_basis(L, B, k)], C, limit)
-            ech = composite.echelon()
-            self.composites.append(composite)
-            self.a_ranks.append(ech.rank)
-            if k == 0:
-                self.h0_kernel = ech.kernel_basis()
-
-            # names of zero must map to names of zero
-            for v in kernels[k]:
-                image = {}
-                for ci, coeff in enumerate(v):
-                    if coeff == 0:
-                        continue
-                    for row_key, q in composite.columns[ci].items():
-                        image[row_key] = image.get(row_key, ZERO) + coeff * q
-                if any(image.values()):
-                    raise AxiomError(
-                        "differential leaves the induction kernel at degree %d" % k)
-
-            # differential on the quotient bases: the images of the quotient
-            # basis columns, solved against the next basis in one elimination
-            iota = iotas[k + 1]
-            keys = iota.row_keys()
-            pos = {key: i for i, key in enumerate(keys)}
-            sub = RationalMatrix.from_columns(
-                len(keys), [[iota.columns[c].get(key, ZERO) for key in keys]
-                            for c in pivots[k + 1]])
-            rhs = RationalMatrix.zero(len(keys), len(pivots[k]))
-            for j, ci in enumerate(pivots[k]):
-                for row_key, q in composite.columns[ci].items():
-                    if row_key not in pos:
-                        raise AxiomError(
-                            "induced image leaves the induction row space at degree %d" % k)
-                    rhs.set(pos[row_key], j, q)
-            solved = solve(sub, rhs)
-            if None in solved:
-                raise AxiomError(
-                    "quotient differential is unsolvable at degree %d" % k)
-            quotient.append(RationalMatrix.from_columns(len(pivots[k + 1]), solved))
-
+        self.td_dims = [n if k == 0 or C.iterated_terms(k) else 0
+                        for k, n in enumerate(self.alt_dims)]
+        self.ker_dims = [a - t for a, t in zip(self.alt_dims, self.td_dims)]
+        quotient = [
+            _differential_matrix(M, k) if self.td_dims[k] and self.td_dims[k + 1]
+            else RationalMatrix.zero(self.td_dims[k + 1], self.td_dims[k])
+            for k in range(maxdeg + 1)]
+        # With iota injective or zero in every degree, names of zero map to
+        # names of zero, induced images stay in the induction row space, the
+        # quotient differential is always solvable and the counting route
+        # equals the quotient route; only d squared can fail.
         for a, b in zip(quotient, quotient[1:]):
             if not b.matmul(a).is_zero():
                 raise AxiomError("quotient differentials do not square to zero")
         self.quotient_matrices = quotient
         self.q_ranks = [rank(m) for m in quotient]
-
-        self.h_dims = []
-        for k in range(maxdeg + 1):
-            below = self.a_ranks[k - 1] if k > 0 else 0
-            direct = self.alt_dims[k] - self.a_ranks[k] - self.ker_dims[k] - below
-            q_below = self.q_ranks[k - 1] if k > 0 else 0
-            via_quotient = self.td_dims[k] - self.q_ranks[k] - q_below
-            if direct != via_quotient:
-                raise AxiomError(
-                    "cohomology routes disagree at degree %d: %d vs %d"
-                    % (k, direct, via_quotient))
-            self.h_dims.append(direct)
+        self.a_ranks = list(self.q_ranks)
+        # a zero 0 x dim(B) matrix when Delta^(1) is zero: every unit vector
+        self.h0_kernel = kernel_basis(quotient[0])
+        self.h_dims = [
+            self.td_dims[k] - self.q_ranks[k] - (self.q_ranks[k - 1] if k else 0)
+            for k in range(maxdeg + 1)]
 
     def direct_vs_induced(self):
         """Return "agree", or "disagree at degree k" at the first basis
-        cochain whose twisted-formula image differs from its composite column.
+        cochain whose twisted-formula image differs from its induced
+        differential; raise AxiomError when that image is not induced.
 
-        A mismatch goes to td_differential_direct, which raises AxiomError
-        if the output is not induced, as the per-cochain comparison does.
+        The twisted formula is induced(part1 - part2) from the unshuffle
+        parts, so where Delta^(k+1) lives it differs from induced(d f)
+        exactly when part1 - part2 differs from d f, and it is induced by
+        some cochain exactly when part1 - part2 is skew.  Where Delta^(k+1)
+        is zero, and in degree 0, both sides are the same operator.
         """
-        L, B = self.tdm.module.base.space, self.tdm.module.space
-        for k, composite in enumerate(self.composites):
-            for ci, key in enumerate(alt_basis(L, B, k)):
+        M, C = self.tdm.module, self.tdm.coalgebra
+        L, B = M.base.space, M.space
+        for k in range(self.maxdeg + 1):
+            if self.alt_dims[k]:
+                check_materialization_size((L.dim * C.dim) ** (k + 1),
+                                           self.guard_limit)
+            if k == 0 or not C.iterated_terms(k + 1):
+                continue
+            for key in alt_basis(L, B, k):
                 f = AltCochain(L, B, k, {key: 1})
-                op = _twisted_operator(f, self.tdm, self.guard_limit)
-                if op.entries != composite.columns[ci]:
-                    td_differential_direct(TDCochain(f, self.tdm.coalgebra),
-                                           self.tdm, self.guard_limit)
+                part1, part2 = ce_parts_unshuffle(f, M)
+                g = part1.sub(part2)
+                if g != ce_differential(f, M).as_map():
+                    if not is_skew(g):
+                        raise AxiomError(
+                            "twisted differential output is not induced at "
+                            "degree %d" % (k + 1))
                     return "disagree at degree %d" % k
         return "agree"
 

@@ -39,6 +39,14 @@ def resolve_guard_limit(limit=None):
     return DEFAULT_GUARD_LIMIT
 
 
+def check_materialization_size(size, limit):
+    """Refuse a table of size potential entries when it exceeds limit."""
+    if size > limit:
+        raise GuardError(
+            "materialization size %d exceeds limit %d; pass a larger "
+            "guard_limit or set TDHOM_GUARD_LIMIT" % (size, limit))
+
+
 class HomElement(SparseTable):
     """A linear map from a coalgebra's space to a target space."""
 
@@ -202,10 +210,7 @@ class InducedOperator:
             size = 1
             for space in self.base.domain:
                 size *= space.dim * C.dim
-            if size > guard_limit:
-                raise GuardError(
-                    "materialization size %d exceeds limit %d; pass a larger "
-                    "guard_limit or set TDHOM_GUARD_LIMIT" % (size, guard_limit))
+            check_materialization_size(size, guard_limit)
         entries = {}
         for c, expansion in C.iterated_terms(self.arity).items():
             for legs, q in expansion:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: permutations, tensors, matrices.
+"""Exact rational linear algebra: permutations, spaces, matrices.
 
 Scalars are fractions.Fraction throughout: always lowest terms, positive
 denominator, exact field arithmetic.  Nothing in the package ever touches a
@@ -170,68 +170,6 @@ def scatter(p, seq):
     for i, x in enumerate(seq):
         out[p(i)] = x
     return tuple(out)
-
-
-class DenseTensor:
-    """Row-major dense tensor of Fractions, for small orders (<= 4)."""
-
-    def __init__(self, shape, entries):
-        shape = tuple(shape)
-        entries = list(entries)
-        total = 1
-        for d in shape:
-            total *= d
-        if len(entries) != total:
-            raise ShapeError("entry count %d does not match shape %r" % (len(entries), shape))
-        self.shape = shape
-        self.entries = entries
-
-    @classmethod
-    def zero(cls, shape):
-        total = 1
-        for d in shape:
-            total *= d
-        return cls(shape, [ZERO] * total)
-
-    def flat(self, idx):
-        if len(idx) != len(self.shape):
-            raise ShapeError("index %r for a tensor of shape %r" % (idx, self.shape))
-        pos = 0
-        for i, d in zip(idx, self.shape):
-            if not 0 <= i < d:
-                raise ShapeError("index %r out of range for shape %r" % (idx, self.shape))
-            pos = pos * d + i
-        return pos
-
-    def get(self, idx):
-        return self.entries[self.flat(idx)]
-
-    def set(self, idx, value):
-        self.entries[self.flat(idx)] = value
-
-    def indices(self):
-        return itertools.product(*(range(d) for d in self.shape))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DenseTensor)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return "DenseTensor(shape=%r)" % (self.shape,)
-
-
-def tensor_leg_permute(t, p):
-    """Permute tensor legs: output entry at (i_{p(0)},..,i_{p(n-1)}) is the
-    input entry at (i_0,..,i_{n-1})."""
-    if p.size != len(t.shape):
-        raise ShapeError("permutation size %d vs tensor order %d" % (p.size, len(t.shape)))
-    out = DenseTensor.zero(gather(p, t.shape))
-    for idx in t.indices():
-        out.set(gather(p, idx), t.get(idx))
-    return out
 
 
 def _clear_denominators(row):
@@ -441,7 +379,6 @@ class Echelon:
     def __init__(self, ncols, rows, rhs=None):
         self.ncols = ncols
         self.pivots = {}      # leading column -> (row, rhs part), row[col] == 1
-        self.origin = {}      # leading column -> index of the row fed there
         self.inconsistent = set()
         for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
             row = dict(rows[i])
@@ -453,7 +390,6 @@ class Echelon:
                     inv = ONE / row[c]
                     self.pivots[c] = ({j: v * inv for j, v in row.items()},
                                       {t: v * inv for t, v in extra.items()})
-                    self.origin[c] = i
                     break
                 f = row[c]
                 _subtract_scaled(row, f, hit[0])
@@ -522,12 +458,6 @@ def echelon(m):
 def rank(m):
     """Exact rank."""
     return echelon(m).rank
-
-
-def pivot_rows(m):
-    """Original indices of the rows the echelon form took as pivot rows,
-    ascending; deterministic, and a basis of the row space."""
-    return sorted(echelon(m).origin.values())
 
 
 def pivot_columns(m):

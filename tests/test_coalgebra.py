@@ -7,7 +7,10 @@ deshuffle splits, written down before the implementation ran.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import (
     COCOMMUTATIVE,
     NEITHER,
@@ -21,7 +24,7 @@ from tdhom.coalgebra import (
     symmetry_class,
 )
 from tdhom.errors import MalformedInput, TdhomError
-from tdhom.linalg import BasedSpace
+from tdhom.linalg import ZERO, BasedSpace
 
 V2 = BasedSpace("V", ["a", "b"])
 V1 = BasedSpace("V", ["x"])
@@ -210,6 +213,59 @@ def _iterate_rightmost(C, n):
                 new[c] = sorted(acc.items())
         terms = new
     return terms
+
+
+def scan_splits(C, i):
+    """Oracle for Coalgebra.splits: a scan of the whole coproduct."""
+    return sorted((j, k, q) for (si, j, k), q in C.coproduct.items() if si == i)
+
+
+def scan_coassociativity(C):
+    """Oracle for check_coassociativity: both legs of every entry expanded
+    by scanning the whole coproduct for the leg's source."""
+    diff = {}
+    for (i, j, k), q in C.coproduct.items():
+        for (sj, a, b), p in C.coproduct.items():
+            if sj == j:
+                key = (i, (a, b, k))
+                diff[key] = diff.get(key, ZERO) + q * p
+        for (sk, a, b), p in C.coproduct.items():
+            if sk == k:
+                key = (i, (j, a, b))
+                diff[key] = diff.get(key, ZERO) - q * p
+    bad = sorted((i, legs) for (i, legs), v in diff.items() if v != 0)
+    if not bad:
+        return CheckResult("coassociativity", True)
+    first_i = bad[0][0]
+    labels = C.space.labels
+    residual = tuple(
+        ("|".join(labels[x] for x in legs), diff[(i, legs)])
+        for i, legs in bad if i == first_i)
+    return CheckResult("coassociativity", False,
+                       Witness((labels[first_i],), residual))
+
+
+@st.composite
+def random_coproducts(draw):
+    """Triples over a small space, some repeated and some cancelled."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    triples = draw(st.lists(st.tuples(index, index, index, st.integers(-2, 2)),
+                            max_size=10))
+    for i, j, k, q in draw(st.lists(st.sampled_from(triples), max_size=4)
+                           if triples else st.just([])):
+        triples.append((i, j, k, -q))
+    return Coalgebra(BasedSpace("C", ["c%d" % n for n in range(dim)]),
+                     triples, check=False)
+
+
+class TestSourceIndex:
+    @given(random_coproducts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_scans(self, C):
+        for i in range(C.dim):
+            assert C.splits(i) == scan_splits(C, i)
+        assert check_coassociativity(C) == scan_coassociativity(C)
 
 
 class TestSymmetryClass:

@@ -50,6 +50,7 @@ from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
+from td_oracle import MaterializedTDComplexData
 
 ONE = Fraction(1)
 
@@ -372,6 +373,16 @@ class TestInductionMatrix:
         _, dense = sc.to_dense()
         assert rank(dense) == alt_dim(L, B, 2) == 9
 
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    def test_rank_is_alt_dim_while_the_coproduct_lives(self, adjoint, cname, n):
+        # iota_n(f) = f (x) Delta^(n): injective or zero, never in between
+        L, B = adjoint.base.space, adjoint.space
+        C = corpus.get_coalgebra(cname)
+        sc = induction_matrix(n, L, B, C, guard_limit=100000)
+        live = n == 0 or C.iterated_terms(n)
+        assert sc.rank() == (alt_dim(L, B, n) if live else 0)
+
     def test_negative_degree(self, adjoint):
         with pytest.raises(ValueError):
             induction_matrix(-1, adjoint.base.space, adjoint.space,
@@ -547,6 +558,7 @@ def td_module_over(M, coalgebra_name):
     return TDModuleStructure(s, M, check=False)
 
 
+ADJOINT = [[[0, 1], 2, "1"], [[1, 0], 2, "-1"]]
 SYMMETRIC_BRACKET = [[[0, 1], 2, "1"], [[1, 0], 2, "1"]]
 
 
@@ -575,6 +587,51 @@ class TestDirectVsInduced:
             heis_adjoint_with("bracket", SYMMETRIC_BRACKET), "zero-ab")
         assert TDComplexData(tdm, maxdeg=2).direct_vs_induced() \
             == per_cochain_direct_vs_induced(tdm, 2) == "agree"
+
+
+HEIS_VARIANTS = {
+    "bracket-x<y": ("bracket", [[[0, 1], 2, "1"]]),
+    "bracket-symmetric": ("bracket", SYMMETRIC_BRACKET),
+    "bracket-extra": ("bracket", ADJOINT + [[[0, 0], 0, "1"]]),
+    "action-extra": ("action", ADJOINT + [[[0, 0], 0, "1"]]),
+    "action-x<y": ("action", [[[0, 1], 2, "1"]]),
+}
+
+TD_FIELDS = ("alt_dims", "td_dims", "ker_dims", "a_ranks", "q_ranks",
+             "h_dims", "h0_kernel", "quotient_matrices", "maxdeg",
+             "guard_limit")
+
+
+def raised_or(thunk):
+    """thunk's result, or the type and message of what it raised."""
+    try:
+        return thunk()
+    except (AxiomError, GuardError) as exc:
+        return type(exc), str(exc)
+
+
+def td_outcome(cls, tdm, maxdeg, guard_limit):
+    data = raised_or(lambda: cls(tdm, maxdeg, guard_limit))
+    if isinstance(data, tuple):
+        return data
+    assert data.tdm is tdm
+    return ({name: getattr(data, name) for name in TD_FIELDS},
+            raised_or(data.direct_vs_induced))
+
+
+class TestMaterializingOracle:
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("mname", corpus.MODULE_NAMES + tuple(HEIS_VARIANTS))
+    def test_closed_form_matches_oracle(self, mname, cname):
+        if mname in HEIS_VARIANTS:
+            tdm = td_module_over(heis_adjoint_with(*HEIS_VARIANTS[mname]), cname)
+        else:
+            tdm = hom_module(mname, cname)
+        for maxdeg in (0, 1, 2):
+            for guard_limit in (None, 100000):
+                assert td_outcome(TDComplexData, tdm, maxdeg, guard_limit) \
+                    == td_outcome(MaterializedTDComplexData, tdm, maxdeg,
+                                  guard_limit), (maxdeg, guard_limit)
 
 
 class TestInvariants:

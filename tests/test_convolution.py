@@ -295,14 +295,16 @@ class TestInducedSymmetryLemma:
     twisting by sigma and rearranging the Hom arguments."""
 
     @pytest.mark.parametrize("cname", ["tensor-ab-2", "exterior-ab",
-                                       "symmetric-xy-2", "zero-ab"])
+                                       "symmetric-xy-2", "zero-ab",
+                                       "tensor-ab-3"])
     def test_arity_two(self, sl2, cname):
         C = corpus.get_coalgebra(cname)
         for sigma in all_permutations(2):
             direct = induced(sl2.bracket.precompose_perm(sigma), C).materialize()
             assert direct == twisted_term(sl2.bracket, C, sigma), (cname, sigma.images)
 
-    @pytest.mark.parametrize("cname", ["tensor-x-3", "exterior-ab"])
+    @pytest.mark.parametrize("cname", ["tensor-x-3", "exterior-ab",
+                                       "tensor-ab-3"])
     def test_arity_three(self, cname):
         C = corpus.get_coalgebra(cname)
         vol = corpus.load("vol3")

@@ -2,8 +2,9 @@
 
 Callers' mistakes must end in a typed error, never in an assert that -O
 strips: a lint pass forbids assert statements in the package, and a
-subprocess replays bad inputs with and without -O.  A second lint pass
-fails on imported names the package never reads.
+subprocess replays bad inputs with and without -O.  Two more lint passes
+fail on imported names and on private module-level helpers the package
+never reads.
 """
 
 import ast
@@ -71,6 +72,36 @@ def test_package_reads_every_name_it_imports():
                         found.append("%s:%d %s" % (path.relative_to(PACKAGE),
                                                    node.lineno, bound))
     assert found == [], "imported names never read: %s" % found
+
+
+def _names_read(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_package_reads_every_private_helper():
+    # a module-level _name that no statement outside its own definition
+    # reads is dead code left behind
+    statements = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        statements.extend((path, stmt) for stmt in tree.body)
+    reads = [_names_read(stmt) for _, stmt in statements]
+    found = []
+    for i, (path, stmt) in enumerate(statements):
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not any(stmt.name in r for j, r in enumerate(reads) if j != i)):
+            found.append("%s:%d %s" % (path.relative_to(PACKAGE), stmt.lineno,
+                                       stmt.name))
+    assert found == [], "private helpers nothing reads: %s" % found
 
 
 BAD_INPUTS = """

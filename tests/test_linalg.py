@@ -1,9 +1,9 @@
-"""Permutations, tensors, exact elimination.
+"""Permutations and exact elimination.
 
 Oracles here are deliberately independent of the implementation: signs come
 from cycle parity instead of inversion counts, ranks from sympy or hand
-determinants, tensor permutation from a brute-force index loop, and the
-sparse echelon form from dense fraction-free Bareiss elimination.
+determinants, and the sparse echelon form from dense fraction-free Bareiss
+elimination.
 """
 
 import os
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import tdhom
 from tdhom.errors import InvalidPermutation, ShapeError
 from tdhom.linalg import (
-    DenseTensor,
     Permutation,
     RationalMatrix,
     SparseColumns,
@@ -29,11 +28,9 @@ from tdhom.linalg import (
     kernel_basis,
     permutation_sign,
     pivot_columns,
-    pivot_rows,
     rank,
     scatter,
     solve,
-    tensor_leg_permute,
 )
 
 
@@ -104,72 +101,6 @@ class TestPermutation:
         p = Permutation([1, 2, 0, 3])
         assert gather(p, scatter(p, "wxyz")) == tuple("wxyz")
         assert scatter(p, gather(p, "wxyz")) == tuple("wxyz")
-
-
-class TestDenseTensor:
-    def tensor_3x2(self):
-        t = DenseTensor.zero((3, 2))
-        for i in range(3):
-            for j in range(2):
-                t.set((i, j), Fraction(10 * i + j))
-        return t
-
-    def test_identity_permute(self):
-        t = self.tensor_3x2()
-        assert tensor_leg_permute(t, Permutation.identity(2)) == t
-
-    def test_simple_tensor_transposed(self):
-        # e1 (x) e2 becomes e2 (x) e1
-        t = DenseTensor.zero((2, 2))
-        t.set((0, 1), Fraction(1))
-        swapped = tensor_leg_permute(t, Permutation.transposition(0, 1, 2))
-        assert swapped.get((1, 0)) == 1
-        assert sum(x != 0 for x in swapped.entries) == 1
-
-    def test_postcondition_entrywise(self):
-        t = self.tensor_3x2()
-        p = Permutation.transposition(0, 1, 2)
-        out = tensor_leg_permute(t, p)
-        # spec form of the contract: out[(i_{p(0)}, i_{p(1)})] == t[(i_0, i_1)]
-        for idx in t.indices():
-            assert out.get(gather(p, idx)) == t.get(idx)
-
-    def test_cycle_three_times_is_identity(self):
-        t = DenseTensor.zero((2, 3, 4))
-        rng = random.Random(7)
-        for idx in t.indices():
-            t.set(idx, Fraction(rng.randint(-5, 5)))
-        p = Permutation.cycle([0, 1, 2], 3)
-        out = t
-        for _ in range(3):
-            out = tensor_leg_permute(out, p)
-        # brute-force oracle: the orbit really has size 3, checked entrywise
-        assert out == t
-        once = tensor_leg_permute(t, p)
-        assert once != t
-
-    def test_inverse_cancels(self):
-        t = self.tensor_3x2()
-        p = Permutation.transposition(0, 1, 2)
-        assert tensor_leg_permute(tensor_leg_permute(t, p), p.inverse()) == t
-
-    def test_order_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor_leg_permute(self.tensor_3x2(), Permutation.identity(3))
-
-    @given(st.data())
-    @settings(max_examples=40)
-    def test_permute_composition(self, data):
-        n = data.draw(st.integers(2, 3))
-        shape = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
-        t = DenseTensor.zero(shape)
-        for idx in t.indices():
-            t.set(idx, Fraction(data.draw(st.integers(-3, 3))))
-        sigma = Permutation(data.draw(st.permutations(list(range(n)))))
-        rho = Permutation(data.draw(st.permutations(list(range(n)))))
-        lhs = tensor_leg_permute(tensor_leg_permute(t, rho), sigma)
-        rhs = tensor_leg_permute(t, sigma.then(rho))
-        assert lhs == rhs
 
 
 def random_matrix(rng, rows, cols):
@@ -248,13 +179,6 @@ class TestElimination:
         # free variable pinned to zero
         assert x == [Fraction(4), Fraction(0)]
         assert solve(m, [Fraction(4)]) == x
-
-    def test_pivot_rows_deterministic(self):
-        m = RationalMatrix.from_rows([[0, 1], [1, 0], [1, 1]])
-        assert pivot_rows(m) == pivot_rows(m)
-        rows = pivot_rows(m)
-        sub = RationalMatrix.from_rows([m.row(i) for i in rows])
-        assert rank(sub) == rank(m)
 
     def test_scalar_normalization_roundtrip(self):
         # Fraction is the Scalar type: lowest terms, positive denominator
@@ -412,22 +336,13 @@ class TestEchelonAgainstDenseOracle:
         assert solve(RationalMatrix(2, 0, []), [0, 0]) == []
         assert solve(RationalMatrix(2, 0, []), [0, 1]) is None
 
-    def test_pivot_rows_ascending_row_basis(self):
-        m = RationalMatrix.from_rows([[1, 2, 3], [0, 0, 1], [2, 4, 6], [1, 2, 4]])
-        rows = pivot_rows(m)
-        assert rows == sorted(rows) and len(rows) == rank(m) == 2
-        sub = RationalMatrix.from_rows([m.row(i) for i in rows])
-        assert rank(sub) == 2
-
 
 def test_shape_checks_survive_optimize_flag():
     """Input checks raise ShapeError, not assert, so python -O keeps them."""
     script = """
 from tdhom.errors import ShapeError
-from tdhom.linalg import BasedSpace, DenseTensor, Permutation, RationalMatrix
+from tdhom.linalg import BasedSpace, Permutation, RationalMatrix
 cases = [
-    lambda: DenseTensor((2, 2), [1, 2, 3, 4]).get((0, -1)),
-    lambda: DenseTensor((2, 2), [1, 2, 3, 4]).get((0,)),
     lambda: Permutation.identity(2).then(Permutation.identity(3)),
     lambda: RationalMatrix.from_rows([[1, 2], [3]]),
     lambda: BasedSpace("V", ("a", "a")),
