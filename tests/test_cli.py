@@ -625,6 +625,343 @@ def test_td_table_is_pinned(row, tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+
+# verify --json on one structure file and one coalgebra file, both named by
+# bare file names in one directory so the report does not depend on where
+# it runs.  Structures: every corpus Lie algebra, module, Poisson algebra and
+# pair, plus unchecked broken variants: broken-jacobi; dual numbers whose
+# action also hits 1 (no derivation); lr-derx3 with its bracket doubled
+# (the Leibniz rules fail); heis-adjoint with an extra action entry; and
+# poisson3 with an extra product entry (not commutative).
+VERIFY_VARIANTS = {
+    "lr-dualnum-derivation": ("lr-dualnum", "action",
+                              [[[0, 1], 1, "1"], [[0, 0], 0, "1"]]),
+    "lr-derx3-leibniz": ("lr-derx3", "bracket",
+                         [[[0, 1], 1, "2"], [[1, 0], 1, "-2"]]),
+    "heis-adjoint-action": ("heis-adjoint", "action",
+                            ADJOINT_ACTION + [[[0, 0], 0, "1"]]),
+    "poisson3-product": ("poisson3", "product",
+                         [[[0, 0], 0, "1"], [[0, 1], 1, "1"], [[0, 2], 2, "1"],
+                          [[1, 0], 1, "1"], [[2, 0], 2, "1"],
+                          [[1, 2], 0, "1"]]),
+}
+
+VERIFY_OPTIONS = {
+    "plain": [],
+    "skip": ["--unsafe-skip-axioms"],
+    # small enough to refuse the pairs' td-subcomplex sweep
+    "guard100": ["--unsafe-skip-axioms", "--guard-limit", "100"],
+    "deg2": ["--unsafe-skip-axioms", "--subcomplex-maxdeg", "2",
+             "--guard-limit", "200000"],
+}
+
+
+def write_verify_inputs(directory):
+    """Every structure and coalgebra of the verify table as <name>.json."""
+    texts = {name: corpus.fixture_text(name) for name in corpus.FIXTURES}
+    for name, (base, map_name, entries) in VERIFY_VARIANTS.items():
+        doc = json.loads(texts[base])
+        for m in doc["maps"]:
+            if m["name"] == map_name:
+                m["entries"] = entries
+        doc["name"] = name
+        texts[name] = json.dumps(doc)
+    for cname in corpus.coalgebra_names():
+        texts[cname] = serialize_structure(corpus.get_coalgebra(cname))
+    for name, text in texts.items():
+        (directory / (name + ".json")).write_text(text, encoding="utf-8")
+
+
+def verify_argv(name, cname, options):
+    return (["verify", name + ".json", cname + ".json", "--json"]
+            + VERIFY_OPTIONS[options])
+
+
+# Rows: structure, coalgebra, options, exit code, stderr error line, SHA-256
+# of stdout ("-" when it is empty).  Recorded at 10cc95d, when every twisted
+# identity was decided on materialized operator tables.
+VERIFY_TABLE = """
+sl2                    exterior-ab    plain    0 -   7456cd812216e5490cfcb3a1e90a45649b6f5c6d8a02bd6ce4e972ec50409cf9
+sl2                    symmetric-xy-2 plain    0 -   2cf3f4b77a7f676f6bb1cd50e0bc7d8da0294e2eaf73d9b9005b86d9c48f548b
+sl2                    tensor-ab-2    plain    0 -   e52dca9b46073e921b948236e3874003aa3a7cb7b2b463ec9f1e32f4de6fd5b6
+sl2                    tensor-ab-3    plain    0 -   8655a6a66709569d82d96d7f742fa8137eff295ad8e9d2260a5b3c65276c1c54
+sl2                    tensor-x-3     plain    0 -   2ecde07920c1ad7ca69ec62abfa9b4e3d950e5f8cfcb009f08a2be16b4cde9ed
+sl2                    zero-ab        plain    0 -   0d93794173237ece7e4496106790f85afdd212725aef6dd9a7dc3cc3ef040672
+sl2                    exterior-ab    skip     0 -   7456cd812216e5490cfcb3a1e90a45649b6f5c6d8a02bd6ce4e972ec50409cf9
+sl2                    symmetric-xy-2 skip     0 -   2cf3f4b77a7f676f6bb1cd50e0bc7d8da0294e2eaf73d9b9005b86d9c48f548b
+sl2                    tensor-ab-2    skip     0 -   e52dca9b46073e921b948236e3874003aa3a7cb7b2b463ec9f1e32f4de6fd5b6
+sl2                    tensor-ab-3    skip     0 -   8655a6a66709569d82d96d7f742fa8137eff295ad8e9d2260a5b3c65276c1c54
+sl2                    tensor-x-3     skip     0 -   2ecde07920c1ad7ca69ec62abfa9b4e3d950e5f8cfcb009f08a2be16b4cde9ed
+sl2                    zero-ab        skip     0 -   0d93794173237ece7e4496106790f85afdd212725aef6dd9a7dc3cc3ef040672
+heisenberg             exterior-ab    plain    0 -   d3a94d96b1b0566081a3614a81ba48f64386814ffbb5c59201fad5547ab510ed
+heisenberg             symmetric-xy-2 plain    0 -   f0874a010911386a37c3ad4969c42aef58bdd887e9fb41c4f3787fb23eba6ae4
+heisenberg             tensor-ab-2    plain    0 -   4477a484747eed9f1097b72af6ed7f56d9f23a857656a962c503b82074a8658b
+heisenberg             tensor-ab-3    plain    0 -   c2ef8ff9608113bb628c96f21d0d337c89f768ae76a5074c0375f1281e81b7b3
+heisenberg             tensor-x-3     plain    0 -   3f39f440cd844a35df2d020c223c7e864a0e6f12c849b8d66332ecdedeb30b6e
+heisenberg             zero-ab        plain    0 -   9e6ac9435eae4af5f25122b7f60f66c6d038f5adb97ae388e5a7dc359e931299
+heisenberg             exterior-ab    skip     0 -   d3a94d96b1b0566081a3614a81ba48f64386814ffbb5c59201fad5547ab510ed
+heisenberg             symmetric-xy-2 skip     0 -   f0874a010911386a37c3ad4969c42aef58bdd887e9fb41c4f3787fb23eba6ae4
+heisenberg             tensor-ab-2    skip     0 -   4477a484747eed9f1097b72af6ed7f56d9f23a857656a962c503b82074a8658b
+heisenberg             tensor-ab-3    skip     0 -   c2ef8ff9608113bb628c96f21d0d337c89f768ae76a5074c0375f1281e81b7b3
+heisenberg             tensor-x-3     skip     0 -   3f39f440cd844a35df2d020c223c7e864a0e6f12c849b8d66332ecdedeb30b6e
+heisenberg             zero-ab        skip     0 -   9e6ac9435eae4af5f25122b7f60f66c6d038f5adb97ae388e5a7dc359e931299
+abelian2               exterior-ab    plain    0 -   4342acb90fc90bf3b9fa3452248a6b98b90588bbf16fc76f3bdec77f55b8834f
+abelian2               symmetric-xy-2 plain    0 -   b34da43d5a44f3fff8f7430a0a2360b36a61c73efb35e0d9c6eeca64723a80ec
+abelian2               tensor-ab-2    plain    0 -   f8895696b831e8f4df4be37b0d160371bb8a4939e880596066153ef17a970876
+abelian2               tensor-ab-3    plain    0 -   4d8a5b086e50598faee750b50ee56e8a0aba7308d644ec31be9a2c4c1f5e4046
+abelian2               tensor-x-3     plain    0 -   63062c4c6ae9b0552733bf2dc07b24e5d73beefc194e78755c0e559e0ce131b9
+abelian2               zero-ab        plain    0 -   27c8c5d37b6f941b175afac221b8c0125fc2343c5b8879cffcc694c4d373b765
+abelian2               exterior-ab    skip     0 -   4342acb90fc90bf3b9fa3452248a6b98b90588bbf16fc76f3bdec77f55b8834f
+abelian2               symmetric-xy-2 skip     0 -   b34da43d5a44f3fff8f7430a0a2360b36a61c73efb35e0d9c6eeca64723a80ec
+abelian2               tensor-ab-2    skip     0 -   f8895696b831e8f4df4be37b0d160371bb8a4939e880596066153ef17a970876
+abelian2               tensor-ab-3    skip     0 -   4d8a5b086e50598faee750b50ee56e8a0aba7308d644ec31be9a2c4c1f5e4046
+abelian2               tensor-x-3     skip     0 -   63062c4c6ae9b0552733bf2dc07b24e5d73beefc194e78755c0e559e0ce131b9
+abelian2               zero-ab        skip     0 -   27c8c5d37b6f941b175afac221b8c0125fc2343c5b8879cffcc694c4d373b765
+sl2-adjoint            exterior-ab    plain    0 -   9e00f7dd7bce282a72c79de788bdc44fcdfe59e900b78030bf5a117efa713550
+sl2-adjoint            symmetric-xy-2 plain    0 -   de3eb72ec34abe2e8be19a1a9aa861faf3710039423af94f745db6017a88b358
+sl2-adjoint            tensor-ab-2    plain    0 -   44ed01451aba710e6fd5a49f10b246336018bb01551d2bdd019dd2299f87940a
+sl2-adjoint            tensor-ab-3    plain    0 -   6a296c7454b321be917c6e717443c4535cb74708235f42c6af734e726763c5b5
+sl2-adjoint            tensor-x-3     plain    0 -   b6c8e5aa6591f268c62e8fb0762c3ec4118f52b823d38f2eb609cdafd0e60c3c
+sl2-adjoint            zero-ab        plain    0 -   a0f6e8fc53e2612ecf9c179b5073aaac6b37f5e1a26b692733a589b65297cb81
+sl2-adjoint            exterior-ab    skip     0 -   9e00f7dd7bce282a72c79de788bdc44fcdfe59e900b78030bf5a117efa713550
+sl2-adjoint            symmetric-xy-2 skip     0 -   de3eb72ec34abe2e8be19a1a9aa861faf3710039423af94f745db6017a88b358
+sl2-adjoint            tensor-ab-2    skip     0 -   44ed01451aba710e6fd5a49f10b246336018bb01551d2bdd019dd2299f87940a
+sl2-adjoint            tensor-ab-3    skip     0 -   6a296c7454b321be917c6e717443c4535cb74708235f42c6af734e726763c5b5
+sl2-adjoint            tensor-x-3     skip     0 -   b6c8e5aa6591f268c62e8fb0762c3ec4118f52b823d38f2eb609cdafd0e60c3c
+sl2-adjoint            zero-ab        skip     0 -   a0f6e8fc53e2612ecf9c179b5073aaac6b37f5e1a26b692733a589b65297cb81
+sl2-trivial            exterior-ab    plain    0 -   a9327251cd7e651f418f6d57fdb1f41b1a8f6a4e895503d5c2c3bfe79460d9d7
+sl2-trivial            symmetric-xy-2 plain    0 -   436bbc344417bcbc34a7dd1cbf51bfc214707888ca614d736777e0f01887d135
+sl2-trivial            tensor-ab-2    plain    0 -   a98349d29e5133122b30a2cc9efce6008b24525b61897194eff98994caa8e780
+sl2-trivial            tensor-ab-3    plain    0 -   1e890034c72c4fdd223b629f8605e7c396ae1c984588ae13ea50db0a81fa7adb
+sl2-trivial            tensor-x-3     plain    0 -   643b989db3f8580ac2b3b62edbd208d275a062a7ccf3ef07e162fa8874eeb66e
+sl2-trivial            zero-ab        plain    0 -   c64501c30e5061c248b18bb67315cf467663664d5d75ebd7cc6601c86e9bba24
+sl2-trivial            exterior-ab    skip     0 -   a9327251cd7e651f418f6d57fdb1f41b1a8f6a4e895503d5c2c3bfe79460d9d7
+sl2-trivial            symmetric-xy-2 skip     0 -   436bbc344417bcbc34a7dd1cbf51bfc214707888ca614d736777e0f01887d135
+sl2-trivial            tensor-ab-2    skip     0 -   a98349d29e5133122b30a2cc9efce6008b24525b61897194eff98994caa8e780
+sl2-trivial            tensor-ab-3    skip     0 -   1e890034c72c4fdd223b629f8605e7c396ae1c984588ae13ea50db0a81fa7adb
+sl2-trivial            tensor-x-3     skip     0 -   643b989db3f8580ac2b3b62edbd208d275a062a7ccf3ef07e162fa8874eeb66e
+sl2-trivial            zero-ab        skip     0 -   c64501c30e5061c248b18bb67315cf467663664d5d75ebd7cc6601c86e9bba24
+heis-adjoint           exterior-ab    plain    0 -   63cd176e69ec7ce77f4639653bd0f421ecd7e45cf211e2382fb4c129202b2f4c
+heis-adjoint           symmetric-xy-2 plain    0 -   20c16b063fd3c2d3bbf6907258b692685527bfa7c5e9698ca564456d4114c47e
+heis-adjoint           tensor-ab-2    plain    0 -   e4ba701e4402aa01a8e01966c5cc972af51b0ca9bad8dd065f13a1b05c9d0993
+heis-adjoint           tensor-ab-3    plain    0 -   6546d603a4f0e71e5e09dabdc208d0cf32989bbf2f48c35d3a51cee7fb3b2e90
+heis-adjoint           tensor-x-3     plain    0 -   51e6fac415bda26a9e6b7b159ede305694f765cd5a8b0413caf206f2a6306501
+heis-adjoint           zero-ab        plain    0 -   bcdebe9c6ffed54e831f98e894f4feebaef696da72fdcb3bb64c730a0d27706e
+heis-adjoint           exterior-ab    skip     0 -   63cd176e69ec7ce77f4639653bd0f421ecd7e45cf211e2382fb4c129202b2f4c
+heis-adjoint           symmetric-xy-2 skip     0 -   20c16b063fd3c2d3bbf6907258b692685527bfa7c5e9698ca564456d4114c47e
+heis-adjoint           tensor-ab-2    skip     0 -   e4ba701e4402aa01a8e01966c5cc972af51b0ca9bad8dd065f13a1b05c9d0993
+heis-adjoint           tensor-ab-3    skip     0 -   6546d603a4f0e71e5e09dabdc208d0cf32989bbf2f48c35d3a51cee7fb3b2e90
+heis-adjoint           tensor-x-3     skip     0 -   51e6fac415bda26a9e6b7b159ede305694f765cd5a8b0413caf206f2a6306501
+heis-adjoint           zero-ab        skip     0 -   bcdebe9c6ffed54e831f98e894f4feebaef696da72fdcb3bb64c730a0d27706e
+abelian2-trivial       exterior-ab    plain    0 -   ea5d11a8058dac08a6fc2c8cd236e7ddd650909ecf6c67f658acc12437b91af8
+abelian2-trivial       symmetric-xy-2 plain    0 -   3e1b3c174e9e380f1121f6a7cd94fecb238ac4b1dfbc1b4376139383ddb970cc
+abelian2-trivial       tensor-ab-2    plain    0 -   4df4e16c809d459c74fda51e6a6c38238721135d75ba15504c9f264689ab099d
+abelian2-trivial       tensor-ab-3    plain    0 -   02dfea8b8ef6a16697c653936e60da107d09236d0a3592750e6ab096ebacbf31
+abelian2-trivial       tensor-x-3     plain    0 -   75c3800d0b014a7dff54aebe0a8b62f27032d5839b294747d5b762421d4139eb
+abelian2-trivial       zero-ab        plain    0 -   0640a4d5dc70c51c22d01cebb3aa54e95454cfa2f9020584f7d113fba3f4abd2
+abelian2-trivial       exterior-ab    skip     0 -   ea5d11a8058dac08a6fc2c8cd236e7ddd650909ecf6c67f658acc12437b91af8
+abelian2-trivial       symmetric-xy-2 skip     0 -   3e1b3c174e9e380f1121f6a7cd94fecb238ac4b1dfbc1b4376139383ddb970cc
+abelian2-trivial       tensor-ab-2    skip     0 -   4df4e16c809d459c74fda51e6a6c38238721135d75ba15504c9f264689ab099d
+abelian2-trivial       tensor-ab-3    skip     0 -   02dfea8b8ef6a16697c653936e60da107d09236d0a3592750e6ab096ebacbf31
+abelian2-trivial       tensor-x-3     skip     0 -   75c3800d0b014a7dff54aebe0a8b62f27032d5839b294747d5b762421d4139eb
+abelian2-trivial       zero-ab        skip     0 -   0640a4d5dc70c51c22d01cebb3aa54e95454cfa2f9020584f7d113fba3f4abd2
+poisson3               exterior-ab    plain    0 -   80aec2cf1f793b8e08c665cfef903cc8b16ab1fac463213789ce665a8b8b34fe
+poisson3               symmetric-xy-2 plain    0 -   bc070217ba7c7a4738faee7faacbd85b77d465e9aef26c3d866fcd6c75c5ff81
+poisson3               tensor-ab-2    plain    0 -   0866dfb6991f259711173969082d6073e11e0b9745117dfc3abacb3980ca0e43
+poisson3               tensor-ab-3    plain    0 -   b1133133a6d1c00283cdf281b127d43a46db583d0d939c4b7681b01a8fb7de77
+poisson3               tensor-x-3     plain    0 -   ff1c25c4de4d4d7e80c7e74f1f2aebfc91f82cef5a2051d1a8ada26c2680c8ad
+poisson3               zero-ab        plain    0 -   1ac04a96f43e9eb6cb5f5d134e4831b2082efadfd181cb3bd8cb038b67f86130
+poisson3               exterior-ab    skip     0 -   80aec2cf1f793b8e08c665cfef903cc8b16ab1fac463213789ce665a8b8b34fe
+poisson3               symmetric-xy-2 skip     0 -   bc070217ba7c7a4738faee7faacbd85b77d465e9aef26c3d866fcd6c75c5ff81
+poisson3               tensor-ab-2    skip     0 -   0866dfb6991f259711173969082d6073e11e0b9745117dfc3abacb3980ca0e43
+poisson3               tensor-ab-3    skip     0 -   b1133133a6d1c00283cdf281b127d43a46db583d0d939c4b7681b01a8fb7de77
+poisson3               tensor-x-3     skip     0 -   ff1c25c4de4d4d7e80c7e74f1f2aebfc91f82cef5a2051d1a8ada26c2680c8ad
+poisson3               zero-ab        skip     0 -   1ac04a96f43e9eb6cb5f5d134e4831b2082efadfd181cb3bd8cb038b67f86130
+lr-trivial             exterior-ab    plain    0 -   b83bb60c705e8d3cdeeaa805ca1ccf2241f9977ee51a340593b7350b9e429ddf
+lr-trivial             symmetric-xy-2 plain    0 -   e1e57a9fe76319423169d8531e89108cf99cfb1cdbed029405869e8ed4180546
+lr-trivial             tensor-ab-2    plain    0 -   a4df623832ea1769c4bd3a1d775857b8b1d374e4826184bcae5d73a81aed6cb8
+lr-trivial             tensor-ab-3    plain    3 -   d2ea375d5df0139dbb854ccc8e738222745eb42fa6f0e287f2acee2f37196657
+lr-trivial             tensor-x-3     plain    0 -   d21341c3bc11b989c72abe9ffbdb77f94a8e0a6b82115f80b1395ff31db8fc2d
+lr-trivial             zero-ab        plain    0 -   835b2f0868899f9cec08a97cb69c5309a2b41033d6275f7a64d8f4b701177940
+lr-trivial             exterior-ab    skip     0 -   b83bb60c705e8d3cdeeaa805ca1ccf2241f9977ee51a340593b7350b9e429ddf
+lr-trivial             symmetric-xy-2 skip     0 -   e1e57a9fe76319423169d8531e89108cf99cfb1cdbed029405869e8ed4180546
+lr-trivial             tensor-ab-2    skip     0 -   a4df623832ea1769c4bd3a1d775857b8b1d374e4826184bcae5d73a81aed6cb8
+lr-trivial             tensor-ab-3    skip     3 -   d2ea375d5df0139dbb854ccc8e738222745eb42fa6f0e287f2acee2f37196657
+lr-trivial             tensor-x-3     skip     0 -   d21341c3bc11b989c72abe9ffbdb77f94a8e0a6b82115f80b1395ff31db8fc2d
+lr-trivial             zero-ab        skip     0 -   835b2f0868899f9cec08a97cb69c5309a2b41033d6275f7a64d8f4b701177940
+lr-dualnum             exterior-ab    plain    0 -   93327bce72f07cb36829a2f27820c56110ff18f8abe0460324cba23e6a2df4cc
+lr-dualnum             symmetric-xy-2 plain    0 -   029c5fb271637e62be4a616756b2ba4cf39691da3eb534c5fcc65a12abcae81c
+lr-dualnum             tensor-ab-2    plain    0 -   0d016c3d13768add5c5e4ee35aac2852c2a3458a761df400205aed441f61941e
+lr-dualnum             tensor-ab-3    plain    0 -   c0ee6f99f9b538f6d166396512e5e072cf47a67ba7906d8d78e5e22042247282
+lr-dualnum             tensor-x-3     plain    0 -   1a2a810ae33d83dce6df6ad4880eb482cca79fd56f3faf3375b3365c240aefc3
+lr-dualnum             zero-ab        plain    0 -   d5da7ab1622d350cf5ee75e7c9dbff3b0ae1b0e7baee9fb309575e170a3686ce
+lr-dualnum             exterior-ab    skip     0 -   93327bce72f07cb36829a2f27820c56110ff18f8abe0460324cba23e6a2df4cc
+lr-dualnum             symmetric-xy-2 skip     0 -   029c5fb271637e62be4a616756b2ba4cf39691da3eb534c5fcc65a12abcae81c
+lr-dualnum             tensor-ab-2    skip     0 -   0d016c3d13768add5c5e4ee35aac2852c2a3458a761df400205aed441f61941e
+lr-dualnum             tensor-ab-3    skip     0 -   c0ee6f99f9b538f6d166396512e5e072cf47a67ba7906d8d78e5e22042247282
+lr-dualnum             tensor-x-3     skip     0 -   1a2a810ae33d83dce6df6ad4880eb482cca79fd56f3faf3375b3365c240aefc3
+lr-dualnum             zero-ab        skip     0 -   d5da7ab1622d350cf5ee75e7c9dbff3b0ae1b0e7baee9fb309575e170a3686ce
+lr-derx3               exterior-ab    plain    0 -   8bc712d502277162d9ecc024818b27ee90b8d48bdf8960b4e35d1407919675cf
+lr-derx3               symmetric-xy-2 plain    0 -   06ec7c825ad6b59b2b76ac5085e1f781a75cbf0e745a6caea84b157ed5624a7c
+lr-derx3               tensor-ab-2    plain    0 -   3f129c1b086cd365489c60348a1f34e0425aa588f67f6cb2351ea836528063df
+lr-derx3               tensor-ab-3    plain    3 -   60d42f1042da2e0d327025c92360fb2cba727c54d2dee747cd734ee6910d099b
+lr-derx3               tensor-x-3     plain    0 -   8581b18924661706de0da5abe096f4bf7313307b7f8d7c4d0a27e241454e8726
+lr-derx3               zero-ab        plain    0 -   d75470a8adf7538057ac10f1f420746437b135b5ce2c289db48083db4b73b6ad
+lr-derx3               exterior-ab    skip     0 -   8bc712d502277162d9ecc024818b27ee90b8d48bdf8960b4e35d1407919675cf
+lr-derx3               symmetric-xy-2 skip     0 -   06ec7c825ad6b59b2b76ac5085e1f781a75cbf0e745a6caea84b157ed5624a7c
+lr-derx3               tensor-ab-2    skip     0 -   3f129c1b086cd365489c60348a1f34e0425aa588f67f6cb2351ea836528063df
+lr-derx3               tensor-ab-3    skip     3 -   60d42f1042da2e0d327025c92360fb2cba727c54d2dee747cd734ee6910d099b
+lr-derx3               tensor-x-3     skip     0 -   8581b18924661706de0da5abe096f4bf7313307b7f8d7c4d0a27e241454e8726
+lr-derx3               zero-ab        skip     0 -   d75470a8adf7538057ac10f1f420746437b135b5ce2c289db48083db4b73b6ad
+broken-jacobi          exterior-ab    plain    1 -   00b7e8ce4cb129fcb9f5e2f9bd8530a8fad263d253b6e0fcc9f00312f3d2434e
+broken-jacobi          symmetric-xy-2 plain    1 -   0d94edb39fa207f212b40a13f28e99bec1c625e0f3489e358f2d217053c72cb6
+broken-jacobi          tensor-ab-2    plain    1 -   c0972f3c33768082364c6f24563a447f85004785a4951180450da953d0fa70ed
+broken-jacobi          tensor-ab-3    plain    1 -   cc76286b6a25030142bd00e4968b7f0fb265e034ac77a1703a126fe7847abb80
+broken-jacobi          tensor-x-3     plain    1 -   3c80f9fb9bfcb40ea85d0ffc815bd927d2ad38348fd5f3f37bab6b51ba29cb62
+broken-jacobi          zero-ab        plain    1 -   026a79ba07b0eea88bc8300b15e084c40713ad4c1d3e71d007e601f68f97e63b
+broken-jacobi          exterior-ab    skip     1 -   e3c9a3860e891d9c2c439d9c5c6995cadc50cdd6076addcaec51059cb72cf296
+broken-jacobi          symmetric-xy-2 skip     1 -   6b113b20cd9d2387d352aa9c589b6f26ec6d14dc5d8a8af55e91961d4c4f2cdc
+broken-jacobi          tensor-ab-2    skip     1 -   f3aa1e4cb51bf337cceed9875074ae8bc4ad5d2644b9ff51f1945fb1438e841d
+broken-jacobi          tensor-ab-3    skip     1 -   2f7994e3fe59dc5d66d81edeb82540d520c9fd8e3400791c983d889b13d3e7f8
+broken-jacobi          tensor-x-3     skip     1 -   0771b56bfa9f7b023bab4196251b4296b1e7b221d5c3ddb732e70b7b5cfc8b45
+broken-jacobi          zero-ab        skip     1 -   e225f8c4dae275e494cd3ee21fe6488d7c753760157b5fc8200364d7cb9ab24c
+lr-dualnum-derivation  exterior-ab    plain    1 -   897455f3ebe47817fe8484d961ab685429f49685d2057e92a881922a21809dfe
+lr-dualnum-derivation  symmetric-xy-2 plain    1 -   4bf38fc379e68946fc8bcba51094d27155c85fe97348063fcd66a8a8a3800367
+lr-dualnum-derivation  tensor-ab-2    plain    1 -   de363594330fc09fb93501ee76e66aef2172a19f7fe242bb534e97ade58ed231
+lr-dualnum-derivation  tensor-ab-3    plain    1 -   ef11967afd620f5a683dcd0af162a72c6d9a42b151d5bfd29f1bb82a6ac7d1f8
+lr-dualnum-derivation  tensor-x-3     plain    1 -   66c5ab845cb677e909782b202141103a7746a152e602f93d120db30487ed72f7
+lr-dualnum-derivation  zero-ab        plain    1 -   6f532d1ec4b0f6ae93866cafeac8a1531d28cd80762a4d73cd89520f18fba1f2
+lr-dualnum-derivation  exterior-ab    skip     1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
+lr-dualnum-derivation  symmetric-xy-2 skip     1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
+lr-dualnum-derivation  tensor-ab-2    skip     1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  tensor-ab-3    skip     1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
+lr-dualnum-derivation  tensor-x-3     skip     1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
+lr-dualnum-derivation  zero-ab        skip     1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88
+lr-derx3-leibniz       exterior-ab    plain    1 -   30f4fe1e54c8cebacdfc8d4ccc073fb9d42c77f815a1ee364fc5dcffa17b0541
+lr-derx3-leibniz       symmetric-xy-2 plain    1 -   4ac8f9a8d3a9e40358aabb7a07cd40c67b3631e0de13e40e215b569a5a7e5879
+lr-derx3-leibniz       tensor-ab-2    plain    1 -   a3bdfb4b3b522081126d3c0ef4ba23292ad215bb0de70438ef48fd5a8f865f92
+lr-derx3-leibniz       tensor-ab-3    plain    1 -   6acbe85973818d2f9a77815e16ac89e609e47a57f866b27e4dd422296c542fac
+lr-derx3-leibniz       tensor-x-3     plain    1 -   e9b0f6cc5bd7bd5c998dddb173c316b25772251ddca16d26ac27d4a100f84b0a
+lr-derx3-leibniz       zero-ab        plain    1 -   b56e951f4c6b22b6804800017a0a8e0808a226951b1338b106e560ddee71ed88
+lr-derx3-leibniz       exterior-ab    skip     1 -   ff5de8b3eca5dfd6145dc6884579812c332fcf0e2f440e1c308bde5878136983
+lr-derx3-leibniz       symmetric-xy-2 skip     1 -   7fb1bd66fd975f6cd642f226f374265fa8be5cace15847c1b827eaef87e47b0b
+lr-derx3-leibniz       tensor-ab-2    skip     1 -   fcb7a79a75c17ba4088865724fe9d6f34493b9c8fb7f81cba8fe378c38534449
+lr-derx3-leibniz       tensor-ab-3    skip     1 -   e1fa0d39a1ce1c89cda1f43dbeb2fabdaf31fd24df28223406793c3f14ebf65a
+lr-derx3-leibniz       tensor-x-3     skip     1 -   2beac5c0aab3a4addf66c647d32e128f2380afd0459979675ef97cf21d130097
+lr-derx3-leibniz       zero-ab        skip     1 -   9640795b5092103f8fac5339fece18081d7df233610c4ecc3021b5d315836034
+heis-adjoint-action    exterior-ab    plain    1 -   6c85d927c3f69cf12b0915dea00ade017cd29b7be73a3e6df588df0fb2107fbd
+heis-adjoint-action    symmetric-xy-2 plain    1 -   f6ba177cc203effaf19507c18b798bff20cf9af9ba915ed68fccfffd2b531325
+heis-adjoint-action    tensor-ab-2    plain    1 -   4942434bb54e0bdcbebea1df2bf3c8025cd6ca2bbd1e38861cbfba7a21db64b1
+heis-adjoint-action    tensor-ab-3    plain    1 -   659360578a5649493a0ce9f6dd01f76c3017793db71dfa5f95f00e56d89812c0
+heis-adjoint-action    tensor-x-3     plain    1 -   bc11e5324bc289545a62ae736aa1f4990308e43b1fcacad0ec1186922c89c968
+heis-adjoint-action    zero-ab        plain    1 -   e7e9557fe2f43eccf7c7ada9fb69bbf162fa811034155b50bb125a8474cd597a
+heis-adjoint-action    exterior-ab    skip     1 -   3a3b2418e9de7c74b0c89c39792c74eda3a3e48c422416789e68d3ac39de498f
+heis-adjoint-action    symmetric-xy-2 skip     1 -   1234ac9f79ace93a73d806523bffa9c98b77411a81df85a9ce1d5890d33ec986
+heis-adjoint-action    tensor-ab-2    skip     1 -   ea5fab1ef2235871090647da042562b16407faf13541348319957f8830046282
+heis-adjoint-action    tensor-ab-3    skip     1 -   466ded001e3d5ee6f98b3ae86d666070e1707bba86ff027cb8af7e046f008a77
+heis-adjoint-action    tensor-x-3     skip     1 -   b2d9d39df5a438c84db85132f27c6c50908eea808829f7faa52cf614e61b4cca
+heis-adjoint-action    zero-ab        skip     1 -   7d0d4ea96634d02cb6e45d5062ee22d44afdf332c8ef368955bd14b156bc7b0d
+poisson3-product       exterior-ab    plain    1 -   4175260d48eb15ecc6dd7c256b0bba4b73592aae185334bf7a4012b4b974943c
+poisson3-product       symmetric-xy-2 plain    1 -   3f3a5b9c350cc6b4034edcaf0eb5bfa30ef9a80c21363fba6d2d3d7b31a08927
+poisson3-product       tensor-ab-2    plain    1 -   caa0f0b43eab4162300e439190c38189ad06af609d3f303bc80e9a708808a825
+poisson3-product       tensor-ab-3    plain    1 -   98cd212adf30abab83a45304379c82fde3aabc082d665ac5b70a32e70834ec2b
+poisson3-product       tensor-x-3     plain    1 -   cd96138f55e2c9587271157b84cdff0f46c64929d13d60d7b467906c18c3fff8
+poisson3-product       zero-ab        plain    1 -   e7d873e857f0b3a3015b7366ab8d3f3c37f6ea84ee9ef14c44a2681dfe418d7d
+poisson3-product       exterior-ab    skip     1 -   6d17e0c977ad57ba3a692d25c5f5564f45044f262a94bd34f252734cdb61547f
+poisson3-product       symmetric-xy-2 skip     1 -   3638346fc0a153b8a34bdef1e6a33b6dc65e42d80b4b5978e1940203c0666913
+poisson3-product       tensor-ab-2    skip     1 -   2de98000db87a8d7b3459c7ce2dc51326e9570641d3ac7e29158b3c50c359f4c
+poisson3-product       tensor-ab-3    skip     1 -   fd10c786695951d2e3da7d4a196e499a274c3287585143f0d5b9342e6100401a
+poisson3-product       tensor-x-3     skip     1 -   919d482eb978544fba4682eccba63a541600054b745ba9ff497f74412f2fdf5f
+poisson3-product       zero-ab        skip     1 -   6cf97c7538ef04f834ea8cbf4f474a9cf3b98a097695d0252b727a0e786d00da
+lr-trivial             exterior-ab    guard100 3 -   cdd7976028aab7df5846f1eb393b99beb145be562fb1865e4018050567cbfe5c
+lr-trivial             symmetric-xy-2 guard100 3 -   21d6be9424e6c1c88b26c581700768839dda49ce7f7e472012bab3ed745c3544
+lr-trivial             tensor-ab-2    guard100 3 -   0cb116a12e4359fda814b22c363d2c71a426a09579ee821bd451e342b20aecd5
+lr-trivial             tensor-ab-3    guard100 3 -   833d53cf3d9b4ca91fa3593de8385cb89633f36db58b79b6d820ab940663dbd1
+lr-trivial             tensor-x-3     guard100 3 -   eed9ef1b5ecd54c1f45371095ee2ffab5b1456f71b8f15383260d2a988c2db90
+lr-trivial             zero-ab        guard100 0 -   835b2f0868899f9cec08a97cb69c5309a2b41033d6275f7a64d8f4b701177940
+lr-trivial             exterior-ab    deg2     0 -   454fa9cb0a2990c4aa289363ac63f8de3c44958771c1087a230d41db52eabe0d
+lr-trivial             symmetric-xy-2 deg2     0 -   2d59d8990098ad9f51ba9d0263e28ed2caa2078e68cfb8040d1ac8b3744313fd
+lr-trivial             tensor-ab-2    deg2     0 -   bb3673319fb7699e700f8a13109da1c469460a20046eac9879670a5881e47692
+lr-trivial             tensor-ab-3    deg2     3 -   94f6dbad2165bc2a11dd6fb70244530760d45b78a5f4f2891be4591de152e367
+lr-trivial             tensor-x-3     deg2     0 -   6bd78a05f07869291b71828e5729e56cec400e2d685365396f83535f0e9401d4
+lr-trivial             zero-ab        deg2     0 -   ca644bd37519b1eb8cb385c13f847900c5a4bbaf2a2ecab24fe8f7d5b42219c0
+lr-dualnum             exterior-ab    guard100 0 -   93327bce72f07cb36829a2f27820c56110ff18f8abe0460324cba23e6a2df4cc
+lr-dualnum             symmetric-xy-2 guard100 0 -   029c5fb271637e62be4a616756b2ba4cf39691da3eb534c5fcc65a12abcae81c
+lr-dualnum             tensor-ab-2    guard100 0 -   0d016c3d13768add5c5e4ee35aac2852c2a3458a761df400205aed441f61941e
+lr-dualnum             tensor-ab-3    guard100 3 -   4f653c2c681b6a9a9aa692d47a22d266b56f1cddb2cd3549cfd3d92a17a25ef0
+lr-dualnum             tensor-x-3     guard100 0 -   1a2a810ae33d83dce6df6ad4880eb482cca79fd56f3faf3375b3365c240aefc3
+lr-dualnum             zero-ab        guard100 0 -   d5da7ab1622d350cf5ee75e7c9dbff3b0ae1b0e7baee9fb309575e170a3686ce
+lr-dualnum             exterior-ab    deg2     0 -   93327bce72f07cb36829a2f27820c56110ff18f8abe0460324cba23e6a2df4cc
+lr-dualnum             symmetric-xy-2 deg2     0 -   029c5fb271637e62be4a616756b2ba4cf39691da3eb534c5fcc65a12abcae81c
+lr-dualnum             tensor-ab-2    deg2     0 -   0d016c3d13768add5c5e4ee35aac2852c2a3458a761df400205aed441f61941e
+lr-dualnum             tensor-ab-3    deg2     0 -   c0ee6f99f9b538f6d166396512e5e072cf47a67ba7906d8d78e5e22042247282
+lr-dualnum             tensor-x-3     deg2     0 -   1a2a810ae33d83dce6df6ad4880eb482cca79fd56f3faf3375b3365c240aefc3
+lr-dualnum             zero-ab        deg2     0 -   d5da7ab1622d350cf5ee75e7c9dbff3b0ae1b0e7baee9fb309575e170a3686ce
+lr-derx3               exterior-ab    guard100 3 -   45ecee2865bdb741bb25de95668065ea85f7704a2fa160e2bf99e9a89acf68b1
+lr-derx3               symmetric-xy-2 guard100 3 -   49e52a7546d0cdb1d44baf5ffa5c5f697682ef9efa767d2d4ecc1abaecc5978b
+lr-derx3               tensor-ab-2    guard100 3 -   3e31797804c6737d75362a6cb7dfb478eab20718d7f4c01506cf988d70e2d5ba
+lr-derx3               tensor-ab-3    guard100 3 -   ad23995cd3cd4ecc5beead17c59319a7da5ba6e91df97ba0a9112667cb4b5d4e
+lr-derx3               tensor-x-3     guard100 3 -   973bec3d327349c0056fc06bbd742e949efbb189516f261a08890198739e8314
+lr-derx3               zero-ab        guard100 0 -   d75470a8adf7538057ac10f1f420746437b135b5ce2c289db48083db4b73b6ad
+lr-derx3               exterior-ab    deg2     0 -   2ce4bd75f37d306b990fdc563abd1feaa9480285d7c13a52c2bb2c6654eaeb53
+lr-derx3               symmetric-xy-2 deg2     0 -   bfe91f09f204d7a9f877b154d8bd4f3215dd7b41826995c97abc01772f4d71df
+lr-derx3               tensor-ab-2    deg2     0 -   3bb690cc2bca7afa94e8cfc31a7272705d51442042a00eb07ec55ce24e336f64
+lr-derx3               tensor-ab-3    deg2     0 -   5ec4a04ad77b310097e2f68ec2a9df291e77a3c8cf3ed6aba3e81108b6c673bd
+lr-derx3               tensor-x-3     deg2     0 -   8581b18924661706de0da5abe096f4bf7313307b7f8d7c4d0a27e241454e8726
+lr-derx3               zero-ab        deg2     0 -   8ee93ed0d82e307f76d87a470e4abddee40538a19025c79927b54db231ea732f
+lr-dualnum-derivation  exterior-ab    guard100 1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
+lr-dualnum-derivation  symmetric-xy-2 guard100 1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
+lr-dualnum-derivation  tensor-ab-2    guard100 1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  tensor-ab-3    guard100 1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
+lr-dualnum-derivation  tensor-x-3     guard100 1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
+lr-dualnum-derivation  zero-ab        guard100 1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88
+lr-dualnum-derivation  exterior-ab    deg2     1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
+lr-dualnum-derivation  symmetric-xy-2 deg2     1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
+lr-dualnum-derivation  tensor-ab-2    deg2     1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  tensor-ab-3    deg2     1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
+lr-dualnum-derivation  tensor-x-3     deg2     1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
+lr-dualnum-derivation  zero-ab        deg2     1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88
+lr-derx3-leibniz       exterior-ab    guard100 1 -   2ce1020e226fb8b3c05a208a7e7ea31f6eac532ec2b6c1302f1e96f7b66ef326
+lr-derx3-leibniz       symmetric-xy-2 guard100 1 -   7243937b4cf3e7e5b3b1831051c42f2c384ce24548748d8b5c7180ea1cf243df
+lr-derx3-leibniz       tensor-ab-2    guard100 1 -   92b6c2fccc9374fbba1870243ece5e364d2273398fc96fff0d47530a80c098ce
+lr-derx3-leibniz       tensor-ab-3    guard100 1 -   e1fa0d39a1ce1c89cda1f43dbeb2fabdaf31fd24df28223406793c3f14ebf65a
+lr-derx3-leibniz       tensor-x-3     guard100 1 -   2beac5c0aab3a4addf66c647d32e128f2380afd0459979675ef97cf21d130097
+lr-derx3-leibniz       zero-ab        guard100 1 -   9640795b5092103f8fac5339fece18081d7df233610c4ecc3021b5d315836034
+lr-derx3-leibniz       exterior-ab    deg2     1 -   0ff7027ac652529af146c591686808d8bea01fec69886e420063bd4e558a7d6d
+lr-derx3-leibniz       symmetric-xy-2 deg2     1 -   edb33885d631ebfb90c512785fc912386210998326b0486cd4cf314b78bc8926
+lr-derx3-leibniz       tensor-ab-2    deg2     1 -   38b3504e19e8284b83b3a0df278c23ac76a15851da1e2cc1e33a7b6e3a81d1c2
+lr-derx3-leibniz       tensor-ab-3    deg2     1 -   e1fa0d39a1ce1c89cda1f43dbeb2fabdaf31fd24df28223406793c3f14ebf65a
+lr-derx3-leibniz       tensor-x-3     deg2     1 -   2beac5c0aab3a4addf66c647d32e128f2380afd0459979675ef97cf21d130097
+lr-derx3-leibniz       zero-ab        deg2     1 -   a571494380768eb4be32af41308fb65d99562cb1654904e921da30ecd6e5bcbd
+"""
+
+VERIFY_ERRORS = {"-": None}
+
+
+@pytest.fixture(scope="module")
+def verify_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("verify-table")
+    write_verify_inputs(d)
+    return d
+
+
+@pytest.mark.parametrize("row", VERIFY_TABLE.split("\n")[1:-1],
+                         ids=lambda row: "-".join(row.split()[:3]))
+def test_verify_table_is_pinned(row, verify_dir, monkeypatch, capsys):
+    name, cname, options, code, error, digest = row.split()
+    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+    monkeypatch.chdir(verify_dir)
+    got_code, out, err = run(verify_argv(name, cname, options), capsys)
+    assert got_code == int(code)
+    errors = [line for line in err.splitlines()
+              if not line.startswith("elapsed ")]
+    assert errors == ([] if VERIFY_ERRORS[error] is None
+                      else [VERIFY_ERRORS[error]])
+    if digest == "-":
+        assert out == ""
+    else:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 class TestRendering:
     def test_verify_rendering_is_function_of_report(self, exported, capsys):
         _, out, _ = run(["verify", exported["sl2"], "--suite", "td-lie",
