@@ -47,9 +47,11 @@ from .cohomology import (
     td_differential_induced,
 )
 from .convolution import (
+    FactoredOperator,
     HomElement,
     check_td_skew,
     compose_induced,
+    factored_term,
     induced,
     interchange,
     matrix_units,
@@ -96,6 +98,7 @@ __all__ = [
     "BasedSpace",
     "CheckResult",
     "Coalgebra",
+    "FactoredOperator",
     "GuardError",
     "HomElement",
     "InvalidPermutation",
@@ -138,6 +141,7 @@ __all__ = [
     "check_td_poisson",
     "check_td_skew",
     "compose_induced",
+    "factored_term",
     "induced",
     "interchange",
     "invariants_h0",

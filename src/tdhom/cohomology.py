@@ -15,9 +15,10 @@ while the n-fold coproduct is nonzero and zero after, and TDComplexData
 reads the whole complex off the classical differentials and that depth
 without materializing an operator.  The materializing construction it
 replaced is the test oracle in tests/td_oracle.py.  induction_matrix,
-td_differential_induced, td_differential_direct and TDCochain work in the
-operator spaces one cochain at a time; they are the per-cochain library
-API and the oracle's building blocks.
+td_differential_direct and TDCochain work in the operator spaces one
+cochain at a time; they are the per-cochain library API and the oracle's
+building blocks.  td_differential_induced, which the linear-subcomplex
+sweep calls, decides its legality check on factored operators instead.
 """
 
 from bisect import bisect_left
@@ -398,7 +399,9 @@ def td_differential_induced(F, tdm, guard_limit=None):
 
     Legality (names of zero stay names of zero) is verified on the kernel
     of the induction map before returning; a failure there would be an
-    internal inconsistency, so it raises rather than reports.
+    internal inconsistency, so it raises rather than reports.  The kernel
+    and the vanishing of each image are decided on factored operators,
+    guarded as materializing them would be.
     """
     M = tdm.module
     C = tdm.coalgebra
@@ -406,11 +409,21 @@ def td_differential_induced(F, tdm, guard_limit=None):
     limit = resolve_guard_limit(guard_limit)
     if n >= 1:
         L, B = M.base.space, M.space
-        iota = induction_matrix(n, L, B, C, limit)
+        basis = alt_basis(L, B, n)
+        iota = SparseColumns(len(basis))
+        for ci, key in enumerate(basis):
+            op = induced(AltCochain(L, B, n, {key: 1}).as_map(), C)
+            op.check_size(limit)
+            # one untwisted part: the reduced form is the map or nothing
+            for row, q in op.factored().reduced_column().items():
+                iota.add(ci, row, q)
         for v in iota.kernel_basis():
             dv = ce_differential(AltCochain.from_vector(L, B, n, v), M)
-            if not (dv.is_zero()
-                    or induced(dv.as_map(), C).materialize(limit).is_zero()):
+            if dv.is_zero():
+                continue
+            op = induced(dv.as_map(), C)
+            op.check_size(limit)
+            if not op.factored().vanishes():
                 raise AxiomError(
                     "differential leaves the induction kernel at degree %d" % n)
     return TDCochain(ce_differential(F.inducing, M), C)

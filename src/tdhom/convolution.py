@@ -7,8 +7,15 @@ argument i to coproduct leg sigma(i) first.
 
 Operator identities are decided on matrix-unit arguments: the operators are
 multilinear, and matrix units span Hom(C,L), so agreement there is agreement
-everywhere.  materialize() lays an operator out as a sparse table keyed by
-matrix-unit argument tuples, and all checkers work on those tables.
+everywhere.  On those arguments the operator a base map psi induces through
+Delta^(n) with its legs permuted by rho is the outer product psi (x) D_rho,
+and every summand of a twisted identity has that shape.  FactoredOperator
+keeps such a sum as its parts {rho: psi_rho} and decides whether it vanishes
+from the psi's and the at most n! tables D_rho, so passing identities are
+never laid out.  materialize() lays an operator out as a sparse table keyed
+by matrix-unit argument tuples; that table (MaterializedOperator, and
+twisted_term, which builds one) is the library API, the path that names the
+witness of a failing identity, and the test oracle for the factored form.
 """
 
 import itertools
@@ -18,7 +25,9 @@ from fractions import Fraction
 from .checks import CheckResult, Witness
 from .errors import GuardError, MalformedInput, ShapeError, TdhomError
 from .linalg import (
+    ONE,
     ZERO,
+    Echelon,
     Permutation,
     SparseTable,
     all_permutations,
@@ -198,19 +207,31 @@ class InducedOperator:
                     out[key] = out.get(key, ZERO) + coeff
         return HomElement(C, self.base.codomain, out)
 
+    def check_size(self, guard_limit):
+        """Refuse the operator when its potential dense column count, the
+        product of the argument Hom dimensions, exceeds guard_limit; a
+        guard_limit of None refuses nothing."""
+        if guard_limit is None:
+            return
+        size = 1
+        for space in self.base.domain:
+            size *= space.dim * self.coalgebra.dim
+        check_materialization_size(size, guard_limit)
+
+    def factored(self):
+        """The same operator as a FactoredOperator: {twist: base}."""
+        return FactoredOperator(self.coalgebra, self.base.domain,
+                                self.base.codomain, {self.twist: self.base})
+
     def materialize(self, guard_limit=None):
         """Sparse table over matrix-unit argument tuples.
 
-        guard_limit, when given, bounds the potential dense column count
-        (product of argument Hom dimensions); rank-based callers pass one,
-        plain identity checks stay sparse and unguarded.
+        guard_limit is checked by check_size first.  The table
+        serves the library API, failure witnesses and the test oracle; the
+        checkers decide identities on factored() instead.
         """
         C = self.coalgebra
-        if guard_limit is not None:
-            size = 1
-            for space in self.base.domain:
-                size *= space.dim * C.dim
-            check_materialization_size(size, guard_limit)
+        self.check_size(guard_limit)
         entries = {}
         for c, expansion in C.iterated_terms(self.arity).items():
             for legs, q in expansion:
@@ -227,8 +248,143 @@ class InducedOperator:
         return "InducedOperator(arity=%d%s)" % (self.arity, tag)
 
 
+class FactoredOperator:
+    """A sum of induced operators kept as its parts: sum over rho of
+    psi_rho (x) D_rho, over one coalgebra and one arity.
+
+    D_rho is the n-fold coproduct with its legs permuted by rho, the table
+    {(c, gather(rho, legs)): q}, and psi_rho (x) D_rho is the operator
+    InducedOperator(psi_rho, C, rho) induces.  parts maps each twist rho to
+    its base map psi_rho, zero maps dropped.  domain and codomain label the
+    materialized table; they stay when every part cancels, so a failing
+    identity with a vanishing side still names its witness.
+    """
+
+    def __init__(self, coalgebra, domain, codomain, parts):
+        self.coalgebra = coalgebra
+        self.domain = tuple(domain)
+        self.codomain = codomain
+        self.parts = {rho: psi for rho, psi in parts.items()
+                      if not psi.is_zero()}
+
+    @property
+    def arity(self):
+        return len(self.domain)
+
+    def _like(self, domain, parts):
+        return FactoredOperator(self.coalgebra, domain, self.codomain, parts)
+
+    def add(self, other):
+        """Parts sharing a twist merge into one base map, entry by entry:
+        as for materialized tables, only the arity must match."""
+        if self.arity != other.arity:
+            raise ShapeError("operators of arity %d and %d do not add"
+                             % (self.arity, other.arity))
+        if self.coalgebra is not other.coalgebra:
+            raise ShapeError("operators live over different coalgebras")
+        parts = dict(self.parts)
+        for rho, psi in other.parts.items():
+            parts[rho] = _map_sum(parts[rho], psi) if rho in parts else psi
+        return self._like(self.domain, parts)
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, q):
+        return self._like(self.domain, {rho: psi.scale(q)
+                                        for rho, psi in self.parts.items()})
+
+    def argument_permute(self, sigma):
+        """The operator evaluated on rearranged arguments: position i gets
+        the old argument sigma(i).  Part (psi, rho) becomes
+        (psi . sigma, sigma^-1 then rho)."""
+        if sigma.size != self.arity:
+            raise ShapeError("permutation size %d vs arity %d"
+                             % (sigma.size, self.arity))
+        inv = sigma.inverse()
+        return self._like(gather(inv, self.domain),
+                          {inv.then(rho): psi.precompose_perm(sigma)
+                           for rho, psi in self.parts.items()})
+
+    def reduced(self):
+        """{pivot rho: psi}: the same operator over independent D_rho.
+
+        The twists are taken in order of their images; those whose D_rho is
+        independent of the D's before it are the pivots, and every other
+        D_rho is written in the pivots with exact coefficients, its psi
+        folded onto theirs.  Since psi (x) D is an outer product, a sum over
+        independent D's vanishes exactly when each psi does, so the result
+        is empty exactly when the operator is zero.
+
+        The pivots depend on which twists occur.  Operators that all have
+        one and the same twist rho reduce to {rho: psi} or, when D_rho is
+        zero, to nothing, so their reduced maps stacked as columns have the
+        kernel of their materialized tables.
+        """
+        twists = sorted(self.parts, key=lambda rho: rho.images)
+        terms = self.coalgebra.iterated_terms(self.arity)
+        legs_tables = [{(c, gather(rho, legs)): q
+                        for c, expansion in terms.items()
+                        for legs, q in expansion}
+                       for rho in twists]
+        # only the reduction is used: residues[i] writes D_i in the pivots
+        ech = Echelon(None, legs_tables, [{i: ONE} for i in range(len(twists))])
+        out = {}
+        for i, rho in enumerate(twists):
+            residue = ech.residues.get(i)
+            coords = ({rho: ONE} if residue is None else
+                      {twists[j]: -a for j, a in residue.items() if j != i})
+            for pivot, a in coords.items():
+                term = self.parts[rho].scale(a)
+                out[pivot] = _map_sum(out[pivot], term) if pivot in out else term
+        return {rho: psi for rho, psi in out.items() if not psi.is_zero()}
+
+    def reduced_column(self):
+        """reduced() as one sparse column, {(rho images, map key): q}, for
+        stacking operators into a SparseColumns."""
+        return {(rho.images, key): q for rho, psi in self.reduced().items()
+                for key, q in psi.entries.items()}
+
+    def vanishes(self):
+        """Whether the operator is zero, decided without laying it out."""
+        return not self.reduced()
+
+    # the SparseTable name, for callers written against materialized tables
+    is_zero = vanishes
+
+    def materialize(self):
+        """The sparse table: the sum of each part's
+        InducedOperator(psi_rho, C, rho).materialize()."""
+        entries = {}
+        for rho, psi in self.parts.items():
+            op = InducedOperator(psi, self.coalgebra, rho)
+            for key, q in op.materialize().entries.items():
+                entries[key] = entries.get(key, ZERO) + q
+        return MaterializedOperator(self.arity, self.coalgebra, self.domain,
+                                    self.codomain, entries)
+
+    def __repr__(self):
+        return "FactoredOperator(arity=%d, %d parts)" % (
+            self.arity, len(self.parts))
+
+
+def _map_sum(psi, other):
+    """psi + other entry by entry, as materialized tables add: only the
+    arity has to agree.  Each argument keeps psi's space unless other's is
+    larger there, which happens only in a sum that does not typecheck."""
+    table = dict(psi.entries)
+    for key, q in other.entries.items():
+        table[key] = table.get(key, ZERO) + q
+    domain = [a if a.dim >= b.dim else b
+              for a, b in zip(psi.domain, other.domain)]
+    codomain = psi.codomain if psi.codomain.dim >= other.codomain.dim \
+        else other.codomain
+    return MultilinearMap(domain, codomain, table)
+
+
 class MaterializedOperator(SparseTable):
-    """A multilinear operator on Hom spaces, laid out on matrix-unit tuples.
+    """A multilinear operator on Hom spaces, laid out on matrix-unit tuples:
+    the library API, the failure-witness path and the test oracle.
 
     Keys are (output index, source basis index, cols) where cols is the tuple
     of matrix units fed in: cols[i] = (target index, source index) for
@@ -306,10 +462,19 @@ def twisted_term(phi, C, sigma, guard_limit=None):
     precomposed with sigma on its arguments.
 
     This is the twisted-domain image of the classical term phi . sigma, and
-    the shape every summand of a twisted identity takes.
+    the shape every summand of a twisted identity takes.  It equals
+    induced(phi.precompose_perm(sigma), C).materialize(); the checkers use
+    factored_term, and this table is the library API and the test oracle.
     """
     op = twisted(phi, C, sigma).materialize(guard_limit)
     return op.argument_permute(sigma)
+
+
+def factored_term(phi, C, sigma):
+    """twisted_term in factored form.  Rearranging by sigma carries the
+    twist sigma back to the identity, leaving the one part
+    {identity: phi . sigma}."""
+    return twisted(phi, C, sigma).factored().argument_permute(sigma)
 
 
 def compose_induced(outer, inner, slot):
@@ -338,32 +503,38 @@ def operator_witness(mat, found):
 
 
 def operator_identity_check(name, lhs, rhs):
-    """CheckResult for equality of two materialized operators."""
-    found = lhs.first_difference(rhs)
-    if found is None:
+    """CheckResult for equality of two FactoredOperators.
+
+    The identity holds when lhs - rhs vanishes, which is decided in factored
+    form.  Only a failing identity is materialized, both sides, to name the
+    first differing matrix-unit tuple as the witness.
+    """
+    if lhs.sub(rhs).vanishes():
         return CheckResult(name, True)
-    return CheckResult(name, False, operator_witness(lhs, found))
+    table = lhs.materialize()
+    found = table.first_difference(rhs.materialize())
+    return CheckResult(name, False, operator_witness(table, found))
 
 
 def check_td_skew(phi, C, max_arity=4):
     """Rearranging the arguments by sigma equals the sign of sigma times the
     operator twisted by sigma inverse, for every sigma.
 
-    Checked as table equality over all matrix-unit tuples, which multilinearity
-    makes complete.  Arity above max_arity is refused outright.
+    Decided in factored form; a failing sigma is materialized to find the
+    first differing matrix-unit tuple, which multilinearity makes a complete
+    test.  Arity above max_arity is refused outright.
     """
     n = phi.arity
     if n > max_arity:
         raise GuardError(
             "arity %d exceeds the permutation-enumeration bound %d" % (n, max_arity))
-    plain = induced(phi, C).materialize()
+    plain = induced(phi, C).factored()
     for sigma in all_permutations(n):
         lhs = plain.argument_permute(sigma)
-        rhs = twisted(phi, C, sigma.inverse()).materialize()
-        rhs = rhs.scale(sigma.sign())
-        found = lhs.first_difference(rhs)
-        if found is not None:
-            cols, c, o, residual = found
+        rhs = twisted(phi, C, sigma.inverse()).factored().scale(sigma.sign())
+        if not lhs.sub(rhs).vanishes():
+            cols, c, o, residual = lhs.materialize().first_difference(
+                rhs.materialize())
             args = (sigma.images,) + tuple(
                 unit_label(C, space, t, s)
                 for space, (t, s) in zip(phi.domain, cols)

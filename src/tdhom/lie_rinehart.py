@@ -25,10 +25,10 @@ from .checks import CheckResult, combine
 from .cohomology import AltCochain, TDCochain, alt_basis, td_differential_induced
 from .convolution import (
     compose_induced,
+    factored_term,
     induced,
     operator_identity_check,
     resolve_guard_limit,
-    twisted_term,
 )
 from .errors import AxiomError, ShapeError
 from .linalg import Permutation, RationalMatrix, SparseColumns, solve, table_sum
@@ -172,11 +172,10 @@ def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
     untwisted: list of (map, sign); twisted_parts: list of (map, perm, sign).
     """
     C = s.coalgebra
-    lhs = lhs_op.materialize()
     total = table_sum(
-        [induced(m, C).materialize().scale(sign) for m, sign in untwisted]
-        + [twisted_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
-    return operator_identity_check(name, lhs, total)
+        [induced(m, C).factored().scale(sign) for m, sign in untwisted]
+        + [factored_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
+    return operator_identity_check(name, lhs_op.factored(), total)
 
 
 def check_td_lr(s):
@@ -210,8 +209,8 @@ def check_td_lr(s):
 
 def _td_untwisted_bmodule(s):
     """Induced product and module operators compose with no twist at all."""
-    lhs = compose_induced(s.bmodule_op, s.bmodule_op, 1).materialize()
-    rhs = compose_induced(s.bmodule_op, s.product_op, 0).materialize()
+    lhs = compose_induced(s.bmodule_op, s.bmodule_op, 1).factored()
+    rhs = compose_induced(s.bmodule_op, s.product_op, 0).factored()
     return operator_identity_check("td-bmodule-associative", lhs, rhs)
 
 
@@ -231,19 +230,25 @@ def linearity_twist(i, n):
 
 
 def _slot_defect(fmap, i, s, limit):
-    """Left minus right side of the slot-i scaling identity, materialized."""
+    """Left minus right side of the slot-i scaling identity, factored: one
+    untwisted part.  The guard refuses what materializing either side
+    would have; both have the same argument spaces in another order."""
     pair, C = s.pair, s.coalgebra
-    lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C).materialize(limit)
+    lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C)
+    lhs.check_size(limit)
     scaled = pair.product.compose_at(fmap, 1)
-    rhs = twisted_term(scaled, C, linearity_twist(i, fmap.arity), limit)
-    return lhs.sub(rhs)
+    rhs = factored_term(scaled, C, linearity_twist(i, fmap.arity))
+    return lhs.factored().sub(rhs)
 
 
 def blinear_subspace(n, s, guard_limit=None):
     """Basis, in cochain coordinates, of the degree-n cochains whose
     induced operators let ring factors pass out through every slot.
 
-    Degree zero has no slots, so all of the ring space qualifies.
+    Degree zero has no slots, so all of the ring space qualifies.  Each
+    slot defect is one untwisted part, so its reduced form is its base map
+    or nothing, and stacking those over cochains and slots gives the kernel
+    that stacking the materialized defects gives.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
@@ -257,8 +262,8 @@ def blinear_subspace(n, s, guard_limit=None):
             fmap = AltCochain(L, B, n, {key: 1}).as_map()
             for i in range(1, n + 1):
                 defect = _slot_defect(fmap, i, s, limit)
-                for op_key, q in defect.entries.items():
-                    stacked.add(ci, (i, op_key), q)
+                for row, q in defect.reduced_column().items():
+                    stacked.add(ci, (i, row), q)
     return stacked.kernel_basis()
 
 
@@ -274,7 +279,7 @@ def _hom_module(s):
 def _violating_slot(cochain, s, limit):
     fmap = cochain.as_map()
     for i in range(1, cochain.degree + 1):
-        if not _slot_defect(fmap, i, s, limit).is_zero():
+        if not _slot_defect(fmap, i, s, limit).vanishes():
             return i
     return 0
 

@@ -372,14 +372,17 @@ class Echelon:
 
     Right-hand sides ride along: rhs[i] is a dict {index: Fraction} of the
     entries of row i in each right-hand side, reduced with the row.  A row
-    whose matrix part reduces to zero is a left-null residue, and right-hand
-    side t is inconsistent exactly when some residue is nonzero at t.
+    whose matrix part reduces to zero is a left-null residue, kept in
+    residues[i], and right-hand side t is inconsistent exactly when some
+    residue is nonzero at t.  With rhs[i] = {i: 1} the residue of row i
+    writes it in the pivot rows: rows[i] = -sum of residue[j] * rows[j] over
+    j != i.
     """
 
     def __init__(self, ncols, rows, rhs=None):
         self.ncols = ncols
         self.pivots = {}      # leading column -> (row, rhs part), row[col] == 1
-        self.inconsistent = set()
+        self.residues = {}    # row index -> rhs part, for rows reducing to zero
         for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
             row = dict(rows[i])
             extra = dict(rhs[i]) if rhs else {}
@@ -395,7 +398,7 @@ class Echelon:
                 _subtract_scaled(row, f, hit[0])
                 _subtract_scaled(extra, f, hit[1])
             else:
-                self.inconsistent.update(extra)
+                self.residues[i] = extra
 
     @property
     def rank(self):
@@ -416,7 +419,8 @@ class Echelon:
         variable zero, or None where the right-hand side is inconsistent."""
         values = self._back_substitute({}, True)
         vectors = self._vectors(values, range(count))
-        return [None if t in self.inconsistent else vectors[t]
+        inconsistent = {t for extra in self.residues.values() for t in extra}
+        return [None if t in inconsistent else vectors[t]
                 for t in range(count)]
 
     def _back_substitute(self, values, with_rhs):

@@ -27,11 +27,11 @@ from .coalgebra import (
 )
 from .convolution import (
     compose_induced,
+    factored_term,
     induced,
     matrix_units,
     operator_identity_check,
     twisted,
-    twisted_term,
     unit_label,
 )
 from .errors import AxiomError, ShapeError
@@ -105,9 +105,9 @@ def self_module(td):
 
 def _td_skew_check(bracket, C):
     """Swapping the arguments equals minus the swap-twisted operator."""
-    plain = induced(bracket, C).materialize()
+    plain = induced(bracket, C).factored()
     lhs = plain.argument_permute(SWAP)
-    rhs = twisted(bracket, C, SWAP).materialize().scale(-1)
+    rhs = twisted(bracket, C, SWAP).factored().scale(-1)
     return operator_identity_check("td-skew", lhs, rhs)
 
 
@@ -115,15 +115,15 @@ def _td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
     nested_op = compose_induced(induced(bracket, C), induced(bracket, C), 1)
-    return table_sum([nested_op.materialize()]
-                     + [twisted_term(nested_op.base, C, r) for r in JACOBI_ROTATIONS])
+    return table_sum([nested_op.factored()]
+                     + [factored_term(nested_op.base, C, r) for r in JACOBI_ROTATIONS])
 
 
 def _untwisted_jacobi_check(name, bracket, C):
     """The plain cyclic identity for the induced bracket: the nested
     operator plus its untwisted rearrangements along the rotation and its
     square sums to zero."""
-    nested = induced(bracket.compose_at(bracket, 1), C).materialize()
+    nested = induced(bracket.compose_at(bracket, 1), C).factored()
     total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
     return operator_identity_check(name, total, total.scale(0))
 
@@ -147,7 +147,7 @@ def check_cocommutative_collapse(lie, C):
             "collapse needs a cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
     _require(check_lie(lie), "Lie axioms")
-    plain = induced(lie.bracket, C).materialize()
+    plain = induced(lie.bracket, C).factored()
     skew = operator_identity_check(
         "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
     jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
@@ -164,7 +164,7 @@ def check_jordan(lie, C):
             % (C.space.name, symmetry_class(C)))
     _require(check_lie(lie), "Lie axioms")
     op = induced(lie.bracket, C)
-    plain = op.materialize()
+    plain = op.factored()
     sym = operator_identity_check(
         "jordan-symmetry", plain.argument_permute(SWAP), plain)
     jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
@@ -235,18 +235,18 @@ def check_td_poisson(poisson, C):
     _require(check_coassociativity(C), "coassociativity")
     lie_part = check_td_lie(poisson, C)
 
-    prod = induced(poisson.product, C).materialize()
+    prod = induced(poisson.product, C).factored()
     commut = operator_identity_check(
         "td-commutativity",
         prod.argument_permute(SWAP),
-        twisted(poisson.product, C, SWAP).materialize())
+        twisted(poisson.product, C, SWAP).factored())
 
     # bracket against a product expands into two rearranged mixed terms,
     # exactly as in the classical derivation property
-    lhs = induced(poisson.bracket.compose_at(poisson.product, 1), C).materialize()
+    lhs = induced(poisson.bracket.compose_at(poisson.product, 1), C).factored()
     mixed = poisson.product.compose_at(poisson.bracket, 1)
-    rhs = twisted_term(mixed, C, PRODUCT_CYCLE).add(
-        twisted_term(mixed, C, SWAP_FIRST_TWO))
+    rhs = factored_term(mixed, C, PRODUCT_CYCLE).add(
+        factored_term(mixed, C, SWAP_FIRST_TWO))
     leibniz = operator_identity_check("td-leibniz", lhs, rhs)
 
     return combine("td-poisson", [lie_part, commut, leibniz])
@@ -258,8 +258,8 @@ def check_td_module(tdm):
     _require(check_lie(tdm.td.lie), "Lie axioms")
     _require(check_module(tdm.module), "module axiom")
     C = tdm.coalgebra
-    lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0).materialize()
+    lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0).factored()
     nested_op = compose_induced(tdm.action_op, tdm.action_op, 1)
-    rhs = nested_op.materialize().sub(
-        twisted_term(nested_op.base, C, SWAP_FIRST_TWO))
+    rhs = nested_op.factored().sub(
+        factored_term(nested_op.base, C, SWAP_FIRST_TWO))
     return operator_identity_check("td-module", lhs, rhs)

@@ -14,8 +14,13 @@ import sys
 import pytest
 
 from tdhom import corpus
+from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
-from tdhom.files import parse_structure, serialize_structure
+from tdhom.coalgebra import build_tensor_coalgebra
+from tdhom.convolution import InducedOperator
+from tdhom.files import load_path, parse_structure, serialize_structure
+from tdhom.linalg import BasedSpace, Permutation
+from tdhom.maps import MultilinearMap
 
 
 def run(argv, capsys):
@@ -961,6 +966,99 @@ def test_verify_table_is_pinned(row, verify_dir, monkeypatch, capsys):
         assert out == ""
     else:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+def matrix_unit_lie(name, units):
+    """The span of the matrix units E_ij, (i, j) in units, under the
+    commutator; the units must be closed under the nonzero brackets."""
+    pos = {u: k for k, u in enumerate(units)}
+    table = {}
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                key = ((a, b), pos[(i, l)])
+                table[key] = table.get(key, 0) + 1
+            if l == i:
+                key = ((a, b), pos[(k, j)])
+                table[key] = table.get(key, 0) - 1
+    L = BasedSpace("L", ["E%d%d" % (i + 1, j + 1) for i, j in units])
+    return LieAlgebra(L, MultilinearMap([L, L], L, table), name=name)
+
+
+@pytest.fixture
+def materialized(monkeypatch):
+    """Every InducedOperator.materialize call, as (base map, twist)."""
+    calls = []
+    original = InducedOperator.materialize
+
+    def recording(self, guard_limit=None):
+        calls.append((self.base, self.twist))
+        return original(self, guard_limit)
+
+    monkeypatch.setattr(InducedOperator, "materialize", recording)
+    return calls
+
+
+class TestFactoredChecks:
+    """Twisted identities are decided without laying operators out; only a
+    failing identity is materialized, to name its witness."""
+
+    def test_passing_verify_materializes_nothing(self, tmp_path, monkeypatch,
+                                                 materialized, capsys):
+        gl3 = matrix_unit_lie("gl3", [(i, j) for i in range(3)
+                                      for j in range(3)])
+        structures = {
+            "gl3": gl3,
+            "n5": matrix_unit_lie("n5", [(i, j) for i in range(5)
+                                         for j in range(i + 1, 5)]),
+            "gl3-adjoint": LieModule(gl3, gl3.space, gl3.bracket,
+                                     name="gl3-adjoint"),
+            "T4ab": build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4),
+        }
+        for name, obj in structures.items():
+            (tmp_path / (name + ".json")).write_text(
+                serialize_structure(obj, name), encoding="utf-8")
+        for name in ("lr-derx3", "lr-dualnum", "poisson3"):
+            (tmp_path / (name + ".json")).write_text(
+                corpus.fixture_text(name), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["verify", "gl3.json", "n5.json", "gl3-adjoint.json",
+                            "lr-derx3.json", "lr-dualnum.json", "poisson3.json",
+                            "T4ab.json", "--subcomplex-maxdeg", "2",
+                            "--guard-limit", str(10 ** 12), "--json"], capsys)
+        assert code == 0
+        counts = json.loads(out)["counts"]
+        assert counts == {"pass": 16, "fail": 0, "skipped": 0, "guarded": 0}
+        assert materialized == []
+
+    def test_failing_pair_materializes_only_its_identity(
+            self, tmp_path, monkeypatch, materialized, capsys):
+        # D(1) = x breaks the derivation rule and no other pair identity;
+        # td-derivation fails in td-lie-rinehart and again as td-subcomplex's
+        # precondition, and each time only its two sides are laid out
+        doc = json.loads(corpus.fixture_text("lr-dualnum"))
+        for m in doc["maps"]:
+            if m["name"] == "action":
+                m["entries"].append([[0, 0], 1, "1"])
+        (tmp_path / "pair.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "C.json").write_text(serialize_structure(
+            corpus.get_coalgebra("tensor-x-3")), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["verify", "pair.json", "C.json",
+                            "--unsafe-skip-axioms", "--json"], capsys)
+        assert code == 1
+        twisted_entries = [e for e in json.loads(out)["entries"]
+                           if e["coalgebra"] is not None]
+        assert [(e["check"], e["status"]) for e in twisted_entries] == [
+            ("td-lie-rinehart", "fail"), ("td-subcomplex", "fail")]
+        assert twisted_entries[0]["detail"] == "td-derivation"
+        pair = load_path("pair.json", unsafe_skip_axioms=True)
+        lhs = pair.action.compose_at(pair.product, 1)
+        rhs = pair.product.compose_at(pair.action, 0).add(
+            pair.product.compose_at(pair.action, 1).precompose_perm(
+                Permutation((1, 0, 2))))
+        assert materialized == [(lhs, Permutation.identity(3)),
+                                (rhs, Permutation.identity(3))] * 2
+
 
 class TestRendering:
     def test_verify_rendering_is_function_of_report(self, exported, capsys):

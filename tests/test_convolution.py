@@ -14,20 +14,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdhom import corpus
-from tdhom.coalgebra import COCOMMUTATIVE, Coalgebra, symmetry_class
+from tdhom.coalgebra import (
+    COCOMMUTATIVE,
+    Coalgebra,
+    build_tensor_coalgebra,
+    symmetry_class,
+)
 from tdhom.convolution import (
     HomElement,
     check_td_skew,
     compose_induced,
+    factored_term,
     induced,
     interchange,
     matrix_units,
+    operator_identity_check,
+    operator_witness,
     resolve_guard_limit,
     twisted,
     twisted_term,
 )
 from tdhom.errors import GuardError, ShapeError, TdhomError
-from tdhom.linalg import BasedSpace, Permutation, all_permutations, gather
+from tdhom.linalg import (
+    BasedSpace,
+    Permutation,
+    all_permutations,
+    gather,
+    table_sum,
+)
 from tdhom.maps import MultilinearMap
 
 
@@ -406,3 +420,176 @@ class TestMaterialized:
         monkeypatch.setenv("TDHOM_GUARD_LIMIT", "55")
         assert resolve_guard_limit() == 55
         assert resolve_guard_limit(7) == 7
+
+
+# one- and two-dimensional argument and target spaces: with a single basis
+# vector every base map is a multiple of one entry, so sums of twisted terms
+# cancel through dependent D_rho often
+SMALL_SPACES = (BasedSpace("U", ("u",)), BasedSpace("V", ("v", "w")))
+ORACLE_COALGEBRAS = dict(
+    corpus.coalgebras(),
+    T4ab=build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4))
+# distinct leg orders give dependent but nonzero D_rho here
+DEPENDENT_TWISTS = ("exterior-ab", "symmetric-xy-2", "tensor-x-3")
+
+
+def base_maps(domain, codomain):
+    keys = st.tuples(
+        st.tuples(*[st.integers(0, space.dim - 1) for space in domain]),
+        st.integers(0, codomain.dim - 1))
+    return st.dictionaries(keys, st.sampled_from((-1, 1, 2)), min_size=1,
+                           max_size=3).map(
+        lambda entries: MultilinearMap(domain, codomain, entries))
+
+
+def legs_table(C, n, rho):
+    """D_rho: the n-fold coproduct with its legs permuted by rho."""
+    return {(c, gather(rho, legs)): q for c, expansion in C.iterated_terms(n).items()
+            for legs, q in expansion}
+
+
+@st.composite
+def term_sums(draw):
+    """(C, lhs terms, rhs terms).  A term (phi, sigma, pi, sign) stands for
+    sign times twisted(phi, C, sigma) with its arguments rearranged by pi.
+
+    Besides fresh terms, a term may restate another one: a twin keeps its
+    base map and rearrangement under a random twist, with the sign that
+    makes it equal wherever the two D_rho agree up to sign; a rerouted copy
+    is the same operator written (phi . pi, pi^-1 then sigma, identity).
+    The right side is either fresh terms or a restatement of each left
+    term, so the identities hold often, and often only because distinct
+    D_rho depend.
+    """
+    # the coalgebras whose D_rho depend come up twice as often
+    C = ORACLE_COALGEBRAS[draw(st.sampled_from(
+        sorted(ORACLE_COALGEBRAS) + list(DEPENDENT_TWISTS)))]
+    n = draw(st.sampled_from((2, 2, 3)))
+    often = st.sampled_from((True, True, False))
+    V, W = draw(st.sampled_from(SMALL_SPACES)), draw(st.sampled_from(SMALL_SPACES))
+    perms = st.sampled_from(all_permutations(n))
+    signs = st.sampled_from((1, -1))
+
+    def fresh():
+        return draw(base_maps([V] * n, W)), draw(perms), draw(perms), draw(signs)
+
+    def restated(term):
+        phi, sigma, pi, sign = term
+        if draw(often):
+            other = draw(perms)
+            mine = legs_table(C, n, pi.inverse().then(sigma))
+            theirs = legs_table(C, n, pi.inverse().then(other))
+            if theirs == {k: -q for k, q in mine.items()}:
+                sign = -sign
+            elif theirs != mine:
+                sign = draw(signs)
+            return phi, other, pi, sign
+        return (phi.precompose_perm(pi), pi.inverse().then(sigma),
+                Permutation.identity(n), sign)
+
+    lhs = [fresh()]
+    for _ in range(draw(st.integers(0, 2))):
+        lhs.append(restated(draw(st.sampled_from(lhs))) if draw(st.booleans())
+                   else fresh())
+    if draw(often):
+        rhs = [restated(term) for term in lhs]
+    else:
+        rhs = [fresh() for _ in range(draw(st.integers(0, 2)))]
+    return C, lhs, rhs
+
+
+def factored_sum(C, terms):
+    return table_sum(twisted(phi, C, sigma).factored().argument_permute(pi)
+                     .scale(sign) for phi, sigma, pi, sign in terms)
+
+
+def materialized_sum(C, terms):
+    return table_sum(twisted(phi, C, sigma).materialize().argument_permute(pi)
+                     .scale(sign) for phi, sigma, pi, sign in terms)
+
+
+class TestFactoredOracle:
+    """The factored form against the materialized tables it replaces."""
+
+    @given(term_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_materialized_sum(self, case):
+        C, lhs_terms, rhs_terms = case
+        lhs, lhs_table = factored_sum(C, lhs_terms), materialized_sum(C, lhs_terms)
+        if rhs_terms:
+            rhs, rhs_table = factored_sum(C, rhs_terms), materialized_sum(C, rhs_terms)
+        else:
+            rhs, rhs_table = lhs.scale(0), lhs_table.scale(0)
+        total = lhs.sub(rhs)
+        assert total.vanishes() == total.materialize().is_zero()
+        assert lhs.materialize() == lhs_table
+        assert lhs.materialize().domain == lhs_table.domain
+        assert rhs.materialize() == rhs_table
+        assert total.materialize() == lhs_table.sub(rhs_table)
+        found = lhs_table.first_difference(rhs_table)
+        result = operator_identity_check("oracle", lhs, rhs)
+        assert result.ok == (found is None)
+        assert result.witness == (
+            None if found is None else operator_witness(lhs_table, found))
+
+    @pytest.mark.parametrize("cname,sign", [("exterior-ab", 1),
+                                            ("symmetric-xy-2", -1)])
+    def test_dependent_twists_fold_onto_one_pivot(self, sl2, cname, sign):
+        # the swapped coproduct is -Delta on the exterior square and +Delta
+        # on the symmetric one, so the two parts cancel with nonzero maps
+        C = corpus.get_coalgebra(cname)
+        swap = Permutation((1, 0))
+        op = induced(sl2.bracket, C).factored().add(
+            twisted(sl2.bracket, C, swap).factored().scale(sign))
+        assert len(op.parts) == 2
+        assert op.reduced() == {}
+        assert op.vanishes() and op.materialize().is_zero()
+        kept = op.add(induced(sl2.bracket, C).factored())
+        assert kept.reduced() == {Permutation.identity(2): sl2.bracket}
+
+    def test_zero_coproduct_leaves_nothing(self, sl2):
+        op = induced(sl2.bracket, corpus.get_coalgebra("zero-ab")).factored()
+        assert op.parts and op.vanishes()
+
+    def test_arity_mismatch(self, sl2, tab2):
+        vol = corpus.load("vol3")
+        with pytest.raises(ShapeError):
+            induced(sl2.bracket, tab2).factored().add(
+                induced(vol, tab2).factored())
+        with pytest.raises(ShapeError):
+            induced(sl2.bracket, tab2).factored().argument_permute(
+                Permutation.identity(3))
+
+
+class TestFactoringLaws:
+    """The rules the factored form rests on, on random maps."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_twisted_term_is_the_precomposed_map_induced(self, cname, n, data):
+        C = corpus.get_coalgebra(cname)
+        domain = [data.draw(st.sampled_from(SMALL_SPACES)) for _ in range(n)]
+        phi = data.draw(base_maps(domain, data.draw(st.sampled_from(SMALL_SPACES))))
+        sigma = data.draw(st.sampled_from(all_permutations(n)))
+        direct = induced(phi.precompose_perm(sigma), C).materialize()
+        assert twisted_term(phi, C, sigma) == direct
+        assert factored_term(phi, C, sigma).materialize() == direct
+        assert list(factored_term(phi, C, sigma).parts) in (
+            [], [Permutation.identity(n)])
+
+    @given(term_sums(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_argument_permutes_compose(self, case, data):
+        C, terms, _ = case
+        op = factored_sum(C, terms)
+        perms = all_permutations(op.arity)
+        pi = data.draw(st.sampled_from(perms))
+        tau = data.draw(st.sampled_from(perms))
+        twice = op.argument_permute(pi).argument_permute(tau)
+        once = op.argument_permute(pi.then(tau))
+        assert twice.parts == once.parts
+        assert twice.domain == once.domain
+        assert once.materialize() == \
+            op.materialize().argument_permute(pi).argument_permute(tau)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import tdhom
 from tdhom.errors import InvalidPermutation, ShapeError
 from tdhom.linalg import (
+    Echelon,
     Permutation,
     RationalMatrix,
     SparseColumns,
@@ -301,6 +302,17 @@ class TestEchelonAgainstDenseOracle:
         batch = RationalMatrix(rows, len(rhs),
                                [b[i] for i in range(rows) for b in rhs])
         assert solve(m, batch) == [solve(m, b) for b in rhs]
+
+        # with rhs[i] = {i: 1}, the residue of each dependent row writes it
+        # in the pivot rows
+        row_dicts = [{j: m.get(i, j) for j in range(cols) if m.get(i, j)}
+                     for i in range(rows)]
+        ech = Echelon(cols, row_dicts, [{i: Fraction(1)} for i in range(rows)])
+        assert len(ech.residues) == rows - len(pivots)
+        for i, residue in ech.residues.items():
+            assert residue[i] == 1
+            assert all(sum((a * m.get(r, j) for r, a in residue.items()),
+                           Fraction(0)) == 0 for j in range(cols))
 
         other = draw_matrix(data, cols, data.draw(st.integers(0, 4)), density)
         expected = [sum((m.get(i, k) * other.get(k, j) for k in range(cols)),
