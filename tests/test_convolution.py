@@ -551,11 +551,14 @@ class TestFactoredOracle:
         op = induced(sl2.bracket, corpus.get_coalgebra("zero-ab")).factored()
         assert op.parts and op.vanishes()
 
-    def test_arity_mismatch(self, sl2, tab2):
+    def test_shape_mismatch(self, sl2, tab2):
         vol = corpus.load("vol3")
         with pytest.raises(ShapeError):
             induced(sl2.bracket, tab2).factored().add(
                 induced(vol, tab2).factored())
+        with pytest.raises(ShapeError):
+            induced(sl2.bracket, tab2).factored().add(induced(
+                sl2.bracket, corpus.get_coalgebra("exterior-ab")).factored())
         with pytest.raises(ShapeError):
             induced(sl2.bracket, tab2).factored().argument_permute(
                 Permutation.identity(3))
