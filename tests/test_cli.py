@@ -634,10 +634,10 @@ def test_td_table_is_pinned(row, tmp_path, monkeypatch, capsys):
 # verify --json on one structure file and one coalgebra file, both named by
 # bare file names in one directory so the report does not depend on where
 # it runs.  Structures: every corpus Lie algebra, module, Poisson algebra and
-# pair, plus unchecked broken variants: broken-jacobi; dual numbers whose
-# action also hits 1 (no derivation); lr-derx3 with its bracket doubled
-# (the Leibniz rules fail); heis-adjoint with an extra action entry; and
-# poisson3 with an extra product entry (not commutative).
+# pair, plus unchecked broken variants: broken-jacobi; broken-skew; dual
+# numbers whose action also hits 1 (no derivation); lr-derx3 with its
+# bracket doubled (the Leibniz rules fail); heis-adjoint with an extra
+# action entry; and poisson3 with an extra product entry (not commutative).
 VERIFY_VARIANTS = {
     "lr-dualnum-derivation": ("lr-dualnum", "action",
                               [[[0, 1], 1, "1"], [[0, 0], 0, "1"]]),
@@ -830,6 +830,18 @@ broken-jacobi          tensor-ab-2    skip     1 -   f3aa1e4cb51bf337cceed987507
 broken-jacobi          tensor-ab-3    skip     1 -   2f7994e3fe59dc5d66d81edeb82540d520c9fd8e3400791c983d889b13d3e7f8
 broken-jacobi          tensor-x-3     skip     1 -   0771b56bfa9f7b023bab4196251b4296b1e7b221d5c3ddb732e70b7b5cfc8b45
 broken-jacobi          zero-ab        skip     1 -   e225f8c4dae275e494cd3ee21fe6488d7c753760157b5fc8200364d7cb9ab24c
+broken-skew            exterior-ab    plain    1 -   d91dc698702e88271fd3aa73a6c6a343e5b3e2815eb55ff98bd0d52bcdfed6bc
+broken-skew            symmetric-xy-2 plain    1 -   cbc9806b9ac8a8838661c6d297d093f265464ecfe49b1cb57e6f152f2f917860
+broken-skew            tensor-ab-2    plain    1 -   085414196701f24e6cde09707effc034284a1fad3588a61a7bec3e85744f18d6
+broken-skew            tensor-ab-3    plain    1 -   5b97a5da3641664f639cdd161e592e2b6de192da40e03bf15837fe6dcc1c8e55
+broken-skew            tensor-x-3     plain    1 -   887285e73e31aff1a7a4dba29527fe653c95246bfd2c928106c22e6622747d96
+broken-skew            zero-ab        plain    1 -   dff145bcb8a3e88c79803f988531b79641af13a7624a0826224092548e57f159
+broken-skew            exterior-ab    skip     1 -   6cc405c1afef19541067830461875e29beb6c0d90917edc1ae71294c1a7ba7d8
+broken-skew            symmetric-xy-2 skip     1 -   f51f652b79a74914066c55f139d40666def310a7b71df00eb16f1817036978f1
+broken-skew            tensor-ab-2    skip     1 -   6e88bce842f8fa71d8380755db7f0c2298f2003034f1b2c55ad27b4a8f41ff72
+broken-skew            tensor-ab-3    skip     1 -   7c798b30a6b9706ae52e0c642caa597b0f79ff6101218a6a09e23da007e1a2a9
+broken-skew            tensor-x-3     skip     1 -   b4684ce572b3a8463ec326adad7fa1ba26e55fa2a638afcd7d67fd79917b9a6d
+broken-skew            zero-ab        skip     1 -   b703b17c9a3cf925c3bd594859a268af6ca4e1c03c2629704eb00cef4597f669
 lr-dualnum-derivation  exterior-ab    plain    1 -   897455f3ebe47817fe8484d961ab685429f49685d2057e92a881922a21809dfe
 lr-dualnum-derivation  symmetric-xy-2 plain    1 -   4bf38fc379e68946fc8bcba51094d27155c85fe97348063fcd66a8a8a3800367
 lr-dualnum-derivation  tensor-ab-2    plain    1 -   de363594330fc09fb93501ee76e66aef2172a19f7fe242bb534e97ade58ed231
