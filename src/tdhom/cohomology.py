@@ -320,12 +320,12 @@ def _differential_matrix(M, k):
     L, B = M.base.space, M.space
     source = alt_basis(L, B, k)
     target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
-    m = RationalMatrix.zero(len(target_index), len(source))
+    rows = [{} for _ in target_index]
     for ci, key in enumerate(source):
         df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
         for out_key, q in df.values.items():
-            m.set(target_index[out_key], ci, q)
-    return m
+            rows[target_index[out_key]][ci] = q
+    return RationalMatrix._from_sparse_rows(len(source), rows)
 
 
 def ce_complex(M, maxdeg):

@@ -4,12 +4,13 @@ Scalars are fractions.Fraction throughout: always lowest terms, positive
 denominator, exact field arithmetic.  Nothing in the package ever touches a
 float.
 
-Every rank, pivot set, kernel and solve comes from one sparse echelon form
-(Echelon): rows stored as {column: Fraction} dicts, fed shortest first and
-reduced by their leading column.  Its answers are the unique ones fixed by
-the lexicographically first independent column set, so they are
-reproducible bit for bit whatever the row order.  The dense fraction-free
-elimination RationalMatrix._echelon is kept only as the test oracle.
+RationalMatrix stores its rows as {column: Fraction} dicts that never hold
+a zero, and every rank, pivot set, kernel and solve comes from one sparse
+echelon form (Echelon) of such rows, fed shortest first and reduced by
+their leading column.  Its answers are the unique ones fixed by the
+lexicographically first independent column set, so they are reproducible
+bit for bit whatever the row order.  The dense fraction-free elimination
+that preceded it is the test oracle in tests/linalg_oracle.py.
 
 SparseTable holds the sparse arithmetic (add, sub, scale, is_zero) shared by
 every class stored as a {key: Fraction} table with no zero entry: maps,
@@ -172,33 +173,34 @@ def scatter(p, seq):
     return tuple(out)
 
 
-def _clear_denominators(row):
-    """Scale a Fraction row to integers (keeps the row space)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-    return [int(x * lcm) for x in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class RationalMatrix:
-    """Dense matrix of Fractions; eliminate it with rank, solve and friends."""
+    """Sparse matrix of Fractions; eliminate it with rank, solve and friends.
+
+    Stored as one {column: Fraction} dict per row that never holds a zero,
+    the form Echelon eliminates, so a differential with few nonzeros costs
+    what its nonzeros cost.  entries gives the row-major dense list.
+    """
 
     def __init__(self, rows, cols, entries):
-        entries = [x if type(x) is Fraction else Fraction(x) for x in entries]
+        _check_shape(rows, cols)
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ShapeError("need %d entries, got %d" % (rows * cols, len(entries)))
-        self.rows = rows
+        self._init(cols, [_sparse_row(entries[i * cols:(i + 1) * cols])
+                          for i in range(rows)])
+
+    def _init(self, cols, sparse_rows):
+        self.rows = len(sparse_rows)
         self.cols = cols
-        self.entries = entries
+        self._sparse_rows = sparse_rows
+
+    @classmethod
+    def _from_sparse_rows(cls, cols, sparse_rows):
+        """The matrix stored as sparse_rows, taken as they are: each a dict
+        {column in range(cols): nonzero Fraction}."""
+        m = cls.__new__(cls)
+        m._init(cols, sparse_rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows_list):
@@ -207,107 +209,101 @@ class RationalMatrix:
         for r in rows_list:
             if len(r) != cols:
                 raise ShapeError("ragged rows: %d entries, expected %d" % (len(r), cols))
-        return cls(rows, cols, [x for r in rows_list for x in r])
+        return cls._from_sparse_rows(cols, [_sparse_row(r) for r in rows_list])
 
     @classmethod
     def from_columns(cls, rows, columns):
         """The matrix whose column j is the dense vector columns[j]."""
-        for c in columns:
+        sparse_rows = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
             if len(c) != rows:
                 raise ShapeError("column of %d entries, expected %d" % (len(c), rows))
-        return cls(rows, len(columns), [c[i] for i in range(rows) for c in columns])
+            for i, x in _sparse_row(c).items():
+                sparse_rows[i][j] = x
+        return cls._from_sparse_rows(len(columns), sparse_rows)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._from_sparse_rows(cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = ONE
-        return m
+        return cls._from_sparse_rows(n, [{i: ONE} for i in range(n)])
+
+    @property
+    def entries(self):
+        """The row-major dense list of all rows * cols entries."""
+        return [r.get(j, ZERO) for r in self._sparse_rows for j in range(self.cols)]
+
+    def _check_index(self, what, index, bound):
+        if not 0 <= index < bound:
+            raise ShapeError("%s %d outside a %dx%d matrix"
+                             % (what, index, self.rows, self.cols))
 
     def get(self, i, j):
-        return self.entries[i * self.cols + j]
+        self._check_index("row", i, self.rows)
+        self._check_index("column", j, self.cols)
+        return self._sparse_rows[i].get(j, ZERO)
 
     def set(self, i, j, value):
-        self.entries[i * self.cols + j] = Fraction(value)
+        self._check_index("row", i, self.rows)
+        self._check_index("column", j, self.cols)
+        value = Fraction(value)
+        if value:
+            self._sparse_rows[i][j] = value
+        else:
+            self._sparse_rows[i].pop(j, None)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        self._check_index("row", i, self.rows)
+        return [self._sparse_rows[i].get(j, ZERO) for j in range(self.cols)]
 
     def column(self, j):
-        return self.entries[j::self.cols]
+        self._check_index("column", j, self.cols)
+        return [r.get(j, ZERO) for r in self._sparse_rows]
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        n = other.cols
-        out = RationalMatrix.zero(self.rows, n)
-        other_rows = _row_dicts(other)
-        for i, row in enumerate(_row_dicts(self)):
-            base = i * n
+        other_rows = other._sparse_rows
+        out = []
+        for row in self._sparse_rows:
+            acc = {}
             for k, a in row.items():
                 for j, b in other_rows[k].items():
-                    out.entries[base + j] += a * b
-        return out
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return RationalMatrix._from_sparse_rows(other.cols, out)
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self._sparse_rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and self._sparse_rows == other._sparse_rows
         )
 
     def __repr__(self):
         return "RationalMatrix(%dx%d)" % (self.rows, self.cols)
 
-    def _echelon(self):
-        """Fraction-free (Bareiss) forward elimination: the test oracle only.
 
-        Nothing in the package calls it; the tests compare Echelon against it.
+def _check_shape(rows, cols):
+    if rows < 0 or cols < 0:
+        raise ShapeError("negative shape %dx%d" % (rows, cols))
 
-        Returns (echelon integer rows, pivots, row_origin) where pivots is a
-        list of (echelon row, column) pairs and row_origin[r] is the input row
-        that echelon row r came from.  First-nonzero pivoting: columns are
-        scanned left to right, the topmost remaining row with a nonzero entry
-        is swapped up.
-        """
-        work = [_clear_denominators(self.row(i)) for i in range(self.rows)]
-        origin = list(range(self.rows))
-        pivots = []
-        prev_pivot = 1
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if work[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            work[r], work[pr] = work[pr], work[r]
-            origin[r], origin[pr] = origin[pr], origin[r]
-            piv = work[r][c]
-            for i in range(r + 1, self.rows):
-                row_i = work[i]
-                row_r = work[r]
-                f = row_i[c]
-                for j in range(self.cols):
-                    num = row_i[j] * piv - f * row_r[j]
-                    q, rem = divmod(num, prev_pivot)
-                    assert rem == 0, "fraction-free division failed"
-                    row_i[j] = q
-            prev_pivot = piv
-            pivots.append((r, c))
-            r += 1
-            if r == self.rows:
-                break
-        return work, pivots, origin
+
+def _sparse_row(dense):
+    """{column: Fraction} for the nonzero entries of a dense row."""
+    out = {}
+    for j, x in enumerate(dense):
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            out[j] = x
+    return out
 
 
 class SparseTable:
@@ -448,15 +444,9 @@ class Echelon:
         return [out[t] for t in indices]
 
 
-def _row_dicts(m):
-    n = m.cols
-    return [{j: x for j, x in enumerate(m.entries[i * n:(i + 1) * n]) if x}
-            for i in range(m.rows)]
-
-
 def echelon(m):
     """The sparse echelon form of a RationalMatrix."""
-    return Echelon(m.cols, _row_dicts(m))
+    return Echelon(m.cols, m._sparse_rows)
 
 
 def rank(m):
@@ -490,11 +480,11 @@ def solve(m, b):
     if isinstance(b, RationalMatrix):
         if b.rows != m.rows:
             raise ShapeError("rhs has %d rows vs %d" % (b.rows, m.rows))
-        return Echelon(m.cols, _row_dicts(m), _row_dicts(b)).solutions(b.cols)
+        return Echelon(m.cols, m._sparse_rows, b._sparse_rows).solutions(b.cols)
     if len(b) != m.rows:
         raise ShapeError("rhs length %d vs %d rows" % (len(b), m.rows))
     rhs = [{0: Fraction(x)} if x else {} for x in b]
-    return Echelon(m.cols, _row_dicts(m), rhs).solutions(1)[0]
+    return Echelon(m.cols, m._sparse_rows, rhs).solutions(1)[0]
 
 
 class SparseColumns:
@@ -525,22 +515,22 @@ class SparseColumns:
             keys.update(d)
         return sorted(keys)
 
-    def to_dense(self):
-        """(sorted row keys, RationalMatrix restricted to nonzero rows)."""
-        keys = self.row_keys()
-        pos = {k: i for i, k in enumerate(keys)}
-        m = RationalMatrix.zero(len(keys), self.ncols)
-        for c, d in enumerate(self.columns):
-            for k, v in d.items():
-                m.set(pos[k], c, v)
-        return keys, m
-
-    def echelon(self):
+    def _rows_by_key(self):
         rows = {}
         for c, d in enumerate(self.columns):
             for k, v in d.items():
                 rows.setdefault(k, {})[c] = v
-        return Echelon(self.ncols, list(rows.values()))
+        return rows
+
+    def to_dense(self):
+        """(sorted row keys, RationalMatrix restricted to nonzero rows)."""
+        rows = self._rows_by_key()
+        keys = sorted(rows)
+        return keys, RationalMatrix._from_sparse_rows(
+            self.ncols, [rows[k] for k in keys])
+
+    def echelon(self):
+        return Echelon(self.ncols, list(self._rows_by_key().values()))
 
     def rank(self):
         return self.echelon().rank

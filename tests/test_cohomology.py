@@ -14,6 +14,7 @@ complex dies above degree one and H^1 = 9 - 3 by hand.
 """
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom import corpus
+from tdhom import cohomology, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cohomology import (
     AltCochain,
@@ -74,13 +75,19 @@ def adjoint():
 
 @lru_cache(maxsize=None)
 def gl_adjoint(n):
-    """gl_n acting on itself, from [E_ij, E_kl] = d_jk E_il - d_li E_kj.
+    return matrix_unit_adjoint(
+        "gl%d" % n, [(i, j) for i in range(n) for j in range(n)])
+
+
+def matrix_unit_adjoint(name, units):
+    """The span of the matrix units E_ij, (i, j) in units, acting on itself
+    by [E_ij, E_kl] = d_jk E_il - d_li E_kj; the units must be closed under
+    the nonzero brackets.
 
     Every ordered pair is stored, so the bracket holds entries of both
     signs, not only those on increasing pairs.
     """
-    units = [(i, j) for i in range(n) for j in range(n)]
-    L = BasedSpace("gl%d" % n, ["E%d%d" % (i + 1, j + 1) for i, j in units])
+    L = BasedSpace(name, ["E%d%d" % (i + 1, j + 1) for i, j in units])
     entries = {}
     for x, (i, j) in enumerate(units):
         for y, (k, l) in enumerate(units):
@@ -290,6 +297,13 @@ class TestClassicalComplex:
         assert cx.ranks() == [8, 72, 252, 503]
         assert cx.cohomology_dims() == [1, 1, 0, 1]
 
+    def test_gl4_adjoint_through_degree_two(self):
+        # H*(gl4; gl4) = H*(sl4; k) (x) Lambda[z] is 1, 1, 0 in degrees 0..2
+        cx = ce_complex(gl_adjoint(4), 2)
+        assert cx.cochain_dims() == [16, 256, 1920, 8960]
+        assert cx.ranks() == [15, 240, 1680]
+        assert cx.cohomology_dims() == [1, 1, 0]
+
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
     @settings(max_examples=20, deadline=None)
     def test_each_summand_block_is_skew(self, ints):
@@ -333,6 +347,82 @@ class TestComplexMatrices:
         assert cx.cochain_dims() == [1, 2, 1]
         assert cx.ranks() == [1, 1]
         assert cx.cohomology_dims() == [0, 0]
+
+
+def rebased_adjoint(M, seed):
+    """The adjoint module M in the basis e'_a = s_a e_p(a), with the
+    permutation p and the scales s drawn from the seed."""
+    rng = random.Random(seed)
+    L = M.base.space
+    perm = list(range(L.dim))
+    rng.shuffle(perm)
+    scales = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 5)))
+              * rng.choice((1, -1)) for _ in perm]
+    new = {old: a for a, old in enumerate(perm)}
+    space = BasedSpace(L.name, [L.labels[old] for old in perm])
+    table = {((new[x], new[y]), new[o]):
+             q * scales[new[x]] * scales[new[y]] / scales[new[o]]
+             for ((x, y), o), q in M.base.bracket.entries.items()}
+    bracket = MultilinearMap([space, space], space, table)
+    return LieModule(LieAlgebra(space, bracket), space, bracket)
+
+
+def dense_differential(M, k):
+    """d_k filled cell by cell into nested lists of Fractions, one column
+    per basis cochain: the dense assembly that ce_complex replaced by
+    writing sparse rows, kept as its oracle."""
+    L, B = M.base.space, M.space
+    source = alt_basis(L, B, k)
+    target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
+    cells = [[Fraction(0)] * len(source) for _ in target_index]
+    for ci, key in enumerate(source):
+        df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
+        for out_key, q in df.values.items():
+            cells[target_index[out_key]][ci] = q
+    return cells
+
+
+def assembly_case(name):
+    """(module, maxdeg): a corpus module or the nilpotent n_4 to its top
+    degree, or gl3-adjoint in a shuffled, rescaled basis to degree 2."""
+    if name == "gl3-adjoint-rebased":
+        return rebased_adjoint(gl_adjoint(3), 7), 2
+    if name == "n4-adjoint":
+        M = matrix_unit_adjoint(
+            "n4", [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    else:
+        M = corpus.load(name)
+    return M, M.base.space.dim
+
+
+class TestDifferentialAssembly:
+    @pytest.mark.parametrize("name", sorted(corpus.MODULE_NAMES)
+                             + ["gl3-adjoint-rebased", "n4-adjoint"])
+    def test_sparse_rows_match_dense_fill(self, name, monkeypatch):
+        M, maxdeg = assembly_case(name)
+        L, B = M.base.space, M.space
+        calls = []
+
+        def counted(f, module):
+            calls.append(f.degree)
+            return ce_differential(f, module)
+
+        monkeypatch.setattr(cohomology, "ce_differential", counted)
+        cx = ce_complex(M, maxdeg)
+        monkeypatch.undo()
+        # one push-forward per basis cochain
+        assert calls == [k for k in range(maxdeg + 1)
+                         for _ in range(alt_dim(L, B, k))]
+        for k, m in enumerate(cx.matrices):
+            cells = dense_differential(M, k)
+            flat = [x for row in cells for x in row]
+            assert (m.rows, m.cols) == (alt_dim(L, B, k + 1), alt_dim(L, B, k))
+            assert m.entries == flat
+            assert m == RationalMatrix(m.rows, m.cols, flat)
+
+    def test_rebased_gl3_keeps_ranks(self):
+        cx = ce_complex(rebased_adjoint(gl_adjoint(3), 7), 2)
+        assert cx.ranks() == [8, 72, 252]
 
 
 class TestInductionMatrix:

@@ -29,7 +29,7 @@ from tdhom.linalg import BasedSpace
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdhom"
 
 # internal invariants that may stay asserts: (file, class, function)
-ASSERT_ALLOWED = {("linalg.py", "RationalMatrix", "_echelon")}
+ASSERT_ALLOWED = set()
 
 
 def _allowed_asserts(path, tree):

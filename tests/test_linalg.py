@@ -2,8 +2,9 @@
 
 Oracles here are deliberately independent of the implementation: signs come
 from cycle parity instead of inversion counts, ranks from sympy or hand
-determinants, and the sparse echelon form from dense fraction-free Bareiss
-elimination.
+determinants, the sparse echelon form from dense fraction-free Bareiss
+elimination (tests/linalg_oracle.py), and the sparse RationalMatrix from
+plain nested lists.
 """
 
 import os
@@ -33,6 +34,7 @@ from tdhom.linalg import (
     scatter,
     solve,
 )
+from linalg_oracle import oracle_kernel_basis, oracle_pivot_columns, oracle_solve
 
 
 def sign_by_cycles(p):
@@ -223,44 +225,6 @@ class TestSparseColumns:
         assert len(basis) == 2
 
 
-# Dense oracle: fraction-free Bareiss elimination (RationalMatrix._echelon)
-# followed by dense back-substitution, as the package did before it had a
-# sparse echelon form.
-
-def oracle_pivot_columns(m):
-    _, pivots, _ = m._echelon()
-    return [c for _, c in pivots]
-
-
-def oracle_kernel_basis(m):
-    work, pivots, _ = m._echelon()
-    pivot_cols = [c for _, c in pivots]
-    basis = []
-    for f in (c for c in range(m.cols) if c not in pivot_cols):
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(work[r][j]) * x[j] for j in range(c + 1, m.cols)),
-                    Fraction(0))
-            x[c] = -s / work[r][c]
-        basis.append(x)
-    return basis
-
-
-def oracle_solve(m, b):
-    aug = RationalMatrix(m.rows, m.cols + 1,
-                         [x for i in range(m.rows) for x in m.row(i) + [b[i]]])
-    work, pivots, _ = aug._echelon()
-    if any(c == m.cols for _, c in pivots):
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, c in reversed(pivots):
-        s = Fraction(work[r][m.cols]) - sum(
-            (work[r][j] * x[j] for j in range(c + 1, m.cols)), Fraction(0))
-        x[c] = s / work[r][c]
-    return x
-
-
 def rationals(data, density):
     if data.draw(st.floats(0, 1)) >= density:
         return Fraction(0)
@@ -272,8 +236,89 @@ def draw_matrix(data, rows, cols, density):
                                        for _ in range(rows * cols)])
 
 
+def flatten(cells):
+    return [x for row in cells for x in row]
+
+
+class TestMatrixAgainstNestedLists:
+    """Every public RationalMatrix method against plain nested lists."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_methods_match_nested_lists(self, data):
+        rows = data.draw(st.integers(0, 5), label="rows")
+        cols = data.draw(st.integers(0, 5), label="cols")
+        density = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="density")
+        cells = [[rationals(data, density) for _ in range(cols)]
+                 for _ in range(rows)]
+        columns = [[cells[i][j] for i in range(rows)] for j in range(cols)]
+        m = RationalMatrix(rows, cols, flatten(cells))
+        built = [RationalMatrix.from_columns(rows, columns)]
+        if rows:
+            built.append(RationalMatrix.from_rows(cells))
+        for other in built:
+            assert (other.rows, other.cols) == (rows, cols)
+            assert other == m
+        assert m.entries == flatten(cells)
+        assert all(type(x) is Fraction for x in m.entries)
+        assert [m.row(i) for i in range(rows)] == cells
+        assert [m.column(j) for j in range(cols)] == columns
+        assert all(m.get(i, j) == cells[i][j]
+                   for i in range(rows) for j in range(cols))
+        is_zero = all(x == 0 for x in flatten(cells))
+        assert m.is_zero() == is_zero
+        assert (m == RationalMatrix.zero(rows, cols)) == is_zero
+        assert m != RationalMatrix.zero(rows, cols + 1)
+        assert m != RationalMatrix.zero(rows + 1, cols)
+        assert RationalMatrix.identity(rows).matmul(m) == m
+
+        # naive triple loop
+        inner = data.draw(st.integers(0, 5), label="inner")
+        right = [[rationals(data, density) for _ in range(inner)]
+                 for _ in range(cols)]
+        product = [[sum((cells[i][k] * right[k][j] for k in range(cols)),
+                        Fraction(0))
+                    for j in range(inner)] for i in range(rows)]
+        got = m.matmul(RationalMatrix(cols, inner, flatten(right)))
+        assert (got.rows, got.cols) == (rows, inner)
+        assert got.entries == flatten(product)
+        assert got == RationalMatrix(rows, inner, flatten(product))
+        assert got.is_zero() == all(x == 0 for x in flatten(product))
+
+        # each write lands in its own cell; writing zero removes the entry
+        for _ in range(data.draw(st.integers(0, 6)) if rows and cols else 0):
+            i = data.draw(st.integers(0, rows - 1))
+            j = data.draw(st.integers(0, cols - 1))
+            cells[i][j] = rationals(data, 0.5)
+            m.set(i, j, cells[i][j])
+            assert m.entries == flatten(cells)
+            assert m == RationalMatrix(rows, cols, flatten(cells))
+        for i in range(rows):
+            for j in range(cols):
+                m.set(i, j, 0)
+        assert m == RationalMatrix.zero(rows, cols) and m.is_zero()
+
+    def test_identity_and_int_entries(self):
+        assert RationalMatrix.identity(3).entries == [
+            Fraction(int(i == j)) for i in range(3) for j in range(3)]
+        m = RationalMatrix(1, 3, [0, 2, "1/3"])
+        assert m.entries == [Fraction(0), Fraction(2), Fraction(1, 3)]
+        assert m == RationalMatrix.from_columns(1, [[0], [2], [Fraction(1, 3)]])
+
+    def test_product_drops_cancelled_entries(self):
+        m = RationalMatrix.from_rows([[1, 1], [2, 0]])
+        got = m.matmul(RationalMatrix.from_rows([[1], [-1]]))
+        assert got.entries == [Fraction(0), Fraction(2)]
+        assert got == RationalMatrix.from_rows([[0], [2]])
+        d1 = RationalMatrix.from_rows([[1, -1]])
+        d0 = RationalMatrix.from_rows([[1], [1]])
+        assert d1.matmul(d0).is_zero()
+        assert d1.matmul(d0) == RationalMatrix.zero(1, 1)
+
+
 class TestEchelonAgainstDenseOracle:
-    """The sparse echelon form gives exactly the Fractions of dense Bareiss."""
+    """The sparse echelon form gives exactly the Fractions of dense Bareiss
+    (tests/linalg_oracle.py)."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -358,6 +403,14 @@ cases = [
     lambda: Permutation.identity(2).then(Permutation.identity(3)),
     lambda: RationalMatrix.from_rows([[1, 2], [3]]),
     lambda: BasedSpace("V", ("a", "a")),
+    lambda: RationalMatrix.zero(2, 3).set(0, 3, 5),
+    lambda: RationalMatrix.zero(2, 3).set(2, 0, 5),
+    lambda: RationalMatrix.zero(2, 3).get(-1, -1),
+    lambda: RationalMatrix.zero(2, 3).get(0, -1),
+    lambda: RationalMatrix.zero(2, 3).row(2),
+    lambda: RationalMatrix.zero(2, 3).column(3),
+    lambda: RationalMatrix.zero(-1, 2),
+    lambda: RationalMatrix(-1, -1, [1]),
 ]
 for case in cases:
     try:
