@@ -229,6 +229,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n):
+        _check_shape(n, n)
         return cls._from_sparse_rows(n, [{i: ONE} for i in range(n)])
 
     @property

@@ -411,6 +411,7 @@ cases = [
     lambda: RationalMatrix.zero(2, 3).column(3),
     lambda: RationalMatrix.zero(-1, 2),
     lambda: RationalMatrix(-1, -1, [1]),
+    lambda: RationalMatrix.identity(-1),
 ]
 for case in cases:
     try:
