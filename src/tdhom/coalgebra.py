@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from .checks import CheckResult, Witness
 from .errors import AxiomError, MalformedInput
-from .linalg import ZERO, BasedSpace, tensor_space
-from .maps import MultilinearMap
+from .linalg import ZERO, BasedSpace
 
 COCOMMUTATIVE = "cocommutative"
 SKEW_COCOMMUTATIVE = "skew_cocommutative"
@@ -110,22 +109,6 @@ def check_coassociativity(C):
     return CheckResult(
         "coassociativity", False,
         Witness((labels[first_i],), residual))
-
-
-def iterated_coproduct(C, n):
-    """The n-fold coproduct as a 1-ary map C -> C^(x n)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    target = tensor_space([C.space] * n)
-    dims = [C.dim] * n
-    entries = {}
-    for c, terms in C.iterated_terms(n).items():
-        for legs, q in terms:
-            flat = 0
-            for leg, d in zip(legs, dims):
-                flat = flat * d + leg
-            entries[((c,), flat)] = q
-    return MultilinearMap([C.space], target, entries)
 
 
 def symmetry_class(C):

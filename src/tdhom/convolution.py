@@ -48,8 +48,17 @@ def resolve_guard_limit(limit=None):
     return DEFAULT_GUARD_LIMIT
 
 
-def check_materialization_size(size, limit):
-    """Refuse a table of size potential entries when it exceeds limit."""
+def check_materialization_size(domain, coalgebra, limit):
+    """Refuse an operator with arguments in Hom(C, V) for V in domain when
+    its materialized table has more potential dense columns, the product of
+    the argument Hom dimensions, than limit; a limit of None refuses
+    nothing.  Every guard uses this arithmetic, also where a closed form
+    lays nothing out, so that the same jobs exit 3."""
+    if limit is None:
+        return
+    size = 1
+    for space in domain:
+        size *= space.dim * coalgebra.dim
     if size > limit:
         raise GuardError(
             "materialization size %d exceeds limit %d; pass a larger "
@@ -207,17 +216,6 @@ class InducedOperator:
                     out[key] = out.get(key, ZERO) + coeff
         return HomElement(C, self.base.codomain, out)
 
-    def check_size(self, guard_limit):
-        """Refuse the operator when its potential dense column count, the
-        product of the argument Hom dimensions, exceeds guard_limit; a
-        guard_limit of None refuses nothing."""
-        if guard_limit is None:
-            return
-        size = 1
-        for space in self.base.domain:
-            size *= space.dim * self.coalgebra.dim
-        check_materialization_size(size, guard_limit)
-
     def factored(self):
         """The same operator as a FactoredOperator: {twist: base}."""
         return FactoredOperator(self.coalgebra, self.base.domain,
@@ -226,12 +224,12 @@ class InducedOperator:
     def materialize(self, guard_limit=None):
         """Sparse table over matrix-unit argument tuples.
 
-        guard_limit is checked by check_size first.  The table
-        serves the library API, failure witnesses and the test oracle; the
-        checkers decide identities on factored() instead.
+        guard_limit is checked by check_materialization_size first.  The
+        table serves the library API, failure witnesses and the test oracle;
+        the checkers decide identities on factored() instead.
         """
         C = self.coalgebra
-        self.check_size(guard_limit)
+        check_materialization_size(self.base.domain, C, guard_limit)
         entries = {}
         for c, expansion in C.iterated_terms(self.arity).items():
             for legs, q in expansion:
@@ -338,12 +336,6 @@ class FactoredOperator:
                 term = self.parts[rho].scale(a)
                 out[pivot] = _map_sum(out[pivot], term) if pivot in out else term
         return {rho: psi for rho, psi in out.items() if not psi.is_zero()}
-
-    def reduced_column(self):
-        """reduced() as one sparse column, {(rho images, map key): q}, for
-        stacking operators into a SparseColumns."""
-        return {(rho.images, key): q for rho, psi in self.reduced().items()
-                for key, q in psi.entries.items()}
 
     def vanishes(self):
         """Whether the operator is zero, decided without laying it out."""

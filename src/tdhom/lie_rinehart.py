@@ -22,8 +22,9 @@ from .algebra import (
     check_module,
 )
 from .checks import CheckResult, combine
-from .cohomology import AltCochain, TDCochain, alt_basis, td_differential_induced
+from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
+    check_materialization_size,
     compose_induced,
     factored_term,
     induced,
@@ -31,9 +32,16 @@ from .convolution import (
     resolve_guard_limit,
 )
 from .errors import AxiomError, ShapeError
-from .linalg import Permutation, RationalMatrix, SparseColumns, solve, table_sum
+from .linalg import (
+    ONE,
+    Permutation,
+    RationalMatrix,
+    SparseColumns,
+    _subtract_scaled,
+    solve,
+    table_sum,
+)
 from .maps import map_identity_check
-from .td_structures import TDLieStructure, TDModuleStructure
 
 
 class LieRinehartPair:
@@ -134,11 +142,15 @@ def _forms_agree_check(pair):
                               transported)
 
 
+def _ring_module(pair):
+    """L acting on the ring B, unchecked."""
+    return LieModule(pair.lie, pair.ring_space, pair.action, check=False,
+                     name="%s-ring" % pair.name)
+
+
 def check_lr(pair):
     """Every classical pair axiom, one witness-carrying result per axiom."""
-    module = LieModule(
-        LieAlgebra(pair.lie_space, pair.bracket, check=False),
-        pair.ring_space, pair.action, check=False)
+    module = _ring_module(pair)
     return combine("lie-rinehart", [
         check_lie(module.base),
         check_associative(pair.product),
@@ -155,7 +167,8 @@ def check_lr(pair):
 
 class TDLRStructure:
     """A pair together with a coalgebra; the four operations become induced
-    operators on maps out of the coalgebra."""
+    operators on maps out of the coalgebra.  identities holds the result of
+    check_td_lr once it has been decided."""
 
     def __init__(self, pair, coalgebra):
         self.pair = pair
@@ -164,6 +177,7 @@ class TDLRStructure:
         self.product_op = induced(pair.product, coalgebra)
         self.action_op = induced(pair.action, coalgebra)
         self.bmodule_op = induced(pair.bmodule, coalgebra)
+        self.identities = None
 
 
 def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
@@ -180,7 +194,14 @@ def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
 
 def check_td_lr(s):
     """The twisted pair identities, plus the agreement of the two twisted
-    Leibniz displays, checked as exact operator equalities."""
+    Leibniz displays, checked as exact operator equalities.  They are
+    decided once per structure; later calls return the kept result."""
+    if s.identities is None:
+        s.identities = _decide_td_lr(s)
+    return s.identities
+
+
+def _decide_td_lr(s):
     pair, C = s.pair, s.coalgebra
     linearity_lhs = compose_induced(s.action_op, s.bmodule_op, 0)
     leibniz_lhs = compose_induced(s.bracket_op, s.bmodule_op, 1)
@@ -229,57 +250,55 @@ def linearity_twist(i, n):
     return Permutation([i - 1] + list(range(i - 1)) + list(range(i, n + 1)))
 
 
-def _slot_defect(fmap, i, s, limit):
-    """Left minus right side of the slot-i scaling identity, factored: one
-    untwisted part.  The guard refuses what materializing either side
-    would have; both have the same argument spaces in another order."""
-    pair, C = s.pair, s.coalgebra
-    lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C)
-    lhs.check_size(limit)
-    scaled = pair.product.compose_at(fmap, 1)
-    rhs = factored_term(scaled, C, linearity_twist(i, fmap.arity))
-    return lhs.factored().sub(rhs)
+def _slot_defect(fmap, i, pair):
+    """Base map of the slot-i scaling identity, left side minus right, as a
+    table {(argument tuple, output): q}: both sides are untwisted induced
+    operators once the right one is rearranged, so the identity holds
+    exactly when this map or the coproduct of its arity vanishes.  The sides
+    are subtracted entry by entry, as operator tables are, so only their
+    arity has to agree."""
+    lhs = fmap.compose_at(pair.bmodule, i - 1)
+    rhs = pair.product.compose_at(fmap, 1).precompose_perm(
+        linearity_twist(i, fmap.arity))
+    table = dict(lhs.entries)
+    _subtract_scaled(table, ONE, rhs.entries)
+    return table
 
 
 def blinear_subspace(n, s, guard_limit=None):
     """Basis, in cochain coordinates, of the degree-n cochains whose
     induced operators let ring factors pass out through every slot.
 
-    Degree zero has no slots, so all of the ring space qualifies.  Each
-    slot defect is one untwisted part, so its reduced form is its base map
-    or nothing, and stacking those over cochains and slots gives the kernel
-    that stacking the materialized defects gives.
+    Degree zero has no slots, so all of the ring space qualifies.  While
+    Delta^(n+1) lives, the subspace is the kernel of the slot defects
+    stacked over cochains and slots; after, every defect vanishes.  The
+    guard keeps the arithmetic of materializing a slot's left side, which
+    tests/td_oracle.py still decides in factored form as the oracle.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
-    pair = s.pair
+    pair, C = s.pair, s.coalgebra
     L, B = pair.lie_space, pair.ring_space
     limit = resolve_guard_limit(guard_limit)
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
-    if n >= 1:
-        for ci, key in enumerate(basis):
-            fmap = AltCochain(L, B, n, {key: 1}).as_map()
-            for i in range(1, n + 1):
-                defect = _slot_defect(fmap, i, s, limit)
-                for row, q in defect.reduced_column().items():
-                    stacked.add(ci, (i, row), q)
+    if n >= 1 and basis:
+        check_materialization_size([B] + [L] * n, C, limit)
+        if C.iterated_terms(n + 1):
+            for ci, key in enumerate(basis):
+                fmap = AltCochain(L, B, n, {key: 1}).as_map()
+                for i in range(1, n + 1):
+                    for row, q in _slot_defect(fmap, i, pair).items():
+                        stacked.add(ci, (i, row), q)
     return stacked.kernel_basis()
 
 
-def _hom_module(s):
-    lie = LieAlgebra(s.pair.lie_space, s.pair.bracket, check=False,
-                     name=s.pair.name)
-    module = LieModule(lie, s.pair.ring_space, s.pair.action, check=False,
-                       name="%s-ring" % s.pair.name)
-    td = TDLieStructure(lie, s.coalgebra, check=False)
-    return TDModuleStructure(td, module, check=False)
-
-
-def _violating_slot(cochain, s, limit):
+def _violating_slot(cochain, pair):
+    """The first slot whose defect is nonzero.  Only asked of a cochain
+    outside blinear_subspace, whose coproduct of the defect arity lives."""
     fmap = cochain.as_map()
     for i in range(1, cochain.degree + 1):
-        if not _slot_defect(fmap, i, s, limit).vanishes():
+        if _slot_defect(fmap, i, pair):
             return i
     return 0
 
@@ -288,8 +307,11 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     """The differential keeps ring-linear cochains ring-linear, degree by
     degree up to maxdeg; membership is decided by one exact solve per degree.
 
-    A cochain escaping the subspace would be a counterexample to the
-    underlying structure theorem, so that raises instead of reporting.
+    The images are classical differentials, which td_differential_induced
+    would return; its guards need not run, as blinear_subspace(n + 1) has
+    just passed a guard at least as large.  A cochain escaping the subspace
+    would be a counterexample to the underlying structure theorem, so that
+    raises instead of reporting.
     """
     result = check_td_lr(s)
     if not result:
@@ -299,24 +321,21 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
     limit = resolve_guard_limit(guard_limit)
-    tdm = _hom_module(s)
+    M = _ring_module(pair)
     checked = 0
     current = blinear_subspace(0, s, limit)
     for n in range(maxdeg + 1):
         target = blinear_subspace(n + 1, s, limit)
         if current:
             nrows = len(alt_basis(L, B, n + 1))
-            images = [
-                td_differential_induced(
-                    TDCochain(AltCochain.from_vector(L, B, n, vec), s.coalgebra),
-                    tdm, limit).inducing
-                for vec in current]
+            images = [ce_differential(AltCochain.from_vector(L, B, n, vec), M)
+                      for vec in current]
             span = RationalMatrix.from_columns(nrows, target)
             rhs = RationalMatrix.from_columns(
                 nrows, [image.components() for image in images])
             for image, x in zip(images, solve(span, rhs)):
                 if x is None:
-                    slot = _violating_slot(image, s, limit)
+                    slot = _violating_slot(image, pair)
                     raise AxiomError(
                         "image %r of a linear degree-%d cochain leaves the "
                         "linear subspace (slot %d fails)" % (image, n, slot))

@@ -1,13 +1,21 @@
-"""The materializing Hom-space complex: the test oracle for TDComplexData.
+"""Operator-space constructions that closed forms replaced: test oracles.
 
 TDComplexData computes every field in closed form from the classical
-differentials and the depth of the coproduct.  This module keeps the
-construction it replaced, which materializes and eliminates every induction
-matrix, every induced differential and every twisted term, and runs the
-consistency checks that the closed form shows can never fire.  Nothing in
-the package uses it; tests compare TDComplexData against it field by field.
+differentials and the depth of the coproduct.  MaterializedTDComplexData
+keeps the construction it replaced, which materializes and eliminates every
+induction matrix, every induced differential and every twisted term, and
+runs the consistency checks that the closed form shows can never fire.
+
+The linear-subcomplex sweep (blinear_subspace, td_differential_induced,
+check_subcomplex) reads its slot defects and images off classical maps.
+The factored_* functions keep the sweep it replaced, which decides each
+defect and the induction kernel on FactoredOperators.
+
+Nothing in the package uses this module; tests compare against it.
 """
 
+from tdhom.algebra import LieAlgebra, LieModule
+from tdhom.checks import CheckResult
 from tdhom.cohomology import (
     AltCochain,
     TDCochain,
@@ -19,9 +27,16 @@ from tdhom.cohomology import (
     induction_matrix,
     td_differential_direct,
 )
-from tdhom.convolution import resolve_guard_limit
+from tdhom.convolution import (
+    check_materialization_size,
+    factored_term,
+    induced,
+    resolve_guard_limit,
+)
 from tdhom.errors import AxiomError, GuardError
-from tdhom.linalg import ZERO, RationalMatrix, rank, solve
+from tdhom.lie_rinehart import check_td_lr, linearity_twist
+from tdhom.linalg import ZERO, RationalMatrix, SparseColumns, rank, solve
+from tdhom.td_structures import TDLieStructure, TDModuleStructure
 
 
 class MaterializedTDComplexData:
@@ -145,3 +160,127 @@ class MaterializedTDComplexData:
                                            self.tdm, self.guard_limit)
                     return "disagree at degree %d" % k
         return "agree"
+
+
+def reduced_column(op):
+    """op.reduced() as one sparse column, {(rho images, map key): q}, for
+    stacking FactoredOperators into a SparseColumns."""
+    return {(rho.images, key): q for rho, psi in op.reduced().items()
+            for key, q in psi.entries.items()}
+
+
+def factored_slot_defect(fmap, i, s, limit):
+    """Left minus right side of the slot-i scaling identity, factored: one
+    untwisted part.  The guard refuses what materializing either side
+    would have; both have the same argument spaces in another order."""
+    pair, C = s.pair, s.coalgebra
+    lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C)
+    check_materialization_size(lhs.base.domain, C, limit)
+    scaled = pair.product.compose_at(fmap, 1)
+    rhs = factored_term(scaled, C, linearity_twist(i, fmap.arity))
+    return lhs.factored().sub(rhs)
+
+
+def factored_blinear_subspace(n, s, guard_limit=None):
+    """blinear_subspace with each slot defect reduced in factored form: one
+    untwisted part reduces to its base map or nothing, so stacking the
+    reduced columns gives the kernel of the materialized defects."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative, got %d" % n)
+    pair = s.pair
+    L, B = pair.lie_space, pair.ring_space
+    limit = resolve_guard_limit(guard_limit)
+    basis = alt_basis(L, B, n)
+    stacked = SparseColumns(len(basis))
+    if n >= 1:
+        for ci, key in enumerate(basis):
+            fmap = AltCochain(L, B, n, {key: 1}).as_map()
+            for i in range(1, n + 1):
+                defect = factored_slot_defect(fmap, i, s, limit)
+                for row, q in reduced_column(defect).items():
+                    stacked.add(ci, (i, row), q)
+    return stacked.kernel_basis()
+
+
+def factored_td_differential_induced(F, tdm, guard_limit=None):
+    """td_differential_induced with its legality check run: the degree-n
+    induction kernel, rebuilt on every call, and the vanishing of each
+    kernel vector's differential, decided on factored operators."""
+    M = tdm.module
+    C = tdm.coalgebra
+    n = F.degree
+    limit = resolve_guard_limit(guard_limit)
+    if n >= 1:
+        L, B = M.base.space, M.space
+        basis = alt_basis(L, B, n)
+        iota = SparseColumns(len(basis))
+        for ci, key in enumerate(basis):
+            op = induced(AltCochain(L, B, n, {key: 1}).as_map(), C)
+            check_materialization_size(op.base.domain, C, limit)
+            for row, q in reduced_column(op.factored()).items():
+                iota.add(ci, row, q)
+        for v in iota.kernel_basis():
+            dv = ce_differential(AltCochain.from_vector(L, B, n, v), M)
+            if dv.is_zero():
+                continue
+            op = induced(dv.as_map(), C)
+            check_materialization_size(op.base.domain, C, limit)
+            if not op.factored().vanishes():
+                raise AxiomError(
+                    "differential leaves the induction kernel at degree %d" % n)
+    return TDCochain(ce_differential(F.inducing, M), C)
+
+
+def _hom_module(s):
+    lie = LieAlgebra(s.pair.lie_space, s.pair.bracket, check=False,
+                     name=s.pair.name)
+    module = LieModule(lie, s.pair.ring_space, s.pair.action, check=False,
+                       name="%s-ring" % s.pair.name)
+    td = TDLieStructure(lie, s.coalgebra, check=False)
+    return TDModuleStructure(td, module, check=False)
+
+
+def _factored_violating_slot(cochain, s, limit):
+    fmap = cochain.as_map()
+    for i in range(1, cochain.degree + 1):
+        if not factored_slot_defect(fmap, i, s, limit).vanishes():
+            return i
+    return 0
+
+
+def factored_check_subcomplex(s, maxdeg, guard_limit=None):
+    """check_subcomplex on the factored sweep, one
+    factored_td_differential_induced call per linear cochain."""
+    result = check_td_lr(s)
+    if not result:
+        raise AxiomError(
+            "precondition failed (%s): %s" % (result.name, result.describe()),
+            result)
+    pair = s.pair
+    L, B = pair.lie_space, pair.ring_space
+    limit = resolve_guard_limit(guard_limit)
+    tdm = _hom_module(s)
+    checked = 0
+    current = factored_blinear_subspace(0, s, limit)
+    for n in range(maxdeg + 1):
+        target = factored_blinear_subspace(n + 1, s, limit)
+        if current:
+            nrows = len(alt_basis(L, B, n + 1))
+            images = [
+                factored_td_differential_induced(
+                    TDCochain(AltCochain.from_vector(L, B, n, vec), s.coalgebra),
+                    tdm, limit).inducing
+                for vec in current]
+            span = RationalMatrix.from_columns(nrows, target)
+            rhs = RationalMatrix.from_columns(
+                nrows, [image.components() for image in images])
+            for image, x in zip(images, solve(span, rhs)):
+                if x is None:
+                    slot = _factored_violating_slot(image, s, limit)
+                    raise AxiomError(
+                        "image %r of a linear degree-%d cochain leaves the "
+                        "linear subspace (slot %d fails)" % (image, n, slot))
+            checked += len(images)
+        current = target
+    return CheckResult("td-subcomplex", True,
+                       detail="%d images checked" % checked)

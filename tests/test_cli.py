@@ -13,11 +13,11 @@ import sys
 
 import pytest
 
-from tdhom import corpus
+from tdhom import cli, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.convolution import InducedOperator
+from tdhom.convolution import FactoredOperator, InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
@@ -1045,8 +1045,9 @@ class TestFactoredChecks:
     def test_failing_pair_materializes_only_its_identity(
             self, tmp_path, monkeypatch, materialized, capsys):
         # D(1) = x breaks the derivation rule and no other pair identity;
-        # td-derivation fails in td-lie-rinehart and again as td-subcomplex's
-        # precondition, and each time only its two sides are laid out
+        # td-derivation fails in td-lie-rinehart, td-subcomplex's
+        # precondition reuses that result, and only its two sides are laid
+        # out, once
         doc = json.loads(corpus.fixture_text("lr-dualnum"))
         for m in doc["maps"]:
             if m["name"] == "action":
@@ -1069,7 +1070,42 @@ class TestFactoredChecks:
             pair.product.compose_at(pair.action, 1).precompose_perm(
                 Permutation((1, 0, 2))))
         assert materialized == [(lhs, Permutation.identity(3)),
-                                (rhs, Permutation.identity(3))] * 2
+                                (rhs, Permutation.identity(3))]
+
+    def test_sweep_builds_no_factored_operator(self, tmp_path, monkeypatch,
+                                               capsys):
+        # td-lie-rinehart decides in factored form; the td-subcomplex sweep
+        # after it reads classical maps only, so both factored entry points
+        # raise while it runs
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("factored form used by the sweep")
+
+        sweep = cli.check_subcomplex
+
+        def guarded_sweep(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(FactoredOperator, "reduced", forbidden)
+                mp.setattr(InducedOperator, "factored", forbidden)
+                return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_subcomplex", guarded_sweep)
+        (tmp_path / "T4ab.json").write_text(serialize_structure(
+            build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4), "T4ab"),
+            encoding="utf-8")
+        for name in ("lr-derx3", "lr-dualnum"):
+            (tmp_path / (name + ".json")).write_text(
+                corpus.fixture_text(name), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["verify", "lr-derx3.json", "lr-dualnum.json",
+                            "T4ab.json", "--subcomplex-maxdeg", "2",
+                            "--guard-limit", str(10 ** 12), "--json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["counts"] == {"pass": 7, "fail": 0, "skipped": 0,
+                                    "guarded": 0}
+        assert [e["detail"] for e in report["entries"]
+                if e["check"] == "td-subcomplex"] \
+            == ["5 images checked", "3 images checked"]
 
 
 class TestRendering:

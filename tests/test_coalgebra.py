@@ -20,7 +20,6 @@ from tdhom.coalgebra import (
     build_symmetric_coalgebra,
     build_tensor_coalgebra,
     check_coassociativity,
-    iterated_coproduct,
     symmetry_class,
 )
 from tdhom.errors import MalformedInput, TdhomError
@@ -154,10 +153,8 @@ class TestCoassociativity:
 class TestIteratedCoproduct:
     def test_n1_identity(self):
         C = build_tensor_coalgebra(V2, 2)
-        m = iterated_coproduct(C, 1)
-        assert m.arity == 1
-        for i in range(C.dim):
-            assert m.apply_basis((i,)) == {i: Fraction(1)}
+        assert C.iterated_terms(1) == {i: [((i,), Fraction(1))]
+                                       for i in range(C.dim)}
 
     def test_ab_single_split(self):
         C = build_tensor_coalgebra(V2, 2)
@@ -171,7 +168,7 @@ class TestIteratedCoproduct:
     def test_bad_order(self):
         C = build_tensor_coalgebra(V2, 2)
         with pytest.raises(ValueError):
-            iterated_coproduct(C, 0)
+            C.iterated_terms(0)
 
     def test_association_orders_agree(self):
         # expand the last leg instead of the first; coassociativity says equal

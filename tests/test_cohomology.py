@@ -49,9 +49,9 @@ from tdhom.cohomology import (
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
-from tdhom.maps import MultilinearMap
+from tdhom.maps import MultilinearMap, is_skew
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
-from td_oracle import MaterializedTDComplexData
+from td_oracle import MaterializedTDComplexData, factored_td_differential_induced
 
 ONE = Fraction(1)
 
@@ -550,11 +550,18 @@ class TestTDDifferential:
 
     def test_kernel_preservation_runs_on_degenerate_coalgebra(self, adjoint):
         # zero coproduct: the degree-2 induction kernel is everything, so
-        # the containment loop actually has vectors to walk
+        # the factored legality check of the oracle walks every vector of
+        # it, and its degree-3 guard is the one that can refuse
         tdm = hom_module("sl2-adjoint", "zero-ab")
         L, B = adjoint.base.space, adjoint.space
         F = TDCochain(AltCochain(L, B, 2, {((0, 1), 0): ONE}), tdm.coalgebra)
-        td_differential_induced(F, tdm)
+        assert td_differential_induced(F, tdm).inducing \
+            == factored_td_differential_induced(F, tdm).inducing
+        for limit in (36, 216):
+            assert raised_or(lambda: td_differential_induced(F, tdm, limit)
+                             .inducing) \
+                == raised_or(lambda: factored_td_differential_induced(
+                    F, tdm, limit).inducing)
 
     def test_differential_raises_degree(self, adjoint):
         tdm = hom_module("sl2-adjoint", "tensor-ab-2")
@@ -652,7 +659,71 @@ ADJOINT = [[[0, 1], 2, "1"], [[1, 0], 2, "-1"]]
 SYMMETRIC_BRACKET = [[[0, 1], 2, "1"], [[1, 0], 2, "1"]]
 
 
+@st.composite
+def unchecked_module_cochain(draw):
+    """A module with random, unchecked bracket and action tables (so neither
+    need be skew nor satisfy Jacobi), and a random cochain on it."""
+    ldim, bdim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    L = BasedSpace("L", ["x%d" % i for i in range(ldim)])
+    B = BasedSpace("B", ["e%d" % i for i in range(bdim)])
+    coeff = st.integers(-2, 2)
+    bracket = draw(st.dictionaries(
+        st.tuples(st.tuples(st.integers(0, ldim - 1), st.integers(0, ldim - 1)),
+                  st.integers(0, ldim - 1)), coeff, max_size=6))
+    if draw(st.booleans()):
+        skew = {}
+        for ((x, y), o), q in bracket.items():
+            if x != y:
+                skew[((x, y), o)] = skew.get(((x, y), o), 0) + q
+                skew[((y, x), o)] = skew.get(((y, x), o), 0) - q
+        bracket = skew
+    action = draw(st.dictionaries(
+        st.tuples(st.tuples(st.integers(0, ldim - 1), st.integers(0, bdim - 1)),
+                  st.integers(0, bdim - 1)), coeff, max_size=6))
+    lie = LieAlgebra(L, MultilinearMap([L, L], L, bracket), check=False)
+    M = LieModule(lie, B, MultilinearMap([L, B], B, action), check=False)
+    degree = draw(st.integers(1, ldim))
+    values = draw(st.lists(coeff, min_size=alt_dim(L, B, degree),
+                           max_size=alt_dim(L, B, degree)))
+    return M, AltCochain.from_vector(L, B, degree, values)
+
+
 class TestDirectVsInduced:
+    @given(unchecked_module_cochain())
+    @settings(max_examples=80, deadline=None)
+    def test_unshuffle_difference_is_the_differential(self, case):
+        # why direct_vs_induced cannot disagree: on increasing tuples
+        # part1 - part2 is d f, for any bracket and action, and part1 is
+        # skew; and why it only reads the bracket: part1 - part2 fails to
+        # be skew for some basis cochain exactly when [x, y] + [y, x] is
+        # not zero
+        M, f = case
+        part1, part2 = ce_parts_unshuffle(f, M)
+        diff = part1.sub(part2)
+        increasing = {(tup, o): q for (tup, o), q in diff.entries.items()
+                      if list(tup) == sorted(set(tup))}
+        assert increasing == ce_differential(f, M).values
+        assert is_skew(part1)
+        L, B = M.base.space, M.space
+        failing = False
+        for key in alt_basis(L, B, f.degree):
+            part1, part2 = ce_parts_unshuffle(
+                AltCochain(L, B, f.degree, {key: 1}), M)
+            failing = failing or not is_skew(part1.sub(part2))
+        bracket = M.base.bracket
+        swap = Permutation([1, 0])
+        assert failing == (not bracket.add(bracket.precompose_perm(swap))
+                           .is_zero())
+
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("mname", ("bracket-x<y", "bracket-symmetric",
+                                       "bracket-extra"))
+    def test_non_skew_brackets_match_per_cochain_oracle(self, mname, cname):
+        tdm = td_module_over(heis_adjoint_with(*HEIS_VARIANTS[mname]), cname)
+        data = TDComplexData(tdm, maxdeg=2, guard_limit=100000)
+        assert raised_or(data.direct_vs_induced) == raised_or(
+            lambda: per_cochain_direct_vs_induced(tdm, 2, 100000))
+
     @pytest.mark.parametrize("cname", corpus.coalgebra_names())
     @pytest.mark.parametrize("mname", corpus.MODULE_NAMES)
     def test_matches_per_cochain_oracle(self, mname, cname):

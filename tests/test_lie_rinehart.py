@@ -15,7 +15,13 @@ import pytest
 
 from tdhom import corpus, lie_rinehart
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.cohomology import AltCochain, TDCochain, alt_basis, td_differential_induced
+from tdhom.cohomology import (
+    AltCochain,
+    TDCochain,
+    alt_basis,
+    ce_differential,
+    td_differential_induced,
+)
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import (
     LieRinehartPair,
@@ -28,6 +34,12 @@ from tdhom.lie_rinehart import (
 )
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
+from tdhom.td_structures import TDLieStructure, TDModuleStructure
+from td_oracle import (
+    factored_blinear_subspace,
+    factored_check_subcomplex,
+    factored_td_differential_induced,
+)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -229,25 +241,90 @@ class TestSubcomplex:
         monkeypatch.setattr(lie_rinehart, "blinear_subspace",
                             lambda n, s, limit=None: cut if n == 2 else full(n, s, limit))
         span = RationalMatrix.from_columns(len(alt_basis(L, B, 2)), cut)
-        tdm = lie_rinehart._hom_module(s)
+        M = lie_rinehart._ring_module(s.pair)
         escaping = []
         for vec in full(1, s):
-            image = td_differential_induced(
-                TDCochain(AltCochain.from_vector(L, B, 1, vec), s.coalgebra), tdm).inducing
+            image = ce_differential(AltCochain.from_vector(L, B, 1, vec), M)
             if solve(span, image.components()) is None:
                 escaping.append(image)
         assert len(escaping) == 2
         reported = []
         slot_of = lie_rinehart._violating_slot
 
-        def recording_slot(image, s, limit):
+        def recording_slot(image, pair):
             reported.append(image)
-            return slot_of(image, s, limit)
+            return slot_of(image, pair)
 
         monkeypatch.setattr(lie_rinehart, "_violating_slot", recording_slot)
         expected = "image %r of a linear degree-1 cochain leaves the linear " \
-            "subspace (slot %d fails)" % (escaping[0], slot_of(escaping[0], s, None))
+            "subspace (slot %d fails)" % (escaping[0], slot_of(escaping[0], s.pair))
         with pytest.raises(AxiomError) as info:
             check_subcomplex(s, 1)
         assert reported == [escaping[0]]
         assert str(info.value) == expected
+
+
+def outcome(thunk):
+    """thunk's result, or the message of the GuardError it raised."""
+    try:
+        return thunk()
+    except GuardError as exc:
+        return "guard: %s" % exc
+
+
+SWEEP_LIMITS = (10, 100, 1000, 20000)
+
+
+class TestFactoredSweepOracle:
+    """The sweep read off classical maps against the factored sweep it
+    replaced (tests/td_oracle.py): same bases, images, detail lines and
+    guard refusals."""
+
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
+    def test_blinear_subspace(self, pname, cname):
+        s = TDLRStructure(corpus.load(pname), corpus.get_coalgebra(cname))
+        for n in range(4):
+            for limit in SWEEP_LIMITS:
+                assert outcome(lambda: blinear_subspace(n, s, limit)) \
+                    == outcome(lambda: factored_blinear_subspace(n, s, limit)), \
+                    (n, limit)
+
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
+    def test_td_differential_induced(self, pname, cname):
+        pair, C = corpus.load(pname), corpus.get_coalgebra(cname)
+        M = lie_rinehart._ring_module(pair)
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        L, B = pair.lie_space, pair.ring_space
+        for n in range(4):
+            for key in alt_basis(L, B, n):
+                F = TDCochain(AltCochain(L, B, n, {key: 1}), C)
+                for limit in SWEEP_LIMITS:
+                    new = outcome(lambda: td_differential_induced(F, tdm, limit))
+                    old = outcome(
+                        lambda: factored_td_differential_induced(F, tdm, limit))
+                    if isinstance(new, TDCochain):
+                        new, old = new.inducing, old.inducing
+                    assert new == old, (n, key, limit)
+
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
+    def test_check_subcomplex(self, pname, cname):
+        s = TDLRStructure(corpus.load(pname), corpus.get_coalgebra(cname))
+        for maxdeg in range(4):
+            for limit in SWEEP_LIMITS:
+                assert outcome(lambda: check_subcomplex(s, maxdeg, limit)) \
+                    == outcome(lambda: factored_check_subcomplex(
+                        s, maxdeg, limit)), (maxdeg, limit)
+
+    def test_escaping_image_names_the_same_slot(self):
+        # the broken derivation over two-letter words escapes at slot 1
+        s = TDLRStructure(bad_derivation_pair(),
+                          corpus.get_coalgebra("tensor-ab-2"))
+        with pytest.raises(AxiomError) as new:
+            check_subcomplex(s, 1)
+        with pytest.raises(AxiomError) as old:
+            factored_check_subcomplex(s, 1)
+        assert str(new.value) == str(old.value)
