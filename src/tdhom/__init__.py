@@ -47,8 +47,8 @@ from .cohomology import (
     td_differential_induced,
 )
 from .convolution import (
-    FactoredOperator,
     HomElement,
+    InducedOperator,
     check_td_skew,
     compose_induced,
     factored_term,
@@ -98,9 +98,9 @@ __all__ = [
     "BasedSpace",
     "CheckResult",
     "Coalgebra",
-    "FactoredOperator",
     "GuardError",
     "HomElement",
+    "InducedOperator",
     "InvalidPermutation",
     "LieAlgebra",
     "LieModule",

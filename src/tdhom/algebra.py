@@ -147,10 +147,3 @@ def check_poisson(P):
         check_commutative(P.product),
         leibniz_check(P.bracket, P.product),
     ])
-
-
-def load_structure_constants(text, unsafe_skip_axioms=False):
-    """Parse a structure file; axiom failures raise unless explicitly skipped."""
-    from .files import parse_structure
-
-    return parse_structure(text, unsafe_skip_axioms=unsafe_skip_axioms)

@@ -445,10 +445,10 @@ def td_differential_direct(F, tdm, guard_limit=None):
     limit = resolve_guard_limit(guard_limit)
     op = _twisted_operator(F.inducing, tdm, limit)
     iota = induction_matrix(n + 1, L, B, tdm.coalgebra, limit)
-    keys = sorted(set(iota.row_keys()) | set(op.entries))
-    dense = RationalMatrix.from_columns(
-        len(keys), [[col.get(k, ZERO) for k in keys] for col in iota.columns])
-    x = solve(dense, [op.entries.get(k, ZERO) for k in keys])
+    keys, m = iota.to_dense()
+    # an entry on a key outside keys is a row no combination reaches
+    x = solve(m, [op.entries.get(k, ZERO) for k in keys]) \
+        if set(op.entries) <= set(keys) else None
     if x is None:
         raise AxiomError(
             "twisted differential output is not induced at degree %d" % (n + 1))

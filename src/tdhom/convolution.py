@@ -9,13 +9,14 @@ Operator identities are decided on matrix-unit arguments: the operators are
 multilinear, and matrix units span Hom(C,L), so agreement there is agreement
 everywhere.  On those arguments the operator a base map psi induces through
 Delta^(n) with its legs permuted by rho is the outer product psi (x) D_rho,
-and every summand of a twisted identity has that shape.  FactoredOperator
-keeps such a sum as its parts {rho: psi_rho} and decides whether it vanishes
-from the psi's and the at most n! tables D_rho, so passing identities are
-never laid out.  materialize() lays an operator out as a sparse table keyed
-by matrix-unit argument tuples; that table (MaterializedOperator, and
-twisted_term, which builds one) is the library API, the path that names the
-witness of a failing identity, and the test oracle for the factored form.
+and every summand of a twisted identity has that shape.  InducedOperator
+keeps such a sum as its parts {rho: psi_rho}, so induced(phi, C) is the one
+part {identity: phi}, and decides whether it vanishes from the psi's and
+the at most n! tables D_rho: passing identities are never laid out.
+materialize() lays an operator out as a sparse table keyed by matrix-unit
+argument tuples; that table (MaterializedOperator, and twisted_term, which
+builds one) is the library API, the path that names the witness of a
+failing identity, and the test oracle for the unmaterialized form.
 """
 
 import itertools
@@ -164,98 +165,16 @@ def interchange(fs):
 
 
 class InducedOperator:
-    """Stored by its data: base map, coalgebra, twist.  Never materialized
-    unless asked; evaluation follows the leg-routing contract directly."""
-
-    def __init__(self, base, coalgebra, twist):
-        if base.arity < 1:
-            raise ShapeError("induced operators need arity >= 1")
-        if twist.size != base.arity:
-            raise ShapeError("twist size %d vs arity %d" % (twist.size, base.arity))
-        self.base = base
-        self.coalgebra = coalgebra
-        self.twist = twist
-
-    @property
-    def arity(self):
-        return self.base.arity
-
-    @property
-    def untwisted(self):
-        return self.twist == Permutation.identity(self.arity)
-
-    def with_twist(self, sigma):
-        return InducedOperator(self.base, self.coalgebra, sigma)
-
-    def apply(self, fs):
-        """Evaluate on HomElements; returns a HomElement into the codomain."""
-        if len(fs) != self.arity:
-            raise ShapeError("%d arguments for an operator of arity %d"
-                             % (len(fs), self.arity))
-        for f, space in zip(fs, self.base.domain):
-            if f.source is not self.coalgebra:
-                raise ShapeError("argument is a map out of another coalgebra")
-            if f.target.dim != space.dim:
-                raise ShapeError("argument target %s does not fit %s"
-                                 % (f.target.name, space.name))
-        C = self.coalgebra
-        out = {}
-        terms = C.iterated_terms(self.arity)
-        for c, expansion in terms.items():
-            for legs, q in expansion:
-                routed = gather(self.twist, legs)
-                for (tup, o), p in self.base.entries.items():
-                    coeff = q * p
-                    for f, t, leg in zip(fs, tup, routed):
-                        coeff *= f.coefficient(t, leg)
-                        if coeff == 0:
-                            break
-                    if coeff == 0:
-                        continue
-                    key = (o, c)
-                    out[key] = out.get(key, ZERO) + coeff
-        return HomElement(C, self.base.codomain, out)
-
-    def factored(self):
-        """The same operator as a FactoredOperator: {twist: base}."""
-        return FactoredOperator(self.coalgebra, self.base.domain,
-                                self.base.codomain, {self.twist: self.base})
-
-    def materialize(self, guard_limit=None):
-        """Sparse table over matrix-unit argument tuples.
-
-        guard_limit is checked by check_materialization_size first.  The
-        table serves the library API, failure witnesses and the test oracle;
-        the checkers decide identities on factored() instead.
-        """
-        C = self.coalgebra
-        check_materialization_size(self.base.domain, C, guard_limit)
-        entries = {}
-        for c, expansion in C.iterated_terms(self.arity).items():
-            for legs, q in expansion:
-                routed = gather(self.twist, legs)
-                for (tup, o), p in self.base.entries.items():
-                    cols = tuple(zip(tup, routed))
-                    key = (o, c, cols)
-                    entries[key] = entries.get(key, ZERO) + q * p
-        return MaterializedOperator(self.arity, C, self.base.domain,
-                                    self.base.codomain, entries)
-
-    def __repr__(self):
-        tag = "" if self.untwisted else ", twist=%r" % (self.twist.images,)
-        return "InducedOperator(arity=%d%s)" % (self.arity, tag)
-
-
-class FactoredOperator:
     """A sum of induced operators kept as its parts: sum over rho of
     psi_rho (x) D_rho, over one coalgebra and one arity.
 
     D_rho is the n-fold coproduct with its legs permuted by rho, the table
-    {(c, gather(rho, legs)): q}, and psi_rho (x) D_rho is the operator
-    InducedOperator(psi_rho, C, rho) induces.  parts maps each twist rho to
-    its base map psi_rho, zero maps dropped.  domain and codomain label the
-    materialized table; they stay when every part cancels, so a failing
-    identity with a vanishing side still names its witness.
+    {(c, gather(rho, legs)): q}, and psi_rho (x) D_rho is the operator that
+    evaluates the coproduct, feeds leg rho(i) to argument i and applies
+    psi_rho.  parts maps each twist rho to its base map psi_rho, zero maps
+    dropped.  domain and codomain label the arguments and the output; they
+    stay when every part cancels, so a failing identity with a vanishing
+    side still names its witness.  Nothing is laid out unless asked.
     """
 
     def __init__(self, coalgebra, domain, codomain, parts):
@@ -270,7 +189,7 @@ class FactoredOperator:
         return len(self.domain)
 
     def _like(self, domain, parts):
-        return FactoredOperator(self.coalgebra, domain, self.codomain, parts)
+        return InducedOperator(self.coalgebra, domain, self.codomain, parts)
 
     def add(self, other):
         """Parts sharing a twist merge into one base map, entry by entry:
@@ -344,19 +263,56 @@ class FactoredOperator:
     # the SparseTable name, for callers written against materialized tables
     is_zero = vanishes
 
-    def materialize(self):
-        """The sparse table: the sum of each part's
-        InducedOperator(psi_rho, C, rho).materialize()."""
+    def apply(self, fs):
+        """Evaluate on HomElements; returns a HomElement into the codomain."""
+        if len(fs) != self.arity:
+            raise ShapeError("%d arguments for an operator of arity %d"
+                             % (len(fs), self.arity))
+        for f, space in zip(fs, self.domain):
+            if f.source is not self.coalgebra:
+                raise ShapeError("argument is a map out of another coalgebra")
+            if f.target.dim != space.dim:
+                raise ShapeError("argument target %s does not fit %s"
+                                 % (f.target.name, space.name))
+        out = {}
+        for c, routed, tup, o, coeff in self._terms():
+            for f, t, leg in zip(fs, tup, routed):
+                coeff *= f.coefficient(t, leg)
+                if coeff == 0:
+                    break
+            if coeff:
+                out[(o, c)] = out.get((o, c), ZERO) + coeff
+        return HomElement(self.coalgebra, self.codomain, out)
+
+    def materialize(self, guard_limit=None):
+        """Sparse table over matrix-unit argument tuples, summed over the
+        parts.
+
+        guard_limit is checked by check_materialization_size first.  The
+        table serves the library API, failure witnesses and the test oracle;
+        the checkers decide identities with vanishes() instead.
+        """
+        check_materialization_size(self.domain, self.coalgebra, guard_limit)
         entries = {}
-        for rho, psi in self.parts.items():
-            op = InducedOperator(psi, self.coalgebra, rho)
-            for key, q in op.materialize().entries.items():
-                entries[key] = entries.get(key, ZERO) + q
+        for c, routed, tup, o, coeff in self._terms():
+            key = (o, c, tuple(zip(tup, routed)))
+            entries[key] = entries.get(key, ZERO) + coeff
         return MaterializedOperator(self.arity, self.coalgebra, self.domain,
                                     self.codomain, entries)
 
+    def _terms(self):
+        """(c, routed legs, argument tuple, output, coefficient) for every
+        coproduct term of every part: argument i reads leg routed[i]."""
+        terms = self.coalgebra.iterated_terms(self.arity)
+        for rho, psi in self.parts.items():
+            for c, expansion in terms.items():
+                for legs, q in expansion:
+                    routed = gather(rho, legs)
+                    for (tup, o), p in psi.entries.items():
+                        yield c, routed, tup, o, q * p
+
     def __repr__(self):
-        return "FactoredOperator(arity=%d, %d parts)" % (
+        return "InducedOperator(arity=%d, %d parts)" % (
             self.arity, len(self.parts))
 
 
@@ -439,14 +395,19 @@ class MaterializedOperator(SparseTable):
         return "MaterializedOperator(arity=%d, %d entries)" % (self.arity, len(self.entries))
 
 
+def twisted(phi, C, sigma):
+    """The operator phi induces through C's iterated coproduct, argument i
+    reading coproduct leg sigma(i): the one part {sigma: phi}."""
+    if phi.arity < 1:
+        raise ShapeError("induced operators need arity >= 1")
+    if sigma.size != phi.arity:
+        raise ShapeError("twist size %d vs arity %d" % (sigma.size, phi.arity))
+    return InducedOperator(C, phi.domain, phi.codomain, {sigma: phi})
+
+
 def induced(phi, C):
     """The untwisted operator built from phi and C's iterated coproduct."""
-    return InducedOperator(phi, C, Permutation.identity(phi.arity))
-
-
-def twisted(phi, C, sigma):
-    """Same, but argument i reads coproduct leg sigma(i)."""
-    return InducedOperator(phi, C, sigma)
+    return twisted(phi, C, Permutation.identity(phi.arity))
 
 
 def twisted_term(phi, C, sigma, guard_limit=None):
@@ -463,25 +424,33 @@ def twisted_term(phi, C, sigma, guard_limit=None):
 
 
 def factored_term(phi, C, sigma):
-    """twisted_term in factored form.  Rearranging by sigma carries the
-    twist sigma back to the identity, leaving the one part
-    {identity: phi . sigma}."""
-    return twisted(phi, C, sigma).factored().argument_permute(sigma)
+    """twisted_term, not laid out.  Rearranging by sigma carries the twist
+    sigma back to the identity, leaving the one part {identity: phi . sigma}."""
+    return twisted(phi, C, sigma).argument_permute(sigma)
+
+
+def _untwisted_base(op):
+    """The identity part of op, or the zero map when every part cancelled;
+    TdhomError when op keeps any other part."""
+    identity = Permutation.identity(op.arity)
+    if any(rho != identity for rho in op.parts):
+        raise TdhomError("twisted operators do not compose; twist afterwards instead")
+    return op.parts.get(identity, MultilinearMap.zero(op.domain, op.codomain))
 
 
 def compose_induced(outer, inner, slot):
     """Feed inner's output into one argument slot (0-based) of outer.
 
-    Both operators must be untwisted and over the same coalgebra; the result
-    is the operator induced by the composed base maps, which property tests
-    confirm equals the literal evaluation-level composition.
+    Both operators must be untwisted, with no part but the identity one,
+    and over the same coalgebra; the result is the operator induced by the
+    composed base maps, which property tests confirm equals the literal
+    evaluation-level composition.  An operator whose parts all cancelled
+    counts as untwisted and composes as the zero map.
     """
-    if not outer.untwisted or not inner.untwisted:
-        raise TdhomError("twisted operators do not compose; twist afterwards instead")
+    outer_base, inner_base = _untwisted_base(outer), _untwisted_base(inner)
     if outer.coalgebra is not inner.coalgebra:
         raise ShapeError("operators live over different coalgebras")
-    base = outer.base.compose_at(inner.base, slot)
-    return induced(base, outer.coalgebra)
+    return induced(outer_base.compose_at(inner_base, slot), outer.coalgebra)
 
 
 def operator_witness(mat, found):
@@ -495,10 +464,10 @@ def operator_witness(mat, found):
 
 
 def operator_identity_check(name, lhs, rhs):
-    """CheckResult for equality of two FactoredOperators.
+    """CheckResult for equality of two InducedOperators.
 
-    The identity holds when lhs - rhs vanishes, which is decided in factored
-    form.  Only a failing identity is materialized, both sides, to name the
+    The identity holds when lhs - rhs vanishes, which is decided on the
+    parts.  Only a failing identity is materialized, both sides, to name the
     first differing matrix-unit tuple as the witness.
     """
     if lhs.sub(rhs).vanishes():
@@ -512,18 +481,19 @@ def check_td_skew(phi, C, max_arity=4):
     """Rearranging the arguments by sigma equals the sign of sigma times the
     operator twisted by sigma inverse, for every sigma.
 
-    Decided in factored form; a failing sigma is materialized to find the
-    first differing matrix-unit tuple, which multilinearity makes a complete
-    test.  Arity above max_arity is refused outright.
+    Decided on the operators' parts; a failing sigma is materialized to
+    find the first differing matrix-unit tuple, which multilinearity makes
+    a complete test.  Arity above max_arity is refused outright.
     """
     n = phi.arity
     if n > max_arity:
         raise GuardError(
             "arity %d exceeds the permutation-enumeration bound %d" % (n, max_arity))
-    plain = induced(phi, C).factored()
-    for sigma in all_permutations(n):
+    plain = induced(phi, C)
+    # the identity comes first and states plain = plain
+    for sigma in all_permutations(n)[1:]:
         lhs = plain.argument_permute(sigma)
-        rhs = twisted(phi, C, sigma.inverse()).factored().scale(sigma.sign())
+        rhs = twisted(phi, C, sigma.inverse()).scale(sigma.sign())
         if not lhs.sub(rhs).vanishes():
             cols, c, o, residual = lhs.materialize().first_difference(
                 rhs.materialize())

@@ -79,10 +79,6 @@ def load(name, unsafe_skip_axioms=False):
     return _cache[key]
 
 
-def lie_algebras():
-    return {name: load(name) for name in LIE_NAMES}
-
-
 def modules():
     return {name: load(name) for name in MODULE_NAMES}
 

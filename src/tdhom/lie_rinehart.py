@@ -187,9 +187,9 @@ def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
     """
     C = s.coalgebra
     total = table_sum(
-        [induced(m, C).factored().scale(sign) for m, sign in untwisted]
+        [induced(m, C).scale(sign) for m, sign in untwisted]
         + [factored_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
-    return operator_identity_check(name, lhs_op.factored(), total)
+    return operator_identity_check(name, lhs_op, total)
 
 
 def check_td_lr(s):
@@ -230,8 +230,8 @@ def _decide_td_lr(s):
 
 def _td_untwisted_bmodule(s):
     """Induced product and module operators compose with no twist at all."""
-    lhs = compose_induced(s.bmodule_op, s.bmodule_op, 1).factored()
-    rhs = compose_induced(s.bmodule_op, s.product_op, 0).factored()
+    lhs = compose_induced(s.bmodule_op, s.bmodule_op, 1)
+    rhs = compose_induced(s.bmodule_op, s.product_op, 0)
     return operator_identity_check("td-bmodule-associative", lhs, rhs)
 
 
@@ -273,7 +273,7 @@ def blinear_subspace(n, s, guard_limit=None):
     Delta^(n+1) lives, the subspace is the kernel of the slot defects
     stacked over cochains and slots; after, every defect vanishes.  The
     guard keeps the arithmetic of materializing a slot's left side, which
-    tests/td_oracle.py still decides in factored form as the oracle.
+    tests/td_oracle.py still decides on InducedOperators as the oracle.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)

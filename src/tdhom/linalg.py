@@ -138,11 +138,6 @@ class Permutation:
         return "Permutation(%r)" % (self.images,)
 
 
-def permutation_sign(p):
-    """The sign as an exact Scalar, +1 or -1."""
-    return Fraction(p.sign())
-
-
 def all_permutations(n):
     """All of S_n in lexicographic order of image arrays."""
     return [Permutation(im) for im in itertools.permutations(range(n))]

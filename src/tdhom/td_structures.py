@@ -26,6 +26,7 @@ from .coalgebra import (
     symmetry_class,
 )
 from .convolution import (
+    check_td_skew,
     compose_induced,
     factored_term,
     induced,
@@ -103,27 +104,19 @@ def self_module(td):
     return TDModuleStructure(td, adjoint, check=False)
 
 
-def _td_skew_check(bracket, C):
-    """Swapping the arguments equals minus the swap-twisted operator."""
-    plain = induced(bracket, C).factored()
-    lhs = plain.argument_permute(SWAP)
-    rhs = twisted(bracket, C, SWAP).factored().scale(-1)
-    return operator_identity_check("td-skew", lhs, rhs)
-
-
 def _td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
-    nested_op = compose_induced(induced(bracket, C), induced(bracket, C), 1)
-    return table_sum([nested_op.factored()]
-                     + [factored_term(nested_op.base, C, r) for r in JACOBI_ROTATIONS])
+    nested = bracket.compose_at(bracket, 1)
+    return table_sum([induced(nested, C)]
+                     + [factored_term(nested, C, r) for r in JACOBI_ROTATIONS])
 
 
 def _untwisted_jacobi_check(name, bracket, C):
     """The plain cyclic identity for the induced bracket: the nested
     operator plus its untwisted rearrangements along the rotation and its
     square sums to zero."""
-    nested = induced(bracket.compose_at(bracket, 1), C).factored()
+    nested = induced(bracket.compose_at(bracket, 1), C)
     total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
     return operator_identity_check(name, total, total.scale(0))
 
@@ -133,7 +126,7 @@ def check_td_lie(lie, C):
     operator induced by a Lie bracket."""
     _require(check_lie(lie), "Lie axioms")
     _require(check_coassociativity(C), "coassociativity")
-    skew = _td_skew_check(lie.bracket, C)
+    skew = check_td_skew(lie.bracket, C)
     total = _td_jacobi_sum(lie.bracket, C)
     jacobi = operator_identity_check("td-jacobi", total, total.scale(0))
     return combine("td-lie", [skew, jacobi])
@@ -147,7 +140,7 @@ def check_cocommutative_collapse(lie, C):
             "collapse needs a cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
     _require(check_lie(lie), "Lie axioms")
-    plain = induced(lie.bracket, C).factored()
+    plain = induced(lie.bracket, C)
     skew = operator_identity_check(
         "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
     jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
@@ -164,9 +157,8 @@ def check_jordan(lie, C):
             % (C.space.name, symmetry_class(C)))
     _require(check_lie(lie), "Lie axioms")
     op = induced(lie.bracket, C)
-    plain = op.factored()
     sym = operator_identity_check(
-        "jordan-symmetry", plain.argument_permute(SWAP), plain)
+        "jordan-symmetry", op.argument_permute(SWAP), op)
     jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
 
     return combine("jordan", [
@@ -181,9 +173,9 @@ def check_jordan(lie, C):
 def _element_witness(op, C, args, value):
     """Witness from a HomElement that should have vanished."""
     (t, c), q = sorted(value.entries.items())[0]
-    L = op.base.domain[0]
+    L = op.domain[0]
     labels = tuple(_unit_name(C, L, f) for f in args)
-    coord = "%s@%s" % (op.base.codomain.labels[t], C.space.labels[c])
+    coord = "%s@%s" % (op.codomain.labels[t], C.space.labels[c])
     return Witness(labels, ((coord, q),))
 
 
@@ -194,7 +186,7 @@ def _unit_name(C, space, f):
 
 def _jordan_commutes(op, C):
     """fg = gf on all basis elements, writing fg for the induced product."""
-    units = matrix_units(C, op.base.domain[0])
+    units = matrix_units(C, op.domain[0])
     for f in units:
         for g in units:
             diff = op.apply([f, g]).add(op.apply([g, f]).scale(-1))
@@ -206,7 +198,7 @@ def _jordan_commutes(op, C):
 
 def _jordan_cube(op, C):
     """(ff)f = 0 on every basis element."""
-    for f in matrix_units(C, op.base.domain[0]):
+    for f in matrix_units(C, op.domain[0]):
         cube = op.apply([op.apply([f, f]), f])
         if not cube.is_zero():
             return CheckResult("jordan-cube", False,
@@ -216,7 +208,7 @@ def _jordan_cube(op, C):
 
 def _jordan_four_term(op, C):
     """((ff)g)f + (ff)(gf) = 0 on all basis pairs."""
-    units = matrix_units(C, op.base.domain[0])
+    units = matrix_units(C, op.domain[0])
     for f in units:
         square = op.apply([f, f])
         for g in units:
@@ -235,15 +227,15 @@ def check_td_poisson(poisson, C):
     _require(check_coassociativity(C), "coassociativity")
     lie_part = check_td_lie(poisson, C)
 
-    prod = induced(poisson.product, C).factored()
+    prod = induced(poisson.product, C)
     commut = operator_identity_check(
         "td-commutativity",
         prod.argument_permute(SWAP),
-        twisted(poisson.product, C, SWAP).factored())
+        twisted(poisson.product, C, SWAP))
 
     # bracket against a product expands into two rearranged mixed terms,
     # exactly as in the classical derivation property
-    lhs = induced(poisson.bracket.compose_at(poisson.product, 1), C).factored()
+    lhs = induced(poisson.bracket.compose_at(poisson.product, 1), C)
     mixed = poisson.product.compose_at(poisson.bracket, 1)
     rhs = factored_term(mixed, C, PRODUCT_CYCLE).add(
         factored_term(mixed, C, SWAP_FIRST_TWO))
@@ -258,8 +250,8 @@ def check_td_module(tdm):
     _require(check_lie(tdm.td.lie), "Lie axioms")
     _require(check_module(tdm.module), "module axiom")
     C = tdm.coalgebra
-    lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0).factored()
-    nested_op = compose_induced(tdm.action_op, tdm.action_op, 1)
-    rhs = nested_op.factored().sub(
-        factored_term(nested_op.base, C, SWAP_FIRST_TWO))
+    lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0)
+    action = tdm.module.action
+    nested = action.compose_at(action, 1)
+    rhs = induced(nested, C).sub(factored_term(nested, C, SWAP_FIRST_TWO))
     return operator_identity_check("td-module", lhs, rhs)

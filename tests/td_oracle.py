@@ -9,7 +9,7 @@ runs the consistency checks that the closed form shows can never fire.
 The linear-subcomplex sweep (blinear_subspace, td_differential_induced,
 check_subcomplex) reads its slot defects and images off classical maps.
 The factored_* functions keep the sweep it replaced, which decides each
-defect and the induction kernel on FactoredOperators.
+defect and the induction kernel on InducedOperators.
 
 Nothing in the package uses this module; tests compare against it.
 """
@@ -164,7 +164,7 @@ class MaterializedTDComplexData:
 
 def reduced_column(op):
     """op.reduced() as one sparse column, {(rho images, map key): q}, for
-    stacking FactoredOperators into a SparseColumns."""
+    stacking InducedOperators into a SparseColumns."""
     return {(rho.images, key): q for rho, psi in op.reduced().items()
             for key, q in psi.entries.items()}
 
@@ -175,10 +175,10 @@ def factored_slot_defect(fmap, i, s, limit):
     would have; both have the same argument spaces in another order."""
     pair, C = s.pair, s.coalgebra
     lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C)
-    check_materialization_size(lhs.base.domain, C, limit)
+    check_materialization_size(lhs.domain, C, limit)
     scaled = pair.product.compose_at(fmap, 1)
     rhs = factored_term(scaled, C, linearity_twist(i, fmap.arity))
-    return lhs.factored().sub(rhs)
+    return lhs.sub(rhs)
 
 
 def factored_blinear_subspace(n, s, guard_limit=None):
@@ -216,16 +216,16 @@ def factored_td_differential_induced(F, tdm, guard_limit=None):
         iota = SparseColumns(len(basis))
         for ci, key in enumerate(basis):
             op = induced(AltCochain(L, B, n, {key: 1}).as_map(), C)
-            check_materialization_size(op.base.domain, C, limit)
-            for row, q in reduced_column(op.factored()).items():
+            check_materialization_size(op.domain, C, limit)
+            for row, q in reduced_column(op).items():
                 iota.add(ci, row, q)
         for v in iota.kernel_basis():
             dv = ce_differential(AltCochain.from_vector(L, B, n, v), M)
             if dv.is_zero():
                 continue
             op = induced(dv.as_map(), C)
-            check_materialization_size(op.base.domain, C, limit)
-            if not op.factored().vanishes():
+            check_materialization_size(op.domain, C, limit)
+            if not op.vanishes():
                 raise AxiomError(
                     "differential leaves the induction kernel at degree %d" % n)
     return TDCochain(ce_differential(F.inducing, M), C)

@@ -27,10 +27,10 @@ from tdhom.algebra import (
     check_poisson,
     jacobi_check,
     leibniz_check,
-    load_structure_constants,
     skew_symmetry_check,
 )
 from tdhom.errors import AxiomError
+from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
 
@@ -163,15 +163,15 @@ class TestConventionConstants:
 
 class TestLoader:
     def test_loads_text(self):
-        obj = load_structure_constants(corpus.fixture_text("sl2"))
+        obj = parse_structure(corpus.fixture_text("sl2"))
         assert isinstance(obj, LieAlgebra)
         assert check_lie(obj).ok
 
     def test_raises_on_axiom_failure(self):
         with pytest.raises(AxiomError):
-            load_structure_constants(corpus.fixture_text("broken-jacobi"))
+            parse_structure(corpus.fixture_text("broken-jacobi"))
 
     def test_skip_flag(self):
-        obj = load_structure_constants(corpus.fixture_text("broken-jacobi"),
-                                       unsafe_skip_axioms=True)
+        obj = parse_structure(corpus.fixture_text("broken-jacobi"),
+                              unsafe_skip_axioms=True)
         assert not check_lie(obj).ok

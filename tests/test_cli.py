@@ -17,7 +17,7 @@ from tdhom import cli, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.convolution import FactoredOperator, InducedOperator
+from tdhom.convolution import InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
@@ -998,12 +998,13 @@ def matrix_unit_lie(name, units):
 
 @pytest.fixture
 def materialized(monkeypatch):
-    """Every InducedOperator.materialize call, as (base map, twist)."""
+    """Every part of every InducedOperator.materialize call, as
+    (base map, twist)."""
     calls = []
     original = InducedOperator.materialize
 
     def recording(self, guard_limit=None):
-        calls.append((self.base, self.twist))
+        calls.extend((psi, rho) for rho, psi in self.parts.items())
         return original(self, guard_limit)
 
     monkeypatch.setattr(InducedOperator, "materialize", recording)
@@ -1072,20 +1073,18 @@ class TestFactoredChecks:
         assert materialized == [(lhs, Permutation.identity(3)),
                                 (rhs, Permutation.identity(3))]
 
-    def test_sweep_builds_no_factored_operator(self, tmp_path, monkeypatch,
-                                               capsys):
-        # td-lie-rinehart decides in factored form; the td-subcomplex sweep
-        # after it reads classical maps only, so both factored entry points
-        # raise while it runs
+    def test_sweep_reduces_no_operator(self, tmp_path, monkeypatch, capsys):
+        # td-lie-rinehart decides by reducing operators; the td-subcomplex
+        # sweep after it reads classical maps only, so reducing raises
+        # while it runs
         def forbidden(*args, **kwargs):
-            raise RuntimeError("factored form used by the sweep")
+            raise RuntimeError("operator reduced by the sweep")
 
         sweep = cli.check_subcomplex
 
         def guarded_sweep(*args, **kwargs):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(FactoredOperator, "reduced", forbidden)
-                mp.setattr(InducedOperator, "factored", forbidden)
+                mp.setattr(InducedOperator, "reduced", forbidden)
                 return sweep(*args, **kwargs)
 
         monkeypatch.setattr(cli, "check_subcomplex", guarded_sweep)

@@ -503,8 +503,10 @@ class TestTDCochain:
         g = AltCochain(L, B, 2, {((1, 2), 2): Fraction(5)})
         zc = corpus.get_coalgebra("zero-ab")
         assert TDCochain(f, zc).same_as(TDCochain(g, zc))
+        assert TDCochain(f, zc).operator() == TDCochain(g, zc).operator()
         wc = corpus.get_coalgebra("tensor-ab-2")
         assert not TDCochain(f, wc).same_as(TDCochain(g, wc))
+        assert TDCochain(f, wc).operator() != TDCochain(g, wc).operator()
 
     def test_degree_zero_compares_values(self, adjoint):
         L, B = adjoint.base.space, adjoint.space

@@ -357,6 +357,47 @@ class TestCompose:
         with pytest.raises(TdhomError):
             compose_induced(tw, op, 0)
 
+    def test_zero_base_map_composes(self, tab2):
+        # the abelian bracket is the zero map: its operator keeps no part,
+        # and still composes, applies, materializes and vanishes
+        ab = corpus.load("abelian2")
+        op = induced(ab.bracket, tab2)
+        assert op.parts == {}
+        comp = compose_induced(op, op, 1)
+        assert comp.parts == {} and comp.vanishes()
+        assert comp.domain == (ab.space,) * 3 and comp.codomain is ab.space
+        units = matrix_units(tab2, ab.space)
+        for args in itertools.product(units, repeat=3):
+            out = comp.apply(list(args))
+            assert out.is_zero() and out.target is ab.space
+        table = comp.materialize()
+        assert table.is_zero() and table.domain == (ab.space,) * 3
+
+    @pytest.mark.parametrize("cname", ["tensor-ab-2", "symmetric-xy-2"])
+    def test_nonzero_twisted_part_refused(self, sl2, cname):
+        # read off the parts, not off reduced(): over the symmetric square
+        # the sum below vanishes, yet it keeps a nonzero swap part
+        C = corpus.get_coalgebra(cname)
+        op = induced(sl2.bracket, C)
+        mixed = op.sub(twisted(sl2.bracket, C, Permutation((1, 0))))
+        assert len(mixed.parts) == 2
+        with pytest.raises(TdhomError):
+            compose_induced(mixed, op, 0)
+        with pytest.raises(TdhomError):
+            compose_induced(op, mixed, 1)
+
+    def test_cancelled_parts_count_as_untwisted(self, sl2, tab2):
+        # a twisted part that cancels is dropped, so what is left composes;
+        # an operator with no part left composes as the zero map
+        op = induced(sl2.bracket, tab2)
+        tw = twisted(sl2.bracket, tab2, Permutation((1, 0)))
+        assert compose_induced(op.add(tw).sub(tw), op, 0).materialize() \
+            == compose_induced(op, op, 0).materialize()
+        empty = tw.sub(tw)
+        assert empty.parts == {}
+        comp = compose_induced(empty, op, 0)
+        assert comp.parts == {} and comp.domain == (sl2.space,) * 3
+
     def test_codomain_mismatch(self, sl2, tab2):
         op = induced(sl2.bracket, tab2)
         W = BasedSpace("W", ("p",))
@@ -498,8 +539,8 @@ def term_sums(draw):
     return C, lhs, rhs
 
 
-def factored_sum(C, terms):
-    return table_sum(twisted(phi, C, sigma).factored().argument_permute(pi)
+def operator_sum(C, terms):
+    return table_sum(twisted(phi, C, sigma).argument_permute(pi)
                      .scale(sign) for phi, sigma, pi, sign in terms)
 
 
@@ -509,15 +550,16 @@ def materialized_sum(C, terms):
 
 
 class TestFactoredOracle:
-    """The factored form against the materialized tables it replaces."""
+    """Operators decided on their parts against the materialized tables
+    they replace."""
 
     @given(term_sums())
     @settings(max_examples=300, deadline=None)
     def test_matches_materialized_sum(self, case):
         C, lhs_terms, rhs_terms = case
-        lhs, lhs_table = factored_sum(C, lhs_terms), materialized_sum(C, lhs_terms)
+        lhs, lhs_table = operator_sum(C, lhs_terms), materialized_sum(C, lhs_terms)
         if rhs_terms:
-            rhs, rhs_table = factored_sum(C, rhs_terms), materialized_sum(C, rhs_terms)
+            rhs, rhs_table = operator_sum(C, rhs_terms), materialized_sum(C, rhs_terms)
         else:
             rhs, rhs_table = lhs.scale(0), lhs_table.scale(0)
         total = lhs.sub(rhs)
@@ -539,33 +581,32 @@ class TestFactoredOracle:
         # on the symmetric one, so the two parts cancel with nonzero maps
         C = corpus.get_coalgebra(cname)
         swap = Permutation((1, 0))
-        op = induced(sl2.bracket, C).factored().add(
-            twisted(sl2.bracket, C, swap).factored().scale(sign))
+        op = induced(sl2.bracket, C).add(
+            twisted(sl2.bracket, C, swap).scale(sign))
         assert len(op.parts) == 2
         assert op.reduced() == {}
         assert op.vanishes() and op.materialize().is_zero()
-        kept = op.add(induced(sl2.bracket, C).factored())
+        kept = op.add(induced(sl2.bracket, C))
         assert kept.reduced() == {Permutation.identity(2): sl2.bracket}
 
     def test_zero_coproduct_leaves_nothing(self, sl2):
-        op = induced(sl2.bracket, corpus.get_coalgebra("zero-ab")).factored()
+        op = induced(sl2.bracket, corpus.get_coalgebra("zero-ab"))
         assert op.parts and op.vanishes()
 
     def test_shape_mismatch(self, sl2, tab2):
         vol = corpus.load("vol3")
         with pytest.raises(ShapeError):
-            induced(sl2.bracket, tab2).factored().add(
-                induced(vol, tab2).factored())
+            induced(sl2.bracket, tab2).add(induced(vol, tab2))
         with pytest.raises(ShapeError):
-            induced(sl2.bracket, tab2).factored().add(induced(
-                sl2.bracket, corpus.get_coalgebra("exterior-ab")).factored())
+            induced(sl2.bracket, tab2).add(induced(
+                sl2.bracket, corpus.get_coalgebra("exterior-ab")))
         with pytest.raises(ShapeError):
-            induced(sl2.bracket, tab2).factored().argument_permute(
+            induced(sl2.bracket, tab2).argument_permute(
                 Permutation.identity(3))
 
 
 class TestFactoringLaws:
-    """The rules the factored form rests on, on random maps."""
+    """The rules the parts representation rests on, on random maps."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("cname", corpus.coalgebra_names())
@@ -586,7 +627,7 @@ class TestFactoringLaws:
     @settings(max_examples=100, deadline=None)
     def test_argument_permutes_compose(self, case, data):
         C, terms, _ = case
-        op = factored_sum(C, terms)
+        op = operator_sum(C, terms)
         perms = all_permutations(op.arity)
         pi = data.draw(st.sampled_from(perms))
         tau = data.draw(st.sampled_from(perms))

@@ -2,9 +2,10 @@
 
 Callers' mistakes must end in a typed error, never in an assert that -O
 strips: a lint pass forbids assert statements in the package, and a
-subprocess replays bad inputs with and without -O.  Two more lint passes
+subprocess replays bad inputs with and without -O.  Three more lint passes
 fail on imported names and on private module-level helpers the package
-never reads.
+never reads, and on functions, classes and methods that nothing in the
+package, its tests or its benchmark reads.
 """
 
 import ast
@@ -13,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,46 @@ def test_package_reads_every_private_helper():
             found.append("%s:%d %s" % (path.relative_to(PACKAGE), stmt.lineno,
                                        stmt.name))
     assert found == [], "private helpers nothing reads: %s" % found
+
+
+def _name_reads(node):
+    """How often each name is read under node, counted like _names_read."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            counts.update(alias.name for alias in sub.names)
+    return counts
+
+
+def test_every_definition_is_read():
+    # a function, class or method of the package that nothing in the
+    # package, its tests or its benchmark reads outside its own body is
+    # dead code; dunder methods are called by Python itself
+    repo = PACKAGE.parents[1]
+    reads = Counter()
+    package_trees = []
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((repo / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            reads.update(_name_reads(tree))
+            if PACKAGE in path.parents:
+                package_trees.append((path, tree))
+    found = []
+    for path, tree in package_trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads[name] <= _name_reads(node)[name]:
+                found.append("%s:%d %s" % (path.relative_to(PACKAGE),
+                                           node.lineno, name))
+    assert found == [], "definitions nothing reads: %s" % found
 
 
 BAD_INPUTS = """

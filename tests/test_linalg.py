@@ -28,7 +28,6 @@ from tdhom.linalg import (
     all_permutations,
     gather,
     kernel_basis,
-    permutation_sign,
     pivot_columns,
     rank,
     scatter,
@@ -63,14 +62,14 @@ def perms(max_n):
 
 class TestPermutation:
     def test_identity_sign(self):
-        assert permutation_sign(Permutation.identity(4)) == Fraction(1)
+        assert Permutation.identity(4).sign() == Fraction(1)
 
     def test_transposition_sign(self):
-        assert permutation_sign(Permutation.transposition(0, 1, 2)) == Fraction(-1)
+        assert Permutation.transposition(0, 1, 2).sign() == Fraction(-1)
 
     def test_three_cycle_sign(self):
         p = Permutation.cycle([0, 1, 2], 3)
-        assert permutation_sign(p) == Fraction(1)
+        assert p.sign() == Fraction(1)
         assert sign_by_cycles(p) == 1
 
     def test_malformed_rejected(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tdhom import corpus
 from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
-from tdhom.convolution import operator_identity_check
+from tdhom.convolution import check_td_skew, operator_identity_check
 from tdhom.errors import AxiomError, ShapeError
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
@@ -29,7 +29,6 @@ from tdhom.td_structures import (
     check_td_poisson,
     self_module,
     _td_jacobi_sum,
-    _td_skew_check,
 )
 
 
@@ -69,7 +68,7 @@ class TestTDLie:
 
     def test_broken_bracket_still_skew(self, broken):
         # the perturbation keeps both orientations, so the swap identity holds
-        r = _td_skew_check(broken.bracket, corpus.get_coalgebra("tensor-x-3"))
+        r = check_td_skew(broken.bracket, corpus.get_coalgebra("tensor-x-3"))
         assert r.ok
 
     def test_cyclic_vacuous_below_three_letters(self, broken):
@@ -95,7 +94,7 @@ class TestTDLie:
             {((i, j), k): flat[4 * i + 2 * j + k]
              for i in range(2) for j in range(2) for k in range(2)})
         skew = raw.sub(raw.precompose_perm(SWAP))
-        r = _td_skew_check(skew, corpus.get_coalgebra("tensor-ab-2"))
+        r = check_td_skew(skew, corpus.get_coalgebra("tensor-ab-2"))
         assert r.ok
 
 
