@@ -64,6 +64,7 @@ from .errors import (
     InvalidPermutation,
     MalformedInput,
     ParseError,
+    ScalarError,
     ShapeError,
     TdhomError,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "Permutation",
     "PoissonAlgebra",
     "RationalMatrix",
+    "ScalarError",
     "ShapeError",
     "TDCochain",
     "TDComplexData",

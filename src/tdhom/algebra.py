@@ -9,7 +9,7 @@ first failing tuple.
 
 from .checks import combine
 from .errors import AxiomError, ShapeError
-from .linalg import Permutation, table_sum
+from .linalg import Permutation, clear_denominators, table_sum
 from .maps import map_identity_check
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
@@ -54,10 +54,32 @@ class LieModule:
         self.space = space
         self.action = action
         self.name = name or "%s-module" % base.name
+        self._cleared = None
         if check:
             result = check_module(self)
             if not result:
                 raise AxiomError("module axiom fails: " + result.describe(), result)
+
+    def cleared_constants(self):
+        """(N, pairs, acting): the bracket and action constants as ints.
+
+        N is the least common denominator of all of them.  pairs[a] lists
+        (x, y, N c) for each bracket constant [e_x, e_y] = c e_a with
+        x < y, and acting[(t, b)] is {o: N r} for each action constant
+        e_t . e_b = r e_o.  Built on first use and cached, like the maps'
+        own groupings: neither map changes after construction.
+        """
+        if self._cleared is None:
+            (bracket, action), N = clear_denominators(
+                [self.base.bracket.entries, self.action.entries])
+            pairs, acting = {}, {}
+            for ((x, y), a), c in bracket.items():
+                if x < y:
+                    pairs.setdefault(a, []).append((x, y, c))
+            for (tb, o), r in action.items():
+                acting.setdefault(tb, {})[o] = r
+            self._cleared = N, pairs, acting
+        return self._cleared
 
     def __repr__(self):
         return "LieModule(%s on %s)" % (self.base.name, self.space.name)

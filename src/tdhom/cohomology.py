@@ -5,7 +5,10 @@ increasing basis tuples; differentials become exact rational matrices in
 that basis and ranks decide everything.  A differential is pushed forward
 from the cochain's stored values through the bracket and action indexed
 by output and by input, so its cost follows the nonzeros, not the number
-of tuples.
+of tuples.  The push-forward runs in ints, over the bracket and action
+constants cleared by their common denominator N, so d_k is assembled as
+the int matrix N d_k, which has the same rank and squares to zero with
+its neighbours exactly when d_k does.
 
 A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
@@ -26,6 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from operator import lt
 
 from .convolution import (
     check_materialization_size,
@@ -41,6 +45,7 @@ from .linalg import (
     RationalMatrix,
     SparseColumns,
     SparseTable,
+    clear_denominators,
     kernel_basis,
     rank,
     solve,
@@ -105,18 +110,21 @@ class AltCochain(SparseTable):
 
     def __init__(self, lie_space, target, degree, values):
         table = {}
-        for (tup, o), q in values.items():
+        dim, out_dim = lie_space.dim, target.dim
+        for key, q in values.items():
+            tup, o = key
             if len(tup) != degree:
                 raise ShapeError("tuple %r in a degree-%d cochain" % (tup, degree))
-            if any(tup[i] >= tup[i + 1] for i in range(len(tup) - 1)):
+            if not all(map(lt, tup, tup[1:])):
                 raise ShapeError("tuple %r is not strictly increasing" % (tup,))
-            if tup and not (0 <= tup[0] and tup[-1] < lie_space.dim):
+            if tup and not (0 <= tup[0] and tup[-1] < dim):
                 raise ShapeError("tuple %r out of range" % (tup,))
-            if not 0 <= o < target.dim:
+            if not 0 <= o < out_dim:
                 raise ShapeError("output index %d out of range" % o)
-            q = Fraction(q)
-            if q != 0:
-                table[(tup, o)] = q
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            if q:
+                table[key] = q
         self.lie_space = lie_space
         self.target = target
         self.degree = degree
@@ -220,14 +228,15 @@ def ce_differential(f, M):
 
     Only bracket entries with x < y are read, exactly the pairs the sum
     over j < k evaluates, so the result does not assume a skew bracket.
+    The sums run in ints: the constants cleared by their common
+    denominator N (LieModule.cleared_constants) and f's values by theirs.
     """
     _check_module_shapes(f, M)
     L, B = M.base.space, M.space
-    acting = M.action.by_input()
-    pairs = {a: [(x, y, c) for (x, y), c in group.items() if x < y]
-             for a, group in M.base.bracket.by_output().items()}
+    N, pairs, acting = M.cleared_constants()
+    (values,), den = clear_denominators([f.values])
     acc = {}
-    for (S, b), q in f.values.items():
+    for (S, b), q in values.items():
         for t in range(L.dim):
             if t in S:
                 continue
@@ -235,7 +244,7 @@ def ce_differential(f, M):
             T = S[:i] + (t,) + S[i:]
             sq = q if i % 2 == 0 else -q
             for o, r in acting.get((t, b), {}).items():
-                acc[(T, o)] = acc.get((T, o), ZERO) + sq * r
+                acc[(T, o)] = acc.get((T, o), 0) + sq * r
         for p, a in enumerate(S):
             rest = S[:p] + S[p + 1:]
             for x, y, c in pairs.get(a, ()):
@@ -246,7 +255,10 @@ def ce_differential(f, M):
                 # x lands at position j of T and y at position k + 1
                 T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
                 sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
-                acc[(T, b)] = acc.get((T, b), ZERO) + sq
+                acc[(T, b)] = acc.get((T, b), 0) + sq
+    den *= N
+    if den != 1:
+        acc = {key: Fraction(v, den) for key, v in acc.items()}
     return AltCochain(L, B, f.degree + 1, acc)
 
 
@@ -317,16 +329,19 @@ class ComplexMatrices:
 
 
 def _differential_matrix(M, k):
-    """d_k in the increasing-tuple bases, one column per basis cochain."""
+    """d_k in the increasing-tuple bases, one column per basis cochain,
+    written as the int rows of N d_k over the denominator N of the
+    module's cleared constants."""
     L, B = M.base.space, M.space
+    N = M.cleared_constants()[0]
     source = alt_basis(L, B, k)
     target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
     rows = [{} for _ in target_index]
     for ci, key in enumerate(source):
         df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
         for out_key, q in df.values.items():
-            rows[target_index[out_key]][ci] = q
-    return RationalMatrix._from_sparse_rows(len(source), rows)
+            rows[target_index[out_key]][ci] = q.numerator * (N // q.denominator)
+    return RationalMatrix._from_int_rows(len(source), rows, N)
 
 
 def ce_complex(M, maxdeg):

@@ -13,6 +13,10 @@ class InvalidPermutation(TdhomError):
     """Image array is not a bijection of 0..n-1."""
 
 
+class ScalarError(TdhomError):
+    """A scalar is not an exact rational: a float, or not a number at all."""
+
+
 class MalformedInput(TdhomError):
     """Structure constants reference indices out of range."""
 

@@ -327,13 +327,23 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     for n in range(maxdeg + 1):
         target = blinear_subspace(n + 1, s, limit)
         if current:
-            nrows = len(alt_basis(L, B, n + 1))
+            index = {key: i for i, key in enumerate(alt_basis(L, B, n + 1))}
             images = [ce_differential(AltCochain.from_vector(L, B, n, vec), M)
                       for vec in current]
-            span = RationalMatrix.from_columns(nrows, target)
-            rhs = RationalMatrix.from_columns(
-                nrows, [image.components() for image in images])
-            for image, x in zip(images, solve(span, rhs)):
+            # both sides written as sparse rows: the span from the nonzero
+            # coordinates of the target basis, the images from their values
+            span = [{} for _ in index]
+            for j, vec in enumerate(target):
+                for c, q in enumerate(vec):
+                    if q:
+                        span[c][j] = q
+            rhs = [{} for _ in index]
+            for j, image in enumerate(images):
+                for key, q in image.values.items():
+                    rhs[index[key]][j] = q
+            solutions = solve(RationalMatrix._from_sparse_rows(len(target), span),
+                              RationalMatrix._from_sparse_rows(len(images), rhs))
+            for image, x in zip(images, solutions):
                 if x is None:
                     slot = _violating_slot(image, pair)
                     raise AxiomError(

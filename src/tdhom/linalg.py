@@ -1,16 +1,20 @@
 """Exact rational linear algebra: permutations, spaces, matrices.
 
-Scalars are fractions.Fraction throughout: always lowest terms, positive
-denominator, exact field arithmetic.  Nothing in the package ever touches a
-float.
+Scalars are exact rationals: Python ints, fractions.Fraction (lowest
+terms, positive denominator) or "p/q" strings, all read through one helper
+that refuses floats and everything else with ScalarError.  Nothing in the
+package ever touches a float.
 
-RationalMatrix stores its rows as {column: Fraction} dicts that never hold
-a zero, and every rank, pivot set, kernel and solve comes from one sparse
-echelon form (Echelon) of such rows, fed shortest first and reduced by
-their leading column.  Its answers are the unique ones fixed by the
-lexicographically first independent column set, so they are reproducible
-bit for bit whatever the row order.  The dense fraction-free elimination
-that preceded it is the test oracle in tests/linalg_oracle.py.
+RationalMatrix stores its rows as zero-free {column: int} dicts over one
+positive common denominator, and every rank, pivot set, kernel and solve
+comes from one sparse, fraction-free echelon form (Echelon) of such rows,
+fed shortest first and reduced by their leading column.  Its answers are
+the unique ones fixed by the lexicographically first independent column
+set, so they are reproducible bit for bit whatever the row order.
+Fractions are created only where a caller reads them: matrix entries,
+kernel vectors, solutions and residues.  The dense fraction-free
+elimination that preceded the sparse one is the test oracle in
+tests/linalg_oracle.py.
 
 SparseTable holds the sparse arithmetic (add, sub, scale, is_zero) shared by
 every class stored as a {key: Fraction} table with no zero entry: maps,
@@ -19,14 +23,44 @@ Hom elements, materialized operators and cochains.
 
 import functools
 import itertools
+import numbers
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import InvalidPermutation, ShapeError
-
-Scalar = Fraction
+from .errors import InvalidPermutation, ScalarError, ShapeError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _exact(x):
+    """x as an int or a Fraction: ints, Fractions, other rationals and
+    "p/q" strings are read exactly; floats and non-numbers raise
+    ScalarError."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, (numbers.Rational, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ScalarError("not an exact rational scalar: %r" % (x,))
+
+
+def clear_denominators(tables):
+    """(int tables, den): tables of exact scalars written as ints over the
+    least common denominator of all their values, so that
+    tables[i][k] == ints[i][k] / den."""
+    den = 1
+    for table in tables:
+        for v in table.values():
+            d = v.denominator
+            if d != 1 and den % d:
+                den = lcm(den, d)
+    if den == 1:
+        return [{k: v.numerator for k, v in t.items()} for t in tables], 1
+    return [{k: v.numerator * (den // v.denominator) for k, v in t.items()}
+            for t in tables], den
 
 
 class BasedSpace:
@@ -169,11 +203,15 @@ def scatter(p, seq):
 
 
 class RationalMatrix:
-    """Sparse matrix of Fractions; eliminate it with rank, solve and friends.
+    """Sparse matrix of exact rationals; eliminate it with rank, solve and
+    friends.
 
-    Stored as one {column: Fraction} dict per row that never holds a zero,
-    the form Echelon eliminates, so a differential with few nonzeros costs
-    what its nonzeros cost.  entries gives the row-major dense list.
+    Stored as one {column: int} dict per row that never holds a zero, over
+    one positive common denominator: entry (i, j) is _rows[i][j] / _den.
+    The form is canonical (_den is the least denominator that works), so
+    == compares the stored ints, and matmul and is_zero work on them.  The
+    readers get, row, column and entries return Fractions; a matrix with
+    few nonzeros costs what its nonzeros cost.
     """
 
     def __init__(self, rows, cols, entries):
@@ -181,21 +219,38 @@ class RationalMatrix:
         entries = list(entries)
         if len(entries) != rows * cols:
             raise ShapeError("need %d entries, got %d" % (rows * cols, len(entries)))
-        self._init(cols, [_sparse_row(entries[i * cols:(i + 1) * cols])
-                          for i in range(rows)])
+        self._init(cols, *clear_denominators(
+            [_sparse_row(entries[i * cols:(i + 1) * cols]) for i in range(rows)]))
 
-    def _init(self, cols, sparse_rows):
-        self.rows = len(sparse_rows)
+    def _init(self, cols, int_rows, den):
+        self.rows = len(int_rows)
         self.cols = cols
-        self._sparse_rows = sparse_rows
+        self._rows = int_rows
+        self._den = den
+
+    @classmethod
+    def _from_int_rows(cls, cols, int_rows, den):
+        """The matrix int_rows / den, brought to canonical form: each row a
+        dict {column in range(cols): nonzero int}, den a positive int."""
+        if den != 1:
+            g = den
+            for row in int_rows:
+                if row:
+                    g = gcd(g, *row.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                int_rows = [{j: v // g for j, v in row.items()} for row in int_rows]
+                den //= g
+        m = cls.__new__(cls)
+        m._init(cols, int_rows, den)
+        return m
 
     @classmethod
     def _from_sparse_rows(cls, cols, sparse_rows):
-        """The matrix stored as sparse_rows, taken as they are: each a dict
-        {column in range(cols): nonzero Fraction}."""
-        m = cls.__new__(cls)
-        m._init(cols, sparse_rows)
-        return m
+        """The matrix whose rows are sparse_rows, each a dict {column in
+        range(cols): nonzero int or Fraction}."""
+        return cls._from_int_rows(cols, *clear_denominators(sparse_rows))
 
     @classmethod
     def from_rows(cls, rows_list):
@@ -220,17 +275,32 @@ class RationalMatrix:
     @classmethod
     def zero(cls, rows, cols):
         _check_shape(rows, cols)
-        return cls._from_sparse_rows(cols, [{} for _ in range(rows)])
+        return cls._from_int_rows(cols, [{} for _ in range(rows)], 1)
 
     @classmethod
     def identity(cls, n):
         _check_shape(n, n)
-        return cls._from_sparse_rows(n, [{i: ONE} for i in range(n)])
+        return cls._from_int_rows(n, [{i: 1} for i in range(n)], 1)
+
+    def _value(self, row, j):
+        """Entry j of a stored row, as a Fraction."""
+        v = row.get(j)
+        return ZERO if v is None else Fraction(v, self._den)
+
+    def _dense(self, row):
+        """A stored row as the dense list of its Fractions."""
+        out = [ZERO] * self.cols
+        for j, v in row.items():
+            out[j] = Fraction(v, self._den)
+        return out
 
     @property
     def entries(self):
         """The row-major dense list of all rows * cols entries."""
-        return [r.get(j, ZERO) for r in self._sparse_rows for j in range(self.cols)]
+        out = []
+        for r in self._rows:
+            out.extend(self._dense(r))
+        return out
 
     def _check_index(self, what, index, bound):
         if not 0 <= index < bound:
@@ -240,46 +310,52 @@ class RationalMatrix:
     def get(self, i, j):
         self._check_index("row", i, self.rows)
         self._check_index("column", j, self.cols)
-        return self._sparse_rows[i].get(j, ZERO)
+        return self._value(self._rows[i], j)
 
     def set(self, i, j, value):
         self._check_index("row", i, self.rows)
         self._check_index("column", j, self.cols)
-        value = Fraction(value)
+        value = _exact(value)
+        den = lcm(self._den, value.denominator)
+        rows = self._rows
+        if den != self._den:
+            rows = [{c: v * (den // self._den) for c, v in r.items()} for r in rows]
         if value:
-            self._sparse_rows[i][j] = value
+            rows[i][j] = value.numerator * (den // value.denominator)
         else:
-            self._sparse_rows[i].pop(j, None)
+            rows[i].pop(j, None)
+        m = self._from_int_rows(self.cols, rows, den)
+        self._init(self.cols, m._rows, m._den)
 
     def row(self, i):
         self._check_index("row", i, self.rows)
-        return [self._sparse_rows[i].get(j, ZERO) for j in range(self.cols)]
+        return self._dense(self._rows[i])
 
     def column(self, j):
         self._check_index("column", j, self.cols)
-        return [r.get(j, ZERO) for r in self._sparse_rows]
+        return [self._value(r, j) for r in self._rows]
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        other_rows = other._sparse_rows
+        other_rows = other._rows
         out = []
-        for row in self._sparse_rows:
+        for row in self._rows:
             acc = {}
             for k, a in row.items():
                 for j, b in other_rows[k].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
+                    acc[j] = acc.get(j, 0) + a * b
             out.append({j: v for j, v in acc.items() if v})
-        return RationalMatrix._from_sparse_rows(other.cols, out)
+        return RationalMatrix._from_int_rows(other.cols, out, self._den * other._den)
 
     def is_zero(self):
-        return not any(self._sparse_rows)
+        return not any(self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self._sparse_rows == other._sparse_rows
+            and (self.rows, self.cols, self._den) == (other.rows, other.cols, other._den)
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -292,11 +368,10 @@ def _check_shape(rows, cols):
 
 
 def _sparse_row(dense):
-    """{column: Fraction} for the nonzero entries of a dense row."""
+    """{column: int or Fraction} for the nonzero entries of a dense row."""
     out = {}
     for j, x in enumerate(dense):
-        if type(x) is not Fraction:
-            x = Fraction(x)
+        x = _exact(x)
         if x:
             out[j] = x
     return out
@@ -325,7 +400,7 @@ class SparseTable:
         return self.add(other.scale(-1))
 
     def scale(self, q):
-        q = Fraction(q)
+        q = _exact(q)
         if q == 0:
             return self._like({})
         return self._like({k: q * v for k, v in getattr(self, self.TABLE).items()})
@@ -349,48 +424,89 @@ def _subtract_scaled(target, a, source):
             del target[k]
 
 
-class Echelon:
-    """Sparse exact row echelon form of a matrix given by its rows.
+def _eliminate(target, b, a, source):
+    """target <- b * target - a * source on int dicts, dropping entries
+    that cancel."""
+    if b != 1:
+        for k in target:
+            target[k] *= b
+    for k, v in source.items():
+        new = target.get(k, 0) - a * v
+        if new:
+            target[k] = new
+        else:
+            del target[k]
 
-    Rows are dicts {column: Fraction} holding the nonzero entries.  They are
-    fed shortest first, and each is reduced by its leading column against
-    the pivot rows stored so far, until its leading column carries no pivot
-    (it becomes a pivot row, scaled to a leading 1) or nothing is left.
+
+def _divide_content(row, extra):
+    """Divide the int dicts row and extra by the gcd of all their entries;
+    return that gcd (0 when both are empty)."""
+    g = gcd(*row.values(), *extra.values())
+    if g > 1:
+        for table in (row, extra):
+            for k in table:
+                table[k] //= g
+    return g
+
+
+class Echelon:
+    """Sparse fraction-free row echelon form of a matrix given by its rows.
+
+    Rows are dicts {column: int or Fraction} holding the nonzero entries.
+    Each is cleared on entry to a primitive integer row, and rows are fed
+    shortest first.  A row is reduced by its leading column c against the
+    pivot row h stored there: with a = row[c] and b = h[c], both divided by
+    their gcd, the step is row <- b * row - a * h, which stays in the
+    integers.  When the leading column carries no pivot, the row's content
+    is taken out and it becomes the pivot row of that column; when nothing
+    is left, it is a residue.  No Fraction is created while reducing.
 
     In any row echelon form the leading columns are the lexicographically
     first independent column set, so pivot columns, the kernel basis (one
     free variable 1, the others 0) and solutions (free variables 0) do not
     depend on the order rows are fed or on which rows end up as pivots.
+    Back-substitution divides by the pivots, so kernel vectors and
+    solutions are made as Fractions there.
 
-    Right-hand sides ride along: rhs[i] is a dict {index: Fraction} of the
-    entries of row i in each right-hand side, reduced with the row.  A row
-    whose matrix part reduces to zero is a left-null residue, kept in
-    residues[i], and right-hand side t is inconsistent exactly when some
-    residue is nonzero at t.  With rhs[i] = {i: 1} the residue of row i
-    writes it in the pivot rows: rows[i] = -sum of residue[j] * rows[j] over
-    j != i.
+    Right-hand sides ride along: rhs[i] is a dict {index: int or Fraction}
+    of the entries of row i in each right-hand side, cleared and reduced
+    with the row as the tail of one integer row.  A row whose matrix part
+    reduces to zero is a left-null residue, kept in residues[i] as Fractions
+    divided by the factor the row was scaled by, and right-hand side t is
+    inconsistent exactly when some residue is nonzero at t.  With rhs[i] =
+    {i: 1} the residue of row i writes it in the pivot rows: rows[i] = -sum
+    of residue[j] * rows[j] over j != i, and residue[i] == 1.
     """
 
     def __init__(self, ncols, rows, rhs=None):
         self.ncols = ncols
-        self.pivots = {}      # leading column -> (row, rhs part), row[col] == 1
+        self.pivots = {}      # leading column -> (int row, int rhs part)
         self.residues = {}    # row index -> rhs part, for rows reducing to zero
         for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
-            row = dict(rows[i])
-            extra = dict(rhs[i]) if rhs else {}
+            (row, extra), scale = clear_denominators(
+                [rows[i], rhs[i] if rhs else {}])
+            # the working row is (scale / content) times row i plus a
+            # combination of pivot rows
+            content = _divide_content(row, extra)
             while row:
                 c = min(row)
                 hit = self.pivots.get(c)
                 if hit is None:
-                    inv = ONE / row[c]
-                    self.pivots[c] = ({j: v * inv for j, v in row.items()},
-                                      {t: v * inv for t, v in extra.items()})
+                    _divide_content(row, extra)
+                    self.pivots[c] = (row, extra)
                     break
-                f = row[c]
-                _subtract_scaled(row, f, hit[0])
-                _subtract_scaled(extra, f, hit[1])
+                pivot, pivot_extra = hit
+                a, b = row[c], pivot[c]
+                g = gcd(a, b)
+                if g != 1:
+                    a, b = a // g, b // g
+                _eliminate(row, b, a, pivot)
+                if extra or pivot_extra:
+                    _eliminate(extra, b, a, pivot_extra)
+                scale *= b
             else:
-                self.residues[i] = extra
+                self.residues[i] = {t: Fraction(v * content, scale)
+                                    for t, v in extra.items()}
 
     @property
     def rank(self):
@@ -417,7 +533,7 @@ class Echelon:
 
     def _back_substitute(self, values, with_rhs):
         """Fill in values[c] for every pivot column c, highest first, from
-        its pivot row: x_c = rhs_c - sum over j > c of row[j] x_j.
+        its pivot row: x_c = (rhs_c - sum over j > c of row[j] x_j) / row[c].
 
         values maps a column to {index: Fraction}, one entry per kernel
         vector or right-hand side; a column missing from it is zero.
@@ -428,7 +544,8 @@ class Echelon:
             for j, v in row.items():
                 if j != c and j in values:
                     _subtract_scaled(acc, v, values[j])
-            values[c] = acc
+            p = row[c]
+            values[c] = {t: Fraction(v, p) for t, v in acc.items()}
         return values
 
     def _vectors(self, values, indices):
@@ -442,7 +559,7 @@ class Echelon:
 
 def echelon(m):
     """The sparse echelon form of a RationalMatrix."""
-    return Echelon(m.cols, m._sparse_rows)
+    return Echelon(m.cols, m._rows)
 
 
 def rank(m):
@@ -476,11 +593,21 @@ def solve(m, b):
     if isinstance(b, RationalMatrix):
         if b.rows != m.rows:
             raise ShapeError("rhs has %d rows vs %d" % (b.rows, m.rows))
-        return Echelon(m.cols, m._sparse_rows, b._sparse_rows).solutions(b.cols)
+        # m / dm x = b / db is (db m) x = dm b
+        rows = _scaled_rows(m._rows, b._den)
+        rhs = _scaled_rows(b._rows, m._den)
+        return Echelon(m.cols, rows, rhs).solutions(b.cols)
     if len(b) != m.rows:
         raise ShapeError("rhs length %d vs %d rows" % (len(b), m.rows))
-    rhs = [{0: Fraction(x)} if x else {} for x in b]
-    return Echelon(m.cols, m._sparse_rows, rhs).solutions(1)[0]
+    rhs = [{0: x * m._den} if x else {} for x in map(_exact, b)]
+    return Echelon(m.cols, m._rows, rhs).solutions(1)[0]
+
+
+def _scaled_rows(rows, factor):
+    """Int rows times an int factor; the rows themselves when it is 1."""
+    if factor == 1:
+        return rows
+    return [{j: v * factor for j, v in row.items()} for row in rows]
 
 
 class SparseColumns:

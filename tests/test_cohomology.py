@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -423,6 +423,38 @@ class TestDifferentialAssembly:
     def test_rebased_gl3_keeps_ranks(self):
         cx = ce_complex(rebased_adjoint(gl_adjoint(3), 7), 2)
         assert cx.ranks() == [8, 72, 252]
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_rebased_gl3_is_int_rows_over_n(self, seed):
+        """With rational constants, d_k is stored as int rows over the
+        common denominator N of the constants (or a divisor of it, once the
+        matrix is in canonical form), and those ints over it are the
+        Fraction assembly cell for cell."""
+        M = rebased_adjoint(gl_adjoint(3), seed)
+        constants = list(M.base.bracket.entries.values()) \
+            + list(M.action.entries.values())
+        N = M.cleared_constants()[0]
+        assert N == lcm(*(q.denominator for q in constants)) > 1
+        for k, m in enumerate(ce_complex(M, 2).matrices):
+            cells = dense_differential(M, k)
+            assert N % m._den == 0
+            assert all(type(v) is int and v
+                       for row in m._rows for v in row.values())
+            assert [[Fraction(row.get(j, 0), m._den) for j in range(m.cols)]
+                    for row in m._rows] == cells
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_rational_cochains_on_rational_constants(self, data):
+        # the push-forward clears the cochain's denominators and the
+        # constants' separately; the unshuffle form uses neither
+        M = rebased_adjoint(gl_adjoint(2), data.draw(st.integers(0, 50)))
+        L, B = M.base.space, M.space
+        degree = data.draw(st.integers(1, 3))
+        vec = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12)))
+               for _ in alt_basis(L, B, degree)]
+        f = AltCochain.from_vector(L, B, degree, vec)
+        assert ce_differential_unshuffle(f, M) == ce_differential(f, M)
 
 
 class TestInductionMatrix:

@@ -5,7 +5,8 @@ strips: a lint pass forbids assert statements in the package, and a
 subprocess replays bad inputs with and without -O.  Three more lint passes
 fail on imported names and on private module-level helpers the package
 never reads, and on functions, classes and methods that nothing in the
-package, its tests or its benchmark reads.
+package, its tests or its benchmark reads.  One more fails on any float
+literal or float(...) call in the package.
 """
 
 import ast
@@ -146,6 +147,30 @@ def test_every_definition_is_read():
     assert found == [], "definitions nothing reads: %s" % found
 
 
+def _float_uses(tree):
+    """Line numbers of float literals and float(...) calls under tree."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and type(node.value) is float)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float")]
+
+
+def test_package_has_no_floats():
+    # the arithmetic is exact: a float literal or a float(...) call in the
+    # package would put an inexact number into an answer
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), line)
+                     for line in _float_uses(tree))
+    assert found == [], "floats in the package: %s" % found
+
+
+def test_float_lint_sees_literals_and_calls():
+    tree = ast.parse("a = 1\nb = 0.5\nc = float(a)\nd = 1e3\ne = a / 2\n")
+    assert _float_uses(tree) == [2, 3, 4]
+
+
 BAD_INPUTS = """
 import json
 
@@ -153,9 +178,9 @@ from tdhom import corpus
 from tdhom.algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.cohomology import AltCochain
 from tdhom.convolution import HomElement, induced, matrix_units
-from tdhom.errors import MalformedInput, ParseError, ShapeError
+from tdhom.errors import MalformedInput, ParseError, ScalarError, ShapeError
 from tdhom.files import parse_structure
-from tdhom.linalg import BasedSpace, Permutation
+from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
 
 V = BasedSpace("V", ["x", "y"])
@@ -202,6 +227,10 @@ cases = [
     (ShapeError, lambda: AltCochain(V, W, 1, {}).sub(AltCochain(V, W, 2, {}))),
     (ParseError, lambda: parse_structure(sl2_with_domain_entry([1]))),
     (ParseError, lambda: parse_structure(sl2_with_domain_entry({"L": 1}))),
+    (ScalarError, lambda: RationalMatrix.from_rows([[0.1, 1]])),
+    (ScalarError, lambda: RationalMatrix.from_rows([["x"]])),
+    (ScalarError, lambda: RationalMatrix.zero(1, 1).set(0, 0, 0.5)),
+    (ScalarError, lambda: solve(RationalMatrix.identity(1), [0.1])),
 ]
 for pos, (error, case) in enumerate(cases):
     try:

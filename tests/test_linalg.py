@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdhom
-from tdhom.errors import InvalidPermutation, ShapeError
+from tdhom.errors import InvalidPermutation, ScalarError, ShapeError, TdhomError
 from tdhom.linalg import (
     Echelon,
     Permutation,
@@ -182,6 +183,31 @@ class TestElimination:
         assert x == [Fraction(4), Fraction(0)]
         assert solve(m, [Fraction(4)]) == x
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), 1j, Decimal("0.1"),
+                                     "x", "1/0", "", None, [1]])
+    def test_inexact_scalars_refused(self, bad):
+        # refused on every way in: constructors, set and a solve's list rhs
+        cases = [
+            lambda: RationalMatrix.from_rows([[bad, 1]]),
+            lambda: RationalMatrix(1, 2, [1, bad]),
+            lambda: RationalMatrix.from_columns(1, [[bad]]),
+            lambda: RationalMatrix.zero(1, 1).set(0, 0, bad),
+            lambda: solve(RationalMatrix.identity(1), [bad]),
+        ]
+        for case in cases:
+            with pytest.raises(ScalarError) as info:
+                case()
+            assert isinstance(info.value, TdhomError)
+
+    def test_exact_scalars_read_exactly(self):
+        m = RationalMatrix.from_rows([[1, Fraction(-2, 3), "5/7", "-4", True]])
+        assert m.row(0) == [Fraction(1), Fraction(-2, 3), Fraction(5, 7),
+                            Fraction(-4), Fraction(1)]
+        m.set(0, 0, "1/3")
+        assert m.get(0, 0) == Fraction(1, 3)
+        assert solve(RationalMatrix.identity(2), ["1/3", 2]) == [
+            Fraction(1, 3), Fraction(2)]
+
     def test_scalar_normalization_roundtrip(self):
         # Fraction is the Scalar type: lowest terms, positive denominator
         a = Fraction(2, -4)
@@ -224,15 +250,32 @@ class TestSparseColumns:
         assert len(basis) == 2
 
 
-def rationals(data, density):
+# entry sizes: small fractions; integers up to 10^12, which make the
+# fraction-free elimination remove content and grow coefficients; and
+# rationals with denominators up to 10^6, which a matrix clears to one
+# large common denominator
+SIZES = ("small", "big-int", "big-fraction")
+
+
+def rationals(data, density, size="small"):
     if data.draw(st.floats(0, 1)) >= density:
         return Fraction(0)
+    if size == "big-int":
+        return Fraction(data.draw(st.integers(-10 ** 12, 10 ** 12)))
+    if size == "big-fraction":
+        return Fraction(data.draw(st.integers(-10 ** 6, 10 ** 6)),
+                        data.draw(st.integers(1, 10 ** 6)))
     return Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4)))
 
 
-def draw_matrix(data, rows, cols, density):
-    return RationalMatrix(rows, cols, [rationals(data, density)
+def draw_matrix(data, rows, cols, density, size="small"):
+    return RationalMatrix(rows, cols, [rationals(data, density, size)
                                        for _ in range(rows * cols)])
+
+
+def all_fractions(values):
+    """Every value is a Fraction: never an int, never a float."""
+    return all(type(x) is Fraction for x in values)
 
 
 def flatten(cells):
@@ -248,7 +291,8 @@ class TestMatrixAgainstNestedLists:
         rows = data.draw(st.integers(0, 5), label="rows")
         cols = data.draw(st.integers(0, 5), label="cols")
         density = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="density")
-        cells = [[rationals(data, density) for _ in range(cols)]
+        size = data.draw(st.sampled_from(SIZES), label="size")
+        cells = [[rationals(data, density, size) for _ in range(cols)]
                  for _ in range(rows)]
         columns = [[cells[i][j] for i in range(rows)] for j in range(cols)]
         m = RationalMatrix(rows, cols, flatten(cells))
@@ -259,11 +303,15 @@ class TestMatrixAgainstNestedLists:
             assert (other.rows, other.cols) == (rows, cols)
             assert other == m
         assert m.entries == flatten(cells)
-        assert all(type(x) is Fraction for x in m.entries)
+        assert all_fractions(m.entries)
         assert [m.row(i) for i in range(rows)] == cells
         assert [m.column(j) for j in range(cols)] == columns
         assert all(m.get(i, j) == cells[i][j]
                    for i in range(rows) for j in range(cols))
+        assert all_fractions(x for i in range(rows) for x in m.row(i))
+        assert all_fractions(x for j in range(cols) for x in m.column(j))
+        assert all_fractions(m.get(i, j)
+                             for i in range(rows) for j in range(cols))
         is_zero = all(x == 0 for x in flatten(cells))
         assert m.is_zero() == is_zero
         assert (m == RationalMatrix.zero(rows, cols)) == is_zero
@@ -273,7 +321,7 @@ class TestMatrixAgainstNestedLists:
 
         # naive triple loop
         inner = data.draw(st.integers(0, 5), label="inner")
-        right = [[rationals(data, density) for _ in range(inner)]
+        right = [[rationals(data, density, size) for _ in range(inner)]
                  for _ in range(cols)]
         product = [[sum((cells[i][k] * right[k][j] for k in range(cols)),
                         Fraction(0))
@@ -281,6 +329,7 @@ class TestMatrixAgainstNestedLists:
         got = m.matmul(RationalMatrix(cols, inner, flatten(right)))
         assert (got.rows, got.cols) == (rows, inner)
         assert got.entries == flatten(product)
+        assert all_fractions(got.entries)
         assert got == RationalMatrix(rows, inner, flatten(product))
         assert got.is_zero() == all(x == 0 for x in flatten(product))
 
@@ -288,7 +337,7 @@ class TestMatrixAgainstNestedLists:
         for _ in range(data.draw(st.integers(0, 6)) if rows and cols else 0):
             i = data.draw(st.integers(0, rows - 1))
             j = data.draw(st.integers(0, cols - 1))
-            cells[i][j] = rationals(data, 0.5)
+            cells[i][j] = rationals(data, 0.5, size)
             m.set(i, j, cells[i][j])
             assert m.entries == flatten(cells)
             assert m == RationalMatrix(rows, cols, flatten(cells))
@@ -303,6 +352,33 @@ class TestMatrixAgainstNestedLists:
         m = RationalMatrix(1, 3, [0, 2, "1/3"])
         assert m.entries == [Fraction(0), Fraction(2), Fraction(1, 3)]
         assert m == RationalMatrix.from_columns(1, [[0], [2], [Fraction(1, 3)]])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_values_compare_equal(self, data):
+        """Matrices built from ints, from Fractions, from "p/q" strings and
+        from a product compare == exactly when their values agree."""
+        rows = data.draw(st.integers(0, 4), label="rows")
+        cols = data.draw(st.integers(0, 4), label="cols")
+        ints = [data.draw(st.integers(-10 ** 12, 10 ** 12)) for _ in range(rows * cols)]
+        d = data.draw(st.integers(1, 10 ** 6), label="denominator")
+        m = RationalMatrix(rows, cols, ints)
+        built = [
+            RationalMatrix(rows, cols, [Fraction(x) for x in ints]),
+            RationalMatrix(rows, cols, ["%d/1" % x for x in ints]),
+            # (m / d) (d I) and (d I) (m / d), through denominators d and d^2
+            RationalMatrix(rows, cols, [Fraction(x, d) for x in ints]).matmul(
+                RationalMatrix(cols, cols, [d * (i == j) for i in range(cols)
+                                            for j in range(cols)])),
+            RationalMatrix(rows, rows, [Fraction(d) * (i == j) for i in range(rows)
+                                        for j in range(rows)]).matmul(
+                RationalMatrix(rows, cols, [Fraction(x, d) for x in ints])),
+        ]
+        for other in built:
+            assert other == m and m == other
+            assert other.entries == m.entries
+        halved = RationalMatrix(rows, cols, [Fraction(x, 2) for x in ints])
+        assert (halved == m) == all(x == 0 for x in ints)
 
     def test_product_drops_cancelled_entries(self):
         m = RationalMatrix.from_rows([[1, 1], [2, 0]])
@@ -325,40 +401,58 @@ class TestEchelonAgainstDenseOracle:
         rows = data.draw(st.integers(0, 7), label="rows")
         cols = data.draw(st.integers(0, 7), label="cols")
         density = data.draw(st.sampled_from([0.15, 0.4, 1.0]), label="density")
-        m = draw_matrix(data, rows, cols, density)
+        size = data.draw(st.sampled_from(SIZES), label="size")
+        m = draw_matrix(data, rows, cols, density, size)
 
         pivots = oracle_pivot_columns(m)
         assert rank(m) == len(pivots)
         assert pivot_columns(m) == pivots
-        assert kernel_basis(m) == oracle_kernel_basis(m)
+        kernel = kernel_basis(m)
+        assert kernel == oracle_kernel_basis(m)
+        assert all(all_fractions(v) for v in kernel)
 
         # consistent: b = m x; arbitrary: often inconsistent when rank < rows
-        x = [rationals(data, density) for _ in range(cols)]
+        x = [rationals(data, density, size) for _ in range(cols)]
         consistent = [sum((m.get(i, j) * x[j] for j in range(cols)), Fraction(0))
                       for i in range(rows)]
-        arbitrary = [rationals(data, density) for _ in range(rows)]
+        arbitrary = [rationals(data, density, size) for _ in range(rows)]
         for b in (consistent, arbitrary):
-            assert solve(m, b) == oracle_solve(m, b)
+            got = solve(m, b)
+            assert got == oracle_solve(m, b)
+            assert got is None or all_fractions(got)
         assert solve(m, consistent) is not None
 
-        # one batched elimination equals the single solves one by one
+        # one batched elimination equals the single solves one by one, and
+        # right-hand sides given as ints or as "p/q" strings solve alike
         rhs = [consistent, arbitrary, [Fraction(0)] * rows]
         batch = RationalMatrix(rows, len(rhs),
                                [b[i] for i in range(rows) for b in rhs])
-        assert solve(m, batch) == [solve(m, b) for b in rhs]
+        solutions = solve(m, batch)
+        assert solutions == [solve(m, b) for b in rhs]
+        assert all(all_fractions(v) for v in solutions if v is not None)
+        assert solve(m, [str(q) for q in arbitrary]) == solve(m, arbitrary)
+        scaled = [q * 10 ** 6 for q in consistent]
+        if all(q.denominator == 1 for q in scaled):
+            assert solve(m, [int(q) for q in scaled]) == \
+                [q * 10 ** 6 for q in solve(m, consistent)]
 
         # with rhs[i] = {i: 1}, the residue of each dependent row writes it
-        # in the pivot rows
+        # in the pivot rows; Fraction rows and the int rows the matrix
+        # stores give the same residues
         row_dicts = [{j: m.get(i, j) for j in range(cols) if m.get(i, j)}
                      for i in range(rows)]
         ech = Echelon(cols, row_dicts, [{i: Fraction(1)} for i in range(rows)])
         assert len(ech.residues) == rows - len(pivots)
         for i, residue in ech.residues.items():
             assert residue[i] == 1
+            assert all_fractions(residue.values())
             assert all(sum((a * m.get(r, j) for r, a in residue.items()),
                            Fraction(0)) == 0 for j in range(cols))
+        stored = Echelon(cols, m._rows, [{i: 1} for i in range(rows)])
+        assert stored.residues == ech.residues
+        assert stored.pivot_columns() == pivots
 
-        other = draw_matrix(data, cols, data.draw(st.integers(0, 4)), density)
+        other = draw_matrix(data, cols, data.draw(st.integers(0, 4)), density, size)
         expected = [sum((m.get(i, k) * other.get(k, j) for k in range(cols)),
                         Fraction(0))
                     for i in range(rows) for j in range(other.cols)]
@@ -368,14 +462,17 @@ class TestEchelonAgainstDenseOracle:
     @settings(max_examples=60, deadline=None)
     def test_sparse_columns_match_oracle(self, data):
         ncols = data.draw(st.integers(0, 6))
+        size = data.draw(st.sampled_from(SIZES), label="size")
         sc = SparseColumns(ncols)
         for _ in range(data.draw(st.integers(0, 20)) if ncols else 0):
             sc.add(data.draw(st.integers(0, ncols - 1)),
                    ("r", data.draw(st.integers(0, 8))),
-                   Fraction(data.draw(st.integers(-3, 3))))
+                   rationals(data, 0.8, size))
         _, m = sc.to_dense()
         assert sc.rank() == len(oracle_pivot_columns(m))
-        assert sc.kernel_basis() == oracle_kernel_basis(m)
+        kernel = sc.kernel_basis()
+        assert kernel == oracle_kernel_basis(m)
+        assert all(all_fractions(v) for v in kernel)
 
     def test_inconsistent_batch_column_is_none(self):
         m = RationalMatrix.from_rows([[1, 1], [2, 2], [0, 0]])
