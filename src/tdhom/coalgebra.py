@@ -7,11 +7,10 @@ never need one, and the exterior-square example admits none.
 """
 
 import itertools
-from fractions import Fraction
 
 from .checks import CheckResult, Witness
 from .errors import AxiomError, MalformedInput
-from .linalg import ZERO, BasedSpace
+from .linalg import ONE, ZERO, BasedSpace, _fraction
 
 COCOMMUTATIVE = "cocommutative"
 SKEW_COCOMMUTATIVE = "skew_cocommutative"
@@ -33,7 +32,7 @@ class Coalgebra:
                         "coproduct index %d out of range for %s (dim %d)"
                         % (idx, space.name, space.dim))
             key = (i, j, k)
-            table[key] = table.get(key, ZERO) + Fraction(q)
+            table[key] = table.get(key, ZERO) + _fraction(q)
         self.space = space
         self.coproduct = {key: q for key, q in table.items() if q}
         self._splits = {}
@@ -65,7 +64,7 @@ class Coalgebra:
         if n in self._iterated:
             return self._iterated[n]
         if n == 1:
-            terms = {i: [((i,), Fraction(1))] for i in range(self.dim)}
+            terms = {i: [((i,), ONE)] for i in range(self.dim)}
         else:
             prev = self.iterated_terms(n - 1)
             terms = {}

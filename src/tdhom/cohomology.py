@@ -45,6 +45,7 @@ from .linalg import (
     RationalMatrix,
     SparseColumns,
     SparseTable,
+    _fraction,
     clear_denominators,
     kernel_basis,
     rank,
@@ -122,7 +123,7 @@ class AltCochain(SparseTable):
             if not 0 <= o < out_dim:
                 raise ShapeError("output index %d out of range" % o)
             if type(q) is not Fraction:
-                q = Fraction(q)
+                q = _fraction(q)
             if q:
                 table[key] = q
         self.lie_space = lie_space

@@ -21,7 +21,6 @@ failing identity, and the test oracle for the unmaterialized form.
 
 import itertools
 import os
-from fractions import Fraction
 
 from .checks import CheckResult, Witness
 from .errors import GuardError, MalformedInput, ShapeError, TdhomError
@@ -31,6 +30,7 @@ from .linalg import (
     Echelon,
     Permutation,
     SparseTable,
+    _fraction,
     all_permutations,
     gather,
     tensor_space,
@@ -84,8 +84,8 @@ class HomElement(SparseTable):
                 raise MalformedInput(
                     "entry (%d, %d) out of range for a %dx%d Hom element"
                     % (t, c, target.dim, source.dim))
-            q = Fraction(q)
-            if q != 0:
+            q = _fraction(q)
+            if q:
                 table[(t, c)] = q
         self.source = source
         self.target = target
@@ -93,7 +93,7 @@ class HomElement(SparseTable):
 
     @classmethod
     def matrix_unit(cls, source, target, t, c):
-        return cls(source, target, {(t, c): Fraction(1)})
+        return cls(source, target, {(t, c): ONE})
 
     @classmethod
     def zero(cls, source, target):
@@ -156,7 +156,7 @@ def interchange(fs):
         flat = 0
         for (tc, _q), d in zip(combo, dims):
             flat = flat * d + tc[0]
-        coeff = Fraction(1)
+        coeff = ONE
         for _tc, q in combo:
             coeff *= q
         key = (cs, flat)
@@ -327,7 +327,7 @@ def _map_sum(psi, other):
               for a, b in zip(psi.domain, other.domain)]
     codomain = psi.codomain if psi.codomain.dim >= other.codomain.dim \
         else other.codomain
-    return MultilinearMap(domain, codomain, table)
+    return MultilinearMap._trusted(domain, codomain, table)
 
 
 class MaterializedOperator(SparseTable):

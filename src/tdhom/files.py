@@ -36,7 +36,7 @@ from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
 from .errors import MalformedInput, ParseError
-from .linalg import BasedSpace
+from .linalg import ZERO, BasedSpace
 from .maps import MultilinearMap
 
 FORMAT_TAG = "tdhom/1"
@@ -132,7 +132,7 @@ def _parse_map(entry, spaces, path):
         o = _index(out, codomain.dim, here)
         q = _scalar(raw_q, here)
         key = (tup, o)
-        table[key] = table.get(key, Fraction(0)) + q
+        table[key] = table.get(key, ZERO) + q
     table = {k: v for k, v in table.items() if v != 0}
     return name, MultilinearMap(tuple(domain), codomain, table)
 
@@ -229,7 +229,7 @@ def _parse_role(doc, role, spaces, check):
                 _fail(here, "expected [target, source, coefficient]")
             t, c, raw_q = row
             key = (_index(t, target.dim, here), _index(c, C.dim, here))
-            entries[key] = entries.get(key, Fraction(0)) + _scalar(raw_q, here)
+            entries[key] = entries.get(key, ZERO) + _scalar(raw_q, here)
         return HomElement(C, target, entries)
 
     if role == "multilinear":
@@ -287,16 +287,12 @@ def _parse_role(doc, role, spaces, check):
     raise AssertionError(role)
 
 
-def _format_scalar(q):
-    return str(Fraction(q))
-
-
 def _space_doc(space):
     return {"name": space.name, "labels": list(space.labels)}
 
 
 def _map_doc(name, m):
-    entries = sorted(((list(tup), out, _format_scalar(q))
+    entries = sorted(((list(tup), out, str(q))
                       for (tup, out), q in m.entries.items()),
                      key=lambda row: (row[0], row[1]))
     return {
@@ -308,7 +304,7 @@ def _map_doc(name, m):
 
 
 def _coproduct_doc(C):
-    entries = sorted([i, j, k, _format_scalar(q)]
+    entries = sorted([i, j, k, str(q)]
                      for (i, j, k), q in C.coproduct.items())
     return {"space": C.space.name, "entries": entries}
 
@@ -345,7 +341,7 @@ def serialize_structure(obj, name=None):
         doc["coproduct"] = _coproduct_doc(obj.source)
         doc["matrix"] = {
             "target": obj.target.name,
-            "entries": sorted([t, c, _format_scalar(q)]
+            "entries": sorted([t, c, str(q)]
                               for (t, c), q in obj.entries.items()),
         }
     elif isinstance(obj, LieAlgebra):

@@ -29,8 +29,8 @@ from math import gcd, lcm
 
 from .errors import InvalidPermutation, ScalarError, ShapeError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = Fraction(0, 1)
+ONE = Fraction(1, 1)
 
 
 def _exact(x):
@@ -45,6 +45,13 @@ def _exact(x):
         except (ValueError, ZeroDivisionError):
             pass
     raise ScalarError("not an exact rational scalar: %r" % (x,))
+
+
+def _fraction(x):
+    """x read by _exact, as a Fraction: how the tables of maps, Hom
+    elements, coproducts and cochains take a caller's scalar."""
+    x = _exact(x)
+    return x if type(x) is Fraction else Fraction(x, 1)
 
 
 def clear_denominators(tables):

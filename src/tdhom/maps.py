@@ -3,36 +3,63 @@
 A map V_1 (x) ... (x) V_n -> W is a dict from (input index tuple, output
 index) to a nonzero Fraction.  Everything downstream (brackets, actions,
 coproduct composites, cochains) is one of these.
+
+The public constructor is the one place where a table is checked: every
+index must be an int (not a bool) in the range of its space, and every
+scalar an exact rational, so a float raises ScalarError.  Arithmetic on
+maps (add, sub, scale, precompose_perm, compose_at, and the part sums
+of convolution) builds its result through _trusted, unchecked, since the
+operands were checked already; compose_at sums in ints over the tables'
+common denominator.  Stored tables hold no zero, so first_difference
+decides equality by comparing tables and subtracts only unequal maps.
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, scatter
+from .linalg import ZERO, SparseTable, _fraction, clear_denominators, scatter
+
+
+def _check_index(i, dim, role, space):
+    if type(i) is not int:
+        raise MalformedInput("%s index %r for %s is not an integer"
+                             % (role, i, space.name))
+    if not 0 <= i < dim:
+        raise MalformedInput("%s index %d out of range for %s" % (role, i, space.name))
 
 
 class MultilinearMap(SparseTable):
     def __init__(self, domain, codomain, entries):
         domain = tuple(domain)
+        dims = tuple(space.dim for space in domain)
+        out_dim = codomain.dim
         table = {}
         for key, value in dict(entries).items():
             tup, out = key
             tup = tuple(tup)
-            if len(tup) != len(domain):
+            if len(tup) != len(dims):
                 raise ShapeError("input tuple %r has wrong arity" % (tup,))
-            for i, space in zip(tup, domain):
-                if not 0 <= i < space.dim:
-                    raise MalformedInput("input index %d out of range for %s" % (i, space.name))
-            if not 0 <= out < codomain.dim:
-                raise MalformedInput("output index %d out of range for %s" % (out, codomain.name))
-            value = Fraction(value)
-            if value != 0:
+            for i, dim, space in zip(tup, dims, domain):
+                _check_index(i, dim, "input", space)
+            _check_index(out, out_dim, "output", codomain)
+            value = _fraction(value)
+            if value:
                 table[(tup, out)] = value
         self.domain = domain
         self.codomain = codomain
         self.entries = table
         self._by_input = None
-        self._by_output = None
+
+    @classmethod
+    def _trusted(cls, domain, codomain, table):
+        """A map on a table of in-range keys and Fraction values, such as
+        arithmetic on checked maps builds: only its zeros are dropped."""
+        m = cls.__new__(cls)
+        m.domain = tuple(domain)
+        m.codomain = codomain
+        m.entries = {key: q for key, q in table.items() if q}
+        m._by_input = None
+        return m
 
     @classmethod
     def zero(cls, domain, codomain):
@@ -55,17 +82,6 @@ class MultilinearMap(SparseTable):
                 self._by_input.setdefault(tup, {})[o] = q
         return self._by_input
 
-    def by_output(self):
-        """The entries grouped by output: {output: {tuple: Fraction}}.
-
-        Cached like by_input.
-        """
-        if self._by_output is None:
-            self._by_output = {}
-            for (tup, o), q in self.entries.items():
-                self._by_output.setdefault(o, {})[tup] = q
-        return self._by_output
-
     def apply_basis(self, tup):
         """Value on a basis tuple, as a sparse {output index: Fraction} dict."""
         if len(tup) != self.arity:
@@ -76,7 +92,7 @@ class MultilinearMap(SparseTable):
         return self.entries.get((tuple(tup), out), ZERO)
 
     def _like(self, table):
-        return MultilinearMap(self.domain, self.codomain, table)
+        return MultilinearMap._trusted(self.domain, self.codomain, table)
 
     def _check_compatible(self, other):
         if self.domain != other.domain or self.codomain is not other.codomain:
@@ -90,7 +106,7 @@ class MultilinearMap(SparseTable):
         table = {}
         for (tup, out), q in self.entries.items():
             table[(scatter(p, tup), out)] = q
-        return MultilinearMap(scatter(p, self.domain), self.codomain, table)
+        return MultilinearMap._trusted(scatter(p, self.domain), self.codomain, table)
 
     def compose_at(self, inner, slot):
         """self . (1 x .. x inner x .. x 1) with inner feeding slot (0-based)."""
@@ -101,13 +117,23 @@ class MultilinearMap(SparseTable):
                 "codomain %s does not fit slot %d (%s)"
                 % (inner.codomain.name, slot, self.domain[slot].name))
         domain = self.domain[:slot] + inner.domain + self.domain[slot + 1:]
-        table = {}
-        feeding = inner.by_output()
-        for (tup, out), q in self.entries.items():
-            for itup, p in feeding.get(tup[slot], {}).items():
-                key = (tup[:slot] + itup + tup[slot + 1:], out)
-                table[key] = table.get(key, ZERO) + q * p
-        return MultilinearMap(domain, self.codomain, table)
+        # the sums run in ints over the common denominator of both tables
+        (outer, feed), den = clear_denominators([self.entries, inner.entries])
+        feeding = {}
+        for (itup, o), p in feed.items():
+            feeding.setdefault(o, []).append((itup, p))
+        acc = {}
+        for (tup, out), q in outer.items():
+            fed = feeding.get(tup[slot])
+            if fed is None:
+                continue
+            head, tail = tup[:slot], tup[slot + 1:]
+            for itup, p in fed:
+                key = (head + itup + tail, out)
+                acc[key] = acc.get(key, 0) + q * p
+        den *= den
+        table = {key: Fraction(v, den) for key, v in acc.items() if v}
+        return MultilinearMap._trusted(domain, self.codomain, table)
 
     def __eq__(self, other):
         return (
@@ -136,11 +162,13 @@ def first_difference(f, g):
     """Lexicographically first (input tuple, residual) where f and g differ.
 
     Returns None when equal.  Residual is a sorted tuple of
-    (output index, Fraction) pairs.
+    (output index, Fraction) pairs.  Stored tables hold no zero, so equal
+    maps have equal tables; only unequal ones are subtracted.
     """
-    diff = f.sub(g)
-    if diff.is_zero():
+    f._check_compatible(g)
+    if f.entries == g.entries:
         return None
+    diff = f.sub(g)
     tuples = sorted({tup for (tup, _out) in diff.entries})
     first = tuples[0]
     residual = tuple(sorted((out, q) for (tup, out), q in diff.entries.items() if tup == first))

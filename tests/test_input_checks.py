@@ -171,11 +171,57 @@ def test_float_lint_sees_literals_and_calls():
     assert _float_uses(tree) == [2, 3, 4]
 
 
+# the two functions that turn a caller's scalar into a Fraction: linalg._exact
+# refuses floats with ScalarError, files._scalar takes only strings
+FRACTION_READERS = {("linalg.py", "_exact"), ("files.py", "_scalar")}
+
+
+def _one_argument_fractions(name, tree, readers=FRACTION_READERS):
+    """Line numbers of Fraction(x) calls with one argument under tree,
+    outside the module-level functions (name, function) in readers.
+    Fraction(x) takes a float as its binary value; Fraction(p, q) refuses
+    one with TypeError."""
+    skip = set()
+    for fn in tree.body:
+        if (name, getattr(fn, "name", None)) in readers:
+            skip.update(id(node) for node in ast.walk(fn))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in skip
+            and (getattr(node.func, "id", None) == "Fraction"
+                 or getattr(node.func, "attr", None) == "Fraction")
+            and len(node.args) + len(node.keywords) == 1]
+
+
+def test_package_reads_scalars_through_exact():
+    # a scalar coerced with Fraction(x) anywhere else would turn 0.1 into
+    # 3602879701896397/36028797018963968 instead of raising ScalarError
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), line)
+                     for line in _one_argument_fractions(path.name, tree))
+    assert found == [], "Fraction(x) outside linalg._exact: %s" % found
+
+
+def test_fraction_lint_sees_one_argument_calls():
+    tree = ast.parse(
+        "a = Fraction(1)\n"
+        "b = Fraction(1, 2)\n"
+        "c = fractions.Fraction(a)\n"
+        "d = Fraction(numerator=a)\n"
+        "e = Fraction()\n"
+        "def _exact(x):\n"
+        "    return Fraction(x)\n")
+    assert _one_argument_fractions("linalg.py", tree) == [1, 3, 4]
+    assert _one_argument_fractions("maps.py", tree) == [1, 3, 4, 7]
+
+
 BAD_INPUTS = """
 import json
 
 from tdhom import corpus
 from tdhom.algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
+from tdhom.coalgebra import Coalgebra
 from tdhom.cohomology import AltCochain
 from tdhom.convolution import HomElement, induced, matrix_units
 from tdhom.errors import MalformedInput, ParseError, ScalarError, ShapeError
@@ -231,6 +277,13 @@ cases = [
     (ScalarError, lambda: RationalMatrix.from_rows([["x"]])),
     (ScalarError, lambda: RationalMatrix.zero(1, 1).set(0, 0, 0.5)),
     (ScalarError, lambda: solve(RationalMatrix.identity(1), [0.1])),
+    (ScalarError, lambda: MultilinearMap([V], V, {((0,), 1): 0.1})),
+    (ScalarError, lambda: HomElement(t2, sl2.space, {(0, 0): 0.1})),
+    (ScalarError, lambda: Coalgebra(V, [(0, 0, 0, 0.5)])),
+    (ScalarError, lambda: AltCochain(V, W, 1, {((0,), 0): 0.5})),
+    (MalformedInput, lambda: MultilinearMap([V], V, {((0.5,), 0): 1})),
+    (MalformedInput, lambda: MultilinearMap([V], V, {((True,), 0): 1})),
+    (MalformedInput, lambda: MultilinearMap([V], V, {((0,), 1.0): 1})),
 ]
 for pos, (error, case) in enumerate(cases):
     try:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom.errors import MalformedInput, ShapeError
+from tdhom.convolution import _map_sum
+from tdhom.errors import MalformedInput, ScalarError, ShapeError
 from tdhom.linalg import BasedSpace, Permutation, all_permutations
 from tdhom.maps import MultilinearMap, first_difference, is_skew, map_identity_check
 
@@ -31,6 +32,15 @@ class TestBasics:
             MultilinearMap((L,), L, {((5,), 0): Fraction(1)})
         with pytest.raises(ShapeError):
             MultilinearMap((L,), L, {((0, 0), 0): Fraction(1)})
+        for key in (((0.5,), 0), ((True,), 0), ((0,), 1.0), ((0,), False),
+                    ((-1,), 0), (("0",), 0)):
+            with pytest.raises(MalformedInput):
+                MultilinearMap((L,), L, {key: Fraction(1)})
+
+    def test_rejects_inexact_scalars(self):
+        for q in (0.1, 1.0, None, "x", complex(1, 0)):
+            with pytest.raises(ScalarError):
+                MultilinearMap((L,), L, {((0,), 1): q})
 
     def test_zero_and_arith(self):
         z = MultilinearMap.zero((L, L), L)
@@ -59,10 +69,10 @@ class TestIndexes:
         for tup in product(range(L.dim), repeat=arity):
             scan = {o: q for (k, o), q in m.entries.items() if k == tup}
             assert m.apply_basis(tup) == scan
-        regrouped = {(tup, o): q for o, group in m.by_output().items()
-                     for tup, q in group.items()}
+        regrouped = {(tup, o): q for tup, group in m.by_input().items()
+                     for o, q in group.items()}
         assert regrouped == m.entries
-        assert all(m.by_output().values())
+        assert all(m.by_input().values())
 
     def test_apply_basis_returns_a_copy(self):
         m = random_map({((0, 1), 2): Fraction(2)}, 2)
@@ -143,3 +153,117 @@ class TestSkew:
         assert not result.ok
         assert result.witness.args == ("e", "f")
         assert result.witness.residual == (("h", Fraction(1)),)
+
+
+M = BasedSpace("M", ("u", "v"))
+
+# few distinct values, so that sums and compositions cancel often
+VALUES = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2),
+                          Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def maps_on(draw, domain, codomain):
+    idx = st.tuples(*[st.integers(0, s.dim - 1) for s in domain])
+    key = st.tuples(idx, st.integers(0, codomain.dim - 1))
+    entries = draw(st.dictionaries(key, VALUES, max_size=10))
+    return MultilinearMap(domain, codomain, entries)
+
+
+def assert_checked_form(r):
+    """r is what the checked constructor makes of its own table."""
+    checked = MultilinearMap(r.domain, r.codomain, r.entries)
+    assert checked.domain == r.domain and checked.codomain is r.codomain
+    assert checked.entries == r.entries
+    assert all(r.entries.values())
+    assert all(type(q) is Fraction for q in r.entries.values())
+
+
+def fraction_compose_at(outer, inner, slot):
+    """compose_at's table summed in Fractions, as before it ran in ints."""
+    table = {}
+    for (tup, out), q in outer.entries.items():
+        for (itup, o), p in inner.entries.items():
+            if o == tup[slot]:
+                key = (tup[:slot] + itup + tup[slot + 1:], out)
+                table[key] = table.get(key, Fraction(0)) + q * p
+    return {key: q for key, q in table.items() if q}
+
+
+def sub_then_scan(f, g):
+    """first_difference as it was: subtract, then scan the difference."""
+    diff = f.sub(g)
+    if diff.is_zero():
+        return None
+    first = min(tup for (tup, _out) in diff.entries)
+    return first, tuple(sorted((out, q) for (tup, out), q in diff.entries.items()
+                               if tup == first))
+
+
+class TestTrustedResults:
+    """Arithmetic builds its results without the constructor's checks; each
+    result must be exactly what the checked constructor would build."""
+
+    @given(maps_on((L, M), L), maps_on((M,), M), maps_on((L, L), M), st.data())
+    @settings(max_examples=80)
+    def test_compose_at(self, outer, inner, inner2, data):
+        for slot, feed in ((1, inner), (1, inner2)):
+            r = outer.compose_at(feed, slot)
+            assert_checked_form(r)
+            assert r.entries == fraction_compose_at(outer, feed, slot)
+        square = data.draw(maps_on((L, L), L))
+        slot = data.draw(st.integers(0, 1))
+        r = square.compose_at(square, slot)
+        assert_checked_form(r)
+        assert r.entries == fraction_compose_at(square, square, slot)
+
+    @given(maps_on((L, M, L), L), st.sampled_from(all_permutations(3)))
+    @settings(max_examples=50)
+    def test_precompose_perm(self, m, p):
+        assert_checked_form(m.precompose_perm(p))
+
+    @given(maps_on((L, M), L), maps_on((L, M), L),
+           st.sampled_from([0, 1, -1, 3, Fraction(-2, 3), "3/4"]))
+    @settings(max_examples=80)
+    def test_add_sub_scale(self, f, g, q):
+        for r in (f.add(g), f.sub(g), f.scale(q), f.sub(f), f.add(f.scale(-1))):
+            assert_checked_form(r)
+
+    @given(maps_on((L, L), L), maps_on((L, L), L))
+    @settings(max_examples=50)
+    def test_map_sum(self, f, g):
+        r = _map_sum(f, g)
+        assert_checked_form(r)
+        assert r.entries == f.add(g).entries
+        r = _map_sum(f, f.scale(-1))
+        assert_checked_form(r)
+        assert r.is_zero()
+
+    def test_checked_constructor_stores_fractions(self):
+        m = MultilinearMap((L,), L, {((0,), 1): 2, ((1,), 1): "1/3", ((2,), 0): 0})
+        assert m.entries == {((0,), 1): Fraction(2), ((1,), 1): Fraction(1, 3)}
+        assert all(type(q) is Fraction for q in m.entries.values())
+
+
+class TestFirstDifference:
+    @given(maps_on((L, M), L), maps_on((L, M), L))
+    @settings(max_examples=80)
+    def test_unequal_pairs_match_sub_then_scan(self, f, g):
+        assert first_difference(f, g) == sub_then_scan(f, g)
+        assert first_difference(g, f) == sub_then_scan(g, f)
+
+    @given(maps_on((L, M), L), maps_on((L, M), L))
+    @settings(max_examples=50)
+    def test_equal_pairs_built_differently(self, f, g):
+        # the same map reached through another table, and a rebuilt copy
+        for same in (f.add(g).sub(g), f.scale(-1).scale(-1),
+                     MultilinearMap(f.domain, f.codomain, dict(f.entries))):
+            assert first_difference(f, same) is None
+            assert sub_then_scan(f, same) is None
+
+    def test_incompatible_maps_still_refused(self):
+        f = random_map({((0, 1), 2): Fraction(1)}, 2)
+        with pytest.raises(ShapeError):
+            first_difference(f, MultilinearMap.zero((L, M), L))
+        with pytest.raises(ShapeError):
+            first_difference(f, MultilinearMap.zero((L, L), M))
