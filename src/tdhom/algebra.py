@@ -5,9 +5,16 @@ check=False to build a deliberately broken structure (the test suite and the
 CLI's unsafe flag need that).  Checkers verify identities on every basis
 tuple, with the permutations written out, and report the lexicographically
 first failing tuple.
+
+Results are kept.  A structure's maps are never reassigned after
+construction, so check_lie, check_module and check_poisson decide once per
+structure and keep the result on it: the construction-time check fills the
+slot, and every later call (a verify entry, a twisted checker's
+precondition) returns the kept result.  A structure built with check=False
+decides on first use.
 """
 
-from .checks import combine
+from .checks import combine, decided_once
 from .errors import AxiomError, ShapeError
 from .linalg import Permutation, clear_denominators, table_sum
 from .maps import map_identity_check
@@ -126,10 +133,12 @@ def jacobi_check(bracket):
     return map_identity_check("jacobi", total, total.scale(0))
 
 
+@decided_once
 def check_lie(L):
     return combine("lie", [skew_symmetry_check(L.bracket), jacobi_check(L.bracket)])
 
 
+@decided_once
 def check_module(M):
     """action(bracket x 1) = action(1 x action) - action(1 x action) . swap."""
     lhs = M.action.compose_at(M.base.bracket, 0)
@@ -161,6 +170,7 @@ def leibniz_check(bracket, product):
     return map_identity_check("leibniz", lhs, rhs)
 
 
+@decided_once
 def check_poisson(P):
     return combine("poisson", [
         skew_symmetry_check(P.bracket),

@@ -4,6 +4,7 @@ Witnesses always carry the lexicographically first failing basis tuple and the
 nonzero residual, so failure messages are stable across runs.
 """
 
+import functools
 from dataclasses import dataclass
 
 
@@ -43,3 +44,22 @@ def combine(name, results):
         if not r.ok:
             return CheckResult(name, False, r.witness, detail=r.name)
     return CheckResult(name, True, detail="%d checks" % len(results))
+
+
+def decided_once(decide):
+    """The checker decide(structure), deciding once per structure: the
+    result is kept on the structure, keyed by the checker, so a Poisson
+    algebra asked for check_lie keeps a "lie" result beside its "poisson"
+    one.  Sound because no structure's maps are reassigned after
+    construction.  The call goes through the returned checker's
+    __wrapped__, so a test can count the decisions."""
+    key = decide.__name__
+
+    @functools.wraps(decide)
+    def checker(structure):
+        kept = vars(structure).setdefault("_decided", {})
+        if key not in kept:
+            kept[key] = checker.__wrapped__(structure)
+        return kept[key]
+
+    return checker

@@ -8,9 +8,10 @@ never need one, and the exterior-square example admits none.
 
 import itertools
 
-from .checks import CheckResult, Witness
-from .errors import AxiomError, MalformedInput
+from .checks import CheckResult, Witness, decided_once
+from .errors import AxiomError
 from .linalg import ONE, ZERO, BasedSpace, _fraction
+from .maps import _check_index
 
 COCOMMUTATIVE = "cocommutative"
 SKEW_COCOMMUTATIVE = "skew_cocommutative"
@@ -27,10 +28,7 @@ class Coalgebra:
             items = list(coproduct)
         for i, j, k, q in items:
             for idx in (i, j, k):
-                if not 0 <= idx < space.dim:
-                    raise MalformedInput(
-                        "coproduct index %d out of range for %s (dim %d)"
-                        % (idx, space.name, space.dim))
+                _check_index(idx, space.dim, "coproduct", space)
             key = (i, j, k)
             table[key] = table.get(key, ZERO) + _fraction(q)
         self.space = space
@@ -84,6 +82,7 @@ class Coalgebra:
         return "Coalgebra(%s, %d splits)" % (self.space.name, len(self.coproduct))
 
 
+@decided_once
 def check_coassociativity(C):
     """Compare both triple coproducts exactly; witness on first mismatch."""
     diff = {}

@@ -23,7 +23,7 @@ import itertools
 import os
 
 from .checks import CheckResult, Witness
-from .errors import GuardError, MalformedInput, ShapeError, TdhomError
+from .errors import GuardError, ShapeError, TdhomError
 from .linalg import (
     ONE,
     ZERO,
@@ -35,7 +35,7 @@ from .linalg import (
     gather,
     tensor_space,
 )
-from .maps import MultilinearMap
+from .maps import MultilinearMap, _check_index
 
 DEFAULT_GUARD_LIMIT = 20000
 
@@ -80,10 +80,8 @@ class HomElement(SparseTable):
                        for c, q in enumerate(row)}
         table = {}
         for (t, c), q in entries.items():
-            if not (0 <= t < target.dim and 0 <= c < source.dim):
-                raise MalformedInput(
-                    "entry (%d, %d) out of range for a %dx%d Hom element"
-                    % (t, c, target.dim, source.dim))
+            _check_index(t, target.dim, "target", target)
+            _check_index(c, source.dim, "source", source.space)
             q = _fraction(q)
             if q:
                 table[(t, c)] = q

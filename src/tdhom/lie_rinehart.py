@@ -21,7 +21,7 @@ from .algebra import (
     check_lie,
     check_module,
 )
-from .checks import CheckResult, combine
+from .checks import CheckResult, combine, decided_once
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
     check_materialization_size,
@@ -46,7 +46,9 @@ from .maps import map_identity_check
 
 class LieRinehartPair:
     """bracket: L,L -> L; product: B,B -> B; action: L,B -> B;
-    bmodule: B,L -> L."""
+    bmodule: B,L -> L.  lie (L with its bracket) and ring_module (L acting
+    on the ring B) are built once, unchecked, so the results their checkers
+    keep last as long as the pair."""
 
     def __init__(self, lie_space, ring_space, bracket, product, action,
                  bmodule, check=True, name=""):
@@ -69,15 +71,13 @@ class LieRinehartPair:
         self.action = action
         self.bmodule = bmodule
         self.name = name
+        self.lie = LieAlgebra(lie_space, bracket, check=False, name=name)
+        self.ring_module = LieModule(self.lie, ring_space, action, check=False,
+                                     name="%s-ring" % name)
         if check:
             result = check_lr(self)
             if not result:
                 raise AxiomError("pair axioms fail: " + result.describe(), result)
-
-    @property
-    def lie(self):
-        return LieAlgebra(self.lie_space, self.bracket, check=False,
-                          name=self.name)
 
 
 def _derivation_check(pair):
@@ -142,21 +142,15 @@ def _forms_agree_check(pair):
                               transported)
 
 
-def _ring_module(pair):
-    """L acting on the ring B, unchecked."""
-    return LieModule(pair.lie, pair.ring_space, pair.action, check=False,
-                     name="%s-ring" % pair.name)
-
-
+@decided_once
 def check_lr(pair):
     """Every classical pair axiom, one witness-carrying result per axiom."""
-    module = _ring_module(pair)
     return combine("lie-rinehart", [
-        check_lie(module.base),
+        check_lie(pair.lie),
         check_associative(pair.product),
         check_commutative(pair.product),
         _bmodule_assoc_check(pair),
-        check_module(module),
+        check_module(pair.ring_module),
         _derivation_check(pair),
         _linearity_check(pair),
         _leibniz_check(pair),
@@ -167,8 +161,7 @@ def check_lr(pair):
 
 class TDLRStructure:
     """A pair together with a coalgebra; the four operations become induced
-    operators on maps out of the coalgebra.  identities holds the result of
-    check_td_lr once it has been decided."""
+    operators on maps out of the coalgebra."""
 
     def __init__(self, pair, coalgebra):
         self.pair = pair
@@ -177,7 +170,6 @@ class TDLRStructure:
         self.product_op = induced(pair.product, coalgebra)
         self.action_op = induced(pair.action, coalgebra)
         self.bmodule_op = induced(pair.bmodule, coalgebra)
-        self.identities = None
 
 
 def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
@@ -192,16 +184,11 @@ def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
     return operator_identity_check(name, lhs_op, total)
 
 
+@decided_once
 def check_td_lr(s):
     """The twisted pair identities, plus the agreement of the two twisted
     Leibniz displays, checked as exact operator equalities.  They are
     decided once per structure; later calls return the kept result."""
-    if s.identities is None:
-        s.identities = _decide_td_lr(s)
-    return s.identities
-
-
-def _decide_td_lr(s):
     pair, C = s.pair, s.coalgebra
     linearity_lhs = compose_induced(s.action_op, s.bmodule_op, 0)
     leibniz_lhs = compose_induced(s.bracket_op, s.bmodule_op, 1)
@@ -321,7 +308,7 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
     limit = resolve_guard_limit(guard_limit)
-    M = _ring_module(pair)
+    M = pair.ring_module
     checked = 0
     current = blinear_subspace(0, s, limit)
     for n in range(maxdeg + 1):

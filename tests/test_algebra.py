@@ -29,10 +29,13 @@ from tdhom.algebra import (
     leibniz_check,
     skew_symmetry_check,
 )
+from tdhom.coalgebra import Coalgebra, check_coassociativity
 from tdhom.errors import AxiomError
 from tdhom.files import parse_structure
+from tdhom.lie_rinehart import LieRinehartPair, check_lr
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
+from tdhom.td_structures import check_td_lie
 
 L3 = BasedSpace("L", ("e", "f", "h"))
 
@@ -175,3 +178,77 @@ class TestLoader:
         obj = parse_structure(corpus.fixture_text("broken-jacobi"),
                               unsafe_skip_axioms=True)
         assert not check_lie(obj).ok
+
+
+def kept_checks(obj):
+    """(checker, structure) for every kept classical checker obj's role
+    asks, through its parts as well as whole."""
+    if isinstance(obj, LieAlgebra):
+        return [(check_lie, obj)]
+    if isinstance(obj, PoissonAlgebra):
+        return [(check_lie, obj), (check_poisson, obj)]
+    if isinstance(obj, LieModule):
+        return [(check_lie, obj.base), (check_module, obj)]
+    if isinstance(obj, LieRinehartPair):
+        return [(check_lr, obj), (check_lie, obj.lie),
+                (check_module, obj.ring_module)]
+    if isinstance(obj, Coalgebra):
+        return [(check_coassociativity, obj)]
+    return []
+
+
+def corpus_structures():
+    """(id, structure) for every corpus structure, as loading checks it and
+    unchecked; the broken fixtures only unchecked."""
+    out = []
+    for name in corpus.FIXTURES:
+        text = corpus.fixture_text(name)
+        out.append((name + "-unchecked",
+                    parse_structure(text, unsafe_skip_axioms=True)))
+        if not name.startswith("broken-"):
+            out.append((name, parse_structure(text)))
+    for name in corpus.coalgebra_names():
+        C = corpus.get_coalgebra(name)
+        out.append((name + "-unchecked",
+                    Coalgebra(C.space, C.coproduct, check=False)))
+        out.append((name, Coalgebra(C.space, C.coproduct)))
+    return out
+
+
+class TestKeptResults:
+    """check_lie, check_module, check_poisson, check_coassociativity and
+    check_lr keep their result on the structure they decided."""
+
+    def test_kept_result_equals_a_fresh_decision(self):
+        seen = 0
+        failing = set()
+        for label, obj in corpus_structures():
+            for checker, structure in kept_checks(obj):
+                fresh = checker.__wrapped__(structure)
+                kept = checker(structure)
+                assert kept == fresh, (label, checker.__name__)
+                assert checker(structure) is kept
+                seen += 1
+                if not kept.ok:
+                    failing.add(label)
+        assert seen >= 50
+        assert failing == {"broken-jacobi-unchecked", "broken-skew-unchecked"}
+
+    def test_results_are_kept_per_checker(self):
+        P = corpus.load("poisson3")
+        assert check_poisson(P).name == "poisson"
+        assert check_lie(P).name == "lie"
+        assert check_lie(P) == check_lie.__wrapped__(P)
+
+    def test_td_lie_precondition_on_poisson_is_named_lie(self):
+        A = corpus.load("poisson3").space
+        symmetric = MultilinearMap([A, A], A, {((1, 2), 1): 1, ((2, 1), 1): 1})
+        P = PoissonAlgebra(A, symmetric, corpus.load("poisson3").product,
+                           check=False)
+        assert check_poisson(P).name == "poisson"
+        with pytest.raises(AxiomError) as info:
+            check_td_lie(P, corpus.get_coalgebra("tensor-ab-2"))
+        assert info.value.result.name == "lie"
+        assert info.value.result.detail == "skew-symmetry"
+        assert str(info.value).startswith(
+            "precondition failed (Lie axioms): lie: FAIL (skew-symmetry)")

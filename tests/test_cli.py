@@ -10,6 +10,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -996,6 +997,32 @@ def matrix_unit_lie(name, units):
     return LieAlgebra(L, MultilinearMap([L, L], L, table), name=name)
 
 
+TWISTED_VERIFY_ARGV = [
+    "verify", "gl3.json", "n5.json", "gl3-adjoint.json", "lr-derx3.json",
+    "lr-dualnum.json", "poisson3.json", "T4ab.json", "--subcomplex-maxdeg",
+    "2", "--guard-limit", str(10 ** 12), "--json"]
+
+
+def write_twisted_verify_inputs(directory):
+    """The files TWISTED_VERIFY_ARGV names: gl3, n5, gl3's adjoint module
+    and T4(ab) built here, the rest shipped fixtures."""
+    gl3 = matrix_unit_lie("gl3", [(i, j) for i in range(3) for j in range(3)])
+    structures = {
+        "gl3": gl3,
+        "n5": matrix_unit_lie("n5", [(i, j) for i in range(5)
+                                     for j in range(i + 1, 5)]),
+        "gl3-adjoint": LieModule(gl3, gl3.space, gl3.bracket,
+                                 name="gl3-adjoint"),
+        "T4ab": build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4),
+    }
+    for name, obj in structures.items():
+        (directory / (name + ".json")).write_text(
+            serialize_structure(obj, name), encoding="utf-8")
+    for name in ("lr-derx3", "lr-dualnum", "poisson3"):
+        (directory / (name + ".json")).write_text(
+            corpus.fixture_text(name), encoding="utf-8")
+
+
 @pytest.fixture
 def materialized(monkeypatch):
     """Every part of every InducedOperator.materialize call, as
@@ -1017,27 +1044,9 @@ class TestFactoredChecks:
 
     def test_passing_verify_materializes_nothing(self, tmp_path, monkeypatch,
                                                  materialized, capsys):
-        gl3 = matrix_unit_lie("gl3", [(i, j) for i in range(3)
-                                      for j in range(3)])
-        structures = {
-            "gl3": gl3,
-            "n5": matrix_unit_lie("n5", [(i, j) for i in range(5)
-                                         for j in range(i + 1, 5)]),
-            "gl3-adjoint": LieModule(gl3, gl3.space, gl3.bracket,
-                                     name="gl3-adjoint"),
-            "T4ab": build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4),
-        }
-        for name, obj in structures.items():
-            (tmp_path / (name + ".json")).write_text(
-                serialize_structure(obj, name), encoding="utf-8")
-        for name in ("lr-derx3", "lr-dualnum", "poisson3"):
-            (tmp_path / (name + ".json")).write_text(
-                corpus.fixture_text(name), encoding="utf-8")
+        write_twisted_verify_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(["verify", "gl3.json", "n5.json", "gl3-adjoint.json",
-                            "lr-derx3.json", "lr-dualnum.json", "poisson3.json",
-                            "T4ab.json", "--subcomplex-maxdeg", "2",
-                            "--guard-limit", str(10 ** 12), "--json"], capsys)
+        code, out, _ = run(TWISTED_VERIFY_ARGV, capsys)
         assert code == 0
         counts = json.loads(out)["counts"]
         assert counts == {"pass": 16, "fail": 0, "skipped": 0, "guarded": 0}
@@ -1105,6 +1114,35 @@ class TestFactoredChecks:
         assert [e["detail"] for e in report["entries"]
                 if e["check"] == "td-subcomplex"] \
             == ["5 images checked", "3 images checked"]
+
+
+class TestKeptAxiomResults:
+    """Loading decides each structure's classical axioms; the verify
+    entries and the twisted checkers' preconditions reuse that result, and
+    td-subcomplex reuses the td-lie-rinehart result."""
+
+    def test_verify_decides_each_classical_checker_once(
+            self, tmp_path, monkeypatch, capsys):
+        decided = []
+        for checker in (cli.check_lie, cli.check_module, cli.check_poisson,
+                        cli.check_coassociativity, cli.check_lr,
+                        cli.check_td_lr):
+            def counting(structure, name=checker.__name__,
+                         decide=checker.__wrapped__):
+                decided.append((name, structure))
+                return decide(structure)
+            monkeypatch.setattr(checker, "__wrapped__", counting)
+        write_twisted_verify_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(TWISTED_VERIFY_ARGV, capsys)
+        assert code == 0
+        assert json.loads(out)["counts"]["pass"] == 16
+        # decided keeps every structure alive, so no id is reused
+        per_structure = Counter((name, id(obj)) for name, obj in decided)
+        assert max(per_structure.values()) == 1
+        assert set(name for name, _ in decided) == {
+            "check_lie", "check_module", "check_poisson",
+            "check_coassociativity", "check_lr", "check_td_lr"}
 
 
 class TestRendering:

@@ -6,7 +6,9 @@ subprocess replays bad inputs with and without -O.  Three more lint passes
 fail on imported names and on private module-level helpers the package
 never reads, and on functions, classes and methods that nothing in the
 package, its tests or its benchmark reads.  One more fails on any float
-literal or float(...) call in the package.
+literal or float(...) call in the package, one on Fraction(x) outside the
+two scalar readers, and one on any reassignment of a structure's maps after
+construction, which the kept axiom results rely on.
 """
 
 import ast
@@ -216,6 +218,83 @@ def test_fraction_lint_sees_one_argument_calls():
     assert _one_argument_fractions("maps.py", tree) == [1, 3, 4, 7]
 
 
+# the attributes a structure's classical checkers read; check_lie and its
+# kind keep their result on the structure, which is sound only while none
+# of these is reassigned after construction
+FROZEN_ATTRIBUTES = {"bracket", "action", "product", "bmodule", "coproduct",
+                     "entries", "values"}
+# where they may be set: every __init__, and the unchecked map constructor
+FROZEN_SETTERS = {("MultilinearMap", "_trusted")}
+
+
+def _frozen_assignments(tree):
+    """Line numbers of assignments to FROZEN_ATTRIBUTES under tree, as
+    targets or through setattr, outside the constructors that set them."""
+    skip = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            name = getattr(fn, "name", None)
+            if name == "__init__" or (cls.name, name) in FROZEN_SETTERS:
+                skip.update(id(node) for node in ast.walk(fn))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "setattr"
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in FROZEN_ATTRIBUTES):
+            lines.append(node.lineno)
+            continue
+        else:
+            continue
+        for target in targets:
+            if any(isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                   and sub.attr in FROZEN_ATTRIBUTES for sub in ast.walk(target)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_never_reassigns_structure_maps():
+    # a map reassigned after construction would leave a kept check_lie,
+    # check_module, check_poisson, check_coassociativity or check_lr result
+    # describing maps the structure no longer has
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), line)
+                     for line in _frozen_assignments(tree))
+    assert found == [], "structure maps reassigned: %s" % found
+
+
+def test_frozen_lint_sees_assignments_outside_constructors():
+    tree = ast.parse(
+        "class LieAlgebra:\n"
+        "    def __init__(self, bracket):\n"
+        "        self.bracket = bracket\n"
+        "    def rebase(self, bracket):\n"
+        "        self.bracket = bracket\n"
+        "class MultilinearMap:\n"
+        "    def _trusted(self, table):\n"
+        "        self.entries = table\n"
+        "    def _like(self, table):\n"
+        "        self.entries, self.domain = table, None\n"
+        "def grow(m, t, C):\n"
+        "    m.values += t\n"
+        "    C.coproduct: dict = {}\n"
+        "    setattr(m, 'action', t)\n"
+        "    m.entries[0] = 1\n"
+        "    m.name = 'x'\n")
+    assert _frozen_assignments(tree) == [5, 10, 12, 13, 14]
+
+
 BAD_INPUTS = """
 import json
 
@@ -284,6 +363,11 @@ cases = [
     (MalformedInput, lambda: MultilinearMap([V], V, {((0.5,), 0): 1})),
     (MalformedInput, lambda: MultilinearMap([V], V, {((True,), 0): 1})),
     (MalformedInput, lambda: MultilinearMap([V], V, {((0,), 1.0): 1})),
+    (MalformedInput, lambda: Coalgebra(V, [(0.5, 0, 0, 1)])),
+    (MalformedInput, lambda: Coalgebra(V, [(0, True, 0, 1)])),
+    (MalformedInput, lambda: Coalgebra(V, {(0, 0, 1.0): 1})),
+    (MalformedInput, lambda: HomElement(t2, sl2.space, {(True, 0): 1})),
+    (MalformedInput, lambda: HomElement(t2, sl2.space, {(0, 1.0): 1})),
 ]
 for pos, (error, case) in enumerate(cases):
     try:

@@ -241,7 +241,7 @@ class TestSubcomplex:
         monkeypatch.setattr(lie_rinehart, "blinear_subspace",
                             lambda n, s, limit=None: cut if n == 2 else full(n, s, limit))
         span = RationalMatrix.from_columns(len(alt_basis(L, B, 2)), cut)
-        M = lie_rinehart._ring_module(s.pair)
+        M = s.pair.ring_module
         escaping = []
         for vec in full(1, s):
             image = ce_differential(AltCochain.from_vector(L, B, 1, vec), M)
@@ -294,7 +294,7 @@ class TestFactoredSweepOracle:
     @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
     def test_td_differential_induced(self, pname, cname):
         pair, C = corpus.load(pname), corpus.get_coalgebra(cname)
-        M = lie_rinehart._ring_module(pair)
+        M = pair.ring_module
         tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
                                 check=False)
         L, B = pair.lie_space, pair.ring_space
