@@ -16,8 +16,8 @@ decides on first use.
 
 from .checks import combine, decided_once
 from .errors import AxiomError, ShapeError
-from .linalg import Permutation, clear_denominators, table_sum
-from .maps import map_identity_check
+from .linalg import Permutation, clear_denominators
+from .maps import map_identity_check, signed_sum
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
 JACOBI_CYCLE = Permutation([1, 2, 0])
@@ -129,7 +129,7 @@ def skew_symmetry_check(bracket):
 def jacobi_check(bracket):
     """bracket(1 x bracket) summed over the three cyclic rotations is zero."""
     nested = bracket.compose_at(bracket, 1)
-    total = table_sum([nested] + [nested.precompose_perm(r) for r in JACOBI_ROTATIONS])
+    total = signed_sum((1, nested, r) for r in (None,) + JACOBI_ROTATIONS)
     return map_identity_check("jacobi", total, total.scale(0))
 
 
@@ -140,11 +140,13 @@ def check_lie(L):
 
 @decided_once
 def check_module(M):
-    """action(bracket x 1) = action(1 x action) - action(1 x action) . swap."""
-    lhs = M.action.compose_at(M.base.bracket, 0)
+    """action(bracket x 1) = action(1 x action) - action(1 x action) . swap,
+    decided on the defect, left side minus right, summed in ints."""
+    bracketed = M.action.compose_at(M.base.bracket, 0)
     nested = M.action.compose_at(M.action, 1)
-    rhs = nested.sub(nested.precompose_perm(SWAP_FIRST_TWO))
-    return map_identity_check("module", lhs, rhs)
+    defect = signed_sum([(1, bracketed, None), (-1, nested, None),
+                         (1, nested, SWAP_FIRST_TWO)])
+    return map_identity_check("module", defect, defect.scale(0))
 
 
 def check_associative(product):

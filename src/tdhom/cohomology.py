@@ -1,14 +1,16 @@
 """Chevalley-Eilenberg cohomology, classically and on Hom spaces.
 
 Classical cochains are skew maps stored by their values on strictly
-increasing basis tuples; differentials become exact rational matrices in
-that basis and ranks decide everything.  A differential is pushed forward
-from the cochain's stored values through the bracket and action indexed
-by output and by input, so its cost follows the nonzeros, not the number
-of tuples.  The push-forward runs in ints, over the bracket and action
-constants cleared by their common denominator N, so d_k is assembled as
-the int matrix N d_k, which has the same rank and squares to zero with
-its neighbours exactly when d_k does.
+increasing basis tuples, as ints over one canonical denominator (values
+is a read-only Fraction view); differentials become exact rational
+matrices in that basis and ranks decide everything.  A differential is
+pushed forward from the cochain's stored ints through the bracket and
+action indexed by output and by input, so its cost follows the nonzeros,
+not the number of tuples.  The push-forward runs in ints, over the
+bracket and action constants cleared by their common denominator N, so
+d_k is assembled as the int matrix N d_k, which has the same rank and
+squares to zero with its neighbours exactly when d_k does; no Fraction
+is made on the way.
 
 A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
@@ -28,8 +30,9 @@ cannot fail.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, gcd
 from operator import lt
+from types import MappingProxyType
 
 from .convolution import (
     check_materialization_size,
@@ -45,14 +48,14 @@ from .linalg import (
     RationalMatrix,
     SparseColumns,
     SparseTable,
-    _fraction,
+    _exact,
     clear_denominators,
     kernel_basis,
     rank,
     solve,
     table_sum,
 )
-from .maps import MultilinearMap
+from .maps import MultilinearMap, _check_int
 
 
 def increasing_tuples(dim, n):
@@ -105,6 +108,12 @@ class AltCochain(SparseTable):
 
     Degree zero is an element of the target space, stored under the empty
     tuple.  Values off the increasing tuples are recovered by sign.
+
+    Stored the way RationalMatrix stores a matrix: _ints maps each (tuple,
+    output index) to a nonzero int, over one positive _denominator in
+    canonical form (the least that works), so == compares the stored ints.
+    values is a read-only {key: Fraction} view of them, built on first
+    read and kept, since nothing changes a cochain after construction.
     """
 
     TABLE = "values"
@@ -116,20 +125,56 @@ class AltCochain(SparseTable):
             tup, o = key
             if len(tup) != degree:
                 raise ShapeError("tuple %r in a degree-%d cochain" % (tup, degree))
+            for i in tup:
+                _check_int(i, "input", lie_space)
+            _check_int(o, "output", target)
             if not all(map(lt, tup, tup[1:])):
                 raise ShapeError("tuple %r is not strictly increasing" % (tup,))
             if tup and not (0 <= tup[0] and tup[-1] < dim):
                 raise ShapeError("tuple %r out of range" % (tup,))
             if not 0 <= o < out_dim:
                 raise ShapeError("output index %d out of range" % o)
-            if type(q) is not Fraction:
-                q = _fraction(q)
+            q = _exact(q)
             if q:
                 table[key] = q
+        # the values are in lowest terms, so their least common
+        # denominator is already canonical
+        (ints,), den = clear_denominators([table])
         self.lie_space = lie_space
         self.target = target
         self.degree = degree
-        self.values = table
+        self._ints = ints
+        self._denominator = den
+        self._values = None
+
+    @classmethod
+    def _from_ints(cls, lie_space, target, degree, ints, den):
+        """The cochain ints / den on in-range increasing keys, such as
+        assembly and arithmetic build: zeros are dropped and the
+        denominator made canonical, nothing is checked."""
+        ints = {key: v for key, v in ints.items() if v}
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                ints = {key: v // g for key, v in ints.items()}
+                den //= g
+        f = cls.__new__(cls)
+        f.lie_space = lie_space
+        f.target = target
+        f.degree = degree
+        f._ints = ints
+        f._denominator = den
+        f._values = None
+        return f
+
+    @property
+    def values(self):
+        """The stored values as a read-only {(tuple, output): Fraction}."""
+        if self._values is None:
+            den = self._denominator
+            self._values = MappingProxyType(
+                {key: Fraction(v, den) for key, v in self._ints.items()})
+        return self._values
 
     @classmethod
     def from_map(cls, m, check=True):
@@ -184,7 +229,11 @@ class AltCochain(SparseTable):
         return MultilinearMap([self.lie_space] * self.degree, self.target, entries)
 
     def _like(self, table):
-        return AltCochain(self.lie_space, self.target, self.degree, table)
+        (ints,), den = clear_denominators([table])
+        return AltCochain._from_ints(self.lie_space, self.target, self.degree, ints, den)
+
+    def is_zero(self):
+        return not self._ints
 
     def _check_compatible(self, other):
         if self.degree != other.degree:
@@ -196,11 +245,12 @@ class AltCochain(SparseTable):
             and self.degree == other.degree
             and self.lie_space.dim == other.lie_space.dim
             and self.target.dim == other.target.dim
-            and self.values == other.values
+            and self._denominator == other._denominator
+            and self._ints == other._ints
         )
 
     def __repr__(self):
-        return "AltCochain(degree=%d, %d values)" % (self.degree, len(self.values))
+        return "AltCochain(degree=%d, %d values)" % (self.degree, len(self._ints))
 
 
 def _check_module_shapes(f, M):
@@ -230,14 +280,14 @@ def ce_differential(f, M):
     Only bracket entries with x < y are read, exactly the pairs the sum
     over j < k evaluates, so the result does not assume a skew bracket.
     The sums run in ints: the constants cleared by their common
-    denominator N (LieModule.cleared_constants) and f's values by theirs.
+    denominator N (LieModule.cleared_constants) and f's stored ints, and
+    the result is those int sums over N times f's denominator.
     """
     _check_module_shapes(f, M)
     L, B = M.base.space, M.space
     N, pairs, acting = M.cleared_constants()
-    (values,), den = clear_denominators([f.values])
     acc = {}
-    for (S, b), q in values.items():
+    for (S, b), q in f._ints.items():
         for t in range(L.dim):
             if t in S:
                 continue
@@ -257,10 +307,7 @@ def ce_differential(f, M):
                 T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
                 sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
                 acc[(T, b)] = acc.get((T, b), 0) + sq
-    den *= N
-    if den != 1:
-        acc = {key: Fraction(v, den) for key, v in acc.items()}
-    return AltCochain(L, B, f.degree + 1, acc)
+    return AltCochain._from_ints(L, B, f.degree + 1, acc, f._denominator * N)
 
 
 def ce_parts_unshuffle(f, M):
@@ -339,9 +386,11 @@ def _differential_matrix(M, k):
     target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
     rows = [{} for _ in target_index]
     for ci, key in enumerate(source):
-        df = ce_differential(AltCochain(L, B, k, {key: 1}), M)
-        for out_key, q in df.values.items():
-            rows[target_index[out_key]][ci] = q.numerator * (N // q.denominator)
+        df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
+        # df's canonical denominator divides N
+        scale = N // df._denominator
+        for out_key, v in df._ints.items():
+            rows[target_index[out_key]][ci] = v * scale
     return RationalMatrix._from_int_rows(len(source), rows, N)
 
 
@@ -363,7 +412,7 @@ def induction_matrix(n, L, B, C, guard_limit=None):
         for b in range(B.dim):
             sc.add(b, (b,), 1)
         return sc
-    basis = [AltCochain(L, B, n, {key: 1}) for key in alt_basis(L, B, n)]
+    basis = [AltCochain._from_ints(L, B, n, {key: 1}, 1) for key in alt_basis(L, B, n)]
     return _induced_columns(basis, C, resolve_guard_limit(guard_limit))
 
 
@@ -426,9 +475,10 @@ def td_differential_induced(F, tdm, guard_limit=None):
     limit = resolve_guard_limit(guard_limit)
     if n >= 1 and alt_dim(L, B, n):
         check_materialization_size([L] * n, C, limit)
-        if not C.iterated_terms(n) and any(
-                ce_differential(AltCochain(L, B, n, {key: 1}), M).values
-                for key in alt_basis(L, B, n)):
+        units = (AltCochain._from_ints(L, B, n, {key: 1}, 1)
+                 for key in alt_basis(L, B, n))
+        if not C.iterated_terms(n) and not all(
+                ce_differential(unit, M).is_zero() for unit in units):
             check_materialization_size([L] * (n + 1), C, limit)
     return TDCochain(ce_differential(F.inducing, M), C)
 

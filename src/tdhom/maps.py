@@ -7,11 +7,12 @@ coproduct composites, cochains) is one of these.
 The public constructor is the one place where a table is checked: every
 index must be an int (not a bool) in the range of its space, and every
 scalar an exact rational, so a float raises ScalarError.  Arithmetic on
-maps (add, sub, scale, precompose_perm, compose_at, and the part sums
-of convolution) builds its result through _trusted, unchecked, since the
-operands were checked already; compose_at sums in ints over the tables'
-common denominator.  Stored tables hold no zero, so first_difference
-decides equality by comparing tables and subtracts only unequal maps.
+maps (add, sub, scale, precompose_perm, compose_at, signed_sum, and the
+part sums of convolution) builds its result through _trusted, unchecked,
+since the operands were checked already; compose_at and signed_sum sum
+in ints over the tables' common denominator.  Stored tables hold no
+zero, so first_difference decides equality by comparing tables and
+subtracts only unequal maps.
 """
 
 from fractions import Fraction
@@ -20,10 +21,14 @@ from .errors import MalformedInput, ShapeError
 from .linalg import ZERO, SparseTable, _fraction, clear_denominators, scatter
 
 
-def _check_index(i, dim, role, space):
+def _check_int(i, role, space):
     if type(i) is not int:
         raise MalformedInput("%s index %r for %s is not an integer"
                              % (role, i, space.name))
+
+
+def _check_index(i, dim, role, space):
+    _check_int(i, role, space)
     if not 0 <= i < dim:
         raise MalformedInput("%s index %d out of range for %s" % (role, i, space.name))
 
@@ -146,6 +151,32 @@ class MultilinearMap(SparseTable):
     def __repr__(self):
         doms = "*".join(s.name for s in self.domain)
         return "MultilinearMap(%s->%s, %d entries)" % (doms, self.codomain.name, len(self.entries))
+
+
+def signed_sum(terms):
+    """sum of sign * (m . p) over the terms (sign, m, p) of one shape, p a
+    permutation of m's arguments or None for m itself.
+
+    The sums run in ints over the maps' common denominator, so Fractions
+    are made only for the nonzero entries of the result: a sum that
+    vanishes, as an identity's defect does, makes none.
+    """
+    terms = list(terms)
+    shapes = [(m.domain if p is None else scatter(p, m.domain), m.codomain)
+              for _, m, p in terms]
+    domain, codomain = shapes[0]
+    if any(d != domain or c is not codomain for d, c in shapes):
+        raise ShapeError("maps on different spaces do not add")
+    maps = list({id(m): m for _, m, _ in terms}.values())
+    cleared, den = clear_denominators([m.entries for m in maps])
+    ints = {id(m): table for m, table in zip(maps, cleared)}
+    acc = {}
+    for sign, m, p in terms:
+        for (tup, out), v in ints[id(m)].items():
+            key = (tup if p is None else scatter(p, tup), out)
+            acc[key] = acc.get(key, 0) + sign * v
+    table = {key: Fraction(v, den) for key, v in acc.items() if v}
+    return MultilinearMap._trusted(domain, codomain, table)
 
 
 def is_skew(f):

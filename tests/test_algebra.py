@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from tdhom import corpus
 from tdhom.algebra import (
     JACOBI_CYCLE,
+    JACOBI_ROTATIONS,
     PRODUCT_CYCLE,
     SWAP,
+    SWAP_FIRST_TWO,
     AssociativeAlgebra,
     LieAlgebra,
     LieModule,
@@ -33,8 +35,8 @@ from tdhom.coalgebra import Coalgebra, check_coassociativity
 from tdhom.errors import AxiomError
 from tdhom.files import parse_structure
 from tdhom.lie_rinehart import LieRinehartPair, check_lr
-from tdhom.linalg import BasedSpace
-from tdhom.maps import MultilinearMap
+from tdhom.linalg import BasedSpace, table_sum
+from tdhom.maps import MultilinearMap, map_identity_check
 from tdhom.td_structures import check_td_lie
 
 L3 = BasedSpace("L", ("e", "f", "h"))
@@ -252,3 +254,65 @@ class TestKeptResults:
         assert info.value.result.detail == "skew-symmetry"
         assert str(info.value).startswith(
             "precondition failed (Lie axioms): lie: FAIL (skew-symmetry)")
+
+
+def table_sum_jacobi(bracket):
+    """jacobi_check as it was before it summed in ints: the nested map and
+    its two rotations added as Fraction tables; kept as its oracle."""
+    nested = bracket.compose_at(bracket, 1)
+    total = table_sum([nested] + [nested.precompose_perm(r) for r in JACOBI_ROTATIONS])
+    return map_identity_check("jacobi", total, total.scale(0))
+
+
+def table_sum_module(M):
+    """check_module as it was before it summed in ints; its oracle."""
+    lhs = M.action.compose_at(M.base.bracket, 0)
+    nested = M.action.compose_at(M.action, 1)
+    rhs = nested.sub(nested.precompose_perm(SWAP_FIRST_TWO))
+    return map_identity_check("module", lhs, rhs)
+
+
+def perturbed(m):
+    """m with each one entry in turn scaled by 3/2, then with it dropped:
+    maps that break an identity m satisfies, at varied witnesses."""
+    for key in sorted(m.entries):
+        for table in ({**m.entries, key: m.entries[key] * Fraction(3, 2)},
+                      {k: q for k, q in m.entries.items() if k != key}):
+            yield MultilinearMap(m.domain, m.codomain, table)
+
+
+class TestIntSumsAgainstFractionSums:
+    """jacobi_check and check_module sum in ints; on every corpus structure,
+    the broken ones included, and on perturbed copies of each, they give
+    the result the Fraction-table route gives: same ok, detail and
+    witness."""
+
+    def test_jacobi_check(self):
+        brackets = []
+        for _label, obj in corpus_structures():
+            for checker, structure in kept_checks(obj):
+                if checker is check_lie:
+                    brackets.append(structure.bracket)
+        failing = 0
+        for bracket in brackets + [b for m in brackets for b in perturbed(m)]:
+            result = jacobi_check(bracket)
+            assert result == table_sum_jacobi(bracket)
+            failing += not result.ok
+        assert len(brackets) >= 20 and failing >= 20
+
+    def test_check_module(self):
+        modules = []
+        for _label, obj in corpus_structures():
+            for checker, structure in kept_checks(obj):
+                if checker is check_module:
+                    modules.append(structure)
+        variants = list(modules)
+        for M in modules:
+            variants += [LieModule(M.base, M.space, action, check=False)
+                         for action in perturbed(M.action)]
+        failing = 0
+        for M in variants:
+            result = check_module.__wrapped__(M)
+            assert result == table_sum_module(M)
+            failing += not result.ok
+        assert len(modules) >= 10 and failing >= 20

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +46,7 @@ from tdhom.cohomology import (
     td_differential_induced,
     unshuffles,
 )
-from tdhom.errors import AxiomError, GuardError, ShapeError
+from tdhom.errors import AxiomError, GuardError, MalformedInput, ShapeError
 from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap, is_skew
@@ -213,6 +213,94 @@ class TestAltCochain:
         L, B = adjoint.base.space, adjoint.space
         f = AltCochain(L, B, 1, {((0,), 0): Fraction(0)})
         assert f.is_zero() and f.values == {}
+
+    def test_index_types_checked(self, adjoint):
+        L, B = adjoint.base.space, adjoint.space
+        for key in [((True,), 0), ((0,), 0.0), ((1.0,), 0), ((0,), False),
+                    ((0, 1.0), 0)]:
+            with pytest.raises(MalformedInput, match="not an integer"):
+                AltCochain(L, B, len(key[0]), {key: 1})
+
+    def test_values_are_a_read_only_view(self, adjoint):
+        L, B = adjoint.base.space, adjoint.space
+        f = AltCochain(L, B, 1, {((0,), 0): Fraction(1, 2), ((2,), 1): 3})
+        assert f.values == {((0,), 0): Fraction(1, 2), ((2,), 1): Fraction(3)}
+        assert f.values is f.values
+        with pytest.raises(TypeError):
+            f.values[((1,), 0)] = ONE
+        assert f == AltCochain(L, B, 1, dict(f.values))
+
+
+def cochain_scalars():
+    """Integers up to 10^12, and rationals with numerators that large over
+    denominators up to 10^6, with zeros among them."""
+    big = st.integers(-10 ** 12, 10 ** 12)
+    return st.one_of(st.integers(-2, 2), big,
+                     st.builds(Fraction, big, st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def cochain_pairs(draw):
+    """Two value tables on one degree of sl2-adjoint's cochains."""
+    M = corpus.load("sl2-adjoint")
+    L, B = M.base.space, M.space
+    degree = draw(st.integers(0, 3))
+    keys = st.sampled_from(alt_basis(L, B, degree))
+    tables = [draw(st.dictionaries(keys, cochain_scalars(), max_size=9))
+              for _ in range(2)]
+    return L, B, degree, tables
+
+
+def fraction_table(table):
+    """table with its zeros dropped and every value a Fraction."""
+    return {key: Fraction(q) for key, q in table.items() if q}
+
+
+class TestIntStorage:
+    """AltCochain stores ints over one canonical denominator; what it
+    returns and how it compares are checked against Fraction dicts."""
+
+    @given(cochain_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_values_are_the_input_as_fractions(self, case):
+        L, B, degree, (table, _) = case
+        f = AltCochain(L, B, degree, table)
+        assert all(type(q) is Fraction for q in f.values.values())
+        assert f.values == fraction_table(table)
+        assert f.components() == [fraction_table(table).get(key, 0)
+                                  for key in alt_basis(L, B, degree)]
+        assert gcd(f._denominator, *f._ints.values()) == 1
+
+    @given(cochain_pairs(), st.integers(1, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_compare_equal_over_any_denominator(self, case, m):
+        L, B, degree, (table, _) = case
+        f = AltCochain(L, B, degree, table)
+        scaled = AltCochain._from_ints(
+            L, B, degree, {key: v * m for key, v in f._ints.items()},
+            f._denominator * m)
+        as_strings = AltCochain(L, B, degree,
+                                {key: str(q) for key, q in table.items()})
+        for g in (scaled, as_strings):
+            assert g == f and g.values == f.values
+            assert (g._denominator, g._ints) == (f._denominator, f._ints)
+
+    @given(cochain_pairs(), cochain_scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_agrees_with_fraction_dicts(self, case, q):
+        L, B, degree, (t1, t2) = case
+        f, g = AltCochain(L, B, degree, t1), AltCochain(L, B, degree, t2)
+        a, b = fraction_table(t1), fraction_table(t2)
+        keys = set(a) | set(b)
+        summed = {k: a.get(k, 0) + b.get(k, 0) for k in keys}
+        differ = {k: a.get(k, 0) - b.get(k, 0) for k in keys}
+        assert f.add(g).values == fraction_table(summed)
+        assert f.sub(g).values == fraction_table(differ)
+        assert f.scale(q).values == fraction_table({k: q * v for k, v in a.items()})
+        for h in (f.add(g), f.sub(g), f.scale(q)):
+            assert all(type(v) is Fraction for v in h.values.values())
+            assert gcd(h._denominator, *h._ints.values()) == 1
+        assert f.sub(g).add(g) == f
 
 
 CLASSICAL_GOLDENS = {
@@ -419,6 +507,26 @@ class TestDifferentialAssembly:
             assert (m.rows, m.cols) == (alt_dim(L, B, k + 1), alt_dim(L, B, k))
             assert m.entries == flat
             assert m == RationalMatrix(m.rows, m.cols, flat)
+
+    @pytest.mark.parametrize("name", ["gl3-adjoint-rebased", "n4-adjoint"])
+    def test_assembly_builds_no_fraction(self, name, monkeypatch):
+        # cochains are pushed forward and written into N d_k as ints: a
+        # Fraction made anywhere while d_k is assembled raises
+        M, maxdeg = assembly_case(name)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Fraction built during assembly")
+
+        monkeypatch.setattr(cohomology, "Fraction", refused)
+        monkeypatch.setattr(Fraction, "__new__", refused)
+        matrices = [cohomology._differential_matrix(M, k)
+                    for k in range(maxdeg + 1)]
+        monkeypatch.undo()
+        if name == "gl3-adjoint-rebased":
+            assert M.cleared_constants()[0] > 1
+        for k, m in enumerate(matrices):
+            cells = dense_differential(M, k)
+            assert m.entries == [x for row in cells for x in row]
 
     def test_rebased_gl3_keeps_ranks(self):
         cx = ce_complex(rebased_adjoint(gl_adjoint(3), 7), 2)

@@ -220,11 +220,13 @@ def test_fraction_lint_sees_one_argument_calls():
 
 # the attributes a structure's classical checkers read; check_lie and its
 # kind keep their result on the structure, which is sound only while none
-# of these is reassigned after construction
+# of these is reassigned after construction; likewise a cochain's int table
+# and denominator, which its kept values view is built from
 FROZEN_ATTRIBUTES = {"bracket", "action", "product", "bmodule", "coproduct",
-                     "entries", "values"}
-# where they may be set: every __init__, and the unchecked map constructor
-FROZEN_SETTERS = {("MultilinearMap", "_trusted")}
+                     "entries", "values", "_ints", "_denominator"}
+# where they may be set: every __init__, and the unchecked map and cochain
+# constructors
+FROZEN_SETTERS = {("MultilinearMap", "_trusted"), ("AltCochain", "_from_ints")}
 
 
 def _frozen_assignments(tree):
@@ -291,8 +293,18 @@ def test_frozen_lint_sees_assignments_outside_constructors():
         "    C.coproduct: dict = {}\n"
         "    setattr(m, 'action', t)\n"
         "    m.entries[0] = 1\n"
-        "    m.name = 'x'\n")
-    assert _frozen_assignments(tree) == [5, 10, 12, 13, 14]
+        "    m.name = 'x'\n"
+        "class AltCochain:\n"
+        "    def _from_ints(cls, ints, den):\n"
+        "        f._ints, f._denominator = ints, den\n"
+        "    def rescale(self, k):\n"
+        "        self._denominator *= k\n"
+        "        self._ints = {}\n"
+        "        self._values = None\n"
+        "    @property\n"
+        "    def values(self):\n"
+        "        setattr(self, '_denominator', 1)\n")
+    assert _frozen_assignments(tree) == [5, 10, 12, 13, 14, 21, 22, 26]
 
 
 BAD_INPUTS = """
@@ -368,6 +380,12 @@ cases = [
     (MalformedInput, lambda: Coalgebra(V, {(0, 0, 1.0): 1})),
     (MalformedInput, lambda: HomElement(t2, sl2.space, {(True, 0): 1})),
     (MalformedInput, lambda: HomElement(t2, sl2.space, {(0, 1.0): 1})),
+    (MalformedInput, lambda: AltCochain(V, W, 1, {((True,), 0): 1})),
+    (MalformedInput, lambda: AltCochain(V, W, 1, {((0,), 0.0): 1})),
+    (MalformedInput, lambda: AltCochain(V, W, 1, {((1.0,), 0): 1})),
+    (MalformedInput, lambda: AltCochain(V, W, 0, {((), False): 1})),
+    (ShapeError, lambda: AltCochain(V, W, 1, {((2,), 0): 1})),
+    (ShapeError, lambda: AltCochain(V, W, 2, {((1, 0), 0): 1})),
 ]
 for pos, (error, case) in enumerate(cases):
     try:

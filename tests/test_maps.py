@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from tdhom.convolution import _map_sum
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
-from tdhom.linalg import BasedSpace, Permutation, all_permutations
-from tdhom.maps import MultilinearMap, first_difference, is_skew, map_identity_check
+from tdhom import maps
+from tdhom.linalg import BasedSpace, Permutation, all_permutations, table_sum
+from tdhom.maps import (
+    MultilinearMap,
+    first_difference,
+    is_skew,
+    map_identity_check,
+    signed_sum,
+)
 
 L = BasedSpace("L", ("e", "f", "h"))
 
@@ -243,6 +250,41 @@ class TestTrustedResults:
         m = MultilinearMap((L,), L, {((0,), 1): 2, ((1,), 1): "1/3", ((2,), 0): 0})
         assert m.entries == {((0,), 1): Fraction(2), ((1,), 1): Fraction(1, 3)}
         assert all(type(q) is Fraction for q in m.entries.values())
+
+
+class TestSignedSum:
+    @given(st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]),
+                              st.integers(0, 1),
+                              st.sampled_from([None] + all_permutations(3))),
+                    min_size=1, max_size=5),
+           maps_on((L, L, L), L), maps_on((L, L, L), L))
+    @settings(max_examples=80)
+    def test_equals_the_fraction_sum(self, picks, f, g):
+        terms = [(sign, (f, g)[which], p) for sign, which, p in picks]
+        r = signed_sum(terms)
+        assert_checked_form(r)
+        oracle = table_sum((m if p is None else m.precompose_perm(p)).scale(sign)
+                           for sign, m, p in terms)
+        assert r == oracle and r.domain == oracle.domain
+
+    def test_vanishing_sum_makes_no_fraction(self, monkeypatch):
+        m = MultilinearMap((L, L, L), L, {((0, 1, 2), 0): Fraction(1, 3),
+                                         ((2, 1, 0), 1): 5})
+        swap = Permutation([1, 0, 2])
+
+        def refused(*args):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(maps, "Fraction", refused)
+        r = signed_sum([(1, m, swap), (1, m, None), (-1, m, swap), (-1, m, None)])
+        assert r.is_zero()
+
+    def test_shapes_must_agree(self):
+        a = MultilinearMap((L, M), L, {})
+        with pytest.raises(ShapeError):
+            signed_sum([(1, a, None), (1, a, Permutation([1, 0]))])
+        with pytest.raises(ShapeError):
+            signed_sum([(1, a, None), (1, MultilinearMap((L, M), M, {}), None)])
 
 
 class TestFirstDifference:
