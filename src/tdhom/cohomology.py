@@ -10,7 +10,8 @@ not the number of tuples.  The push-forward runs in ints, over the
 bracket and action constants cleared by their common denominator N, so
 d_k is assembled as the int matrix N d_k, which has the same rank and
 squares to zero with its neighbours exactly when d_k does; no Fraction
-is made on the way.
+is made on the way.  Once d squared is checked to vanish, each d_k is
+ranked by its columns off the pivot coordinates of d_(k-1) (clearing).
 
 A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
@@ -51,6 +52,7 @@ from .linalg import (
     _exact,
     clear_denominators,
     kernel_basis,
+    pivot_columns,
     rank,
     solve,
     table_sum,
@@ -310,50 +312,17 @@ def ce_differential(f, M):
     return AltCochain._from_ints(L, B, f.degree + 1, acc, f._denominator * N)
 
 
-def ce_parts_unshuffle(f, M):
-    """The differential's two summands in unshuffle form, as full maps.
-
-    Each is skew on its own; the caller subtracts the second from the first.
-    """
-    _check_module_shapes(f, M)
-    n = f.degree
-    if n < 1:
-        raise ShapeError("unshuffle form needs degree >= 1")
-    # rebuilt over the module's own spaces so compositions type-check
-    fmap = MultilinearMap([M.base.space] * n, M.space, f.as_map().entries)
-    acted = M.action.compose_at(fmap, 1)
-    part1 = table_sum(acted.precompose_perm(s).scale(s.sign())
-                      for s in unshuffles(1, n))
-    bracketed = fmap.compose_at(M.base.bracket, 0)
-    part2 = table_sum(bracketed.precompose_perm(s).scale(s.sign())
-                      for s in unshuffles(2, n - 1))
-    return part1, part2
-
-
-def ce_differential_unshuffle(f, M):
-    """Alternate unshuffle description; skewness is checked, not assumed."""
-    if f.degree == 0:
-        return ce_differential(f, M)
-    part1, part2 = ce_parts_unshuffle(f, M)
-    return AltCochain.from_map(part1.sub(part2), check=True)
-
-
 class ComplexMatrices:
     """Consecutive differentials in the increasing-tuple bases.
 
     Construction verifies shapes chain and that consecutive products vanish
-    exactly, so holding one of these is holding a certified complex.
+    exactly, then ranks them: holding one is holding a certified complex.
     """
 
     def __init__(self, matrices):
-        matrices = list(matrices)
-        for a, b in zip(matrices, matrices[1:]):
-            if b.cols != a.rows:
-                raise ShapeError("differential shapes do not chain: %r then %r" % (a, b))
-            if not b.matmul(a).is_zero():
-                raise AxiomError("consecutive differentials do not compose to zero")
-        self.matrices = matrices
-        self._ranks = None
+        self.matrices = list(matrices)
+        self._ranks = _certified_ranks(
+            self.matrices, "consecutive differentials do not compose to zero")
 
     def cochain_dims(self):
         dims = [m.cols for m in self.matrices]
@@ -362,18 +331,49 @@ class ComplexMatrices:
         return dims
 
     def ranks(self):
-        if self._ranks is None:
-            self._ranks = [rank(m) for m in self.matrices]
         return self._ranks
 
     def cohomology_dims(self):
         """dim ker d_k minus rank d_{k-1}, for each k with d_k present."""
-        ranks = self.ranks()
-        out = []
-        for k, m in enumerate(self.matrices):
-            below = ranks[k - 1] if k > 0 else 0
-            out.append(m.cols - ranks[k] - below)
-        return out
+        ranks = self._ranks
+        return [m.cols - r - below
+                for m, r, below in zip(self.matrices, ranks, [0] + ranks)]
+
+
+def _certified_ranks(matrices, message):
+    """Ranks of consecutive differentials d_0, d_1, .., taken only once
+    their shapes chain and each d_(k+1) d_k vanishes: ShapeError, or
+    AxiomError(message), comes before any elimination.
+
+    By clearing: eliminating d_(k-1) by its columns picks pivot
+    coordinates P of C^k that im d_(k-1) fills one to one, so, as d_k
+    kills im d_(k-1), rank d_k is the rank of its columns off P.  The
+    last d_k, whose pivots nothing reads, is only ranked.
+    """
+    for a, b in zip(matrices, matrices[1:]):
+        if b.cols != a.rows:
+            raise ShapeError("differential shapes do not chain: %r then %r" % (a, b))
+        if not b.matmul(a).is_zero():
+            raise AxiomError(message)
+    ranks, cleared = [], set()
+    for k, m in enumerate(matrices):
+        if k + 1 < len(matrices):
+            cleared = set(pivot_columns(_columns_off(m, cleared)))
+            ranks.append(len(cleared))
+        else:
+            ranks.append(rank(_columns_off(m, cleared)))
+    return ranks
+
+
+def _columns_off(m, cleared):
+    """The transpose of m times its denominator, with the rows in cleared
+    (columns of m) left empty."""
+    columns = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m._rows):
+        for j, v in row.items():
+            if j not in cleared:
+                columns[j][i] = v
+    return RationalMatrix._from_int_rows(m.rows, columns, 1)
 
 
 def _differential_matrix(M, k):
@@ -575,17 +575,14 @@ class TDComplexData:
         # names of zero, induced images stay in the induction row space, the
         # quotient differential is always solvable and the counting route
         # equals the quotient route; only d squared can fail.
-        for a, b in zip(quotient, quotient[1:]):
-            if not b.matmul(a).is_zero():
-                raise AxiomError("quotient differentials do not square to zero")
+        self.q_ranks = _certified_ranks(
+            quotient, "quotient differentials do not square to zero")
         self.quotient_matrices = quotient
-        self.q_ranks = [rank(m) for m in quotient]
         self.a_ranks = list(self.q_ranks)
         # a zero 0 x dim(B) matrix when Delta^(1) is zero: every unit vector
         self.h0_kernel = kernel_basis(quotient[0])
-        self.h_dims = [
-            self.td_dims[k] - self.q_ranks[k] - (self.q_ranks[k - 1] if k else 0)
-            for k in range(maxdeg + 1)]
+        self.h_dims = [t - r - below for t, r, below in
+                       zip(self.td_dims, self.q_ranks, [0] + self.q_ranks)]
 
     def direct_vs_induced(self):
         """Return "agree", or raise AxiomError at the first degree whose

@@ -12,7 +12,9 @@ fed shortest first and reduced by their leading column.  Its answers are
 the unique ones fixed by the lexicographically first independent column
 set, so they are reproducible bit for bit whatever the row order.
 Fractions are created only where a caller reads them: matrix entries,
-kernel vectors, solutions and residues.  The dense fraction-free
+kernel vectors, solutions and residues.  A complex with d squared zero
+is ranked by clearing (cohomology._certified_ranks): im d_(k-1) fills the
+pivot columns of d_(k-1) transposed, so d_k is ranked off them.  The dense fraction-free
 elimination that preceded the sparse one is the test oracle in
 tests/linalg_oracle.py.
 
@@ -35,11 +37,11 @@ ONE = Fraction(1, 1)
 
 def _exact(x):
     """x as an int or a Fraction: ints, Fractions, other rationals and
-    "p/q" strings are read exactly; floats and non-numbers raise
+    "p/q" strings are read exactly; floats, bools and non-numbers raise
     ScalarError."""
     if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, (numbers.Rational, str)):
+    if isinstance(x, (numbers.Rational, str)) and type(x) is not bool:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -11,6 +11,10 @@ check_subcomplex) reads its slot defects and images off classical maps.
 The factored_* functions keep the sweep it replaced, which decides each
 defect and the induction kernel on InducedOperators.
 
+ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
+the classical differential, which evaluates full maps and checks the
+result is skew; ce_differential pushes stored values forward instead.
+
 Nothing in the package uses this module; tests compare against it.
 """
 
@@ -19,6 +23,7 @@ from tdhom.checks import CheckResult
 from tdhom.cohomology import (
     AltCochain,
     TDCochain,
+    _check_module_shapes,
     _induced_columns,
     _twisted_operator,
     alt_basis,
@@ -26,6 +31,7 @@ from tdhom.cohomology import (
     ce_differential,
     induction_matrix,
     td_differential_direct,
+    unshuffles,
 )
 from tdhom.convolution import (
     check_materialization_size,
@@ -33,9 +39,10 @@ from tdhom.convolution import (
     induced,
     resolve_guard_limit,
 )
-from tdhom.errors import AxiomError, GuardError
+from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import check_td_lr, linearity_twist
-from tdhom.linalg import ZERO, RationalMatrix, SparseColumns, rank, solve
+from tdhom.linalg import ZERO, RationalMatrix, SparseColumns, rank, solve, table_sum
+from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
 
 
@@ -284,3 +291,31 @@ def factored_check_subcomplex(s, maxdeg, guard_limit=None):
         current = target
     return CheckResult("td-subcomplex", True,
                        detail="%d images checked" % checked)
+
+
+def ce_parts_unshuffle(f, M):
+    """The differential's two summands in unshuffle form, as full maps.
+
+    Each is skew on its own; the caller subtracts the second from the first.
+    """
+    _check_module_shapes(f, M)
+    n = f.degree
+    if n < 1:
+        raise ShapeError("unshuffle form needs degree >= 1")
+    # rebuilt over the module's own spaces so compositions type-check
+    fmap = MultilinearMap([M.base.space] * n, M.space, f.as_map().entries)
+    acted = M.action.compose_at(fmap, 1)
+    part1 = table_sum(acted.precompose_perm(s).scale(s.sign())
+                      for s in unshuffles(1, n))
+    bracketed = fmap.compose_at(M.base.bracket, 0)
+    part2 = table_sum(bracketed.precompose_perm(s).scale(s.sign())
+                      for s in unshuffles(2, n - 1))
+    return part1, part2
+
+
+def ce_differential_unshuffle(f, M):
+    """Alternate unshuffle description; skewness is checked, not assumed."""
+    if f.degree == 0:
+        return ce_differential(f, M)
+    part1, part2 = ce_parts_unshuffle(f, M)
+    return AltCochain.from_map(part1.sub(part2), check=True)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom import cohomology, corpus
+from tdhom import cohomology, corpus, linalg
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cohomology import (
     AltCochain,
@@ -35,8 +35,6 @@ from tdhom.cohomology import (
     alt_dim,
     ce_complex,
     ce_differential,
-    ce_differential_unshuffle,
-    ce_parts_unshuffle,
     increasing_tuples,
     induction_matrix,
     invariants_h0,
@@ -51,7 +49,13 @@ from tdhom.files import parse_structure
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap, is_skew
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
-from td_oracle import MaterializedTDComplexData, factored_td_differential_induced
+from linalg_oracle import bareiss_echelon
+from td_oracle import (
+    MaterializedTDComplexData,
+    ce_differential_unshuffle,
+    ce_parts_unshuffle,
+    factored_td_differential_induced,
+)
 
 ONE = Fraction(1)
 
@@ -957,3 +961,141 @@ class TestInvariants:
         data = TDComplexData(tdm, maxdeg=1)
         assert invariants_h0(tdm) == data.h0_kernel
         assert len(invariants_h0(tdm)) == data.h_dims[0]
+
+
+def dense_rank(m):
+    """Rank by the dense Bareiss oracle, eliminating m by its columns."""
+    _, pivots, _ = bareiss_echelon([m.column(j) for j in range(m.cols)], m.rows)
+    return len(pivots)
+
+
+def elementary_pair(n, ops):
+    """(P, P^-1) as dense Fraction lists: P is the product of the
+    elementary matrices I + c E_ij (i != j) and diag(.., c at i, ..)
+    (i == j, c != 0) named by ops, and the inverse is tracked alongside."""
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    Q = [row[:] for row in P]
+    for i, j, c in ops:
+        if i != j:
+            # P <- P (I + c E_ij), Q <- (I - c E_ij) Q
+            for row in P:
+                row[j] += c * row[i]
+            Q[i] = [a - c * b for a, b in zip(Q[i], Q[j])]
+        elif c:
+            for row in P:
+                row[i] *= c
+            Q[i] = [a / c for a in Q[i]]
+    return P, Q
+
+
+def dense_product(a, b, cols):
+    """a times b on dense lists, b having cols columns and maybe no rows."""
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+@st.composite
+def conjugated_complexes(draw):
+    """(differentials, ranks) of d_k = P_(k+1) J_k P_k^-1, where J_k sends
+    the unit vectors r_(k-1) .. r_(k-1) + r_k - 1 of C^k to the first r_k
+    unit vectors of C^(k+1), so J_k J_(k-1) = 0 and rank d_k = r_k.
+    Dimensions may be 0 and ranks 0, ends included."""
+    dims = draw(st.lists(st.integers(0, 5), min_size=2, max_size=5))
+    ranks, below = [], 0
+    for n, above in zip(dims, dims[1:]):
+        # drawn down from the largest rank, which shrinking then prefers
+        top = min(n - below, above)
+        below = top - draw(st.integers(0, top))
+        ranks.append(below)
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pairs = [elementary_pair(n, draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), scalars),
+        min_size=n, max_size=3 * n)) if n else []) for n in dims]
+    matrices, below = [], 0
+    for k, r in enumerate(ranks):
+        n, above = dims[k], dims[k + 1]
+        J = [[Fraction(int(j == below + i and i < r)) for j in range(n)]
+             for i in range(above)]
+        d = dense_product(pairs[k + 1][0], dense_product(J, pairs[k][1], n), n)
+        matrices.append(RationalMatrix(above, n, [x for row in d for x in row]))
+        below = r
+    return matrices, ranks
+
+
+class TestClearedRanks:
+    """The ranks of a certified complex, taken by clearing, against
+    per-matrix ranks of its rows and the dense Bareiss oracle."""
+
+    @staticmethod
+    def assert_oracles_agree(cx):
+        assert cx.ranks() == [rank(m) for m in cx.matrices] \
+            == [dense_rank(m) for m in cx.matrices]
+
+    @pytest.mark.parametrize("name", sorted(corpus.MODULE_NAMES))
+    def test_corpus_modules(self, name):
+        M = corpus.load(name)
+        self.assert_oracles_agree(ce_complex(M, min(M.base.space.dim, 3)))
+
+    @pytest.mark.parametrize("name", ["gl3-adjoint-rebased", "n4-adjoint"])
+    def test_larger_complexes(self, name):
+        M, maxdeg = assembly_case(name)
+        if name == "gl3-adjoint-rebased":
+            assert M.cleared_constants()[0] > 1
+        self.assert_oracles_agree(ce_complex(M, maxdeg))
+
+    @given(conjugated_complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugated_complexes(self, case):
+        matrices, ranks = case
+        cx = ComplexMatrices(matrices)
+        assert cx.ranks() == ranks
+        self.assert_oracles_agree(cx)
+
+    @pytest.mark.parametrize("lname,cname", TD_PAIRS)
+    def test_hom_space_complexes(self, lname, cname):
+        data = TDComplexData(hom_self(lname, cname), maxdeg=2)
+        assert data.q_ranks == data.a_ranks \
+            == [rank(m) for m in data.quotient_matrices] \
+            == [dense_rank(m) for m in data.quotient_matrices]
+
+    def test_gl3_feeds_only_what_the_degree_below_leaves(self, monkeypatch):
+        # with clearing, degree k feeds dim C^k - rank d_(k-1) columns of
+        # d_k and exactly h_k of them reduce to zero; ranking d_k by its
+        # 81, 324 and 756 rows would feed all of them
+        fed, residues = [], []
+
+        class Counted(linalg.Echelon):
+            def __init__(self, ncols, rows, rhs=None):
+                super().__init__(ncols, rows, rhs)
+                fed.append(sum(1 for row in rows if row))
+                residues.append(sum(1 for i in self.residues if rows[i]))
+
+        monkeypatch.setattr(linalg, "Echelon", Counted)
+        cx = ce_complex(gl_adjoint(3), 2)
+        assert cx.ranks() == [8, 72, 252]
+        assert fed == [9, 73, 252]
+        assert residues == cx.cohomology_dims() == [1, 1, 0]
+
+
+def refuse_elimination(*args, **kwargs):
+    raise AssertionError("eliminated before d squared was checked")
+
+
+class TestSquareZeroCheckedFirst:
+    def test_complex_matrices(self, monkeypatch):
+        # d_1 d_0 = 0, so only the second product can tell
+        d0 = RationalMatrix.from_rows([[1], [0]])
+        d1 = RationalMatrix.from_rows([[0, 1]])
+        d2 = RationalMatrix.from_rows([[1]])
+        monkeypatch.setattr(linalg, "Echelon", refuse_elimination)
+        with pytest.raises(AxiomError) as exc:
+            ComplexMatrices([d0, d1, d2])
+        assert str(exc.value) == "consecutive differentials do not compose to zero"
+
+    def test_hom_space_complex(self, monkeypatch):
+        tdm = td_module_over(heis_adjoint_with(*HEIS_VARIANTS["action-extra"]),
+                             "tensor-ab-2")
+        monkeypatch.setattr(linalg, "Echelon", refuse_elimination)
+        with pytest.raises(AxiomError) as exc:
+            TDComplexData(tdm, maxdeg=2)
+        assert str(exc.value) == "quotient differentials do not square to zero"

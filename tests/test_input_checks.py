@@ -372,6 +372,14 @@ cases = [
     (ScalarError, lambda: HomElement(t2, sl2.space, {(0, 0): 0.1})),
     (ScalarError, lambda: Coalgebra(V, [(0, 0, 0, 0.5)])),
     (ScalarError, lambda: AltCochain(V, W, 1, {((0,), 0): 0.5})),
+    (ScalarError, lambda: RationalMatrix.from_rows([[True, 0], [0, 1]])),
+    (ScalarError, lambda: RationalMatrix.zero(1, 1).set(0, 0, False)),
+    (ScalarError, lambda: solve(RationalMatrix.identity(1), [True])),
+    (ScalarError, lambda: MultilinearMap([V], V, {((0,), 1): True})),
+    (ScalarError, lambda: sl2.bracket.scale(True)),
+    (ScalarError, lambda: HomElement(t2, sl2.space, {(0, 0): True})),
+    (ScalarError, lambda: Coalgebra(V, [(0, 0, 0, True)])),
+    (ScalarError, lambda: AltCochain(V, W, 1, {((0,), 0): False})),
     (MalformedInput, lambda: MultilinearMap([V], V, {((0.5,), 0): 1})),
     (MalformedInput, lambda: MultilinearMap([V], V, {((True,), 0): 1})),
     (MalformedInput, lambda: MultilinearMap([V], V, {((0,), 1.0): 1})),

@@ -184,7 +184,7 @@ class TestElimination:
         assert solve(m, [Fraction(4)]) == x
 
     @pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), 1j, Decimal("0.1"),
-                                     "x", "1/0", "", None, [1]])
+                                     "x", "1/0", "", None, [1], True, False])
     def test_inexact_scalars_refused(self, bad):
         # refused on every way in: constructors, set and a solve's list rhs
         cases = [
@@ -200,9 +200,9 @@ class TestElimination:
             assert isinstance(info.value, TdhomError)
 
     def test_exact_scalars_read_exactly(self):
-        m = RationalMatrix.from_rows([[1, Fraction(-2, 3), "5/7", "-4", True]])
+        m = RationalMatrix.from_rows([[1, Fraction(-2, 3), "5/7", "-4"]])
         assert m.row(0) == [Fraction(1), Fraction(-2, 3), Fraction(5, 7),
-                            Fraction(-4), Fraction(1)]
+                            Fraction(-4)]
         m.set(0, 0, "1/3")
         assert m.get(0, 0) == Fraction(1, 3)
         assert solve(RationalMatrix.identity(2), ["1/3", 2]) == [
