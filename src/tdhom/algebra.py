@@ -16,7 +16,7 @@ decides on first use.
 
 from .checks import combine, decided_once
 from .errors import AxiomError, ShapeError
-from .linalg import Permutation, clear_denominators
+from .linalg import Permutation, common_ints
 from .maps import map_identity_check, signed_sum
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
@@ -77,8 +77,7 @@ class LieModule:
         own groupings: neither map changes after construction.
         """
         if self._cleared is None:
-            (bracket, action), N = clear_denominators(
-                [self.base.bracket.entries, self.action.entries])
+            (bracket, action), N = common_ints([self.base.bracket, self.action])
             pairs, acting = {}, {}
             for ((x, y), a), c in bracket.items():
                 if x < y:

@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
 from .cohomology import TDComplexData, ce_complex
-from .convolution import HomElement
+from .convolution import HomElement, non_negative_int
 from .errors import (
     AxiomError,
     GuardError,
@@ -402,9 +402,9 @@ def build_parser():
     v.add_argument("--suite", choices=SUITES, default="all")
     v.add_argument("--json", action="store_true",
                    help="print the machine-readable report")
-    v.add_argument("--guard-limit", type=int, default=None,
+    v.add_argument("--guard-limit", type=non_negative_int, default=None,
                    help="override the materialization size guard")
-    v.add_argument("--subcomplex-maxdeg", type=int, default=1,
+    v.add_argument("--subcomplex-maxdeg", type=non_negative_int, default=1,
                    help="depth of the linear-subcomplex sweep")
     v.add_argument("--unsafe-skip-axioms", action="store_true",
                    help="load files without their load-time axiom checks")
@@ -417,7 +417,7 @@ def build_parser():
     c.add_argument("--td", action="store_true",
                    help="compute on the hom-space complex over a coalgebra")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--guard-limit", type=int, default=None)
+    c.add_argument("--guard-limit", type=non_negative_int, default=None)
     c.add_argument("--unsafe-skip-axioms", action="store_true")
 
     e = sub.add_parser("examples", help="list or export shipped structures")

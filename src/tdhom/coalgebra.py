@@ -10,7 +10,7 @@ import itertools
 
 from .checks import CheckResult, Witness, decided_once
 from .errors import AxiomError
-from .linalg import ONE, ZERO, BasedSpace, _fraction
+from .linalg import ONE, ZERO, BasedSpace, _exact
 from .maps import _check_index
 
 COCOMMUTATIVE = "cocommutative"
@@ -30,7 +30,7 @@ class Coalgebra:
             for idx in (i, j, k):
                 _check_index(idx, space.dim, "coproduct", space)
             key = (i, j, k)
-            table[key] = table.get(key, ZERO) + _fraction(q)
+            table[key] = table.get(key, ZERO) + _exact(q)
         self.space = space
         self.coproduct = {key: q for key, q in table.items() if q}
         self._splits = {}

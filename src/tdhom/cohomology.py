@@ -29,11 +29,9 @@ cannot fail.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb
 from operator import lt
-from types import MappingProxyType
 
 from .convolution import (
     check_materialization_size,
@@ -50,7 +48,6 @@ from .linalg import (
     SparseColumns,
     SparseTable,
     _exact,
-    clear_denominators,
     kernel_basis,
     pivot_columns,
     rank,
@@ -111,14 +108,13 @@ class AltCochain(SparseTable):
     Degree zero is an element of the target space, stored under the empty
     tuple.  Values off the increasing tuples are recovered by sign.
 
-    Stored the way RationalMatrix stores a matrix: _ints maps each (tuple,
-    output index) to a nonzero int, over one positive _denominator in
-    canonical form (the least that works), so == compares the stored ints.
-    values is a read-only {key: Fraction} view of them, built on first
-    read and kept, since nothing changes a cochain after construction.
+    Stored as a SparseTable keyed by (tuple, output index), with values as
+    its read-only Fraction view.
     """
 
     TABLE = "values"
+    SHAPE = ("lie_space", "target", "degree")
+    values = SparseTable.entries
 
     def __init__(self, lie_space, target, degree, values):
         table = {}
@@ -136,47 +132,20 @@ class AltCochain(SparseTable):
                 raise ShapeError("tuple %r out of range" % (tup,))
             if not 0 <= o < out_dim:
                 raise ShapeError("output index %d out of range" % o)
-            q = _exact(q)
-            if q:
-                table[key] = q
-        # the values are in lowest terms, so their least common
-        # denominator is already canonical
-        (ints,), den = clear_denominators([table])
+            table[key] = _exact(q)
         self.lie_space = lie_space
         self.target = target
         self.degree = degree
-        self._ints = ints
-        self._denominator = den
-        self._values = None
+        self._set_table(table)
 
     @classmethod
     def _from_ints(cls, lie_space, target, degree, ints, den):
         """The cochain ints / den on in-range increasing keys, such as
-        assembly and arithmetic build: zeros are dropped and the
-        denominator made canonical, nothing is checked."""
-        ints = {key: v for key, v in ints.items() if v}
-        if den != 1:
-            g = gcd(den, *ints.values())
-            if g != 1:
-                ints = {key: v // g for key, v in ints.items()}
-                den //= g
+        assembly and arithmetic build, unchecked."""
         f = cls.__new__(cls)
-        f.lie_space = lie_space
-        f.target = target
-        f.degree = degree
-        f._ints = ints
-        f._denominator = den
-        f._values = None
+        f.lie_space, f.target, f.degree = lie_space, target, degree
+        f._set_ints(ints, den)
         return f
-
-    @property
-    def values(self):
-        """The stored values as a read-only {(tuple, output): Fraction}."""
-        if self._values is None:
-            den = self._denominator
-            self._values = MappingProxyType(
-                {key: Fraction(v, den) for key, v in self._ints.items()})
-        return self._values
 
     @classmethod
     def from_map(cls, m, check=True):
@@ -223,33 +192,20 @@ class AltCochain(SparseTable):
         """The full skew multilinear map."""
         if self.degree == 0:
             raise ShapeError("degree-0 cochains have no map form")
-        entries = {}
-        for (tup, o), q in self.values.items():
+        ints = {}
+        for (tup, o), v in self._ints.items():
             for arrangement in permutations(tup):
                 sign, _ = sorting_sign(arrangement)
-                entries[(arrangement, o)] = sign * q
-        return MultilinearMap([self.lie_space] * self.degree, self.target, entries)
+                ints[(arrangement, o)] = sign * v
+        return MultilinearMap._trusted([self.lie_space] * self.degree, self.target,
+                                       ints, self._denominator)
 
-    def _like(self, table):
-        (ints,), den = clear_denominators([table])
-        return AltCochain._from_ints(self.lie_space, self.target, self.degree, ints, den)
-
-    def is_zero(self):
-        return not self._ints
+    def _dims(self):
+        return self.degree, self.lie_space.dim, self.target.dim
 
     def _check_compatible(self, other):
         if self.degree != other.degree:
             raise ShapeError("degree %d vs %d" % (self.degree, other.degree))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AltCochain)
-            and self.degree == other.degree
-            and self.lie_space.dim == other.lie_space.dim
-            and self.target.dim == other.target.dim
-            and self._denominator == other._denominator
-            and self._ints == other._ints
-        )
 
     def __repr__(self):
         return "AltCochain(degree=%d, %d values)" % (self.degree, len(self._ints))
@@ -600,9 +556,9 @@ class TDComplexData:
         """
         C = self.tdm.coalgebra
         L = self.tdm.module.base.space
-        bracket = self.tdm.module.base.bracket.entries
-        symmetric = any(q + bracket.get(((y, x), o), ZERO)
-                        for ((x, y), o), q in bracket.items())
+        bracket = self.tdm.module.base.bracket._ints
+        symmetric = any(v + bracket.get(((y, x), o), 0)
+                        for ((x, y), o), v in bracket.items())
         for k in range(self.maxdeg + 1):
             if self.alt_dims[k]:
                 check_materialization_size([L] * (k + 1), C, self.guard_limit)

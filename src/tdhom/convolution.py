@@ -30,7 +30,7 @@ from .linalg import (
     Echelon,
     Permutation,
     SparseTable,
-    _fraction,
+    _exact,
     all_permutations,
     gather,
     tensor_space,
@@ -40,13 +40,25 @@ from .maps import MultilinearMap, _check_index
 DEFAULT_GUARD_LIMIT = 20000
 
 
+def non_negative_int(text):
+    """text read as an int >= 0; ValueError otherwise."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("%d is negative" % value)
+    return value
+
+
 def resolve_guard_limit(limit=None):
     if limit is not None:
         return limit
     env = os.environ.get("TDHOM_GUARD_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_GUARD_LIMIT
+    if not env:
+        return DEFAULT_GUARD_LIMIT
+    try:
+        return non_negative_int(env)
+    except ValueError:
+        raise ValueError("TDHOM_GUARD_LIMIT must be a non-negative integer, "
+                         "got %r" % env) from None
 
 
 def check_materialization_size(domain, coalgebra, limit):
@@ -69,8 +81,10 @@ def check_materialization_size(domain, coalgebra, limit):
 class HomElement(SparseTable):
     """A linear map from a coalgebra's space to a target space."""
 
+    SHAPE = ("source", "target")
+
     def __init__(self, source, target, entries):
-        """entries: {(target index, source index): Fraction} or dense rows."""
+        """entries: {(target index, source index): scalar} or dense rows."""
         if not isinstance(entries, dict):
             rows = list(entries)
             if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
@@ -82,16 +96,14 @@ class HomElement(SparseTable):
         for (t, c), q in entries.items():
             _check_index(t, target.dim, "target", target)
             _check_index(c, source.dim, "source", source.space)
-            q = _fraction(q)
-            if q:
-                table[(t, c)] = q
+            table[(t, c)] = _exact(q)
         self.source = source
         self.target = target
-        self.entries = table
+        self._set_table(table)
 
     @classmethod
     def matrix_unit(cls, source, target, t, c):
-        return cls(source, target, {(t, c): ONE})
+        return cls(source, target, {(t, c): 1})
 
     @classmethod
     def zero(cls, source, target):
@@ -104,24 +116,16 @@ class HomElement(SparseTable):
         """Image of the c-th basis vector: {target index: Fraction}."""
         return {t: q for (t, cc), q in self.entries.items() if cc == c}
 
-    def _like(self, table):
-        return HomElement(self.source, self.target, table)
+    def _dims(self):
+        return self.source.dim, self.target.dim
 
     def _check_compatible(self, other):
         if self.source is not other.source or self.target is not other.target:
             raise ShapeError("Hom elements between different spaces do not add")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomElement)
-            and self.source.dim == other.source.dim
-            and self.target.dim == other.target.dim
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         return "HomElement(%s->%s, %d entries)" % (
-            self.source.space.name, self.target.name, len(self.entries))
+            self.source.space.name, self.target.name, len(self._ints))
 
 
 def matrix_units(source, target):
@@ -318,14 +322,11 @@ def _map_sum(psi, other):
     """psi + other entry by entry, as materialized tables add: only the
     arity has to agree.  Each argument keeps psi's space unless other's is
     larger there, which happens only in a sum that does not typecheck."""
-    table = dict(psi.entries)
-    for key, q in other.entries.items():
-        table[key] = table.get(key, ZERO) + q
     domain = [a if a.dim >= b.dim else b
               for a, b in zip(psi.domain, other.domain)]
     codomain = psi.codomain if psi.codomain.dim >= other.codomain.dim \
         else other.codomain
-    return MultilinearMap._trusted(domain, codomain, table)
+    return MultilinearMap._trusted(domain, codomain, *psi._plus(other))
 
 
 class MaterializedOperator(SparseTable):
@@ -337,16 +338,17 @@ class MaterializedOperator(SparseTable):
     argument i.  Equality of these tables is equality of operators.
     """
 
+    SHAPE = ("arity", "coalgebra", "domain", "codomain")
+
     def __init__(self, arity, coalgebra, domain, codomain, entries):
         self.arity = arity
         self.coalgebra = coalgebra
         self.domain = tuple(domain)
         self.codomain = codomain
-        self.entries = {k: v for k, v in entries.items() if v != 0}
+        self._set_table(entries)
 
-    def _like(self, entries):
-        return MaterializedOperator(self.arity, self.coalgebra, self.domain,
-                                    self.codomain, entries)
+    def _dims(self):
+        return self.arity
 
     def _check_compatible(self, other):
         if self.arity != other.arity:
@@ -364,19 +366,12 @@ class MaterializedOperator(SparseTable):
         if sigma.size != self.arity:
             raise ShapeError("permutation size %d vs arity %d" % (sigma.size, self.arity))
         inv = sigma.inverse()
-        table = {}
-        for (o, c, cols), v in self.entries.items():
-            table[(o, c, gather(inv, cols))] = v
-        return MaterializedOperator(self.arity, self.coalgebra,
-                                    gather(inv, self.domain) if self.domain else self.domain,
-                                    self.codomain, table)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MaterializedOperator)
-            and self.arity == other.arity
-            and self.entries == other.entries
-        )
+        table = {(o, c, gather(inv, cols)): v
+                 for (o, c, cols), v in self._ints.items()}
+        return self._stored(table, self._denominator, arity=self.arity,
+                            coalgebra=self.coalgebra,
+                            domain=gather(inv, self.domain) if self.domain else self.domain,
+                            codomain=self.codomain)
 
     def first_difference(self, other):
         """(cols, c, out, residual Fraction) at the first differing key,
@@ -390,7 +385,7 @@ class MaterializedOperator(SparseTable):
         return cols, c, o, diff.entries[key]
 
     def __repr__(self):
-        return "MaterializedOperator(arity=%d, %d entries)" % (self.arity, len(self.entries))
+        return "MaterializedOperator(arity=%d, %d entries)" % (self.arity, len(self._ints))
 
 
 def twisted(phi, C, sigma):

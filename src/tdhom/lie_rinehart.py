@@ -24,6 +24,7 @@ from .algebra import (
 from .checks import CheckResult, combine, decided_once
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
+    _map_sum,
     check_materialization_size,
     compose_induced,
     factored_term,
@@ -33,11 +34,10 @@ from .convolution import (
 )
 from .errors import AxiomError, ShapeError
 from .linalg import (
-    ONE,
     Permutation,
     RationalMatrix,
     SparseColumns,
-    _subtract_scaled,
+    common_ints,
     solve,
     table_sum,
 )
@@ -238,18 +238,15 @@ def linearity_twist(i, n):
 
 
 def _slot_defect(fmap, i, pair):
-    """Base map of the slot-i scaling identity, left side minus right, as a
-    table {(argument tuple, output): q}: both sides are untwisted induced
-    operators once the right one is rearranged, so the identity holds
-    exactly when this map or the coproduct of its arity vanishes.  The sides
-    are subtracted entry by entry, as operator tables are, so only their
-    arity has to agree."""
+    """Base map of the slot-i scaling identity, left side minus right: both
+    sides are untwisted induced operators once the right one is rearranged,
+    so the identity holds exactly when this map or the coproduct of its
+    arity vanishes.  The sides are subtracted entry by entry, as operator
+    tables are, so only their arity has to agree."""
     lhs = fmap.compose_at(pair.bmodule, i - 1)
     rhs = pair.product.compose_at(fmap, 1).precompose_perm(
         linearity_twist(i, fmap.arity))
-    table = dict(lhs.entries)
-    _subtract_scaled(table, ONE, rhs.entries)
-    return table
+    return _map_sum(lhs, rhs.scale(-1))
 
 
 def blinear_subspace(n, s, guard_limit=None):
@@ -272,11 +269,16 @@ def blinear_subspace(n, s, guard_limit=None):
     if n >= 1 and basis:
         check_materialization_size([B] + [L] * n, C, limit)
         if C.iterated_terms(n + 1):
+            cells = []
             for ci, key in enumerate(basis):
                 fmap = AltCochain(L, B, n, {key: 1}).as_map()
-                for i in range(1, n + 1):
-                    for row, q in _slot_defect(fmap, i, pair).items():
-                        stacked.add(ci, (i, row), q)
+                cells.extend((ci, i, _slot_defect(fmap, i, pair))
+                             for i in range(1, n + 1))
+            # over one common denominator: the matrix is scaled, its kernel is not
+            tables, _ = common_ints([defect for _, _, defect in cells])
+            for (ci, i, _), table in zip(cells, tables):
+                for row, v in table.items():
+                    stacked.add(ci, (i, row), v)
     return stacked.kernel_basis()
 
 
@@ -285,7 +287,7 @@ def _violating_slot(cochain, pair):
     outside blinear_subspace, whose coproduct of the defect arity lives."""
     fmap = cochain.as_map()
     for i in range(1, cochain.degree + 1):
-        if _slot_defect(fmap, i, pair):
+        if not _slot_defect(fmap, i, pair).is_zero():
             return i
     return 0
 
@@ -324,10 +326,11 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
                 for c, q in enumerate(vec):
                     if q:
                         span[c][j] = q
+            # each image times its denominator: as solvable as the image
             rhs = [{} for _ in index]
             for j, image in enumerate(images):
-                for key, q in image.values.items():
-                    rhs[index[key]][j] = q
+                for key, v in image._ints.items():
+                    rhs[index[key]][j] = v
             solutions = solve(RationalMatrix._from_sparse_rows(len(target), span),
                               RationalMatrix._from_sparse_rows(len(images), rhs))
             for image, x in zip(images, solutions):

@@ -5,22 +5,25 @@ terms, positive denominator) or "p/q" strings, all read through one helper
 that refuses floats and everything else with ScalarError.  Nothing in the
 package ever touches a float.
 
-RationalMatrix stores its rows as zero-free {column: int} dicts over one
-positive common denominator, and every rank, pivot set, kernel and solve
-comes from one sparse, fraction-free echelon form (Echelon) of such rows,
-fed shortest first and reduced by their leading column.  Its answers are
-the unique ones fixed by the lexicographically first independent column
-set, so they are reproducible bit for bit whatever the row order.
-Fractions are created only where a caller reads them: matrix entries,
-kernel vectors, solutions and residues.  A complex with d squared zero
-is ranked by clearing (cohomology._certified_ranks): im d_(k-1) fills the
-pivot columns of d_(k-1) transposed, so d_k is ranked off them.  The dense fraction-free
-elimination that preceded the sparse one is the test oracle in
-tests/linalg_oracle.py.
+Every stored scalar is an int over a positive common denominator in
+canonical form: the gcd of the denominator and all the ints is 1, so two
+tables or matrices are equal exactly when their ints and denominators
+are (_lowest_terms makes the form).  RationalMatrix keeps one zero-free
+{column: int} dict per row; SparseTable, under maps, Hom elements,
+materialized operators and cochains, keeps one zero-free {key: int} dict,
+and does its add, sub, scale, is_zero and == on the ints.  Fractions are
+created only where a caller reads them: matrix entries, the tables'
+read-only Fraction views, kernel vectors, solutions and residues.
 
-SparseTable holds the sparse arithmetic (add, sub, scale, is_zero) shared by
-every class stored as a {key: Fraction} table with no zero entry: maps,
-Hom elements, materialized operators and cochains.
+Every rank, pivot set, kernel and solve comes from one sparse,
+fraction-free echelon form (Echelon) of int rows, fed shortest first and
+reduced by their leading column.  Its answers are the unique ones fixed by
+the lexicographically first independent column set, so they are
+reproducible bit for bit whatever the row order.  A complex with d squared
+zero is ranked by clearing (cohomology._certified_ranks): im d_(k-1) fills
+the pivot columns of d_(k-1) transposed, so d_k is ranked off them.  The
+dense fraction-free elimination that preceded the sparse one is the test
+oracle in tests/linalg_oracle.py.
 """
 
 import functools
@@ -28,6 +31,7 @@ import itertools
 import numbers
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import InvalidPermutation, ScalarError, ShapeError
 
@@ -49,13 +53,6 @@ def _exact(x):
     raise ScalarError("not an exact rational scalar: %r" % (x,))
 
 
-def _fraction(x):
-    """x read by _exact, as a Fraction: how the tables of maps, Hom
-    elements, coproducts and cochains take a caller's scalar."""
-    x = _exact(x)
-    return x if type(x) is Fraction else Fraction(x, 1)
-
-
 def clear_denominators(tables):
     """(int tables, den): tables of exact scalars written as ints over the
     least common denominator of all their values, so that
@@ -70,6 +67,22 @@ def clear_denominators(tables):
         return [{k: v.numerator for k, v in t.items()} for t in tables], 1
     return [{k: v.numerator * (den // v.denominator) for k, v in t.items()}
             for t in tables], den
+
+
+def _lowest_terms(tables, den):
+    """(tables, den) for the values tables[i][k] / den in canonical form:
+    the gcd of den and every int entry divided out.  den must be positive;
+    tables come back as given when nothing divides out."""
+    if den != 1:
+        g = den
+        for table in tables:
+            if table:
+                g = gcd(g, *table.values())
+                if g == 1:
+                    return tables, den
+        tables = [{k: v // g for k, v in t.items()} for t in tables]
+        den //= g
+    return tables, den
 
 
 class BasedSpace:
@@ -241,18 +254,8 @@ class RationalMatrix:
     def _from_int_rows(cls, cols, int_rows, den):
         """The matrix int_rows / den, brought to canonical form: each row a
         dict {column in range(cols): nonzero int}, den a positive int."""
-        if den != 1:
-            g = den
-            for row in int_rows:
-                if row:
-                    g = gcd(g, *row.values())
-                    if g == 1:
-                        break
-            if g != 1:
-                int_rows = [{j: v // g for j, v in row.items()} for row in int_rows]
-                den //= g
         m = cls.__new__(cls)
-        m._init(cols, int_rows, den)
+        m._init(cols, *_lowest_terms(int_rows, den))
         return m
 
     @classmethod
@@ -387,35 +390,103 @@ def _sparse_row(dense):
 
 
 class SparseTable:
-    """Shared arithmetic for objects stored as one {key: Fraction} table.
+    """The one store of every exact sparse table: maps, Hom elements,
+    materialized operators and cochains.
 
-    A stored table never holds a zero entry; the subclass constructor drops
-    them, so sums are accumulated plainly and handed to it.  A subclass
-    names its table attribute in TABLE, rebuilds itself from a table in
-    _like, and raises ShapeError from _check_compatible when the other
-    operand does not live on the same spaces.
+    _ints maps each key to a nonzero int, over one positive _denominator in
+    canonical form (see _lowest_terms), and nothing changes them once set:
+    the constructors hand a table to _set_table (ints and Fractions) or to
+    _set_ints (ints over a denominator, such as arithmetic builds), which
+    drop the zeros and make the form canonical.  add, sub, scale, is_zero
+    and == run on the ints; the Fraction table named by TABLE (entries, or
+    values on a cochain) is a read-only view, built on first read and kept.
+
+    A subclass names in SHAPE the attributes that place it on its spaces,
+    which a result of arithmetic copies, compares in _dims what == needs
+    besides the store, and raises ShapeError from _check_compatible when
+    the other operand does not live on the same spaces.
     """
 
     TABLE = "entries"
+    _view = None
+
+    def _set_ints(self, ints, den):
+        """Store the values ints[k] / den, den positive, in canonical form."""
+        ints = {k: v for k, v in ints.items() if v}
+        if den != 1:
+            (ints,), den = _lowest_terms([ints], den)
+        self._ints = ints
+        self._denominator = den
+
+    def _set_table(self, table):
+        """Store a table of ints and Fractions."""
+        (ints,), den = clear_denominators([table])
+        self._set_ints(ints, den)
+
+    @classmethod
+    def _stored(cls, ints, den, **shape):
+        """The table ints / den on the given SHAPE attributes, unchecked."""
+        t = cls.__new__(cls)
+        t.__dict__.update(shape)
+        t._set_ints(ints, den)
+        return t
+
+    def _like(self, ints, den):
+        return self._stored(ints, den, **{a: getattr(self, a) for a in self.SHAPE})
+
+    @property
+    def entries(self):
+        """The stored values as a read-only {key: Fraction}."""
+        if self._view is None:
+            den = self._denominator
+            self._view = MappingProxyType(
+                {k: Fraction(v, den) for k, v in self._ints.items()})
+        return self._view
+
+    def _plus(self, other):
+        """(ints, den) of self + other, cancelled entries not yet dropped."""
+        (ints, more), den = common_ints([self, other])
+        ints = dict(ints)
+        for k, v in more.items():
+            ints[k] = ints.get(k, 0) + v
+        return ints, den
 
     def add(self, other):
         self._check_compatible(other)
-        table = dict(getattr(self, self.TABLE))
-        for k, v in getattr(other, self.TABLE).items():
-            table[k] = table.get(k, ZERO) + v
-        return self._like(table)
+        return self._like(*self._plus(other))
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def scale(self, q):
         q = _exact(q)
-        if q == 0:
-            return self._like({})
-        return self._like({k: q * v for k, v in getattr(self, self.TABLE).items()})
+        p = q.numerator
+        return self._like({k: p * v for k, v in self._ints.items()},
+                          self._denominator * q.denominator)
 
     def is_zero(self):
-        return not getattr(self, self.TABLE)
+        return not self._ints
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._dims() == other._dims()
+            and self._denominator == other._denominator
+            and self._ints == other._ints
+        )
+
+
+def common_ints(tables):
+    """([ints], den): the stores of SparseTables written over one common
+    denominator, the least common multiple of theirs; a store already over
+    it is handed back as it is, not copied."""
+    den = 1
+    for t in tables:
+        if den % t._denominator:
+            den = lcm(den, t._denominator)
+    return [t._ints if t._denominator == den else
+            {k: v * (den // t._denominator) for k, v in t._ints.items()}
+            for t in tables], den
 
 
 def table_sum(terms):
@@ -423,18 +494,8 @@ def table_sum(terms):
     return functools.reduce(lambda a, b: a.add(b), terms)
 
 
-def _subtract_scaled(target, a, source):
-    """target -= a * source on sparse dicts, dropping entries that cancel."""
-    for k, v in source.items():
-        new = target.get(k, ZERO) - a * v
-        if new:
-            target[k] = new
-        else:
-            del target[k]
-
-
 def _eliminate(target, b, a, source):
-    """target <- b * target - a * source on int dicts, dropping entries
+    """target <- b * target - a * source on sparse dicts, dropping entries
     that cancel."""
     if b != 1:
         for k in target:
@@ -552,7 +613,7 @@ class Echelon:
             acc = dict(extra) if with_rhs else {}
             for j, v in row.items():
                 if j != c and j in values:
-                    _subtract_scaled(acc, v, values[j])
+                    _eliminate(acc, 1, v, values[j])
             p = row[c]
             values[c] = {t: Fraction(v, p) for t, v in acc.items()}
         return values
@@ -635,7 +696,7 @@ class SparseColumns:
     def add(self, col, row_key, value):
         """Add value at (row_key, col), dropping the entry if it cancels."""
         d = self.columns[col]
-        new = d.get(row_key, ZERO) + value
+        new = d.get(row_key, 0) + value
         if new:
             d[row_key] = new
         else:

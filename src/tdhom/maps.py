@@ -1,24 +1,22 @@
 """Multilinear maps as sparse structure constants.
 
-A map V_1 (x) ... (x) V_n -> W is a dict from (input index tuple, output
-index) to a nonzero Fraction.  Everything downstream (brackets, actions,
-coproduct composites, cochains) is one of these.
+A map V_1 (x) ... (x) V_n -> W is a SparseTable keyed by (input index
+tuple, output index): nonzero ints over one canonical denominator, with
+entries as the read-only Fraction view.  Everything downstream (brackets,
+actions, coproduct composites, cochains) is one of these.
 
 The public constructor is the one place where a table is checked: every
 index must be an int (not a bool) in the range of its space, and every
 scalar an exact rational, so a float raises ScalarError.  Arithmetic on
 maps (add, sub, scale, precompose_perm, compose_at, signed_sum, and the
-part sums of convolution) builds its result through _trusted, unchecked,
-since the operands were checked already; compose_at and signed_sum sum
-in ints over the tables' common denominator.  Stored tables hold no
-zero, so first_difference decides equality by comparing tables and
-subtracts only unequal maps.
+part sums of convolution) runs on the stored ints and builds its result
+through _trusted, unchecked, since the operands were checked already;
+no Fraction is made on the way.  Equal maps have equal stores, so
+first_difference subtracts only unequal maps.
 """
 
-from fractions import Fraction
-
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, _fraction, clear_denominators, scatter
+from .linalg import ZERO, SparseTable, _exact, common_ints, scatter
 
 
 def _check_int(i, role, space):
@@ -34,6 +32,9 @@ def _check_index(i, dim, role, space):
 
 
 class MultilinearMap(SparseTable):
+    SHAPE = ("domain", "codomain")
+    _by_input = None
+
     def __init__(self, domain, codomain, entries):
         domain = tuple(domain)
         dims = tuple(space.dim for space in domain)
@@ -47,23 +48,18 @@ class MultilinearMap(SparseTable):
             for i, dim, space in zip(tup, dims, domain):
                 _check_index(i, dim, "input", space)
             _check_index(out, out_dim, "output", codomain)
-            value = _fraction(value)
-            if value:
-                table[(tup, out)] = value
+            table[(tup, out)] = _exact(value)
         self.domain = domain
         self.codomain = codomain
-        self.entries = table
-        self._by_input = None
+        self._set_table(table)
 
     @classmethod
-    def _trusted(cls, domain, codomain, table):
-        """A map on a table of in-range keys and Fraction values, such as
-        arithmetic on checked maps builds: only its zeros are dropped."""
+    def _trusted(cls, domain, codomain, ints, den):
+        """The map ints / den on in-range keys, such as arithmetic on checked
+        maps builds: only its zeros are dropped and its form made canonical."""
         m = cls.__new__(cls)
-        m.domain = tuple(domain)
-        m.codomain = codomain
-        m.entries = {key: q for key, q in table.items() if q}
-        m._by_input = None
+        m.domain, m.codomain = tuple(domain), codomain
+        m._set_ints(ints, den)
         return m
 
     @classmethod
@@ -96,8 +92,8 @@ class MultilinearMap(SparseTable):
     def coefficient(self, tup, out):
         return self.entries.get((tuple(tup), out), ZERO)
 
-    def _like(self, table):
-        return MultilinearMap._trusted(self.domain, self.codomain, table)
+    def _dims(self):
+        return tuple(s.dim for s in self.domain), self.codomain.dim
 
     def _check_compatible(self, other):
         if self.domain != other.domain or self.codomain is not other.codomain:
@@ -108,10 +104,9 @@ class MultilinearMap(SparseTable):
         (f . p)(x_1,..,x_n) = f(x_{p(1)},..,x_{p(n)})."""
         if p.size != self.arity:
             raise ShapeError("permutation size %d vs arity %d" % (p.size, self.arity))
-        table = {}
-        for (tup, out), q in self.entries.items():
-            table[(scatter(p, tup), out)] = q
-        return MultilinearMap._trusted(scatter(p, self.domain), self.codomain, table)
+        table = {(scatter(p, tup), out): v for (tup, out), v in self._ints.items()}
+        return MultilinearMap._trusted(scatter(p, self.domain), self.codomain,
+                                       table, self._denominator)
 
     def compose_at(self, inner, slot):
         """self . (1 x .. x inner x .. x 1) with inner feeding slot (0-based)."""
@@ -122,13 +117,11 @@ class MultilinearMap(SparseTable):
                 "codomain %s does not fit slot %d (%s)"
                 % (inner.codomain.name, slot, self.domain[slot].name))
         domain = self.domain[:slot] + inner.domain + self.domain[slot + 1:]
-        # the sums run in ints over the common denominator of both tables
-        (outer, feed), den = clear_denominators([self.entries, inner.entries])
         feeding = {}
-        for (itup, o), p in feed.items():
+        for (itup, o), p in inner._ints.items():
             feeding.setdefault(o, []).append((itup, p))
         acc = {}
-        for (tup, out), q in outer.items():
+        for (tup, out), q in self._ints.items():
             fed = feeding.get(tup[slot])
             if fed is None:
                 continue
@@ -136,30 +129,20 @@ class MultilinearMap(SparseTable):
             for itup, p in fed:
                 key = (head + itup + tail, out)
                 acc[key] = acc.get(key, 0) + q * p
-        den *= den
-        table = {key: Fraction(v, den) for key, v in acc.items() if v}
-        return MultilinearMap._trusted(domain, self.codomain, table)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearMap)
-            and tuple(s.dim for s in self.domain) == tuple(s.dim for s in other.domain)
-            and self.codomain.dim == other.codomain.dim
-            and self.entries == other.entries
-        )
+        return MultilinearMap._trusted(domain, self.codomain, acc,
+                                       self._denominator * inner._denominator)
 
     def __repr__(self):
         doms = "*".join(s.name for s in self.domain)
-        return "MultilinearMap(%s->%s, %d entries)" % (doms, self.codomain.name, len(self.entries))
+        return "MultilinearMap(%s->%s, %d entries)" % (doms, self.codomain.name, len(self._ints))
 
 
 def signed_sum(terms):
     """sum of sign * (m . p) over the terms (sign, m, p) of one shape, p a
     permutation of m's arguments or None for m itself.
 
-    The sums run in ints over the maps' common denominator, so Fractions
-    are made only for the nonzero entries of the result: a sum that
-    vanishes, as an identity's defect does, makes none.
+    The sums run in ints over the maps' common denominator, and the result
+    keeps them.
     """
     terms = list(terms)
     shapes = [(m.domain if p is None else scatter(p, m.domain), m.codomain)
@@ -168,15 +151,14 @@ def signed_sum(terms):
     if any(d != domain or c is not codomain for d, c in shapes):
         raise ShapeError("maps on different spaces do not add")
     maps = list({id(m): m for _, m, _ in terms}.values())
-    cleared, den = clear_denominators([m.entries for m in maps])
+    cleared, den = common_ints(maps)
     ints = {id(m): table for m, table in zip(maps, cleared)}
     acc = {}
     for sign, m, p in terms:
         for (tup, out), v in ints[id(m)].items():
             key = (tup if p is None else scatter(p, tup), out)
             acc[key] = acc.get(key, 0) + sign * v
-    table = {key: Fraction(v, den) for key, v in acc.items() if v}
-    return MultilinearMap._trusted(domain, codomain, table)
+    return MultilinearMap._trusted(domain, codomain, acc, den)
 
 
 def is_skew(f):
@@ -193,11 +175,11 @@ def first_difference(f, g):
     """Lexicographically first (input tuple, residual) where f and g differ.
 
     Returns None when equal.  Residual is a sorted tuple of
-    (output index, Fraction) pairs.  Stored tables hold no zero, so equal
-    maps have equal tables; only unequal ones are subtracted.
+    (output index, Fraction) pairs.  Stores are canonical, so equal maps
+    have equal stores; only unequal ones are subtracted.
     """
     f._check_compatible(g)
-    if f.entries == g.entries:
+    if f == g:
         return None
     diff = f.sub(g)
     tuples = sorted({tup for (tup, _out) in diff.entries})

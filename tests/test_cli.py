@@ -212,6 +212,19 @@ class TestVerify:
         assert report["counts"]["guarded"] == 0
         assert report["counts"]["fail"] == 0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--subcomplex-maxdeg", "-2"), ("--guard-limit", "-3"),
+        ("--guard-limit", "1e5")])
+    def test_counts_must_be_non_negative_ints(self, exported, flag, value,
+                                              capsys):
+        # once a pass with "0 images checked" and an exit 3 "exceeds limit -3"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", exported["lr-derx3"], exported["tensor-ab-3"],
+                  "--suite", "lie-rinehart", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: invalid non_negative_int value: %r" % (flag, value) in err
+
     def test_lie_rinehart_suite_includes_subcomplex(self, exported, capsys):
         code, out, _ = run(["verify", exported["lr-trivial"],
                             "--suite", "lie-rinehart", "--json"], capsys)
@@ -317,6 +330,17 @@ class TestCohomology:
         code, out, _ = run(argv + ["--json"], capsys)
         assert code == 0
         assert json.loads(out)["cohomology_dims"] == [1, 0, 0]
+
+
+    @pytest.mark.parametrize("value", ["1e5", "-1", "many"])
+    def test_guard_limit_variable_must_be_a_non_negative_int(
+            self, value, monkeypatch, capsys):
+        monkeypatch.setenv("TDHOM_GUARD_LIMIT", value)
+        code, out, err = run(["cohomology", "--module", "sl2-adjoint",
+                              "--coalgebra", "tensor-ab-2", "--td"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: TDHOM_GUARD_LIMIT must be a non-negative "
+                       "integer, got %r\n" % value)
 
 
 # cohomology --td --json at the default maxdeg and guard: exit code and

@@ -220,13 +220,14 @@ def test_fraction_lint_sees_one_argument_calls():
 
 # the attributes a structure's classical checkers read; check_lie and its
 # kind keep their result on the structure, which is sound only while none
-# of these is reassigned after construction; likewise a cochain's int table
-# and denominator, which its kept values view is built from
+# of these is reassigned after construction; likewise a sparse table's int
+# store and denominator, which its kept Fraction view is built from
 FROZEN_ATTRIBUTES = {"bracket", "action", "product", "bmodule", "coproduct",
                      "entries", "values", "_ints", "_denominator"}
-# where they may be set: every __init__, and the unchecked map and cochain
-# constructors
-FROZEN_SETTERS = {("MultilinearMap", "_trusted"), ("AltCochain", "_from_ints")}
+# where they may be set: every __init__, the unchecked map and cochain
+# constructors, and the SparseTable store setter they all go through
+FROZEN_SETTERS = {("MultilinearMap", "_trusted"), ("AltCochain", "_from_ints"),
+                  ("SparseTable", "_set_ints")}
 
 
 def _frozen_assignments(tree):
@@ -306,6 +307,38 @@ def test_frozen_lint_sees_assignments_outside_constructors():
         "        setattr(self, '_denominator', 1)\n")
     assert _frozen_assignments(tree) == [5, 10, 12, 13, 14, 21, 22, 26]
 
+
+
+def _clear_denominators_uses(tree):
+    """Line numbers of imports and attribute reads of clear_denominators."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(alias.name.split(".")[-1] == "clear_denominators"
+                        for alias in node.names))
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "clear_denominators")]
+
+
+def test_only_linalg_clears_denominators():
+    # the int-over-denominator format is known in linalg alone: every other
+    # module reads SparseTable and RationalMatrix stores, or their views
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), line)
+                     for line in _clear_denominators_uses(tree))
+    assert found == [], "clear_denominators outside linalg: %s" % found
+
+
+def test_clear_denominators_lint_sees_imports_and_attributes():
+    tree = ast.parse(
+        "from .linalg import ZERO, clear_denominators\n"
+        "from . import linalg\n"
+        "a = linalg.clear_denominators([{}])\n"
+        "b = clear_denominators\n")
+    assert _clear_denominators_uses(tree) == [1, 3]
 
 BAD_INPUTS = """
 import json

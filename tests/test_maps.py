@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
 from tdhom.convolution import _map_sum
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
-from tdhom import maps
 from tdhom.linalg import BasedSpace, Permutation, all_permutations, table_sum
 from tdhom.maps import (
     MultilinearMap,
@@ -272,12 +272,39 @@ class TestSignedSum:
                                          ((2, 1, 0), 1): 5})
         swap = Permutation([1, 0, 2])
 
-        def refused(*args):
+        def refused(*args, **kwargs):
             raise AssertionError("Fraction built")
 
-        monkeypatch.setattr(maps, "Fraction", refused)
+        # maps names no Fraction: the store lives in linalg, so every
+        # Fraction made anywhere is refused
+        monkeypatch.setattr(Fraction, "__new__", refused)
         r = signed_sum([(1, m, swap), (1, m, None), (-1, m, swap), (-1, m, None)])
         assert r.is_zero()
+
+    def test_int_constant_checks_make_no_fraction(self, monkeypatch):
+        # gl3 acting on itself: its compositions and defects stay ints
+        units = [(i, j) for i in range(3) for j in range(3)]
+        gl3 = BasedSpace("gl3", ["E%d%d" % u for u in units])
+        entries = {}
+        for x, (i, j) in enumerate(units):
+            for y, (k, l) in enumerate(units):
+                if j == k:
+                    key = ((x, y), units.index((i, l)))
+                    entries[key] = entries.get(key, 0) + 1
+                if l == i:
+                    key = ((x, y), units.index((k, j)))
+                    entries[key] = entries.get(key, 0) - 1
+        bracket = MultilinearMap([gl3, gl3], gl3, entries)
+        M = LieModule(LieAlgebra(gl3, bracket, check=False), gl3, bracket,
+                      check=False)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(Fraction, "__new__", refused)
+        lie, module = check_lie(M.base), check_module(M)
+        monkeypatch.undo()
+        assert lie and module
 
     def test_shapes_must_agree(self):
         a = MultilinearMap((L, M), L, {})

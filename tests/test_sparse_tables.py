@@ -6,6 +6,7 @@ cancellations are built in on purpose, and every stored value is inspected.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -107,18 +108,43 @@ def stored_values(x):
     return list(getattr(x, x.TABLE).values())
 
 
+def fraction_sum(s, t):
+    """The oracle for add: two Fraction dicts summed key by key, zeros
+    dropped."""
+    out = dict(s)
+    for k, v in t.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_canonical(x):
+    """The one store: nonzero ints over a positive denominator that shares
+    no factor with all of them, and a Fraction view that agrees."""
+    assert x._denominator > 0
+    assert gcd(x._denominator, *x._ints.values()) == 1
+    assert all(type(v) is int and v != 0 for v in x._ints.values())
+    assert getattr(x, x.TABLE) == {k: Fraction(v, x._denominator)
+                                   for k, v in x._ints.items()}
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_sparse_arithmetic_laws(kind, data):
     tables, build = BUILDERS[kind]
-    a = build(data.draw(tables()))
-    b = build(data.draw(tables()))
+    ta, tb = data.draw(tables()), data.draw(tables())
+    a, b = build(ta), build(tb)
     q = data.draw(Q)
     assert a.add(b).sub(b) == a
     assert a.sub(a).is_zero()
     assert a.scale(0).is_zero()
     assert a.add(b) == b.add(a)
-    for x in (a, b, a.add(b), a.sub(b), a.scale(q), a.add(a.scale(-1))):
+    fa, fb = fraction_sum(ta, {}), fraction_sum(tb, {})
+    assert dict(getattr(a.add(b), a.TABLE)) == fraction_sum(fa, fb)
+    assert dict(getattr(a.scale(q), a.TABLE)) == fraction_sum(
+        {k: q * v for k, v in fa.items()}, {})
+    for x in (a, b, a.add(b), a.sub(b), a.scale(q), a.add(a.scale(-1)),
+              a.scale(0)):
         assert all(v != 0 for v in stored_values(x))
+        assert_canonical(x)
 
