@@ -1,16 +1,20 @@
 """Coassociative coalgebras from sparse coproduct triples.
 
-A coalgebra is a based space C with a coproduct stored as quadruples
+A coalgebra is a based space C with a coproduct given as quadruples
 (source i, left j, right k, coefficient q), meaning the image of the i-th
-basis vector contains q * c_j (x) c_k.  No counit anywhere: the constructions
-never need one, and the exterior-square example admits none.
+basis vector contains q * c_j (x) c_k, and held in a SparseTable store:
+ints over one denominator d, with coproduct its read-only Fraction view.
+The checks and the induced operators run on those ints and on the n-fold
+expansion's, over d^(n-1).  No counit anywhere: the constructions never
+need one, and the exterior-square example admits none.
 """
 
 import itertools
+from math import comb
 
 from .checks import CheckResult, Witness, decided_once
 from .errors import AxiomError
-from .linalg import ONE, ZERO, BasedSpace, _exact
+from .linalg import BasedSpace, SparseTable, _exact, ratio
 from .maps import _check_index
 
 COCOMMUTATIVE = "cocommutative"
@@ -20,23 +24,22 @@ NEITHER = "neither"
 
 class Coalgebra:
     def __init__(self, space, coproduct, check=True):
-        """coproduct: iterable of (i, j, k, q) or a {(i,j,k): q} dict."""
+        """coproduct: iterable of (i, j, k, q) or a {(i,j,k): q} mapping."""
         table = {}
-        if isinstance(coproduct, dict):
-            items = [(i, j, k, q) for (i, j, k), q in coproduct.items()]
-        else:
-            items = list(coproduct)
-        for i, j, k, q in items:
+        if hasattr(coproduct, "items"):
+            coproduct = [key + (q,) for key, q in coproduct.items()]
+        for i, j, k, q in coproduct:
             for idx in (i, j, k):
                 _check_index(idx, space.dim, "coproduct", space)
-            key = (i, j, k)
-            table[key] = table.get(key, ZERO) + _exact(q)
+            key, q = (i, j, k), _exact(q)
+            table[key] = table[key] + q if key in table else q
         self.space = space
-        self.coproduct = {key: q for key, q in table.items() if q}
+        self._store = SparseTable()
+        self._store._set_table(table)
         self._splits = {}
-        for (i, j, k), q in sorted(self.coproduct.items()):
+        for (i, j, k), q in sorted(self._store._ints.items()):
             self._splits.setdefault(i, []).append((j, k, q))
-        self._iterated = {}
+        self._expanded = {1: ({i: [((i,), 1)] for i in range(space.dim)}, 1)}
         if check:
             result = check_coassociativity(self)
             if not result:
@@ -46,9 +49,31 @@ class Coalgebra:
     def dim(self):
         return self.space.dim
 
+    @property
+    def coproduct(self):
+        """The coproduct as a read-only {(i, j, k): Fraction}."""
+        return self._store.entries
+
     def splits(self, i):
         """Sorted [(j, k, q)] with the coproduct of basis vector i."""
-        return list(self._splits.get(i, ()))
+        return [(j, k, q) for (j, k), q in self.iterated_terms(2).get(i, ())]
+
+    def _expansion(self, n):
+        """(terms, den), n >= 1: {source: sorted [(legs, int)]} over den."""
+        if n not in self._expanded:
+            prev, den = self._expansion(n - 1)
+            terms = {}
+            for c, entries in prev.items():
+                acc = {}
+                for legs, q in entries:
+                    for j, k, p in self._splits.get(legs[0], ()):
+                        key = (j, k) + legs[1:]
+                        acc[key] = acc.get(key, 0) + q * p
+                expansion = sorted(kv for kv in acc.items() if kv[1])
+                if expansion:
+                    terms[c] = expansion
+            self._expanded[n] = terms, den * self._store._denominator
+        return self._expanded[n]
 
     def iterated_terms(self, n):
         """Sparse n-fold expansion: {source index: [(leg index tuple, q)]}.
@@ -56,52 +81,41 @@ class Coalgebra:
         n = 1 is the identity.  For n >= 2 the first leg is expanded each
         time, matching the left-iterated composite; coassociativity makes
         every other association order agree (tested, not assumed here).
+        Exact values: the cached ints themselves over an integral coproduct.
         """
         if n < 1:
             raise ValueError("order must be >= 1")
-        if n in self._iterated:
-            return self._iterated[n]
-        if n == 1:
-            terms = {i: [((i,), ONE)] for i in range(self.dim)}
-        else:
-            prev = self.iterated_terms(n - 1)
-            terms = {}
-            for c, entries in prev.items():
-                acc = {}
-                for legs, q in entries:
-                    for j, k, p in self.splits(legs[0]):
-                        key = (j, k) + legs[1:]
-                        acc[key] = acc.get(key, ZERO) + q * p
-                expansion = sorted(kv for kv in acc.items() if kv[1])
-                if expansion:
-                    terms[c] = expansion
-        self._iterated[n] = terms
-        return terms
+        terms, den = self._expansion(n)
+        if den == 1:
+            return terms
+        return {c: [(legs, ratio(q, den)) for legs, q in expansion]
+                for c, expansion in terms.items()}
 
     def __repr__(self):
-        return "Coalgebra(%s, %d splits)" % (self.space.name, len(self.coproduct))
+        return "Coalgebra(%s, %d splits)" % (self.space.name, len(self._store._ints))
 
 
 @decided_once
 def check_coassociativity(C):
     """Compare both triple coproducts exactly; witness on first mismatch."""
-    diff = {}
-    for (i, j, k), q in C.coproduct.items():
+    acc = {}
+    for (i, j, k), q in C._store._ints.items():
         # expand the left leg: (j -> a,b) gives (a, b, k)
-        for a, b, p in C.splits(j):
+        for a, b, p in C._splits.get(j, ()):
             key = (i, (a, b, k))
-            diff[key] = diff.get(key, ZERO) + q * p
+            acc[key] = acc.get(key, 0) + q * p
         # expand the right leg: (k -> a,b) gives (j, a, b)
-        for a, b, p in C.splits(k):
+        for a, b, p in C._splits.get(k, ()):
             key = (i, (j, a, b))
-            diff[key] = diff.get(key, ZERO) - q * p
-    bad = sorted((i, legs) for (i, legs), v in diff.items() if v != 0)
-    if not bad:
+            acc[key] = acc.get(key, 0) - q * p
+    diff = SparseTable._stored(acc, C._store._denominator ** 2)
+    if diff.is_zero():
         return CheckResult("coassociativity", True)
+    bad = sorted(diff._ints)
     first_i = bad[0][0]
     labels = C.space.labels
     residual = tuple(
-        ("|".join(labels[x] for x in legs), diff[(i, legs)])
+        ("|".join(labels[x] for x in legs), diff.entries[(i, legs)])
         for i, legs in bad if i == first_i
     )
     return CheckResult(
@@ -111,10 +125,11 @@ def check_coassociativity(C):
 
 def symmetry_class(C):
     """Exact classification of tau . coproduct against +-coproduct."""
-    flipped = {(i, k, j): q for (i, j, k), q in C.coproduct.items()}
-    if flipped == C.coproduct:
+    ints = C._store._ints
+    flipped = {(i, k, j): q for (i, j, k), q in ints.items()}
+    if flipped == ints:
         return COCOMMUTATIVE
-    if flipped == {key: -q for key, q in C.coproduct.items()}:
+    if flipped == {key: -q for key, q in ints.items()}:
         return SKEW_COCOMMUTATIVE
     return NEITHER
 
@@ -145,13 +160,6 @@ def build_tensor_coalgebra(V, maxdeg, include_empty_word=False):
         for cut in range(lo, len(w) + 1 - lo):
             triples.append((index[w], index[w[:cut]], index[w[cut:]], 1))
     return Coalgebra(space, triples)
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def build_symmetric_coalgebra(V, maxdeg):
@@ -187,7 +195,7 @@ def build_symmetric_coalgebra(V, maxdeg):
                 continue
             coeff = 1
             for g, a in zip(gens, pick):
-                coeff *= _binomial(counts[g], a)
+                coeff *= comb(counts[g], a)
             triples.append((index[m], index[left], index[right], coeff))
     return Coalgebra(space, triples)
 

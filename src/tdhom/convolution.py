@@ -16,22 +16,25 @@ the at most n! tables D_rho: passing identities are never laid out.
 materialize() lays an operator out as a sparse table keyed by matrix-unit
 argument tuples; that table (MaterializedOperator, and twisted_term, which
 builds one) is the library API, the path that names the witness of a
-failing identity, and the test oracle for the unmaterialized form.
+failing identity, and the test oracle for the unmaterialized form.  All
+of it runs on ints, the n-fold coproduct's times the base maps', and builds
+results unchecked from checked operands through _stored and _trusted.
 """
 
 import itertools
+import math
 import os
 
 from .checks import CheckResult, Witness
 from .errors import GuardError, ShapeError, TdhomError
 from .linalg import (
-    ONE,
     ZERO,
     Echelon,
     Permutation,
     SparseTable,
     _exact,
     all_permutations,
+    common_ints,
     gather,
     tensor_space,
 )
@@ -153,17 +156,15 @@ def interchange(fs):
     target = tensor_space([f.target for f in fs])
     dims = [f.target.dim for f in fs]
     entries = {}
-    for combo in itertools.product(*(f.entries.items() for f in fs)):
+    for combo in itertools.product(*(f._ints.items() for f in fs)):
         cs = tuple(tc[1] for tc, _q in combo)
         flat = 0
         for (tc, _q), d in zip(combo, dims):
             flat = flat * d + tc[0]
-        coeff = ONE
-        for _tc, q in combo:
-            coeff *= q
         key = (cs, flat)
-        entries[key] = entries.get(key, ZERO) + coeff
-    return MultilinearMap(domain, target, entries)
+        entries[key] = entries.get(key, 0) + math.prod(q for _tc, q in combo)
+    return MultilinearMap._trusted(domain, target, entries,
+                                   math.prod(f._denominator for f in fs))
 
 
 class InducedOperator:
@@ -241,17 +242,18 @@ class InducedOperator:
         kernel of their materialized tables.
         """
         twists = sorted(self.parts, key=lambda rho: rho.images)
-        terms = self.coalgebra.iterated_terms(self.arity)
+        # every D_rho over the same denominator, which the residues ignore
+        terms, _ = self.coalgebra._expansion(self.arity)
         legs_tables = [{(c, gather(rho, legs)): q
                         for c, expansion in terms.items()
                         for legs, q in expansion}
                        for rho in twists]
         # only the reduction is used: residues[i] writes D_i in the pivots
-        ech = Echelon(None, legs_tables, [{i: ONE} for i in range(len(twists))])
+        ech = Echelon(None, legs_tables, [{i: 1} for i in range(len(twists))])
         out = {}
         for i, rho in enumerate(twists):
             residue = ech.residues.get(i)
-            coords = ({rho: ONE} if residue is None else
+            coords = ({rho: 1} if residue is None else
                       {twists[j]: -a for j, a in residue.items() if j != i})
             for pivot, a in coords.items():
                 term = self.parts[rho].scale(a)
@@ -276,15 +278,16 @@ class InducedOperator:
             if f.target.dim != space.dim:
                 raise ShapeError("argument target %s does not fit %s"
                                  % (f.target.name, space.name))
+        # contract the laid-out table: argument i is the matrix unit cols[i]
+        table = self.materialize()
         out = {}
-        for c, routed, tup, o, coeff in self._terms():
-            for f, t, leg in zip(fs, tup, routed):
-                coeff *= f.coefficient(t, leg)
-                if coeff == 0:
-                    break
-            if coeff:
-                out[(o, c)] = out.get((o, c), ZERO) + coeff
-        return HomElement(self.coalgebra, self.codomain, out)
+        for (o, c, cols), v in table._ints.items():
+            for f, unit in zip(fs, cols):
+                v *= f._ints.get(unit, 0)
+            out[(o, c)] = out.get((o, c), 0) + v
+        den = table._denominator * math.prod(f._denominator for f in fs)
+        return HomElement._stored(out, den, source=self.coalgebra,
+                                  target=self.codomain)
 
     def materialize(self, guard_limit=None):
         """Sparse table over matrix-unit argument tuples, summed over the
@@ -295,23 +298,20 @@ class InducedOperator:
         the checkers decide identities with vanishes() instead.
         """
         check_materialization_size(self.domain, self.coalgebra, guard_limit)
+        terms, den = self.coalgebra._expansion(self.arity)
+        tables, psi_den = common_ints(list(self.parts.values()))
         entries = {}
-        for c, routed, tup, o, coeff in self._terms():
-            key = (o, c, tuple(zip(tup, routed)))
-            entries[key] = entries.get(key, ZERO) + coeff
-        return MaterializedOperator(self.arity, self.coalgebra, self.domain,
-                                    self.codomain, entries)
-
-    def _terms(self):
-        """(c, routed legs, argument tuple, output, coefficient) for every
-        coproduct term of every part: argument i reads leg routed[i]."""
-        terms = self.coalgebra.iterated_terms(self.arity)
-        for rho, psi in self.parts.items():
+        for table, rho in zip(tables, self.parts):
             for c, expansion in terms.items():
                 for legs, q in expansion:
                     routed = gather(rho, legs)
-                    for (tup, o), p in psi.entries.items():
-                        yield c, routed, tup, o, q * p
+                    for (tup, o), p in table.items():
+                        key = (o, c, tuple(zip(tup, routed)))
+                        entries[key] = entries.get(key, 0) + q * p
+        return MaterializedOperator._stored(
+            entries, den * psi_den, arity=self.arity,
+            coalgebra=self.coalgebra, domain=self.domain,
+            codomain=self.codomain)
 
     def __repr__(self):
         return "InducedOperator(arity=%d, %d parts)" % (

@@ -30,13 +30,12 @@ produce byte-identical files.
 """
 
 import json
-from fractions import Fraction
 
 from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
-from .errors import MalformedInput, ParseError
-from .linalg import ZERO, BasedSpace
+from .errors import MalformedInput, ParseError, ScalarError
+from .linalg import BasedSpace, _exact
 from .maps import MultilinearMap
 
 FORMAT_TAG = "tdhom/1"
@@ -70,8 +69,8 @@ def _scalar(raw, path):
         _fail(path, "coefficients must be fraction strings, got %s"
               % type(raw).__name__)
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+        return _exact(raw)
+    except ScalarError:
         _fail(path, "not a fraction: %r" % raw)
 
 
@@ -130,10 +129,8 @@ def _parse_map(entry, spaces, path):
         tup = tuple(_index(a, spaces[sp].dim, here)
                     for a, sp in zip(args, domain_names))
         o = _index(out, codomain.dim, here)
-        q = _scalar(raw_q, here)
-        key = (tup, o)
-        table[key] = table.get(key, ZERO) + q
-    table = {k: v for k, v in table.items() if v != 0}
+        key, q = (tup, o), _scalar(raw_q, here)
+        table[key] = table[key] + q if key in table else q
     return name, MultilinearMap(tuple(domain), codomain, table)
 
 
@@ -229,7 +226,8 @@ def _parse_role(doc, role, spaces, check):
                 _fail(here, "expected [target, source, coefficient]")
             t, c, raw_q = row
             key = (_index(t, target.dim, here), _index(c, C.dim, here))
-            entries[key] = entries.get(key, ZERO) + _scalar(raw_q, here)
+            q = _scalar(raw_q, here)
+            entries[key] = entries[key] + q if key in entries else q
         return HomElement(C, target, entries)
 
     if role == "multilinear":

@@ -10,10 +10,10 @@ canonical form: the gcd of the denominator and all the ints is 1, so two
 tables or matrices are equal exactly when their ints and denominators
 are (_lowest_terms makes the form).  RationalMatrix keeps one zero-free
 {column: int} dict per row; SparseTable, under maps, Hom elements,
-materialized operators and cochains, keeps one zero-free {key: int} dict,
-and does its add, sub, scale, is_zero and == on the ints.  Fractions are
-created only where a caller reads them: matrix entries, the tables'
-read-only Fraction views, kernel vectors, solutions and residues.
+materialized operators, cochains and coproducts, keeps one zero-free
+{key: int} dict, and does its add, sub, scale, is_zero and == on the ints.
+Only this module makes Fractions, where a caller reads them: matrix
+entries, the tables' views, ratio, kernel vectors, solutions and residues.
 
 Every rank, pivot set, kernel and solve comes from one sparse,
 fraction-free echelon form (Echelon) of int rows, fed shortest first and
@@ -51,6 +51,11 @@ def _exact(x):
         except (ValueError, ZeroDivisionError):
             pass
     raise ScalarError("not an exact rational scalar: %r" % (x,))
+
+
+def ratio(v, den):
+    """v / den exactly, for ints v and den > 0: v itself when den is 1."""
+    return v if den == 1 else Fraction(v, den)
 
 
 def clear_denominators(tables):
@@ -522,9 +527,9 @@ def _divide_content(row, extra):
 class Echelon:
     """Sparse fraction-free row echelon form of a matrix given by its rows.
 
-    Rows are dicts {column: int or Fraction} holding the nonzero entries.
-    Each is cleared on entry to a primitive integer row, and rows are fed
-    shortest first.  A row is reduced by its leading column c against the
+    Rows are dicts {column: int} of the nonzero entries, copied on entry
+    and fed shortest first; a caller clears Fractions for the whole matrix
+    at once.  A row is reduced by its leading column c against the
     pivot row h stored there: with a = row[c] and b = h[c], both divided by
     their gcd, the step is row <- b * row - a * h, which stays in the
     integers.  When the leading column carries no pivot, the row's content
@@ -538,9 +543,9 @@ class Echelon:
     Back-substitution divides by the pivots, so kernel vectors and
     solutions are made as Fractions there.
 
-    Right-hand sides ride along: rhs[i] is a dict {index: int or Fraction}
-    of the entries of row i in each right-hand side, cleared and reduced
-    with the row as the tail of one integer row.  A row whose matrix part
+    Right-hand sides ride along: rhs[i] is a dict {index: int} of the
+    entries of row i in each right-hand side, copied and reduced with the
+    row as the tail of one integer row.  A row whose matrix part
     reduces to zero is a left-null residue, kept in residues[i] as Fractions
     divided by the factor the row was scaled by, and right-hand side t is
     inconsistent exactly when some residue is nonzero at t.  With rhs[i] =
@@ -553,8 +558,7 @@ class Echelon:
         self.pivots = {}      # leading column -> (int row, int rhs part)
         self.residues = {}    # row index -> rhs part, for rows reducing to zero
         for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
-            (row, extra), scale = clear_denominators(
-                [rows[i], rhs[i] if rhs else {}])
+            row, extra, scale = dict(rows[i]), dict(rhs[i] if rhs else {}), 1
             # the working row is (scale / content) times row i plus a
             # combination of pivot rows
             content = _divide_content(row, extra)
@@ -660,17 +664,16 @@ def solve(m, b):
     solved in one elimination, and the result is a list with one solution
     (or None) per column.
     """
-    if isinstance(b, RationalMatrix):
-        if b.rows != m.rows:
-            raise ShapeError("rhs has %d rows vs %d" % (b.rows, m.rows))
-        # m / dm x = b / db is (db m) x = dm b
-        rows = _scaled_rows(m._rows, b._den)
-        rhs = _scaled_rows(b._rows, m._den)
-        return Echelon(m.cols, rows, rhs).solutions(b.cols)
-    if len(b) != m.rows:
-        raise ShapeError("rhs length %d vs %d rows" % (len(b), m.rows))
-    rhs = [{0: x * m._den} if x else {} for x in map(_exact, b)]
-    return Echelon(m.cols, m._rows, rhs).solutions(1)[0]
+    vector = not isinstance(b, RationalMatrix)
+    if vector:
+        b = RationalMatrix.from_columns(m.rows, [b])
+    if b.rows != m.rows:
+        raise ShapeError("rhs has %d rows vs %d" % (b.rows, m.rows))
+    # m / dm x = b / db is (db m) x = dm b
+    rows = _scaled_rows(m._rows, b._den)
+    rhs = _scaled_rows(b._rows, m._den)
+    solutions = Echelon(m.cols, rows, rhs).solutions(b.cols)
+    return solutions[0] if vector else solutions
 
 
 def _scaled_rows(rows, factor):
@@ -685,8 +688,8 @@ class SparseColumns:
 
     Rows are keyed by arbitrary sortable keys (the materialized-operator
     coordinates); only rows with a nonzero entry in some column exist.  Rank
-    and kernel come from the echelon form of those rows, built straight from
-    the columns; to_dense gives the same matrix as a RationalMatrix.
+    and kernel come from the echelon form of those rows, all cleared over
+    one denominator; to_dense gives the same matrix as a RationalMatrix.
     """
 
     def __init__(self, ncols):
@@ -723,7 +726,8 @@ class SparseColumns:
             self.ncols, [rows[k] for k in keys])
 
     def echelon(self):
-        return Echelon(self.ncols, list(self._rows_by_key().values()))
+        rows, _ = clear_denominators(list(self._rows_by_key().values()))
+        return Echelon(self.ncols, rows)
 
     def rank(self):
         return self.echelon().rank

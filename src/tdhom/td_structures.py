@@ -48,7 +48,7 @@ def _require(result, what):
 def _skew_coproduct(C):
     """Whether flipping the legs negates the coproduct.  The zero coproduct
     qualifies even though symmetry_class files it under cocommutative."""
-    return not C.coproduct or symmetry_class(C) == SKEW_COCOMMUTATIVE
+    return C._store.is_zero() or symmetry_class(C) == SKEW_COCOMMUTATIVE
 
 
 class TDLieStructure:

@@ -7,8 +7,9 @@ fail on imported names and on private module-level helpers the package
 never reads, and on functions, classes and methods that nothing in the
 package, its tests or its benchmark reads.  One more fails on any float
 literal or float(...) call in the package, one on Fraction(x) outside the
-two scalar readers, and one on any reassignment of a structure's maps after
-construction, which the kept axiom results rely on.
+scalar reader, two on any module but linalg importing fractions or ONE, and
+one on any reassignment of a structure's maps after construction, which the
+kept axiom results rely on.
 """
 
 import ast
@@ -173,9 +174,9 @@ def test_float_lint_sees_literals_and_calls():
     assert _float_uses(tree) == [2, 3, 4]
 
 
-# the two functions that turn a caller's scalar into a Fraction: linalg._exact
-# refuses floats with ScalarError, files._scalar takes only strings
-FRACTION_READERS = {("linalg.py", "_exact"), ("files.py", "_scalar")}
+# the one function that turns a caller's scalar into a Fraction: linalg._exact
+# refuses floats with ScalarError, and files._scalar reads through it
+FRACTION_READERS = {("linalg.py", "_exact")}
 
 
 def _one_argument_fractions(name, tree, readers=FRACTION_READERS):
@@ -218,12 +219,66 @@ def test_fraction_lint_sees_one_argument_calls():
     assert _one_argument_fractions("maps.py", tree) == [1, 3, 4, 7]
 
 
+def _imports(tree, name):
+    """Line numbers of imports under tree that bind the module or name
+    `name`, as `import name`, `from name import ..` or `from .. import
+    name`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m.split(".")[0] == name for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def _imports_outside_linalg(name):
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), line)
+                     for line in _imports(tree, name))
+    return found
+
+
+def test_only_linalg_imports_fractions():
+    # every other module works on the int stores and reads Fractions only
+    # from their views, so the Fraction format is known in one place
+    found = _imports_outside_linalg("fractions")
+    assert found == [], "fractions imported outside linalg: %s" % found
+
+
+def test_only_linalg_imports_one():
+    # a sum started at ONE, or a product by it, makes a Fraction where the
+    # int 1 makes none
+    found = _imports_outside_linalg("ONE")
+    assert found == [], "ONE imported outside linalg: %s" % found
+
+
+def test_import_lint_sees_every_form():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "import fractions as fr\n"
+        "from .linalg import ONE, ZERO\n"
+        "from .linalg import ZERO\n"
+        "from . import fractions_util\n")
+    assert _imports(tree, "fractions") == [1, 2, 3]
+    assert _imports(tree, "ONE") == [4]
+
+
 # the attributes a structure's classical checkers read; check_lie and its
 # kind keep their result on the structure, which is sound only while none
 # of these is reassigned after construction; likewise a sparse table's int
 # store and denominator, which its kept Fraction view is built from
 FROZEN_ATTRIBUTES = {"bracket", "action", "product", "bmodule", "coproduct",
-                     "entries", "values", "_ints", "_denominator"}
+                     "_store", "entries", "values", "_ints", "_denominator"}
 # where they may be set: every __init__, the unchecked map and cochain
 # constructors, and the SparseTable store setter they all go through
 FROZEN_SETTERS = {("MultilinearMap", "_trusted"), ("AltCochain", "_from_ints"),

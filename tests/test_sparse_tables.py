@@ -14,10 +14,22 @@ from hypothesis import strategies as st
 
 from tdhom import corpus
 from tdhom.cohomology import AltCochain, alt_basis
-from tdhom.coalgebra import Coalgebra
+from tdhom.coalgebra import (
+    NEITHER,
+    Coalgebra,
+    build_tensor_coalgebra,
+    check_coassociativity,
+    symmetry_class,
+)
 from tdhom.convolution import HomElement, MaterializedOperator, induced
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
+from tdhom.td_structures import (
+    TDLieStructure,
+    TDModuleStructure,
+    check_td_lie,
+    check_td_module,
+)
 
 V5 = BasedSpace("C", ["c0", "c1", "c2", "c3", "c4"])
 W1 = BasedSpace("W", ["w"])
@@ -148,3 +160,27 @@ def test_sparse_arithmetic_laws(kind, data):
         assert all(v != 0 for v in stored_values(x))
         assert_canonical(x)
 
+
+
+def test_integral_coalgebra_and_twisted_checks_build_no_fraction(monkeypatch):
+    # an integral coproduct stays ints from the builder through its
+    # expansions to the twisted identities decided over it; only the
+    # fixture's parsed coefficients, read before counting, are Fractions
+    heis = corpus.load("heis-adjoint")
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    C = build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4)
+    assert check_coassociativity(C).ok
+    assert [len(C.iterated_terms(n)) for n in (1, 2, 3, 4)] == [30, 28, 24, 16]
+    assert symmetry_class(C) == NEITHER
+    td = TDLieStructure(heis.base, C, check=False)
+    assert check_td_lie(heis.base, C).ok
+    assert check_td_module(TDModuleStructure(td, heis, check=False)).ok
+    monkeypatch.undo()
+    assert made == []
