@@ -14,8 +14,8 @@ precondition) returns the kept result.  A structure built with check=False
 decides on first use.
 """
 
-from .checks import combine, decided_once
-from .errors import AxiomError, ShapeError
+from .checks import combine, decided_once, require
+from .errors import ShapeError
 from .linalg import Permutation, common_ints
 from .maps import map_identity_check, signed_sum
 
@@ -43,9 +43,7 @@ class LieAlgebra:
         self.bracket = bracket
         self.name = name or space.name
         if check:
-            result = check_lie(self)
-            if not result:
-                raise AxiomError("Lie axioms fail: " + result.describe(), result)
+            require(check_lie(self), "Lie axioms fail: ")
 
     def __repr__(self):
         return "LieAlgebra(%s, dim=%d)" % (self.name, self.space.dim)
@@ -63,9 +61,7 @@ class LieModule:
         self.name = name or "%s-module" % base.name
         self._cleared = None
         if check:
-            result = check_module(self)
-            if not result:
-                raise AxiomError("module axiom fails: " + result.describe(), result)
+            require(check_module(self), "module axiom fails: ")
 
     def cleared_constants(self):
         """(N, pairs, acting): the bracket and action constants as ints.
@@ -98,9 +94,7 @@ class AssociativeAlgebra:
         self.product = product
         self.name = name or space.name
         if check:
-            result = check_associative(self.product)
-            if not result:
-                raise AxiomError("associativity fails: " + result.describe(), result)
+            require(check_associative(self.product), "associativity fails: ")
 
 
 class PoissonAlgebra:
@@ -112,9 +106,7 @@ class PoissonAlgebra:
         self.product = product
         self.name = name or space.name
         if check:
-            result = check_poisson(self)
-            if not result:
-                raise AxiomError("Poisson axioms fail: " + result.describe(), result)
+            require(check_poisson(self), "Poisson axioms fail: ")
 
     def __repr__(self):
         return "PoissonAlgebra(%s, dim=%d)" % (self.name, self.space.dim)

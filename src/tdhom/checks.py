@@ -5,25 +5,59 @@ nonzero residual, so failure messages are stable across runs.
 """
 
 import functools
-from dataclasses import dataclass
+
+from .errors import AxiomError
 
 
-@dataclass(frozen=True)
-class Witness:
-    args: tuple            # basis labels (or indices) of the failing tuple
-    residual: tuple        # sorted ((coordinate, Fraction), ...), all nonzero
+_assign = object.__setattr__
+
+
+class _Frozen:
+    """Immutable fields in __slots__ order, equal only within one class: a frozen
+    dataclass without importing dataclasses (and inspect, ast, dis, tokenize)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self.__reduce__()[1])
+
+
+class Witness(_Frozen):
+    __slots__ = ("args",       # basis labels (or indices) of the failing tuple
+                 "residual")   # sorted ((coordinate, Fraction), ...), all nonzero
+
+    def __init__(self, args, residual):
+        _assign(self, "args", args)
+        _assign(self, "residual", residual)
 
     def describe(self):
         terms = ", ".join("%s: %s" % (k, v) for k, v in self.residual)
         return "at %r residual {%s}" % (self.args, terms)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    witness: Witness = None
-    detail: str = ""
+class CheckResult(_Frozen):
+    __slots__ = ("name", "ok", "witness", "detail")
+
+    def __init__(self, name, ok, witness=None, detail=""):
+        _assign(self, "name", name)
+        _assign(self, "ok", ok)
+        _assign(self, "witness", witness)
+        _assign(self, "detail", detail)
 
     def __bool__(self):
         return self.ok
@@ -46,6 +80,12 @@ def combine(name, results):
     return CheckResult(name, True, detail="%d checks" % len(results))
 
 
+def require(result, prefix):
+    """AxiomError(prefix + the description) unless result passes."""
+    if not result:
+        raise AxiomError(prefix + result.describe(), result)
+
+
 def decided_once(decide):
     """The checker decide(structure), deciding once per structure: the
     result is kept on the structure, keyed by the checker, so a Poisson
@@ -63,3 +103,9 @@ def decided_once(decide):
         return kept[key]
 
     return checker
+
+
+def kept(structure, checker):
+    """The result checker (a decided_once checker) keeps on structure, or
+    None when it was never decided there; reading it decides nothing."""
+    return vars(structure).get("_decided", {}).get(checker.__name__)

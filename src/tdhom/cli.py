@@ -31,7 +31,7 @@ from .algebra import (
     check_poisson,
 )
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
-from .cohomology import TDComplexData, ce_complex
+from .cohomology import TDComplexData, classical_complex
 from .convolution import HomElement, non_negative_int
 from .errors import (
     AxiomError,
@@ -283,54 +283,35 @@ def build_cohomology_report(args):
         raise ParseError("need exactly one module structure, got %d"
                          % len(modules))
     M = modules[0]
-    mname = getattr(M, "structure_name", None) or M.name
+    report = {"format": REPORT_TAG, "command": "cohomology", "status": "pass",
+              "module": getattr(M, "structure_name", None) or M.name,
+              "coalgebra": None, "td": args.td}
 
     if not args.td:
         if coalgebras:
             raise ParseError("a coalgebra was supplied without --td")
-        maxdeg = args.maxdeg if args.maxdeg is not None \
-            else M.base.space.dim
-        cx = ce_complex(M, maxdeg)
-        return {
-            "format": REPORT_TAG,
-            "command": "cohomology",
-            "module": mname,
-            "coalgebra": None,
-            "td": False,
-            "maxdeg": maxdeg,
-            "cochain_dims": cx.cochain_dims(),
-            "differential_ranks": cx.ranks(),
-            "cohomology_dims": cx.cohomology_dims(),
-            "status": "pass",
-        }
+        maxdeg = M.base.space.dim if args.maxdeg is None else args.maxdeg
+        cx = classical_complex(M, maxdeg)
+        return dict(report, maxdeg=maxdeg, cochain_dims=cx.cochain_dims(),
+                    differential_ranks=cx.ranks(),
+                    cohomology_dims=cx.cohomology_dims())
 
     if len(coalgebras) != 1:
         raise ParseError("--td needs exactly one coalgebra, got %d"
                          % len(coalgebras))
     C = coalgebras[0]
-    cname = getattr(C, "structure_name", None) or C.space.name
     maxdeg = args.maxdeg if args.maxdeg is not None else 2
-    td = TDLieStructure(M.base, C, check=False)
-    tdm = TDModuleStructure(td, M, check=False)
+    tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M, check=False)
     data = TDComplexData(tdm, maxdeg, args.guard_limit,
                          max_arity=maxdeg + 1)
-    return {
-        "format": REPORT_TAG,
-        "command": "cohomology",
-        "module": mname,
-        "coalgebra": cname,
-        "td": True,
-        "maxdeg": maxdeg,
-        "cochain_dims": data.td_dims,
-        "classical_cochain_dims": data.alt_dims,
-        "induction_kernel_dims": data.ker_dims,
-        "composite_ranks": data.a_ranks,
-        "differential_ranks": data.q_ranks,
-        "cohomology_dims": data.h_dims,
+    return dict(
+        report, coalgebra=getattr(C, "structure_name", None) or C.space.name,
+        maxdeg=maxdeg, cochain_dims=data.td_dims,
+        classical_cochain_dims=data.alt_dims,
+        induction_kernel_dims=data.ker_dims, composite_ranks=data.a_ranks,
+        differential_ranks=data.q_ranks, cohomology_dims=data.h_dims,
         # "agree", or an AxiomError that ends the run
-        "direct_vs_induced": data.direct_vs_induced(),
-        "status": "pass",
-    }
+        direct_vs_induced=data.direct_vs_induced())
 
 
 def render_cohomology(report):

@@ -12,8 +12,7 @@ need one, and the exterior-square example admits none.
 import itertools
 from math import comb
 
-from .checks import CheckResult, Witness, decided_once
-from .errors import AxiomError
+from .checks import CheckResult, Witness, decided_once, require
 from .linalg import BasedSpace, SparseTable, _exact, ratio
 from .maps import _check_index
 
@@ -41,9 +40,7 @@ class Coalgebra:
             self._splits.setdefault(i, []).append((j, k, q))
         self._expanded = {1: ({i: [((i,), 1)] for i in range(space.dim)}, 1)}
         if check:
-            result = check_coassociativity(self)
-            if not result:
-                raise AxiomError("not coassociative: " + result.describe(), result)
+            require(check_coassociativity(self), "not coassociative: ")
 
     @property
     def dim(self):

@@ -13,6 +13,16 @@ squares to zero with its neighbours exactly when d_k does; no Fraction
 is made on the way.  Once d squared is checked to vanish, each d_k is
 ranked by its columns off the pivot coordinates of d_(k-1) (clearing).
 
+A torus element is a basis element h of L acting diagonally on L and M,
+[h, e_s] = lam(s) e_s and h . m_b = mu(b) m_b, with a weight nonzero.  Under
+theta_h = d iota_h + iota_h d (Cartan; Hochschild & Serre 1953) e^S (x) m_b
+has weight w = mu(b) - sum_{s in S} lam(s), so d keeps weights and iota_h / w
+contracts each block with w != 0.  classical_complex assembles, squares (so
+certifies d squared = 0 only there) and ranks the block of weight 0 under
+every torus element, then rank d_k = rank d_k^0 + sum_{i <= k} (-1)^(k-i)
+(dim C^i - dim C^i_0).  That needs the axioms: without kept passing checks
+(check=False, --unsafe-skip-axioms) the route is ce_complex, the oracle.
+
 A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
 twisted differential is the classical one pushed to the quotient.  The
@@ -33,6 +43,8 @@ from itertools import combinations, permutations
 from math import comb
 from operator import lt
 
+from .algebra import check_lie, check_module
+from .checks import kept
 from .convolution import (
     check_materialization_size,
     induced,
@@ -48,6 +60,7 @@ from .linalg import (
     SparseColumns,
     SparseTable,
     _exact,
+    common_ints,
     kernel_basis,
     pivot_columns,
     rank,
@@ -273,18 +286,24 @@ class ComplexMatrices:
 
     Construction verifies shapes chain and that consecutive products vanish
     exactly, then ranks them: holding one is holding a certified complex.
+    Given dims, the matrices are the weight-0 block of a complex with
+    those cochain dims, exact off that block, and report for all of it.
     """
 
-    def __init__(self, matrices):
+    def __init__(self, matrices, dims=None):
         self.matrices = list(matrices)
-        self._ranks = _certified_ranks(
+        ranks = _certified_ranks(
             self.matrices, "consecutive differentials do not compose to zero")
+        block = [m.cols for m in self.matrices] + [m.rows for m in self.matrices[-1:]]
+        self._dims = list(dims or block)
+        exact = 0  # the rank of d_k off the block
+        for k, r in enumerate(ranks):
+            exact = self._dims[k] - block[k] - exact
+            ranks[k] = r + exact
+        self._ranks = ranks
 
     def cochain_dims(self):
-        dims = [m.cols for m in self.matrices]
-        if self.matrices:
-            dims.append(self.matrices[-1].rows)
-        return dims
+        return list(self._dims)
 
     def ranks(self):
         return self._ranks
@@ -292,8 +311,8 @@ class ComplexMatrices:
     def cohomology_dims(self):
         """dim ker d_k minus rank d_{k-1}, for each k with d_k present."""
         ranks = self._ranks
-        return [m.cols - r - below
-                for m, r, below in zip(self.matrices, ranks, [0] + ranks)]
+        return [n - r - below
+                for n, r, below in zip(self._dims, ranks, [0] + ranks)]
 
 
 def _certified_ranks(matrices, message):
@@ -332,30 +351,78 @@ def _columns_off(m, cleared):
     return RationalMatrix._from_int_rows(m.rows, columns, 1)
 
 
-def _differential_matrix(M, k):
-    """d_k in the increasing-tuple bases, one column per basis cochain,
-    written as the int rows of N d_k over the denominator N of the
-    module's cleared constants."""
+def _differential_matrix(M, k, source=None, target=None):
+    """d_k, or its block from source keys to target keys, which no column
+    may leave, in the increasing-tuple bases, one column per basis cochain:
+    the int rows of N d_k over the N of the module's cleared constants."""
     L, B = M.base.space, M.space
     N = M.cleared_constants()[0]
-    source = alt_basis(L, B, k)
-    target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
+    if source is None:
+        source, target = alt_basis(L, B, k), alt_basis(L, B, k + 1)
+    target_index = {key: i for i, key in enumerate(target)}
     rows = [{} for _ in target_index]
     for ci, key in enumerate(source):
         df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
         # df's canonical denominator divides N
         scale = N // df._denominator
         for out_key, v in df._ints.items():
-            rows[target_index[out_key]][ci] = v * scale
+            i = target_index.get(out_key)
+            if i is None:
+                raise AxiomError("d of the basis cochain %r leaves its "
+                                 "weight block at %r" % (key, out_key))
+            rows[i][ci] = v * scale
     return RationalMatrix._from_int_rows(len(source), rows, N)
 
 
 def ce_complex(M, maxdeg):
-    """Differentials d_0 .. d_maxdeg of the classical complex."""
+    """d_0 .. d_maxdeg of the whole classical complex; classical_complex's oracle."""
     L = M.base.space
     if not 0 <= maxdeg <= L.dim:
         raise ValueError("maxdeg must lie in 0..%d, got %d" % (L.dim, maxdeg))
     return ComplexMatrices(_differential_matrix(M, k) for k in range(maxdeg + 1))
+
+
+def torus(M):
+    """(lam, mu) per torus element h: [h, e_s] = lam[s] e_s, h . m_b = mu[b]
+    m_b, ints over the common denominator of bracket and action.  Empty
+    unless M's kept check_module and its base's kept check_lie pass."""
+    if not (kept(M, check_module) and kept(M.base, check_lie)):
+        return []
+    L, B = M.base.space, M.space
+    lam, mu = ([[0] * d for _ in range(L.dim)] for d in (L.dim, B.dim))
+    diagonal = [True] * L.dim
+    tables, _ = common_ints([M.base.bracket, M.action])
+    for weights, table in zip((lam, mu), tables):
+        for ((h, x), o), v in table.items():
+            weights[h][x] = v
+            diagonal[h] = diagonal[h] and o == x
+    return [(lam[h], mu[h]) for h in range(L.dim)
+            if diagonal[h] and (any(lam[h]) or any(mu[h]))]
+
+
+def weight_zero_keys(M, weights, top):
+    """Basis keys (S, b) of C^0 .. C^top in alt_basis order with mu(b) =
+    sum_{s in S} lam(s) for every (lam, mu) in weights; the module basis
+    is grouped by weight, so each tuple S costs one lookup."""
+    by_weight, n = {}, M.base.space.dim
+    for b in range(M.space.dim):
+        by_weight.setdefault(tuple(mu[b] for _, mu in weights), []).append(b)
+    step = [tuple(lam[s] for lam, _ in weights) for s in range(n)]
+    zero = (0,) * len(weights)
+    return [[(S, b) for S in increasing_tuples(n, k) for b in by_weight.get(
+        tuple(map(sum, zip(zero, *(step[s] for s in S)))), ())] for k in range(top + 1)]
+
+
+def classical_complex(M, maxdeg):
+    """The classical complex to degree maxdeg, ranked on its weight-0 block
+    (ce_complex, which refuses a maxdeg out of range, without a torus)."""
+    weights, L, B = torus(M), M.base.space, M.space
+    if not weights or not 0 <= maxdeg <= L.dim:
+        return ce_complex(M, maxdeg)
+    keys = weight_zero_keys(M, weights, maxdeg + 1)
+    return ComplexMatrices((_differential_matrix(M, k, keys[k], keys[k + 1])
+                            for k in range(maxdeg + 1)),
+                           [alt_dim(L, B, k) for k in range(maxdeg + 2)])
 
 
 def induction_matrix(n, L, B, C, guard_limit=None):

@@ -21,7 +21,7 @@ from .algebra import (
     check_lie,
     check_module,
 )
-from .checks import CheckResult, combine, decided_once
+from .checks import CheckResult, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
     _map_sum,
@@ -75,9 +75,7 @@ class LieRinehartPair:
         self.ring_module = LieModule(self.lie, ring_space, action, check=False,
                                      name="%s-ring" % name)
         if check:
-            result = check_lr(self)
-            if not result:
-                raise AxiomError("pair axioms fail: " + result.describe(), result)
+            require(check_lr(self), "pair axioms fail: ")
 
 
 def _derivation_check(pair):

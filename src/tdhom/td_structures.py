@@ -18,7 +18,7 @@ from .algebra import (
     check_module,
     check_poisson,
 )
-from .checks import CheckResult, Witness, combine
+from .checks import CheckResult, Witness, combine, require
 from .coalgebra import (
     COCOMMUTATIVE,
     SKEW_COCOMMUTATIVE,
@@ -39,12 +39,6 @@ from .errors import AxiomError, ShapeError
 from .linalg import table_sum
 
 
-def _require(result, what):
-    if not result.ok:
-        raise AxiomError(
-            "precondition failed (%s): %s" % (what, result.describe()), result)
-
-
 def _skew_coproduct(C):
     """Whether flipping the legs negates the coproduct.  The zero coproduct
     qualifies even though symmetry_class files it under cocommutative."""
@@ -60,10 +54,7 @@ class TDLieStructure:
         self.coalgebra = coalgebra
         self.bracket_op = induced(lie.bracket, coalgebra)
         if check:
-            result = check_td_lie(lie, coalgebra)
-            if not result:
-                raise AxiomError(
-                    "twisted Lie identities fail: " + result.describe(), result)
+            require(check_td_lie(lie, coalgebra), "twisted Lie identities fail: ")
 
     def __repr__(self):
         return "TDLieStructure(%s over %s)" % (
@@ -82,10 +73,7 @@ class TDModuleStructure:
         self.module_space = module.space
         self.action_op = induced(module.action, td.coalgebra)
         if check:
-            result = check_td_module(self)
-            if not result:
-                raise AxiomError(
-                    "twisted module identity fails: " + result.describe(), result)
+            require(check_td_module(self), "twisted module identity fails: ")
 
     @property
     def coalgebra(self):
@@ -124,8 +112,8 @@ def _untwisted_jacobi_check(name, bracket, C):
 def check_td_lie(lie, C):
     """Twisted skew symmetry and the twisted cyclic identity for the
     operator induced by a Lie bracket."""
-    _require(check_lie(lie), "Lie axioms")
-    _require(check_coassociativity(C), "coassociativity")
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
+    require(check_coassociativity(C), "precondition failed (coassociativity): ")
     skew = check_td_skew(lie.bracket, C)
     total = _td_jacobi_sum(lie.bracket, C)
     jacobi = operator_identity_check("td-jacobi", total, total.scale(0))
@@ -139,7 +127,7 @@ def check_cocommutative_collapse(lie, C):
         raise AxiomError(
             "collapse needs a cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
-    _require(check_lie(lie), "Lie axioms")
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
     plain = induced(lie.bracket, C)
     skew = operator_identity_check(
         "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
@@ -155,7 +143,7 @@ def check_jordan(lie, C):
         raise AxiomError(
             "Jordan checks need a skew-cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
-    _require(check_lie(lie), "Lie axioms")
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
     op = induced(lie.bracket, C)
     sym = operator_identity_check(
         "jordan-symmetry", op.argument_permute(SWAP), op)
@@ -223,8 +211,8 @@ def _jordan_four_term(op, C):
 def check_td_poisson(poisson, C):
     """Twisted Lie for the bracket, twisted commutativity for the product,
     and the twisted derivation identity tying them together."""
-    _require(check_poisson(poisson), "Poisson axioms")
-    _require(check_coassociativity(C), "coassociativity")
+    require(check_poisson(poisson), "precondition failed (Poisson axioms): ")
+    require(check_coassociativity(C), "precondition failed (coassociativity): ")
     lie_part = check_td_lie(poisson, C)
 
     prod = induced(poisson.product, C)
@@ -247,8 +235,8 @@ def check_td_poisson(poisson, C):
 def check_td_module(tdm):
     """Acting by a bracket equals acting twice minus the swap-twisted
     rearrangement of acting twice, as operators on Hom spaces."""
-    _require(check_lie(tdm.td.lie), "Lie axioms")
-    _require(check_module(tdm.module), "module axiom")
+    require(check_lie(tdm.td.lie), "precondition failed (Lie axioms): ")
+    require(check_module(tdm.module), "precondition failed (module axiom): ")
     C = tdm.coalgebra
     lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0)
     action = tdm.module.action

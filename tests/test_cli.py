@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from tdhom import cli, corpus
+from tdhom import cli, cohomology, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.coalgebra import build_tensor_coalgebra
@@ -1199,3 +1199,69 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sl2" in proc.stdout
+
+
+class TestClassicalRoute:
+    """The classical report is ranked on the weight-0 block when the module
+    has a torus and its axioms were checked, and by ce_complex otherwise;
+    the bytes and exit codes are the same either way."""
+
+    @pytest.fixture
+    def ce_calls(self, monkeypatch):
+        calls = []
+        whole = cohomology.ce_complex
+
+        def counted(M, maxdeg):
+            calls.append(maxdeg)
+            return whole(M, maxdeg)
+
+        monkeypatch.setattr(cohomology, "ce_complex", counted)
+        return calls
+
+    @pytest.mark.parametrize("mname", sorted(corpus.MODULE_NAMES))
+    def test_json_bytes_match_the_whole_complex(self, mname, monkeypatch,
+                                                ce_calls, capsys):
+        dim = corpus.load(mname).base.space.dim
+        argvs = [["cohomology", "--module", mname, "--maxdeg", str(d), "--json"]
+                 for d in range(dim + 1)]
+        routed = [run(argv, capsys)[:2] for argv in argvs]
+        # sl2's h is the corpus's only torus element
+        assert (ce_calls == []) == mname.startswith("sl2")
+        monkeypatch.setattr(cohomology, "torus", lambda M: [])
+        assert [run(argv, capsys)[:2] for argv in argvs] == routed
+        assert all(code == 0 for code, _ in routed)
+
+    def test_unsafe_route_is_the_whole_complex(self, exported, ce_calls,
+                                               capsys):
+        argv = ["cohomology", exported["sl2-adjoint"], "--json"]
+        checked = run(argv, capsys)
+        assert ce_calls == []
+        assert run(argv + ["--unsafe-skip-axioms"], capsys)[:2] == checked[:2]
+        assert ce_calls == [3]
+
+    def test_jacobi_breaking_variant_keeping_h_diagonal(self, tmp_path,
+                                                        ce_calls, capsys):
+        # [f, h] = 3f instead of 2f: h stays diagonal, Jacobi fails at
+        # (e, f, h), and the unsafe route certifies d squared on the
+        # whole complex
+        doc = json.loads(corpus.fixture_text("sl2-adjoint"))
+        for m in doc["maps"]:
+            m["entries"] = [[args, out, {"[1, 2]": "3", "[2, 1]": "-3"}.get(
+                str(args), q)] for args, out, q in m["entries"]]
+        path = tmp_path / "sl2-broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for maxdeg in range(4):
+            argv = ["cohomology", str(path), "--maxdeg", str(maxdeg), "--json"]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == ("error: Lie axioms fail: lie: FAIL (jacobi) at "
+                           "('e', 'f', 'h') residual {h: 1}\n")
+            code, out, err = run(argv + ["--unsafe-skip-axioms"], capsys)
+            if maxdeg == 0:
+                assert code == 0
+                assert json.loads(out)["differential_ranks"] == [3]
+            else:
+                assert (code, out) == (2, "")
+                assert err == ("error: consecutive differentials do not "
+                               "compose to zero\n")
+        assert ce_calls == [0, 1, 2, 3]

@@ -11,10 +11,15 @@ after independent sanity checks: over the three-letter one-variable words
 every induction map below arity four is injective, so the twisted numbers
 must reproduce the classical ones, and they do; with a zero coproduct the
 complex dies above degree one and H^1 = 9 - 3 by hand.
+
+The weight-0 route of the classical complex is checked against ce_complex
+and against two closed forms: Kostant's inversion counts for n_n acting
+trivially, and the Poincare polynomial of H*(gl_n, gl_n).
 """
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -25,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdhom import cohomology, corpus, linalg
-from tdhom.algebra import LieAlgebra, LieModule
+from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
 from tdhom.cohomology import (
     AltCochain,
     ComplexMatrices,
@@ -35,6 +40,7 @@ from tdhom.cohomology import (
     alt_dim,
     ce_complex,
     ce_differential,
+    classical_complex,
     increasing_tuples,
     induction_matrix,
     invariants_h0,
@@ -42,7 +48,9 @@ from tdhom.cohomology import (
     td_cohomology_dims,
     td_differential_direct,
     td_differential_induced,
+    torus,
     unshuffles,
+    weight_zero_keys,
 )
 from tdhom.errors import AxiomError, GuardError, MalformedInput, ShapeError
 from tdhom.files import parse_structure
@@ -1098,3 +1106,226 @@ class TestSquareZeroCheckedFirst:
         with pytest.raises(AxiomError) as exc:
             TDComplexData(tdm, maxdeg=2)
         assert str(exc.value) == "quotient differentials do not square to zero"
+
+
+def matrix_unit_trivial(name, units):
+    """The algebra of matrix_unit_adjoint acting by zero on a line."""
+    A = matrix_unit_adjoint(name, units).base
+    line = BasedSpace("k", ["1"])
+    return LieModule(A, line, MultilinearMap([A.space, line], line, {}))
+
+
+def upper_units(n, strict):
+    """Matrix units of n_n (strict) or of b_n."""
+    return [(i, j) for i in range(n) for j in range(i + int(strict), n)]
+
+
+@lru_cache(maxsize=None)
+def b_adjoint(n):
+    return matrix_unit_adjoint("b%d" % n, upper_units(n, strict=False))
+
+
+def scaled_adjoint(M, scales):
+    """The adjoint module M in the basis e'_a = scales[a] e_a."""
+    L = M.base.space
+    table = {((x, y), o): q * scales[x] * scales[y] / scales[o]
+             for ((x, y), o), q in M.base.bracket.entries.items()}
+    bracket = MultilinearMap([L, L], L, table)
+    return LieModule(LieAlgebra(L, bracket), L, bracket)
+
+
+# (family, n, seed of rebased_adjoint or None, maxdeg)
+ROUTE_CASES = [
+    ("gl", 3, None, 3), ("gl", 4, None, 2), ("b", 4, None, 4),
+    ("b", 5, None, 3), ("gl", 3, 0, 2), ("gl", 3, 1, 2), ("gl", 3, 3, 2),
+    ("gl", 3, 7, 2), ("gl", 4, 3, 2), ("gl", 4, 12, 2), ("b", 4, 5, 3),
+    ("b", 4, 9, 3), ("b", 5, 2, 2), ("b", 5, 7, 2)]
+
+
+@pytest.fixture
+def ce_calls(monkeypatch):
+    """The modules classical_complex hands to ce_complex, looked up
+    through the module global as the command line does."""
+    calls = []
+
+    def counted(M, maxdeg):
+        calls.append(M)
+        return ce_complex(M, maxdeg)
+
+    monkeypatch.setattr(cohomology, "ce_complex", counted)
+    return calls
+
+
+def assert_same_complex(cx, oracle):
+    assert cx.cochain_dims() == oracle.cochain_dims()
+    assert cx.ranks() == oracle.ranks()
+    assert cx.cohomology_dims() == oracle.cohomology_dims()
+
+
+class TestTorus:
+    def test_corpus_tori(self):
+        # sl2 = span(e, f, h): [h, e] = 2e, [h, f] = -2f
+        assert torus(corpus.load("sl2-adjoint")) == [([2, -2, 0], [2, -2, 0])]
+        assert torus(corpus.load("sl2-trivial")) == [([2, -2, 0], [0])]
+        # heis's z is diagonal with every weight 0, so it is no torus
+        # element and heis-adjoint keeps the whole-complex route
+        assert torus(corpus.load("heis-adjoint")) == []
+        assert torus(corpus.load("abelian2-trivial")) == []
+
+    def test_matrix_unit_families(self):
+        assert len(torus(gl_adjoint(3))) == 3
+        assert len(torus(b_adjoint(4))) == 4
+        assert torus(matrix_unit_adjoint("n4", upper_units(4, True))) == []
+
+    def test_jordan_blocks_are_no_torus(self):
+        # ad_h fixes x and sends y to x + y; then h acting on a plane the
+        # same way, over the line it spans: h reads one diagonal weight in
+        # each, but neither action is diagonal
+        L = BasedSpace("J", ["h", "x", "y"])
+        jordan = {((0, 1), 1): 1, ((0, 2), 1): 1, ((0, 2), 2): 1,
+                  ((1, 0), 1): -1, ((2, 0), 1): -1, ((2, 0), 2): -1}
+        bracket = MultilinearMap([L, L], L, jordan)
+        line = BasedSpace("k", ["1"])
+        h = BasedSpace("h", ["h"])
+        plane = BasedSpace("V", ["v", "w"])
+        modules = [
+            LieModule(LieAlgebra(L, bracket), L, bracket),
+            LieModule(LieAlgebra(L, bracket), line,
+                      MultilinearMap([L, line], line, {})),
+            LieModule(LieAlgebra(h, MultilinearMap([h, h], h, {})), plane,
+                      MultilinearMap([h, plane], plane, {
+                          ((0, 0), 0): 1, ((0, 1), 0): 1, ((0, 1), 1): 1}))]
+        for M in modules:
+            assert torus(M) == []
+            top = M.base.space.dim
+            assert_same_complex(classical_complex(M, top), ce_complex(M, top))
+
+    def test_only_on_kept_passing_axioms(self):
+        text = corpus.fixture_text("sl2-adjoint")
+        M = parse_structure(text, unsafe_skip_axioms=True)
+        assert torus(M) == []
+        check_module(M)
+        assert torus(M) == []
+        check_lie(M.base)
+        assert torus(M) == torus(parse_structure(text)) != []
+        unchecked_base = LieAlgebra(M.base.space, M.base.bracket, check=False)
+        assert torus(LieModule(unchecked_base, M.space, M.action)) == []
+
+    def test_fraction_scaled_torus_element(self, ce_calls):
+        # h scaled by 2/3 and e by 5/2: weights 4/3 and -4/3, compared as
+        # ints over N = 3
+        sl2 = corpus.load("sl2-adjoint")
+        M = scaled_adjoint(sl2, [Fraction(5, 2), ONE, Fraction(2, 3)])
+        N = M.cleared_constants()[0]
+        assert N > 1 and N % 3 == 0
+        ((lam, mu),) = torus(M)
+        assert [Fraction(v, N) for v in lam] == [Fraction(4, 3), Fraction(-4, 3), 0]
+        assert lam == mu
+        for maxdeg in range(4):
+            assert_same_complex(classical_complex(M, maxdeg), ce_complex(M, maxdeg))
+        assert ce_calls == []
+
+
+class TestWeightZeroRoute:
+    @pytest.mark.parametrize("name", sorted(corpus.MODULE_NAMES))
+    def test_corpus_modules(self, name, ce_calls):
+        M = corpus.load(name)
+        for maxdeg in range(M.base.space.dim + 1):
+            assert_same_complex(classical_complex(M, maxdeg), ce_complex(M, maxdeg))
+        assert len(ce_calls) == (0 if torus(M) else M.base.space.dim + 1)
+
+    @pytest.mark.parametrize("family,n,seed,maxdeg", ROUTE_CASES)
+    def test_matrix_unit_adjoints(self, family, n, seed, maxdeg, ce_calls):
+        M = (gl_adjoint if family == "gl" else b_adjoint)(n)
+        if seed is not None:
+            M = rebased_adjoint(M, seed)
+        assert len(torus(M)) == n
+        assert_same_complex(classical_complex(M, maxdeg), ce_complex(M, maxdeg))
+        assert ce_calls == []
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_block_is_the_weight_zero_part_of_d(self, seed):
+        # each d_k^0 is d_k restricted to the weight-0 keys, and d_k sends
+        # no weight-0 cochain anywhere else
+        M = gl_adjoint(3) if seed is None else rebased_adjoint(gl_adjoint(3), seed)
+        L, B = M.base.space, M.space
+        blocks = weight_zero_keys(M, torus(M), 3)
+        assert [len(keys) for keys in blocks] == [3, 15, 42, 84]
+        cx = classical_complex(M, 2)
+        for k, (d0, d) in enumerate(zip(cx.matrices, ce_complex(M, 2).matrices)):
+            row_of = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
+            col_of = {key: j for j, key in enumerate(alt_basis(L, B, k))}
+            rows = [row_of[key] for key in blocks[k + 1]]
+            cols = [col_of[key] for key in blocks[k]]
+            assert [[d0.get(i, j) for j in range(d0.cols)] for i in range(d0.rows)] \
+                == [[d.get(i, j) for j in cols] for i in rows]
+            inside = set(rows)
+            assert all(d.get(i, j) == 0 for j in cols
+                       for i in range(d.rows) if i not in inside)
+
+    def test_empty_weight_zero_block(self, ce_calls):
+        # an abelian plane acting on a plane by nonzero diagonal weights:
+        # no cochain has weight 0, so the whole complex is acyclic
+        L, V = BasedSpace("a", ["h", "z"]), BasedSpace("V", ["v", "w"])
+        M = LieModule(LieAlgebra(L, MultilinearMap([L, L], L, {})), V,
+                      MultilinearMap([L, V], V, {((0, 0), 0): Fraction(1, 2),
+                                                 ((0, 1), 1): 3, ((1, 1), 1): 1}))
+        assert torus(M) == [([0, 0], [1, 6]), ([0, 0], [0, 2])]
+        for maxdeg in range(3):
+            cx = classical_complex(M, maxdeg)
+            assert all((m.rows, m.cols) == (0, 0) for m in cx.matrices)
+            assert_same_complex(cx, ce_complex(M, maxdeg))
+            assert cx.cohomology_dims() == [0] * (maxdeg + 1)
+        assert ce_calls == []
+
+    def test_column_off_its_block_is_an_axiom_error(self):
+        M = corpus.load("sl2-adjoint")
+        with pytest.raises(AxiomError, match="leaves its weight block"):
+            cohomology._differential_matrix(M, 0, [((), 0)], [((), 1)])
+
+    def test_maxdeg_bounds(self, adjoint):
+        for maxdeg in (-1, 4):
+            with pytest.raises(ValueError):
+                classical_complex(adjoint, maxdeg)
+
+
+def poincare_coefficients(factors, top):
+    """Coefficients of t^0 .. t^top in the product of the polynomials
+    given as coefficient lists."""
+    coeffs = [1] + [0] * top
+    for factor in factors:
+        coeffs = [sum(factor[i] * coeffs[k - i]
+                      for i in range(min(k, len(factor) - 1) + 1))
+                  for k in range(top + 1)]
+    return coeffs
+
+
+def inversion_counts(n):
+    """Number of permutations of n with k inversions, k = 0 .. n(n-1)/2."""
+    counts = Counter(sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+                     for p in permutations(range(n)))
+    return [counts[k] for k in range(n * (n - 1) // 2 + 1)]
+
+
+class TestTheoremOracles:
+    """Closed forms on rungs the whole-complex route cannot reach cheaply."""
+
+    @pytest.mark.parametrize("n,maxdeg", [(2, 4), (3, 3), (4, 4), (5, 3)])
+    def test_reductive(self, n, maxdeg, ce_calls):
+        # H*(gl_n, gl_n) = H*(gl_n) (x) Z(gl_n) has Poincare polynomial
+        # prod_{i=1..n} (1 + t^(2i-1)) (Hochschild & Serre 1953)
+        expected = poincare_coefficients(
+            ([1] + [0] * (2 * i - 2) + [1] for i in range(1, n + 1)), maxdeg)
+        cx = classical_complex(gl_adjoint(n), maxdeg)
+        assert cx.cohomology_dims() == expected
+        assert ce_calls == []
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kostant(self, n, ce_calls):
+        # dim H^k(n_n, k) is the number of permutations of n with k
+        # inversions (Kostant 1961); n_n has no torus, so this is the
+        # whole-complex route
+        M = matrix_unit_trivial("n%d" % n, upper_units(n, strict=True))
+        top = M.base.space.dim
+        assert classical_complex(M, top).cohomology_dims() == inversion_counts(n)
+        assert ce_calls == [M]

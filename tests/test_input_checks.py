@@ -9,7 +9,9 @@ package, its tests or its benchmark reads.  One more fails on any float
 literal or float(...) call in the package, one on Fraction(x) outside the
 scalar reader, two on any module but linalg importing fractions or ONE, and
 one on any reassignment of a structure's maps after construction, which the
-kept axiom results rely on.
+kept axiom results rely on.  A last one fails when importing the command
+line loads dataclasses or the modules it pulls in, which cost more start-up
+time than a small job.
 """
 
 import ast
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 import tdhom
 from tdhom import corpus
+from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import build_tensor_coalgebra
 from tdhom.errors import AxiomError, MalformedInput, ParseError
 from tdhom.files import parse_structure, serialize_structure
@@ -503,6 +506,48 @@ def test_bad_inputs_raise_typed_errors(flags):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert proc.stdout.strip() == "ok"
+
+
+# dataclasses imports inspect, and inspect imports ast, dis and tokenize
+STARTUP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, tdhom.cli; print(sorted(m for m in %r "
+            "if m in sys.modules))" % (STARTUP_HEAVY,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestCheckRecords:
+    """Witness and CheckResult keep the behaviour of the frozen
+    dataclasses they replaced."""
+
+    def test_fields_defaults_and_equality(self):
+        w = Witness(("x", "y"), (("z", 1),))
+        r = CheckResult("lie", False, w)
+        assert (r.name, r.ok, r.witness, r.detail) == ("lie", False, w, "")
+        assert r == CheckResult("lie", False, Witness(("x", "y"), (("z", 1),)))
+        assert r != CheckResult("lie", False, w, detail="jacobi")
+        assert hash(r) == hash(CheckResult("lie", False, w, ""))
+        assert w != (("x", "y"), (("z", 1),))
+        assert CheckResult("lie", True) != ("lie", True, None, "")
+        assert repr(CheckResult("lie", True)) == "CheckResult('lie', True, None, '')"
+
+    def test_immutable_and_copyable(self):
+        r = CheckResult("lie", True, detail="2 checks")
+        with pytest.raises(AttributeError):
+            r.ok = False
+        with pytest.raises(AttributeError):
+            del r.detail
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert copy.copy(r) == copy.deepcopy(r) == r
+        assert r.ok and r.detail == "2 checks"
 
 
 # every shipped fixture, plus a coalgebra document, which no fixture is
