@@ -22,6 +22,7 @@ from tdhom.convolution import InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
+from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
 
 
 def run(argv, capsys):
@@ -1230,6 +1231,22 @@ class TestClassicalRoute:
         monkeypatch.setattr(cohomology, "torus", lambda M: [])
         assert [run(argv, capsys)[:2] for argv in argvs] == routed
         assert all(code == 0 for code, _ in routed)
+
+    @pytest.mark.parametrize("family,n,seed", [
+        ("gl", 3, None), ("gl", 3, 7), ("gl", 4, 3), ("b", 4, 5), ("b", 5, 2)])
+    def test_json_bytes_on_rebased_adjoints(self, family, n, seed, tmp_path,
+                                            monkeypatch, ce_calls, capsys):
+        M = (gl_adjoint if family == "gl" else b_adjoint)(n)
+        if seed is not None:
+            M = rebased_adjoint(M, seed)
+        path = tmp_path / "module.json"
+        path.write_text(serialize_structure(M, "m"), encoding="utf-8")
+        argv = ["cohomology", str(path), "--maxdeg", "2", "--json"]
+        routed = run(argv, capsys)[:2]
+        assert ce_calls == [] and routed[0] == 0
+        monkeypatch.setattr(cohomology, "torus", lambda M: [])
+        assert run(argv, capsys)[:2] == routed
+        assert ce_calls == [2]
 
     def test_unsafe_route_is_the_whole_complex(self, exported, ce_calls,
                                                capsys):
