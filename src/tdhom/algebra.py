@@ -3,8 +3,17 @@
 Axiom checks run eagerly on construction and raise AxiomError; pass
 check=False to build a deliberately broken structure (the test suite and the
 CLI's unsafe flag need that).  Checkers verify identities on every basis
-tuple, with the permutations written out, and report the lexicographically
-first failing tuple.
+tuple and report the lexicographically first failing tuple.
+
+Skew symmetry and Jacobi say that a map f summed over the rotations of
+its arguments vanishes: f = bracket on two arguments, f = [x, [y, z]] on
+three.  That sum is the same at every rotation of a tuple, so each term of
+f is added once, at the least rotation of its tuple, times the number of
+rotations fixing the tuple (2 at (x, x), 3 at (x, x, x), else 1): the sum
+there is the identity's value, and the least failing key is the least
+failing tuple.  This holds for any binary map, skew or not.  The module
+law [x,y].m - x.(y.m) + y.(x.m) is summed in one pass from the bracket and
+the grouped action.  All three run on the int stores and build no map.
 
 Results are kept.  A structure's maps are never reassigned after
 construction, so check_lie, check_module and check_poisson decide once per
@@ -14,10 +23,10 @@ precondition) returns the kept result.  A structure built with check=False
 decides on first use.
 """
 
-from .checks import combine, decided_once, require
+from .checks import CheckResult, Witness, combine, decided_once, require
 from .errors import ShapeError
-from .linalg import Permutation, common_ints
-from .maps import map_identity_check, signed_sum
+from .linalg import Permutation, SparseTable, common_ints
+from .maps import map_identity_check
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
 JACOBI_CYCLE = Permutation([1, 2, 0])
@@ -112,16 +121,55 @@ class PoissonAlgebra:
         return "PoissonAlgebra(%s, dim=%d)" % (self.name, self.space.dim)
 
 
+def _decide(name, domain, codomain, acc, den):
+    """CheckResult for an identity on domain -> codomain whose defect is
+    acc, {(tup, out): int} over den, witnessed at the lexicographically
+    first tuple where it is nonzero."""
+    failing = [key for key, v in acc.items() if v]
+    if not failing:
+        return CheckResult(name, True)
+    tup = min(failing)[0]
+    column = {out: v for (t, out), v in acc.items() if t == tup}
+    residual = sorted(SparseTable._stored(column, den).entries.items())
+    return CheckResult(name, False, Witness(
+        tuple(space.labels[i] for space, i in zip(domain, tup)),
+        tuple((codomain.labels[out], q) for out, q in residual)))
+
+
+def _one_space(f, name):
+    """The space of a binary f on one space; ShapeError otherwise."""
+    if f.arity != 2 or f.domain[0] is not f.domain[1]:
+        raise ShapeError("%s needs a binary map on one space" % name)
+    return f.domain[0]
+
+
 def skew_symmetry_check(bracket):
-    flipped = bracket.precompose_perm(SWAP)
-    return map_identity_check("skew-symmetry", flipped, bracket.scale(-1))
+    """bracket(x, y) + bracket(y, x) is zero, by rotation classes."""
+    _one_space(bracket, "skew-symmetry")
+    (b,), den = common_ints([bracket])
+    acc = {}
+    for ((x, y), out), v in b.items():
+        key = ((min(x, y), max(x, y)), out)
+        acc[key] = acc.get(key, 0) + (2 if x == y else 1) * v
+    return _decide("skew-symmetry", bracket.domain, bracket.codomain, acc, den)
 
 
 def jacobi_check(bracket):
-    """bracket(1 x bracket) summed over the three cyclic rotations is zero."""
-    nested = bracket.compose_at(bracket, 1)
-    total = signed_sum((1, nested, r) for r in (None,) + JACOBI_ROTATIONS)
-    return map_identity_check("jacobi", total, total.scale(0))
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] is zero, by rotation classes."""
+    space = _one_space(bracket, "jacobi")
+    if bracket.codomain.dim != space.dim:
+        raise ShapeError("codomain %s does not fit slot 1 (%s)"
+                         % (bracket.codomain.name, space.name))
+    (b,), den = common_ints([bracket])
+    feeding = {}
+    for ((y, z), m), p in b.items():
+        feeding.setdefault(m, []).append((y, z, p))
+    acc = {}
+    for ((x, m), out), q in b.items():
+        for y, z, p in feeding.get(m, ()):
+            key = (min((x, y, z), (y, z, x), (z, x, y)), out)
+            acc[key] = acc.get(key, 0) + (3 if x == y == z else 1) * q * p
+    return _decide("jacobi", (space,) * 3, bracket.codomain, acc, den * den)
 
 
 @decided_once
@@ -131,13 +179,26 @@ def check_lie(L):
 
 @decided_once
 def check_module(M):
-    """action(bracket x 1) = action(1 x action) - action(1 x action) . swap,
-    decided on the defect, left side minus right, summed in ints."""
-    bracketed = M.action.compose_at(M.base.bracket, 0)
-    nested = M.action.compose_at(M.action, 1)
-    defect = signed_sum([(1, bracketed, None), (-1, nested, None),
-                         (1, nested, SWAP_FIRST_TWO)])
-    return map_identity_check("module", defect, defect.scale(0))
+    """[x,y].m - x.(y.m) + y.(x.m) is zero, summed in one pass over the
+    bracket and the action grouped by acting and by module index."""
+    (br, act), den = common_ints([M.base.bracket, M.action])
+    acting, on = {}, {}
+    for ((t, m), o), r in act.items():
+        acting.setdefault(t, []).append((m, o, r))
+        on.setdefault(m, []).append((t, o, r))
+    acc = {}
+    for ((x, y), a), c in br.items():  # [x, y] . m
+        for m, o, r in acting.get(a, ()):
+            key = ((x, y, m), o)
+            acc[key] = acc.get(key, 0) + c * r
+    for ((t, m), k), r in act.items():  # t . e_m = r e_k, u . e_k = s e_o
+        for u, o, s in on.get(k, ()):
+            key = ((u, t, m), o)  # - x . (y . m) at x = u, y = t
+            acc[key] = acc.get(key, 0) - r * s
+            key = ((t, u, m), o)  # + y . (x . m) at x = t, y = u
+            acc[key] = acc.get(key, 0) + r * s
+    domain = M.base.bracket.domain + M.action.domain[1:]
+    return _decide("module", domain, M.space, acc, den * den)
 
 
 def check_associative(product):

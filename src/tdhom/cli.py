@@ -171,17 +171,6 @@ def _suite_checks(suite, role, obj, domains, args):
     return out
 
 
-def _raw_field(path, key):
-    """Best-effort read of a top-level field from a file that failed its
-    axiom checks; the file already parsed as JSON to get that far."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            value = json.load(fh).get(key)
-        return value if isinstance(value, str) else None
-    except (OSError, ValueError):
-        return None
-
-
 def build_verify_report(args):
     loaded = []
     entries = []
@@ -192,8 +181,8 @@ def build_verify_report(args):
             inner = getattr(exc, "result", None)
             entries.append({
                 "path": path,
-                "structure": _raw_field(path, "name") or path,
-                "role": _raw_field(path, "role") or "unknown",
+                "structure": exc.structure_name or path,
+                "role": exc.role or "unknown",
                 "coalgebra": None,
                 "check": "load",
                 "status": "fail",

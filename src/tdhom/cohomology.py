@@ -402,15 +402,26 @@ def torus(M):
 
 def weight_zero_keys(M, weights, top):
     """Basis keys (S, b) of C^0 .. C^top in alt_basis order with mu(b) =
-    sum_{s in S} lam(s) for every (lam, mu) in weights; the module basis
-    is grouped by weight, so each tuple S costs one lookup."""
-    by_weight, n = {}, M.base.space.dim
+    sum_{s in S} lam(s) for every (lam, mu) in weights.  The increasing
+    tuples S grow degree by degree with their running weight sums, each
+    packed into one int as sum_c entry_c B^c, B above twice any |entry| of
+    a module weight or of a sum of up to top weights, so that sums pack
+    equal exactly when they are.  The module basis is grouped by packed
+    weight, and a tuple of degree top is built only when its sum is one."""
+    n = M.base.space.dim
+    B = 2 * max([1] + [abs(v) * (top + 1) for lam, mu in weights for v in lam + mu]) + 1
+    step = [sum(lam[s] * B ** c for c, (lam, _) in enumerate(weights)) for s in range(n)]
+    by_weight = {}
     for b in range(M.space.dim):
-        by_weight.setdefault(tuple(mu[b] for _, mu in weights), []).append(b)
-    step = [tuple(lam[s] for lam, _ in weights) for s in range(n)]
-    zero = (0,) * len(weights)
-    return [[(S, b) for S in increasing_tuples(n, k) for b in by_weight.get(
-        tuple(map(sum, zip(zero, *(step[s] for s in S)))), ())] for k in range(top + 1)]
+        w = sum(mu[b] * B ** c for c, (_, mu) in enumerate(weights))
+        by_weight.setdefault(w, []).append(b)
+    level, keys = [((), 0)], [[((), b) for b in by_weight.get(0, ())]]
+    for k in range(1, top + 1):
+        level = [(S + (t,), w + step[t]) for S, w in level
+                 for t in range(S[-1] + 1 if S else 0, n)
+                 if k < top or w + step[t] in by_weight]
+        keys.append([(S, b) for S, w in level for b in by_weight.get(w, ())])
+    return keys
 
 
 def classical_complex(M, maxdeg):

@@ -36,6 +36,7 @@ from .linalg import (
     all_permutations,
     common_ints,
     gather,
+    getter,
     tensor_space,
 )
 from .maps import MultilinearMap, _check_index
@@ -244,10 +245,10 @@ class InducedOperator:
         twists = sorted(self.parts, key=lambda rho: rho.images)
         # every D_rho over the same denominator, which the residues ignore
         terms, _ = self.coalgebra._expansion(self.arity)
-        legs_tables = [{(c, gather(rho, legs)): q
+        legs_tables = [{(c, move(legs)): q
                         for c, expansion in terms.items()
                         for legs, q in expansion}
-                       for rho in twists]
+                       for move in map(getter, twists)]
         # only the reduction is used: residues[i] writes D_i in the pivots
         ech = Echelon(None, legs_tables, [{i: 1} for i in range(len(twists))])
         out = {}
@@ -302,9 +303,10 @@ class InducedOperator:
         tables, psi_den = common_ints(list(self.parts.values()))
         entries = {}
         for table, rho in zip(tables, self.parts):
+            move = getter(rho)
             for c, expansion in terms.items():
                 for legs, q in expansion:
-                    routed = gather(rho, legs)
+                    routed = move(legs)
                     for (tup, o), p in table.items():
                         key = (o, c, tuple(zip(tup, routed)))
                         entries[key] = entries.get(key, 0) + q * p
@@ -365,12 +367,11 @@ class MaterializedOperator(SparseTable):
         the old argument sigma(i)."""
         if sigma.size != self.arity:
             raise ShapeError("permutation size %d vs arity %d" % (sigma.size, self.arity))
-        inv = sigma.inverse()
-        table = {(o, c, gather(inv, cols)): v
-                 for (o, c, cols), v in self._ints.items()}
+        move = getter(sigma.inverse())
+        table = {(o, c, move(cols)): v for (o, c, cols), v in self._ints.items()}
         return self._stored(table, self._denominator, arity=self.arity,
                             coalgebra=self.coalgebra,
-                            domain=gather(inv, self.domain) if self.domain else self.domain,
+                            domain=move(self.domain) if self.domain else self.domain,
                             codomain=self.codomain)
 
     def first_difference(self, other):

@@ -24,12 +24,14 @@ class MalformedInput(TdhomError):
 class AxiomError(TdhomError):
     """An eager axiom check failed on load.
 
-    Carries the failed CheckResult in .result when available.
+    Carries the failed CheckResult in .result when available, and the
+    structure's name and role from its file when raised by a file reader.
     """
 
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+        self.structure_name = self.role = None
 
 
 class ParseError(TdhomError):

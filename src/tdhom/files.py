@@ -11,8 +11,10 @@ A structure file is a JSON object:
                 "entries": [[[0, 1], 2, "1"], ...]}]
     }
 
-Coefficients are fraction strings ("-3/2"), never floats.  Roles and their
-required maps:
+Coefficients are fraction strings ("-3/2"), never floats.  Indices and
+coefficients are checked and read once, here; "-" and ASCII digits are
+read as an int, and a map's table is stored without a second check.
+Roles and their required maps:
 
     coalgebra      "coproduct": {"space": ..., "entries": [[i, j, k, q], ...]}
     lie            bracket
@@ -34,7 +36,7 @@ import json
 from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
-from .errors import MalformedInput, ParseError, ScalarError
+from .errors import AxiomError, MalformedInput, ParseError, ScalarError
 from .linalg import BasedSpace, _exact
 from .maps import MultilinearMap
 
@@ -68,9 +70,12 @@ def _scalar(raw, path):
     if not isinstance(raw, str):
         _fail(path, "coefficients must be fraction strings, got %s"
               % type(raw).__name__)
+    # an optional "-" and ASCII digits is an int, the value _exact gives;
+    # everything else, "+3", " 3" and "1_000" included, goes through _exact
+    digits = raw[1:] if raw[:1] == "-" else raw
     try:
-        return _exact(raw)
-    except ScalarError:
+        return int(raw) if digits.isascii() and digits.isdigit() else _exact(raw)
+    except (ScalarError, ValueError):  # ValueError: int()'s digit limit
         _fail(path, "not a fraction: %r" % raw)
 
 
@@ -131,7 +136,7 @@ def _parse_map(entry, spaces, path):
         o = _index(out, codomain.dim, here)
         key, q = (tup, o), _scalar(raw_q, here)
         table[key] = table[key] + q if key in table else q
-    return name, MultilinearMap(tuple(domain), codomain, table)
+    return name, MultilinearMap._read(domain, codomain, table)
 
 
 def _parse_maps(doc, spaces, path, required):
@@ -197,8 +202,11 @@ def parse_structure(text, unsafe_skip_axioms=False):
     if role not in ROLES:
         _fail("$.role", "unknown role %r" % role)
     spaces = _parse_spaces(doc, "$")
-    check = not unsafe_skip_axioms
-    obj = _parse_role(doc, role, spaces, check)
+    try:
+        obj = _parse_role(doc, role, spaces, not unsafe_skip_axioms)
+    except AxiomError as exc:
+        exc.structure_name, exc.role = name, role
+        raise
     obj.structure_name = name
     return obj
 

@@ -31,6 +31,7 @@ import itertools
 import numbers
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import InvalidPermutation, ScalarError, ShapeError
@@ -204,6 +205,16 @@ def all_permutations(n):
     return [Permutation(im) for im in itertools.permutations(range(n))]
 
 
+def getter(p):
+    """The function seq -> gather(p, seq), built once to move many tuples
+    of p's size: an operator.itemgetter, except at sizes 0 and 1, where
+    itemgetter would return no tuple.  scatter(p, .) is getter(p.inverse())."""
+    images = p.images
+    if len(images) > 1:
+        return itemgetter(*images)
+    return lambda seq: tuple(seq[i] for i in images)
+
+
 def gather(p, seq):
     """Reorder seq so position i holds seq[p(i)].
 
@@ -213,7 +224,7 @@ def gather(p, seq):
     >>> gather(Permutation.cycle([0, 1, 2], 3), "abc")
     ('b', 'c', 'a')
     """
-    return tuple(seq[p(i)] for i in range(len(seq)))
+    return getter(p)(seq)
 
 
 def scatter(p, seq):
@@ -223,10 +234,7 @@ def scatter(p, seq):
     >>> gather(s, scatter(s, "abc"))
     ('a', 'b', 'c')
     """
-    out = [None] * len(seq)
-    for i, x in enumerate(seq):
-        out[p(i)] = x
-    return tuple(out)
+    return getter(p.inverse())(seq)
 
 
 class RationalMatrix:

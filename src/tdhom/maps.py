@@ -7,16 +7,17 @@ actions, coproduct composites, cochains) is one of these.
 
 The public constructor is the one place where a table is checked: every
 index must be an int (not a bool) in the range of its space, and every
-scalar an exact rational, so a float raises ScalarError.  Arithmetic on
-maps (add, sub, scale, precompose_perm, compose_at, signed_sum, and the
-part sums of convolution) runs on the stored ints and builds its result
-through _trusted, unchecked, since the operands were checked already;
-no Fraction is made on the way.  Equal maps have equal stores, so
-first_difference subtracts only unequal maps.
+scalar an exact rational, so a float raises ScalarError.  A file reader
+that has checked every index and scalar itself stores its table through
+_read, unchecked.  Arithmetic on maps (add, sub, scale, precompose_perm,
+compose_at, and the part sums of convolution) runs on the stored ints and
+builds its result through _trusted, unchecked, since the operands were
+checked already; no Fraction is made on the way.  Equal maps have equal
+stores, so first_difference subtracts only unequal maps.
 """
 
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, _exact, common_ints, scatter
+from .linalg import ZERO, SparseTable, _exact, getter
 
 
 def _check_int(i, role, space):
@@ -63,6 +64,15 @@ class MultilinearMap(SparseTable):
         return m
 
     @classmethod
+    def _read(cls, domain, codomain, table):
+        """The map with a table of ints and Fractions on in-range keys, as
+        a reader that has checked every index and scalar builds it."""
+        m = cls.__new__(cls)
+        m.domain, m.codomain = tuple(domain), codomain
+        m._set_table(table)
+        return m
+
+    @classmethod
     def zero(cls, domain, codomain):
         return cls(domain, codomain, {})
 
@@ -104,8 +114,9 @@ class MultilinearMap(SparseTable):
         (f . p)(x_1,..,x_n) = f(x_{p(1)},..,x_{p(n)})."""
         if p.size != self.arity:
             raise ShapeError("permutation size %d vs arity %d" % (p.size, self.arity))
-        table = {(scatter(p, tup), out): v for (tup, out), v in self._ints.items()}
-        return MultilinearMap._trusted(scatter(p, self.domain), self.codomain,
+        move = getter(p.inverse())
+        table = {(move(tup), out): v for (tup, out), v in self._ints.items()}
+        return MultilinearMap._trusted(move(self.domain), self.codomain,
                                        table, self._denominator)
 
     def compose_at(self, inner, slot):
@@ -135,30 +146,6 @@ class MultilinearMap(SparseTable):
     def __repr__(self):
         doms = "*".join(s.name for s in self.domain)
         return "MultilinearMap(%s->%s, %d entries)" % (doms, self.codomain.name, len(self._ints))
-
-
-def signed_sum(terms):
-    """sum of sign * (m . p) over the terms (sign, m, p) of one shape, p a
-    permutation of m's arguments or None for m itself.
-
-    The sums run in ints over the maps' common denominator, and the result
-    keeps them.
-    """
-    terms = list(terms)
-    shapes = [(m.domain if p is None else scatter(p, m.domain), m.codomain)
-              for _, m, p in terms]
-    domain, codomain = shapes[0]
-    if any(d != domain or c is not codomain for d, c in shapes):
-        raise ShapeError("maps on different spaces do not add")
-    maps = list({id(m): m for _, m, _ in terms}.values())
-    cleared, den = common_ints(maps)
-    ints = {id(m): table for m, table in zip(maps, cleared)}
-    acc = {}
-    for sign, m, p in terms:
-        for (tup, out), v in ints[id(m)].items():
-            key = (tup if p is None else scatter(p, tup), out)
-            acc[key] = acc.get(key, 0) + sign * v
-    return MultilinearMap._trusted(domain, codomain, acc, den)
 
 
 def is_skew(f):

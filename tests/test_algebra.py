@@ -32,7 +32,8 @@ from tdhom.algebra import (
     skew_symmetry_check,
 )
 from tdhom.coalgebra import Coalgebra, check_coassociativity
-from tdhom.errors import AxiomError
+from tdhom.checks import combine
+from tdhom.errors import AxiomError, ShapeError
 from tdhom.files import parse_structure
 from tdhom.lie_rinehart import LieRinehartPair, check_lr
 from tdhom.linalg import BasedSpace, table_sum
@@ -316,3 +317,156 @@ class TestIntSumsAgainstFractionSums:
             assert result == table_sum_module(M)
             failing += not result.ok
         assert len(modules) >= 10 and failing >= 20
+
+
+def flipped_skew(bracket):
+    """skew_symmetry_check as it was before it summed by rotation classes:
+    the bracket with its arguments swapped against minus the bracket."""
+    return map_identity_check("skew-symmetry", bracket.precompose_perm(SWAP),
+                              bracket.scale(-1))
+
+
+# [e_x, e_y] = c e_o with x < y: abelian, the plane r2, Heisenberg, sl2
+LIE_SEEDS = [(1, []), (2, [(0, 1, 1, 1)]), (3, [(0, 1, 2, 1)]),
+             (3, [(0, 1, 2, 1), (0, 2, 0, -2), (1, 2, 1, 2)])]
+SCALARS = st.one_of(st.integers(-4, 4),
+                    st.fractions(-3, 3, max_denominator=7))
+
+
+@st.composite
+def brackets(draw):
+    """(kind, bracket) on a space of dim 1 to 5: a Lie bracket (a seed
+    algebra placed in the space and scaled), or one with random entries
+    added, skew or not."""
+    n = draw(st.integers(1, 5))
+    V = BasedSpace("V", ["v%d" % i for i in range(n)])
+    kind = draw(st.sampled_from(["lie", "perturbed", "skew", "any"]))
+    table = {}
+    if kind in ("lie", "perturbed"):
+        _, consts = draw(st.sampled_from([s for s in LIE_SEEDS if s[0] <= n]))
+        place = draw(st.permutations(range(n)))
+        scale = draw(SCALARS.filter(bool))
+        for x, y, o, c in consts:
+            table[(place[x], place[y]), place[o]] = scale * c
+            table[(place[y], place[x]), place[o]] = -scale * c
+    if kind != "lie":
+        index = st.integers(0, n - 1)
+        extra = draw(st.dictionaries(st.tuples(index, index, index), SCALARS,
+                                     min_size=1, max_size=8))
+        for (x, y, o), q in extra.items():
+            table[(x, y), o] = table.get(((x, y), o), 0) + q
+            if kind == "skew":
+                table[(y, x), o] = table.get(((y, x), o), 0) - q
+    return kind, MultilinearMap((V, V), V, table)
+
+
+@st.composite
+def modules(draw):
+    """(kind, module) over a drawn bracket: its trivial, adjoint or
+    coadjoint module, or one with a random action on a space of dim 1
+    to 5."""
+    kind, bracket = draw(brackets())
+    L = bracket.codomain
+    base = LieAlgebra(L, bracket, check=False)
+    action = draw(st.sampled_from(["trivial", "adjoint", "coadjoint", "any"]))
+    if action == "trivial":
+        return kind, LieModule(base, L, MultilinearMap((L, L), L, {}), check=False)
+    if action == "adjoint":
+        return kind, LieModule(base, L, bracket, check=False)
+    if action == "coadjoint":
+        # (x . f)(y) = -f([x, y]) on the dual basis
+        dual = {((x, o), a): -q for ((x, a), o), q in bracket.entries.items()}
+        return kind, LieModule(base, L, MultilinearMap((L, L), L, dual),
+                               check=False)
+    B = BasedSpace("B", ["b%d" % i for i in range(draw(st.integers(1, 5)))])
+    extra = draw(st.dictionaries(
+        st.tuples(st.tuples(st.integers(0, L.dim - 1), st.integers(0, B.dim - 1)),
+                  st.integers(0, B.dim - 1)), SCALARS, max_size=8))
+    return "any", LieModule(base, B, MultilinearMap((L, B), B, extra), check=False)
+
+
+class TestFusedChecksAgainstTableSums:
+    """Skew symmetry, Jacobi and the module law decided in one int pass
+    give the results of the map-building routes they replaced: same ok,
+    detail and witness, on Lie brackets and on brackets that are not even
+    skew."""
+
+    @given(brackets())
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_sweep(self, drawn):
+        kind, bracket = drawn
+        jacobi, skew = jacobi_check(bracket), skew_symmetry_check(bracket)
+        assert jacobi == table_sum_jacobi(bracket)
+        assert skew == flipped_skew(bracket)
+        if kind == "lie":
+            assert jacobi.ok and skew.ok
+
+    @given(modules())
+    @settings(max_examples=200, deadline=None)
+    def test_module_sweep(self, drawn):
+        kind, M = drawn
+        result = check_module.__wrapped__(M)
+        assert result == table_sum_module(M)
+        if kind == "lie" and M.space is M.base.space:
+            assert result.ok
+
+    def test_sweeps_reach_both_outcomes(self):
+        seen = set()
+
+        @given(modules())
+        @settings(max_examples=200, deadline=None)
+        def collect(drawn):
+            kind, M = drawn
+            seen.add(("jacobi", jacobi_check(M.base.bracket).ok))
+            seen.add(("module", check_module.__wrapped__(M).ok))
+
+        collect()
+        assert seen == {(c, ok) for c in ("jacobi", "module") for ok in (True, False)}
+
+    def test_ill_shaped_maps_raise(self):
+        A, B, C = (BasedSpace(name, labels) for name, labels in
+                   (("A", "ab"), ("B", "cd"), ("C", "xyz")))
+        for m in (MultilinearMap((A,), A, {}), MultilinearMap((A, A, A), A, {}),
+                  MultilinearMap((A, B), B, {((0, 1), 1): 1}),
+                  MultilinearMap((A, A), C, {})):
+            with pytest.raises(ShapeError):
+                jacobi_check(m)
+            with pytest.raises(ShapeError):
+                table_sum_jacobi(m)
+        skewed = MultilinearMap((A, B), B, {((0, 1), 1): 1})
+        for check in (skew_symmetry_check, flipped_skew):
+            with pytest.raises(ShapeError):
+                check(skewed)
+
+
+def gl_adjoint_module(n):
+    """gl_n acting on itself, by its matrix-unit structure constants."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    gl = BasedSpace("gl%d" % n, ["E%d%d" % u for u in units])
+    entries = {}
+    for x, (i, j) in enumerate(units):
+        for y, (k, l) in enumerate(units):
+            for hit, out, sign in ((j == k, (i, l), 1), (l == i, (k, j), -1)):
+                if hit:
+                    key = ((x, y), units.index(out))
+                    entries[key] = entries.get(key, 0) + sign
+    bracket = MultilinearMap([gl, gl], gl, entries)
+    return LieModule(LieAlgebra(gl, bracket, check=False), gl, bracket,
+                     check=False)
+
+
+def test_gl3_adjoint_decides_without_intermediate_maps(monkeypatch):
+    # every map the old routes built went through _trusted or compose_at
+    M = gl_adjoint_module(3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("intermediate map built")
+
+    monkeypatch.setattr(MultilinearMap, "_trusted", refused)
+    monkeypatch.setattr(MultilinearMap, "compose_at", refused)
+    lie, module = check_lie.__wrapped__(M.base), check_module.__wrapped__(M)
+    monkeypatch.undo()
+    assert lie.ok and module.ok
+    assert lie == combine("lie", [flipped_skew(M.base.bracket),
+                                  table_sum_jacobi(M.base.bracket)])
+    assert module == table_sum_module(M)

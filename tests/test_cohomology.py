@@ -1226,6 +1226,51 @@ class TestTorus:
         assert ce_calls == []
 
 
+def brute_force_weight_zero_keys(M, weights, top):
+    """weight_zero_keys as it was, and its oracle: every increasing tuple of
+    each degree with its weights summed, the module basis grouped by
+    weight."""
+    by_weight, n = {}, M.base.space.dim
+    for b in range(M.space.dim):
+        by_weight.setdefault(tuple(mu[b] for _, mu in weights), []).append(b)
+    step = [tuple(lam[s] for lam, _ in weights) for s in range(n)]
+    zero = (0,) * len(weights)
+    return [[(S, b) for S in increasing_tuples(n, k) for b in by_weight.get(
+        tuple(map(sum, zip(zero, *(step[s] for s in S)))), ())]
+        for k in range(top + 1)]
+
+
+class TestWeightZeroKeys:
+    @pytest.mark.parametrize("family,n,seed,top", [
+        ("gl", 3, None, 9), ("gl", 4, None, 5), ("gl", 5, None, 4),
+        ("b", 4, None, 10), ("b", 5, None, 6), ("gl", 3, 7, 9),
+        ("gl", 4, 3, 5), ("gl", 5, 4, 3), ("b", 4, 9, 10), ("b", 5, 2, 6)])
+    def test_degree_by_degree_walk_matches_brute_force(self, family, n, seed, top):
+        M = (gl_adjoint if family == "gl" else b_adjoint)(n)
+        if seed is not None:
+            M = rebased_adjoint(M, seed)
+        weights = torus(M)
+        assert len(weights) == n
+        for t in (0, 1, top):
+            assert weight_zero_keys(M, weights, t) \
+                == brute_force_weight_zero_keys(M, weights, t)
+
+    def test_fraction_weights_and_empty_block(self):
+        # weights over a denominator, and a torus with no weight-0 key
+        sl2 = corpus.load("sl2-adjoint")
+        M = scaled_adjoint(sl2, [Fraction(5, 2), ONE, Fraction(2, 3)])
+        L, V = BasedSpace("a", ["h", "z"]), BasedSpace("V", ["v", "w"])
+        plane = LieModule(LieAlgebra(L, MultilinearMap([L, L], L, {})), V,
+                          MultilinearMap([L, V], V, {((0, 0), 0): Fraction(1, 2),
+                                                     ((0, 1), 1): 3, ((1, 1), 1): 1}))
+        for module in (M, plane):
+            weights = torus(module)
+            assert weights
+            assert weight_zero_keys(module, weights, 2) \
+                == brute_force_weight_zero_keys(module, weights, 2)
+        assert weight_zero_keys(plane, torus(plane), 2) == [[], [], []]
+
+
 class TestWeightZeroRoute:
     @pytest.mark.parametrize("name", sorted(corpus.MODULE_NAMES))
     def test_corpus_modules(self, name, ce_calls):

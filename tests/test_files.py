@@ -1,5 +1,6 @@
 """Structure-file parsing, canonical serialization, and the shipped fixtures."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,50 @@ class TestParse:
         text = MINIMAL_LIE.replace('[[1, 0], 2, "-1"]', '[[1, 0], 2, "1"]')
         obj = parse_structure(text, unsafe_skip_axioms=True)
         assert isinstance(obj, LieAlgebra)
+
+
+def one_coefficient(raw):
+    """A multilinear document whose one entry has coefficient raw."""
+    return json.dumps({
+        "format": "tdhom/1", "name": "p", "role": "multilinear",
+        "spaces": [{"name": "V", "labels": ["a"]}],
+        "maps": [{"name": "f", "domain": ["V"], "codomain": "V",
+                  "entries": [[[0], 0, raw]]}]})
+
+
+class TestCoefficientStrings:
+    """Plain integer strings are read with int(); every other string goes
+    through the exact reader as before.  Values and messages are the ones
+    the reader gave when every string went through Fraction."""
+
+    @pytest.mark.parametrize("raw,value", [
+        ("3", 3), ("-3", -3), ("+3", 3), (" 3", 3), ("3 ", 3), ("1_000", 1000),
+        ("\u0663", 3), ("-0", None), ("6/4", Fraction(3, 2))])
+    def test_values(self, raw, value):
+        m = parse_structure(one_coefficient(raw))
+        assert dict(m.entries) == ({} if value is None else {((0,), 0): value})
+        assert all(type(q) is Fraction for q in m.entries.values())
+
+    @pytest.mark.parametrize("raw", ["-", "--3", "", "3/0", "1" * 5000])
+    def test_messages(self, raw):
+        with pytest.raises(ParseError) as info:
+            parse_structure(one_coefficient(raw))
+        assert str(info.value) == "$.maps[0].entries[0]: not a fraction: %r" % raw
+
+    def test_integer_file_makes_no_fraction(self, monkeypatch):
+        # a module file with integer coefficients: parsing, the checked
+        # table going into its maps and the load-time axioms stay in ints
+        text = serialize_structure(corpus.load("sl2-adjoint"), "m")
+        assert all(q.lstrip("-").isdigit() for m in json.loads(text)["maps"]
+                   for *_, q in m["entries"])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(Fraction, "__new__", refused)
+        M = parse_structure(text)
+        monkeypatch.undo()
+        assert isinstance(M, LieModule) and M.action.entries
 
 
 class TestRoundTrip:

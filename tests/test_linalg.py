@@ -28,6 +28,7 @@ from tdhom.linalg import (
     SparseColumns,
     all_permutations,
     gather,
+    getter,
     kernel_basis,
     pivot_columns,
     rank,
@@ -104,6 +105,20 @@ class TestPermutation:
         p = Permutation([1, 2, 0, 3])
         assert gather(p, scatter(p, "wxyz")) == tuple("wxyz")
         assert scatter(p, gather(p, "wxyz")) == tuple("wxyz")
+
+    def test_kernels_match_the_definitional_loops(self):
+        # gather and scatter apply one itemgetter; sizes 0 and 1, where an
+        # itemgetter gives no tuple, included
+        for n in range(6):
+            seq = tuple("abcdef"[:n])
+            for p in all_permutations(n):
+                placed = [None] * n
+                for i, x in enumerate(seq):
+                    placed[p(i)] = x
+                assert gather(p, seq) == tuple(seq[p(i)] for i in range(n))
+                assert getter(p)(list(seq)) == gather(p, seq)
+                assert scatter(p, seq) == tuple(placed)
+                assert gather(p, scatter(p, seq)) == seq
 
 
 def random_matrix(rng, rows, cols):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
 from tdhom.convolution import _map_sum
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
-from tdhom.linalg import BasedSpace, Permutation, all_permutations, table_sum
+from tdhom.linalg import BasedSpace, Permutation, all_permutations
 from tdhom.maps import (
     MultilinearMap,
     first_difference,
     is_skew,
     map_identity_check,
-    signed_sum,
 )
 
 L = BasedSpace("L", ("e", "f", "h"))
@@ -253,34 +252,6 @@ class TestTrustedResults:
 
 
 class TestSignedSum:
-    @given(st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]),
-                              st.integers(0, 1),
-                              st.sampled_from([None] + all_permutations(3))),
-                    min_size=1, max_size=5),
-           maps_on((L, L, L), L), maps_on((L, L, L), L))
-    @settings(max_examples=80)
-    def test_equals_the_fraction_sum(self, picks, f, g):
-        terms = [(sign, (f, g)[which], p) for sign, which, p in picks]
-        r = signed_sum(terms)
-        assert_checked_form(r)
-        oracle = table_sum((m if p is None else m.precompose_perm(p)).scale(sign)
-                           for sign, m, p in terms)
-        assert r == oracle and r.domain == oracle.domain
-
-    def test_vanishing_sum_makes_no_fraction(self, monkeypatch):
-        m = MultilinearMap((L, L, L), L, {((0, 1, 2), 0): Fraction(1, 3),
-                                         ((2, 1, 0), 1): 5})
-        swap = Permutation([1, 0, 2])
-
-        def refused(*args, **kwargs):
-            raise AssertionError("Fraction built")
-
-        # maps names no Fraction: the store lives in linalg, so every
-        # Fraction made anywhere is refused
-        monkeypatch.setattr(Fraction, "__new__", refused)
-        r = signed_sum([(1, m, swap), (1, m, None), (-1, m, swap), (-1, m, None)])
-        assert r.is_zero()
-
     def test_int_constant_checks_make_no_fraction(self, monkeypatch):
         # gl3 acting on itself: its compositions and defects stay ints
         units = [(i, j) for i in range(3) for j in range(3)]
@@ -305,13 +276,6 @@ class TestSignedSum:
         lie, module = check_lie(M.base), check_module(M)
         monkeypatch.undo()
         assert lie and module
-
-    def test_shapes_must_agree(self):
-        a = MultilinearMap((L, M), L, {})
-        with pytest.raises(ShapeError):
-            signed_sum([(1, a, None), (1, a, Permutation([1, 0]))])
-        with pytest.raises(ShapeError):
-            signed_sum([(1, a, None), (1, MultilinearMap((L, M), M, {}), None)])
 
 
 class TestFirstDifference:
