@@ -26,7 +26,7 @@ decides on first use.
 from .checks import CheckResult, Witness, combine, decided_once, require
 from .errors import ShapeError
 from .linalg import Permutation, SparseTable, common_ints
-from .maps import map_identity_check
+from .maps import map_identity_check, term_sum
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
 JACOBI_CYCLE = Permutation([1, 2, 0])
@@ -211,17 +211,22 @@ def check_commutative(product):
     return map_identity_check("commutativity", product.precompose_perm(SWAP), product)
 
 
-def leibniz_check(bracket, product):
-    """bracket(1 x product) = product(1 x bracket) . rot + product(1 x bracket) . swap01.
+def leibniz_identity(bracket, product):
+    """bracket(1 x product) = product(1 x bracket) . rot + product(1 x bracket) . swap01,
+    as (left terms, right terms) for maps.term_sum.
 
     rot moves the last factor in front: evaluated on (x, y, z) the right side
     is product(z, bracket(x, y)) + product(y, bracket(x, z)), which together
     with commutativity is the derivation property of bracket(x, -).
     """
-    lhs = bracket.compose_at(product, 1)
     mixed = product.compose_at(bracket, 1)
-    rhs = mixed.precompose_perm(PRODUCT_CYCLE).add(mixed.precompose_perm(SWAP_FIRST_TWO))
-    return map_identity_check("leibniz", lhs, rhs)
+    return (((bracket.compose_at(product, 1), None, 1),),
+            ((mixed, PRODUCT_CYCLE, 1), (mixed, SWAP_FIRST_TWO, 1)))
+
+
+def leibniz_check(bracket, product):
+    left, right = leibniz_identity(bracket, product)
+    return map_identity_check("leibniz", term_sum(left), term_sum(right))
 
 
 @decided_once

@@ -23,18 +23,22 @@ NEITHER = "neither"
 
 class Coalgebra:
     def __init__(self, space, coproduct, check=True):
-        """coproduct: iterable of (i, j, k, q) or a {(i,j,k): q} mapping."""
-        table = {}
-        if hasattr(coproduct, "items"):
-            coproduct = [key + (q,) for key, q in coproduct.items()]
-        for i, j, k, q in coproduct:
-            for idx in (i, j, k):
-                _check_index(idx, space.dim, "coproduct", space)
-            key, q = (i, j, k), _exact(q)
-            table[key] = table[key] + q if key in table else q
+        """coproduct: iterable of (i, j, k, q), a {(i,j,k): q} mapping, or a
+        SparseTable that a file reader has checked (SparseTable._read)."""
+        if isinstance(coproduct, SparseTable):
+            store = coproduct
+        else:
+            table = {}
+            if hasattr(coproduct, "items"):
+                coproduct = [key + (q,) for key, q in coproduct.items()]
+            for i, j, k, q in coproduct:
+                for idx in (i, j, k):
+                    _check_index(idx, space.dim, "coproduct", space)
+                key, q = (i, j, k), _exact(q)
+                table[key] = table[key] + q if key in table else q
+            store = SparseTable._read(table)
         self.space = space
-        self._store = SparseTable()
-        self._store._set_table(table)
+        self._store = store
         self._splits = {}
         for (i, j, k), q in sorted(self._store._ints.items()):
             self._splits.setdefault(i, []).append((j, k, q))

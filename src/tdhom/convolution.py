@@ -37,9 +37,10 @@ from .linalg import (
     common_ints,
     gather,
     getter,
+    table_sum,
     tensor_space,
 )
-from .maps import MultilinearMap, _check_index
+from .maps import MultilinearMap, _check_index, signed
 
 DEFAULT_GUARD_LIMIT = 20000
 
@@ -423,6 +424,15 @@ def factored_term(phi, C, sigma):
     return twisted(phi, C, sigma).argument_permute(sigma)
 
 
+def twisted_sum(terms, C):
+    """maps.term_sum(terms) over C, each rearrangement replaced by its
+    twisted counterpart: f becomes induced(f, C) and f . p becomes
+    factored_term(f, C, p)."""
+    return table_sum(signed(induced(f, C) if p is None else
+                            factored_term(f, C, p), sign)
+                     for f, p, sign in terms)
+
+
 def _untwisted_base(op):
     """The identity part of op, or the zero map when every part cancelled;
     TdhomError when op keeps any other part."""
@@ -477,12 +487,15 @@ def check_td_skew(phi, C, max_arity=4):
 
     Decided on the operators' parts; a failing sigma is materialized to
     find the first differing matrix-unit tuple, which multilinearity makes
-    a complete test.  Arity above max_arity is refused outright.
+    a complete test.  Arity above max_arity is refused outright, and so is
+    a map whose arguments do not all share one space.
     """
     n = phi.arity
     if n > max_arity:
         raise GuardError(
             "arity %d exceeds the permutation-enumeration bound %d" % (n, max_arity))
+    if any(space is not phi.domain[0] for space in phi.domain):
+        raise ShapeError("td-skew needs a map whose arguments share one space")
     plain = induced(phi, C)
     # the identity comes first and states plain = plain
     for sigma in all_permutations(n)[1:]:

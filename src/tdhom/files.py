@@ -13,7 +13,8 @@ A structure file is a JSON object:
 
 Coefficients are fraction strings ("-3/2"), never floats.  Indices and
 coefficients are checked and read once, here; "-" and ASCII digits are
-read as an int, and a map's table is stored without a second check.
+read as an int, and every table (a map's, a coproduct's, a Hom element's)
+is stored without a second check.
 Roles and their required maps:
 
     coalgebra      "coproduct": {"space": ..., "entries": [[i, j, k, q], ...]}
@@ -37,7 +38,7 @@ from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
 from .errors import AxiomError, MalformedInput, ParseError, ScalarError
-from .linalg import BasedSpace, _exact
+from .linalg import BasedSpace, SparseTable, _exact
 from .maps import MultilinearMap
 
 FORMAT_TAG = "tdhom/1"
@@ -136,7 +137,8 @@ def _parse_map(entry, spaces, path):
         o = _index(out, codomain.dim, here)
         key, q = (tup, o), _scalar(raw_q, here)
         table[key] = table[key] + q if key in table else q
-    return name, MultilinearMap._read(domain, codomain, table)
+    return name, MultilinearMap._read(table, domain=tuple(domain),
+                                      codomain=codomain)
 
 
 def _parse_maps(doc, spaces, path, required):
@@ -166,18 +168,16 @@ def _parse_coproduct(doc, spaces, path, check):
     if sp_name not in spaces:
         _fail(path + ".coproduct.space", "unknown space %r" % sp_name)
     space = spaces[sp_name]
-    triples = []
+    table = {}
     for pos, row in enumerate(_field(cop, "entries", list, path + ".coproduct")):
         here = "%s.coproduct.entries[%d]" % (path, pos)
         if not isinstance(row, list) or len(row) != 4:
             _fail(here, "expected [source, left, right, coefficient]")
         i, j, k, raw_q = row
-        triples.append((_index(i, space.dim, here), _index(j, space.dim, here),
-                        _index(k, space.dim, here), _scalar(raw_q, here)))
-    try:
-        return Coalgebra(space, triples, check=check)
-    except MalformedInput as exc:
-        _fail(path + ".coproduct", str(exc))
+        key = tuple(_index(x, space.dim, here) for x in (i, j, k))
+        q = _scalar(raw_q, here)
+        table[key] = table[key] + q if key in table else q
+    return Coalgebra(space, SparseTable._read(table), check)
 
 
 def parse_structure(text, unsafe_skip_axioms=False):
@@ -236,7 +236,7 @@ def _parse_role(doc, role, spaces, check):
             key = (_index(t, target.dim, here), _index(c, C.dim, here))
             q = _scalar(raw_q, here)
             entries[key] = entries[key] + q if key in entries else q
-        return HomElement(C, target, entries)
+        return HomElement._read(entries, source=C, target=target)
 
     if role == "multilinear":
         found = _parse_maps(doc, spaces, "$", [])

@@ -6,9 +6,9 @@ together by two compatibility identities (the action is B-linear in its L
 argument; the bracket interacts with the module structure through a twisted
 Leibniz rule).  Everything is checked by exact map equality.
 
-The twisted half lifts all four operations to operators on maps out of a
-coalgebra and re-verifies the compatibilities, with the argument-swap terms
-replaced by their twisted counterparts.
+Each identity is stated once, in PAIR_IDENTITIES, and decided both as maps
+(check_lr) and as operators on maps out of a coalgebra, each rearrangement
+twisted (check_td_lr); both read the composites the pair builds once.
 """
 
 from .algebra import (
@@ -26,11 +26,9 @@ from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
     _map_sum,
     check_materialization_size,
-    compose_induced,
-    factored_term,
-    induced,
     operator_identity_check,
     resolve_guard_limit,
+    twisted_sum,
 )
 from .errors import AxiomError, ShapeError
 from .linalg import (
@@ -39,9 +37,42 @@ from .linalg import (
     SparseColumns,
     common_ints,
     solve,
-    table_sum,
 )
-from .maps import map_identity_check
+from .maps import map_identity_check, term_sum
+
+# (name, left terms, right terms); a term (outer, inner, slot, p, sign) is
+# sign * (outer . inner at slot) . p, maps named by pair attribute, p None
+# for no rearrangement.  A witness is labelled by the left side's domain.
+PAIR_IDENTITIES = (
+    # action(bmodule(a, x), b) = product(a, action(x, b))
+    ("action-linearity", (("action", "bmodule", 0, None, 1),),
+     (("product", "action", 1, None, 1),)),
+    # bracket(x, bmodule(a, y))
+    #   = bmodule(a, bracket(x, y)) + bmodule(action(x, a), y)
+    ("module-leibniz", (("bracket", "bmodule", 1, None, 1),),
+     (("bmodule", "bracket", 1, SWAP_FIRST_TWO, 1),
+      ("bmodule", "action", 0, None, 1))),
+    # bracket(bmodule(a, x), y)
+    #   = bmodule(a, bracket(x, y)) - bmodule(action(y, a), x)
+    ("module-leibniz-rewritten", (("bracket", "bmodule", 0, None, 1),),
+     (("bmodule", "bracket", 1, None, 1),
+      ("bmodule", "action", 0, PRODUCT_CYCLE, -1))),
+    # action(x, product(a, b))
+    #   = product(action(x, a), b) + product(a, action(x, b))
+    ("derivation", (("action", "product", 1, None, 1),),
+     (("product", "action", 0, None, 1),
+      ("product", "action", 1, SWAP_FIRST_TWO, 1))),
+    # bmodule(a, bmodule(b, x)) = bmodule(product(a, b), x)
+    ("bmodule-associative", (("bmodule", "bmodule", 1, None, 1),),
+     (("bmodule", "product", 0, None, 1),)),
+    # classical only: the rewritten right side is minus the plain one with
+    # the arguments cycled, so the two Leibniz displays state one identity
+    ("leibniz-forms-agree",
+     (("bmodule", "bracket", 1, None, 1),
+      ("bmodule", "action", 0, PRODUCT_CYCLE, -1)),
+     (("bmodule", "bracket", 1, SWAP_FIRST_TWO.then(PRODUCT_CYCLE), -1),
+      ("bmodule", "action", 0, PRODUCT_CYCLE, -1))),
+)
 
 
 class LieRinehartPair:
@@ -74,150 +105,64 @@ class LieRinehartPair:
         self.lie = LieAlgebra(lie_space, bracket, check=False, name=name)
         self.ring_module = LieModule(self.lie, ring_space, action, check=False,
                                      name="%s-ring" % name)
+        self._composites = {}
         if check:
             require(check_lr(self), "pair axioms fail: ")
 
-
-def _derivation_check(pair):
-    """action(x, product(a, b)) = product(action(x, a), b)
-    + product(a, action(x, b))."""
-    lhs = pair.action.compose_at(pair.product, 1)
-    left_leg = pair.product.compose_at(pair.action, 0)
-    right_leg = pair.product.compose_at(pair.action, 1) \
-        .precompose_perm(SWAP_FIRST_TWO)
-    return map_identity_check("derivation", lhs, left_leg.add(right_leg))
-
-
-def _bmodule_assoc_check(pair):
-    """bmodule(a, bmodule(b, x)) = bmodule(product(a, b), x)."""
-    lhs = pair.bmodule.compose_at(pair.bmodule, 1)
-    rhs = pair.bmodule.compose_at(pair.product, 0)
-    return map_identity_check("bmodule-associative", lhs, rhs)
-
-
-def _linearity_check(pair):
-    """action(bmodule(a, x), b) = product(a, action(x, b))."""
-    lhs = pair.action.compose_at(pair.bmodule, 0)
-    rhs = pair.product.compose_at(pair.action, 1)
-    return map_identity_check("action-linearity", lhs, rhs)
-
-
-def _leibniz_rhs(pair):
-    """bmodule(a, bracket(x, y)) + bmodule(action(x, a), y) on (x, a, y)."""
-    scaled = pair.bmodule.compose_at(pair.bracket, 1) \
-        .precompose_perm(SWAP_FIRST_TWO)
-    poked = pair.bmodule.compose_at(pair.action, 0)
-    return scaled.add(poked)
-
-
-def _leibniz_check(pair):
-    """bracket(x, bmodule(a, y)) = bmodule(a, bracket(x, y))
-    + bmodule(action(x, a), y)."""
-    lhs = pair.bracket.compose_at(pair.bmodule, 1)
-    return map_identity_check("module-leibniz", lhs, _leibniz_rhs(pair))
-
-
-def _rewritten_rhs(pair):
-    """bmodule(a, bracket(x, y)) - bmodule(action(y, a), x) on (a, x, y)."""
-    first = pair.bmodule.compose_at(pair.bracket, 1)
-    second = pair.bmodule.compose_at(pair.action, 0) \
-        .precompose_perm(PRODUCT_CYCLE)
-    return first.sub(second)
-
-
-def _rewritten_check(pair):
-    """bracket(bmodule(a, x), y) = bmodule(a, bracket(x, y))
-    - bmodule(action(y, a), x); the skew-rearranged form of module-leibniz."""
-    lhs = pair.bracket.compose_at(pair.bmodule, 0)
-    return map_identity_check("module-leibniz-rewritten", lhs, _rewritten_rhs(pair))
-
-
-def _forms_agree_check(pair):
-    """The rewritten right side is minus the plain right side with the
-    arguments cycled, so the two displays state the same identity."""
-    transported = _leibniz_rhs(pair).precompose_perm(PRODUCT_CYCLE).scale(-1)
-    return map_identity_check("leibniz-forms-agree", _rewritten_rhs(pair),
-                              transported)
+    def terms(self, side):
+        """A side of a PAIR_IDENTITIES row as (map, p, sign) terms.  Each
+        composite is built on first use and kept: the maps never change."""
+        out = []
+        for outer, inner, slot, p, sign in side:
+            key = outer, inner, slot
+            if key not in self._composites:
+                self._composites[key] = getattr(self, outer).compose_at(
+                    getattr(self, inner), slot)
+            out.append((self._composites[key], p, sign))
+        return out
 
 
 @decided_once
 def check_lr(pair):
     """Every classical pair axiom, one witness-carrying result per axiom."""
+    linearity, leibniz, rewritten, derivation, bmodule_assoc, forms_agree = [
+        map_identity_check(name, term_sum(pair.terms(left)),
+                           term_sum(pair.terms(right)))
+        for name, left, right in PAIR_IDENTITIES]
     return combine("lie-rinehart", [
         check_lie(pair.lie),
         check_associative(pair.product),
         check_commutative(pair.product),
-        _bmodule_assoc_check(pair),
+        bmodule_assoc,
         check_module(pair.ring_module),
-        _derivation_check(pair),
-        _linearity_check(pair),
-        _leibniz_check(pair),
-        _rewritten_check(pair),
-        _forms_agree_check(pair),
+        derivation,
+        linearity,
+        leibniz,
+        rewritten,
+        forms_agree,
     ])
 
 
 class TDLRStructure:
-    """A pair together with a coalgebra; the four operations become induced
-    operators on maps out of the coalgebra."""
+    """A pair together with a coalgebra, over which its identities are
+    decided as operators on maps out of the coalgebra."""
 
     def __init__(self, pair, coalgebra):
         self.pair = pair
         self.coalgebra = coalgebra
-        self.bracket_op = induced(pair.bracket, coalgebra)
-        self.product_op = induced(pair.product, coalgebra)
-        self.action_op = induced(pair.action, coalgebra)
-        self.bmodule_op = induced(pair.bmodule, coalgebra)
-
-
-def _td_identity(name, s, lhs_op, untwisted, twisted_parts):
-    """lhs = sum of untwisted induced composites plus twisted terms.
-
-    untwisted: list of (map, sign); twisted_parts: list of (map, perm, sign).
-    """
-    C = s.coalgebra
-    total = table_sum(
-        [induced(m, C).scale(sign) for m, sign in untwisted]
-        + [factored_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
-    return operator_identity_check(name, lhs_op, total)
 
 
 @decided_once
 def check_td_lr(s):
-    """The twisted pair identities, plus the agreement of the two twisted
-    Leibniz displays, checked as exact operator equalities.  They are
+    """The twisted pair identities, every row of PAIR_IDENTITIES but the
+    classical last, checked as exact operator equalities.  They are
     decided once per structure; later calls return the kept result."""
     pair, C = s.pair, s.coalgebra
-    linearity_lhs = compose_induced(s.action_op, s.bmodule_op, 0)
-    leibniz_lhs = compose_induced(s.bracket_op, s.bmodule_op, 1)
-    rewritten_lhs = compose_induced(s.bracket_op, s.bmodule_op, 0)
-    derivation_lhs = compose_induced(s.action_op, s.product_op, 1)
-    results = [
-        _td_identity(
-            "td-action-linearity", s, linearity_lhs,
-            [(pair.product.compose_at(pair.action, 1), 1)], []),
-        _td_identity(
-            "td-module-leibniz", s, leibniz_lhs,
-            [(pair.bmodule.compose_at(pair.action, 0), 1)],
-            [(pair.bmodule.compose_at(pair.bracket, 1), SWAP_FIRST_TWO, 1)]),
-        _td_identity(
-            "td-module-leibniz-rewritten", s, rewritten_lhs,
-            [(pair.bmodule.compose_at(pair.bracket, 1), 1)],
-            [(pair.bmodule.compose_at(pair.action, 0), PRODUCT_CYCLE, -1)]),
-        _td_identity(
-            "td-derivation", s, derivation_lhs,
-            [(pair.product.compose_at(pair.action, 0), 1)],
-            [(pair.product.compose_at(pair.action, 1), SWAP_FIRST_TWO, 1)]),
-        _td_untwisted_bmodule(s),
-    ]
-    return combine("td-lie-rinehart", results)
-
-
-def _td_untwisted_bmodule(s):
-    """Induced product and module operators compose with no twist at all."""
-    lhs = compose_induced(s.bmodule_op, s.bmodule_op, 1)
-    rhs = compose_induced(s.bmodule_op, s.product_op, 0)
-    return operator_identity_check("td-bmodule-associative", lhs, rhs)
+    return combine("td-lie-rinehart", [
+        operator_identity_check("td-" + name,
+                                twisted_sum(pair.terms(left), C),
+                                twisted_sum(pair.terms(right), C))
+        for name, left, right in PAIR_IDENTITIES[:-1]])
 
 
 def linearity_twist(i, n):

@@ -444,6 +444,13 @@ class SparseTable:
         t._set_ints(ints, den)
         return t
 
+    @classmethod
+    def _read(cls, table, **shape):
+        """_stored for a table of ints and Fractions that a file reader has
+        checked key by key and scalar by scalar."""
+        (ints,), den = clear_denominators([table])
+        return cls._stored(ints, den, **shape)
+
     def _like(self, ints, den):
         return self._stored(ints, den, **{a: getattr(self, a) for a in self.SHAPE})
 

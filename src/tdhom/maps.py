@@ -9,15 +9,15 @@ The public constructor is the one place where a table is checked: every
 index must be an int (not a bool) in the range of its space, and every
 scalar an exact rational, so a float raises ScalarError.  A file reader
 that has checked every index and scalar itself stores its table through
-_read, unchecked.  Arithmetic on maps (add, sub, scale, precompose_perm,
-compose_at, and the part sums of convolution) runs on the stored ints and
-builds its result through _trusted, unchecked, since the operands were
-checked already; no Fraction is made on the way.  Equal maps have equal
-stores, so first_difference subtracts only unequal maps.
+SparseTable._read, unchecked.  Arithmetic on maps (add, sub, scale,
+precompose_perm, compose_at, and the part sums of convolution) runs on the
+stored ints and builds its result through _trusted, unchecked, since the
+operands were checked already; no Fraction is made on the way.  Equal maps
+have equal stores, so first_difference subtracts only unequal maps.
 """
 
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, _exact, getter
+from .linalg import ZERO, SparseTable, _exact, getter, table_sum
 
 
 def _check_int(i, role, space):
@@ -61,15 +61,6 @@ class MultilinearMap(SparseTable):
         m = cls.__new__(cls)
         m.domain, m.codomain = tuple(domain), codomain
         m._set_ints(ints, den)
-        return m
-
-    @classmethod
-    def _read(cls, domain, codomain, table):
-        """The map with a table of ints and Fractions on in-range keys, as
-        a reader that has checked every index and scalar builds it."""
-        m = cls.__new__(cls)
-        m.domain, m.codomain = tuple(domain), codomain
-        m._set_table(table)
         return m
 
     @classmethod
@@ -173,6 +164,18 @@ def first_difference(f, g):
     first = tuples[0]
     residual = tuple(sorted((out, q) for (tup, out), q in diff.entries.items() if tup == first))
     return first, residual
+
+
+def signed(x, sign):
+    """sign * x, or x itself for sign 1."""
+    return x if sign == 1 else x.scale(sign)
+
+
+def term_sum(terms):
+    """One side of an identity as a map: the sum over its terms (f, p,
+    sign) of sign * (f . p), where p None leaves f's arguments in place."""
+    return table_sum(signed(f if p is None else f.precompose_perm(p), sign)
+                     for f, p, sign in terms)
 
 
 def map_identity_check(name, lhs, rhs):

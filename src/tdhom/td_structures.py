@@ -11,12 +11,12 @@ turns symmetric and satisfies Jordan-style cube identities instead.
 
 from .algebra import (
     JACOBI_ROTATIONS,
-    PRODUCT_CYCLE,
     SWAP,
     SWAP_FIRST_TWO,
     check_lie,
     check_module,
     check_poisson,
+    leibniz_identity,
 )
 from .checks import CheckResult, Witness, combine, require
 from .coalgebra import (
@@ -27,12 +27,11 @@ from .coalgebra import (
 )
 from .convolution import (
     check_td_skew,
-    compose_induced,
-    factored_term,
     induced,
     matrix_units,
     operator_identity_check,
     twisted,
+    twisted_sum,
     unit_label,
 )
 from .errors import AxiomError, ShapeError
@@ -46,13 +45,12 @@ def _skew_coproduct(C):
 
 
 class TDLieStructure:
-    """A Lie algebra together with a coalgebra, carrying the induced
-    bracket operator on Hom(C, L)."""
+    """A Lie algebra together with a coalgebra: Hom(C, L) with the
+    induced bracket."""
 
     def __init__(self, lie, coalgebra, check=True):
         self.lie = lie
         self.coalgebra = coalgebra
-        self.bracket_op = induced(lie.bracket, coalgebra)
         if check:
             require(check_td_lie(lie, coalgebra), "twisted Lie identities fail: ")
 
@@ -62,8 +60,8 @@ class TDLieStructure:
 
 
 class TDModuleStructure:
-    """A Lie module viewed through the same coalgebra: Hom(C, B) with the
-    induced action operator."""
+    """A Lie module viewed through the same coalgebra: Hom(C, L) acting on
+    Hom(C, B)."""
 
     def __init__(self, td, module, check=True):
         if module.base.bracket != td.lie.bracket:
@@ -71,7 +69,6 @@ class TDModuleStructure:
         self.td = td
         self.module = module
         self.module_space = module.space
-        self.action_op = induced(module.action, td.coalgebra)
         if check:
             require(check_td_module(self), "twisted module identity fails: ")
 
@@ -96,8 +93,8 @@ def _td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
     nested = bracket.compose_at(bracket, 1)
-    return table_sum([induced(nested, C)]
-                     + [factored_term(nested, C, r) for r in JACOBI_ROTATIONS])
+    return twisted_sum([(nested, None, 1)]
+                       + [(nested, r, 1) for r in JACOBI_ROTATIONS], C)
 
 
 def _untwisted_jacobi_check(name, bracket, C):
@@ -221,13 +218,10 @@ def check_td_poisson(poisson, C):
         prod.argument_permute(SWAP),
         twisted(poisson.product, C, SWAP))
 
-    # bracket against a product expands into two rearranged mixed terms,
-    # exactly as in the classical derivation property
-    lhs = induced(poisson.bracket.compose_at(poisson.product, 1), C)
-    mixed = poisson.product.compose_at(poisson.bracket, 1)
-    rhs = factored_term(mixed, C, PRODUCT_CYCLE).add(
-        factored_term(mixed, C, SWAP_FIRST_TWO))
-    leibniz = operator_identity_check("td-leibniz", lhs, rhs)
+    # the classical Leibniz identity, each rearranged term twisted
+    left, right = leibniz_identity(poisson.bracket, poisson.product)
+    leibniz = operator_identity_check("td-leibniz", twisted_sum(left, C),
+                                      twisted_sum(right, C))
 
     return combine("td-poisson", [lie_part, commut, leibniz])
 
@@ -238,8 +232,9 @@ def check_td_module(tdm):
     require(check_lie(tdm.td.lie), "precondition failed (Lie axioms): ")
     require(check_module(tdm.module), "precondition failed (module axiom): ")
     C = tdm.coalgebra
-    lhs = compose_induced(tdm.action_op, tdm.td.bracket_op, 0)
     action = tdm.module.action
     nested = action.compose_at(action, 1)
-    rhs = induced(nested, C).sub(factored_term(nested, C, SWAP_FIRST_TWO))
-    return operator_identity_check("td-module", lhs, rhs)
+    left = ((action.compose_at(tdm.td.lie.bracket, 0), None, 1),)
+    right = ((nested, None, 1), (nested, SWAP_FIRST_TWO, -1))
+    return operator_identity_check("td-module", twisted_sum(left, C),
+                                   twisted_sum(right, C))

@@ -432,6 +432,15 @@ class TestTdSkew:
         phi = MultilinearMap((sl2.space,), sl2.space, {((0,), 0): Fraction(1)})
         assert check_td_skew(phi, tab2).ok
 
+    def test_arguments_on_different_spaces_refused(self, tab2):
+        # swapping the arguments of a map on (V, W) gives an operator on
+        # (W, V), which no twist of the map can equal
+        V = BasedSpace("V", ("v",))
+        W = BasedSpace("W", ("a", "b", "c"))
+        phi = MultilinearMap((V, W), W, {((0, 2), 0): Fraction(1)})
+        with pytest.raises(ShapeError, match="share one space"):
+            check_td_skew(phi, tab2)
+
     def test_arity_guard(self, tab2):
         V = BasedSpace("V", ("x",))
         big = MultilinearMap((V,) * 5, V, {((0,) * 5, 0): Fraction(1)})

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdhom import corpus
+from tdhom import coalgebra, convolution, corpus, maps
 from tdhom.algebra import LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.coalgebra import Coalgebra, build_symmetric_coalgebra
 from tdhom.convolution import HomElement
@@ -140,6 +140,28 @@ class TestCoefficientStrings:
         M = parse_structure(text)
         monkeypatch.undo()
         assert isinstance(M, LieModule) and M.action.entries
+
+
+    def test_checked_tables_are_stored_unchecked(self, monkeypatch):
+        # the parser checks every index and coefficient of a coproduct and
+        # of a Hom element's matrix once; the objects store them as read
+        tensor = corpus.get_coalgebra("tensor-x-3")
+        C = Coalgebra(tensor.space, {key: q / 2
+                                     for key, q in tensor.coproduct.items()})
+        f = HomElement(C, BasedSpace("W", ("p", "q")),
+                       {(0, 1): Fraction(3, 2), (1, 0): Fraction(-1)})
+        text = serialize_structure(f, "probe")
+
+        def refused(*args):
+            raise AssertionError("checked twice")
+
+        for module in (coalgebra, convolution, maps):
+            monkeypatch.setattr(module, "_exact", refused)
+            monkeypatch.setattr(module, "_check_index", refused)
+        back = parse_structure(text)
+        monkeypatch.undo()
+        assert back.source.coproduct == C.coproduct
+        assert back.entries == f.entries
 
 
 class TestRoundTrip:

@@ -9,11 +9,13 @@ reversing the slot-3 reading cycle destroys exactly this space, which is
 what pins the convention down.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from tdhom import corpus, lie_rinehart
+from tdhom.checks import combine
 from tdhom.coalgebra import build_tensor_coalgebra
 from tdhom.cohomology import (
     AltCochain,
@@ -35,6 +37,12 @@ from tdhom.lie_rinehart import (
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
+from lr_oracle import (
+    oracle_check_lr,
+    oracle_check_td_lr,
+    oracle_lr_results,
+    oracle_td_lr_results,
+)
 from td_oracle import (
     factored_blinear_subspace,
     factored_check_subcomplex,
@@ -116,6 +124,90 @@ class TestTwistedPair:
         r = check_td_lr(s)
         assert r.ok, (pname, cname, r.describe())
         assert r.detail == "5 checks"
+
+
+PAIR_MAPS = ("bracket", "product", "action", "bmodule")
+
+
+def perturbed_pair(rng):
+    """A corpus pair, built unchecked, with one entry of one of its four
+    maps moved by a small nonzero amount."""
+    good = corpus.load(rng.choice(corpus.PAIR_NAMES))
+    maps = {name: getattr(good, name) for name in PAIR_MAPS}
+    name = rng.choice(PAIR_MAPS)
+    m = maps[name]
+    key = (tuple(rng.randrange(space.dim) for space in m.domain),
+           rng.randrange(m.codomain.dim))
+    entries = dict(m.entries)
+    entries[key] = entries.get(key, ZERO) + rng.choice(
+        (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+    maps[name] = MultilinearMap(m.domain, m.codomain, entries)
+    return LieRinehartPair(good.lie_space, good.ring_space, check=False,
+                           **maps)
+
+
+class TestIdentityTableOracle:
+    """The pair identities decided from the one table, as maps and as
+    twisted operators, against the explicit per-identity code they replaced
+    (tests/lr_oracle.py): every sub-result, so also those that combine's
+    first failure hides, and the combined result."""
+
+    def test_perturbed_pairs(self, monkeypatch):
+        folded = []
+
+        def recording(name, results):
+            folded.append(results)
+            return combine(name, results)
+
+        monkeypatch.setattr(lie_rinehart, "combine", recording)
+        rng = random.Random(0)
+        first_failures, failing = set(), set()
+        for n in range(400):
+            pair = perturbed_pair(rng)
+            expected = oracle_lr_results(pair)
+            assert check_lr.__wrapped__(pair) == oracle_check_lr(pair), n
+            assert folded.pop() == expected, n
+            failing.update(sub.name for sub in expected if not sub)
+            for cname in corpus.coalgebra_names():
+                s = TDLRStructure(pair, corpus.get_coalgebra(cname))
+                r = check_td_lr.__wrapped__(s)
+                assert r == oracle_check_td_lr(s), (n, cname)
+                assert folded.pop() == oracle_td_lr_results(s), (n, cname)
+                first_failures.add(r.detail)
+        # the sweep reaches every twisted identity as the reported failure,
+        # and the forms-agree identity, which check_lr reports last
+        assert first_failures >= {"td-action-linearity", "td-module-leibniz",
+                                  "td-module-leibniz-rewritten",
+                                  "td-derivation", "td-bmodule-associative"}
+        assert "leibniz-forms-agree" in failing
+
+
+class TestSharedComposites:
+    @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
+    def test_pair_builds_each_composite_once(self, pname, monkeypatch):
+        # both checkers read the pair's ten composites; associativity
+        # composes the product with itself twice more (30 calls besides
+        # those when each identity was written out twice)
+        good = corpus.load(pname)
+        pair = LieRinehartPair(good.lie_space, good.ring_space, good.bracket,
+                               good.product, good.action, good.bmodule,
+                               check=False)
+        calls = []
+        compose_at = MultilinearMap.compose_at
+
+        def counting(outer, inner, slot):
+            if not (outer is pair.product and inner is pair.product):
+                calls.append((outer, inner, slot))
+            return compose_at(outer, inner, slot)
+
+        monkeypatch.setattr(MultilinearMap, "compose_at", counting)
+        assert check_lr(pair).ok
+        assert check_td_lr(TDLRStructure(
+            pair, corpus.get_coalgebra("tensor-ab-3"))).ok
+        assert len(calls) == 10
+        assert check_td_lr(TDLRStructure(
+            pair, corpus.get_coalgebra("tensor-x-3"))).ok
+        assert len(calls) == 10
 
 
 class TestLinearityTwist:

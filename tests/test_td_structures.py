@@ -79,7 +79,7 @@ class TestTDLie:
     def test_structure_eager_check(self, sl2, broken):
         C = corpus.get_coalgebra("tensor-ab-2")
         s = TDLieStructure(sl2, C)
-        assert s.bracket_op.arity == 2
+        assert s.lie is sl2 and s.coalgebra is C
         with pytest.raises(AxiomError):
             TDLieStructure(broken, corpus.get_coalgebra("tensor-x-3"))
 
