@@ -27,10 +27,12 @@ A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
 twisted differential is the classical one pushed to the quotient.  The
 induction map is the outer product f (x) Delta^(n), so it is injective
-while the n-fold coproduct is nonzero and zero after, and TDComplexData
-reads the whole complex off the classical differentials and that depth
-without materializing an operator.  The materializing construction it
-replaced is the test oracle in tests/td_oracle.py.  induction_matrix,
+while the n-fold coproduct is nonzero and zero from the cut depth D, the
+first n >= 1 where it dies: the Hom-space complex is the classical one cut
+below degree D.  TDComplexData ranks it by classical_complex to degree
+D - 2, so d squared = 0 is certified on the weight-0 block when M has a
+torus.  The eager assembly and the materializing construction it
+replaced are the test oracles in tests/td_oracle.py.  induction_matrix,
 td_differential_direct and TDCochain work in the operator spaces one
 cochain at a time; they are the per-cochain library API and the oracle's
 building blocks.  td_differential_induced is the classical differential
@@ -61,7 +63,6 @@ from .linalg import (
     SparseTable,
     _exact,
     common_ints,
-    kernel_basis,
     pivot_columns,
     rank,
     solve,
@@ -556,24 +557,20 @@ def td_differential_direct(F, tdm, guard_limit=None):
 
 
 class TDComplexData:
-    """Dimensions, ranks and quotient differentials of one Hom-space complex.
+    """Dimensions and ranks of one Hom-space complex: the classical complex
+    cut below the depth D, the first k >= 1 with Delta^(k) zero (maxdeg + 2
+    when none up to maxdeg + 1 is).
 
-    The induction map is an outer product, iota_k(f) = f (x) Delta^(k), so it
-    is injective while the k-fold coproduct lives (k = 0 or
-    C.iterated_terms(k) nonempty) and zero from the first k where it dies.
-    Every field follows from that and the classical differentials d_k:
+    - td_dims[k] is alt_dims[k] for k < D, else 0; ker_dims[k] is the rest;
+    - the quotient differential is d_k for k <= D - 2 and zero after, so
+      q_ranks (quotient ranks), and a_ranks (composite ranks) with them,
+      are classical_complex's ranks to degree min(maxdeg, D - 2, dim L),
+      padded with zeros.  A failed d squared check, on the weight-0 block
+      when M has a torus, reads "quotient differentials do not square to
+      zero".
 
-    - td_dims[k] is alt_dims[k] while Delta^(k) lives, else 0, and
-      ker_dims[k] is the rest of alt_dims[k];
-    - quotient_matrices[k] is d_k when td_dims[k] and td_dims[k+1] are both
-      nonzero, else the zero matrix of that shape;
-    - a_ranks (composite ranks) and q_ranks (quotient ranks) are both the
-      ranks of the quotient matrices;
-    - h0_kernel is the kernel of d_0 when Delta^(1) lives, else the unit
-      vectors of B.
-
-    Guards and errors keep the order, the arithmetic and the messages of the
-    materializing construction, which tests/td_oracle.py keeps as the oracle.
+    Guards and errors keep the order, the arithmetic and the messages of
+    the materializing construction, tests/td_oracle.py's oracle.
     """
 
     def __init__(self, tdm, maxdeg=2, guard_limit=None, max_arity=3):
@@ -598,23 +595,22 @@ class TDComplexData:
             if self.alt_dims[k]:
                 check_materialization_size([L] * k, C, limit)
 
-        self.td_dims = [n if k == 0 or C.iterated_terms(k) else 0
+        self.depth = next((k for k in range(1, maxdeg + 2)
+                           if not C.iterated_terms(k)), maxdeg + 2)
+        self.td_dims = [n if k < self.depth else 0
                         for k, n in enumerate(self.alt_dims)]
         self.ker_dims = [a - t for a, t in zip(self.alt_dims, self.td_dims)]
-        quotient = [
-            _differential_matrix(M, k) if self.td_dims[k] and self.td_dims[k + 1]
-            else RationalMatrix.zero(self.td_dims[k + 1], self.td_dims[k])
-            for k in range(maxdeg + 1)]
         # With iota injective or zero in every degree, names of zero map to
-        # names of zero, induced images stay in the induction row space, the
-        # quotient differential is always solvable and the counting route
-        # equals the quotient route; only d squared can fail.
-        self.q_ranks = _certified_ranks(
-            quotient, "quotient differentials do not square to zero")
-        self.quotient_matrices = quotient
+        # names of zero, the quotient differential is always solvable and
+        # the counting route equals the quotient route; only d squared fails.
+        top = min(maxdeg, self.depth - 2, L.dim)
+        try:
+            ranks = classical_complex(M, top).ranks() if top >= 0 else []
+        except AxiomError:
+            raise AxiomError(
+                "quotient differentials do not square to zero") from None
+        self.q_ranks = ranks + [0] * (maxdeg + 1 - len(ranks))
         self.a_ranks = list(self.q_ranks)
-        # a zero 0 x dim(B) matrix when Delta^(1) is zero: every unit vector
-        self.h0_kernel = kernel_basis(quotient[0])
         self.h_dims = [t - r - below for t, r, below in
                        zip(self.td_dims, self.q_ranks, [0] + self.q_ranks)]
 
@@ -640,7 +636,7 @@ class TDComplexData:
         for k in range(self.maxdeg + 1):
             if self.alt_dims[k]:
                 check_materialization_size([L] * (k + 1), C, self.guard_limit)
-                if k and symmetric and C.iterated_terms(k + 1):
+                if k and symmetric and k + 1 < self.depth:
                     raise AxiomError(
                         "twisted differential output is not induced at "
                         "degree %d" % (k + 1))

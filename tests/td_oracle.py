@@ -1,10 +1,12 @@
 """Operator-space constructions that closed forms replaced: test oracles.
 
-TDComplexData computes every field in closed form from the classical
-differentials and the depth of the coproduct.  MaterializedTDComplexData
-keeps the construction it replaced, which materializes and eliminates every
-induction matrix, every induced differential and every twisted term, and
-runs the consistency checks that the closed form shows can never fire.
+TDComplexData reads every field off classical_complex, cut at the depth
+where the coproduct dies.  eager_quotient keeps the eager assembly it
+replaced: every whole quotient differential and the kernel of the first.
+MaterializedTDComplexData keeps the construction before that, which
+materializes and eliminates every induction matrix, every induced
+differential and every twisted term, and runs the consistency checks that
+the closed form shows can never fire.
 
 The linear-subcomplex sweep (blinear_subspace, td_differential_induced,
 check_subcomplex) reads its slot defects and images off classical maps.
@@ -24,6 +26,7 @@ from tdhom.cohomology import (
     AltCochain,
     TDCochain,
     _check_module_shapes,
+    _differential_matrix,
     _induced_columns,
     _twisted_operator,
     alt_basis,
@@ -41,9 +44,34 @@ from tdhom.convolution import (
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import check_td_lr, linearity_twist
-from tdhom.linalg import ZERO, RationalMatrix, SparseColumns, rank, solve, table_sum
+from tdhom.linalg import (
+    ZERO,
+    RationalMatrix,
+    SparseColumns,
+    kernel_basis,
+    rank,
+    solve,
+    table_sum,
+)
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
+
+
+def eager_quotient(tdm, maxdeg):
+    """(quotient_matrices, h0_kernel) as TDComplexData once assembled them,
+    with no guard and no d squared check: d_k whole (_differential_matrix)
+    while Delta^(k) and Delta^(k+1) live and alt_dim is nonzero in both
+    degrees, else the zero matrix of that shape; and the kernel of the
+    first.  The shapes give the cochain dims."""
+    M, C = tdm.module, tdm.coalgebra
+    L, B = M.base.space, M.space
+    td_dims = [alt_dim(L, B, k) if k == 0 or C.iterated_terms(k) else 0
+               for k in range(maxdeg + 2)]
+    quotient = [
+        _differential_matrix(M, k) if td_dims[k] and td_dims[k + 1]
+        else RationalMatrix.zero(td_dims[k + 1], td_dims[k])
+        for k in range(maxdeg + 1)]
+    return quotient, kernel_basis(quotient[0])
 
 
 class MaterializedTDComplexData:

@@ -656,6 +656,33 @@ def test_td_table_is_pinned(row, tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# cohomology --td --json --guard-limit 1000000000000 --maxdeg d over
+# tensor-ab-3 for modules above the corpus, each written out with
+# serialize_structure(M, "m"): module, coalgebra, d, exit code, SHA-256 of
+# stdout.  Recorded at 9021691, when TDComplexData still assembled and
+# ranked every whole quotient differential.
+TD_RUNGS = """
+gl3-adjoint tensor-ab-3 2 0 d839fbd4755bdc307e8c43acdcebf22ab915b05b9035b7c6d5701f3849649ae2
+gl3-adjoint tensor-ab-3 3 0 f41acbf240d52bb508dd3eea382feddaabe05828e99e76125a821e8661c116f8
+b4-adjoint  tensor-ab-3 2 0 0a84a1d771b28b5c82077a622ae3fde79c61d9fe2fce0df6cab835e2daf24a25
+b4-adjoint  tensor-ab-3 3 0 e6b66f38c7aedefb900bba71bdbcc12cd7211e231d733600ea3b294d043c38d3
+"""
+
+
+@pytest.mark.parametrize("row", TD_RUNGS.split("\n")[1:-1],
+                         ids=lambda row: "-".join(row.split()[:3]))
+def test_td_rungs_are_pinned(row, tmp_path, monkeypatch, capsys):
+    mname, cname, maxdeg, code, digest = row.split()
+    M = gl_adjoint(3) if mname == "gl3-adjoint" else b_adjoint(4)
+    path = tmp_path / "module.json"
+    path.write_text(serialize_structure(M, "m"), encoding="utf-8")
+    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+    got_code, out, _ = run(["cohomology", str(path), "--coalgebra", cname,
+                            "--td", "--json", "--guard-limit", "1000000000000",
+                            "--maxdeg", maxdeg], capsys)
+    assert got_code == int(code)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 # verify --json on one structure file and one coalgebra file, both named by
 # bare file names in one directory so the report does not depend on where

@@ -26,11 +26,12 @@ from itertools import permutations
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdhom import cohomology, corpus, linalg
 from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
+from tdhom.coalgebra import Coalgebra
 from tdhom.cohomology import (
     AltCochain,
     ComplexMatrices,
@@ -62,6 +63,7 @@ from td_oracle import (
     MaterializedTDComplexData,
     ce_differential_unshuffle,
     ce_parts_unshuffle,
+    eager_quotient,
     factored_td_differential_induced,
 )
 
@@ -743,8 +745,8 @@ class TestTDComplex:
         assert data.alt_dims == [3, 9, 9, 3]
 
     def test_quotient_matrices_square_to_zero(self):
-        data = TDComplexData(hom_self("heisenberg", "tensor-x-3"), maxdeg=2)
-        for a, b in zip(data.quotient_matrices, data.quotient_matrices[1:]):
+        quotient, _ = eager_quotient(hom_self("heisenberg", "tensor-x-3"), 2)
+        for a, b in zip(quotient, quotient[1:]):
             assert b.matmul(a).is_zero()
 
     def test_injective_induction_reproduces_classical(self):
@@ -912,8 +914,7 @@ HEIS_VARIANTS = {
 }
 
 TD_FIELDS = ("alt_dims", "td_dims", "ker_dims", "a_ranks", "q_ranks",
-             "h_dims", "h0_kernel", "quotient_matrices", "maxdeg",
-             "guard_limit")
+             "h_dims", "maxdeg", "guard_limit")
 
 
 def raised_or(thunk):
@@ -929,8 +930,13 @@ def td_outcome(cls, tdm, maxdeg, guard_limit):
     if isinstance(data, tuple):
         return data
     assert data.tdm is tdm
-    return ({name: getattr(data, name) for name in TD_FIELDS},
-            raised_or(data.direct_vs_induced))
+    fields = {name: getattr(data, name) for name in TD_FIELDS}
+    # TDComplexData assembles no quotient matrix; the eager assembly it
+    # replaced stands in for it
+    fields["quotient_matrices"], fields["h0_kernel"] = (
+        eager_quotient(tdm, maxdeg) if cls is TDComplexData
+        else (data.quotient_matrices, data.h0_kernel))
+    return fields, raised_or(data.direct_vs_induced)
 
 
 class TestMaterializingOracle:
@@ -946,6 +952,112 @@ class TestMaterializingOracle:
                 assert td_outcome(TDComplexData, tdm, maxdeg, guard_limit) \
                     == td_outcome(MaterializedTDComplexData, tdm, maxdeg,
                                   guard_limit), (maxdeg, guard_limit)
+
+
+def adjoint_case(family, n, seed):
+    M = (gl_adjoint if family == "gl" else b_adjoint)(n)
+    return M if seed is None else rebased_adjoint(M, seed)
+
+
+class TestCutRoute:
+    """TDComplexData against the eager assembly it replaced, on modules
+    with a torus, where classical_complex ranks the weight-0 block only;
+    the corpus sweep above reaches that branch only through sl2."""
+
+    @pytest.mark.parametrize("cname", corpus.coalgebra_names())
+    @pytest.mark.parametrize("family,n,seed", [
+        (family, n, seed) for family, n in (("gl", 3), ("gl", 4), ("b", 4))
+        for seed in (None, 3, 7)])
+    def test_ranks_match_eager_assembly(self, family, n, seed, cname):
+        tdm = td_module_over(adjoint_case(family, n, seed), cname)
+        for maxdeg in range(4):
+            data = TDComplexData(tdm, maxdeg, 10 ** 12, max_arity=4)
+            quotient, _ = eager_quotient(tdm, maxdeg)
+            td_dims = [m.cols for m in quotient] + [quotient[-1].rows]
+            ranks = cohomology._certified_ranks(quotient, "not a complex")
+            assert data.td_dims == td_dims
+            assert data.q_ranks == data.a_ranks == ranks
+            assert data.h_dims == [t - r - below for t, r, below in
+                                   zip(td_dims, ranks, [0] + ranks)]
+
+    def test_assembles_only_the_weight_zero_block(self, monkeypatch):
+        # over T3(ab) Delta^(4) is zero, so the cut depth is 4 and only
+        # d_0 .. d_2 are ranked, each on its weight-0 block
+        M = gl_adjoint(3)
+        columns, eliminations = [], []
+        assemble = cohomology._differential_matrix
+
+        def counted(M, k, source=None, target=None):
+            m = assemble(M, k, source, target)
+            columns.append(m.cols)
+            return m
+
+        class Counted(linalg.Echelon):
+            def __init__(self, *args):
+                eliminations.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cohomology, "_differential_matrix", counted)
+        monkeypatch.setattr(linalg, "Echelon", Counted)
+        data = TDComplexData(td_module_over(M, "tensor-ab-3"), 3, 10 ** 12,
+                             max_arity=4)
+        assert data.depth == 4
+        assert columns == [len(keys) for keys in
+                           weight_zero_keys(M, torus(M), 2)] == [3, 15, 42]
+        assert data.alt_dims[:3] == [9, 81, 324]
+        route = len(eliminations)
+        classical_complex(M, 2)
+        assert len(eliminations) == 2 * route > 0
+
+
+def incidence_coalgebra(n, relations):
+    """The incidence coalgebra of the poset on range(n) generated by the
+    pairs x < y in relations (Joni & Rota 1979): the intervals [x, y],
+    x <= y, with Delta[x, y] = sum_{x <= z <= y} [x, z] (x) [z, y].  Each
+    [x, x] goes to [x, x] (x) [x, x], so no Delta^(k) is ever zero."""
+    le = {(x, x) for x in range(n)} | set(relations)
+    for z in range(n):
+        le |= {(x, y) for x, w in le if w == z for v, y in le if v == z}
+    intervals = sorted(le)
+    index = {iv: i for i, iv in enumerate(intervals)}
+    triples = [(index[(x, y)], index[(x, z)], index[(z, y)], 1)
+               for x, y in intervals for z in range(x, y + 1)
+               if (x, z) in le and (z, y) in le]
+    return Coalgebra(BasedSpace("I", ["[%d,%d]" % iv for iv in intervals]),
+                     triples)
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+
+
+class TestIncidenceCoalgebras:
+    """The one family whose coproduct never dies, so the cut never comes
+    and the Hom-space complex is the whole classical complex."""
+
+    def test_chain_coproduct(self):
+        C = incidence_coalgebra(3, [(0, 1), (1, 2)])
+        assert C.dim == 6
+        assert len(C.coproduct) == 10
+        assert all(C.iterated_terms(k) for k in range(1, 6))
+
+    @given(posets(), st.sampled_from(corpus.MODULE_NAMES), st.integers(0, 2))
+    @example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "sl2-adjoint", 2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_materialized_oracle(self, poset, mname, maxdeg):
+        M = corpus.load(mname)
+        C = incidence_coalgebra(*poset)
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        assert td_outcome(TDComplexData, tdm, maxdeg, 10 ** 6) \
+            == td_outcome(MaterializedTDComplexData, tdm, maxdeg, 10 ** 6)
+        data = TDComplexData(tdm, maxdeg, 10 ** 6)
+        assert data.depth == maxdeg + 2
+        assert data.td_dims == data.alt_dims
+        assert data.h_dims == ce_complex(M, maxdeg).cohomology_dims()
 
 
 class TestInvariants:
@@ -966,7 +1078,7 @@ class TestInvariants:
     def test_matches_kernel_of_first_differential(self, lname, cname):
         tdm = hom_self(lname, cname)
         data = TDComplexData(tdm, maxdeg=1)
-        assert invariants_h0(tdm) == data.h0_kernel
+        assert invariants_h0(tdm) == eager_quotient(tdm, 1)[1]
         assert len(invariants_h0(tdm)) == data.h_dims[0]
 
 
@@ -1060,10 +1172,12 @@ class TestClearedRanks:
 
     @pytest.mark.parametrize("lname,cname", TD_PAIRS)
     def test_hom_space_complexes(self, lname, cname):
-        data = TDComplexData(hom_self(lname, cname), maxdeg=2)
+        tdm = hom_self(lname, cname)
+        data = TDComplexData(tdm, maxdeg=2)
+        quotient, _ = eager_quotient(tdm, 2)
         assert data.q_ranks == data.a_ranks \
-            == [rank(m) for m in data.quotient_matrices] \
-            == [dense_rank(m) for m in data.quotient_matrices]
+            == [rank(m) for m in quotient] \
+            == [dense_rank(m) for m in quotient]
 
     def test_gl3_feeds_only_what_the_degree_below_leaves(self, monkeypatch):
         # with clearing, degree k feeds dim C^k - rank d_(k-1) columns of
