@@ -77,18 +77,22 @@ class LieModule:
 
         N is the least common denominator of all of them.  pairs[a] lists
         (x, y, N c) for each bracket constant [e_x, e_y] = c e_a with
-        x < y, and acting[(t, b)] is {o: N r} for each action constant
-        e_t . e_b = r e_o.  Built on first use and cached, like the maps'
-        own groupings: neither map changes after construction.
+        x < y, and acting[b] lists (t, ((o, N r), ..)), t ascending, for
+        each e_t that moves e_b, by e_t . e_b = r e_o: the push-forward
+        cohomology._pushed visits only those.  Built on first use and
+        cached, like the maps' own groupings: neither map changes after
+        construction.
         """
         if self._cleared is None:
             (bracket, action), N = common_ints([self.base.bracket, self.action])
-            pairs, acting = {}, {}
+            pairs, by_module = {}, {}
             for ((x, y), a), c in bracket.items():
                 if x < y:
                     pairs.setdefault(a, []).append((x, y, c))
-            for (tb, o), r in action.items():
-                acting.setdefault(tb, {})[o] = r
+            for ((t, b), o), r in action.items():
+                by_module.setdefault(b, {}).setdefault(t, []).append((o, r))
+            acting = {b: [(t, tuple(images[t])) for t in sorted(images)]
+                      for b, images in by_module.items()}
             self._cleared = N, pairs, acting
         return self._cleared
 

@@ -231,7 +231,17 @@ def _check_module_shapes(f, M):
 
 
 def ce_differential(f, M):
-    """The degree-raising double sum, pushed forward from f's stored values.
+    """The degree-raising double sum, pushed forward from f's stored values
+    by _pushed: its int sums over N times f's denominator."""
+    _check_module_shapes(f, M)
+    return AltCochain._from_ints(M.base.space, M.space, f.degree + 1,
+                                 _pushed(f._ints, M),
+                                 f._denominator * M.cleared_constants()[0])
+
+
+def _pushed(ints, M):
+    """{(T, o): int}, maybe holding zeros: N times d of the cochain whose
+    stored ints are ints, over the N of M.cleared_constants().
 
     On an increasing tuple T = (t_0 < .. < t_n) the differential is
 
@@ -241,8 +251,8 @@ def ce_differential(f, M):
     Instead of evaluating every T, each stored value f(S) = q e_b is sent
     to the tuples whose summands read it:
 
-    - action: each t outside S lands at position i of T = sorted(S + t)
-      and gives (-1)^i q (t . e_b) at T;
+    - action: each t outside S that moves e_b lands at position i of
+      T = sorted(S + t) and gives (-1)^i q (t . e_b) at T;
     - bracket: each a at position p of S may be the bracket of a pair
       x < y outside S - a, with coefficient c.  Then T = sorted(S - a + x
       + y), x and y sit at positions j < k of T, and the (j, k) summand
@@ -251,22 +261,17 @@ def ce_differential(f, M):
 
     Only bracket entries with x < y are read, exactly the pairs the sum
     over j < k evaluates, so the result does not assume a skew bracket.
-    The sums run in ints: the constants cleared by their common
-    denominator N (LieModule.cleared_constants) and f's stored ints, and
-    the result is those int sums over N times f's denominator.
     """
-    _check_module_shapes(f, M)
-    L, B = M.base.space, M.space
-    N, pairs, acting = M.cleared_constants()
+    _, pairs, acting = M.cleared_constants()
     acc = {}
-    for (S, b), q in f._ints.items():
-        for t in range(L.dim):
+    for (S, b), q in ints.items():
+        for t, images in acting.get(b, ()):
             if t in S:
                 continue
             i = bisect_left(S, t)
             T = S[:i] + (t,) + S[i:]
             sq = q if i % 2 == 0 else -q
-            for o, r in acting.get((t, b), {}).items():
+            for o, r in images:
                 acc[(T, o)] = acc.get((T, o), 0) + sq * r
         for p, a in enumerate(S):
             rest = S[:p] + S[p + 1:]
@@ -279,11 +284,13 @@ def ce_differential(f, M):
                 T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
                 sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
                 acc[(T, b)] = acc.get((T, b), 0) + sq
-    return AltCochain._from_ints(L, B, f.degree + 1, acc, f._denominator * N)
+    return acc
 
 
 class ComplexMatrices:
-    """Consecutive differentials in the increasing-tuple bases.
+    """Consecutive differentials in the increasing-tuple bases, each held
+    by columns as its transpose T_k (_differential_matrix): row j of T_k is
+    d_k of the basis cochain j.
 
     Construction verifies shapes chain and that consecutive products vanish
     exactly, then ranks them: holding one is holding a certified complex.
@@ -291,11 +298,11 @@ class ComplexMatrices:
     those cochain dims, exact off that block, and report for all of it.
     """
 
-    def __init__(self, matrices, dims=None):
-        self.matrices = list(matrices)
+    def __init__(self, transposes, dims=None):
+        self.transposes = list(transposes)
         ranks = _certified_ranks(
-            self.matrices, "consecutive differentials do not compose to zero")
-        block = [m.cols for m in self.matrices] + [m.rows for m in self.matrices[-1:]]
+            self.transposes, "consecutive differentials do not compose to zero")
+        block = [t.rows for t in self.transposes] + [t.cols for t in self.transposes[-1:]]
         self._dims = list(dims or block)
         exact = 0  # the rank of d_k off the block
         for k, r in enumerate(ranks):
@@ -316,63 +323,64 @@ class ComplexMatrices:
                 for n, r, below in zip(self._dims, ranks, [0] + ranks)]
 
 
-def _certified_ranks(matrices, message):
-    """Ranks of consecutive differentials d_0, d_1, .., taken only once
-    their shapes chain and each d_(k+1) d_k vanishes: ShapeError, or
-    AxiomError(message), comes before any elimination.
+def _certified_ranks(transposes, message):
+    """Ranks of consecutive differentials d_0, d_1, .., given as their
+    transposes T_k, taken only once their shapes chain and each T_k T_(k+1)
+    = (d_(k+1) d_k)^T vanishes: ShapeError, or AxiomError(message), comes
+    before any elimination.
 
-    By clearing: eliminating d_(k-1) by its columns picks pivot
+    By clearing: eliminating T_(k-1), the columns of d_(k-1), picks pivot
     coordinates P of C^k that im d_(k-1) fills one to one, so, as d_k
-    kills im d_(k-1), rank d_k is the rank of its columns off P.  The
-    last d_k, whose pivots nothing reads, is only ranked.
+    kills im d_(k-1), rank d_k is the rank of T_k with the rows in P
+    emptied.  The last T_k, whose pivots nothing reads, is only ranked.
     """
-    for a, b in zip(matrices, matrices[1:]):
-        if b.cols != a.rows:
+    for a, b in zip(transposes, transposes[1:]):
+        if a.cols != b.rows:
             raise ShapeError("differential shapes do not chain: %r then %r" % (a, b))
-        if not b.matmul(a).is_zero():
+        if not a.matmul(b).is_zero():
             raise AxiomError(message)
     ranks, cleared = [], set()
-    for k, m in enumerate(matrices):
-        if k + 1 < len(matrices):
-            cleared = set(pivot_columns(_columns_off(m, cleared)))
+    for k, t in enumerate(transposes):
+        held = RationalMatrix._from_int_rows(
+            t.cols, [{} if i in cleared else row for i, row in enumerate(t._rows)], 1)
+        if k + 1 < len(transposes):
+            cleared = set(pivot_columns(held))
             ranks.append(len(cleared))
         else:
-            ranks.append(rank(_columns_off(m, cleared)))
+            ranks.append(rank(held))
     return ranks
 
 
-def _columns_off(m, cleared):
-    """The transpose of m times its denominator, with the rows in cleared
-    (columns of m) left empty."""
-    columns = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m._rows):
-        for j, v in row.items():
-            if j not in cleared:
-                columns[j][i] = v
-    return RationalMatrix._from_int_rows(m.rows, columns, 1)
-
-
 def _differential_matrix(M, k, source=None, target=None):
-    """d_k, or its block from source keys to target keys, which no column
-    may leave, in the increasing-tuple bases, one column per basis cochain:
-    the int rows of N d_k over the N of the module's cleared constants."""
+    """d_k transposed, or its block from source keys to target keys, which
+    no image may leave, in the increasing-tuple bases: row j is d_k of the
+    basis cochain j, held as the ints of N d_k over the N of the module's
+    cleared constants.  The whole d_k pushes each basis cochain through
+    ce_differential; a block pushes each key through _pushed."""
     L, B = M.base.space, M.space
     N = M.cleared_constants()[0]
-    if source is None:
+    whole = source is None
+    if whole:
         source, target = alt_basis(L, B, k), alt_basis(L, B, k + 1)
     target_index = {key: i for i, key in enumerate(target)}
-    rows = [{} for _ in target_index]
-    for ci, key in enumerate(source):
-        df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
-        # df's canonical denominator divides N
-        scale = N // df._denominator
-        for out_key, v in df._ints.items():
-            i = target_index.get(out_key)
-            if i is None:
-                raise AxiomError("d of the basis cochain %r leaves its "
-                                 "weight block at %r" % (key, out_key))
-            rows[i][ci] = v * scale
-    return RationalMatrix._from_int_rows(len(source), rows, N)
+    columns = []
+    for key in source:
+        if whole:
+            df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
+            # df's canonical denominator divides N
+            image, scale = df._ints, N // df._denominator
+        else:
+            image, scale = _pushed({key: 1}, M), 1
+        column = {}
+        for out_key, v in image.items():
+            if v:
+                i = target_index.get(out_key)
+                if i is None:
+                    raise AxiomError("d of the basis cochain %r leaves its "
+                                     "weight block at %r" % (key, out_key))
+                column[i] = v * scale
+        columns.append(column)
+    return RationalMatrix._from_int_rows(len(target), columns, N)
 
 
 def ce_complex(M, maxdeg):

@@ -3,12 +3,15 @@
 The package eliminates sparse row dicts (linalg.Echelon).  This module
 keeps the dense Bareiss elimination it replaced, with dense
 back-substitution, working on plain lists of Fractions read off a
-RationalMatrix row by row.  Nothing in the package uses it; tests compare
-the sparse echelon form against it.
+RationalMatrix row by row; transposed reads a matrix held by columns back
+by rows.  Nothing in the package uses it; tests compare the sparse echelon
+form against it.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from tdhom.linalg import RationalMatrix
 
 
 def clear_denominators(row):
@@ -62,6 +65,15 @@ def bareiss_echelon(dense_rows, ncols):
         if r == nrows:
             break
     return work, pivots, origin
+
+
+def transposed(m):
+    """The transpose of a RationalMatrix, entry by stored entry."""
+    rows = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m._rows):
+        for j, v in row.items():
+            rows[j][i] = v
+    return RationalMatrix._from_int_rows(m.rows, rows, m._den)
 
 
 def _echelon(m):

@@ -16,6 +16,8 @@ defect and the induction kernel on InducedOperators.
 ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
 the classical differential, which evaluates full maps and checks the
 result is skew; ce_differential pushes stored values forward instead.
+differentials reads a ComplexMatrices, which holds each d_k transposed,
+back as the d_k.
 
 Nothing in the package uses this module; tests compare against it.
 """
@@ -55,6 +57,7 @@ from tdhom.linalg import (
 )
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
+from linalg_oracle import transposed
 
 
 def eager_quotient(tdm, maxdeg):
@@ -68,10 +71,16 @@ def eager_quotient(tdm, maxdeg):
     td_dims = [alt_dim(L, B, k) if k == 0 or C.iterated_terms(k) else 0
                for k in range(maxdeg + 2)]
     quotient = [
-        _differential_matrix(M, k) if td_dims[k] and td_dims[k + 1]
+        transposed(_differential_matrix(M, k)) if td_dims[k] and td_dims[k + 1]
         else RationalMatrix.zero(td_dims[k + 1], td_dims[k])
         for k in range(maxdeg + 1)]
     return quotient, kernel_basis(quotient[0])
+
+
+def differentials(cx):
+    """The differentials d_k of a ComplexMatrices, which holds each as its
+    transpose."""
+    return [transposed(t) for t in cx.transposes]
 
 
 class MaterializedTDComplexData:
@@ -342,8 +351,15 @@ def ce_parts_unshuffle(f, M):
 
 
 def ce_differential_unshuffle(f, M):
-    """Alternate unshuffle description; skewness is checked, not assumed."""
+    """Alternate unshuffle description; skewness is checked, not assumed.
+    In degree 0, (d m)(x) = x . m, read off the action map."""
     if f.degree == 0:
-        return ce_differential(f, M)
+        _check_module_shapes(f, M)
+        values = {}
+        for ((), b), q in f.values.items():
+            for t in range(M.base.space.dim):
+                for o, r in M.action.apply_basis((t, b)).items():
+                    values[((t,), o)] = values.get(((t,), o), 0) + q * r
+        return AltCochain(M.base.space, M.space, 1, values)
     part1, part2 = ce_parts_unshuffle(f, M)
     return AltCochain.from_map(part1.sub(part2), check=True)

@@ -22,7 +22,8 @@ from tdhom.convolution import InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
-from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
+from test_cohomology import (b_adjoint, gl_adjoint, matrix_unit_adjoint,
+                              rebased_adjoint, upper_units)
 
 
 def run(argv, capsys):
@@ -1274,6 +1275,35 @@ class TestClassicalRoute:
         monkeypatch.setattr(cohomology, "torus", lambda M: [])
         assert run(argv, capsys)[:2] == routed
         assert ce_calls == [2]
+
+    # cohomology --json --maxdeg 4 on a module written with
+    # serialize_structure(M, "m"): module, SHA-256 of stdout.  Recorded at
+    # 0ef19f1, before the differentials were assembled as transposes; n5
+    # has no torus, so it pins the ce_complex route, and the others the
+    # weight-0 block (rebased b4 with N = 10).
+    CLASSICAL_PINS = {
+        "gl4-adjoint":
+            "055d42ac38ca4c190437ee1aad381f0abc277fe65e5183a6845baa86d0574b96",
+        "b4-adjoint-rebased-5":
+            "1b217c6fb01942f0e359934ccf1267b349b903e9918c63cf99f5bf7967e3a1fc",
+        "n5-adjoint":
+            "4ab82237e0e59771937c85b3aeed36e3c29185559064a3da4e7a36691e7c47e3",
+    }
+
+    @pytest.mark.parametrize("mname", sorted(CLASSICAL_PINS))
+    def test_json_bytes_are_pinned(self, mname, tmp_path, ce_calls, capsys):
+        M = {"gl4-adjoint": lambda: gl_adjoint(4),
+             "b4-adjoint-rebased-5": lambda: rebased_adjoint(b_adjoint(4), 5),
+             "n5-adjoint": lambda: matrix_unit_adjoint(
+                 "n5", upper_units(5, strict=True))}[mname]()
+        path = tmp_path / "module.json"
+        path.write_text(serialize_structure(M, "m"), encoding="utf-8")
+        code, out, _ = run(["cohomology", str(path), "--maxdeg", "4",
+                            "--json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+            == self.CLASSICAL_PINS[mname]
+        assert ce_calls == ([4] if mname == "n5-adjoint" else [])
 
     def test_unsafe_route_is_the_whole_complex(self, exported, ce_calls,
                                                capsys):
