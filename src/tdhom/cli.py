@@ -21,10 +21,7 @@ import time
 
 from . import corpus
 from .algebra import (
-    AssociativeAlgebra,
-    LieAlgebra,
     LieModule,
-    PoissonAlgebra,
     check_associative,
     check_lie,
     check_module,
@@ -32,7 +29,7 @@ from .algebra import (
 )
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
 from .cohomology import TDComplexData, classical_complex
-from .convolution import HomElement, non_negative_int
+from .convolution import non_negative_int
 from .errors import (
     AxiomError,
     GuardError,
@@ -40,15 +37,13 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .files import load_path, serialize_structure
+from .files import load_path, role_of, serialize_structure
 from .lie_rinehart import (
-    LieRinehartPair,
     TDLRStructure,
     check_lr,
     check_subcomplex,
     check_td_lr,
 )
-from .maps import MultilinearMap
 from .td_structures import (
     TDLieStructure,
     TDModuleStructure,
@@ -66,25 +61,6 @@ REPORT_TAG = "tdhom-report/1"
 
 SUITES = ("coalgebra", "lie", "td-lie", "td-poisson", "td-module",
           "lie-rinehart", "all")
-
-_ROLE_TESTS = (
-    (Coalgebra, "coalgebra"),
-    (LieRinehartPair, "lie-rinehart"),
-    (PoissonAlgebra, "poisson"),
-    (LieModule, "module"),
-    (LieAlgebra, "lie"),
-    (AssociativeAlgebra, "associative"),
-    (HomElement, "hom-element"),
-    (MultilinearMap, "multilinear"),
-)
-
-
-def role_of(obj):
-    for cls, name in _ROLE_TESTS:
-        if isinstance(obj, cls):
-            return name
-    return "unknown"
-
 
 def default_domains():
     """Corpus coalgebras small enough for the brute-force twisted checks,
@@ -291,8 +267,7 @@ def build_cohomology_report(args):
     C = coalgebras[0]
     maxdeg = args.maxdeg if args.maxdeg is not None else 2
     tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M, check=False)
-    data = TDComplexData(tdm, maxdeg, args.guard_limit,
-                         max_arity=maxdeg + 1)
+    data = TDComplexData(tdm, maxdeg, args.guard_limit)
     return dict(
         report, coalgebra=getattr(C, "structure_name", None) or C.space.name,
         maxdeg=maxdeg, cochain_dims=data.td_dims,

@@ -54,7 +54,7 @@ from .convolution import (
     resolve_guard_limit,
     twisted_term,
 )
-from .errors import AxiomError, GuardError, ShapeError
+from .errors import AxiomError, ShapeError
 from .linalg import (
     ZERO,
     Permutation,
@@ -578,16 +578,14 @@ class TDComplexData:
       zero".
 
     Guards and errors keep the order, the arithmetic and the messages of
-    the materializing construction, tests/td_oracle.py's oracle.
+    the materializing construction, tests/td_oracle.py's oracle, but not
+    its arity cap: the materialization-size guard, which prices
+    (dim L * dim C)^k, alone refuses a large degree.
     """
 
-    def __init__(self, tdm, maxdeg=2, guard_limit=None, max_arity=3):
+    def __init__(self, tdm, maxdeg=2, guard_limit=None):
         if maxdeg < 0:
             raise ValueError("maxdeg must be nonnegative")
-        if maxdeg + 1 > max_arity:
-            raise GuardError(
-                "degree %d needs arity %d > cap %d; raise max_arity to override"
-                % (maxdeg, maxdeg + 1, max_arity))
         M = tdm.module
         C = tdm.coalgebra
         L, B = M.base.space, M.space
@@ -651,9 +649,9 @@ class TDComplexData:
         return "agree"
 
 
-def td_cohomology_dims(tdm, maxdeg=2, guard_limit=None, max_arity=3):
+def td_cohomology_dims(tdm, maxdeg=2, guard_limit=None):
     """Cohomology dimensions H^0 .. H^maxdeg of the Hom-space complex."""
-    return TDComplexData(tdm, maxdeg, guard_limit, max_arity).h_dims
+    return TDComplexData(tdm, maxdeg, guard_limit).h_dims
 
 
 def invariants_h0(tdm):

@@ -461,7 +461,7 @@ def operator_witness(mat, found):
     """Label a first_difference result with matrix-unit and basis names."""
     cols, c, o, residual = found
     C = mat.coalgebra
-    labels = tuple("E[%s,%s]" % (space.labels[t], C.space.labels[leg])
+    labels = tuple(unit_label(C, space, t, leg)
                    for space, (t, leg) in zip(mat.domain, cols))
     return Witness(labels + (C.space.labels[c],),
                    ((mat.codomain.labels[o], residual),))
@@ -502,13 +502,9 @@ def check_td_skew(phi, C, max_arity=4):
         lhs = plain.argument_permute(sigma)
         rhs = twisted(phi, C, sigma.inverse()).scale(sigma.sign())
         if not lhs.sub(rhs).vanishes():
-            cols, c, o, residual = lhs.materialize().first_difference(
-                rhs.materialize())
-            args = (sigma.images,) + tuple(
-                unit_label(C, space, t, s)
-                for space, (t, s) in zip(phi.domain, cols)
-            ) + (C.space.labels[c],)
-            return CheckResult(
-                "td-skew", False,
-                Witness(args, ((phi.codomain.labels[o], residual),)))
+            table = lhs.materialize()
+            w = operator_witness(table,
+                                 table.first_difference(rhs.materialize()))
+            return CheckResult("td-skew", False,
+                               Witness((sigma.images,) + w.args, w.residual))
     return CheckResult("td-skew", True, detail="%d permutations" % len(all_permutations(n)))

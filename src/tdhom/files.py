@@ -26,6 +26,9 @@ Roles and their required maps:
     multilinear    exactly one map, any name and shape
     hom-element    coproduct plus "matrix": {"entries": [[t, c, q], ...]}
 
+The five map roles, lie to lie-rinehart, are the rows of MAP_ROLES, and
+that one table drives their parsing, their serializing and role_of.
+
 Axiom checks run on load and raise AxiomError; pass unsafe_skip_axioms=True
 to get the raw object anyway.  Serialization is canonical: sorted keys,
 sorted entry lists, two-space indent, trailing newline, so equal structures
@@ -38,15 +41,51 @@ from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
 from .convolution import HomElement
 from .errors import AxiomError, MalformedInput, ParseError, ScalarError
+from .lie_rinehart import LieRinehartPair
 from .linalg import BasedSpace, SparseTable, _exact
 from .maps import MultilinearMap
 
 FORMAT_TAG = "tdhom/1"
 
-ROLES = (
-    "coalgebra", "lie", "associative", "module", "poisson",
-    "lie-rinehart", "multilinear", "hom-element",
-)
+
+def _module(L, B, bracket, action, check):
+    return LieModule(LieAlgebra(L, bracket, check=check), B, action,
+                     check=check)
+
+
+# The map roles, each as (class, maps, read, build).  A map is (name,
+# argument spaces, value space), the spaces named by letter in order of
+# first use; each letter is the value space of the first map giving it.
+# read(s) gives s's maps in that order, and build(*spaces, *maps,
+# check=check) makes the structure.
+MAP_ROLES = {
+    "lie": (LieAlgebra, [("bracket", "LL", "L")],
+            lambda s: (s.bracket,), LieAlgebra),
+    "associative": (AssociativeAlgebra, [("product", "AA", "A")],
+                    lambda s: (s.product,), AssociativeAlgebra),
+    "module": (LieModule, [("bracket", "LL", "L"), ("action", "LB", "B")],
+               lambda s: (s.base.bracket, s.action), _module),
+    "poisson": (PoissonAlgebra,
+                [("bracket", "AA", "A"), ("product", "AA", "A")],
+                lambda s: (s.bracket, s.product), PoissonAlgebra),
+    "lie-rinehart": (LieRinehartPair,
+                     [("bracket", "LL", "L"), ("product", "BB", "B"),
+                      ("action", "LB", "B"), ("bmodule", "BL", "L")],
+                     lambda s: (s.bracket, s.product, s.action, s.bmodule),
+                     LieRinehartPair),
+}
+
+ROLES = ("coalgebra", *MAP_ROLES, "multilinear", "hom-element")
+
+_CLASSES = {"coalgebra": Coalgebra, "hom-element": HomElement,
+            "multilinear": MultilinearMap,
+            **{role: row[0] for role, row in MAP_ROLES.items()}}
+
+
+def role_of(obj):
+    """The role obj is written under, or "unknown"."""
+    return next((role for role, cls in _CLASSES.items()
+                 if isinstance(obj, cls)), "unknown")
 
 
 def _fail(path, msg):
@@ -246,51 +285,17 @@ def _parse_role(doc, role, spaces, check):
         m.map_name = map_name
         return m
 
-    if role == "lie":
-        found = _parse_maps(doc, spaces, "$", [("bracket", 2)])
-        b = found["bracket"]
-        L = b.codomain
-        _require_shape(b, (L, L), L, "bracket")
-        return LieAlgebra(L, b, check=check)
-
-    if role == "associative":
-        found = _parse_maps(doc, spaces, "$", [("product", 2)])
-        p = found["product"]
-        A = p.codomain
-        _require_shape(p, (A, A), A, "product")
-        return AssociativeAlgebra(A, p, check=check)
-
-    if role == "module":
-        found = _parse_maps(doc, spaces, "$", [("bracket", 2), ("action", 2)])
-        b, act = found["bracket"], found["action"]
-        L, B = b.codomain, act.codomain
-        _require_shape(b, (L, L), L, "bracket")
-        _require_shape(act, (L, B), B, "action")
-        base = LieAlgebra(L, b, check=check)
-        return LieModule(base, B, act, check=check)
-
-    if role == "poisson":
-        found = _parse_maps(doc, spaces, "$", [("bracket", 2), ("product", 2)])
-        b, p = found["bracket"], found["product"]
-        A = b.codomain
-        _require_shape(b, (A, A), A, "bracket")
-        _require_shape(p, (A, A), A, "product")
-        return PoissonAlgebra(A, b, p, check=check)
-
-    if role == "lie-rinehart":
-        from .lie_rinehart import LieRinehartPair
-        found = _parse_maps(doc, spaces, "$", [
-            ("bracket", 2), ("product", 2), ("action", 2), ("bmodule", 2)])
-        b, p = found["bracket"], found["product"]
-        act, mu = found["action"], found["bmodule"]
-        L, B = b.codomain, p.codomain
-        _require_shape(b, (L, L), L, "bracket")
-        _require_shape(p, (B, B), B, "product")
-        _require_shape(act, (L, B), B, "action")
-        _require_shape(mu, (B, L), L, "bmodule")
-        return LieRinehartPair(L, B, b, p, act, mu, check=check)
-
-    raise AssertionError(role)
+    _, shapes, _, build = MAP_ROLES[role]
+    found = _parse_maps(doc, spaces, "$",
+                        [(name, len(args)) for name, args, _ in shapes])
+    bound = {}
+    for name, _, value in shapes:
+        bound.setdefault(value, found[name].codomain)
+    for name, args, value in shapes:
+        _require_shape(found[name], [bound[x] for x in args], bound[value],
+                       name)
+    return build(*bound.values(), *(found[name] for name, _, _ in shapes),
+                 check=check)
 
 
 def _space_doc(space):
@@ -337,12 +342,17 @@ def serialize_structure(obj, name=None):
         name = getattr(obj, "structure_name", None) or getattr(obj, "name", "")
     doc = {"format": FORMAT_TAG, "name": name}
 
-    if isinstance(obj, Coalgebra):
-        doc["role"] = "coalgebra"
+    role = doc["role"] = role_of(obj)
+    if role in MAP_ROLES:
+        _, shapes, read, _ = MAP_ROLES[role]
+        maps = read(obj)
+        doc["spaces"] = _unique_spaces([m.codomain for m in maps])
+        doc["maps"] = [_map_doc(map_name, m)
+                       for (map_name, _, _), m in zip(shapes, maps)]
+    elif role == "coalgebra":
         doc["spaces"] = _unique_spaces([obj.space])
         doc["coproduct"] = _coproduct_doc(obj)
-    elif isinstance(obj, HomElement):
-        doc["role"] = "hom-element"
+    elif role == "hom-element":
         doc["spaces"] = _unique_spaces([obj.source.space, obj.target])
         doc["coproduct"] = _coproduct_doc(obj.source)
         doc["matrix"] = {
@@ -350,39 +360,11 @@ def serialize_structure(obj, name=None):
             "entries": sorted([t, c, str(q)]
                               for (t, c), q in obj.entries.items()),
         }
-    elif isinstance(obj, LieAlgebra):
-        doc["role"] = "lie"
-        doc["spaces"] = _unique_spaces([obj.space])
-        doc["maps"] = [_map_doc("bracket", obj.bracket)]
-    elif isinstance(obj, AssociativeAlgebra):
-        doc["role"] = "associative"
-        doc["spaces"] = _unique_spaces([obj.space])
-        doc["maps"] = [_map_doc("product", obj.product)]
-    elif isinstance(obj, LieModule):
-        doc["role"] = "module"
-        doc["spaces"] = _unique_spaces([obj.base.space, obj.space])
-        doc["maps"] = [_map_doc("bracket", obj.base.bracket),
-                       _map_doc("action", obj.action)]
-    elif isinstance(obj, PoissonAlgebra):
-        doc["role"] = "poisson"
-        doc["spaces"] = _unique_spaces([obj.space])
-        doc["maps"] = [_map_doc("bracket", obj.bracket),
-                       _map_doc("product", obj.product)]
-    elif isinstance(obj, MultilinearMap):
-        doc["role"] = "multilinear"
+    elif role == "multilinear":
         doc["spaces"] = _unique_spaces(list(obj.domain) + [obj.codomain])
         doc["maps"] = [_map_doc(getattr(obj, "map_name", "map"), obj)]
     else:
-        from .lie_rinehart import LieRinehartPair
-        if isinstance(obj, LieRinehartPair):
-            doc["role"] = "lie-rinehart"
-            doc["spaces"] = _unique_spaces([obj.lie_space, obj.ring_space])
-            doc["maps"] = [_map_doc("bracket", obj.bracket),
-                           _map_doc("product", obj.product),
-                           _map_doc("action", obj.action),
-                           _map_doc("bmodule", obj.bmodule)]
-        else:
-            raise MalformedInput("cannot serialize %s" % type(obj).__name__)
+        raise MalformedInput("cannot serialize %s" % type(obj).__name__)
 
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 

@@ -16,8 +16,9 @@ operands were checked already; no Fraction is made on the way.  Equal maps
 have equal stores, so first_difference subtracts only unequal maps.
 """
 
+from .checks import CheckResult, Witness
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, SparseTable, _exact, getter, table_sum
+from .linalg import ZERO, Permutation, SparseTable, _exact, getter, table_sum
 
 
 def _check_int(i, role, space):
@@ -141,7 +142,6 @@ class MultilinearMap(SparseTable):
 
 def is_skew(f):
     """True iff f . t = -f for every adjacent transposition t (hence all of S_n)."""
-    from .linalg import Permutation
     for i in range(f.arity - 1):
         t = Permutation.transposition(i, i + 1, f.arity)
         if not f.precompose_perm(t).add(f).is_zero():
@@ -180,8 +180,6 @@ def term_sum(terms):
 
 def map_identity_check(name, lhs, rhs):
     """CheckResult for lhs == rhs with a labeled first-failure witness."""
-    from .checks import CheckResult, Witness
-
     found = first_difference(lhs, rhs)
     if found is None:
         return CheckResult(name, True)

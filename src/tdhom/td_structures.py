@@ -13,6 +13,7 @@ from .algebra import (
     JACOBI_ROTATIONS,
     SWAP,
     SWAP_FIRST_TWO,
+    LieModule,
     check_lie,
     check_module,
     check_poisson,
@@ -82,7 +83,6 @@ class TDModuleStructure:
 
 def self_module(td):
     """Hom(C, L) acting on itself through the induced bracket."""
-    from .algebra import LieModule
     # the adjoint module axiom is the Jacobi identity, already certified
     adjoint = LieModule(td.lie, td.lie.space, td.lie.bracket, check=False,
                         name="%s-self" % td.lie.name)

@@ -91,7 +91,7 @@ def tdms():
 
 @pytest.fixture(scope="module")
 def complex_data(tdms):
-    return {key: TDComplexData(tdm, 2, GUARD, max_arity=3)
+    return {key: TDComplexData(tdm, 2, GUARD)
             for key, tdm in tdms.items()}
 
 

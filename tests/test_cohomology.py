@@ -845,10 +845,10 @@ class TestTDComplex:
         # injective through arity three, so the twisted complex must agree
         # with the classical one including the top degree
         data = TDComplexData(hom_self("heisenberg", "tensor-x-3"),
-                             maxdeg=3, max_arity=4, guard_limit=100000)
+                             maxdeg=3, guard_limit=100000)
         assert data.h_dims == CLASSICAL_GOLDENS["heis-adjoint"]
         data = TDComplexData(hom_self("sl2", "tensor-x-3"),
-                             maxdeg=3, max_arity=4, guard_limit=100000)
+                             maxdeg=3, guard_limit=100000)
         assert data.h_dims == CLASSICAL_GOLDENS["sl2-adjoint"]
 
     def test_trivial_module_keeps_everything(self):
@@ -860,8 +860,6 @@ class TestTDComplex:
         assert td_cohomology_dims(hom_self("sl2", "zero-ab")) == [0, 6, 0]
 
     def test_arity_cap(self):
-        with pytest.raises(GuardError, match="arity"):
-            TDComplexData(hom_self("sl2", "tensor-x-3"), maxdeg=3)
         with pytest.raises(ValueError):
             TDComplexData(hom_self("sl2", "tensor-x-3"), maxdeg=-1)
 
@@ -1062,7 +1060,7 @@ class TestCutRoute:
     def test_ranks_match_eager_assembly(self, family, n, seed, cname):
         tdm = td_module_over(adjoint_case(family, n, seed), cname)
         for maxdeg in range(4):
-            data = TDComplexData(tdm, maxdeg, 10 ** 12, max_arity=4)
+            data = TDComplexData(tdm, maxdeg, 10 ** 12)
             quotient, _ = eager_quotient(tdm, maxdeg)
             td_dims = [m.cols for m in quotient] + [quotient[-1].rows]
             ranks = cohomology._certified_ranks(
@@ -1091,8 +1089,7 @@ class TestCutRoute:
 
         monkeypatch.setattr(cohomology, "_differential_matrix", counted)
         monkeypatch.setattr(linalg, "Echelon", Counted)
-        data = TDComplexData(td_module_over(M, "tensor-ab-3"), 3, 10 ** 12,
-                             max_arity=4)
+        data = TDComplexData(td_module_over(M, "tensor-ab-3"), 3, 10 ** 12)
         assert data.depth == 4
         assert columns == [len(keys) for keys in
                            weight_zero_keys(M, torus(M), 2)] == [3, 15, 42]

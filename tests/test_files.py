@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tdhom import coalgebra, convolution, corpus, maps
+from tdhom import coalgebra, convolution, corpus, files, maps
 from tdhom.algebra import LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.coalgebra import Coalgebra, build_symmetric_coalgebra
 from tdhom.convolution import HomElement
 from tdhom.errors import AxiomError, ParseError
-from tdhom.files import parse_structure, serialize_structure
+from tdhom.files import parse_structure, role_of, serialize_structure
 from tdhom.lie_rinehart import LieRinehartPair
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
@@ -213,6 +213,106 @@ class TestRoundTrip:
         a = serialize_structure(parse_structure(text), "tiny")
         b = serialize_structure(parse_structure(MINIMAL_LIE), "tiny")
         assert a == b
+
+
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _inline(name, role, spaces, **fields):
+    return canonical(dict(
+        format="tdhom/1", name=name, role=role,
+        spaces=[{"name": n, "labels": list(labels)} for n, labels in spaces],
+        **fields))
+
+
+# One canonical document per role: the shipped fixtures where one has the
+# role, written out here where none does.
+ROLE_DOCUMENTS = {
+    "coalgebra": _inline("pair", "coalgebra", [("V", "ab")], coproduct={
+        "space": "V", "entries": [[0, 0, 0, "1"], [1, 0, 1, "1"],
+                                  [1, 1, 0, "1"]]}),
+    "lie": corpus.fixture_text("sl2"),
+    "associative": _inline("dualnum", "associative", [("A", "1e")], maps=[{
+        "name": "product", "domain": ["A", "A"], "codomain": "A",
+        "entries": [[[0, 0], 0, "1"], [[0, 1], 1, "1"], [[1, 0], 1, "1"]]}]),
+    "module": corpus.fixture_text("sl2-trivial"),
+    "poisson": corpus.fixture_text("poisson3"),
+    "lie-rinehart": corpus.fixture_text("lr-dualnum"),
+    "multilinear": corpus.fixture_text("vol3"),
+    "hom-element": _inline(
+        "probe", "hom-element", [("V", "x"), ("W", "pq")],
+        coproduct={"space": "V", "entries": [[0, 0, 0, "1"]]},
+        matrix={"target": "W", "entries": [[0, 0, "3/2"], [1, 0, "-1"]]}),
+}
+
+# Per map role: a map given a shape its role forbids (with no entries, on
+# a spare space X), and the first space, which an extra map is put on.
+WRONG_SHAPES = {
+    "lie": ("bracket", ["L", "L"], "X", "L"),
+    "associative": ("product", ["A", "A"], "X", "A"),
+    "module": ("action", ["L", "B"], "L", "L"),
+    "poisson": ("product", ["A", "A"], "X", "A"),
+    "lie-rinehart": ("bmodule", ["L", "B"], "L", "L"),
+}
+
+
+def _edited(role, edit):
+    doc = json.loads(ROLE_DOCUMENTS[role])
+    doc["spaces"].append({"name": "X", "labels": ["u"]})
+    edit(doc["maps"])
+    return json.dumps(doc)
+
+
+class TestRoles:
+    def test_every_role_has_a_document(self):
+        assert set(ROLE_DOCUMENTS) == set(files.ROLES)
+
+    @pytest.mark.parametrize("role", sorted(ROLE_DOCUMENTS))
+    def test_round_trip_names_the_role(self, role):
+        text = ROLE_DOCUMENTS[role]
+        obj = parse_structure(text)
+        assert role_of(obj) == role
+        name = json.loads(text)["name"]
+        assert serialize_structure(obj, name) == text
+
+    def test_unknown_object(self):
+        assert role_of(object()) == "unknown"
+
+    @pytest.mark.parametrize("role", sorted(WRONG_SHAPES))
+    def test_wrong_shape(self, role):
+        name, domain, codomain, _ = WRONG_SHAPES[role]
+
+        def edit(maps):
+            (entry,) = [m for m in maps if m["name"] == name]
+            entry.update(domain=domain, codomain=codomain, entries=[])
+
+        with pytest.raises(ParseError) as err:
+            parse_structure(_edited(role, edit))
+        assert str(err.value) == "$.maps: %s has the wrong shape" % name
+
+    @pytest.mark.parametrize("role", sorted(WRONG_SHAPES))
+    def test_extra_map(self, role):
+        space = WRONG_SHAPES[role][3]
+
+        def edit(maps):
+            maps.append({"name": "extra", "domain": [space],
+                         "codomain": space, "entries": []})
+
+        with pytest.raises(ParseError) as err:
+            parse_structure(_edited(role, edit))
+        assert str(err.value) == "$.maps: unexpected maps: extra"
+
+    @pytest.mark.parametrize("role", sorted(WRONG_SHAPES))
+    def test_missing_map(self, role):
+        dropped = json.loads(ROLE_DOCUMENTS[role])["maps"][-1]["name"]
+
+        def edit(maps):
+            maps[:] = [m for m in maps if m["name"] != dropped]
+
+        with pytest.raises(ParseError) as err:
+            parse_structure(_edited(role, edit))
+        assert str(err.value) == "$.maps: missing map %r" % dropped
 
 
 class TestCorpus:

@@ -83,6 +83,20 @@ def test_package_reads_every_name_it_imports():
     assert found == [], "imported names never read: %s" % found
 
 
+def test_package_imports_its_modules_at_module_top():
+    # tdhom/__init__ loads every module, so a function-level import of a
+    # sibling breaks no cycle; it only hides a dependency
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        top = set(map(id, tree.body))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), node.lineno)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level
+                     and id(node) not in top)
+    assert found == [], "intra-package imports below module top: %s" % found
+
+
 def _names_read(node):
     names = set()
     for sub in ast.walk(node):
