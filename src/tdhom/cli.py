@@ -256,7 +256,7 @@ def build_cohomology_report(args):
         if coalgebras:
             raise ParseError("a coalgebra was supplied without --td")
         maxdeg = M.base.space.dim if args.maxdeg is None else args.maxdeg
-        cx = classical_complex(M, maxdeg)
+        cx = classical_complex(M, maxdeg, args.guard_limit)
         return dict(report, maxdeg=maxdeg, cochain_dims=cx.cochain_dims(),
                     differential_ranks=cx.ranks(),
                     cohomology_dims=cx.cohomology_dims())
@@ -348,7 +348,7 @@ def build_parser():
     v.add_argument("--json", action="store_true",
                    help="print the machine-readable report")
     v.add_argument("--guard-limit", type=non_negative_int, default=None,
-                   help="override the materialization size guard")
+                   help="override the size guard")
     v.add_argument("--subcomplex-maxdeg", type=non_negative_int, default=1,
                    help="depth of the linear-subcomplex sweep")
     v.add_argument("--unsafe-skip-axioms", action="store_true",
@@ -362,7 +362,8 @@ def build_parser():
     c.add_argument("--td", action="store_true",
                    help="compute on the hom-space complex over a coalgebra")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--guard-limit", type=non_negative_int, default=None)
+    c.add_argument("--guard-limit", type=non_negative_int, default=None,
+                   help="override the size guard")
     c.add_argument("--unsafe-skip-axioms", action="store_true")
 
     e = sub.add_parser("examples", help="list or export shipped structures")

@@ -35,9 +35,9 @@ torus.  The eager assembly and the materializing construction it
 replaced are the test oracles in tests/td_oracle.py.  induction_matrix,
 td_differential_direct and TDCochain work in the operator spaces one
 cochain at a time; they are the per-cochain library API and the oracle's
-building blocks.  td_differential_induced is the classical differential
-behind its guards: the same depth argument shows that its legality check
-cannot fail.
+building blocks.  td_differential_induced is the classical differential:
+the same depth argument shows that its legality check cannot fail.  The
+size guard of both routes is classical_complex's: the keys it pushes.
 """
 
 from bisect import bisect_left
@@ -48,7 +48,7 @@ from operator import lt
 from .algebra import check_lie, check_module
 from .checks import kept
 from .convolution import (
-    check_materialization_size,
+    check_size,
     induced,
     matrix_units,
     resolve_guard_limit,
@@ -433,13 +433,20 @@ def weight_zero_keys(M, weights, top):
     return keys
 
 
-def classical_complex(M, maxdeg):
+def classical_complex(M, maxdeg, guard_limit=None):
     """The classical complex to degree maxdeg, ranked on its weight-0 block
-    (ce_complex, which refuses a maxdeg out of range, without a torus)."""
+    (ce_complex, which refuses a maxdeg out of range, without a torus).
+
+    Priced before anything is assembled by the basis keys whose images it
+    pushes, those of C^0 .. C^maxdeg in the block or the whole complex,
+    and refused by check_size above resolve_guard_limit(guard_limit)."""
     weights, L, B = torus(M), M.base.space, M.space
+    limit = resolve_guard_limit(guard_limit)
     if not weights or not 0 <= maxdeg <= L.dim:
+        check_size(sum(alt_dim(L, B, k) for k in range(maxdeg + 1)), limit)
         return ce_complex(M, maxdeg)
     keys = weight_zero_keys(M, weights, maxdeg + 1)
+    check_size(sum(map(len, keys[:-1])), limit)
     return ComplexMatrices((_differential_matrix(M, k, keys[k], keys[k + 1])
                             for k in range(maxdeg + 1)),
                            [alt_dim(L, B, k) for k in range(maxdeg + 2)])
@@ -503,27 +510,15 @@ class TDCochain:
         return "TDCochain(degree=%d over %s)" % (self.degree, self.coalgebra.space.name)
 
 
-def td_differential_induced(F, tdm, guard_limit=None):
+def td_differential_induced(F, tdm):
     """Apply the classical differential to the inducing cochain.
 
     Names of zero stay names of zero without a check: the degree-n
     induction map is injective while Delta^(n) lives, and where Delta^(n)
-    is zero so is Delta^(n+1), and every image names zero.  The guards keep
-    the arithmetic of the factored legality check that tests/td_oracle.py
-    keeps as the oracle: the degree-n induced operators, and the degree
-    n+1 ones when that kernel is everything and some image is nonzero.
+    is zero so is Delta^(n+1), and every image names zero.
+    tests/td_oracle.py keeps the factored legality check as the oracle.
     """
-    M, C, n = tdm.module, tdm.coalgebra, F.degree
-    L, B = M.base.space, M.space
-    limit = resolve_guard_limit(guard_limit)
-    if n >= 1 and alt_dim(L, B, n):
-        check_materialization_size([L] * n, C, limit)
-        units = (AltCochain._from_ints(L, B, n, {key: 1}, 1)
-                 for key in alt_basis(L, B, n))
-        if not C.iterated_terms(n) and not all(
-                ce_differential(unit, M).is_zero() for unit in units):
-            check_materialization_size([L] * (n + 1), C, limit)
-    return TDCochain(ce_differential(F.inducing, M), C)
+    return TDCochain(ce_differential(F.inducing, tdm.module), tdm.coalgebra)
 
 
 def _twisted_operator(f, tdm, limit):
@@ -577,10 +572,9 @@ class TDComplexData:
       when M has a torus, reads "quotient differentials do not square to
       zero".
 
-    Guards and errors keep the order, the arithmetic and the messages of
-    the materializing construction, tests/td_oracle.py's oracle, but not
-    its arity cap: the materialization-size guard, which prices
-    (dim L * dim C)^k, alone refuses a large degree.
+    The size guard is classical_complex's, priced by the keys it pushes
+    below the cut; errors keep the messages of the materializing
+    construction, tests/td_oracle.py's oracle.
     """
 
     def __init__(self, tdm, maxdeg=2, guard_limit=None):
@@ -589,18 +583,10 @@ class TDComplexData:
         M = tdm.module
         C = tdm.coalgebra
         L, B = M.base.space, M.space
-        limit = resolve_guard_limit(guard_limit)
 
         self.tdm = tdm
         self.maxdeg = maxdeg
-        self.guard_limit = limit
         self.alt_dims = [alt_dim(L, B, k) for k in range(maxdeg + 2)]
-        # refuse what materializing each induction matrix would have
-        # refused, so the same jobs still exit 3
-        for k in range(1, maxdeg + 2):
-            if self.alt_dims[k]:
-                check_materialization_size([L] * k, C, limit)
-
         self.depth = next((k for k in range(1, maxdeg + 2)
                            if not C.iterated_terms(k)), maxdeg + 2)
         self.td_dims = [n if k < self.depth else 0
@@ -611,7 +597,8 @@ class TDComplexData:
         # the counting route equals the quotient route; only d squared fails.
         top = min(maxdeg, self.depth - 2, L.dim)
         try:
-            ranks = classical_complex(M, top).ranks() if top >= 0 else []
+            ranks = (classical_complex(M, top, guard_limit).ranks()
+                     if top >= 0 else [])
         except AxiomError:
             raise AxiomError(
                 "quotient differentials do not square to zero") from None
@@ -634,18 +621,14 @@ class TDComplexData:
         are the same operator.  tests/test_cohomology.py keeps the
         per-cochain skewness test as the oracle.
         """
-        C = self.tdm.coalgebra
-        L = self.tdm.module.base.space
         bracket = self.tdm.module.base.bracket._ints
         symmetric = any(v + bracket.get(((y, x), o), 0)
                         for ((x, y), o), v in bracket.items())
-        for k in range(self.maxdeg + 1):
-            if self.alt_dims[k]:
-                check_materialization_size([L] * (k + 1), C, self.guard_limit)
-                if k and symmetric and k + 1 < self.depth:
-                    raise AxiomError(
-                        "twisted differential output is not induced at "
-                        "degree %d" % (k + 1))
+        for k in range(1, self.maxdeg + 1):
+            if symmetric and self.alt_dims[k] and k + 1 < self.depth:
+                raise AxiomError(
+                    "twisted differential output is not induced at "
+                    "degree %d" % (k + 1))
         return "agree"
 
 

@@ -42,7 +42,7 @@ from .linalg import (
 )
 from .maps import MultilinearMap, _check_index, signed
 
-DEFAULT_GUARD_LIMIT = 20000
+DEFAULT_GUARD_LIMIT = 50000
 
 
 def non_negative_int(text):
@@ -66,21 +66,14 @@ def resolve_guard_limit(limit=None):
                          "got %r" % env) from None
 
 
-def check_materialization_size(domain, coalgebra, limit):
-    """Refuse an operator with arguments in Hom(C, V) for V in domain when
-    its materialized table has more potential dense columns, the product of
-    the argument Hom dimensions, than limit; a limit of None refuses
-    nothing.  Every guard uses this arithmetic, also where a closed form
-    lays nothing out, so that the same jobs exit 3."""
-    if limit is None:
-        return
-    size = 1
-    for space in domain:
-        size *= space.dim * coalgebra.dim
-    if size > limit:
+def check_size(size, limit):
+    """The one size guard: refuse a job whose route builds size items,
+    estimated before it builds any, when that exceeds limit; a limit of
+    None refuses nothing.  Each caller prices what it really builds."""
+    if limit is not None and size > limit:
         raise GuardError(
-            "materialization size %d exceeds limit %d; pass a larger "
-            "guard_limit or set TDHOM_GUARD_LIMIT" % (size, limit))
+            "size %d exceeds limit %d; pass a larger guard_limit or set "
+            "TDHOM_GUARD_LIMIT" % (size, limit))
 
 
 class HomElement(SparseTable):
@@ -295,11 +288,14 @@ class InducedOperator:
         """Sparse table over matrix-unit argument tuples, summed over the
         parts.
 
-        guard_limit is checked by check_materialization_size first.  The
-        table serves the library API, failure witnesses and the test oracle;
-        the checkers decide identities with vanishes() instead.
+        Priced first, for check_size against guard_limit, by its
+        potential dense columns: the product of the argument Hom
+        dimensions.  The table serves the library API, failure witnesses
+        and the test oracle; the checkers decide identities with
+        vanishes() instead.
         """
-        check_materialization_size(self.domain, self.coalgebra, guard_limit)
+        check_size(math.prod(space.dim * self.coalgebra.dim
+                             for space in self.domain), guard_limit)
         terms, den = self.coalgebra._expansion(self.arity)
         tables, psi_den = common_ints(list(self.parts.values()))
         entries = {}

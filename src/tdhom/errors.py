@@ -39,7 +39,9 @@ class ParseError(TdhomError):
 
 
 class GuardError(TdhomError):
-    """Refused: requested computation exceeds a size guard.
+    """Refused: the size a route will build exceeds the guard limit.
 
-    The message names the override (argument or TDHOM_GUARD_LIMIT).
+    Raised by convolution.check_size, whose message names the size, the
+    limit and the override (argument or TDHOM_GUARD_LIMIT), and by
+    check_td_skew's bound on the arity it enumerates permutations of.
     """

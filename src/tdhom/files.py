@@ -29,10 +29,12 @@ Roles and their required maps:
 The five map roles, lie to lie-rinehart, are the rows of MAP_ROLES, and
 that one table drives their parsing, their serializing and role_of.
 
-Axiom checks run on load and raise AxiomError; pass unsafe_skip_axioms=True
-to get the raw object anyway.  Serialization is canonical: sorted keys,
-sorted entry lists, two-space indent, trailing newline, so equal structures
-produce byte-identical files.
+Every declared space must be used by a map, the coproduct or the matrix
+target, as those are the spaces a file is written back with.  Axiom checks
+run on load and raise AxiomError; pass unsafe_skip_axioms=True to get the
+raw object anyway.  Serialization is canonical: sorted keys, sorted entry
+lists, two-space indent, trailing newline, so equal structures produce
+byte-identical files.
 """
 
 import json
@@ -246,6 +248,11 @@ def parse_structure(text, unsafe_skip_axioms=False):
     except AxiomError as exc:
         exc.structure_name, exc.role = name, role
         raise
+    used = _spaces_of(obj, role)
+    for pos, (space_name, space) in enumerate(spaces.items()):
+        if not any(space is sp for sp in used):
+            _fail("$.spaces[%d]" % pos, "space %r is used by no map, "
+                  "coproduct or matrix target" % space_name)
     obj.structure_name = name
     return obj
 
@@ -320,6 +327,18 @@ def _coproduct_doc(C):
     return {"space": C.space.name, "entries": entries}
 
 
+def _spaces_of(obj, role):
+    """The spaces obj's maps, coproduct or matrix target use, in the order
+    its file lists them."""
+    if role in MAP_ROLES:
+        return [m.codomain for m in MAP_ROLES[role][2](obj)]
+    if role == "coalgebra":
+        return [obj.space]
+    if role == "hom-element":
+        return [obj.source.space, obj.target]
+    return list(obj.domain) + [obj.codomain]
+
+
 def _unique_spaces(spaces):
     seen = {}
     for sp in spaces:
@@ -343,28 +362,24 @@ def serialize_structure(obj, name=None):
     doc = {"format": FORMAT_TAG, "name": name}
 
     role = doc["role"] = role_of(obj)
+    if role == "unknown":
+        raise MalformedInput("cannot serialize %s" % type(obj).__name__)
+    doc["spaces"] = _unique_spaces(_spaces_of(obj, role))
     if role in MAP_ROLES:
         _, shapes, read, _ = MAP_ROLES[role]
-        maps = read(obj)
-        doc["spaces"] = _unique_spaces([m.codomain for m in maps])
         doc["maps"] = [_map_doc(map_name, m)
-                       for (map_name, _, _), m in zip(shapes, maps)]
+                       for (map_name, _, _), m in zip(shapes, read(obj))]
     elif role == "coalgebra":
-        doc["spaces"] = _unique_spaces([obj.space])
         doc["coproduct"] = _coproduct_doc(obj)
     elif role == "hom-element":
-        doc["spaces"] = _unique_spaces([obj.source.space, obj.target])
         doc["coproduct"] = _coproduct_doc(obj.source)
         doc["matrix"] = {
             "target": obj.target.name,
             "entries": sorted([t, c, str(q)]
                               for (t, c), q in obj.entries.items()),
         }
-    elif role == "multilinear":
-        doc["spaces"] = _unique_spaces(list(obj.domain) + [obj.codomain])
-        doc["maps"] = [_map_doc(getattr(obj, "map_name", "map"), obj)]
     else:
-        raise MalformedInput("cannot serialize %s" % type(obj).__name__)
+        doc["maps"] = [_map_doc(getattr(obj, "map_name", "map"), obj)]
 
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 

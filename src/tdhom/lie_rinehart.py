@@ -25,7 +25,7 @@ from .checks import CheckResult, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
     _map_sum,
-    check_materialization_size,
+    check_size,
     operator_identity_check,
     resolve_guard_limit,
     twisted_sum,
@@ -198,30 +198,28 @@ def blinear_subspace(n, s, guard_limit=None):
 
     Degree zero has no slots, so all of the ring space qualifies.  While
     Delta^(n+1) lives, the subspace is the kernel of the slot defects
-    stacked over cochains and slots; after, every defect vanishes.  The
-    guard keeps the arithmetic of materializing a slot's left side, which
-    tests/td_oracle.py still decides on InducedOperators as the oracle.
+    stacked over cochains and slots, priced by their number for check_size;
+    after, every defect vanishes and nothing is built.  tests/td_oracle.py
+    still decides each defect on InducedOperators as the oracle.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
     pair, C = s.pair, s.coalgebra
     L, B = pair.lie_space, pair.ring_space
-    limit = resolve_guard_limit(guard_limit)
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
-    if n >= 1 and basis:
-        check_materialization_size([B] + [L] * n, C, limit)
-        if C.iterated_terms(n + 1):
-            cells = []
-            for ci, key in enumerate(basis):
-                fmap = AltCochain(L, B, n, {key: 1}).as_map()
-                cells.extend((ci, i, _slot_defect(fmap, i, pair))
-                             for i in range(1, n + 1))
-            # over one common denominator: the matrix is scaled, its kernel is not
-            tables, _ = common_ints([defect for _, _, defect in cells])
-            for (ci, i, _), table in zip(cells, tables):
-                for row, v in table.items():
-                    stacked.add(ci, (i, row), v)
+    if n >= 1 and basis and C.iterated_terms(n + 1):
+        check_size(len(basis) * n, resolve_guard_limit(guard_limit))
+        cells = []
+        for ci, key in enumerate(basis):
+            fmap = AltCochain(L, B, n, {key: 1}).as_map()
+            cells.extend((ci, i, _slot_defect(fmap, i, pair))
+                         for i in range(1, n + 1))
+        # over one common denominator: the matrix is scaled, its kernel is not
+        tables, _ = common_ints([defect for _, _, defect in cells])
+        for (ci, i, _), table in zip(cells, tables):
+            for row, v in table.items():
+                stacked.add(ci, (i, row), v)
     return stacked.kernel_basis()
 
 
@@ -240,10 +238,9 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
     degree up to maxdeg; membership is decided by one exact solve per degree.
 
     The images are classical differentials, which td_differential_induced
-    would return; its guards need not run, as blinear_subspace(n + 1) has
-    just passed a guard at least as large.  A cochain escaping the subspace
-    would be a counterexample to the underlying structure theorem, so that
-    raises instead of reporting.
+    would return.  A cochain escaping the subspace would be a
+    counterexample to the underlying structure theorem, so that raises
+    instead of reporting.
     """
     result = check_td_lr(s)
     if not result:
@@ -252,12 +249,11 @@ def check_subcomplex(s, maxdeg, guard_limit=None):
             result)
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
-    limit = resolve_guard_limit(guard_limit)
     M = pair.ring_module
     checked = 0
-    current = blinear_subspace(0, s, limit)
+    current = blinear_subspace(0, s, guard_limit)
     for n in range(maxdeg + 1):
-        target = blinear_subspace(n + 1, s, limit)
+        target = blinear_subspace(n + 1, s, guard_limit)
         if current:
             index = {key: i for i, key in enumerate(alt_basis(L, B, n + 1))}
             images = [ce_differential(AltCochain.from_vector(L, B, n, vec), M)

@@ -19,8 +19,14 @@ result is skew; ce_differential pushes stored values forward instead.
 differentials reads a ComplexMatrices, which holds each d_k transposed,
 back as the d_k.
 
+The oracles price what they materialize by their own arithmetic
+(check_materialization_size); each route in the package prices what it
+builds instead.
+
 Nothing in the package uses this module; tests compare against it.
 """
+
+import math
 
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.checks import CheckResult
@@ -39,7 +45,7 @@ from tdhom.cohomology import (
     unshuffles,
 )
 from tdhom.convolution import (
-    check_materialization_size,
+    check_size,
     factored_term,
     induced,
     resolve_guard_limit,
@@ -58,6 +64,13 @@ from tdhom.linalg import (
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
 from linalg_oracle import transposed
+
+
+def check_materialization_size(domain, coalgebra, limit):
+    """Refuse, through check_size, an operator with arguments in Hom(C, V)
+    for V in domain when its potential dense columns, the product of the
+    argument Hom dimensions, exceed limit."""
+    check_size(math.prod(space.dim * coalgebra.dim for space in domain), limit)
 
 
 def eager_quotient(tdm, maxdeg):

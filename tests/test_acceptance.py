@@ -309,7 +309,7 @@ def test_criterion_08_hom_space_differential(capfd, tdms, complex_data):
                 for i in range(size):
                     vec = [Fraction(int(j == i)) for j in range(size)]
                     F = TDCochain(AltCochain.from_vector(L, B, n, vec), C)
-                    a = td_differential_induced(F, tdm, GUARD)
+                    a = td_differential_induced(F, tdm)
                     b = td_differential_direct(F, tdm, GUARD)
                     assert a.same_as(b, GUARD), (mname, cname, n, i)
 

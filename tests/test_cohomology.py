@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdhom import cohomology, corpus, linalg
+from tdhom import cli, cohomology, corpus, linalg
 from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
 from tdhom.coalgebra import Coalgebra
 from tdhom.cohomology import (
@@ -55,6 +55,7 @@ from tdhom.cohomology import (
 )
 from tdhom.errors import AxiomError, GuardError, MalformedInput, ShapeError
 from tdhom.files import parse_structure
+from tdhom.lie_rinehart import TDLRStructure, blinear_subspace
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap, is_skew
 from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
@@ -65,6 +66,7 @@ from td_oracle import (
     ce_parts_unshuffle,
     differentials,
     eager_quotient,
+    factored_blinear_subspace,
     factored_td_differential_induced,
 )
 
@@ -797,17 +799,12 @@ class TestTDDifferential:
     def test_kernel_preservation_runs_on_degenerate_coalgebra(self, adjoint):
         # zero coproduct: the degree-2 induction kernel is everything, so
         # the factored legality check of the oracle walks every vector of
-        # it, and its degree-3 guard is the one that can refuse
+        # it; the route runs no check and prices nothing
         tdm = hom_module("sl2-adjoint", "zero-ab")
         L, B = adjoint.base.space, adjoint.space
         F = TDCochain(AltCochain(L, B, 2, {((0, 1), 0): ONE}), tdm.coalgebra)
         assert td_differential_induced(F, tdm).inducing \
-            == factored_td_differential_induced(F, tdm).inducing
-        for limit in (36, 216):
-            assert raised_or(lambda: td_differential_induced(F, tdm, limit)
-                             .inducing) \
-                == raised_or(lambda: factored_td_differential_induced(
-                    F, tdm, limit).inducing)
+            == factored_td_differential_induced(F, tdm, 10 ** 12).inducing
 
     def test_differential_raises_degree(self, adjoint):
         tdm = hom_module("sl2-adjoint", "tensor-ab-2")
@@ -863,12 +860,14 @@ class TestTDComplex:
         with pytest.raises(ValueError):
             TDComplexData(hom_self("sl2", "tensor-x-3"), maxdeg=-1)
 
-    def test_materialization_guard(self):
-        with pytest.raises(GuardError, match="limit"):
-            TDComplexData(hom_self("sl2", "tensor-ab-3"), maxdeg=2)
-        data = TDComplexData(hom_self("sl2", "tensor-ab-3"), maxdeg=2,
-                             guard_limit=100000)
-        assert data.h_dims == [0, 0, 0]
+    def test_size_guard(self):
+        # priced by classical_complex below the cut: the 7 weight-0 keys
+        # of C^0 .. C^2, not the (3 * 15)^3 of materializing degree 3
+        tdm = hom_module("sl2-adjoint", "tensor-ab-3")
+        with pytest.raises(GuardError, match="size 7 exceeds limit 6"):
+            TDComplexData(tdm, maxdeg=2, guard_limit=6)
+        assert TDComplexData(tdm, maxdeg=2, guard_limit=7).h_dims \
+            == TDComplexData(tdm, maxdeg=2).h_dims == [0, 0, 0]
 
 
 def per_cochain_direct_vs_induced(tdm, maxdeg, guard_limit=None):
@@ -878,7 +877,7 @@ def per_cochain_direct_vs_induced(tdm, maxdeg, guard_limit=None):
     for n in range(maxdeg + 1):
         for key in alt_basis(L, B, n):
             F = TDCochain(AltCochain(L, B, n, {key: 1}), tdm.coalgebra)
-            a = td_differential_induced(F, tdm, guard_limit)
+            a = td_differential_induced(F, tdm)
             b = td_differential_direct(F, tdm, guard_limit)
             if not a.same_as(b, guard_limit):
                 return "disagree at degree %d" % n
@@ -1003,7 +1002,7 @@ HEIS_VARIANTS = {
 }
 
 TD_FIELDS = ("alt_dims", "td_dims", "ker_dims", "a_ranks", "q_ranks",
-             "h_dims", "maxdeg", "guard_limit")
+             "h_dims", "maxdeg")
 
 
 def raised_or(thunk):
@@ -1014,7 +1013,7 @@ def raised_or(thunk):
         return type(exc), str(exc)
 
 
-def td_outcome(cls, tdm, maxdeg, guard_limit):
+def td_outcome(cls, tdm, maxdeg, guard_limit=None):
     data = raised_or(lambda: cls(tdm, maxdeg, guard_limit))
     if isinstance(data, tuple):
         return data
@@ -1036,11 +1035,11 @@ class TestMaterializingOracle:
             tdm = td_module_over(heis_adjoint_with(*HEIS_VARIANTS[mname]), cname)
         else:
             tdm = hom_module(mname, cname)
+        # the route at its default guard, the oracle with its own lifted
         for maxdeg in (0, 1, 2):
-            for guard_limit in (None, 100000):
-                assert td_outcome(TDComplexData, tdm, maxdeg, guard_limit) \
-                    == td_outcome(MaterializedTDComplexData, tdm, maxdeg,
-                                  guard_limit), (maxdeg, guard_limit)
+            assert td_outcome(TDComplexData, tdm, maxdeg) \
+                == td_outcome(MaterializedTDComplexData, tdm, maxdeg,
+                              10 ** 12), maxdeg
 
 
 def adjoint_case(family, n, seed):
@@ -1147,6 +1146,16 @@ class TestIncidenceCoalgebras:
         assert data.depth == maxdeg + 2
         assert data.td_dims == data.alt_dims
         assert data.h_dims == ce_complex(M, maxdeg).cohomology_dims()
+
+    @given(posets(), st.sampled_from(corpus.PAIR_NAMES), st.integers(0, 3))
+    @example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "lr-derx3", 2)
+    @settings(max_examples=40, deadline=None)
+    def test_blinear_subspace_matches_factored_oracle(self, poset, pname, n):
+        # Delta^(n+1) never dies, so every slot defect is stacked, at the
+        # default guard; the oracle's materialization guard is lifted
+        s = TDLRStructure(corpus.load(pname), incidence_coalgebra(*poset))
+        assert blinear_subspace(n, s) \
+            == factored_blinear_subspace(n, s, 10 ** 12)
 
 
 class TestInvariants:
@@ -1537,6 +1546,51 @@ class TestWeightZeroRoute:
         for maxdeg in (-1, 4):
             with pytest.raises(ValueError):
                 classical_complex(adjoint, maxdeg)
+
+
+# source keys of d_0 .. d_2: the weight-0 block under a torus, else the
+# whole complex (heis-adjoint has no torus element: 3 + 9 + 9)
+PRICED = {"sl2-adjoint": 7, "gl3-adjoint": 60, "heis-adjoint": 21}
+
+
+def priced_module(name):
+    return gl_adjoint(3) if name == "gl3-adjoint" else corpus.load(name)
+
+
+class TestSizeGuard:
+    """classical_complex is priced by the basis keys whose images it
+    pushes, before it assembles anything."""
+
+    @pytest.mark.parametrize("name", sorted(PRICED))
+    def test_priced_by_source_keys(self, name):
+        M, keys = priced_module(name), PRICED[name]
+        with pytest.raises(GuardError) as refused:
+            classical_complex(M, 2, keys - 1)
+        assert str(refused.value).startswith(
+            "size %d exceeds limit %d;" % (keys, keys - 1))
+        assert_same_complex(classical_complex(M, 2, keys), ce_complex(M, 2))
+
+    @pytest.mark.parametrize("name", sorted(PRICED))
+    def test_refused_before_assembly(self, name, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a refused job assembled a differential")
+
+        M = priced_module(name)
+        monkeypatch.setattr(cohomology, "_differential_matrix", forbidden)
+        with pytest.raises(GuardError):
+            classical_complex(M, 2, PRICED[name] - 1)
+        with pytest.raises(AssertionError):
+            classical_complex(M, 2, PRICED[name])
+
+    def test_command_line_names_the_price(self, monkeypatch, capsys):
+        monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+        code = cli.main(["cohomology", "--module", "sl2-adjoint",
+                         "--maxdeg", "2", "--guard-limit", "6"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == ("guard refused: size 7 exceeds limit 6; pass a larger "
+                       "guard_limit or set TDHOM_GUARD_LIMIT (see "
+                       "--guard-limit)\n")
 
 
 def poincare_coefficients(factors, top):

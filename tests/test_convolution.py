@@ -465,7 +465,7 @@ class TestMaterialized:
 
     def test_env_override(self, monkeypatch):
         monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
-        assert resolve_guard_limit() == 20000
+        assert resolve_guard_limit() == 50000
         assert resolve_guard_limit(7) == 7
         monkeypatch.setenv("TDHOM_GUARD_LIMIT", "55")
         assert resolve_guard_limit() == 55

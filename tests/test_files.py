@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdhom import coalgebra, convolution, corpus, files, maps
+from tdhom import cli, coalgebra, convolution, corpus, files, maps
 from tdhom.algebra import LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.coalgebra import Coalgebra, build_symmetric_coalgebra
 from tdhom.convolution import HomElement
@@ -313,6 +313,27 @@ class TestRoles:
         with pytest.raises(ParseError) as err:
             parse_structure(_edited(role, edit))
         assert str(err.value) == "$.maps: missing map %r" % dropped
+
+    @pytest.mark.parametrize("role", sorted(ROLE_DOCUMENTS))
+    def test_unused_space(self, role):
+        # a file is written back with the spaces its structure uses, so a
+        # space that nothing uses would be dropped without a word
+        doc = json.loads(ROLE_DOCUMENTS[role])
+        doc["spaces"].insert(0, {"name": "X", "labels": ["u"]})
+        with pytest.raises(ParseError) as err:
+            parse_structure(json.dumps(doc))
+        assert str(err.value) == ("$.spaces[0]: space 'X' is used by no map, "
+                                  "coproduct or matrix target")
+
+    def test_unused_space_exits_2(self, tmp_path, capsys):
+        doc = json.loads(corpus.fixture_text("sl2"))
+        doc["spaces"].append({"name": "X", "labels": ["u"]})
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: $.spaces[1]: space 'X' is used by no map, coproduct or "
+            "matrix target\n")
 
 
 class TestCorpus:

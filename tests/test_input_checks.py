@@ -9,9 +9,10 @@ package, its tests or its benchmark reads.  One more fails on any float
 literal or float(...) call in the package, one on Fraction(x) outside the
 scalar reader, two on any module but linalg importing fractions or ONE, and
 one on any reassignment of a structure's maps after construction, which the
-kept axiom results rely on.  A last one fails when importing the command
-line loads dataclasses or the modules it pulls in, which cost more start-up
-time than a small job.
+kept axiom results rely on.  One fails when importing the command line
+loads dataclasses or the modules it pulls in, which cost more start-up time
+than a small job.  A last one fails on GuardError raised anywhere but the
+one size guard and check_td_skew's arity bound.
 """
 
 import ast
@@ -95,6 +96,27 @@ def test_package_imports_its_modules_at_module_top():
                      if isinstance(node, ast.ImportFrom) and node.level
                      and id(node) not in top)
     assert found == [], "intra-package imports below module top: %s" % found
+
+
+def test_package_raises_guard_error_in_one_size_guard():
+    # each route prices what it builds through convolution.check_size;
+    # check_td_skew's bound caps the n! permutations it enumerates
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "GuardError":
+                continue
+            inner = max((d for d in defs
+                         if d.lineno <= node.lineno <= d.end_lineno),
+                        key=lambda d: d.lineno, default=None)
+            found.append("%s:%s" % (path.relative_to(PACKAGE),
+                                    inner.name if inner else "<module>"))
+    assert sorted(found) == ["convolution.py:check_size",
+                             "convolution.py:check_td_skew"]
 
 
 def _names_read(node):
