@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
 from .cohomology import TDComplexData, classical_complex
-from .convolution import non_negative_int
+from .convolution import DEFAULT_GUARD_LIMIT
 from .errors import (
     AxiomError,
     GuardError,
@@ -335,6 +335,14 @@ def run_examples(args):
     return EXIT_PASS
 
 
+def non_negative_int(text):
+    """text read as an int >= 0; ValueError otherwise."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("%d is negative" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tdhom",
@@ -347,8 +355,9 @@ def build_parser():
     v.add_argument("--suite", choices=SUITES, default="all")
     v.add_argument("--json", action="store_true",
                    help="print the machine-readable report")
-    v.add_argument("--guard-limit", type=non_negative_int, default=None,
-                   help="override the size guard")
+    v.add_argument("--guard-limit", type=non_negative_int,
+                   default=DEFAULT_GUARD_LIMIT,
+                   help="size guard limit (default %(default)d)")
     v.add_argument("--subcomplex-maxdeg", type=non_negative_int, default=1,
                    help="depth of the linear-subcomplex sweep")
     v.add_argument("--unsafe-skip-axioms", action="store_true",
@@ -362,8 +371,9 @@ def build_parser():
     c.add_argument("--td", action="store_true",
                    help="compute on the hom-space complex over a coalgebra")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--guard-limit", type=non_negative_int, default=None,
-                   help="override the size guard")
+    c.add_argument("--guard-limit", type=non_negative_int,
+                   default=DEFAULT_GUARD_LIMIT,
+                   help="size guard limit (default %(default)d)")
     c.add_argument("--unsafe-skip-axioms", action="store_true")
 
     e = sub.add_parser("examples", help="list or export shipped structures")

@@ -48,10 +48,10 @@ from operator import lt
 from .algebra import check_lie, check_module
 from .checks import kept
 from .convolution import (
+    DEFAULT_GUARD_LIMIT,
     check_size,
     induced,
     matrix_units,
-    resolve_guard_limit,
     twisted_term,
 )
 from .errors import AxiomError, ShapeError
@@ -433,26 +433,26 @@ def weight_zero_keys(M, weights, top):
     return keys
 
 
-def classical_complex(M, maxdeg, guard_limit=None):
+def classical_complex(M, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     """The classical complex to degree maxdeg, ranked on its weight-0 block
     (ce_complex, which refuses a maxdeg out of range, without a torus).
 
     Priced before anything is assembled by the basis keys whose images it
     pushes, those of C^0 .. C^maxdeg in the block or the whole complex,
-    and refused by check_size above resolve_guard_limit(guard_limit)."""
+    and refused by check_size above guard_limit."""
     weights, L, B = torus(M), M.base.space, M.space
-    limit = resolve_guard_limit(guard_limit)
     if not weights or not 0 <= maxdeg <= L.dim:
-        check_size(sum(alt_dim(L, B, k) for k in range(maxdeg + 1)), limit)
+        check_size(sum(alt_dim(L, B, k) for k in range(maxdeg + 1)),
+                   guard_limit)
         return ce_complex(M, maxdeg)
     keys = weight_zero_keys(M, weights, maxdeg + 1)
-    check_size(sum(map(len, keys[:-1])), limit)
+    check_size(sum(map(len, keys[:-1])), guard_limit)
     return ComplexMatrices((_differential_matrix(M, k, keys[k], keys[k + 1])
                             for k in range(maxdeg + 1)),
                            [alt_dim(L, B, k) for k in range(maxdeg + 2)])
 
 
-def induction_matrix(n, L, B, C, guard_limit=None):
+def induction_matrix(n, L, B, C):
     """Columns: materialized operators induced by the degree-n basis
     cochains; the kernel of this matrix is what cochain names forget."""
     if n < 0:
@@ -463,17 +463,17 @@ def induction_matrix(n, L, B, C, guard_limit=None):
             sc.add(b, (b,), 1)
         return sc
     basis = [AltCochain._from_ints(L, B, n, {key: 1}, 1) for key in alt_basis(L, B, n)]
-    return _induced_columns(basis, C, resolve_guard_limit(guard_limit))
+    return _induced_columns(basis, C)
 
 
-def _induced_columns(cochains, C, limit):
+def _induced_columns(cochains, C):
     """Column j: the materialized operator induced by cochains[j], which
     must have degree >= 1; a zero cochain gives a zero column."""
     sc = SparseColumns(len(cochains))
     for ci, f in enumerate(cochains):
         if f.is_zero():
             continue
-        for row_key, q in induced(f.as_map(), C).materialize(limit).entries.items():
+        for row_key, q in induced(f.as_map(), C).materialize().entries.items():
             sc.add(ci, row_key, q)
     return sc
 
@@ -489,12 +489,11 @@ class TDCochain:
     def degree(self):
         return self.inducing.degree
 
-    def operator(self, guard_limit=None):
+    def operator(self):
         """The materialized operator this cochain is, for degree >= 1."""
-        limit = resolve_guard_limit(guard_limit)
-        return induced(self.inducing.as_map(), self.coalgebra).materialize(limit)
+        return induced(self.inducing.as_map(), self.coalgebra).materialize()
 
-    def same_as(self, other, guard_limit=None):
+    def same_as(self, other):
         """Equality as cochains: the difference of names induces zero."""
         if self.degree != other.degree or self.coalgebra is not other.coalgebra:
             return False
@@ -503,8 +502,7 @@ class TDCochain:
             return diff.is_zero()
         if diff.is_zero():
             return True
-        limit = resolve_guard_limit(guard_limit)
-        return induced(diff.as_map(), self.coalgebra).materialize(limit).is_zero()
+        return induced(diff.as_map(), self.coalgebra).materialize().is_zero()
 
     def __repr__(self):
         return "TDCochain(degree=%d over %s)" % (self.degree, self.coalgebra.space.name)
@@ -521,23 +519,23 @@ def td_differential_induced(F, tdm):
     return TDCochain(ce_differential(F.inducing, tdm.module), tdm.coalgebra)
 
 
-def _twisted_operator(f, tdm, limit):
+def _twisted_operator(f, tdm):
     """The displayed twisted formula applied to the cochain f: the
     operator d f, evaluated in the operator space."""
     M, C, n = tdm.module, tdm.coalgebra, f.degree
     if n == 0:
-        return induced(ce_differential(f, M).as_map(), C).materialize(limit)
+        return induced(ce_differential(f, M).as_map(), C).materialize()
     L, B = M.base.space, M.space
     fmap = MultilinearMap([L] * n, B, f.as_map().entries)
     acted = M.action.compose_at(fmap, 1)
     bracketed = fmap.compose_at(M.base.bracket, 0)
     parts = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
              + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
-    return table_sum(twisted_term(m, C, s, limit).scale(sign)
+    return table_sum(twisted_term(m, C, s).scale(sign)
                      for m, s, sign in parts)
 
 
-def td_differential_direct(F, tdm, guard_limit=None):
+def td_differential_direct(F, tdm):
     """Evaluate the displayed twisted formula in the operator space, then
     recover an inducing cochain by solving against the induction matrix.
 
@@ -546,9 +544,8 @@ def td_differential_direct(F, tdm, guard_limit=None):
     """
     L, B = tdm.module.base.space, tdm.module.space
     n = F.degree
-    limit = resolve_guard_limit(guard_limit)
-    op = _twisted_operator(F.inducing, tdm, limit)
-    iota = induction_matrix(n + 1, L, B, tdm.coalgebra, limit)
+    op = _twisted_operator(F.inducing, tdm)
+    iota = induction_matrix(n + 1, L, B, tdm.coalgebra)
     keys, m = iota.to_dense()
     # an entry on a key outside keys is a row no combination reaches
     x = solve(m, [op.entries.get(k, ZERO) for k in keys]) \
@@ -577,7 +574,7 @@ class TDComplexData:
     construction, tests/td_oracle.py's oracle.
     """
 
-    def __init__(self, tdm, maxdeg=2, guard_limit=None):
+    def __init__(self, tdm, maxdeg=2, guard_limit=DEFAULT_GUARD_LIMIT):
         if maxdeg < 0:
             raise ValueError("maxdeg must be nonnegative")
         M = tdm.module
@@ -632,7 +629,7 @@ class TDComplexData:
         return "agree"
 
 
-def td_cohomology_dims(tdm, maxdeg=2, guard_limit=None):
+def td_cohomology_dims(tdm, maxdeg=2, guard_limit=DEFAULT_GUARD_LIMIT):
     """Cohomology dimensions H^0 .. H^maxdeg of the Hom-space complex."""
     return TDComplexData(tdm, maxdeg, guard_limit).h_dims
 

@@ -23,7 +23,6 @@ results unchecked from checked operands through _stored and _trusted.
 
 import itertools
 import math
-import os
 
 from .checks import CheckResult, Witness
 from .errors import GuardError, ShapeError, TdhomError
@@ -45,35 +44,13 @@ from .maps import MultilinearMap, _check_index, signed
 DEFAULT_GUARD_LIMIT = 50000
 
 
-def non_negative_int(text):
-    """text read as an int >= 0; ValueError otherwise."""
-    value = int(text)
-    if value < 0:
-        raise ValueError("%d is negative" % value)
-    return value
-
-
-def resolve_guard_limit(limit=None):
-    if limit is not None:
-        return limit
-    env = os.environ.get("TDHOM_GUARD_LIMIT")
-    if not env:
-        return DEFAULT_GUARD_LIMIT
-    try:
-        return non_negative_int(env)
-    except ValueError:
-        raise ValueError("TDHOM_GUARD_LIMIT must be a non-negative integer, "
-                         "got %r" % env) from None
-
-
 def check_size(size, limit):
     """The one size guard: refuse a job whose route builds size items,
-    estimated before it builds any, when that exceeds limit; a limit of
-    None refuses nothing.  Each caller prices what it really builds."""
-    if limit is not None and size > limit:
-        raise GuardError(
-            "size %d exceeds limit %d; pass a larger guard_limit or set "
-            "TDHOM_GUARD_LIMIT" % (size, limit))
+    estimated before it builds any, when that exceeds limit.  Each caller
+    prices what it really builds."""
+    if size > limit:
+        raise GuardError("size %d exceeds limit %d; pass a larger guard_limit"
+                         % (size, limit))
 
 
 class HomElement(SparseTable):
@@ -284,18 +261,13 @@ class InducedOperator:
         return HomElement._stored(out, den, source=self.coalgebra,
                                   target=self.codomain)
 
-    def materialize(self, guard_limit=None):
+    def materialize(self):
         """Sparse table over matrix-unit argument tuples, summed over the
         parts.
 
-        Priced first, for check_size against guard_limit, by its
-        potential dense columns: the product of the argument Hom
-        dimensions.  The table serves the library API, failure witnesses
-        and the test oracle; the checkers decide identities with
-        vanishes() instead.
+        The table serves the library API, failure witnesses and the test
+        oracle; the checkers decide identities with vanishes() instead.
         """
-        check_size(math.prod(space.dim * self.coalgebra.dim
-                             for space in self.domain), guard_limit)
         terms, den = self.coalgebra._expansion(self.arity)
         tables, psi_den = common_ints(list(self.parts.values()))
         entries = {}
@@ -401,7 +373,7 @@ def induced(phi, C):
     return twisted(phi, C, Permutation.identity(phi.arity))
 
 
-def twisted_term(phi, C, sigma, guard_limit=None):
+def twisted_term(phi, C, sigma):
     """Materialized 'twist then rearrange': the twisted operator for sigma,
     precomposed with sigma on its arguments.
 
@@ -410,8 +382,7 @@ def twisted_term(phi, C, sigma, guard_limit=None):
     induced(phi.precompose_perm(sigma), C).materialize(); the checkers use
     factored_term, and this table is the library API and the test oracle.
     """
-    op = twisted(phi, C, sigma).materialize(guard_limit)
-    return op.argument_permute(sigma)
+    return twisted(phi, C, sigma).materialize().argument_permute(sigma)
 
 
 def factored_term(phi, C, sigma):
@@ -477,30 +448,32 @@ def operator_identity_check(name, lhs, rhs):
     return CheckResult(name, False, operator_witness(table, found))
 
 
-def check_td_skew(phi, C, max_arity=4):
+# check_td_skew enumerates n! permutations; it refuses a larger arity
+MAX_SKEW_ARITY = 4
+
+
+def check_td_skew(phi, C):
     """Rearranging the arguments by sigma equals the sign of sigma times the
     operator twisted by sigma inverse, for every sigma.
 
-    Decided on the operators' parts; a failing sigma is materialized to
-    find the first differing matrix-unit tuple, which multilinearity makes
-    a complete test.  Arity above max_arity is refused outright, and so is
-    a map whose arguments do not all share one space.
+    Each sigma is decided by operator_identity_check, whose witness is
+    prefixed with sigma's images.  Arity above MAX_SKEW_ARITY is refused
+    outright, and so is a map whose arguments do not all share one space.
     """
     n = phi.arity
-    if n > max_arity:
-        raise GuardError(
-            "arity %d exceeds the permutation-enumeration bound %d" % (n, max_arity))
+    if n > MAX_SKEW_ARITY:
+        raise GuardError("arity %d exceeds the permutation-enumeration bound %d"
+                         % (n, MAX_SKEW_ARITY))
     if any(space is not phi.domain[0] for space in phi.domain):
         raise ShapeError("td-skew needs a map whose arguments share one space")
     plain = induced(phi, C)
     # the identity comes first and states plain = plain
     for sigma in all_permutations(n)[1:]:
-        lhs = plain.argument_permute(sigma)
-        rhs = twisted(phi, C, sigma.inverse()).scale(sigma.sign())
-        if not lhs.sub(rhs).vanishes():
-            table = lhs.materialize()
-            w = operator_witness(table,
-                                 table.first_difference(rhs.materialize()))
+        result = operator_identity_check(
+            "td-skew", plain.argument_permute(sigma),
+            twisted(phi, C, sigma.inverse()).scale(sigma.sign()))
+        if not result:
+            w = result.witness
             return CheckResult("td-skew", False,
                                Witness((sigma.images,) + w.args, w.residual))
     return CheckResult("td-skew", True, detail="%d permutations" % len(all_permutations(n)))

@@ -24,10 +24,10 @@ from .algebra import (
 from .checks import CheckResult, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
+    DEFAULT_GUARD_LIMIT,
     _map_sum,
     check_size,
     operator_identity_check,
-    resolve_guard_limit,
     twisted_sum,
 )
 from .errors import AxiomError, ShapeError
@@ -192,7 +192,7 @@ def _slot_defect(fmap, i, pair):
     return _map_sum(lhs, rhs.scale(-1))
 
 
-def blinear_subspace(n, s, guard_limit=None):
+def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     """Basis, in cochain coordinates, of the degree-n cochains whose
     induced operators let ring factors pass out through every slot.
 
@@ -209,7 +209,7 @@ def blinear_subspace(n, s, guard_limit=None):
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
     if n >= 1 and basis and C.iterated_terms(n + 1):
-        check_size(len(basis) * n, resolve_guard_limit(guard_limit))
+        check_size(len(basis) * n, guard_limit)
         cells = []
         for ci, key in enumerate(basis):
             fmap = AltCochain(L, B, n, {key: 1}).as_map()
@@ -233,7 +233,7 @@ def _violating_slot(cochain, pair):
     return 0
 
 
-def check_subcomplex(s, maxdeg, guard_limit=None):
+def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     """The differential keeps ring-linear cochains ring-linear, degree by
     degree up to maxdeg; membership is decided by one exact solve per degree.
 

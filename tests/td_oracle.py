@@ -45,10 +45,10 @@ from tdhom.cohomology import (
     unshuffles,
 )
 from tdhom.convolution import (
+    DEFAULT_GUARD_LIMIT,
     check_size,
     factored_term,
     induced,
-    resolve_guard_limit,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import check_td_lr, linearity_twist
@@ -108,7 +108,8 @@ class MaterializedTDComplexData:
     with the induced differential per basis cochain.
     """
 
-    def __init__(self, tdm, maxdeg=2, guard_limit=None, max_arity=3):
+    def __init__(self, tdm, maxdeg=2, guard_limit=DEFAULT_GUARD_LIMIT,
+                 max_arity=3):
         if maxdeg < 0:
             raise ValueError("maxdeg must be nonnegative")
         if maxdeg + 1 > max_arity:
@@ -118,17 +119,19 @@ class MaterializedTDComplexData:
         M = tdm.module
         C = tdm.coalgebra
         L, B = M.base.space, M.space
-        limit = resolve_guard_limit(guard_limit)
 
         self.tdm = tdm
         self.maxdeg = maxdeg
-        self.guard_limit = limit
         self.alt_dims = [alt_dim(L, B, k) for k in range(maxdeg + 2)]
 
         iotas, kernels, pivots = [], [], []
         self.td_dims, self.ker_dims = [], []
         for k in range(maxdeg + 2):
-            sc = induction_matrix(k, L, B, C, limit)
+            # every operator built below, direct_vs_induced's too, has the
+            # arguments of a degree-k basis cochain for some k <= maxdeg + 1
+            if k and self.alt_dims[k]:
+                check_materialization_size([L] * k, C, guard_limit)
+            sc = induction_matrix(k, L, B, C)
             ech = sc.echelon()
             iotas.append(sc)
             kernels.append(ech.kernel_basis())
@@ -142,7 +145,7 @@ class MaterializedTDComplexData:
         for k in range(maxdeg + 1):
             composite = _induced_columns(
                 [ce_differential(AltCochain(L, B, k, {key: 1}), M)
-                 for key in alt_basis(L, B, k)], C, limit)
+                 for key in alt_basis(L, B, k)], C)
             ech = composite.echelon()
             self.composites.append(composite)
             self.a_ranks.append(ech.rank)
@@ -211,10 +214,10 @@ class MaterializedTDComplexData:
         for k, composite in enumerate(self.composites):
             for ci, key in enumerate(alt_basis(L, B, k)):
                 f = AltCochain(L, B, k, {key: 1})
-                op = _twisted_operator(f, self.tdm, self.guard_limit)
+                op = _twisted_operator(f, self.tdm)
                 if op.entries != composite.columns[ci]:
                     td_differential_direct(TDCochain(f, self.tdm.coalgebra),
-                                           self.tdm, self.guard_limit)
+                                           self.tdm)
                     return "disagree at degree %d" % k
         return "agree"
 
@@ -238,7 +241,7 @@ def factored_slot_defect(fmap, i, s, limit):
     return lhs.sub(rhs)
 
 
-def factored_blinear_subspace(n, s, guard_limit=None):
+def factored_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     """blinear_subspace with each slot defect reduced in factored form: one
     untwisted part reduces to its base map or nothing, so stacking the
     reduced columns gives the kernel of the materialized defects."""
@@ -246,34 +249,32 @@ def factored_blinear_subspace(n, s, guard_limit=None):
         raise ValueError("degree must be nonnegative, got %d" % n)
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
-    limit = resolve_guard_limit(guard_limit)
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
     if n >= 1:
         for ci, key in enumerate(basis):
             fmap = AltCochain(L, B, n, {key: 1}).as_map()
             for i in range(1, n + 1):
-                defect = factored_slot_defect(fmap, i, s, limit)
+                defect = factored_slot_defect(fmap, i, s, guard_limit)
                 for row, q in reduced_column(defect).items():
                     stacked.add(ci, (i, row), q)
     return stacked.kernel_basis()
 
 
-def factored_td_differential_induced(F, tdm, guard_limit=None):
+def factored_td_differential_induced(F, tdm, guard_limit=DEFAULT_GUARD_LIMIT):
     """td_differential_induced with its legality check run: the degree-n
     induction kernel, rebuilt on every call, and the vanishing of each
     kernel vector's differential, decided on factored operators."""
     M = tdm.module
     C = tdm.coalgebra
     n = F.degree
-    limit = resolve_guard_limit(guard_limit)
     if n >= 1:
         L, B = M.base.space, M.space
         basis = alt_basis(L, B, n)
         iota = SparseColumns(len(basis))
         for ci, key in enumerate(basis):
             op = induced(AltCochain(L, B, n, {key: 1}).as_map(), C)
-            check_materialization_size(op.domain, C, limit)
+            check_materialization_size(op.domain, C, guard_limit)
             for row, q in reduced_column(op).items():
                 iota.add(ci, row, q)
         for v in iota.kernel_basis():
@@ -281,7 +282,7 @@ def factored_td_differential_induced(F, tdm, guard_limit=None):
             if dv.is_zero():
                 continue
             op = induced(dv.as_map(), C)
-            check_materialization_size(op.domain, C, limit)
+            check_materialization_size(op.domain, C, guard_limit)
             if not op.vanishes():
                 raise AxiomError(
                     "differential leaves the induction kernel at degree %d" % n)
@@ -305,7 +306,7 @@ def _factored_violating_slot(cochain, s, limit):
     return 0
 
 
-def factored_check_subcomplex(s, maxdeg, guard_limit=None):
+def factored_check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     """check_subcomplex on the factored sweep, one
     factored_td_differential_induced call per linear cochain."""
     result = check_td_lr(s)
@@ -315,25 +316,24 @@ def factored_check_subcomplex(s, maxdeg, guard_limit=None):
             result)
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
-    limit = resolve_guard_limit(guard_limit)
     tdm = _hom_module(s)
     checked = 0
-    current = factored_blinear_subspace(0, s, limit)
+    current = factored_blinear_subspace(0, s, guard_limit)
     for n in range(maxdeg + 1):
-        target = factored_blinear_subspace(n + 1, s, limit)
+        target = factored_blinear_subspace(n + 1, s, guard_limit)
         if current:
             nrows = len(alt_basis(L, B, n + 1))
             images = [
                 factored_td_differential_induced(
                     TDCochain(AltCochain.from_vector(L, B, n, vec), s.coalgebra),
-                    tdm, limit).inducing
+                    tdm, guard_limit).inducing
                 for vec in current]
             span = RationalMatrix.from_columns(nrows, target)
             rhs = RationalMatrix.from_columns(
                 nrows, [image.components() for image in images])
             for image, x in zip(images, solve(span, rhs)):
                 if x is None:
-                    slot = _factored_violating_slot(image, s, limit)
+                    slot = _factored_violating_slot(image, s, guard_limit)
                     raise AxiomError(
                         "image %r of a linear degree-%d cochain leaves the "
                         "linear subspace (slot %d fails)" % (image, n, slot))

@@ -18,7 +18,7 @@ from tdhom import cli, cohomology, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.convolution import InducedOperator
+from tdhom.convolution import DEFAULT_GUARD_LIMIT, InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace, Permutation
 from tdhom.maps import MultilinearMap
@@ -204,7 +204,8 @@ class TestVerify:
         assert report["status"] == "guarded"
         guarded = [e for e in report["entries"] if e["status"] == "guarded"]
         assert [e["check"] for e in guarded] == ["td-subcomplex"]
-        assert "TDHOM_GUARD_LIMIT" in guarded[0]["detail"]
+        assert guarded[0]["detail"] \
+            == "size 6 exceeds limit 5; pass a larger guard_limit"
 
     def test_guard_limit_flag_clears_refusal(self, exported, capsys):
         code, out, _ = run(["verify", exported["lr-derx3"],
@@ -215,6 +216,18 @@ class TestVerify:
         report = json.loads(out)
         assert report["counts"]["guarded"] == 0
         assert report["counts"]["fail"] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "cohomology"])
+    def test_guard_limit_flag_defaults_to_the_library_limit(self, command,
+                                                            capsys):
+        # both commands refuse at the limit the library functions default to
+        assert cli.build_parser().parse_args(
+            [command, "x.json"]).guard_limit == DEFAULT_GUARD_LIMIT
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "size guard limit (default %d)" % DEFAULT_GUARD_LIMIT \
+            in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("flag, value", [
         ("--subcomplex-maxdeg", "-2"), ("--guard-limit", "-3"),
@@ -324,30 +337,16 @@ class TestCohomology:
         assert run(["cohomology", "--module", "sl2-trivial",
                     "--maxdeg", "9"], capsys)[0] == 2
 
-    def test_guard_refusal_and_env_override(self, monkeypatch, capsys):
+    def test_td_guard_refusal_and_flag(self, capsys):
         # priced by the 3 weight-0 keys of C^0 .. C^2
         argv = ["cohomology", "--module", "sl2-trivial",
                 "--coalgebra", "tensor-ab-3", "--td"]
         code, _, err = run(argv + ["--guard-limit", "2"], capsys)
         assert code == 3
         assert "--guard-limit" in err
-        monkeypatch.setenv("TDHOM_GUARD_LIMIT", "2")
-        assert run(argv, capsys)[0] == 3
-        monkeypatch.setenv("TDHOM_GUARD_LIMIT", "3")
-        code, out, _ = run(argv + ["--json"], capsys)
+        code, out, _ = run(argv + ["--guard-limit", "3", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["cohomology_dims"] == [1, 0, 0]
-
-
-    @pytest.mark.parametrize("value", ["1e5", "-1", "many"])
-    def test_guard_limit_variable_must_be_a_non_negative_int(
-            self, value, monkeypatch, capsys):
-        monkeypatch.setenv("TDHOM_GUARD_LIMIT", value)
-        code, out, err = run(["cohomology", "--module", "sl2-adjoint",
-                              "--coalgebra", "tensor-ab-2", "--td"], capsys)
-        assert (code, out) == (2, "")
-        assert err == ("error: TDHOM_GUARD_LIMIT must be a non-negative "
-                       "integer, got %r\n" % value)
 
 
 # cohomology --td --json at the default maxdeg and guard: exit code and
@@ -409,8 +408,7 @@ TD_REPORTS = {
 
 
 @pytest.mark.parametrize("mname,cname", sorted(TD_REPORTS))
-def test_td_report_is_pinned(mname, cname, monkeypatch, capsys):
-    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+def test_td_report_is_pinned(mname, cname, capsys):
     code, out, _ = run(["cohomology", "--module", mname, "--coalgebra", cname,
                         "--td", "--json"], capsys)
     expected_code, digest = TD_REPORTS[(mname, cname)]
@@ -648,9 +646,8 @@ HEIS_VARIANTS = {
 
 @pytest.mark.parametrize("row", TD_TABLE.split("\n")[1:-1],
                          ids=lambda row: "-".join(row.split()[:3]))
-def test_td_table_is_pinned(row, tmp_path, monkeypatch, capsys):
+def test_td_table_is_pinned(row, tmp_path, capsys):
     mname, cname, maxdeg, code, error, digest = row.split()
-    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
     if mname in HEIS_VARIANTS:
         source = [heis_adjoint_file(tmp_path, *HEIS_VARIANTS[mname]),
                   "--unsafe-skip-axioms"]
@@ -684,12 +681,11 @@ b4-adjoint  tensor-ab-3 3 0 e6b66f38c7aedefb900bba71bdbcc12cd7211e231d733600ea3b
 
 @pytest.mark.parametrize("row", TD_RUNGS.split("\n")[1:-1],
                          ids=lambda row: "-".join(row.split()[:3]))
-def test_td_rungs_are_pinned(row, tmp_path, monkeypatch, capsys):
+def test_td_rungs_are_pinned(row, tmp_path, capsys):
     mname, cname, maxdeg, code, digest = row.split()
     M = gl_adjoint(3) if mname == "gl3-adjoint" else b_adjoint(4)
     path = tmp_path / "module.json"
     path.write_text(serialize_structure(M, "m"), encoding="utf-8")
-    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
     got_code, out, _ = run(["cohomology", str(path), "--coalgebra", cname,
                             "--td", "--json", "--guard-limit", "1000000000000",
                             "--maxdeg", maxdeg], capsys)
@@ -1037,7 +1033,6 @@ def verify_dir(tmp_path_factory):
                          ids=lambda row: "-".join(row.split()[:3]))
 def test_verify_table_is_pinned(row, verify_dir, monkeypatch, capsys):
     name, cname, options, code, error, digest = row.split()
-    monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
     monkeypatch.chdir(verify_dir)
     got_code, out, err = run(verify_argv(name, cname, options), capsys)
     assert got_code == int(code)
@@ -1100,9 +1095,9 @@ def materialized(monkeypatch):
     calls = []
     original = InducedOperator.materialize
 
-    def recording(self, guard_limit=None):
+    def recording(self):
         calls.extend((psi, rho) for rho, psi in self.parts.items())
-        return original(self, guard_limit)
+        return original(self)
 
     monkeypatch.setattr(InducedOperator, "materialize", recording)
     return calls

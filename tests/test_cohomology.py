@@ -30,7 +30,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdhom import cli, cohomology, corpus, linalg
-from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
+from tdhom.algebra import (
+    JACOBI_ROTATIONS,
+    SWAP,
+    SWAP_FIRST_TWO,
+    LieAlgebra,
+    LieModule,
+    check_lie,
+    check_module,
+)
+from tdhom.checks import CheckResult, Witness, combine
 from tdhom.coalgebra import Coalgebra
 from tdhom.cohomology import (
     AltCochain,
@@ -53,13 +62,21 @@ from tdhom.cohomology import (
     unshuffles,
     weight_zero_keys,
 )
+from tdhom.convolution import DEFAULT_GUARD_LIMIT, induced, operator_witness
 from tdhom.errors import AxiomError, GuardError, MalformedInput, ShapeError
 from tdhom.files import parse_structure
-from tdhom.lie_rinehart import TDLRStructure, blinear_subspace
+from tdhom.lie_rinehart import TDLRStructure, blinear_subspace, check_td_lr
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
 from tdhom.maps import MultilinearMap, is_skew
-from tdhom.td_structures import TDLieStructure, TDModuleStructure, self_module
+from tdhom.td_structures import (
+    TDLieStructure,
+    TDModuleStructure,
+    check_td_lie,
+    check_td_module,
+    self_module,
+)
 from linalg_oracle import bareiss_echelon, transposed
+from lr_oracle import oracle_check_td_lr
 from td_oracle import (
     MaterializedTDComplexData,
     ce_differential_unshuffle,
@@ -69,6 +86,7 @@ from td_oracle import (
     factored_blinear_subspace,
     factored_td_differential_induced,
 )
+from test_convolution import materialized_sum
 
 ONE = Fraction(1)
 
@@ -715,7 +733,7 @@ class TestInductionMatrix:
         # iota_n(f) = f (x) Delta^(n): injective or zero, never in between
         L, B = adjoint.base.space, adjoint.space
         C = corpus.get_coalgebra(cname)
-        sc = induction_matrix(n, L, B, C, guard_limit=100000)
+        sc = induction_matrix(n, L, B, C)
         live = n == 0 or C.iterated_terms(n)
         assert sc.rank() == (alt_dim(L, B, n) if live else 0)
 
@@ -724,14 +742,6 @@ class TestInductionMatrix:
             induction_matrix(-1, adjoint.base.space, adjoint.space,
                              corpus.get_coalgebra("zero-ab"))
 
-    def test_guard_trips_and_lifts(self, adjoint):
-        L, B = adjoint.base.space, adjoint.space
-        big = corpus.get_coalgebra("tensor-ab-3")
-        with pytest.raises(GuardError):
-            induction_matrix(3, L, B, big)
-        sc = induction_matrix(3, L, B, big, guard_limit=100000)
-        _, dense = sc.to_dense()
-        assert rank(dense) == alt_dim(L, B, 3)
 
 
 class TestTDCochain:
@@ -775,6 +785,16 @@ class TestTDCochain:
         L, B = adjoint.base.space, adjoint.space
         f = AltCochain(L, B, 1, {((0,), 0): ONE})
         assert "degree=1" in repr(TDCochain(f, corpus.get_coalgebra("zero-ab")))
+
+    def test_operator_is_the_materialized_induced_operator(self, adjoint):
+        # once refused at the dense price of its arguments, (3 * 14)^3 =
+        # 74088, though the table it lays out has 48 entries
+        L, B = adjoint.base.space, adjoint.space
+        C = corpus.get_coalgebra("tensor-ab-3")
+        f = AltCochain(L, B, 3, {alt_basis(L, B, 3)[0]: 1})
+        table = TDCochain(f, C).operator()
+        assert table == induced(f.as_map(), C).materialize()
+        assert len(table.entries) == 48
 
 
 TD_PAIRS = [
@@ -841,11 +861,9 @@ class TestTDComplex:
         # every induction map on one-variable words of length three is
         # injective through arity three, so the twisted complex must agree
         # with the classical one including the top degree
-        data = TDComplexData(hom_self("heisenberg", "tensor-x-3"),
-                             maxdeg=3, guard_limit=100000)
+        data = TDComplexData(hom_self("heisenberg", "tensor-x-3"), maxdeg=3)
         assert data.h_dims == CLASSICAL_GOLDENS["heis-adjoint"]
-        data = TDComplexData(hom_self("sl2", "tensor-x-3"),
-                             maxdeg=3, guard_limit=100000)
+        data = TDComplexData(hom_self("sl2", "tensor-x-3"), maxdeg=3)
         assert data.h_dims == CLASSICAL_GOLDENS["sl2-adjoint"]
 
     def test_trivial_module_keeps_everything(self):
@@ -870,7 +888,7 @@ class TestTDComplex:
             == TDComplexData(tdm, maxdeg=2).h_dims == [0, 0, 0]
 
 
-def per_cochain_direct_vs_induced(tdm, maxdeg, guard_limit=None):
+def per_cochain_direct_vs_induced(tdm, maxdeg):
     """Oracle for TDComplexData.direct_vs_induced: both differentials of
     every basis cochain, each rebuilt on its own, compared by same_as."""
     L, B = tdm.module.base.space, tdm.module.space
@@ -878,8 +896,8 @@ def per_cochain_direct_vs_induced(tdm, maxdeg, guard_limit=None):
         for key in alt_basis(L, B, n):
             F = TDCochain(AltCochain(L, B, n, {key: 1}), tdm.coalgebra)
             a = td_differential_induced(F, tdm)
-            b = td_differential_direct(F, tdm, guard_limit)
-            if not a.same_as(b, guard_limit):
+            b = td_differential_direct(F, tdm)
+            if not a.same_as(b):
                 return "disagree at degree %d" % n
     return "agree"
 
@@ -963,16 +981,16 @@ class TestDirectVsInduced:
                                        "bracket-extra"))
     def test_non_skew_brackets_match_per_cochain_oracle(self, mname, cname):
         tdm = td_module_over(heis_adjoint_with(*HEIS_VARIANTS[mname]), cname)
-        data = TDComplexData(tdm, maxdeg=2, guard_limit=100000)
+        data = TDComplexData(tdm, maxdeg=2)
         assert raised_or(data.direct_vs_induced) == raised_or(
-            lambda: per_cochain_direct_vs_induced(tdm, 2, 100000))
+            lambda: per_cochain_direct_vs_induced(tdm, 2))
 
     @pytest.mark.parametrize("cname", corpus.coalgebra_names())
     @pytest.mark.parametrize("mname", corpus.MODULE_NAMES)
     def test_matches_per_cochain_oracle(self, mname, cname):
         tdm = hom_module(mname, cname)
-        data = TDComplexData(tdm, maxdeg=2, guard_limit=100000)
-        expected = per_cochain_direct_vs_induced(tdm, 2, 100000)
+        data = TDComplexData(tdm, maxdeg=2)
+        expected = per_cochain_direct_vs_induced(tdm, 2)
         assert data.direct_vs_induced() == expected == "agree"
 
     def test_non_skew_bracket_raises_like_the_oracle(self):
@@ -1013,7 +1031,7 @@ def raised_or(thunk):
         return type(exc), str(exc)
 
 
-def td_outcome(cls, tdm, maxdeg, guard_limit=None):
+def td_outcome(cls, tdm, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     data = raised_or(lambda: cls(tdm, maxdeg, guard_limit))
     if isinstance(data, tuple):
         return data
@@ -1122,6 +1140,47 @@ def posets(draw):
     return n, draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
 
 
+def materialized_check(name, C, lhs, rhs):
+    """CheckResult for lhs = rhs, each a term list of materialized_sum (an
+    empty rhs is zero), decided and witnessed on the laid-out tables."""
+    table = materialized_sum(C, lhs)
+    found = table.first_difference(
+        materialized_sum(C, rhs) if rhs else table.scale(0))
+    return CheckResult(name, found is None,
+                       None if found is None else operator_witness(table, found))
+
+
+def materialized_check_td_lie(lie, C):
+    """check_td_lie on materialized tables: the swap of the induced bracket
+    against minus the swap-twisted bracket, then the twisted cyclic sum."""
+    phi, one = lie.bracket, Permutation.identity(2)
+    skew = materialized_check("td-skew", C, [(phi, one, SWAP, 1)],
+                              [(phi, SWAP, one, -1)])
+    if skew:
+        skew = CheckResult("td-skew", True, detail="2 permutations")
+    else:
+        w = skew.witness
+        skew = CheckResult("td-skew", False,
+                           Witness((SWAP.images,) + w.args, w.residual))
+    nested, one = phi.compose_at(phi, 1), Permutation.identity(3)
+    jacobi = materialized_check(
+        "td-jacobi", C,
+        [(nested, one, one, 1)] + [(nested, r, r, 1) for r in JACOBI_ROTATIONS],
+        [])
+    return combine("td-lie", [skew, jacobi])
+
+
+def materialized_check_td_module(tdm):
+    """check_td_module on materialized tables."""
+    action, one = tdm.module.action, Permutation.identity(3)
+    nested = action.compose_at(action, 1)
+    return materialized_check(
+        "td-module", tdm.coalgebra,
+        [(action.compose_at(tdm.td.lie.bracket, 0), one, one, 1)],
+        [(nested, one, one, 1),
+         (nested, SWAP_FIRST_TWO, SWAP_FIRST_TWO, -1)])
+
+
 class TestIncidenceCoalgebras:
     """The one family whose coproduct never dies, so the cut never comes
     and the Hom-space complex is the whole classical complex."""
@@ -1156,6 +1215,23 @@ class TestIncidenceCoalgebras:
         s = TDLRStructure(corpus.load(pname), incidence_coalgebra(*poset))
         assert blinear_subspace(n, s) \
             == factored_blinear_subspace(n, s, 10 ** 12)
+
+    @given(posets(), st.sampled_from(corpus.MODULE_NAMES),
+           st.sampled_from(corpus.PAIR_NAMES))
+    @example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "sl2-adjoint", "lr-derx3")
+    @settings(max_examples=30, deadline=None)
+    def test_twisted_checks_match_materialized_oracles(self, poset, mname,
+                                                       pname):
+        # the factored checkers, decided on operator parts, against the
+        # identities laid out as tables
+        C = incidence_coalgebra(*poset)
+        M = corpus.load(mname)
+        assert check_td_lie(M.base, C) == materialized_check_td_lie(M.base, C)
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        assert check_td_module(tdm) == materialized_check_td_module(tdm)
+        s = TDLRStructure(corpus.load(pname), C)
+        assert check_td_lr(s) == oracle_check_td_lr(s)
 
 
 class TestInvariants:
@@ -1582,15 +1658,13 @@ class TestSizeGuard:
         with pytest.raises(AssertionError):
             classical_complex(M, 2, PRICED[name])
 
-    def test_command_line_names_the_price(self, monkeypatch, capsys):
-        monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
+    def test_command_line_names_the_price(self, capsys):
         code = cli.main(["cohomology", "--module", "sl2-adjoint",
                          "--maxdeg", "2", "--guard-limit", "6"])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err == ("guard refused: size 7 exceeds limit 6; pass a larger "
-                       "guard_limit or set TDHOM_GUARD_LIMIT (see "
-                       "--guard-limit)\n")
+                       "guard_limit (see --guard-limit)\n")
 
 
 def poincare_coefficients(factors, top):

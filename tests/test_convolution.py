@@ -30,7 +30,6 @@ from tdhom.convolution import (
     matrix_units,
     operator_identity_check,
     operator_witness,
-    resolve_guard_limit,
     twisted,
     twisted_term,
 )
@@ -446,7 +445,6 @@ class TestTdSkew:
         big = MultilinearMap((V,) * 5, V, {((0,) * 5, 0): Fraction(1)})
         with pytest.raises(GuardError):
             check_td_skew(big, tab2)
-        assert check_td_skew(big, tab2, max_arity=5) is not None
 
 
 class TestMaterialized:
@@ -456,20 +454,6 @@ class TestMaterialized:
             for r in all_permutations(2):
                 ab = mat.argument_permute(s).argument_permute(r)
                 assert ab == mat.argument_permute(s.then(r))
-
-    def test_guard_limit(self, sl2, tab2):
-        op = induced(sl2.bracket, tab2)
-        with pytest.raises(GuardError):
-            op.materialize(guard_limit=100)
-        assert op.materialize(guard_limit=1000) is not None
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("TDHOM_GUARD_LIMIT", raising=False)
-        assert resolve_guard_limit() == 50000
-        assert resolve_guard_limit(7) == 7
-        monkeypatch.setenv("TDHOM_GUARD_LIMIT", "55")
-        assert resolve_guard_limit() == 55
-        assert resolve_guard_limit(7) == 7
 
 
 # one- and two-dimensional argument and target spaces: with a single basis

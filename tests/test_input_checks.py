@@ -11,8 +11,10 @@ scalar reader, two on any module but linalg importing fractions or ONE, and
 one on any reassignment of a structure's maps after construction, which the
 kept axiom results rely on.  One fails when importing the command line
 loads dataclasses or the modules it pulls in, which cost more start-up time
-than a small job.  A last one fails on GuardError raised anywhere but the
-one size guard and check_td_skew's arity bound.
+than a small job.  The last three fail on GuardError raised anywhere but
+the one size guard and check_td_skew's arity bound, on that size guard
+called from anything but the two routes that price what they build, and on
+any read of the process environment.
 """
 
 import ast
@@ -98,9 +100,8 @@ def test_package_imports_its_modules_at_module_top():
     assert found == [], "intra-package imports below module top: %s" % found
 
 
-def test_package_raises_guard_error_in_one_size_guard():
-    # each route prices what it builds through convolution.check_size;
-    # check_td_skew's bound caps the n! permutations it enumerates
+def _enclosing_calls(name):
+    """(file:enclosing function) for every call to name in the package."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -108,15 +109,40 @@ def test_package_raises_guard_error_in_one_size_guard():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) != "GuardError":
+            if getattr(func, "id", getattr(func, "attr", None)) != name:
                 continue
             inner = max((d for d in defs
                          if d.lineno <= node.lineno <= d.end_lineno),
                         key=lambda d: d.lineno, default=None)
             found.append("%s:%s" % (path.relative_to(PACKAGE),
                                     inner.name if inner else "<module>"))
-    assert sorted(found) == ["convolution.py:check_size",
-                             "convolution.py:check_td_skew"]
+    return sorted(found)
+
+
+def test_package_raises_guard_error_in_one_size_guard():
+    # each route prices what it builds through convolution.check_size;
+    # check_td_skew's bound caps the n! permutations it enumerates
+    assert _enclosing_calls("GuardError") == ["convolution.py:check_size",
+                                              "convolution.py:check_td_skew"]
+
+
+def test_package_prices_only_the_two_routes_that_refuse():
+    # a size guard anywhere else would refuse a job no CLI route runs
+    assert sorted(set(_enclosing_calls("check_size"))) == [
+        "cohomology.py:classical_complex",
+        "lie_rinehart.py:blinear_subspace"]
+
+
+def test_package_reads_no_environment():
+    # the guard limit is an argument or a flag, never a process setting
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.relative_to(PACKAGE), node.lineno)
+                     for node in ast.walk(tree)
+                     if getattr(node, "attr", getattr(node, "id", None))
+                     in ("environ", "environb", "getenv"))
+    assert found == [], "environment reads: %s" % found
 
 
 def _names_read(node):
