@@ -41,8 +41,7 @@ class ParseError(TdhomError):
 class GuardError(TdhomError):
     """Refused: the size a route will build exceeds the guard limit.
 
-    Raised by convolution.check_size, whose message names the size and
-    the limit, for the two routes that price what they build
-    (cohomology.classical_complex and lie_rinehart.blinear_subspace), and
-    by check_td_skew's bound on the arity it enumerates permutations of.
+    Raised only by convolution.check_size, whose message names the size
+    and the limit, for the two routes that price what they build
+    (cohomology.classical_complex and lie_rinehart.blinear_subspace).
     """

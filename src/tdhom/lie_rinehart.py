@@ -25,14 +25,12 @@ from .checks import CheckResult, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential
 from .convolution import (
     DEFAULT_GUARD_LIMIT,
-    _map_sum,
     check_size,
     operator_identity_check,
     twisted_sum,
 )
 from .errors import AxiomError, ShapeError
 from .linalg import (
-    Permutation,
     RationalMatrix,
     SparseColumns,
     common_ints,
@@ -165,31 +163,15 @@ def check_td_lr(s):
         for name, left, right in PAIR_IDENTITIES[:-1]])
 
 
-def linearity_twist(i, n):
-    """How the slot-i ring-scaling identity on n-ary operators reads its
-    right side: scaling inside slot i puts the ring argument at position
-    i-1, pulling it out leaves it at the front, and this cycle carries the
-    front back to position i-1 while the slots it crossed shift down.
-
-    Flipping the cycle is not harmless: over a coalgebra with four-letter
-    words and a free rank-three module the flipped reading empties the
-    degree-3 linear subspace that the straight reading keeps 2-dimensional.
-    """
-    if not 1 <= i <= n:
-        raise ValueError("slot must lie in 1..%d, got %d" % (n, i))
-    return Permutation([i - 1] + list(range(i - 1)) + list(range(i, n + 1)))
-
-
-def _slot_defect(fmap, i, pair):
-    """Base map of the slot-i scaling identity, left side minus right: both
-    sides are untwisted induced operators once the right one is rearranged,
-    so the identity holds exactly when this map or the coproduct of its
-    arity vanishes.  The sides are subtracted entry by entry, as operator
-    tables are, so only their arity has to agree."""
-    lhs = fmap.compose_at(pair.bmodule, i - 1)
-    rhs = pair.product.compose_at(fmap, 1).precompose_perm(
-        linearity_twist(i, fmap.arity))
-    return _map_sum(lhs, rhs.scale(-1))
+def _slot_defect(fmap, pair):
+    """Base map of the slot-1 scaling identity, left side minus right, on
+    (B, L, .., L) -> B: both sides are untwisted induced operators, so the
+    identity holds exactly when this map or the coproduct of its arity
+    vanishes.  For a skew fmap the slot-i defect is (-1)^(i-1) times this
+    one with the i-th Lie argument moved to the front, so slot 1 decides
+    every slot."""
+    return fmap.compose_at(pair.bmodule, 0).sub(
+        pair.product.compose_at(fmap, 1))
 
 
 def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
@@ -197,10 +179,11 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     induced operators let ring factors pass out through every slot.
 
     Degree zero has no slots, so all of the ring space qualifies.  While
-    Delta^(n+1) lives, the subspace is the kernel of the slot defects
-    stacked over cochains and slots, priced by their number for check_size;
-    after, every defect vanishes and nothing is built.  tests/td_oracle.py
-    still decides each defect on InducedOperators as the oracle.
+    Delta^(n+1) lives, the subspace is the kernel of the slot-1 defects
+    stacked over cochains, one per cochain and priced by their number for
+    check_size; after, every defect vanishes and nothing is built.
+    tests/td_oracle.py still decides every slot's defect on
+    InducedOperators as the oracle.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
@@ -209,28 +192,17 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
     if n >= 1 and basis and C.iterated_terms(n + 1):
-        check_size(len(basis) * n, guard_limit)
-        cells = []
-        for ci, key in enumerate(basis):
-            fmap = AltCochain(L, B, n, {key: 1}).as_map()
-            cells.extend((ci, i, _slot_defect(fmap, i, pair))
-                         for i in range(1, n + 1))
+        check_size(len(basis), guard_limit)
+        defects = [
+            _slot_defect(AltCochain._from_ints(L, B, n, {key: 1}, 1).as_map(),
+                         pair)
+            for key in basis]
         # over one common denominator: the matrix is scaled, its kernel is not
-        tables, _ = common_ints([defect for _, _, defect in cells])
-        for (ci, i, _), table in zip(cells, tables):
+        tables, _ = common_ints(defects)
+        for ci, table in enumerate(tables):
             for row, v in table.items():
-                stacked.add(ci, (i, row), v)
+                stacked.add(ci, row, v)
     return stacked.kernel_basis()
-
-
-def _violating_slot(cochain, pair):
-    """The first slot whose defect is nonzero.  Only asked of a cochain
-    outside blinear_subspace, whose coproduct of the defect arity lives."""
-    fmap = cochain.as_map()
-    for i in range(1, cochain.degree + 1):
-        if not _slot_defect(fmap, i, pair).is_zero():
-            return i
-    return 0
 
 
 def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
@@ -240,7 +212,8 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     The images are classical differentials, which td_differential_induced
     would return.  A cochain escaping the subspace would be a
     counterexample to the underlying structure theorem, so that raises
-    instead of reporting.
+    instead of reporting; the subspace is cut out by the slot-1 defects,
+    so the error names slot 1.
     """
     result = check_td_lr(s)
     if not result:
@@ -274,10 +247,11 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
                               RationalMatrix._from_sparse_rows(len(images), rhs))
             for image, x in zip(images, solutions):
                 if x is None:
-                    slot = _violating_slot(image, pair)
+                    # the target is the kernel of the slot-1 defects, so an
+                    # image outside it fails at slot 1
                     raise AxiomError(
                         "image %r of a linear degree-%d cochain leaves the "
-                        "linear subspace (slot %d fails)" % (image, n, slot))
+                        "linear subspace (slot 1 fails)" % (image, n))
             checked += len(images)
         current = target
     return CheckResult("td-subcomplex", True,

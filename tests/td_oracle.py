@@ -9,9 +9,14 @@ differential and every twisted term, and runs the consistency checks that
 the closed form shows can never fire.
 
 The linear-subcomplex sweep (blinear_subspace, td_differential_induced,
-check_subcomplex) reads its slot defects and images off classical maps.
-The factored_* functions keep the sweep it replaced, which decides each
-defect and the induction kernel on InducedOperators.
+check_subcomplex) reads its slot-1 defects and images off classical maps.
+The factored_* functions keep the sweep it replaced, which decides the
+defect of every slot, read through linearity_twist, and the induction
+kernel on InducedOperators.
+
+check_td_skew decides twisted skew symmetry on the adjacent
+transpositions; enumerated_td_skew keeps the enumeration of all n!
+permutations it replaced.
 
 ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
 the classical differential, which evaluates full maps and checks the
@@ -29,7 +34,7 @@ Nothing in the package uses this module; tests compare against it.
 import math
 
 from tdhom.algebra import LieAlgebra, LieModule
-from tdhom.checks import CheckResult
+from tdhom.checks import CheckResult, Witness
 from tdhom.cohomology import (
     AltCochain,
     TDCochain,
@@ -49,13 +54,17 @@ from tdhom.convolution import (
     check_size,
     factored_term,
     induced,
+    operator_identity_check,
+    twisted,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
-from tdhom.lie_rinehart import check_td_lr, linearity_twist
+from tdhom.lie_rinehart import check_td_lr
 from tdhom.linalg import (
     ZERO,
+    Permutation,
     RationalMatrix,
     SparseColumns,
+    all_permutations,
     kernel_basis,
     rank,
     solve,
@@ -220,6 +229,41 @@ class MaterializedTDComplexData:
                                            self.tdm)
                     return "disagree at degree %d" % k
         return "agree"
+
+
+def enumerated_td_skew(phi, C):
+    """check_td_skew by enumeration: every sigma of S_n but the identity in
+    lexicographic order, each decided by operator_identity_check, the first
+    failure's witness prefixed with sigma's images."""
+    n = phi.arity
+    if any(space is not phi.domain[0] for space in phi.domain):
+        raise ShapeError("td-skew needs a map whose arguments share one space")
+    plain = induced(phi, C)
+    perms = all_permutations(n)
+    for sigma in perms[1:]:
+        result = operator_identity_check(
+            "td-skew", plain.argument_permute(sigma),
+            twisted(phi, C, sigma.inverse()).scale(sigma.sign()))
+        if not result:
+            w = result.witness
+            return CheckResult("td-skew", False,
+                               Witness((sigma.images,) + w.args, w.residual))
+    return CheckResult("td-skew", True, detail="%d permutations" % len(perms))
+
+
+def linearity_twist(i, n):
+    """How the slot-i ring-scaling identity on n-ary operators reads its
+    right side: scaling inside slot i puts the ring argument at position
+    i-1, pulling it out leaves it at the front, and this cycle carries the
+    front back to position i-1 while the slots it crossed shift down.
+
+    Flipping the cycle is not harmless: over a coalgebra with four-letter
+    words and a free rank-three module the flipped reading empties the
+    degree-3 linear subspace that the straight reading keeps 2-dimensional.
+    """
+    if not 1 <= i <= n:
+        raise ValueError("slot must lie in 1..%d, got %d" % (n, i))
+    return Permutation([i - 1] + list(range(i - 1)) + list(range(i, n + 1)))
 
 
 def reduced_column(op):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdhom import corpus
+from tdhom.checks import CheckResult
 from tdhom.coalgebra import (
     COCOMMUTATIVE,
     Coalgebra,
@@ -33,7 +34,7 @@ from tdhom.convolution import (
     twisted,
     twisted_term,
 )
-from tdhom.errors import GuardError, ShapeError, TdhomError
+from tdhom.errors import ShapeError, TdhomError
 from tdhom.linalg import (
     BasedSpace,
     Permutation,
@@ -42,6 +43,7 @@ from tdhom.linalg import (
     table_sum,
 )
 from tdhom.maps import MultilinearMap
+from td_oracle import enumerated_td_skew
 
 
 def unit(C, target, label_t, label_c):
@@ -440,11 +442,19 @@ class TestTdSkew:
         with pytest.raises(ShapeError, match="share one space"):
             check_td_skew(phi, tab2)
 
-    def test_arity_guard(self, tab2):
+    def test_arity_five_matches_enumeration(self):
+        # no arity bound: five-letter words keep Delta^(5) alive, and the
+        # symmetric map fails at the first transposition of the enumeration
         V = BasedSpace("V", ("x",))
+        C = build_tensor_coalgebra(V, 5)
         big = MultilinearMap((V,) * 5, V, {((0,) * 5, 0): Fraction(1)})
-        with pytest.raises(GuardError):
-            check_td_skew(big, tab2)
+        result = check_td_skew(big, C)
+        assert result == enumerated_td_skew(big, C)
+        assert not result.ok
+        assert result.witness.args[0] == (0, 1, 2, 4, 3)
+        zero = MultilinearMap.zero((V,) * 5, V)
+        assert check_td_skew(zero, C) == enumerated_td_skew(zero, C) \
+            == CheckResult("td-skew", True, detail="120 permutations")
 
 
 class TestMaterialized:
@@ -480,6 +490,52 @@ def legs_table(C, n, rho):
     """D_rho: the n-fold coproduct with its legs permuted by rho."""
     return {(c, gather(rho, legs)): q for c, expansion in C.iterated_terms(n).items()
             for legs, q in expansion}
+
+
+SKEW_COALGEBRAS = dict(
+    corpus.coalgebras(),
+    T5x=build_tensor_coalgebra(BasedSpace("X", ("x",)), 5))
+
+
+def symmetrized(f, perms, signed):
+    """The sum of f . sigma over perms, each times its sign when signed."""
+    return table_sum(f.precompose_perm(p).scale(p.sign() if signed else 1)
+                     for p in perms)
+
+
+@st.composite
+def skew_candidates(draw):
+    """(phi, C): a map of arity 1-5 on one space, raw, skew, symmetric or
+    skew only in its last k slots (2 <= k < n), and a coalgebra to check it
+    over, mostly one whose Delta^(n) lives, where the identity bites."""
+    n = draw(st.integers(1, 5))
+    space = draw(st.sampled_from(SMALL_SPACES))
+    target = draw(st.sampled_from(SMALL_SPACES))
+    phi = draw(base_maps((space,) * n, target))
+    kind = draw(st.sampled_from(("raw", "skew", "symmetric", "tail")))
+    if kind in ("skew", "symmetric"):
+        phi = symmetrized(phi, all_permutations(n), kind == "skew")
+    elif kind == "tail" and n >= 3:
+        k = draw(st.integers(2, n - 1))
+        tails = [Permutation(list(range(n - k)) + [n - k + i for i in p.images])
+                 for p in all_permutations(k)]
+        phi = symmetrized(phi, tails, True)
+    names = sorted(name for name, C in SKEW_COALGEBRAS.items()
+                   if C.iterated_terms(n))
+    if draw(st.integers(0, 3)) == 0:
+        names = sorted(SKEW_COALGEBRAS)
+    return phi, SKEW_COALGEBRAS[draw(st.sampled_from(names))]
+
+
+class TestTdSkewOracle:
+    """check_td_skew on the adjacent transpositions against the enumeration
+    of all n! permutations it replaced (tests/td_oracle.py)."""
+
+    @given(skew_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_generators_decide_like_the_enumeration(self, case):
+        phi, C = case
+        assert check_td_skew(phi, C) == enumerated_td_skew(phi, C)
 
 
 @st.composite

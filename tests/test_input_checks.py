@@ -12,9 +12,9 @@ one on any reassignment of a structure's maps after construction, which the
 kept axiom results rely on.  One fails when importing the command line
 loads dataclasses or the modules it pulls in, which cost more start-up time
 than a small job.  The last three fail on GuardError raised anywhere but
-the one size guard and check_td_skew's arity bound, on that size guard
-called from anything but the two routes that price what they build, and on
-any read of the process environment.
+the one size guard, on that size guard called from anything but the two
+routes that price what they build, and on any read of the process
+environment.
 """
 
 import ast
@@ -120,10 +120,8 @@ def _enclosing_calls(name):
 
 
 def test_package_raises_guard_error_in_one_size_guard():
-    # each route prices what it builds through convolution.check_size;
-    # check_td_skew's bound caps the n! permutations it enumerates
-    assert _enclosing_calls("GuardError") == ["convolution.py:check_size",
-                                              "convolution.py:check_td_skew"]
+    # each route prices what it builds through convolution.check_size
+    assert _enclosing_calls("GuardError") == ["convolution.py:check_size"]
 
 
 def test_package_prices_only_the_two_routes_that_refuse():
