@@ -51,7 +51,6 @@ from .convolution import (
     InducedOperator,
     check_td_skew,
     compose_induced,
-    factored_term,
     induced,
     interchange,
     matrix_units,
@@ -143,7 +142,6 @@ __all__ = [
     "check_td_poisson",
     "check_td_skew",
     "compose_induced",
-    "factored_term",
     "induced",
     "interchange",
     "invariants_h0",

@@ -272,7 +272,7 @@ def build_cohomology_report(args):
         report, coalgebra=getattr(C, "structure_name", None) or C.space.name,
         maxdeg=maxdeg, cochain_dims=data.td_dims,
         classical_cochain_dims=data.alt_dims,
-        induction_kernel_dims=data.ker_dims, composite_ranks=data.a_ranks,
+        induction_kernel_dims=data.ker_dims, composite_ranks=data.q_ranks,
         differential_ranks=data.q_ranks, cohomology_dims=data.h_dims,
         # "agree", or an AxiomError that ends the run
         direct_vs_induced=data.direct_vs_induced())

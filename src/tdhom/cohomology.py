@@ -35,9 +35,12 @@ torus.  The eager assembly and the materializing construction it
 replaced are the test oracles in tests/td_oracle.py.  induction_matrix,
 td_differential_direct and TDCochain work in the operator spaces one
 cochain at a time; they are the per-cochain library API and the oracle's
-building blocks.  td_differential_induced is the classical differential:
-the same depth argument shows that its legality check cannot fail.  The
-size guard of both routes is classical_complex's: the keys it pushes.
+building blocks, and the displayed twisted formula they evaluate is one
+induced map, its unshuffle terms summed as maps (twisted_sum).
+td_differential_induced is the classical differential: the same depth
+argument shows that its legality check cannot fail.  invariants_h0 reads
+H^0 off the action constants, as the vectors every e_t kills.  The size
+guard of both routes is classical_complex's: the keys it pushes.
 """
 
 from bisect import bisect_left
@@ -51,8 +54,7 @@ from .convolution import (
     DEFAULT_GUARD_LIMIT,
     check_size,
     induced,
-    matrix_units,
-    twisted_term,
+    twisted_sum,
 )
 from .errors import AxiomError, ShapeError
 from .linalg import (
@@ -66,7 +68,6 @@ from .linalg import (
     pivot_columns,
     rank,
     solve,
-    table_sum,
 )
 from .maps import MultilinearMap, _check_int
 
@@ -521,7 +522,9 @@ def td_differential_induced(F, tdm):
 
 def _twisted_operator(f, tdm):
     """The displayed twisted formula applied to the cochain f: the
-    operator d f, evaluated in the operator space."""
+    operator d f, evaluated in the operator space.  Its unshuffle terms,
+    each rearrangement twisted, are one induced map (twisted_sum), laid
+    out."""
     M, C, n = tdm.module, tdm.coalgebra, f.degree
     if n == 0:
         return induced(ce_differential(f, M).as_map(), C).materialize()
@@ -529,10 +532,9 @@ def _twisted_operator(f, tdm):
     fmap = MultilinearMap([L] * n, B, f.as_map().entries)
     acted = M.action.compose_at(fmap, 1)
     bracketed = fmap.compose_at(M.base.bracket, 0)
-    parts = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
+    terms = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
              + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
-    return table_sum(twisted_term(m, C, s).scale(sign)
-                     for m, s, sign in parts)
+    return twisted_sum(terms, C).materialize()
 
 
 def td_differential_direct(F, tdm):
@@ -563,8 +565,8 @@ class TDComplexData:
 
     - td_dims[k] is alt_dims[k] for k < D, else 0; ker_dims[k] is the rest;
     - the quotient differential is d_k for k <= D - 2 and zero after, so
-      q_ranks (quotient ranks), and a_ranks (composite ranks) with them,
-      are classical_complex's ranks to degree min(maxdeg, D - 2, dim L),
+      q_ranks, which the report also gives as the composite ranks, are
+      classical_complex's ranks to degree min(maxdeg, D - 2, dim L),
       padded with zeros.  A failed d squared check, on the weight-0 block
       when M has a torus, reads "quotient differentials do not square to
       zero".
@@ -600,7 +602,6 @@ class TDComplexData:
             raise AxiomError(
                 "quotient differentials do not square to zero") from None
         self.q_ranks = ranks + [0] * (maxdeg + 1 - len(ranks))
-        self.a_ranks = list(self.q_ranks)
         self.h_dims = [t - r - below for t, r, below in
                        zip(self.td_dims, self.q_ranks, [0] + self.q_ranks)]
 
@@ -635,18 +636,19 @@ def td_cohomology_dims(tdm, maxdeg=2, guard_limit=DEFAULT_GUARD_LIMIT):
 
 
 def invariants_h0(tdm):
-    """Basis of the target vectors every spanning Hom element acts to zero on.
+    """Basis of the target vectors every Hom element acts to zero on: the
+    degree-0 cohomology.
 
-    Stacks the action of each matrix-unit argument and takes the kernel;
-    the result is the degree-0 cohomology.
+    A matrix unit E[t, c] acts on e_b through e_t alone, so the vectors
+    are those every e_t kills, the kernel of the action constants stacked
+    by (t, o); when C is zero-dimensional there is no Hom element and all
+    of B is invariant.  tests/td_oracle.py keeps the stacking over every
+    matrix unit as the oracle.
     """
     M = tdm.module
-    C = tdm.coalgebra
-    L, B = M.base.space, M.space
-    stacked = SparseColumns(B.dim)
-    for ui, alpha in enumerate(matrix_units(C, L)):
-        (t, _c) = next(iter(alpha.entries))
-        for b in range(B.dim):
-            for o, q in M.action.apply_basis((t, b)).items():
-                stacked.add(b, (ui, o), q)
+    stacked = SparseColumns(M.space.dim)
+    if tdm.coalgebra.space.dim:
+        # over the action's denominator: the matrix is scaled, its kernel is not
+        for ((t, b), o), v in M.action._ints.items():
+            stacked.add(b, (t, o), v)
     return stacked.kernel_basis()

@@ -8,17 +8,20 @@ argument i to coproduct leg sigma(i) first.
 Operator identities are decided on matrix-unit arguments: the operators are
 multilinear, and matrix units span Hom(C,L), so agreement there is agreement
 everywhere.  On those arguments the operator a base map psi induces through
-Delta^(n) with its legs permuted by rho is the outer product psi (x) D_rho,
-and every summand of a twisted identity has that shape.  InducedOperator
-keeps such a sum as its parts {rho: psi_rho}, so induced(phi, C) is the one
-part {identity: phi}, and decides whether it vanishes from the psi's and
-the at most n! tables D_rho: passing identities are never laid out.
-materialize() lays an operator out as a sparse table keyed by matrix-unit
-argument tuples; that table (MaterializedOperator, and twisted_term, which
-builds one) is the library API, the path that names the witness of a
-failing identity, and the test oracle for the unmaterialized form.  All
-of it runs on ints, the n-fold coproduct's times the base maps', and builds
-results unchecked from checked operands through _stored and _trusted.
+Delta^(n) with its legs permuted by rho is the outer product psi (x) D_rho.
+InducedOperator keeps a sum of those as its parts {rho: psi_rho}, so
+induced(phi, C) is the one part {identity: phi}, and decides whether it
+vanishes from the psi's and the at most n! tables D_rho: passing
+identities are never laid out.  A twisted identity is the classical one
+with each rearranged term f . p twisted by p; twisting by p and then
+rearranging by p cancel, so its side is the classical side induced
+(twisted_sum).  materialize() lays an operator out as a sparse table keyed
+by matrix-unit argument tuples; that table (MaterializedOperator, and
+twisted_term, which builds one) is the library API, the path that names
+the witness of a failing identity, and the test oracle for the
+unmaterialized form.  All of it runs on ints, the n-fold coproduct's times
+the base maps', and builds results unchecked from checked operands through
+_stored and _trusted.
 """
 
 import itertools
@@ -35,10 +38,9 @@ from .linalg import (
     common_ints,
     gather,
     getter,
-    table_sum,
     tensor_space,
 )
-from .maps import MultilinearMap, _check_index, signed
+from .maps import MultilinearMap, _check_index, term_sum
 
 DEFAULT_GUARD_LIMIT = 50000
 
@@ -332,7 +334,9 @@ class MaterializedOperator(SparseTable):
 
     def argument_permute(self, sigma):
         """The operator evaluated on rearranged arguments: position i gets
-        the old argument sigma(i)."""
+        the old argument sigma(i).  Its one caller is twisted_term, which
+        nothing in the package calls; both stay as the library API and the
+        test oracle, and perfbench's tracer looks them up by name."""
         if sigma.size != self.arity:
             raise ShapeError("permutation size %d vs arity %d" % (sigma.size, self.arity))
         move = getter(sigma.inverse())
@@ -378,25 +382,22 @@ def twisted_term(phi, C, sigma):
 
     This is the twisted-domain image of the classical term phi . sigma, and
     the shape every summand of a twisted identity takes.  It equals
-    induced(phi.precompose_perm(sigma), C).materialize(); the checkers use
-    factored_term, and this table is the library API and the test oracle.
+    induced(phi.precompose_perm(sigma), C).materialize(), which is how
+    twisted_sum states it, so nothing in the package calls it.  It stays
+    as the library API and the test oracle, and perfbench's tracer looks
+    it up by name.
     """
     return twisted(phi, C, sigma).materialize().argument_permute(sigma)
 
 
-def factored_term(phi, C, sigma):
-    """twisted_term, not laid out.  Rearranging by sigma carries the twist
-    sigma back to the identity, leaving the one part {identity: phi . sigma}."""
-    return twisted(phi, C, sigma).argument_permute(sigma)
-
-
 def twisted_sum(terms, C):
-    """maps.term_sum(terms) over C, each rearrangement replaced by its
-    twisted counterpart: f becomes induced(f, C) and f . p becomes
-    factored_term(f, C, p)."""
-    return table_sum(signed(induced(f, C) if p is None else
-                            factored_term(f, C, p), sign)
-                     for f, p, sign in terms)
+    """maps.term_sum(terms) over C, each rearrangement f . p replaced by
+    its twisted counterpart, twisted by p and then rearranged by p.  The
+    two cancel, so the counterpart is induced(f . p, C) and the sum is
+    the classical side induced: the one part {identity: term_sum(terms)}.
+    tests/td_oracle.py keeps the sum of the terms, each twisted and
+    rearranged as an operator, as the oracle."""
+    return induced(term_sum(terms), C)
 
 
 def _untwisted_base(op):

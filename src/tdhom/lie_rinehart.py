@@ -248,10 +248,13 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
             for image, x in zip(images, solutions):
                 if x is None:
                     # the target is the kernel of the slot-1 defects, so an
-                    # image outside it fails at slot 1
+                    # image outside it fails at slot 1; the image is named
+                    # by its nonzero values in key order
+                    values = ", ".join(str(q) for _key, q
+                                       in sorted(image.values.items()))
                     raise AxiomError(
-                        "image %r of a linear degree-%d cochain leaves the "
-                        "linear subspace (slot 1 fails)" % (image, n))
+                        "image [%s] of a linear degree-%d cochain leaves the "
+                        "linear subspace (slot 1 fails)" % (values, n))
             checked += len(images)
         current = target
     return CheckResult("td-subcomplex", True,

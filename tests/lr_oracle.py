@@ -25,12 +25,12 @@ from tdhom.algebra import (
 from tdhom.checks import combine
 from tdhom.convolution import (
     compose_induced,
-    factored_term,
     induced,
     operator_identity_check,
 )
 from tdhom.linalg import table_sum
 from tdhom.maps import map_identity_check
+from td_oracle import factored_term
 
 
 def derivation_check(pair):

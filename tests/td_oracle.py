@@ -18,6 +18,12 @@ check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
 permutations it replaced.
 
+twisted_sum induces the classical side of an identity as one map;
+factored_term keeps the per-term form it replaced, each rearranged term
+twisted and rearranged as an operator.  invariants_h0 stacks the action
+constants once per e_t; matrix_unit_invariants keeps the stacking over
+every matrix unit it replaced.
+
 ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
 the classical differential, which evaluates full maps and checks the
 result is skew; ce_differential pushes stored values forward instead.
@@ -52,8 +58,8 @@ from tdhom.cohomology import (
 from tdhom.convolution import (
     DEFAULT_GUARD_LIMIT,
     check_size,
-    factored_term,
     induced,
+    matrix_units,
     operator_identity_check,
     twisted,
 )
@@ -251,6 +257,28 @@ def enumerated_td_skew(phi, C):
     return CheckResult("td-skew", True, detail="%d permutations" % len(perms))
 
 
+def factored_term(phi, C, sigma):
+    """The twisted counterpart of phi . sigma, not laid out: the operator
+    twisted by sigma, rearranged by sigma.  That carries the twist back to
+    the identity, leaving the one part {identity: phi . sigma}."""
+    return twisted(phi, C, sigma).argument_permute(sigma)
+
+
+def matrix_unit_invariants(tdm):
+    """invariants_h0 by stacking the action of every matrix-unit argument
+    E[t, c] on every target basis vector, then taking the kernel."""
+    M = tdm.module
+    C = tdm.coalgebra
+    L, B = M.base.space, M.space
+    stacked = SparseColumns(B.dim)
+    for ui, alpha in enumerate(matrix_units(C, L)):
+        (t, _c) = next(iter(alpha.entries))
+        for b in range(B.dim):
+            for o, q in M.action.apply_basis((t, b)).items():
+                stacked.add(b, (ui, o), q)
+    return stacked.kernel_basis()
+
+
 def linearity_twist(i, n):
     """How the slot-i ring-scaling identity on n-ary operators reads its
     right side: scaling inside slot i puts the ring argument at position
@@ -378,9 +406,10 @@ def factored_check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
             for image, x in zip(images, solve(span, rhs)):
                 if x is None:
                     slot = _factored_violating_slot(image, s, guard_limit)
+                    values = ", ".join(str(q) for q in image.components() if q)
                     raise AxiomError(
-                        "image %r of a linear degree-%d cochain leaves the "
-                        "linear subspace (slot %d fails)" % (image, n, slot))
+                        "image [%s] of a linear degree-%d cochain leaves the "
+                        "linear subspace (slot %d fails)" % (values, n, slot))
             checked += len(images)
         current = target
     return CheckResult("td-subcomplex", True,

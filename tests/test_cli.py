@@ -751,7 +751,12 @@ def verify_argv(name, cname, options):
 # materialization guard refused then, with guard100, deg2 on lr-trivial over
 # tensor-ab-3, and the default guard on tensor-ab-3, were re-recorded when
 # the guard came to price the slot defects the sweep stacks; each equals the
-# report of the earlier code with its guard lifted to 10^12.
+# report of the earlier code with its guard lifted to 10^12.  The nine
+# lr-dualnum-derivation rows over exterior-ab, symmetric-xy-2 and
+# tensor-ab-2 with skip, guard100 and deg2 were re-recorded when the
+# td-subcomplex detail came to name its escaping image by its values,
+# "image [1]" for "image AltCochain(degree=1, 1 values)"; nothing else in
+# those reports changed.
 VERIFY_TABLE = """
 sl2                    exterior-ab    plain    0 -   7456cd812216e5490cfcb3a1e90a45649b6f5c6d8a02bd6ce4e972ec50409cf9
 sl2                    symmetric-xy-2 plain    0 -   2cf3f4b77a7f676f6bb1cd50e0bc7d8da0294e2eaf73d9b9005b86d9c48f548b
@@ -915,9 +920,9 @@ lr-dualnum-derivation  tensor-ab-2    plain    1 -   de363594330fc09fb93501ee76e
 lr-dualnum-derivation  tensor-ab-3    plain    1 -   ef11967afd620f5a683dcd0af162a72c6d9a42b151d5bfd29f1bb82a6ac7d1f8
 lr-dualnum-derivation  tensor-x-3     plain    1 -   66c5ab845cb677e909782b202141103a7746a152e602f93d120db30487ed72f7
 lr-dualnum-derivation  zero-ab        plain    1 -   6f532d1ec4b0f6ae93866cafeac8a1531d28cd80762a4d73cd89520f18fba1f2
-lr-dualnum-derivation  exterior-ab    skip     1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
-lr-dualnum-derivation  symmetric-xy-2 skip     1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
-lr-dualnum-derivation  tensor-ab-2    skip     1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  exterior-ab    skip     1 -   a188827996ef566029d5d9c6cbc83d7206f046cf48435f9ac656d7a34e1e28b0
+lr-dualnum-derivation  symmetric-xy-2 skip     1 -   a3a5e7d8690f8ee0e97f6a36f59cd0ea446c11aadde3d8e6b2ea2868dc4f01f0
+lr-dualnum-derivation  tensor-ab-2    skip     1 -   4009240d54c88898bd32b619bbefc420cb743359df17c6da93267d55b3edf643
 lr-dualnum-derivation  tensor-ab-3    skip     1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
 lr-dualnum-derivation  tensor-x-3     skip     1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
 lr-dualnum-derivation  zero-ab        skip     1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88
@@ -993,15 +998,15 @@ lr-derx3               tensor-ab-2    deg2     0 -   3bb690cc2bca7afa94e8cfc31a7
 lr-derx3               tensor-ab-3    deg2     0 -   5ec4a04ad77b310097e2f68ec2a9df291e77a3c8cf3ed6aba3e81108b6c673bd
 lr-derx3               tensor-x-3     deg2     0 -   8581b18924661706de0da5abe096f4bf7313307b7f8d7c4d0a27e241454e8726
 lr-derx3               zero-ab        deg2     0 -   8ee93ed0d82e307f76d87a470e4abddee40538a19025c79927b54db231ea732f
-lr-dualnum-derivation  exterior-ab    guard100 1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
-lr-dualnum-derivation  symmetric-xy-2 guard100 1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
-lr-dualnum-derivation  tensor-ab-2    guard100 1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  exterior-ab    guard100 1 -   a188827996ef566029d5d9c6cbc83d7206f046cf48435f9ac656d7a34e1e28b0
+lr-dualnum-derivation  symmetric-xy-2 guard100 1 -   a3a5e7d8690f8ee0e97f6a36f59cd0ea446c11aadde3d8e6b2ea2868dc4f01f0
+lr-dualnum-derivation  tensor-ab-2    guard100 1 -   4009240d54c88898bd32b619bbefc420cb743359df17c6da93267d55b3edf643
 lr-dualnum-derivation  tensor-ab-3    guard100 1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
 lr-dualnum-derivation  tensor-x-3     guard100 1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
 lr-dualnum-derivation  zero-ab        guard100 1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88
-lr-dualnum-derivation  exterior-ab    deg2     1 -   4552706de87a400787f45674e4291f90fd6d529f48c21473034e5da62a86469a
-lr-dualnum-derivation  symmetric-xy-2 deg2     1 -   d34a8b8edae8f2b5146193e6b57cea379ef42420c1fc122586e7b17eaeb6862f
-lr-dualnum-derivation  tensor-ab-2    deg2     1 -   903004807380fdc96be687a7b680371d07151fb1198a2bad82879ccc8980e5b3
+lr-dualnum-derivation  exterior-ab    deg2     1 -   a188827996ef566029d5d9c6cbc83d7206f046cf48435f9ac656d7a34e1e28b0
+lr-dualnum-derivation  symmetric-xy-2 deg2     1 -   a3a5e7d8690f8ee0e97f6a36f59cd0ea446c11aadde3d8e6b2ea2868dc4f01f0
+lr-dualnum-derivation  tensor-ab-2    deg2     1 -   4009240d54c88898bd32b619bbefc420cb743359df17c6da93267d55b3edf643
 lr-dualnum-derivation  tensor-ab-3    deg2     1 -   05617342086975d38e7bbbd2e8b148f534369d06e870ae6b50a7cb7017dbd570
 lr-dualnum-derivation  tensor-x-3     deg2     1 -   ca010fe97f397d19379339c69a003504a6724b3990e0f28a3e9e592c66c734f0
 lr-dualnum-derivation  zero-ab        deg2     1 -   46defa5cb1c654db6df129e5a5ae1ce0f082bc7323cbb00db421346341c1ba88

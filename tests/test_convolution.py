@@ -25,13 +25,13 @@ from tdhom.convolution import (
     HomElement,
     check_td_skew,
     compose_induced,
-    factored_term,
     induced,
     interchange,
     matrix_units,
     operator_identity_check,
     operator_witness,
     twisted,
+    twisted_sum,
     twisted_term,
 )
 from tdhom.errors import ShapeError, TdhomError
@@ -42,8 +42,8 @@ from tdhom.linalg import (
     gather,
     table_sum,
 )
-from tdhom.maps import MultilinearMap
-from td_oracle import enumerated_td_skew
+from tdhom.maps import MultilinearMap, signed, term_sum
+from td_oracle import enumerated_td_skew, factored_term
 
 
 def unit(C, target, label_t, label_c):
@@ -671,6 +671,25 @@ class TestFactoringLaws:
         assert factored_term(phi, C, sigma).materialize() == direct
         assert list(factored_term(phi, C, sigma).parts) in (
             [], [Permutation.identity(n)])
+
+    @given(term_sums(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_twisted_sum_is_the_classical_sum_induced(self, case, data):
+        C, terms, _ = case
+        # each drawn term's base map and rearrangement, an identity one
+        # sometimes written as no rearrangement
+        identity = Permutation.identity(terms[0][0].arity)
+        classical = [(phi, None if pi == identity and data.draw(st.booleans())
+                      else pi, sign) for phi, _sigma, pi, sign in terms]
+        total = term_sum(classical)
+        op = twisted_sum(classical, C)
+        assert op.parts == ({} if total.is_zero() else {identity: total})
+        assert op.domain == total.domain
+        per_term = table_sum(
+            signed(induced(f, C) if p is None else factored_term(f, C, p), sign)
+            for f, p, sign in classical).materialize()
+        assert op.materialize() == per_term
+        assert op.materialize().domain == per_term.domain
 
     @given(term_sums(), st.data())
     @settings(max_examples=100, deadline=None)

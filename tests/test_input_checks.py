@@ -131,6 +131,13 @@ def test_package_prices_only_the_two_routes_that_refuse():
         "lie_rinehart.py:blinear_subspace"]
 
 
+def test_package_induces_each_twisted_identity_from_its_classical_sum():
+    # twisting by p and rearranging by p cancel, so no twisted identity
+    # builds its terms one by one; the per-term forms are the oracles'
+    assert _enclosing_calls("twisted_term") == []
+    assert _enclosing_calls("factored_term") == []
+
+
 def test_package_reads_no_environment():
     # the guard limit is an argument or a flag, never a process setting
     found = []

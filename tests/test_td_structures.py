@@ -125,7 +125,9 @@ class TestJordan:
     def test_exterior_square(self, sl2):
         r = check_jordan(sl2, corpus.get_coalgebra("exterior-ab"))
         assert r.ok, r.describe()
-        assert r.detail == "5 checks"
+        # jordan-symmetry decides fg = gf; test_product_symmetric_on_elements
+        # keeps the check on matrix-unit pairs
+        assert r.detail == "4 checks"
 
     def test_zero_coproduct_trivial(self):
         heis = corpus.load("heisenberg")
