@@ -32,15 +32,22 @@ first n >= 1 where it dies: the Hom-space complex is the classical one cut
 below degree D.  TDComplexData ranks it by classical_complex to degree
 D - 2, so d squared = 0 is certified on the weight-0 block when M has a
 torus.  The eager assembly and the materializing construction it
-replaced are the test oracles in tests/td_oracle.py.  induction_matrix,
-td_differential_direct and TDCochain work in the operator spaces one
-cochain at a time; they are the per-cochain library API and the oracle's
-building blocks, and the displayed twisted formula they evaluate is one
-induced map, its unshuffle terms summed as maps (twisted_sum).
-td_differential_induced is the classical differential: the same depth
-argument shows that its legality check cannot fail.  invariants_h0 reads
-H^0 off the action constants, as the vectors every e_t kills.  The size
-guard of both routes is classical_complex's: the keys it pushes.
+replaced are the test oracles in tests/td_oracle.py.
+
+TDCochain, td_differential_direct and td_differential_induced are the
+per-cochain library API, and they decide by the same injectivity without
+laying an operator out.  Two names of degree n >= 1 are the same cochain
+exactly when they are equal or Delta^(n) is zero.  The displayed twisted
+formula is one induced map psi (x) Delta^(n+1), psi its unshuffle terms
+summed as maps (twisted_sum), so it names psi when psi is skew and zero
+where Delta^(n+1) is.  td_differential_induced is the classical
+differential: the same depth argument shows that its legality check
+cannot fail.  induction_matrix and TDCochain.operator lay operators out
+for a caller that asks for the table; tests/td_oracle.py keeps the
+formula materialized and solved against induction_matrix as the oracle
+of td_differential_direct.  invariants_h0 reads H^0 off the action
+constants, as the vectors every e_t kills.  The size guard of both
+routes is classical_complex's: the keys it pushes.
 """
 
 from bisect import bisect_left
@@ -50,12 +57,7 @@ from operator import lt
 
 from .algebra import check_lie, check_module
 from .checks import kept
-from .convolution import (
-    DEFAULT_GUARD_LIMIT,
-    check_size,
-    induced,
-    twisted_sum,
-)
+from .convolution import DEFAULT_GUARD_LIMIT, check_size, induced
 from .errors import AxiomError, ShapeError
 from .linalg import (
     ZERO,
@@ -67,9 +69,8 @@ from .linalg import (
     common_ints,
     pivot_columns,
     rank,
-    solve,
 )
-from .maps import MultilinearMap, _check_int
+from .maps import MultilinearMap, _check_int, is_skew, term_sum
 
 
 def increasing_tuples(dim, n):
@@ -463,17 +464,10 @@ def induction_matrix(n, L, B, C):
         for b in range(B.dim):
             sc.add(b, (b,), 1)
         return sc
-    basis = [AltCochain._from_ints(L, B, n, {key: 1}, 1) for key in alt_basis(L, B, n)]
-    return _induced_columns(basis, C)
-
-
-def _induced_columns(cochains, C):
-    """Column j: the materialized operator induced by cochains[j], which
-    must have degree >= 1; a zero cochain gives a zero column."""
-    sc = SparseColumns(len(cochains))
-    for ci, f in enumerate(cochains):
-        if f.is_zero():
-            continue
+    basis = alt_basis(L, B, n)
+    sc = SparseColumns(len(basis))
+    for ci, key in enumerate(basis):
+        f = AltCochain._from_ints(L, B, n, {key: 1}, 1)
         for row_key, q in induced(f.as_map(), C).materialize().entries.items():
             sc.add(ci, row_key, q)
     return sc
@@ -495,15 +489,19 @@ class TDCochain:
         return induced(self.inducing.as_map(), self.coalgebra).materialize()
 
     def same_as(self, other):
-        """Equality as cochains: the difference of names induces zero."""
+        """Equality as cochains: the difference of names induces zero.
+
+        In degree 0 the name is the cochain.  In degree n >= 1 a name f
+        induces f (x) Delta^(n), an outer product, which is zero exactly
+        when f or Delta^(n) is; so two names are the same cochain exactly
+        when they are equal or Delta^(n) is zero, and nothing is laid out.
+        tests/td_oracle.py keeps the test on the materialized operator as
+        the oracle.
+        """
         if self.degree != other.degree or self.coalgebra is not other.coalgebra:
             return False
-        diff = self.inducing.sub(other.inducing)
-        if self.degree == 0:
-            return diff.is_zero()
-        if diff.is_zero():
-            return True
-        return induced(diff.as_map(), self.coalgebra).materialize().is_zero()
+        return (self.inducing.sub(other.inducing).is_zero()
+                or self.degree >= 1 and not self.coalgebra.iterated_terms(self.degree))
 
     def __repr__(self):
         return "TDCochain(degree=%d over %s)" % (self.degree, self.coalgebra.space.name)
@@ -520,42 +518,44 @@ def td_differential_induced(F, tdm):
     return TDCochain(ce_differential(F.inducing, tdm.module), tdm.coalgebra)
 
 
-def _twisted_operator(f, tdm):
-    """The displayed twisted formula applied to the cochain f: the
-    operator d f, evaluated in the operator space.  Its unshuffle terms,
-    each rearrangement twisted, are one induced map (twisted_sum), laid
-    out."""
-    M, C, n = tdm.module, tdm.coalgebra, f.degree
+def _twisted_map(f, tdm):
+    """The one map psi whose induced operator is the displayed twisted
+    formula applied to the cochain f: its unshuffle terms, each
+    rearrangement twisted, sum to induced(psi) (twisted_sum), psi their
+    classical sum.  In degree 0 psi is d f as a map."""
+    M, n = tdm.module, f.degree
     if n == 0:
-        return induced(ce_differential(f, M).as_map(), C).materialize()
+        return ce_differential(f, M).as_map()
     L, B = M.base.space, M.space
     fmap = MultilinearMap([L] * n, B, f.as_map().entries)
     acted = M.action.compose_at(fmap, 1)
     bracketed = fmap.compose_at(M.base.bracket, 0)
-    terms = ([(acted, s, s.sign()) for s in unshuffles(1, n)]
-             + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
-    return twisted_sum(terms, C).materialize()
+    return term_sum([(acted, s, s.sign()) for s in unshuffles(1, n)]
+                    + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
 
 
 def td_differential_direct(F, tdm):
-    """Evaluate the displayed twisted formula in the operator space, then
-    recover an inducing cochain by solving against the induction matrix.
+    """The displayed twisted formula as a Hom-space cochain: the inducing
+    cochain g with g (x) Delta^(n+1) = psi (x) Delta^(n+1), psi the map
+    _twisted_map gives.
 
-    No solution would falsify the containment the construction rests on,
-    so that case raises instead of reporting.
+    Where Delta^(n+1) is zero every name names the zero cochain, and the
+    zero name is returned.  Elsewhere the outer product with Delta^(n+1)
+    is injective, so the only candidate is g = psi, and psi names a
+    cochain exactly when it is skew.  A psi that is not would falsify the
+    containment the construction rests on, so that case raises instead of
+    reporting.  tests/td_oracle.py keeps the materialized formula, solved
+    against the induction matrix, as the oracle.
     """
-    L, B = tdm.module.base.space, tdm.module.space
-    n = F.degree
-    op = _twisted_operator(F.inducing, tdm)
-    iota = induction_matrix(n + 1, L, B, tdm.coalgebra)
-    keys, m = iota.to_dense()
-    # an entry on a key outside keys is a row no combination reaches
-    x = solve(m, [op.entries.get(k, ZERO) for k in keys]) \
-        if set(op.entries) <= set(keys) else None
-    if x is None:
+    M, C, n = tdm.module, tdm.coalgebra, F.degree
+    L, B = M.base.space, M.space
+    if not C.iterated_terms(n + 1):
+        return TDCochain(AltCochain(L, B, n + 1, {}), C)
+    psi = _twisted_map(F.inducing, tdm)
+    if not is_skew(psi):
         raise AxiomError(
             "twisted differential output is not induced at degree %d" % (n + 1))
-    return TDCochain(AltCochain.from_vector(L, B, n + 1, x), tdm.coalgebra)
+    return TDCochain(AltCochain.from_map(psi, check=False), C)
 
 
 class TDComplexData:

@@ -14,6 +14,13 @@ The factored_* functions keep the sweep it replaced, which decides the
 defect of every slot, read through linearity_twist, and the induction
 kernel on InducedOperators.
 
+td_differential_direct names the twisted formula's one map when that map
+is skew, and TDCochain.same_as compares names by the injectivity of
+induction.  materialized_td_differential_direct keeps the route they
+replaced: the formula laid out term by term (materialized_twisted_formula)
+and solved against the induction matrix; materialized_same_as keeps the
+test on the laid-out difference.
+
 check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
 permutations it replaced.
@@ -46,13 +53,10 @@ from tdhom.cohomology import (
     TDCochain,
     _check_module_shapes,
     _differential_matrix,
-    _induced_columns,
-    _twisted_operator,
     alt_basis,
     alt_dim,
     ce_differential,
     induction_matrix,
-    td_differential_direct,
     unshuffles,
 )
 from tdhom.convolution import (
@@ -222,19 +226,79 @@ class MaterializedTDComplexData:
         """Return "agree", or "disagree at degree k" at the first basis
         cochain whose twisted-formula image differs from its composite column.
 
-        A mismatch goes to td_differential_direct, which raises AxiomError
-        if the output is not induced, as the per-cochain comparison does.
+        A mismatch goes to materialized_td_differential_direct, which
+        raises AxiomError if the output is not induced, as the per-cochain
+        comparison does.
         """
         L, B = self.tdm.module.base.space, self.tdm.module.space
         for k, composite in enumerate(self.composites):
             for ci, key in enumerate(alt_basis(L, B, k)):
                 f = AltCochain(L, B, k, {key: 1})
-                op = _twisted_operator(f, self.tdm)
+                op = materialized_twisted_formula(f, self.tdm)
                 if op.entries != composite.columns[ci]:
-                    td_differential_direct(TDCochain(f, self.tdm.coalgebra),
-                                           self.tdm)
+                    materialized_td_differential_direct(
+                        TDCochain(f, self.tdm.coalgebra), self.tdm)
                     return "disagree at degree %d" % k
         return "agree"
+
+
+def _induced_columns(cochains, C):
+    """Column j: the materialized operator induced by cochains[j], which
+    must have degree >= 1; a zero cochain gives a zero column."""
+    sc = SparseColumns(len(cochains))
+    for ci, f in enumerate(cochains):
+        if f.is_zero():
+            continue
+        for row_key, q in induced(f.as_map(), C).materialize().entries.items():
+            sc.add(ci, row_key, q)
+    return sc
+
+
+def materialized_twisted_formula(f, tdm):
+    """The displayed twisted formula applied to the cochain f, laid out:
+    the sum over its unshuffle terms of each rearrangement twisted and
+    then rearranged (factored_term); in degree 0, d f induced."""
+    M, C, n = tdm.module, tdm.coalgebra, f.degree
+    if n == 0:
+        return induced(ce_differential(f, M).as_map(), C).materialize()
+    L, B = M.base.space, M.space
+    fmap = MultilinearMap([L] * n, B, f.as_map().entries)
+    acted = M.action.compose_at(fmap, 1)
+    bracketed = fmap.compose_at(M.base.bracket, 0)
+    return table_sum(
+        [factored_term(acted, C, s).scale(s.sign()) for s in unshuffles(1, n)]
+        + [factored_term(bracketed, C, s).scale(-s.sign())
+           for s in unshuffles(2, n - 1)]).materialize()
+
+
+def materialized_td_differential_direct(F, tdm):
+    """td_differential_direct as it was built: the twisted formula laid
+    out, then an inducing cochain recovered by solving against the
+    degree n+1 induction matrix; AxiomError when no solution exists."""
+    L, B = tdm.module.base.space, tdm.module.space
+    n = F.degree
+    op = materialized_twisted_formula(F.inducing, tdm)
+    iota = induction_matrix(n + 1, L, B, tdm.coalgebra)
+    keys, m = iota.to_dense()
+    # an entry on a key outside keys is a row no combination reaches
+    x = solve(m, [op.entries.get(k, ZERO) for k in keys]) \
+        if set(op.entries) <= set(keys) else None
+    if x is None:
+        raise AxiomError(
+            "twisted differential output is not induced at degree %d" % (n + 1))
+    return TDCochain(AltCochain.from_vector(L, B, n + 1, x), tdm.coalgebra)
+
+
+def materialized_same_as(F, G):
+    """TDCochain.same_as on the laid-out operator: equal degree and
+    coalgebra, and a difference that is zero in degree 0 and induces the
+    zero table above."""
+    if F.degree != G.degree or F.coalgebra is not G.coalgebra:
+        return False
+    diff = F.inducing.sub(G.inducing)
+    if F.degree == 0 or diff.is_zero():
+        return diff.is_zero()
+    return induced(diff.as_map(), F.coalgebra).materialize().is_zero()
 
 
 def enumerated_td_skew(phi, C):

@@ -85,6 +85,8 @@ from td_oracle import (
     eager_quotient,
     factored_blinear_subspace,
     factored_td_differential_induced,
+    materialized_same_as,
+    materialized_td_differential_direct,
     matrix_unit_invariants,
 )
 from test_convolution import materialized_sum
@@ -797,6 +799,33 @@ class TestTDCochain:
         assert table == induced(f.as_map(), C).materialize()
         assert len(table.entries) == 48
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_as_matches_the_laid_out_difference(self, data):
+        # the outer product f (x) Delta^(n) vanishes exactly when f or
+        # Delta^(n) does; degree 0 compares the difference itself
+        M = corpus.load(data.draw(st.sampled_from(corpus.MODULE_NAMES)))
+        C = sweep_coalgebra(data.draw(st.sampled_from(SWEEP_COALGEBRAS)))
+        L, B = M.base.space, M.space
+        n = data.draw(st.integers(0, min(3, L.dim)))
+        values = st.lists(st.integers(-2, 2), min_size=alt_dim(L, B, n),
+                          max_size=alt_dim(L, B, n))
+        f = AltCochain.from_vector(L, B, n, data.draw(values))
+        g = f if data.draw(st.booleans()) else \
+            AltCochain.from_vector(L, B, n, data.draw(values))
+        F, G = TDCochain(f, C), TDCochain(g, C)
+        assert F.same_as(G) == materialized_same_as(F, G)
+
+
+SWEEP_COALGEBRAS = corpus.coalgebra_names() + ("zero-dim",)
+
+
+def sweep_coalgebra(name):
+    """A corpus coalgebra, or with "zero-dim" one with no basis at all."""
+    if name == "zero-dim":
+        return Coalgebra(BasedSpace("E", ()), {})
+    return corpus.get_coalgebra(name)
+
 
 TD_PAIRS = [
     ("sl2", "tensor-ab-2"),
@@ -826,6 +855,25 @@ class TestTDDifferential:
         F = TDCochain(AltCochain(L, B, 2, {((0, 1), 0): ONE}), tdm.coalgebra)
         assert td_differential_induced(F, tdm).inducing \
             == factored_td_differential_induced(F, tdm, 10 ** 12).inducing
+
+    @pytest.mark.parametrize("cname", SWEEP_COALGEBRAS)
+    @pytest.mark.parametrize("mname", corpus.MODULE_NAMES
+                             + ("bracket-symmetric",))
+    def test_closed_form_matches_materialized_oracle(self, mname, cname):
+        # the same inducing cochain, or the same refusal, on every basis
+        # cochain below the top degree
+        M = (heis_adjoint_with("bracket", SYMMETRIC_BRACKET)
+             if mname == "bracket-symmetric" else corpus.load(mname))
+        C = sweep_coalgebra(cname)
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        L, B = M.base.space, M.space
+        for n in range(min(3, L.dim)):
+            for key in alt_basis(L, B, n):
+                F = TDCochain(AltCochain(L, B, n, {key: 1}), C)
+                assert raised_or(lambda: td_differential_direct(F, tdm).inducing) \
+                    == raised_or(lambda: materialized_td_differential_direct(
+                        F, tdm).inducing), (n, key)
 
     def test_differential_raises_degree(self, adjoint):
         tdm = hom_module("sl2-adjoint", "tensor-ab-2")

@@ -138,6 +138,18 @@ def test_package_induces_each_twisted_identity_from_its_classical_sum():
     assert _enclosing_calls("factored_term") == []
 
 
+def test_package_lays_operators_out_only_to_name_a_witness_or_on_request():
+    # identities and cochain equality are decided on parts and names; a
+    # table is built for a failing identity's witness or for a caller
+    # that asks for it
+    assert sorted(set(_enclosing_calls("materialize"))) == [
+        "cohomology.py:induction_matrix",
+        "cohomology.py:operator",
+        "convolution.py:apply",
+        "convolution.py:operator_identity_check",
+        "convolution.py:twisted_term"]
+
+
 def test_package_reads_no_environment():
     # the guard limit is an argument or a flag, never a process setting
     found = []

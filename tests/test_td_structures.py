@@ -7,6 +7,7 @@ triple (E[e,x], E[f,x], E[h,x]) over the word xxx, the shortest word whose
 triple coproduct survives.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 from tdhom import corpus
 from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
-from tdhom.convolution import check_td_skew, operator_identity_check
+from tdhom.coalgebra import build_exterior_square_coalgebra
+from tdhom.convolution import (
+    HomElement,
+    check_td_skew,
+    induced,
+    operator_identity_check,
+)
 from tdhom.errors import AxiomError, ShapeError
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
@@ -125,9 +132,9 @@ class TestJordan:
     def test_exterior_square(self, sl2):
         r = check_jordan(sl2, corpus.get_coalgebra("exterior-ab"))
         assert r.ok, r.describe()
-        # jordan-symmetry decides fg = gf; test_product_symmetric_on_elements
-        # keeps the check on matrix-unit pairs
-        assert r.detail == "4 checks"
+        # jordan-symmetry and jordan-jacobi imply the cube identities;
+        # test_cube_identities_on_random_elements evaluates those
+        assert r.detail == "2 checks"
 
     def test_zero_coproduct_trivial(self):
         heis = corpus.load("heisenberg")
@@ -140,9 +147,36 @@ class TestJordan:
         with pytest.raises(AxiomError, match="skew-cocommutative"):
             check_jordan(sl2, corpus.get_coalgebra("tensor-ab-2"))
 
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    @pytest.mark.parametrize("lname", corpus.LIE_NAMES)
+    def test_cube_identities_on_random_elements(self, lname, letters):
+        # (ff)f = 0 and ((ff)g)f + (ff)(gf) = 0, evaluated on random
+        # combinations of matrix units: on one matrix unit ff is zero
+        lie = corpus.load(lname)
+        C = build_exterior_square_coalgebra(BasedSpace("V", tuple(letters)))
+        assert check_jordan(lie, C).ok
+        op = induced(lie.bracket, C)
+        rng = random.Random(letters)
+
+        def element():
+            return HomElement(C, lie.space, {
+                (t, c): rng.randint(-3, 3)
+                for t in range(lie.space.dim) for c in range(C.dim)})
+
+        squares = 0
+        for _ in range(15):
+            f, g = element(), element()
+            ff = op.apply([f, f])
+            squares += not ff.is_zero()
+            assert op.apply([ff, f]).is_zero()
+            assert op.apply([op.apply([ff, g]), f]).add(
+                op.apply([ff, op.apply([g, f])])).is_zero()
+        # abelian2's bracket is zero, so only there is ff always zero
+        assert bool(squares) == (lname != "abelian2")
+
     def test_product_symmetric_on_elements(self, sl2):
         # fg = gf without any sign: the exterior square flips orientation
-        from tdhom.convolution import induced, matrix_units
+        from tdhom.convolution import matrix_units
         C = corpus.get_coalgebra("exterior-ab")
         op = induced(sl2.bracket, C)
         units = matrix_units(C, sl2.space)
