@@ -15,8 +15,9 @@ vanishes from the psi's and the at most n! tables D_rho: passing
 identities are never laid out.  A twisted identity is the classical one
 with each rearranged term f . p twisted by p; twisting by p and then
 rearranging by p cancel, so its side is the classical side induced
-(twisted_sum).  materialize() lays an operator out as a sparse table keyed
-by matrix-unit argument tuples; that table (MaterializedOperator, and
+(twisted_sum), and it holds when the classical identity does.
+materialize() lays an operator out as a sparse table keyed by
+matrix-unit argument tuples; that table (MaterializedOperator, and
 twisted_term, which builds one) is the library API, the path that names
 the witness of a failing identity, and the test oracle for the
 unmaterialized form.  All of it runs on ints, the n-fold coproduct's times
@@ -395,8 +396,9 @@ def twisted_sum(terms, C):
     its twisted counterpart, twisted by p and then rearranged by p.  The
     two cancel, so the counterpart is induced(f . p, C) and the sum is
     the classical side induced: the one part {identity: term_sum(terms)}.
-    tests/td_oracle.py keeps the sum of the terms, each twisted and
-    rearranged as an operator, as the oracle."""
+    So a twisted identity holds when its classical one does; only a
+    classically failing pair row is induced.  tests/td_oracle.py keeps the
+    sum of the terms, each twisted and rearranged, as the oracle."""
     return induced(term_sum(terms), C)
 
 

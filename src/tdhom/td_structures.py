@@ -8,34 +8,30 @@ cocommutative coalgebra the twists are invisible and a genuine Lie
 algebra appears, and over a skew-cocommutative one the induced product
 turns symmetric and satisfies Jordan-style cube identities instead,
 which follow from its symmetry and the plain cyclic identity, so
-check_jordan decides those two.  Every identity is decided on the
+check_jordan decides those two.  A twisted identity holds when its
+classical one does (convolution.twisted_sum), so check_td_lie,
+check_td_module and check_td_poisson read theirs off the kept classical
+preconditions and build no operator; tests/td_oracle.py keeps the
+operator route as the oracle.  Collapse and Jordan are decided on the
 operator's parts; only a failing one is laid out, to name its witness.
 """
 
 from .algebra import (
     JACOBI_ROTATIONS,
     SWAP,
-    SWAP_FIRST_TWO,
     LieModule,
     check_lie,
     check_module,
     check_poisson,
-    leibniz_identity,
 )
-from .checks import combine, require
+from .checks import CheckResult, combine, require
 from .coalgebra import (
     COCOMMUTATIVE,
     SKEW_COCOMMUTATIVE,
     check_coassociativity,
     symmetry_class,
 )
-from .convolution import (
-    check_td_skew,
-    induced,
-    operator_identity_check,
-    twisted,
-    twisted_sum,
-)
+from .convolution import induced, operator_identity_check
 from .errors import AxiomError, ShapeError
 from .linalg import table_sum
 
@@ -89,12 +85,9 @@ def self_module(td):
     return TDModuleStructure(td, adjoint, check=False)
 
 
-def _td_jacobi_sum(bracket, C):
-    """The cyclic identity's three summands: the plain nested operator,
-    then its twisted rearrangements along the rotation and its square."""
-    nested = bracket.compose_at(bracket, 1)
-    return twisted_sum([(nested, None, 1)]
-                       + [(nested, r, 1) for r in JACOBI_ROTATIONS], C)
+def _held(name, rows):
+    """What combine folds from the named twisted rows, all passing."""
+    return combine(name, [CheckResult(row, True) for row in rows])
 
 
 def _untwisted_jacobi_check(name, bracket, C):
@@ -108,13 +101,11 @@ def _untwisted_jacobi_check(name, bracket, C):
 
 def check_td_lie(lie, C):
     """Twisted skew symmetry and the twisted cyclic identity for the
-    operator induced by a Lie bracket."""
+    operator induced by a Lie bracket: check_lie requires the classical
+    ones."""
     require(check_lie(lie), "precondition failed (Lie axioms): ")
     require(check_coassociativity(C), "precondition failed (coassociativity): ")
-    skew = check_td_skew(lie.bracket, C)
-    total = _td_jacobi_sum(lie.bracket, C)
-    jacobi = operator_identity_check("td-jacobi", total, total.scale(0))
-    return combine("td-lie", [skew, jacobi])
+    return _held("td-lie", ("td-skew", "td-jacobi"))
 
 
 def check_cocommutative_collapse(lie, C):
@@ -163,34 +154,17 @@ def check_jordan(lie, C):
 
 def check_td_poisson(poisson, C):
     """Twisted Lie for the bracket, twisted commutativity for the product,
-    and the twisted derivation identity tying them together."""
+    and the twisted derivation identity tying them together: check_poisson
+    requires the classical ones."""
     require(check_poisson(poisson), "precondition failed (Poisson axioms): ")
     require(check_coassociativity(C), "precondition failed (coassociativity): ")
-    lie_part = check_td_lie(poisson, C)
-
-    prod = induced(poisson.product, C)
-    commut = operator_identity_check(
-        "td-commutativity",
-        prod.argument_permute(SWAP),
-        twisted(poisson.product, C, SWAP))
-
-    # the classical Leibniz identity, each rearranged term twisted
-    left, right = leibniz_identity(poisson.bracket, poisson.product)
-    leibniz = operator_identity_check("td-leibniz", twisted_sum(left, C),
-                                      twisted_sum(right, C))
-
-    return combine("td-poisson", [lie_part, commut, leibniz])
+    return _held("td-poisson", ("td-lie", "td-commutativity", "td-leibniz"))
 
 
 def check_td_module(tdm):
     """Acting by a bracket equals acting twice minus the swap-twisted
-    rearrangement of acting twice, as operators on Hom spaces."""
+    rearrangement of acting twice, as operators on Hom spaces:
+    check_module requires the module law, over td's bracket."""
     require(check_lie(tdm.td.lie), "precondition failed (Lie axioms): ")
     require(check_module(tdm.module), "precondition failed (module axiom): ")
-    C = tdm.coalgebra
-    action = tdm.module.action
-    nested = action.compose_at(action, 1)
-    left = ((action.compose_at(tdm.td.lie.bracket, 0), None, 1),)
-    right = ((nested, None, 1), (nested, SWAP_FIRST_TWO, -1))
-    return operator_identity_check("td-module", twisted_sum(left, C),
-                                   twisted_sum(right, C))
+    return CheckResult("td-module", True)

@@ -27,9 +27,15 @@ permutations it replaced.
 
 twisted_sum induces the classical side of an identity as one map;
 factored_term keeps the per-term form it replaced, each rearranged term
-twisted and rearranged as an operator.  invariants_h0 stacks the action
-constants once per e_t; matrix_unit_invariants keeps the stacking over
-every matrix unit it replaced.
+twisted and rearranged as an operator.  The twisted checkers read each
+identity off its kept classical result; operator_check_td_lie,
+operator_check_td_module, operator_check_td_poisson and
+operator_check_td_lr keep the route they replaced, every identity decided
+on its induced operators (td_jacobi_sum builds the cyclic one).
+
+invariants_h0 stacks the action constants once per e_t;
+matrix_unit_invariants keeps the stacking over every matrix unit it
+replaced.
 
 ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
 the classical differential, which evaluates full maps and checks the
@@ -46,8 +52,19 @@ Nothing in the package uses this module; tests compare against it.
 
 import math
 
-from tdhom.algebra import LieAlgebra, LieModule
-from tdhom.checks import CheckResult, Witness
+from tdhom.algebra import (
+    JACOBI_ROTATIONS,
+    SWAP,
+    SWAP_FIRST_TWO,
+    LieAlgebra,
+    LieModule,
+    check_lie,
+    check_module,
+    check_poisson,
+    leibniz_identity,
+)
+from tdhom.checks import CheckResult, Witness, combine, require
+from tdhom.coalgebra import check_coassociativity
 from tdhom.cohomology import (
     AltCochain,
     TDCochain,
@@ -62,13 +79,15 @@ from tdhom.cohomology import (
 from tdhom.convolution import (
     DEFAULT_GUARD_LIMIT,
     check_size,
+    check_td_skew,
     induced,
     matrix_units,
     operator_identity_check,
     twisted,
+    twisted_sum,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
-from tdhom.lie_rinehart import check_td_lr
+from tdhom.lie_rinehart import PAIR_IDENTITIES, check_td_lr
 from tdhom.linalg import (
     ZERO,
     Permutation,
@@ -326,6 +345,63 @@ def factored_term(phi, C, sigma):
     twisted by sigma, rearranged by sigma.  That carries the twist back to
     the identity, leaving the one part {identity: phi . sigma}."""
     return twisted(phi, C, sigma).argument_permute(sigma)
+
+
+def td_jacobi_sum(bracket, C):
+    """The cyclic identity's three summands: the plain nested operator,
+    then its twisted rearrangements along the rotation and its square."""
+    nested = bracket.compose_at(bracket, 1)
+    return twisted_sum([(nested, None, 1)]
+                       + [(nested, r, 1) for r in JACOBI_ROTATIONS], C)
+
+
+def operator_check_td_lie(lie, C):
+    """check_td_lie with both identities decided on operators."""
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
+    require(check_coassociativity(C), "precondition failed (coassociativity): ")
+    skew = check_td_skew(lie.bracket, C)
+    total = td_jacobi_sum(lie.bracket, C)
+    jacobi = operator_identity_check("td-jacobi", total, total.scale(0))
+    return combine("td-lie", [skew, jacobi])
+
+
+def operator_check_td_poisson(poisson, C):
+    """check_td_poisson with every identity decided on operators."""
+    require(check_poisson(poisson), "precondition failed (Poisson axioms): ")
+    require(check_coassociativity(C), "precondition failed (coassociativity): ")
+    lie_part = operator_check_td_lie(poisson, C)
+    prod = induced(poisson.product, C)
+    commut = operator_identity_check(
+        "td-commutativity",
+        prod.argument_permute(SWAP),
+        twisted(poisson.product, C, SWAP))
+    left, right = leibniz_identity(poisson.bracket, poisson.product)
+    leibniz = operator_identity_check("td-leibniz", twisted_sum(left, C),
+                                      twisted_sum(right, C))
+    return combine("td-poisson", [lie_part, commut, leibniz])
+
+
+def operator_check_td_module(tdm):
+    """check_td_module decided on operators."""
+    require(check_lie(tdm.td.lie), "precondition failed (Lie axioms): ")
+    require(check_module(tdm.module), "precondition failed (module axiom): ")
+    C = tdm.coalgebra
+    action = tdm.module.action
+    nested = action.compose_at(action, 1)
+    left = ((action.compose_at(tdm.td.lie.bracket, 0), None, 1),)
+    right = ((nested, None, 1), (nested, SWAP_FIRST_TWO, -1))
+    return operator_identity_check("td-module", twisted_sum(left, C),
+                                   twisted_sum(right, C))
+
+
+def operator_check_td_lr(s):
+    """check_td_lr with every row decided on operators."""
+    pair, C = s.pair, s.coalgebra
+    return combine("td-lie-rinehart", [
+        operator_identity_check("td-" + name,
+                                twisted_sum(pair.terms(left), C),
+                                twisted_sum(pair.terms(right), C))
+        for name, left, right in PAIR_IDENTITIES[:-1]])
 
 
 def matrix_unit_invariants(tdm):

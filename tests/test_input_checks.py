@@ -138,6 +138,13 @@ def test_package_induces_each_twisted_identity_from_its_classical_sum():
     assert _enclosing_calls("factored_term") == []
 
 
+def test_package_induces_a_twisted_identity_only_where_its_classical_one_fails():
+    # a twisted identity holds when its classical identity does, and the
+    # checkers read that off the kept result; only a classically failing
+    # pair row is induced, to decide it on operators and name its witness
+    assert _enclosing_calls("twisted_sum") == ["lie_rinehart.py:_twisted_row"] * 2
+
+
 def test_package_lays_operators_out_only_to_name_a_witness_or_on_request():
     # identities and cochain equality are decided on parts and names; a
     # table is built for a failing identity's witness or for a caller

@@ -1,4 +1,4 @@
-"""Twisted Lie, collapse, Jordan, Poisson, and module checkers.
+"""Twisted Lie, collapse, Jordan, Poisson, module and pair checkers.
 
 The negative oracle was computed by hand before wiring the test: with the
 e-to-3e perturbation of sl2 the classical cyclic sum on (e, f, h) leaves
@@ -14,18 +14,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom import corpus
+import tdhom
+from tdhom import corpus, lie_rinehart
 from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
-from tdhom.coalgebra import build_exterior_square_coalgebra
+from tdhom.coalgebra import (
+    Coalgebra,
+    build_exterior_square_coalgebra,
+    check_coassociativity,
+)
 from tdhom.convolution import (
     HomElement,
+    InducedOperator,
     check_td_skew,
     induced,
     operator_identity_check,
 )
 from tdhom.errors import AxiomError, ShapeError
+from tdhom.lie_rinehart import (
+    LieRinehartPair,
+    TDLRStructure,
+    check_td_lr,
+    classical_rows,
+)
 from tdhom.linalg import BasedSpace
-from tdhom.maps import MultilinearMap
+from tdhom.maps import MultilinearMap, term_sum
 from tdhom.td_structures import (
     TDLieStructure,
     TDModuleStructure,
@@ -35,8 +47,15 @@ from tdhom.td_structures import (
     check_td_module,
     check_td_poisson,
     self_module,
-    _td_jacobi_sum,
 )
+from td_oracle import (
+    operator_check_td_lie,
+    operator_check_td_lr,
+    operator_check_td_module,
+    operator_check_td_poisson,
+    td_jacobi_sum,
+)
+from test_cohomology import incidence_coalgebra
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +86,7 @@ class TestTDLie:
 
     def test_broken_bracket_cyclic_witness(self, broken):
         # bypass the classical precondition to reach the twisted identity
-        total = _td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-x-3"))
+        total = td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-x-3"))
         r = operator_identity_check("td-jacobi", total, total.scale(0))
         assert not r.ok
         assert r.witness.args == ("E[e,x]", "E[f,x]", "E[h,x]", "xxx")
@@ -80,7 +99,7 @@ class TestTDLie:
 
     def test_cyclic_vacuous_below_three_letters(self, broken):
         # no word of length three, no triple coproduct, nothing to check
-        total = _td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-ab-2"))
+        total = td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-ab-2"))
         assert total.is_zero()
 
     def test_structure_eager_check(self, sl2, broken):
@@ -254,3 +273,129 @@ class TestTDModule:
         s = TDLieStructure(sl2, corpus.get_coalgebra("zero-ab"), check=False)
         assert repr(s).startswith("TDLieStructure(")
         assert "self" in repr(self_module(s))
+
+
+def doubled_bmodule(pname):
+    """A corpus pair, built unchecked, with its B-module map doubled: for
+    lr-derx3 the action-linearity and bmodule-associative rows fail."""
+    good = corpus.load(pname)
+    return LieRinehartPair(good.lie_space, good.ring_space, good.bracket,
+                           good.product, good.action, good.bmodule.scale(2),
+                           check=False, name=pname + "-doubled")
+
+
+def sweep_coalgebras():
+    """The corpus coalgebras, a zero-dimensional one and the incidence
+    coalgebras of two chains, whose coproducts never die.  Over
+    tensor-ab-2, zero-ab and the zero-dimensional one Delta^(3) = 0."""
+    out = dict(corpus.coalgebras())
+    out["zero-dim"] = Coalgebra(BasedSpace("E", ()), {})
+    out["chain-3"] = incidence_coalgebra(3, [(0, 1), (1, 2)])
+    out["chain-5"] = incidence_coalgebra(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    return out
+
+
+def outcome(check, *args):
+    """check(*args), or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except AxiomError as exc:
+        return type(exc), str(exc)
+
+
+class TestKeptClassicalResults:
+    """The twisted checkers read each identity off its kept classical
+    result; tests/td_oracle.py decides them on operators instead."""
+
+    def test_matches_operator_route(self):
+        lies = [corpus.load(n) for n in corpus.LIE_NAMES] + [
+            corpus.load(n, unsafe_skip_axioms=True)
+            for n in ("broken-jacobi", "broken-skew")]
+        modules = [corpus.load(n) for n in corpus.MODULE_NAMES]
+        pairs = [corpus.load(n) for n in corpus.PAIR_NAMES] + [
+            doubled_bmodule(n) for n in corpus.PAIR_NAMES]
+        N = BasedSpace("N", ("1", "x"))
+        poissons = [corpus.load("poisson3"), PoissonAlgebra(
+            N, MultilinearMap.zero([N, N], N),
+            MultilinearMap([N, N], N, {((0, 0), 0): 1, ((0, 1), 1): 1}),
+            check=False, name="noncommutative")]
+        twisted_pass_classical_fail = set()
+        for cname, C in sweep_coalgebras().items():
+            for lie in lies:
+                assert outcome(check_td_lie, lie, C) \
+                    == outcome(operator_check_td_lie, lie, C), (lie.name, cname)
+            tdms = [TDModuleStructure(TDLieStructure(M.base, C, check=False),
+                                      M, check=False) for M in modules]
+            tdms += [self_module(TDLieStructure(lie, C, check=False))
+                     for lie in lies]
+            for tdm in tdms:
+                assert outcome(check_td_module, tdm) \
+                    == outcome(operator_check_td_module, tdm), (tdm, cname)
+            for P in poissons:
+                assert outcome(check_td_poisson, P, C) \
+                    == outcome(operator_check_td_poisson, P, C), (P.name, cname)
+            for pair in pairs:
+                s = TDLRStructure(pair, C)
+                r = check_td_lr(s)
+                assert r == operator_check_td_lr(s), (pair.name, cname)
+                if r and not all(classical_rows(pair)):
+                    twisted_pass_classical_fail.add(cname)
+        # a classically failing row holds twisted where Delta^(3) dies
+        assert twisted_pass_classical_fail == {"tensor-ab-2", "zero-ab",
+                                               "zero-dim", "exterior-ab",
+                                               "symmetric-xy-2"}
+
+
+def count_calls(monkeypatch, calls):
+    """Record every MultilinearMap.compose_at, maps.term_sum and
+    InducedOperator.reduced call in calls, wherever the package reads
+    term_sum from."""
+    for owner, name in ((MultilinearMap, "compose_at"),
+                        (InducedOperator, "reduced")):
+        def counting(*args, original=getattr(owner, name), name=name):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    def counting_sum(terms):
+        calls.append("term_sum")
+        return term_sum(terms)
+    for module in vars(tdhom).values():
+        if getattr(module, "term_sum", None) is term_sum:
+            monkeypatch.setattr(module, "term_sum", counting_sum)
+
+
+class TestBuildsNothingOnceKept:
+    def test_twisted_checkers_build_no_operator(self, monkeypatch):
+        # loading decides every classical axiom and keeps the results
+        lies = [corpus.load(n) for n in corpus.LIE_NAMES]
+        modules = [corpus.load(n) for n in corpus.MODULE_NAMES]
+        pairs = [corpus.load(n) for n in corpus.PAIR_NAMES]
+        poisson = corpus.load("poisson3")
+        coalgebras = sweep_coalgebras().values()
+        for C in coalgebras:
+            check_coassociativity(C)
+        calls = []
+        count_calls(monkeypatch, calls)
+        for C in coalgebras:
+            for lie in lies:
+                assert check_td_lie(lie, C)
+            for M in modules:
+                assert check_td_module(TDModuleStructure(
+                    TDLieStructure(M.base, C, check=False), M, check=False))
+            assert check_td_poisson(poisson, C)
+            for pair in pairs:
+                assert check_td_lr(TDLRStructure(pair, C))
+        assert calls == []
+
+    def test_broken_pair_reaches_operator_route(self, monkeypatch):
+        pair = doubled_bmodule("lr-derx3")
+        reached = []
+
+        def counting(name, lhs, rhs):
+            reached.append(name)
+            return operator_identity_check(name, lhs, rhs)
+        monkeypatch.setattr(lie_rinehart, "operator_identity_check", counting)
+        r = check_td_lr(TDLRStructure(pair, corpus.get_coalgebra("tensor-ab-3")))
+        assert not r and r.detail == "td-action-linearity"
+        assert reached == ["td-action-linearity", "td-bmodule-associative"]
