@@ -13,7 +13,8 @@ rotations fixing the tuple (2 at (x, x), 3 at (x, x, x), else 1): the sum
 there is the identity's value, and the least failing key is the least
 failing tuple.  This holds for any binary map, skew or not.  The module
 law [x,y].m - x.(y.m) + y.(x.m) is summed in one pass from the bracket and
-the grouped action.  All three run on the int stores and build no map.
+the grouped action, or read off a kept passing check_lie when the action
+is stored as the bracket.  All three run on the int stores and build no map.
 
 Results are kept.  A structure's maps are never reassigned after
 construction, so check_lie, check_module and check_poisson decide once per
@@ -23,7 +24,7 @@ precondition) returns the kept result.  A structure built with check=False
 decides on first use.
 """
 
-from .checks import CheckResult, Witness, combine, decided_once, require
+from .checks import CheckResult, Witness, combine, decided_once, kept, require
 from .errors import ShapeError
 from .linalg import Permutation, SparseTable, common_ints
 from .maps import map_identity_check, term_sum
@@ -184,8 +185,12 @@ def check_lie(L):
 @decided_once
 def check_module(M):
     """[x,y].m - x.(y.m) + y.(x.m) is zero, summed in one pass over the
-    bracket and the action grouped by acting and by module index."""
+    bracket and the action grouped by acting and by module index.  An
+    action stored as the bracket is read off the base's kept passing
+    check_lie: the adjoint law is Jacobi after skew symmetry."""
     (br, act), den = common_ints([M.base.bracket, M.action])
+    if br == act and kept(M.base, check_lie):
+        return CheckResult("module", True)
     acting, on = {}, {}
     for ((t, m), o), r in act.items():
         acting.setdefault(t, []).append((m, o, r))

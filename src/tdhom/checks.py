@@ -46,7 +46,10 @@ class Witness(_Frozen):
         _assign(self, "residual", residual)
 
     def describe(self):
-        terms = ", ".join("%s: %s" % (k, v) for k, v in self.residual)
+        try:
+            terms = ", ".join("%s: %s" % (k, v) for k, v in self.residual)
+        except ValueError:  # past int()'s limit on decimal digits
+            terms = "too long to print"
         return "at %r residual {%s}" % (self.args, terms)
 
 

@@ -11,10 +11,12 @@ A structure file is a JSON object:
                 "entries": [[[0, 1], 2, "1"], ...]}]
     }
 
-Coefficients are fraction strings ("-3/2"), never floats.  Indices and
-coefficients are checked and read once, here; "-" and ASCII digits are
-read as an int, and every table (a map's, a coproduct's, a Hom element's)
-is stored without a second check.
+Coefficients are fraction strings ("-3/2"), never floats.  One checked
+row loop (_table) reads every table, a map's, a coproduct's or a Hom
+element's: each index and coefficient is checked once, inline, a row's
+path is formatted only to refuse it, and linalg._exact reads a strict
+"-?digits(/digits)" coefficient without Fraction(str).  The table is
+then stored without a second check.
 Roles and their required maps:
 
     coalgebra      "coproduct": {"space": ..., "entries": [[i, j, k, q], ...]}
@@ -94,6 +96,10 @@ def _fail(path, msg):
     raise ParseError("%s: %s" % (path, msg))
 
 
+def _refuse(path, pos, msg):
+    _fail("%s.entries[%d]" % (path, pos), msg)
+
+
 def _field(obj, key, kind, path):
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
@@ -108,25 +114,37 @@ def _field(obj, key, kind, path):
     return value
 
 
-def _scalar(raw, path):
-    if not isinstance(raw, str):
-        _fail(path, "coefficients must be fraction strings, got %s"
-              % type(raw).__name__)
-    # an optional "-" and ASCII digits is an int, the value _exact gives;
-    # everything else, "+3", " 3" and "1_000" included, goes through _exact
-    digits = raw[1:] if raw[:1] == "-" else raw
-    try:
-        return int(raw) if digits.isascii() and digits.isdigit() else _exact(raw)
-    except (ScalarError, ValueError):  # ValueError: int()'s digit limit
-        _fail(path, "not a fraction: %r" % raw)
-
-
-def _index(raw, dim, path):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        _fail(path, "expected a basis index")
-    if not 0 <= raw < dim:
-        _fail(path, "index %d out of range [0, %d)" % (raw, dim))
-    return raw
+def _table(obj, path, layout, dims, nested=False):
+    """obj's "entries" summed into {key: int or Fraction}: rows
+    [*indices, coefficient] keyed by the indices or, nested (a map's),
+    [argument indices, out, coefficient] keyed (arguments, out), the
+    indices below dims in order; path.entries[pos] names a refused row."""
+    table = {}
+    width, arity = (3, len(dims) - 1) if nested else (len(dims) + 1, None)
+    for pos, row in enumerate(_field(obj, "entries", list, path)):
+        if type(row) is not list or len(row) != width:
+            _refuse(path, pos, "expected [%s]" % layout)
+        if nested:
+            args, out, raw = row
+            if type(args) is not list or len(args) != arity:
+                _refuse(path, pos, "expected %d argument indices" % arity)
+            indices, key = (*args, out), (tuple(args), out)
+        else:
+            *indices, raw = row
+            key = tuple(indices)
+        for x, dim in zip(indices, dims):
+            if type(x) is not int or not 0 <= x < dim:
+                _refuse(path, pos, "expected a basis index" if type(x) is not int
+                        else "index %d out of range [0, %d)" % (x, dim))
+        if type(raw) is not str:
+            _refuse(path, pos, "coefficients must be fraction strings, got %s"
+                    % type(raw).__name__)
+        try:
+            q = _exact(raw)
+        except ScalarError:
+            _refuse(path, pos, "not a fraction: %r" % raw)
+        table[key] = table[key] + q if key in table else q
+    return table
 
 
 def _parse_spaces(doc, path):
@@ -165,19 +183,8 @@ def _parse_map(entry, spaces, path):
     if codomain_name not in spaces:
         _fail(path + ".codomain", "unknown space %r" % codomain_name)
     codomain = spaces[codomain_name]
-    table = {}
-    for pos, row in enumerate(_field(entry, "entries", list, path)):
-        here = "%s.entries[%d]" % (path, pos)
-        if not isinstance(row, list) or len(row) != 3:
-            _fail(here, "expected [indices, out, coefficient]")
-        args, out, raw_q = row
-        if not isinstance(args, list) or len(args) != len(domain):
-            _fail(here, "expected %d argument indices" % len(domain))
-        tup = tuple(_index(a, spaces[sp].dim, here)
-                    for a, sp in zip(args, domain_names))
-        o = _index(out, codomain.dim, here)
-        key, q = (tup, o), _scalar(raw_q, here)
-        table[key] = table[key] + q if key in table else q
+    table = _table(entry, path, "indices, out, coefficient",
+                   [sp.dim for sp in domain] + [codomain.dim], nested=True)
     return name, MultilinearMap._read(table, domain=tuple(domain),
                                       codomain=codomain)
 
@@ -209,15 +216,8 @@ def _parse_coproduct(doc, spaces, path, check):
     if sp_name not in spaces:
         _fail(path + ".coproduct.space", "unknown space %r" % sp_name)
     space = spaces[sp_name]
-    table = {}
-    for pos, row in enumerate(_field(cop, "entries", list, path + ".coproduct")):
-        here = "%s.coproduct.entries[%d]" % (path, pos)
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(here, "expected [source, left, right, coefficient]")
-        i, j, k, raw_q = row
-        key = tuple(_index(x, space.dim, here) for x in (i, j, k))
-        q = _scalar(raw_q, here)
-        table[key] = table[key] + q if key in table else q
+    table = _table(cop, path + ".coproduct", "source, left, right, coefficient",
+                   (space.dim,) * 3)
     return Coalgebra(space, SparseTable._read(table), check)
 
 
@@ -233,6 +233,8 @@ def parse_structure(text, unsafe_skip_axioms=False):
     except json.JSONDecodeError as exc:
         raise ParseError("line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg)) from None
+    except RecursionError:
+        _fail("$", "JSON nested too deeply")
     if not isinstance(doc, dict):
         _fail("$", "top level must be an object")
     tag = _field(doc, "format", str, "$")
@@ -273,15 +275,8 @@ def _parse_role(doc, role, spaces, check):
         if target_name not in spaces:
             _fail("$.matrix.target", "unknown space %r" % target_name)
         target = spaces[target_name]
-        entries = {}
-        for pos, row in enumerate(_field(mat, "entries", list, "$.matrix")):
-            here = "$.matrix.entries[%d]" % pos
-            if not isinstance(row, list) or len(row) != 3:
-                _fail(here, "expected [target, source, coefficient]")
-            t, c, raw_q = row
-            key = (_index(t, target.dim, here), _index(c, C.dim, here))
-            q = _scalar(raw_q, here)
-            entries[key] = entries[key] + q if key in entries else q
+        entries = _table(mat, "$.matrix", "target, source, coefficient",
+                         (target.dim, C.dim))
         return HomElement._read(entries, source=C, target=target)
 
     if role == "multilinear":

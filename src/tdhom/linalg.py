@@ -43,14 +43,21 @@ ONE = Fraction(1, 1)
 def _exact(x):
     """x as an int or a Fraction: ints, Fractions, other rationals and
     "p/q" strings are read exactly; floats, bools and non-numbers raise
-    ScalarError."""
+    ScalarError.  int() and ratio read a strict "-?digits(/digits)", the
+    denominator nonzero; Fraction every other string, "+3" or "3/0"."""
     if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, (numbers.Rational, str)) and type(x) is not bool:
-        try:
+    try:  # ValueError also from int()'s digit limit
+        if type(x) is str:
+            num, slash, den = x.partition("/")
+            if x.isascii() and num.removeprefix("-").isdigit() and (
+                    not slash or den.isdigit() and den.strip("0")):
+                return ratio(int(num), int(den or 1))
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
+        if isinstance(x, numbers.Rational) and type(x) is not bool:
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ScalarError("not an exact rational scalar: %r" % (x,))
 
 

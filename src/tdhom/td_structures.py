@@ -12,8 +12,8 @@ check_jordan decides those two.  A twisted identity holds when its
 classical one does (convolution.twisted_sum), so check_td_lie,
 check_td_module and check_td_poisson read theirs off the kept classical
 preconditions and build no operator; tests/td_oracle.py keeps the
-operator route as the oracle.  Collapse and Jordan are decided on the
-operator's parts; only a failing one is laid out, to name its witness.
+operator route as the oracle.  Collapse and Jordan read theirs off
+check_lie, or, over a non-coassociative C, off the operator's parts.
 """
 
 from .algebra import (
@@ -90,15 +90,6 @@ def _held(name, rows):
     return combine(name, [CheckResult(row, True) for row in rows])
 
 
-def _untwisted_jacobi_check(name, bracket, C):
-    """The plain cyclic identity for the induced bracket: the nested
-    operator plus its untwisted rearrangements along the rotation and its
-    square sums to zero."""
-    nested = induced(bracket.compose_at(bracket, 1), C)
-    total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
-    return operator_identity_check(name, total, total.scale(0))
-
-
 def check_td_lie(lie, C):
     """Twisted skew symmetry and the twisted cyclic identity for the
     operator induced by a Lie bracket: check_lie requires the classical
@@ -108,6 +99,23 @@ def check_td_lie(lie, C):
     return _held("td-lie", ("td-skew", "td-jacobi"))
 
 
+def _degenerate(name, rows, lie, C, flip):
+    """Over a C whose leg flip takes Δ to -flip Δ: the induced bracket
+    with its arguments swapped is flip times itself, and its nested
+    operator plus its untwisted rotations is zero.  A rotation of a
+    coassociative C's Δ^(2), two flips, fixes it, so there these are skew
+    symmetry and Jacobi fed through Δ^(2), and hold once check_lie does."""
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
+    if check_coassociativity(C):
+        return _held(name, rows)
+    op = induced(lie.bracket, C)
+    nested = induced(lie.bracket.compose_at(lie.bracket, 1), C)
+    total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
+    return combine(name, [
+        operator_identity_check(rows[0], op.argument_permute(SWAP), op.scale(flip)),
+        operator_identity_check(rows[1], total, total.scale(0))])
+
+
 def check_cocommutative_collapse(lie, C):
     """Over a cocommutative coalgebra the twists drop out: the induced
     bracket is skew and satisfies the plain cyclic identity."""
@@ -115,19 +123,15 @@ def check_cocommutative_collapse(lie, C):
         raise AxiomError(
             "collapse needs a cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
-    require(check_lie(lie), "precondition failed (Lie axioms): ")
-    plain = induced(lie.bracket, C)
-    skew = operator_identity_check(
-        "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
-    jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
-    return combine("cocommutative-collapse", [skew, jacobi])
+    return _degenerate("cocommutative-collapse",
+                       ("collapse-skew", "collapse-jacobi"), lie, C, -1)
 
 
 def check_jordan(lie, C):
     """Over a skew-cocommutative coalgebra the induced bracket becomes a
     commutative product: jordan-symmetry decides fg = gf and jordan-jacobi
     the plain cyclic identity a(bc) + b(ca) + c(ab) = 0, each for all
-    arguments at once, on the operator.
+    arguments at once (_degenerate).
 
     Over a coassociative C, where the nested operator is the product taken
     twice, these two imply the cube identities (ff)f = 0 and
@@ -144,12 +148,8 @@ def check_jordan(lie, C):
         raise AxiomError(
             "Jordan checks need a skew-cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
-    require(check_lie(lie), "precondition failed (Lie axioms): ")
-    op = induced(lie.bracket, C)
-    sym = operator_identity_check(
-        "jordan-symmetry", op.argument_permute(SWAP), op)
-    jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
-    return combine("jordan", [sym, jacobi])
+    return _degenerate("jordan", ("jordan-symmetry", "jordan-jacobi"),
+                       lie, C, 1)
 
 
 def check_td_poisson(poisson, C):

@@ -32,6 +32,9 @@ identity off its kept classical result; operator_check_td_lie,
 operator_check_td_module, operator_check_td_poisson and
 operator_check_td_lr keep the route they replaced, every identity decided
 on its induced operators (td_jacobi_sum builds the cyclic one).
+check_cocommutative_collapse and check_jordan read their rows off
+check_lie over a coassociative coalgebra; operator_check_collapse and
+operator_check_jordan decide them on operators over any coalgebra.
 
 invariants_h0 stacks the action constants once per e_t;
 matrix_unit_invariants keeps the stacking over every matrix unit it
@@ -392,6 +395,37 @@ def operator_check_td_module(tdm):
     right = ((nested, None, 1), (nested, SWAP_FIRST_TWO, -1))
     return operator_identity_check("td-module", twisted_sum(left, C),
                                    twisted_sum(right, C))
+
+
+def _untwisted_jacobi_check(name, bracket, C):
+    """The plain cyclic identity for the induced bracket: the nested
+    operator plus its untwisted rearrangements along the rotation and its
+    square sums to zero."""
+    nested = induced(bracket.compose_at(bracket, 1), C)
+    total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
+    return operator_identity_check(name, total, total.scale(0))
+
+
+def operator_check_collapse(lie, C):
+    """check_cocommutative_collapse's rows decided on operators, over any
+    C, past its symmetry-class refusal."""
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
+    plain = induced(lie.bracket, C)
+    skew = operator_identity_check(
+        "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
+    jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
+    return combine("cocommutative-collapse", [skew, jacobi])
+
+
+def operator_check_jordan(lie, C):
+    """check_jordan's rows decided on operators, over any C, past its
+    symmetry-class refusal."""
+    require(check_lie(lie), "precondition failed (Lie axioms): ")
+    op = induced(lie.bracket, C)
+    sym = operator_identity_check(
+        "jordan-symmetry", op.argument_permute(SWAP), op)
+    jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
+    return combine("jordan", [sym, jacobi])
 
 
 def operator_check_td_lr(s):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom import corpus
+from tdhom import algebra, corpus
 from tdhom.algebra import (
     JACOBI_CYCLE,
     JACOBI_ROTATIONS,
@@ -32,13 +32,14 @@ from tdhom.algebra import (
     skew_symmetry_check,
 )
 from tdhom.coalgebra import Coalgebra, check_coassociativity
-from tdhom.checks import combine
+from tdhom.checks import combine, kept
 from tdhom.errors import AxiomError, ShapeError
 from tdhom.files import parse_structure
 from tdhom.lie_rinehart import LieRinehartPair, check_lr
 from tdhom.linalg import BasedSpace, table_sum
 from tdhom.maps import MultilinearMap, map_identity_check
 from tdhom.td_structures import check_td_lie
+from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
 
 L3 = BasedSpace("L", ("e", "f", "h"))
 
@@ -470,3 +471,102 @@ def test_gl3_adjoint_decides_without_intermediate_maps(monkeypatch):
     assert lie == combine("lie", [flipped_skew(M.base.bracket),
                                   table_sum_jacobi(M.base.bracket)])
     assert module == table_sum_module(M)
+
+
+def accumulated(M):
+    """check_module's accumulator on M: M's bracket and action over a
+    fresh base that keeps no check_lie result."""
+    base = LieAlgebra(M.base.space, M.base.bracket, check=False)
+    return check_module.__wrapped__(
+        LieModule(base, M.space, M.action, check=False))
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """The module laws check_module sums, counted through the _decide call
+    that ends the accumulator (check_lie's are named otherwise)."""
+    calls = []
+    real = algebra._decide
+
+    def counted(name, *args):
+        if name == "module":
+            calls.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(algebra, "_decide", counted)
+    return calls
+
+
+def stored_as_bracket(M):
+    return ((M.action._ints, M.action._denominator)
+            == (M.base.bracket._ints, M.base.bracket._denominator))
+
+
+class TestAdjointReadOff:
+    """An action stored as the bracket, over a base that keeps a passing
+    check_lie, has its law read off that result; every other module is
+    summed."""
+
+    def test_corpus_modules(self, sums):
+        read_off = set()
+        for name in corpus.MODULE_NAMES:
+            M = corpus.load(name)
+            expected = accumulated(M)
+            del sums[:]
+            assert check_module.__wrapped__(M) == expected
+            assert expected.ok
+            if not sums:
+                read_off.add(name)
+        # abelian2-trivial: a zero action and a zero bracket store alike
+        assert read_off == {"sl2-adjoint", "heis-adjoint", "abelian2-trivial"}
+        assert {name for name in corpus.MODULE_NAMES
+                if stored_as_bracket(corpus.load(name))} == read_off
+
+    @pytest.mark.parametrize("family,n", [("gl", 2), ("gl", 3), ("b", 3),
+                                          ("b", 4)])
+    def test_rebased_adjoints(self, family, n, sums):
+        adjoint = gl_adjoint(n) if family == "gl" else b_adjoint(n)
+        denominators = set()
+        for seed in range(4):
+            M = rebased_adjoint(adjoint, seed)
+            denominators.add(M.action._denominator)
+            expected = accumulated(M)
+            del sums[:]
+            assert check_module.__wrapped__(M) == expected
+            assert expected.ok and sums == []
+        assert max(denominators) > 1
+
+    @pytest.mark.parametrize("name", ["broken-jacobi", "broken-skew"])
+    def test_unkept_or_failing_lie_is_summed(self, name, sums):
+        # the broken bracket acting on its own space: check_lie is first
+        # not kept, then kept failing, and the law is summed both times
+        broken = parse_structure(corpus.fixture_text(name),
+                                 unsafe_skip_axioms=True)
+        M = LieModule(broken, broken.space, broken.bracket, check=False)
+        expected = table_sum_module(M)
+        assert kept(broken, check_lie) is None
+        del sums[:]
+        assert check_module.__wrapped__(M) == expected
+        assert sums == ["module"]
+        assert kept(broken, check_lie) is None
+        assert not check_lie(broken).ok
+        assert check_module.__wrapped__(M) == expected
+        assert sums == ["module", "module"]
+        # broken-jacobi's bracket breaks the law; broken-skew's keeps it
+        assert expected.ok == (name == "broken-skew")
+        assert (expected.witness is None) == expected.ok
+
+    @pytest.mark.parametrize("name", ["broken-jacobi", "broken-skew"])
+    def test_other_store_is_summed(self, name, sums):
+        # sl2 keeps a passing check_lie; a broken bracket as its action
+        sl2 = corpus.load("sl2")
+        assert kept(sl2, check_lie).ok
+        broken = corpus.load(name, unsafe_skip_axioms=True).bracket
+        action = MultilinearMap((sl2.space, sl2.space), sl2.space,
+                                dict(broken.entries))
+        M = LieModule(sl2, sl2.space, action, check=False)
+        del sums[:]
+        result = check_module(M)
+        assert sums == ["module"]
+        assert result == table_sum_module(M) == accumulated(M)
+        assert not result.ok and result.witness is not None

@@ -155,6 +155,17 @@ class TestVerify:
         bad.write_text("not a structure", encoding="utf-8")
         assert run(["verify", str(bad)], capsys)[0] == 2
 
+    def test_deeply_nested_file(self, tmp_path):
+        # json's recursion limit once escaped as a RecursionError traceback
+        # and exit 1, the code of a failed check
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdhom.cli", "verify", str(deep)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: $: JSON nested too deeply\n"
+
     def test_wrong_format_tag(self, tmp_path, capsys):
         bad = tmp_path / "tagged.json"
         bad.write_text('{"format": "tdhom/9"}', encoding="utf-8")

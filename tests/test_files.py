@@ -4,15 +4,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import files_oracle
 from tdhom import cli, coalgebra, convolution, corpus, files, maps
 from tdhom.algebra import LieAlgebra, LieModule, PoissonAlgebra
 from tdhom.coalgebra import Coalgebra, build_symmetric_coalgebra
 from tdhom.convolution import HomElement
-from tdhom.errors import AxiomError, ParseError
+from tdhom.errors import (AxiomError, MalformedInput, ParseError,
+                          ScalarError, ShapeError)
 from tdhom.files import parse_structure, role_of, serialize_structure
 from tdhom.lie_rinehart import LieRinehartPair
-from tdhom.linalg import BasedSpace
+from tdhom.linalg import BasedSpace, _exact
 from tdhom.maps import MultilinearMap
 
 MINIMAL_LIE = """
@@ -350,3 +354,150 @@ class TestCorpus:
         from tdhom.maps import is_skew
         for name, m in corpus.skew_maps().items():
             assert is_skew(m), name
+
+
+def _sweep_documents():
+    """Documents of every table layout: the fixtures (map entries), a
+    tensor coalgebra (coproduct rows) and a Hom element with fraction
+    coefficients (coproduct and matrix rows)."""
+    tensor = corpus.get_coalgebra("tensor-ab-3")
+    half = Coalgebra(tensor.space, {key: q / 2
+                                    for key, q in tensor.coproduct.items()})
+    f = HomElement(half, BasedSpace("W", ("p", "q")),
+                   {(0, 1): Fraction(3, 2), (1, 5): Fraction(-1, 7)})
+    return ([corpus.fixture_text(name) for name in corpus.FIXTURES]
+            + [serialize_structure(tensor, "T3ab"),
+               serialize_structure(f, "probe")])
+
+
+SWEEP_DOCUMENTS = _sweep_documents()
+
+# Values put in place of an index, a coefficient, an argument list or a
+# whole row: wrong types, indices in and out of range, and coefficient
+# strings on both sides of the strict "-?digits(/digits)" form.
+MUTANTS = [
+    True, False, None, 1.5, 0.0, 3, -1, 0, 1, 2, 5, 10 ** 30, [], [0], [0, 1],
+    {}, "0", "7", "-12", "3/0", "3/1", "6/4", "-0/5", "1/", "/2", "+3", " 3",
+    "3 ", "1_000", "٣", "3/-2", "3/4/5", "007/010", "-", "", "1" * 5000,
+    "-" + "7" * 5000, "1/" + "3" * 5000, "9" * 4300 + "/7", "2/" + "0" * 5000,
+]
+
+
+def _mutation_sites(doc):
+    """Every (container, position) a mutant can replace: each row of each
+    table, each value in a row, and each argument index of a map's row."""
+    tables = [m["entries"] for m in doc.get("maps", ())]
+    tables += [doc[key]["entries"] for key in ("coproduct", "matrix")
+               if key in doc]
+    sites = []
+    for rows in tables:
+        for pos, row in enumerate(rows):
+            sites.append((rows, pos))
+            sites.extend((row, k) for k in range(len(row)))
+            if isinstance(row[0], list):
+                sites.extend((row[0], k) for k in range(len(row[0])))
+    return sites
+
+
+MUTABLE_DOCUMENTS = [text for text in SWEEP_DOCUMENTS
+                     if _mutation_sites(json.loads(text))]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A sweep document with one value replaced, one row shortened or
+    lengthened, or one row repeated, its key summed twice."""
+    doc = json.loads(draw(st.sampled_from(MUTABLE_DOCUMENTS)))
+    container, pos = draw(st.sampled_from(_mutation_sites(doc)))
+    how = draw(st.sampled_from(["replace", "replace", "shorten", "lengthen",
+                                "repeat"]))
+    if how == "replace" or not isinstance(container[pos], list):
+        container[pos] = draw(st.sampled_from(MUTANTS))
+    elif how == "shorten":
+        container[pos] = container[pos][:-1]
+    elif how == "lengthen":
+        container[pos] = container[pos] + [draw(st.sampled_from(MUTANTS))]
+    else:
+        container.append(container[pos])
+    return json.dumps(doc)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestOnePassReader:
+    """files._table and linalg._exact against the readers they replaced
+    (tests/files_oracle.py): the same stores, or the same ParseError."""
+
+    @pytest.mark.parametrize("text", SWEEP_DOCUMENTS)
+    def test_documents_read_alike(self, text):
+        role = json.loads(text)["role"]
+        obj = parse_structure(text, unsafe_skip_axioms=True)
+        assert files_oracle.stored_tables(obj, role) == \
+            files_oracle.read_tables(text)
+
+    @given(mutated_documents())
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_documents_read_alike(self, text):
+        role = json.loads(text)["role"]
+        new = _outcome(lambda: files_oracle.stored_tables(
+            parse_structure(text, unsafe_skip_axioms=True), role))
+        assert new == _outcome(lambda: files_oracle.read_tables(text))
+        try:  # with the axioms checked: nothing but these escapes
+            parse_structure(text)
+        except (ParseError, AxiomError, MalformedInput, ShapeError):
+            pass
+
+    def test_sweep_reaches_both_outcomes(self):
+        seen = set()
+
+        @given(mutated_documents())
+        @settings(max_examples=200, deadline=None)
+        def collect(text):
+            seen.add(isinstance(_outcome(
+                lambda: files_oracle.read_tables(text)), str))
+
+        collect()
+        assert seen == {True, False}
+
+    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+    @settings(max_examples=300, deadline=None)
+    def test_strict_strings_read_as_fraction_reads_them(self, raw):
+        try:
+            expected = Fraction(raw)
+        except ZeroDivisionError:
+            with pytest.raises(ScalarError):
+                _exact(raw)
+        else:
+            got = _exact(raw)
+            assert got == expected and type(got) in (int, Fraction)
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301])
+    def test_digit_limit_reads_as_fraction_reads_it(self, digits):
+        d = "7" * digits
+        for raw in (d, "-" + d, d + "/3", "-3/" + d, "0" * digits + "1",
+                    "3/" + "0" * digits + "1"):
+            try:
+                expected = Fraction(raw)
+            except ValueError:
+                with pytest.raises(ScalarError):
+                    _exact(raw)
+            else:
+                assert _exact(raw) == expected
+
+    def test_witness_past_the_digit_limit_is_an_axiom_error(self):
+        # a 4300-digit coefficient reads, but sl2's Jacobi residual then
+        # has too many digits for str(); that ValueError once escaped
+        doc = json.loads(corpus.fixture_text("sl2"))
+        doc["maps"][0]["entries"][5][2] = "9" * 4300 + "/7"
+        with pytest.raises(AxiomError) as info:
+            parse_structure(json.dumps(doc))
+        assert str(info.value).endswith("residual {too long to print}")
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_structure("[" * 200000)

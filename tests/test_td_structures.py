@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdhom
-from tdhom import corpus, lie_rinehart
+from tdhom import corpus, lie_rinehart, td_structures
 from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
 from tdhom.coalgebra import (
     Coalgebra,
     build_exterior_square_coalgebra,
+    build_symmetric_coalgebra,
     check_coassociativity,
 )
 from tdhom.convolution import (
@@ -49,13 +50,16 @@ from tdhom.td_structures import (
     self_module,
 )
 from td_oracle import (
+    operator_check_collapse,
+    operator_check_jordan,
     operator_check_td_lie,
     operator_check_td_lr,
     operator_check_td_module,
     operator_check_td_poisson,
     td_jacobi_sum,
 )
-from test_cohomology import incidence_coalgebra
+from test_cohomology import (b_adjoint, gl_adjoint, incidence_coalgebra,
+                              rebased_adjoint)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +208,100 @@ class TestJordan:
         for f in units:
             for g in units:
                 assert op.apply([f, g]) == op.apply([g, f])
+
+
+# cocommutative and skew-cocommutative coalgebras that are not
+# coassociative: Delta(a) = b b, Delta(b) = a a, and Delta(a) = b c - c b,
+# Delta(b) = a c - c a on a, b, c
+NONCOASSOCIATIVE = {
+    "cocommutative": Coalgebra(BasedSpace("V", ("a", "b")),
+                               {(0, 1, 1): 1, (1, 0, 0): 1}, check=False),
+    "skew": Coalgebra(BasedSpace("W", ("a", "b", "c")),
+                      {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): 1,
+                       (1, 2, 0): -1}, check=False),
+}
+
+
+def _degenerate_cases():
+    """(checker, oracle, coalgebra name, coalgebra) for collapse over the
+    cocommutative coassociative coalgebras and Jordan over the
+    skew-cocommutative ones, zero coproducts included."""
+    V3 = BasedSpace("V", ("x", "y", "z"))
+    cocommutative = {name: corpus.get_coalgebra(name)
+                     for name in ("symmetric-xy-2", "tensor-x-3", "zero-ab")}
+    cocommutative["symmetric-xyz-3"] = build_symmetric_coalgebra(V3, 3)
+    skew = {name: corpus.get_coalgebra(name)
+            for name in ("exterior-ab", "zero-ab")}
+    skew["exterior-xyz"] = build_exterior_square_coalgebra(V3)
+    return ([(check_cocommutative_collapse, operator_check_collapse, name, C)
+             for name, C in cocommutative.items()]
+            + [(check_jordan, operator_check_jordan, name, C)
+               for name, C in skew.items()])
+
+
+DEGENERATE_CASES = _degenerate_cases()
+
+
+def _degenerate_lies():
+    return ([corpus.load(name) for name in corpus.LIE_NAMES]
+            + [gl_adjoint(2).base, b_adjoint(3).base,
+               rebased_adjoint(gl_adjoint(2), 5).base])
+
+
+@pytest.fixture
+def operator_checks(monkeypatch):
+    """The identities td_structures decides on operators, by name."""
+    names = []
+    real = td_structures.operator_identity_check
+
+    def counted(name, lhs, rhs):
+        names.append(name)
+        return real(name, lhs, rhs)
+
+    monkeypatch.setattr(td_structures, "operator_identity_check", counted)
+    return names
+
+
+class TestDegenerateReadOff:
+    """Over a coassociative coalgebra collapse and Jordan read their two
+    rows off check_lie; tests/td_oracle.py decides them on operators."""
+
+    @pytest.mark.parametrize("checker,oracle,cname,C", DEGENERATE_CASES,
+                             ids=["%s-%s" % (case[0].__name__, case[2])
+                                  for case in DEGENERATE_CASES])
+    def test_read_off_equals_operators(self, checker, oracle, cname, C,
+                                       operator_checks):
+        assert check_coassociativity(C).ok
+        for lie in _degenerate_lies():
+            result = checker(lie, C)
+            assert result.ok and result.detail == "2 checks"
+            assert operator_checks == []
+            assert result == oracle(lie, C), (lie.name, cname)
+
+    @pytest.mark.parametrize("kind", sorted(NONCOASSOCIATIVE))
+    def test_noncoassociative_goes_to_operators(self, kind, operator_checks):
+        C = NONCOASSOCIATIVE[kind]
+        assert not check_coassociativity(C).ok
+        checker, oracle = ((check_cocommutative_collapse,
+                            operator_check_collapse) if kind == "cocommutative"
+                           else (check_jordan, operator_check_jordan))
+        outcomes = {}
+        for name in corpus.LIE_NAMES:
+            lie = corpus.load(name)
+            del operator_checks[:]
+            result = checker(lie, C)
+            assert len(operator_checks) == 2
+            assert result == oracle(lie, C)
+            outcomes[name] = result.ok
+        # sl2 fails the plain cyclic identity there, with its witness
+        assert outcomes == {"sl2": False, "heisenberg": True, "abelian2": True}
+
+    def test_precondition_still_required(self):
+        broken = corpus.load("broken-skew", unsafe_skip_axioms=True)
+        for checker, cname in ((check_cocommutative_collapse, "tensor-x-3"),
+                               (check_jordan, "exterior-ab")):
+            with pytest.raises(AxiomError, match="precondition failed"):
+                checker(broken, corpus.get_coalgebra(cname))
 
 
 class TestTDPoisson:
