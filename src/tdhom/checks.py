@@ -40,6 +40,7 @@ class _Frozen:
 class Witness(_Frozen):
     __slots__ = ("args",       # basis labels (or indices) of the failing tuple
                  "residual")   # sorted ((coordinate, Fraction), ...), all nonzero
+    TOO_LONG = "too long to print"  # past int()'s limit on decimal digits
 
     def __init__(self, args, residual):
         _assign(self, "args", args)
@@ -48,8 +49,8 @@ class Witness(_Frozen):
     def describe(self):
         try:
             terms = ", ".join("%s: %s" % (k, v) for k, v in self.residual)
-        except ValueError:  # past int()'s limit on decimal digits
-            terms = "too long to print"
+        except ValueError:
+            terms = self.TOO_LONG
         return "at %r residual {%s}" % (self.args, terms)
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     check_module,
     check_poisson,
 )
+from .checks import Witness
 from .coalgebra import Coalgebra, check_coassociativity, symmetry_class
 from .cohomology import TDComplexData, classical_complex
 from .convolution import DEFAULT_GUARD_LIMIT
@@ -69,13 +70,22 @@ def default_domains():
     return [(name, corpus.get_coalgebra(name)) for name in names]
 
 
-def _witness_doc(w):
+def _printed(value):
+    try:
+        return str(value)
+    except ValueError:
+        return Witness.TOO_LONG
+
+
+def _witness_doc(result):
+    """A failing result's witness as a document, or None."""
+    w = getattr(result, "witness", None)
     if w is None:
         return None
     return {
         "args": [list(a) if isinstance(a, (tuple, list)) else a
                  for a in w.args],
-        "residual": [[coord, str(value)] for coord, value in w.residual],
+        "residual": [[coord, _printed(value)] for coord, value in w.residual],
     }
 
 
@@ -87,14 +97,12 @@ def _execute(thunk):
     except GuardError as exc:
         return {"status": "guarded", "detail": str(exc), "witness": None}
     except AxiomError as exc:
-        inner = getattr(exc, "result", None)
-        witness = inner.witness if inner is not None else None
         return {"status": "fail", "detail": str(exc),
-                "witness": _witness_doc(witness)}
+                "witness": _witness_doc(exc.result)}
     if result.ok:
         return {"status": "pass", "detail": result.detail, "witness": None}
     return {"status": "fail", "detail": result.detail or result.name,
-            "witness": _witness_doc(result.witness)}
+            "witness": _witness_doc(result)}
 
 
 def _suite_checks(suite, role, obj, domains, args):
@@ -154,7 +162,6 @@ def build_verify_report(args):
         try:
             obj = load_path(path, unsafe_skip_axioms=args.unsafe_skip_axioms)
         except AxiomError as exc:
-            inner = getattr(exc, "result", None)
             entries.append({
                 "path": path,
                 "structure": exc.structure_name or path,
@@ -163,8 +170,7 @@ def build_verify_report(args):
                 "check": "load",
                 "status": "fail",
                 "detail": str(exc),
-                "witness": _witness_doc(
-                    inner.witness if inner is not None else None),
+                "witness": _witness_doc(exc.result),
             })
             continue
         loaded.append((path, obj))

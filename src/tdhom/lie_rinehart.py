@@ -4,13 +4,13 @@ A pair consists of a Lie bracket on L, a commutative associative product on
 B, an action of L on B by derivations, and a B-module structure on L, tied
 together by two compatibility identities (the action is B-linear in its L
 argument; the bracket interacts with the module structure through a twisted
-Leibniz rule).  Everything is checked by exact map equality.
+Leibniz rule).  Everything is decided exactly.
 
-Each identity is stated once, in PAIR_IDENTITIES, and decided once as
-maps (classical_rows, reported by check_lr).  check_td_lr decides the rows
-as operators on maps out of a coalgebra, each rearrangement twisted; a
-twisted row holds when its classical row does (convolution.twisted_sum),
-so only a classically failing row is decided on operators.
+Each identity is stated once, in PAIR_IDENTITIES, and decided once in an
+int pass building no map (classical_rows, reported by check_lr).
+check_td_lr decides the rows as operators out of a coalgebra, each
+rearrangement twisted; a twisted row holds when its classical row does
+(twisted_sum), so only a classically failing row is composed as maps.
 """
 
 from .algebra import (
@@ -22,9 +22,10 @@ from .algebra import (
     check_commutative,
     check_lie,
     check_module,
+    composite_check,
 )
 from .checks import CheckResult, combine, decided_once, require
-from .cohomology import AltCochain, alt_basis, ce_differential
+from .cohomology import AltCochain, alt_basis, ce_differential, increasing_tuples
 from .convolution import (
     DEFAULT_GUARD_LIMIT,
     check_size,
@@ -32,13 +33,7 @@ from .convolution import (
     twisted_sum,
 )
 from .errors import AxiomError, ShapeError
-from .linalg import (
-    RationalMatrix,
-    SparseColumns,
-    common_ints,
-    solve,
-)
-from .maps import map_identity_check, term_sum
+from .linalg import RationalMatrix, SparseColumns, common_ints, solve
 
 # (name, left terms, right terms); a term (outer, inner, slot, p, sign) is
 # sign * (outer . inner at slot) . p, maps named by pair attribute, p None
@@ -110,8 +105,8 @@ class LieRinehartPair:
             require(check_lr(self), "pair axioms fail: ")
 
     def terms(self, side):
-        """A side of a PAIR_IDENTITIES row as (map, p, sign) terms.  Each
-        composite is built on first use and kept: the maps never change."""
+        """A side of a PAIR_IDENTITIES row as (map, p, sign) terms, for a
+        failing row's operators; each composite is built once and kept."""
         out = []
         for outer, inner, slot, p, sign in side:
             key = outer, inner, slot
@@ -124,9 +119,11 @@ class LieRinehartPair:
 
 @decided_once
 def classical_rows(pair):
-    """Every PAIR_IDENTITIES row decided as maps, in table order."""
-    return [map_identity_check(name, term_sum(pair.terms(left)),
-                               term_sum(pair.terms(right)))
+    """Every PAIR_IDENTITIES row, in table order, by composite_check."""
+    def named(side):
+        return [(getattr(pair, outer), getattr(pair, inner), *rest)
+                for outer, inner, *rest in side]
+    return [composite_check(name, named(left), named(right))
             for name, left, right in PAIR_IDENTITIES]
 
 
@@ -180,28 +177,22 @@ def check_td_lr(s):
         for row, classical in zip(PAIR_IDENTITIES[:-1], classical_rows(pair))])
 
 
-def _slot_defect(fmap, pair):
-    """Base map of the slot-1 scaling identity, left side minus right, on
-    (B, L, .., L) -> B: both sides are untwisted induced operators, so the
-    identity holds exactly when this map or the coproduct of its arity
-    vanishes.  For a skew fmap the slot-i defect is (-1)^(i-1) times this
-    one with the i-th Lie argument moved to the front, so slot 1 decides
-    every slot."""
-    return fmap.compose_at(pair.bmodule, 0).sub(
-        pair.product.compose_at(fmap, 1))
-
-
 def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     """Basis, in cochain coordinates, of the degree-n cochains whose
     induced operators let ring factors pass out through every slot.
 
-    Degree zero has no slots, so all of the ring space qualifies.  While
-    Delta^(n+1) lives, the subspace is the kernel of the slot-1 defects
-    stacked over cochains, one per cochain and priced by their number for
-    check_size; after, every defect vanishes and nothing is built.
-    tests/td_oracle.py still decides every slot's defect on
-    InducedOperators as the oracle.
-    """
+    The slot-1 scaling identity compares two untwisted induced operators,
+    so it holds exactly when Delta^(n+1) or its base map, the defect
+    f(bmodule(a, x1), R) - product(a, f(x1, R)), vanishes.  For a skew f
+    the slot-i defect is (-1)^(i-1) times this one with the i-th Lie
+    argument moved to the front, so slot 1 decides every slot.  Degree 0
+    has no slots: all of B qualifies.  While Delta^(n+1) lives, the
+    subspace is the kernel of the basis cochains' defects, priced by their
+    number for check_size: column (S, b) gets sign bm[a, x1]^t at row
+    (a, x1, R, b) and -sign pr[a, b]^o at (a, t, R, o), for each t not in
+    R with (t, R) sorting to S by sign.  The defect alternates in R, so a
+    row with R not increasing is +- a row kept and only increasing R are
+    written (the map route in tests/td_oracle.py writes them all)."""
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
     pair, C = s.pair, s.coalgebra
@@ -210,15 +201,19 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     stacked = SparseColumns(len(basis))
     if n >= 1 and basis and C.iterated_terms(n + 1):
         check_size(len(basis), guard_limit)
-        defects = [
-            _slot_defect(AltCochain._from_ints(L, B, n, {key: 1}, 1).as_map(),
-                         pair)
-            for key in basis]
         # over one common denominator: the matrix is scaled, its kernel is not
-        tables, _ = common_ints(defects)
-        for ci, table in enumerate(tables):
-            for row, v in table.items():
-                stacked.add(ci, row, v)
+        (bm, pr), _ = common_ints([pair.bmodule, pair.product])
+        first = {S: i * B.dim for i, S in enumerate(increasing_tuples(L.dim, n))}
+        for R in increasing_tuples(L.dim, n - 1):
+            for t in set(range(L.dim)).difference(R):
+                k = sum(r < t for r in R)
+                sign, col = (-1) ** k, first[R[:k] + (t,) + R[k:]]
+                for ((a, x1), u), v in bm.items():
+                    if u == t:
+                        for b in range(B.dim):
+                            stacked.add(col + b, (a, x1, R, b), sign * v)
+                for ((a, b), o), v in pr.items():
+                    stacked.add(col + b, (a, t, R, o), -sign * v)
     return stacked.kernel_basis()
 
 
@@ -232,11 +227,7 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     instead of reporting; the subspace is cut out by the slot-1 defects,
     so the error names slot 1.
     """
-    result = check_td_lr(s)
-    if not result:
-        raise AxiomError(
-            "precondition failed (%s): %s" % (result.name, result.describe()),
-            result)
+    require(check_td_lr(s), "precondition failed (td-lie-rinehart): ")
     pair = s.pair
     L, B = pair.lie_space, pair.ring_space
     M = pair.ring_module
@@ -248,19 +239,13 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
             index = {key: i for i, key in enumerate(alt_basis(L, B, n + 1))}
             images = [ce_differential(AltCochain.from_vector(L, B, n, vec), M)
                       for vec in current]
-            # both sides written as sparse rows: the span from the nonzero
-            # coordinates of the target basis, the images from their values
-            span = [{} for _ in index]
-            for j, vec in enumerate(target):
-                for c, q in enumerate(vec):
-                    if q:
-                        span[c][j] = q
-            # each image times its denominator: as solvable as the image
+            # the images as sparse rows, each times its denominator: as
+            # solvable as the image
             rhs = [{} for _ in index]
             for j, image in enumerate(images):
                 for key, v in image._ints.items():
                     rhs[index[key]][j] = v
-            solutions = solve(RationalMatrix._from_sparse_rows(len(target), span),
+            solutions = solve(RationalMatrix.from_columns(len(index), target),
                               RationalMatrix._from_sparse_rows(len(images), rhs))
             for image, x in zip(images, solutions):
                 if x is None:

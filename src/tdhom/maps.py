@@ -111,33 +111,44 @@ class MultilinearMap(SparseTable):
         return MultilinearMap._trusted(move(self.domain), self.codomain,
                                        table, self._denominator)
 
-    def compose_at(self, inner, slot):
-        """self . (1 x .. x inner x .. x 1) with inner feeding slot (0-based)."""
+    def composed_domain(self, inner, slot):
+        """The domain of self . inner at slot; ShapeError unless it fits."""
         if not 0 <= slot < self.arity:
             raise ShapeError("slot %d out of range" % slot)
         if inner.codomain.dim != self.domain[slot].dim:
             raise ShapeError(
                 "codomain %s does not fit slot %d (%s)"
                 % (inner.codomain.name, slot, self.domain[slot].name))
-        domain = self.domain[:slot] + inner.domain + self.domain[slot + 1:]
-        feeding = {}
-        for (itup, o), p in inner._ints.items():
-            feeding.setdefault(o, []).append((itup, p))
+        return self.domain[:slot] + inner.domain + self.domain[slot + 1:]
+
+    def compose_at(self, inner, slot):
+        """self . (1 x .. x inner x .. x 1) with inner feeding slot (0-based)."""
+        domain = self.composed_domain(inner, slot)
         acc = {}
-        for (tup, out), q in self._ints.items():
-            fed = feeding.get(tup[slot])
-            if fed is None:
-                continue
-            head, tail = tup[:slot], tup[slot + 1:]
-            for itup, p in fed:
-                key = (head + itup + tail, out)
-                acc[key] = acc.get(key, 0) + q * p
+        composite_into(acc, self._ints, inner._ints, slot, None, 1)
         return MultilinearMap._trusted(domain, self.codomain, acc,
                                        self._denominator * inner._denominator)
 
     def __repr__(self):
         doms = "*".join(s.name for s in self.domain)
         return "MultilinearMap(%s->%s, %d entries)" % (doms, self.codomain.name, len(self._ints))
+
+
+def composite_into(acc, outer, inner, slot, move, coeff):
+    """Add coeff times outer . inner at slot, on int stores, into acc
+    {(tup, out): int}, each tuple moved by move (None: left in place)."""
+    feeding = {}
+    for (itup, o), p in inner.items():
+        feeding.setdefault(o, []).append((itup, p))
+    for (tup, out), q in outer.items():
+        fed = feeding.get(tup[slot])
+        if fed is None:
+            continue
+        head, tail, q = tup[:slot], tup[slot + 1:], coeff * q
+        for itup, p in fed:
+            t = head + itup + tail
+            key = (t if move is None else move(t), out)
+            acc[key] = acc.get(key, 0) + q * p
 
 
 def is_skew(f):

@@ -9,10 +9,13 @@ differential and every twisted term, and runs the consistency checks that
 the closed form shows can never fire.
 
 The linear-subcomplex sweep (blinear_subspace, td_differential_induced,
-check_subcomplex) reads its slot-1 defects and images off classical maps.
-The factored_* functions keep the sweep it replaced, which decides the
-defect of every slot, read through linearity_twist, and the induction
-kernel on InducedOperators.
+check_subcomplex) writes its slot-1 defects straight from the bmodule and
+product constants, on increasing arguments, and reads its images off
+classical cochains.  map_blinear_subspace keeps the route that replaced:
+each basis cochain's slot-1 defect built as a map (slot_defect) on every
+arrangement of its arguments.  The factored_* functions keep the sweep
+before that, which decides the defect of every slot, read through
+linearity_twist, and the induction kernel on InducedOperators.
 
 td_differential_direct names the twisted formula's one map when that map
 is skew, and TDCochain.same_as compares names by the injectivity of
@@ -25,7 +28,9 @@ check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
 permutations it replaced.
 
-twisted_sum induces the classical side of an identity as one map;
+algebra.composite_check takes its terms uncomposed; composed builds
+their maps for the operator routes.  twisted_sum induces the classical
+side of an identity as one map;
 factored_term keeps the per-term form it replaced, each rearranged term
 twisted and rearranged as an operator.  The twisted checkers read each
 identity off its kept classical result; operator_check_td_lie,
@@ -97,6 +102,7 @@ from tdhom.linalg import (
     RationalMatrix,
     SparseColumns,
     all_permutations,
+    common_ints,
     kernel_basis,
     rank,
     solve,
@@ -350,6 +356,13 @@ def factored_term(phi, C, sigma):
     return twisted(phi, C, sigma).argument_permute(sigma)
 
 
+def composed(side):
+    """Terms (outer, inner, slot, p, sign), as algebra.composite_check
+    reads them, as (map, p, sign) terms with each composite built."""
+    return [(outer.compose_at(inner, slot), p, sign)
+            for outer, inner, slot, p, sign in side]
+
+
 def td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
@@ -378,7 +391,8 @@ def operator_check_td_poisson(poisson, C):
         "td-commutativity",
         prod.argument_permute(SWAP),
         twisted(poisson.product, C, SWAP))
-    left, right = leibniz_identity(poisson.bracket, poisson.product)
+    left, right = (composed(side) for side in
+                   leibniz_identity(poisson.bracket, poisson.product))
     leibniz = operator_identity_check("td-leibniz", twisted_sum(left, C),
                                       twisted_sum(right, C))
     return combine("td-poisson", [lie_part, commut, leibniz])
@@ -473,6 +487,35 @@ def reduced_column(op):
     stacking InducedOperators into a SparseColumns."""
     return {(rho.images, key): q for rho, psi in op.reduced().items()
             for key, q in psi.entries.items()}
+
+
+def slot_defect(fmap, pair):
+    """Base map of the slot-1 scaling identity, left side minus right, on
+    (B, L, .., L) -> B, built as maps."""
+    return fmap.compose_at(pair.bmodule, 0).sub(
+        pair.product.compose_at(fmap, 1))
+
+
+def map_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
+    """blinear_subspace with each basis cochain's slot-1 defect built as a
+    map, on every arrangement of the Lie arguments, and stacked."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative, got %d" % n)
+    pair, C = s.pair, s.coalgebra
+    L, B = pair.lie_space, pair.ring_space
+    basis = alt_basis(L, B, n)
+    stacked = SparseColumns(len(basis))
+    if n >= 1 and basis and C.iterated_terms(n + 1):
+        check_size(len(basis), guard_limit)
+        defects = [
+            slot_defect(AltCochain._from_ints(L, B, n, {key: 1}, 1).as_map(),
+                        pair)
+            for key in basis]
+        tables, _ = common_ints(defects)
+        for ci, table in enumerate(tables):
+            for row, v in table.items():
+                stacked.add(ci, row, v)
+    return stacked.kernel_basis()
 
 
 def factored_slot_defect(fmap, i, s, limit):

@@ -39,6 +39,7 @@ from tdhom.lie_rinehart import LieRinehartPair, check_lr
 from tdhom.linalg import BasedSpace, table_sum
 from tdhom.maps import MultilinearMap, map_identity_check
 from tdhom.td_structures import check_td_lie
+from lr_oracle import map_associative, map_leibniz, map_poisson
 from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
 
 L3 = BasedSpace("L", ("e", "f", "h"))
@@ -438,6 +439,94 @@ class TestFusedChecksAgainstTableSums:
         for check in (skew_symmetry_check, flipped_skew):
             with pytest.raises(ShapeError):
                 check(skewed)
+
+
+@st.composite
+def products(draw, space=None):
+    """(kind, product) on a space of dim 1 to 3, or on space: a corpus
+    Poisson product placed there, the same perturbed, or random entries."""
+    kind = draw(st.sampled_from(["poisson3", "perturbed", "any"]))
+    if kind != "any" and space is None:
+        return kind, draw(st.sampled_from(
+            [corpus.load("poisson3").product] if kind == "poisson3"
+            else list(perturbed(corpus.load("poisson3").product))))
+    V = space or BasedSpace("V", ["v%d" % i for i in range(draw(st.integers(1, 3)))])
+    index = st.integers(0, V.dim - 1)
+    table = draw(st.dictionaries(st.tuples(st.tuples(index, index), index),
+                                 SCALARS, max_size=8))
+    return "any", MultilinearMap((V, V), V, table)
+
+
+@st.composite
+def poisson_algebras(draw):
+    """(kind, algebra) built unchecked: poisson3, poisson3 with one
+    constant of its product moved, or a drawn bracket with a random,
+    generally noncommutative, product on its space."""
+    kind = draw(st.sampled_from(["poisson3", "perturbed", "any"]))
+    P = corpus.load("poisson3")
+    if kind == "poisson3":
+        return kind, P
+    if kind == "perturbed":
+        product = draw(st.sampled_from(list(perturbed(P.product))))
+        return kind, PoissonAlgebra(P.space, P.bracket, product, check=False)
+    _, bracket = draw(brackets())
+    _, product = draw(products(bracket.codomain))
+    return kind, PoissonAlgebra(bracket.codomain, bracket, product, check=False)
+
+
+class TestCompositeChecksAgainstMaps:
+    """Associativity, Leibniz and check_poisson summed in one int pass
+    (composite_check) give the results of the map route they replaced
+    (tests/lr_oracle.py): same ok, detail and witness, failing or not."""
+
+    @given(products())
+    @settings(max_examples=200, deadline=None)
+    def test_associativity_sweep(self, drawn):
+        kind, product = drawn
+        result = check_associative(product)
+        assert result == map_associative(product)
+        if kind == "poisson3":
+            assert result.ok
+
+    @given(poisson_algebras())
+    @settings(max_examples=200, deadline=None)
+    def test_poisson_sweep(self, drawn):
+        kind, P = drawn
+        assert leibniz_check(P.bracket, P.product) \
+            == map_leibniz(P.bracket, P.product)
+        result = check_poisson.__wrapped__(P)
+        assert result == map_poisson(P)
+        if kind == "poisson3":
+            assert result.ok
+
+    def test_sweeps_reach_both_outcomes(self):
+        seen = set()
+
+        @given(poisson_algebras())
+        @settings(max_examples=200, deadline=None)
+        def collect(drawn):
+            _, P = drawn
+            seen.add(("associativity", check_associative(P.product).ok))
+            seen.add(("leibniz", leibniz_check(P.bracket, P.product).ok))
+
+        collect()
+        assert seen == {(c, ok) for c in ("associativity", "leibniz")
+                        for ok in (True, False)}
+
+    def test_ill_shaped_maps_raise(self):
+        A, B = BasedSpace("A", "ab"), BasedSpace("B", "xyz")
+        for m in (MultilinearMap((A, B), B, {}), MultilinearMap((A, A), B, {})):
+            for check in (check_associative, map_associative):
+                with pytest.raises(ShapeError):
+                    check(m)
+        # a product on a second space of A's dimension composes, but the
+        # two sides of Leibniz then live on different spaces
+        square, C = MultilinearMap((A, A), A, {}), BasedSpace("C", "cd")
+        for product in (MultilinearMap((B, B), B, {}),
+                        MultilinearMap((C, C), C, {})):
+            for check in (leibniz_check, map_leibniz):
+                with pytest.raises(ShapeError):
+                    check(square, product)
 
 
 def gl_adjoint_module(n):

@@ -145,6 +145,28 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["entries"][0]["status"] == "skipped"
 
+    @pytest.mark.parametrize("flags", ([], ["--unsafe-skip-axioms"]))
+    def test_residual_past_the_digit_limit(self, tmp_path, flags, capsys):
+        # a Jacobi residual with more digits than str() of an int allows
+        # once ended in exit 2; it is a failing check, written as a marker
+        doc = json.loads(corpus.fixture_text("sl2"))
+        big = "9" * 4300 + "/7"
+        scaled = {((0, 1), 2): big, ((1, 0), 2): "-" + big,
+                  ((2, 0), 0): big, ((0, 2), 0): "-" + big}
+        for entry in doc["maps"][0]["entries"]:
+            entry[2] = scaled.get((tuple(entry[0]), entry[1]), entry[2])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(["verify", str(path), "--json"] + flags, capsys)
+        assert code == 1
+        entry = json.loads(out)["entries"][0]
+        assert entry["check"] == ("lie" if flags else "load")
+        assert entry["witness"] == {"args": ["e", "f", "h"],
+                                    "residual": [["h", "too long to print"]]}
+        code, out, _ = run(["verify", str(path)] + flags, capsys)
+        assert code == 1
+        assert "residual {h: too long to print}" in out
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["verify", str(tmp_path / "nope.json")], capsys)
         assert code == 2

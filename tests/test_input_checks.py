@@ -145,6 +145,17 @@ def test_package_induces_a_twisted_identity_only_where_its_classical_one_fails()
     assert _enclosing_calls("twisted_sum") == ["lie_rinehart.py:_twisted_row"] * 2
 
 
+def test_package_composes_maps_only_to_induce_operators():
+    # every classical composite identity, the pair rows, associativity and
+    # Leibniz, is summed in one int pass (algebra.composite_check), and the
+    # linear subspace is written from the constants; a composite map is
+    # built only to be induced as an operator
+    assert _enclosing_calls("compose_at") == [
+        "cohomology.py:_twisted_map", "cohomology.py:_twisted_map",
+        "convolution.py:compose_induced", "lie_rinehart.py:terms",
+        "td_structures.py:_degenerate"]
+
+
 def test_package_lays_operators_out_only_to_name_a_witness_or_on_request():
     # identities and cochain equality are decided on parts and names; a
     # table is built for a failing identity's witness or for a caller

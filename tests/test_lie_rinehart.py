@@ -9,6 +9,8 @@ reversing the slot-3 reading cycle destroys exactly this space, which is
 what pins the convention down.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
 from lr_oracle import (
+    map_classical_rows,
     oracle_check_lr,
     oracle_check_td_lr,
     oracle_lr_results,
@@ -49,6 +52,7 @@ from td_oracle import (
     factored_check_subcomplex,
     factored_td_differential_induced,
     linearity_twist,
+    map_blinear_subspace,
 )
 
 ONE = Fraction(1)
@@ -189,32 +193,51 @@ class TestIdentityTableOracle:
         assert "leibniz-forms-agree" in failing
 
 
+def counted_composites(monkeypatch):
+    """The (outer, inner, slot) of every compose_at call from now on."""
+    calls = []
+    compose_at = MultilinearMap.compose_at
+
+    def counting(outer, inner, slot):
+        calls.append((outer, inner, slot))
+        return compose_at(outer, inner, slot)
+
+    monkeypatch.setattr(MultilinearMap, "compose_at", counting)
+    return calls
+
+
 class TestSharedComposites:
     @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
     def test_pair_builds_each_composite_once(self, pname, monkeypatch):
-        # both checkers read the pair's ten composites; associativity
-        # composes the product with itself twice more (30 calls besides
-        # those when each identity was written out twice)
+        # the classical rows, associativity included, are decided in one
+        # int pass each, and a twisted row is read off its passing
+        # classical row, so a passing pair composes no maps at all
         good = corpus.load(pname)
         pair = LieRinehartPair(good.lie_space, good.ring_space, good.bracket,
                                good.product, good.action, good.bmodule,
                                check=False)
-        calls = []
-        compose_at = MultilinearMap.compose_at
-
-        def counting(outer, inner, slot):
-            if not (outer is pair.product and inner is pair.product):
-                calls.append((outer, inner, slot))
-            return compose_at(outer, inner, slot)
-
-        monkeypatch.setattr(MultilinearMap, "compose_at", counting)
+        calls = counted_composites(monkeypatch)
         assert check_lr(pair).ok
-        assert check_td_lr(TDLRStructure(
-            pair, corpus.get_coalgebra("tensor-ab-3"))).ok
-        assert len(calls) == 10
-        assert check_td_lr(TDLRStructure(
-            pair, corpus.get_coalgebra("tensor-x-3"))).ok
-        assert len(calls) == 10
+        for cname in ("tensor-ab-3", "tensor-x-3"):
+            assert check_td_lr(TDLRStructure(
+                pair, corpus.get_coalgebra(cname))).ok
+        assert calls == []
+
+    def test_broken_pair_builds_only_its_failing_rows(self, monkeypatch):
+        # only a classically failing row is decided on operators, and its
+        # composites are built once for every coalgebra
+        pair = bad_derivation_pair()
+        calls = counted_composites(monkeypatch)
+        rows = lie_rinehart.classical_rows(pair)
+        assert calls == []
+        for cname in ("tensor-ab-3", "tensor-x-3"):
+            check_td_lr(TDLRStructure(pair, corpus.get_coalgebra(cname)))
+        expected = {term[:3] for (_name, left, right), row
+                    in zip(lie_rinehart.PAIR_IDENTITIES[:-1], rows)
+                    if not row for term in left + right}
+        named = {id(getattr(pair, name)): name for name in PAIR_MAPS}
+        built = [(named[id(o)], named[id(i)], k) for o, i, k in calls]
+        assert expected and sorted(built) == sorted(expected)
 
 
 class TestLinearityTwist:
@@ -396,6 +419,115 @@ def random_ring_tables(draw):
         L, B, MultilinearMap.zero([L, L], L), draw(bilinear([B, B], B)),
         MultilinearMap.zero([L, B], B), draw(bilinear([B, L], L)),
         check=False, name="random")
+
+
+@st.composite
+def random_pairs(draw):
+    """A pair, built unchecked, with random int and p/q constants in all
+    four maps, on a Lie space and a ring of dimension 1 to 3."""
+    L = BasedSpace("L", ("x", "y", "z")[:draw(st.integers(1, 3))])
+    B = BasedSpace("B", ("1", "t", "u")[:draw(st.integers(1, 3))])
+    return LieRinehartPair(L, B, draw(bilinear([L, L], L)),
+                           draw(bilinear([B, B], B)), draw(bilinear([L, B], B)),
+                           draw(bilinear([B, L], L)), check=False, name="random")
+
+
+def rebased(m, L, P, Q):
+    """m in the basis P e_0, P e_1, .. of L, Q the inverse of P: each L
+    argument is fed through P, and an L value is read back through Q."""
+    table = {}
+    for (tup, o), q in m.entries.items():
+        legs = [[(i, P[j][i]) for i in range(L.dim) if P[j][i]]
+                if space is L else [(j, 1)]
+                for j, space in zip(tup, m.domain)]
+        outs = [(r, Q[r][o]) for r in range(L.dim) if Q[r][o]] \
+            if m.codomain is L else [(o, 1)]
+        for choice in itertools.product(*legs, outs):
+            key = (tuple(i for i, _w in choice[:-1]), choice[-1][0])
+            table[key] = table.get(key, 0) + q * math.prod(
+                w for _i, w in choice)
+    return MultilinearMap(m.domain, m.codomain, table)
+
+
+@st.composite
+def rebased_pairs(draw):
+    """A corpus pair, or the free rank-three one, in a unipotent basis of
+    L: the same pair, so the same axioms and kernel dimensions, but with
+    dense constants whose linear cochains mix basis keys with signs."""
+    pair = draw(st.sampled_from(corpus.PAIR_NAMES + ("free3",)).map(
+        lambda name: free_rank3_pair() if name == "free3" else corpus.load(name)))
+    L, d = pair.lie_space, pair.lie_space.dim
+    P = [[int(i == j) or (draw(st.integers(-2, 2)) if i < j else 0)
+          for j in range(d)] for i in range(d)]
+    Q = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d):  # (1 + N)^-1 = 1 - N + N^2 - .. for nilpotent N
+        Q = [[int(i == j) - sum(P[i][k] * Q[k][j] for k in range(d) if k != i)
+              for j in range(d)] for i in range(d)]
+    return LieRinehartPair(L, pair.ring_space, check=False, name="rebased",
+                           **{name: rebased(getattr(pair, name), L, P, Q)
+                              for name in PAIR_MAPS})
+
+
+@st.composite
+def swept_pairs(draw):
+    """A corpus pair, a perturbed, random or rebased one, its bmodule
+    doubled or not."""
+    pair = draw(st.one_of(
+        st.sampled_from(corpus.PAIR_NAMES).map(corpus.load),
+        st.integers(0, 10 ** 6).map(lambda k: perturbed_pair(random.Random(k))),
+        random_pairs(), rebased_pairs()))
+    if draw(st.booleans()):
+        pair = LieRinehartPair(pair.lie_space, pair.ring_space, pair.bracket,
+                               pair.product, pair.action,
+                               pair.bmodule.scale(2), check=False)
+    return pair
+
+
+# Delta^(n+1) dies at n = 1, 2, 3 and lives through n = 3 across these
+MAP_SWEEP_COALGEBRAS = (
+    corpus.get_coalgebra("zero-ab"), corpus.get_coalgebra("tensor-ab-2"),
+    corpus.get_coalgebra("tensor-x-3"),
+    build_tensor_coalgebra(BasedSpace("V", ("x",)), 4))
+
+
+class TestMapRouteOracle:
+    """The classical rows summed in one int pass, and the linear subspace
+    written from the constants, against the map routes they replaced
+    (tests/lr_oracle.py, tests/td_oracle.py): equal, witness included."""
+
+    @given(swept_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_classical_rows(self, pair):
+        rows = lie_rinehart.classical_rows.__wrapped__(pair)
+        assert rows == map_classical_rows(pair)
+        explicit = oracle_lr_results(pair)
+        assert rows == [explicit[k] for k in (6, 7, 8, 5, 3, 9)]
+        assert check_lr.__wrapped__(pair) == oracle_check_lr(pair)
+
+    @given(swept_pairs(), st.sampled_from(MAP_SWEEP_COALGEBRAS))
+    @settings(max_examples=150, deadline=None)
+    def test_blinear_subspace(self, pair, C):
+        s = TDLRStructure(pair, C)
+        for n in range(4):
+            assert blinear_subspace(n, s) == map_blinear_subspace(n, s), n
+
+    def test_coalgebras_reach_both_regimes(self):
+        for n in (1, 2, 3):
+            assert {bool(C.iterated_terms(n + 1))
+                    for C in MAP_SWEEP_COALGEBRAS} == {True, False}, n
+
+    def test_rows_reach_both_outcomes(self):
+        seen = set()
+
+        @given(swept_pairs())
+        @settings(max_examples=150, deadline=None)
+        def collect(pair):
+            seen.update((r.name, r.ok)
+                        for r in lie_rinehart.classical_rows.__wrapped__(pair))
+
+        collect()
+        assert seen == {(name, ok) for name, _left, _right
+                        in lie_rinehart.PAIR_IDENTITIES for ok in (True, False)}
 
 
 class TestFactoredSweepOracle:
