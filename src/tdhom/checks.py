@@ -46,6 +46,14 @@ class Witness(_Frozen):
         _assign(self, "args", args)
         _assign(self, "residual", residual)
 
+    @staticmethod
+    def printed(value):
+        """str(value), or TOO_LONG where str() refuses it."""
+        try:
+            return str(value)
+        except ValueError:
+            return Witness.TOO_LONG
+
     def describe(self):
         try:
             terms = ", ".join("%s: %s" % (k, v) for k, v in self.residual)

@@ -70,13 +70,6 @@ def default_domains():
     return [(name, corpus.get_coalgebra(name)) for name in names]
 
 
-def _printed(value):
-    try:
-        return str(value)
-    except ValueError:
-        return Witness.TOO_LONG
-
-
 def _witness_doc(result):
     """A failing result's witness as a document, or None."""
     w = getattr(result, "witness", None)
@@ -85,7 +78,8 @@ def _witness_doc(result):
     return {
         "args": [list(a) if isinstance(a, (tuple, list)) else a
                  for a in w.args],
-        "residual": [[coord, _printed(value)] for coord, value in w.residual],
+        "residual": [[coord, Witness.printed(value)]
+                     for coord, value in w.residual],
     }
 
 

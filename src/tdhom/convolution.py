@@ -8,21 +8,23 @@ argument i to coproduct leg sigma(i) first.
 Operator identities are decided on matrix-unit arguments: the operators are
 multilinear, and matrix units span Hom(C,L), so agreement there is agreement
 everywhere.  On those arguments the operator a base map psi induces through
-Delta^(n) with its legs permuted by rho is the outer product psi (x) D_rho.
-InducedOperator keeps a sum of those as its parts {rho: psi_rho}, so
-induced(phi, C) is the one part {identity: phi}, and decides whether it
-vanishes from the psi's and the at most n! tables D_rho: passing
-identities are never laid out.  A twisted identity is the classical one
-with each rearranged term f . p twisted by p; twisting by p and then
-rearranging by p cancel, so its side is the classical side induced
-(twisted_sum), and it holds when the classical identity does.
-materialize() lays an operator out as a sparse table keyed by
+Delta^(n) with its legs permuted by sigma is the outer product psi (x)
+D_sigma, and InducedOperator is that one part: induced(phi, C) is (phi,
+identity) and twisted(phi, C, sigma) is (phi, sigma).  A twisted identity is
+the classical one with each rearranged term f . p twisted by p; twisting by
+p and then rearranging by p cancel, so its side is the classical side
+induced (twisted_sum), it holds when the classical identity does, and the
+difference of its sides is again one part.  Such a part has one entry per
+pair of a psi entry and a coproduct term, no two on one key, so it is zero
+exactly when psi or Delta^(n) is, and its first entry, the witness of a
+failing identity, is read off those pairs (zero_check): no identity is laid
+out.  materialize() lays an operator out as a sparse table keyed by
 matrix-unit argument tuples; that table (MaterializedOperator, and
-twisted_term, which builds one) is the library API, the path that names
-the witness of a failing identity, and the test oracle for the
-unmaterialized form.  All of it runs on ints, the n-fold coproduct's times
-the base maps', and builds results unchecked from checked operands through
-_stored and _trusted.
+twisted_term, which builds one) is the library API and the test oracle for
+the closed form, and tests/td_oracle.py sums such tables to decide
+identities of several parts.  All of it runs on ints, the n-fold
+coproduct's times the base maps', and builds results unchecked from checked
+operands through _stored and _trusted.
 """
 
 import itertools
@@ -32,12 +34,9 @@ from .checks import CheckResult, Witness
 from .errors import GuardError, ShapeError, TdhomError
 from .linalg import (
     ZERO,
-    Echelon,
     Permutation,
     SparseTable,
     _exact,
-    common_ints,
-    gather,
     getter,
     tensor_space,
 )
@@ -142,104 +141,65 @@ def interchange(fs):
 
 
 class InducedOperator:
-    """A sum of induced operators kept as its parts: sum over rho of
-    psi_rho (x) D_rho, over one coalgebra and one arity.
-
-    D_rho is the n-fold coproduct with its legs permuted by rho, the table
-    {(c, gather(rho, legs)): q}, and psi_rho (x) D_rho is the operator that
-    evaluates the coproduct, feeds leg rho(i) to argument i and applies
-    psi_rho.  parts maps each twist rho to its base map psi_rho, zero maps
-    dropped.  domain and codomain label the arguments and the output; they
-    stay when every part cancels, so a failing identity with a vanishing
-    side still names its witness.  Nothing is laid out unless asked.
+    """psi (x) D_sigma over one coalgebra: the operator that evaluates the
+    n-fold coproduct, feeds leg sigma(i) to argument i and applies the base
+    map psi.  D_sigma is the coproduct with its legs permuted by the twist
+    sigma, the table {(c, gather(sigma, legs)): q}; the arguments and the
+    output are psi's.  Nothing is laid out unless asked.
     """
 
-    def __init__(self, coalgebra, domain, codomain, parts):
+    def __init__(self, coalgebra, base, twist):
         self.coalgebra = coalgebra
-        self.domain = tuple(domain)
-        self.codomain = codomain
-        self.parts = {rho: psi for rho, psi in parts.items()
-                      if not psi.is_zero()}
+        self.base = base
+        self.twist = twist
+
+    @property
+    def domain(self):
+        return self.base.domain
+
+    @property
+    def codomain(self):
+        return self.base.codomain
 
     @property
     def arity(self):
-        return len(self.domain)
-
-    def _like(self, domain, parts):
-        return InducedOperator(self.coalgebra, domain, self.codomain, parts)
-
-    def add(self, other):
-        """Parts sharing a twist merge into one base map, entry by entry:
-        as for materialized tables, only the arity must match."""
-        if self.arity != other.arity:
-            raise ShapeError("operators of arity %d and %d do not add"
-                             % (self.arity, other.arity))
-        if self.coalgebra is not other.coalgebra:
-            raise ShapeError("operators live over different coalgebras")
-        parts = dict(self.parts)
-        for rho, psi in other.parts.items():
-            parts[rho] = _map_sum(parts[rho], psi) if rho in parts else psi
-        return self._like(self.domain, parts)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, q):
-        return self._like(self.domain, {rho: psi.scale(q)
-                                        for rho, psi in self.parts.items()})
+        return self.base.arity
 
     def argument_permute(self, sigma):
         """The operator evaluated on rearranged arguments: position i gets
-        the old argument sigma(i).  Part (psi, rho) becomes
-        (psi . sigma, sigma^-1 then rho)."""
-        if sigma.size != self.arity:
-            raise ShapeError("permutation size %d vs arity %d"
-                             % (sigma.size, self.arity))
-        inv = sigma.inverse()
-        return self._like(gather(inv, self.domain),
-                          {inv.then(rho): psi.precompose_perm(sigma)
-                           for rho, psi in self.parts.items()})
+        the old argument sigma(i), so (psi, rho) becomes (psi . sigma,
+        sigma^-1 then rho)."""
+        return InducedOperator(self.coalgebra, self.base.precompose_perm(sigma),
+                               sigma.inverse().then(self.twist))
 
-    def reduced(self):
-        """{pivot rho: psi}: the same operator over independent D_rho.
+    def _pairs(self):
+        """(den, entries): the laid-out table over den, its entries an
+        iterator of ((o, c, cols), int), one per pair of a base map entry
+        and a D_sigma term, valued their product.  The twist permutes legs
+        bijectively and a coproduct term's legs are distinct per source
+        index, so no two pairs share a key: nothing sums or cancels."""
+        terms, den = self.coalgebra._expansion(self.arity)
+        move = getter(self.twist)
+        psi = self.base._ints.items()
+        entries = (((o, c, tuple(zip(tup, routed))), q * p)
+                   for c, expansion in terms.items()
+                   for legs, q in expansion
+                   for routed in (move(legs),)
+                   for (tup, o), p in psi)
+        return den * self.base._denominator, entries
 
-        The twists are taken in order of their images; those whose D_rho is
-        independent of the D's before it are the pivots, and every other
-        D_rho is written in the pivots with exact coefficients, its psi
-        folded onto theirs.  Since psi (x) D is an outer product, a sum over
-        independent D's vanishes exactly when each psi does, so the result
-        is empty exactly when the operator is zero.
-
-        The pivots depend on which twists occur.  Operators that all have
-        one and the same twist rho reduce to {rho: psi} or, when D_rho is
-        zero, to nothing, so their reduced maps stacked as columns have the
-        kernel of their materialized tables.
-        """
-        twists = sorted(self.parts, key=lambda rho: rho.images)
-        # every D_rho over the same denominator, which the residues ignore
-        terms, _ = self.coalgebra._expansion(self.arity)
-        legs_tables = [{(c, move(legs)): q
-                        for c, expansion in terms.items()
-                        for legs, q in expansion}
-                       for move in map(getter, twists)]
-        # only the reduction is used: residues[i] writes D_i in the pivots
-        ech = Echelon(None, legs_tables, [{i: 1} for i in range(len(twists))])
-        out = {}
-        for i, rho in enumerate(twists):
-            residue = ech.residues.get(i)
-            coords = ({rho: 1} if residue is None else
-                      {twists[j]: -a for j, a in residue.items() if j != i})
-            for pivot, a in coords.items():
-                term = self.parts[rho].scale(a)
-                out[pivot] = _map_sum(out[pivot], term) if pivot in out else term
-        return {rho: psi for rho, psi in out.items() if not psi.is_zero()}
-
-    def vanishes(self):
-        """Whether the operator is zero, decided without laying it out."""
-        return not self.reduced()
-
-    # the SparseTable name, for callers written against materialized tables
-    is_zero = vanishes
+    def first_entry(self):
+        """(cols, c, o, value) at the first key of the laid-out table, in
+        MaterializedOperator.first_difference's order, or None when the
+        operator is zero, which it is exactly when psi or Delta^(n) is
+        (_pairs).  Read off the pairs; no table is built."""
+        den, entries = self._pairs()
+        found = min(entries, default=None,
+                    key=lambda item: (item[0][2], item[0][1], item[0][0]))
+        if found is None:
+            return None
+        (o, c, cols), v = found
+        return cols, c, o, SparseTable._stored({0: v}, den).entries[0]
 
     def apply(self, fs):
         """Evaluate on HomElements; returns a HomElement into the codomain."""
@@ -264,47 +224,23 @@ class InducedOperator:
                                   target=self.codomain)
 
     def materialize(self):
-        """Sparse table over matrix-unit argument tuples, summed over the
-        parts.
-
-        The table serves the library API, failure witnesses and the test
-        oracle; the checkers decide identities with vanishes() instead.
-        """
-        terms, den = self.coalgebra._expansion(self.arity)
-        tables, psi_den = common_ints(list(self.parts.values()))
-        entries = {}
-        for table, rho in zip(tables, self.parts):
-            move = getter(rho)
-            for c, expansion in terms.items():
-                for legs, q in expansion:
-                    routed = move(legs)
-                    for (tup, o), p in table.items():
-                        key = (o, c, tuple(zip(tup, routed)))
-                        entries[key] = entries.get(key, 0) + q * p
+        """Sparse table over matrix-unit argument tuples (_pairs): the
+        library API and the test oracle; the checkers decide identities
+        with first_entry instead."""
+        den, entries = self._pairs()
         return MaterializedOperator._stored(
-            entries, den * psi_den, arity=self.arity,
-            coalgebra=self.coalgebra, domain=self.domain,
-            codomain=self.codomain)
+            dict(entries), den, arity=self.arity, coalgebra=self.coalgebra,
+            domain=self.domain, codomain=self.codomain)
 
     def __repr__(self):
-        return "InducedOperator(arity=%d, %d parts)" % (
-            self.arity, len(self.parts))
-
-
-def _map_sum(psi, other):
-    """psi + other entry by entry, as materialized tables add: only the
-    arity has to agree.  Each argument keeps psi's space unless other's is
-    larger there, which happens only in a sum that does not typecheck."""
-    domain = [a if a.dim >= b.dim else b
-              for a, b in zip(psi.domain, other.domain)]
-    codomain = psi.codomain if psi.codomain.dim >= other.codomain.dim \
-        else other.codomain
-    return MultilinearMap._trusted(domain, codomain, *psi._plus(other))
+        return "InducedOperator(arity=%d, twist=%r)" % (
+            self.arity, self.twist.images)
 
 
 class MaterializedOperator(SparseTable):
     """A multilinear operator on Hom spaces, laid out on matrix-unit tuples:
-    the library API, the failure-witness path and the test oracle.
+    the library API and the test oracle.  Tables of any operators add, so
+    the oracle decides identities of several parts with them.
 
     Keys are (output index, source basis index, cols) where cols is the tuple
     of matrix units fed in: cols[i] = (target index, source index) for
@@ -364,16 +300,17 @@ class MaterializedOperator(SparseTable):
 
 def twisted(phi, C, sigma):
     """The operator phi induces through C's iterated coproduct, argument i
-    reading coproduct leg sigma(i): the one part {sigma: phi}."""
+    reading coproduct leg sigma(i): (phi, sigma)."""
     if phi.arity < 1:
         raise ShapeError("induced operators need arity >= 1")
     if sigma.size != phi.arity:
         raise ShapeError("twist size %d vs arity %d" % (sigma.size, phi.arity))
-    return InducedOperator(C, phi.domain, phi.codomain, {sigma: phi})
+    return InducedOperator(C, phi, sigma)
 
 
 def induced(phi, C):
-    """The untwisted operator built from phi and C's iterated coproduct."""
+    """The untwisted operator built from phi and C's iterated coproduct:
+    (phi, identity)."""
     return twisted(phi, C, Permutation.identity(phi.arity))
 
 
@@ -395,87 +332,75 @@ def twisted_sum(terms, C):
     """maps.term_sum(terms) over C, each rearrangement f . p replaced by
     its twisted counterpart, twisted by p and then rearranged by p.  The
     two cancel, so the counterpart is induced(f . p, C) and the sum is
-    the classical side induced: the one part {identity: term_sum(terms)}.
-    So a twisted identity holds when its classical one does; only a
-    classically failing pair row is induced.  tests/td_oracle.py keeps the
-    sum of the terms, each twisted and rearranged, as the oracle."""
+    the classical side induced: (term_sum(terms), identity).  So a twisted
+    identity holds when its classical one does; only a classically failing
+    pair row is induced.  tests/td_oracle.py keeps the sum of the terms,
+    each twisted and rearranged, as the oracle."""
     return induced(term_sum(terms), C)
-
-
-def _untwisted_base(op):
-    """The identity part of op, or the zero map when every part cancelled;
-    TdhomError when op keeps any other part."""
-    identity = Permutation.identity(op.arity)
-    if any(rho != identity for rho in op.parts):
-        raise TdhomError("twisted operators do not compose; twist afterwards instead")
-    return op.parts.get(identity, MultilinearMap.zero(op.domain, op.codomain))
 
 
 def compose_induced(outer, inner, slot):
     """Feed inner's output into one argument slot (0-based) of outer.
 
-    Both operators must be untwisted, with no part but the identity one,
-    and over the same coalgebra; the result is the operator induced by the
-    composed base maps, which property tests confirm equals the literal
-    evaluation-level composition.  An operator whose parts all cancelled
-    counts as untwisted and composes as the zero map.
+    Both operators must be untwisted and over the same coalgebra; the
+    result is the operator induced by the composed base maps, which
+    property tests confirm equals the literal evaluation-level composition.
     """
-    outer_base, inner_base = _untwisted_base(outer), _untwisted_base(inner)
+    if any(op.twist != Permutation.identity(op.arity) for op in (outer, inner)):
+        raise TdhomError("twisted operators do not compose; twist afterwards instead")
     if outer.coalgebra is not inner.coalgebra:
         raise ShapeError("operators live over different coalgebras")
-    return induced(outer_base.compose_at(inner_base, slot), outer.coalgebra)
+    return induced(outer.base.compose_at(inner.base, slot), outer.coalgebra)
 
 
-def operator_witness(mat, found):
-    """Label a first_difference result with matrix-unit and basis names."""
+def operator_witness(op, found):
+    """Label a first_difference or first_entry result with matrix-unit and
+    basis names, on op's (an operator's or a table's) arguments."""
     cols, c, o, residual = found
-    C = mat.coalgebra
+    C = op.coalgebra
     labels = tuple(unit_label(C, space, t, leg)
-                   for space, (t, leg) in zip(mat.domain, cols))
+                   for space, (t, leg) in zip(op.domain, cols))
     return Witness(labels + (C.space.labels[c],),
-                   ((mat.codomain.labels[o], residual),))
+                   ((op.codomain.labels[o], residual),))
 
 
-def operator_identity_check(name, lhs, rhs):
-    """CheckResult for equality of two InducedOperators.
-
-    The identity holds when lhs - rhs vanishes, which is decided on the
-    parts.  Only a failing identity is materialized, both sides, to name the
-    first differing matrix-unit tuple as the witness.
-    """
-    if lhs.sub(rhs).vanishes():
+def zero_check(name, op):
+    """CheckResult for op = 0, where op is an identity's left side minus
+    its right: decided and witnessed by op.first_entry, so a failing
+    identity names the first matrix-unit tuple at which its sides differ,
+    on the left side's arguments, and nothing is laid out."""
+    found = op.first_entry()
+    if found is None:
         return CheckResult(name, True)
-    table = lhs.materialize()
-    found = table.first_difference(rhs.materialize())
-    return CheckResult(name, False, operator_witness(table, found))
+    return CheckResult(name, False, operator_witness(op, found))
 
 
 def check_td_skew(phi, C):
     """Rearranging the arguments by sigma equals the sign of sigma times the
     operator twisted by sigma inverse, for every sigma.
 
-    Both sides at sigma carry the one twist sigma inverse, so the identity
-    holds there exactly when phi . sigma = sign(sigma) phi or Delta^(n)
-    vanishes.  The sigma where it holds form a group, so the adjacent
-    transpositions, which generate S_n, decide all n! of them.  They are
-    checked from (n-2 n-1) down to (0 1), the lexicographic order of their
-    images, and the first that fails is the first failing sigma of the
-    full enumeration: if sigma first moves k, every permutation of the
-    points after k precedes it and passes, so (k k+1), which does not
-    follow sigma, fails.  Each is decided by operator_identity_check, whose
-    witness is prefixed with the transposition's images.  A map whose
-    arguments do not all share one space is refused.
+    Both sides at sigma carry the one twist sigma inverse, so their
+    difference is (phi . sigma - sign(sigma) phi) (x) D_(sigma^-1), which
+    is zero exactly when that map or Delta^(n) is.  The sigma where it
+    holds form a group, so the adjacent transpositions, which generate S_n,
+    decide all n! of them.  They are checked from (n-2 n-1) down to (0 1),
+    the lexicographic order of their images, and the first that fails is
+    the first failing sigma of the full enumeration: if sigma first moves
+    k, every permutation of the points after k precedes it and passes, so
+    (k k+1), which does not follow sigma, fails.  Each is decided by
+    zero_check, whose witness is prefixed with the transposition's images.
+    A map whose arguments do not all share one space is refused.
     """
     n = phi.arity
+    if n < 1:
+        raise ShapeError("induced operators need arity >= 1")
     if any(space is not phi.domain[0] for space in phi.domain):
         raise ShapeError("td-skew needs a map whose arguments share one space")
-    plain = induced(phi, C)
     for k in reversed(range(n - 1)):
         # a transposition is odd and its own inverse
         swap = Permutation.transposition(k, k + 1, n)
-        result = operator_identity_check(
-            "td-skew", plain.argument_permute(swap),
-            twisted(phi, C, swap).scale(-1))
+        result = zero_check("td-skew", twisted(
+            phi.precompose_perm(swap).add(phi), C, swap))
         if not result:
             w = result.witness
             return CheckResult("td-skew", False,

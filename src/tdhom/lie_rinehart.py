@@ -10,7 +10,9 @@ Each identity is stated once, in PAIR_IDENTITIES, and decided once in an
 int pass building no map (classical_rows, reported by check_lr).
 check_td_lr decides the rows as operators out of a coalgebra, each
 rearrangement twisted; a twisted row holds when its classical row does
-(twisted_sum), so only a classically failing row is composed as maps.
+(twisted_sum), so only a classically failing row is composed as maps,
+and decided, with its witness, on the one operator its sides differ by
+(convolution.zero_check), which is never laid out.
 """
 
 from .algebra import (
@@ -24,13 +26,13 @@ from .algebra import (
     check_module,
     composite_check,
 )
-from .checks import CheckResult, combine, decided_once, require
+from .checks import CheckResult, Witness, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential, increasing_tuples
 from .convolution import (
     DEFAULT_GUARD_LIMIT,
     check_size,
-    operator_identity_check,
     twisted_sum,
+    zero_check,
 )
 from .errors import AxiomError, ShapeError
 from .linalg import RationalMatrix, SparseColumns, common_ints, solve
@@ -157,13 +159,14 @@ class TDLRStructure:
 
 def _twisted_row(pair, C, row, classical):
     """A PAIR_IDENTITIES row over C: passing with its classical result,
-    else decided on operators, which pass where Delta^(n) vanishes."""
+    else decided on the one operator its sides differ by, the classical
+    left side minus the right induced (twisted_sum), which is zero where
+    Delta^(n) is (zero_check)."""
     name, left, right = row
     if classical:
         return CheckResult("td-" + name, True)
-    return operator_identity_check("td-" + name,
-                                   twisted_sum(pair.terms(left), C),
-                                   twisted_sum(pair.terms(right), C))
+    negated = [(f, p, -sign) for f, p, sign in pair.terms(right)]
+    return zero_check("td-" + name, twisted_sum(pair.terms(left) + negated, C))
 
 
 @decided_once
@@ -183,7 +186,7 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
 
     The slot-1 scaling identity compares two untwisted induced operators,
     so it holds exactly when Delta^(n+1) or its base map, the defect
-    f(bmodule(a, x1), R) - product(a, f(x1, R)), vanishes.  For a skew f
+    f(bmodule(a, x1), R) - product(a, f(x1, R)), is zero.  For a skew f
     the slot-i defect is (-1)^(i-1) times this one with the i-th Lie
     argument moved to the front, so slot 1 decides every slot.  Degree 0
     has no slots: all of B qualifies.  While Delta^(n+1) lives, the
@@ -252,7 +255,7 @@ def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
                     # the target is the kernel of the slot-1 defects, so an
                     # image outside it fails at slot 1; the image is named
                     # by its nonzero values in key order
-                    values = ", ".join(str(q) for _key, q
+                    values = ", ".join(Witness.printed(q) for _key, q
                                        in sorted(image.values.items()))
                     raise AxiomError(
                         "image [%s] of a linear degree-%d cochain leaves the "

@@ -13,7 +13,7 @@ are (_lowest_terms makes the form).  RationalMatrix keeps one zero-free
 materialized operators, cochains and coproducts, keeps one zero-free
 {key: int} dict, and does its add, sub, scale, is_zero and == on the ints.
 Only this module makes Fractions, where a caller reads them: matrix
-entries, the tables' views, ratio, kernel vectors, solutions and residues.
+entries, the tables' views, ratio, kernel vectors and solutions.
 
 Every rank, pivot set, kernel and solve comes from one sparse,
 fraction-free echelon form (Echelon) of int rows, fed shortest first and
@@ -536,14 +536,12 @@ def _eliminate(target, b, a, source):
 
 
 def _divide_content(row, extra):
-    """Divide the int dicts row and extra by the gcd of all their entries;
-    return that gcd (0 when both are empty)."""
+    """Divide the int dicts row and extra by the gcd of all their entries."""
     g = gcd(*row.values(), *extra.values())
     if g > 1:
         for table in (row, extra):
             for k in table:
                 table[k] //= g
-    return g
 
 
 class Echelon:
@@ -556,7 +554,8 @@ class Echelon:
     their gcd, the step is row <- b * row - a * h, which stays in the
     integers.  When the leading column carries no pivot, the row's content
     is taken out and it becomes the pivot row of that column; when nothing
-    is left, it is a residue.  No Fraction is created while reducing.
+    is left, only its right-hand side tail remains.  No Fraction is
+    created while reducing.
 
     In any row echelon form the leading columns are the lexicographically
     first independent column set, so pivot columns, the kernel basis (one
@@ -567,23 +566,18 @@ class Echelon:
 
     Right-hand sides ride along: rhs[i] is a dict {index: int} of the
     entries of row i in each right-hand side, copied and reduced with the
-    row as the tail of one integer row.  A row whose matrix part
-    reduces to zero is a left-null residue, kept in residues[i] as Fractions
-    divided by the factor the row was scaled by, and right-hand side t is
-    inconsistent exactly when some residue is nonzero at t.  With rhs[i] =
-    {i: 1} the residue of row i writes it in the pivot rows: rows[i] = -sum
-    of residue[j] * rows[j] over j != i, and residue[i] == 1.
+    row as the tail of one integer row.  Right-hand side t is inconsistent
+    exactly when some row whose matrix part reduces to zero keeps a nonzero
+    tail entry at t; those t are kept in inconsistent.
     """
 
     def __init__(self, ncols, rows, rhs=None):
         self.ncols = ncols
         self.pivots = {}      # leading column -> (int row, int rhs part)
-        self.residues = {}    # row index -> rhs part, for rows reducing to zero
+        self.inconsistent = set()
         for i in sorted(range(len(rows)), key=lambda k: (len(rows[k]), k)):
-            row, extra, scale = dict(rows[i]), dict(rhs[i] if rhs else {}), 1
-            # the working row is (scale / content) times row i plus a
-            # combination of pivot rows
-            content = _divide_content(row, extra)
+            row, extra = dict(rows[i]), dict(rhs[i] if rhs else {})
+            _divide_content(row, extra)
             while row:
                 c = min(row)
                 hit = self.pivots.get(c)
@@ -599,10 +593,8 @@ class Echelon:
                 _eliminate(row, b, a, pivot)
                 if extra or pivot_extra:
                     _eliminate(extra, b, a, pivot_extra)
-                scale *= b
             else:
-                self.residues[i] = {t: Fraction(v * content, scale)
-                                    for t, v in extra.items()}
+                self.inconsistent.update(extra)
 
     @property
     def rank(self):
@@ -623,8 +615,7 @@ class Echelon:
         variable zero, or None where the right-hand side is inconsistent."""
         values = self._back_substitute({}, True)
         vectors = self._vectors(values, range(count))
-        inconsistent = {t for extra in self.residues.values() for t in extra}
-        return [None if t in inconsistent else vectors[t]
+        return [None if t in self.inconsistent else vectors[t]
                 for t in range(count)]
 
     def _back_substitute(self, values, with_rhs):

@@ -13,12 +13,11 @@ classical one does (convolution.twisted_sum), so check_td_lie,
 check_td_module and check_td_poisson read theirs off the kept classical
 preconditions and build no operator; tests/td_oracle.py keeps the
 operator route as the oracle.  Collapse and Jordan read theirs off
-check_lie, or, over a non-coassociative C, off the operator's parts.
+check_lie and, like check_td_lie and check_td_poisson, refuse a
+non-coassociative C.
 """
 
 from .algebra import (
-    JACOBI_ROTATIONS,
-    SWAP,
     LieModule,
     check_lie,
     check_module,
@@ -31,9 +30,7 @@ from .coalgebra import (
     check_coassociativity,
     symmetry_class,
 )
-from .convolution import induced, operator_identity_check
 from .errors import AxiomError, ShapeError
-from .linalg import table_sum
 
 
 def _skew_coproduct(C):
@@ -99,21 +96,17 @@ def check_td_lie(lie, C):
     return _held("td-lie", ("td-skew", "td-jacobi"))
 
 
-def _degenerate(name, rows, lie, C, flip):
-    """Over a C whose leg flip takes Δ to -flip Δ: the induced bracket
-    with its arguments swapped is flip times itself, and its nested
-    operator plus its untwisted rotations is zero.  A rotation of a
-    coassociative C's Δ^(2), two flips, fixes it, so there these are skew
-    symmetry and Jacobi fed through Δ^(2), and hold once check_lie does."""
+def _degenerate(name, rows, lie, C):
+    """The rows of collapse (the leg flip fixes Δ) or Jordan (it negates
+    Δ): the induced bracket with its arguments swapped is minus itself or
+    itself, and its nested operator plus its untwisted rotations is zero.
+    A rotation of a coassociative C's Δ^(2), two flips, fixes it, so these
+    are skew symmetry and Jacobi fed through Δ^(2), and hold once
+    check_lie does.  A non-coassociative C is refused, as check_td_lie
+    refuses it."""
     require(check_lie(lie), "precondition failed (Lie axioms): ")
-    if check_coassociativity(C):
-        return _held(name, rows)
-    op = induced(lie.bracket, C)
-    nested = induced(lie.bracket.compose_at(lie.bracket, 1), C)
-    total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
-    return combine(name, [
-        operator_identity_check(rows[0], op.argument_permute(SWAP), op.scale(flip)),
-        operator_identity_check(rows[1], total, total.scale(0))])
+    require(check_coassociativity(C), "precondition failed (coassociativity): ")
+    return _held(name, rows)
 
 
 def check_cocommutative_collapse(lie, C):
@@ -124,7 +117,7 @@ def check_cocommutative_collapse(lie, C):
             "collapse needs a cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
     return _degenerate("cocommutative-collapse",
-                       ("collapse-skew", "collapse-jacobi"), lie, C, -1)
+                       ("collapse-skew", "collapse-jacobi"), lie, C)
 
 
 def check_jordan(lie, C):
@@ -149,7 +142,7 @@ def check_jordan(lie, C):
             "Jordan checks need a skew-cocommutative coalgebra; %s is %s"
             % (C.space.name, symmetry_class(C)))
     return _degenerate("jordan", ("jordan-symmetry", "jordan-jacobi"),
-                       lie, C, 1)
+                       lie, C)
 
 
 def check_td_poisson(poisson, C):

@@ -7,7 +7,8 @@ algebra.composite_check) and as twisted operators over a coalgebra
 (check_td_lr).  Here every identity keeps its own explicit code, as
 before the table: eight classical helpers that compose, rearrange and
 sum the maps by hand, and five twisted identities assembled from induced
-operators, composed with compose_induced, and factored terms.
+operators, composed with compose_induced, and factored terms, and
+decided on their laid-out tables (td_oracle.operator_identity_check).
 oracle_lr_results and oracle_td_lr_results list the sub-results in the
 checkers' order; the package's checkers must fold exactly these, name,
 detail and witness included.
@@ -29,15 +30,11 @@ from tdhom.algebra import (
     skew_symmetry_check,
 )
 from tdhom.checks import combine
-from tdhom.convolution import (
-    compose_induced,
-    induced,
-    operator_identity_check,
-)
+from tdhom.convolution import compose_induced, induced
 from tdhom.lie_rinehart import PAIR_IDENTITIES
 from tdhom.linalg import table_sum
 from tdhom.maps import map_identity_check, term_sum
-from td_oracle import factored_term
+from td_oracle import factored_term, operator_identity_check
 
 
 def map_associative(product):
@@ -162,8 +159,9 @@ def _td_identity(name, C, lhs_op, untwisted, twisted_parts):
     untwisted: list of (map, sign); twisted_parts: list of (map, perm, sign).
     """
     total = table_sum(
-        [induced(m, C).scale(sign) for m, sign in untwisted]
-        + [factored_term(m, C, perm).scale(sign) for m, perm, sign in twisted_parts])
+        [induced(m, C).materialize().scale(sign) for m, sign in untwisted]
+        + [factored_term(m, C, perm).materialize().scale(sign)
+           for m, perm, sign in twisted_parts])
     return operator_identity_check(name, lhs_op, total)
 
 

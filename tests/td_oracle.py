@@ -15,7 +15,7 @@ classical cochains.  map_blinear_subspace keeps the route that replaced:
 each basis cochain's slot-1 defect built as a map (slot_defect) on every
 arrangement of its arguments.  The factored_* functions keep the sweep
 before that, which decides the defect of every slot, read through
-linearity_twist, and the induction kernel on InducedOperators.
+linearity_twist, and the induction kernel, on laid-out operators.
 
 td_differential_direct names the twisted formula's one map when that map
 is skew, and TDCochain.same_as compares names by the injectivity of
@@ -24,9 +24,18 @@ replaced: the formula laid out term by term (materialized_twisted_formula)
 and solved against the induction matrix; materialized_same_as keeps the
 test on the laid-out difference.
 
+The package keeps an operator as one part, a base map psi and a twist
+sigma, and decides an identity whose sides differ by one such part in
+closed form (convolution.zero_check): psi (x) D_sigma is zero exactly
+when psi or Delta^(n) is, and its first entry is read off the pairs of
+psi entries and coproduct terms.  operator_identity_check keeps the route
+that replaced, now the one way to decide an identity of several parts:
+each side laid out (materialize), the tables summed, scaled and permuted
+as MaterializedOperators, and compared by first_difference.
+
 check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
-permutations it replaced.
+permutations it replaced, on laid-out tables.
 
 algebra.composite_check takes its terms uncomposed; composed builds
 their maps for the operator routes.  twisted_sum induces the classical
@@ -36,10 +45,11 @@ twisted and rearranged as an operator.  The twisted checkers read each
 identity off its kept classical result; operator_check_td_lie,
 operator_check_td_module, operator_check_td_poisson and
 operator_check_td_lr keep the route they replaced, every identity decided
-on its induced operators (td_jacobi_sum builds the cyclic one).
+on its laid-out operators (td_jacobi_sum builds the cyclic one).
 check_cocommutative_collapse and check_jordan read their rows off
-check_lie over a coassociative coalgebra; operator_check_collapse and
-operator_check_jordan decide them on operators over any coalgebra.
+check_lie and refuse a coalgebra that is not coassociative;
+operator_check_collapse and operator_check_jordan decide them on laid-out
+operators over any coalgebra, the oracle over coassociative ones.
 
 invariants_h0 stacks the action constants once per e_t;
 matrix_unit_invariants keeps the stacking over every matrix unit it
@@ -86,11 +96,11 @@ from tdhom.cohomology import (
 )
 from tdhom.convolution import (
     DEFAULT_GUARD_LIMIT,
+    InducedOperator,
     check_size,
-    check_td_skew,
     induced,
     matrix_units,
-    operator_identity_check,
+    operator_witness,
     twisted,
     twisted_sum,
 )
@@ -294,9 +304,10 @@ def materialized_twisted_formula(f, tdm):
     acted = M.action.compose_at(fmap, 1)
     bracketed = fmap.compose_at(M.base.bracket, 0)
     return table_sum(
-        [factored_term(acted, C, s).scale(s.sign()) for s in unshuffles(1, n)]
-        + [factored_term(bracketed, C, s).scale(-s.sign())
-           for s in unshuffles(2, n - 1)]).materialize()
+        [factored_term(acted, C, s).materialize().scale(s.sign())
+         for s in unshuffles(1, n)]
+        + [factored_term(bracketed, C, s).materialize().scale(-s.sign())
+           for s in unshuffles(2, n - 1)])
 
 
 def materialized_td_differential_direct(F, tdm):
@@ -331,17 +342,18 @@ def materialized_same_as(F, G):
 
 def enumerated_td_skew(phi, C):
     """check_td_skew by enumeration: every sigma of S_n but the identity in
-    lexicographic order, each decided by operator_identity_check, the first
-    failure's witness prefixed with sigma's images."""
+    lexicographic order, each decided on laid-out tables by
+    operator_identity_check, the first failure's witness prefixed with
+    sigma's images."""
     n = phi.arity
     if any(space is not phi.domain[0] for space in phi.domain):
         raise ShapeError("td-skew needs a map whose arguments share one space")
-    plain = induced(phi, C)
+    plain = induced(phi, C).materialize()
     perms = all_permutations(n)
     for sigma in perms[1:]:
         result = operator_identity_check(
             "td-skew", plain.argument_permute(sigma),
-            twisted(phi, C, sigma.inverse()).scale(sigma.sign()))
+            twisted(phi, C, sigma.inverse()).materialize().scale(sigma.sign()))
         if not result:
             w = result.witness
             return CheckResult("td-skew", False,
@@ -352,8 +364,26 @@ def enumerated_td_skew(phi, C):
 def factored_term(phi, C, sigma):
     """The twisted counterpart of phi . sigma, not laid out: the operator
     twisted by sigma, rearranged by sigma.  That carries the twist back to
-    the identity, leaving the one part {identity: phi . sigma}."""
+    the identity, leaving (phi . sigma, identity)."""
     return twisted(phi, C, sigma).argument_permute(sigma)
+
+
+def laid_out(op):
+    """op's table: an InducedOperator materialized, a table as it is."""
+    return op.materialize() if isinstance(op, InducedOperator) else op
+
+
+def operator_identity_check(name, lhs, rhs=None):
+    """CheckResult for lhs = rhs, or lhs = 0 when rhs is None, decided on
+    the laid-out tables of operators of any number of parts: the route
+    convolution.zero_check replaced.  A failing identity is witnessed at
+    the first key where the tables differ, on lhs's arguments."""
+    table = laid_out(lhs)
+    found = table.first_difference(
+        table.scale(0) if rhs is None else laid_out(rhs))
+    if found is None:
+        return CheckResult(name, True)
+    return CheckResult(name, False, operator_witness(table, found))
 
 
 def composed(side):
@@ -375,9 +405,8 @@ def operator_check_td_lie(lie, C):
     """check_td_lie with both identities decided on operators."""
     require(check_lie(lie), "precondition failed (Lie axioms): ")
     require(check_coassociativity(C), "precondition failed (coassociativity): ")
-    skew = check_td_skew(lie.bracket, C)
-    total = td_jacobi_sum(lie.bracket, C)
-    jacobi = operator_identity_check("td-jacobi", total, total.scale(0))
+    skew = enumerated_td_skew(lie.bracket, C)
+    jacobi = operator_identity_check("td-jacobi", td_jacobi_sum(lie.bracket, C))
     return combine("td-lie", [skew, jacobi])
 
 
@@ -415,16 +444,16 @@ def _untwisted_jacobi_check(name, bracket, C):
     """The plain cyclic identity for the induced bracket: the nested
     operator plus its untwisted rearrangements along the rotation and its
     square sums to zero."""
-    nested = induced(bracket.compose_at(bracket, 1), C)
+    nested = induced(bracket.compose_at(bracket, 1), C).materialize()
     total = table_sum([nested] + [nested.argument_permute(r) for r in JACOBI_ROTATIONS])
-    return operator_identity_check(name, total, total.scale(0))
+    return operator_identity_check(name, total)
 
 
 def operator_check_collapse(lie, C):
     """check_cocommutative_collapse's rows decided on operators, over any
     C, past its symmetry-class refusal."""
     require(check_lie(lie), "precondition failed (Lie axioms): ")
-    plain = induced(lie.bracket, C)
+    plain = induced(lie.bracket, C).materialize()
     skew = operator_identity_check(
         "collapse-skew", plain.argument_permute(SWAP), plain.scale(-1))
     jacobi = _untwisted_jacobi_check("collapse-jacobi", lie.bracket, C)
@@ -435,7 +464,7 @@ def operator_check_jordan(lie, C):
     """check_jordan's rows decided on operators, over any C, past its
     symmetry-class refusal."""
     require(check_lie(lie), "precondition failed (Lie axioms): ")
-    op = induced(lie.bracket, C)
+    op = induced(lie.bracket, C).materialize()
     sym = operator_identity_check(
         "jordan-symmetry", op.argument_permute(SWAP), op)
     jacobi = _untwisted_jacobi_check("jordan-jacobi", lie.bracket, C)
@@ -482,13 +511,6 @@ def linearity_twist(i, n):
     return Permutation([i - 1] + list(range(i - 1)) + list(range(i, n + 1)))
 
 
-def reduced_column(op):
-    """op.reduced() as one sparse column, {(rho images, map key): q}, for
-    stacking InducedOperators into a SparseColumns."""
-    return {(rho.images, key): q for rho, psi in op.reduced().items()
-            for key, q in psi.entries.items()}
-
-
 def slot_defect(fmap, pair):
     """Base map of the slot-1 scaling identity, left side minus right, on
     (B, L, .., L) -> B, built as maps."""
@@ -519,21 +541,21 @@ def map_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
 
 
 def factored_slot_defect(fmap, i, s, limit):
-    """Left minus right side of the slot-i scaling identity, factored: one
-    untwisted part.  The guard refuses what materializing either side
-    would have; both have the same argument spaces in another order."""
+    """Left minus right side of the slot-i scaling identity, laid out, the
+    right side twisted and rearranged (factored_term).  The guard refuses
+    what materializing either side would have; both have the same argument
+    spaces in another order."""
     pair, C = s.pair, s.coalgebra
     lhs = induced(fmap.compose_at(pair.bmodule, i - 1), C)
     check_materialization_size(lhs.domain, C, limit)
     scaled = pair.product.compose_at(fmap, 1)
     rhs = factored_term(scaled, C, linearity_twist(i, fmap.arity))
-    return lhs.sub(rhs)
+    return lhs.materialize().sub(rhs.materialize())
 
 
 def factored_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
-    """blinear_subspace with each slot defect reduced in factored form: one
-    untwisted part reduces to its base map or nothing, so stacking the
-    reduced columns gives the kernel of the materialized defects."""
+    """blinear_subspace with the defect of every slot laid out
+    (factored_slot_defect) and the tables stacked as columns."""
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
     pair = s.pair
@@ -545,7 +567,7 @@ def factored_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
             fmap = AltCochain(L, B, n, {key: 1}).as_map()
             for i in range(1, n + 1):
                 defect = factored_slot_defect(fmap, i, s, guard_limit)
-                for row, q in reduced_column(defect).items():
+                for row, q in defect.entries.items():
                     stacked.add(ci, (i, row), q)
     return stacked.kernel_basis()
 
@@ -553,7 +575,7 @@ def factored_blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
 def factored_td_differential_induced(F, tdm, guard_limit=DEFAULT_GUARD_LIMIT):
     """td_differential_induced with its legality check run: the degree-n
     induction kernel, rebuilt on every call, and the vanishing of each
-    kernel vector's differential, decided on factored operators."""
+    kernel vector's differential, decided on laid-out operators."""
     M = tdm.module
     C = tdm.coalgebra
     n = F.degree
@@ -564,7 +586,7 @@ def factored_td_differential_induced(F, tdm, guard_limit=DEFAULT_GUARD_LIMIT):
         for ci, key in enumerate(basis):
             op = induced(AltCochain(L, B, n, {key: 1}).as_map(), C)
             check_materialization_size(op.domain, C, guard_limit)
-            for row, q in reduced_column(op).items():
+            for row, q in op.materialize().entries.items():
                 iota.add(ci, row, q)
         for v in iota.kernel_basis():
             dv = ce_differential(AltCochain.from_vector(L, B, n, v), M)
@@ -572,7 +594,7 @@ def factored_td_differential_induced(F, tdm, guard_limit=DEFAULT_GUARD_LIMIT):
                 continue
             op = induced(dv.as_map(), C)
             check_materialization_size(op.domain, C, guard_limit)
-            if not op.vanishes():
+            if not op.materialize().is_zero():
                 raise AxiomError(
                     "differential leaves the induction kernel at degree %d" % n)
     return TDCochain(ce_differential(F.inducing, M), C)
@@ -590,7 +612,7 @@ def _hom_module(s):
 def _factored_violating_slot(cochain, s, limit):
     fmap = cochain.as_map()
     for i in range(1, cochain.degree + 1):
-        if not factored_slot_defect(fmap, i, s, limit).vanishes():
+        if not factored_slot_defect(fmap, i, s, limit).is_zero():
             return i
     return 0
 

@@ -20,10 +20,12 @@ from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.coalgebra import build_tensor_coalgebra
 from tdhom.convolution import DEFAULT_GUARD_LIMIT, InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
-from tdhom.linalg import BasedSpace, Permutation
+from tdhom.lie_rinehart import TDLRStructure
+from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
 from test_cohomology import (b_adjoint, gl_adjoint, matrix_unit_adjoint,
                               rebased_adjoint, upper_units)
+from td_oracle import operator_check_td_lr
 
 
 def run(argv, capsys):
@@ -1128,13 +1130,12 @@ def write_twisted_verify_inputs(directory):
 
 @pytest.fixture
 def materialized(monkeypatch):
-    """Every part of every InducedOperator.materialize call, as
-    (base map, twist)."""
+    """Every InducedOperator.materialize call, as (base map, twist)."""
     calls = []
     original = InducedOperator.materialize
 
     def recording(self):
-        calls.extend((psi, rho) for rho, psi in self.parts.items())
+        calls.append((self.base, self.twist))
         return original(self)
 
     monkeypatch.setattr(InducedOperator, "materialize", recording)
@@ -1142,8 +1143,8 @@ def materialized(monkeypatch):
 
 
 class TestFactoredChecks:
-    """Twisted identities are decided without laying operators out; only a
-    failing identity is materialized, to name its witness."""
+    """Twisted identities, failing ones and their witnesses included, are
+    decided without laying operators out."""
 
     def test_passing_verify_materializes_nothing(self, tmp_path, monkeypatch,
                                                  materialized, capsys):
@@ -1155,12 +1156,12 @@ class TestFactoredChecks:
         assert counts == {"pass": 16, "fail": 0, "skipped": 0, "guarded": 0}
         assert materialized == []
 
-    def test_failing_pair_materializes_only_its_identity(
+    def test_failing_pair_materializes_nothing(
             self, tmp_path, monkeypatch, materialized, capsys):
         # D(1) = x breaks the derivation rule and no other pair identity;
         # td-derivation fails in td-lie-rinehart, td-subcomplex's
-        # precondition reuses that result, and only its two sides are laid
-        # out, once
+        # precondition reuses that result, and its witness is read off in
+        # closed form, the laid-out oracle's
         doc = json.loads(corpus.fixture_text("lr-dualnum"))
         for m in doc["maps"]:
             if m["name"] == "action":
@@ -1177,26 +1178,24 @@ class TestFactoredChecks:
         assert [(e["check"], e["status"]) for e in twisted_entries] == [
             ("td-lie-rinehart", "fail"), ("td-subcomplex", "fail")]
         assert twisted_entries[0]["detail"] == "td-derivation"
+        assert materialized == []
         pair = load_path("pair.json", unsafe_skip_axioms=True)
-        lhs = pair.action.compose_at(pair.product, 1)
-        rhs = pair.product.compose_at(pair.action, 0).add(
-            pair.product.compose_at(pair.action, 1).precompose_perm(
-                Permutation((1, 0, 2))))
-        assert materialized == [(lhs, Permutation.identity(3)),
-                                (rhs, Permutation.identity(3))]
+        oracle = operator_check_td_lr(
+            TDLRStructure(pair, load_path("C.json")))
+        assert twisted_entries[0]["witness"] == cli._witness_doc(oracle)
 
-    def test_sweep_reduces_no_operator(self, tmp_path, monkeypatch, capsys):
-        # td-lie-rinehart decides by reducing operators; the td-subcomplex
-        # sweep after it reads classical maps only, so reducing raises
-        # while it runs
+    def test_sweep_builds_no_operator(self, tmp_path, monkeypatch, capsys):
+        # td-lie-rinehart decides a failing row on an operator; the
+        # td-subcomplex sweep after it reads classical maps only, so
+        # building an operator raises while it runs
         def forbidden(*args, **kwargs):
-            raise RuntimeError("operator reduced by the sweep")
+            raise RuntimeError("operator built by the sweep")
 
         sweep = cli.check_subcomplex
 
         def guarded_sweep(*args, **kwargs):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(InducedOperator, "reduced", forbidden)
+                mp.setattr(InducedOperator, "__init__", forbidden)
                 return sweep(*args, **kwargs)
 
         monkeypatch.setattr(cli, "check_subcomplex", guarded_sweep)

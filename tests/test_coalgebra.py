@@ -378,9 +378,11 @@ class TestRebasedCoalgebra:
             applied[(o, c)] = applied.get((o, c), 0) + v
         assert op.apply(fs).entries == {k: v for k, v in applied.items() if v}
 
-        # vanishing does not depend on the basis; on symmetric-xy-2 the
-        # twists' D_rho agree, so the difference often vanishes
-        diff = op.sub(twisted(phi, R, other))
-        assert diff.vanishes() == diff.materialize().is_zero()
-        assert diff.vanishes() == \
-            twisted(phi, C, rho).sub(twisted(phi, C, other)).vanishes()
+        # being zero does not depend on the basis, for one operator, decided
+        # in closed form, and for a difference of two, laid out; on
+        # symmetric-xy-2 the twists' D_rho agree, so that is often zero
+        assert (op.first_entry() is None) == op.materialize().is_zero() \
+            == (twisted(phi, C, rho).first_entry() is None)
+        diff = op.materialize().sub(twisted(phi, R, other).materialize())
+        assert diff.is_zero() == twisted(phi, C, rho).materialize().sub(
+            twisted(phi, C, other).materialize()).is_zero()

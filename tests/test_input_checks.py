@@ -141,8 +141,9 @@ def test_package_induces_each_twisted_identity_from_its_classical_sum():
 def test_package_induces_a_twisted_identity_only_where_its_classical_one_fails():
     # a twisted identity holds when its classical identity does, and the
     # checkers read that off the kept result; only a classically failing
-    # pair row is induced, to decide it on operators and name its witness
-    assert _enclosing_calls("twisted_sum") == ["lie_rinehart.py:_twisted_row"] * 2
+    # pair row is induced, to decide it on operators and name its witness;
+    # its two sides are induced as one operator, their difference
+    assert _enclosing_calls("twisted_sum") == ["lie_rinehart.py:_twisted_row"]
 
 
 def test_package_composes_maps_only_to_induce_operators():
@@ -152,19 +153,18 @@ def test_package_composes_maps_only_to_induce_operators():
     # built only to be induced as an operator
     assert _enclosing_calls("compose_at") == [
         "cohomology.py:_twisted_map", "cohomology.py:_twisted_map",
-        "convolution.py:compose_induced", "lie_rinehart.py:terms",
-        "td_structures.py:_degenerate"]
+        "convolution.py:compose_induced", "lie_rinehart.py:terms"]
 
 
-def test_package_lays_operators_out_only_to_name_a_witness_or_on_request():
-    # identities and cochain equality are decided on parts and names; a
-    # table is built for a failing identity's witness or for a caller
-    # that asks for it
+def test_package_lays_operators_out_only_on_request():
+    # every identity, failing ones and their witnesses included, and
+    # cochain equality are decided in closed form; a table is built only
+    # for a caller that asks for one, so the laid-out route is library
+    # API and, in tests/td_oracle.py, the oracle
     assert sorted(set(_enclosing_calls("materialize"))) == [
         "cohomology.py:induction_matrix",
         "cohomology.py:operator",
         "convolution.py:apply",
-        "convolution.py:operator_identity_check",
         "convolution.py:twisted_term"]
 
 

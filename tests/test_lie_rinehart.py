@@ -361,6 +361,21 @@ class TestSubcomplex:
         with pytest.raises(AxiomError, match="slot 1"):
             check_subcomplex(s, 1)
 
+    def test_escaping_image_past_the_digit_limit(self):
+        # the image's values are written as a witness residual is, so one
+        # past str()'s limit on decimal digits still ends in the AxiomError
+        # a verify entry folds in, not in a ValueError
+        good = corpus.load("lr-dualnum")
+        huge = Fraction(10 ** 4400 - 1, 7)
+        action = MultilinearMap([good.lie_space, good.ring_space], good.ring_space,
+                                dict(good.action.entries) | {((0, 0), 0): huge})
+        pair = LieRinehartPair(good.lie_space, good.ring_space, good.bracket,
+                               good.product, action, good.bmodule,
+                               check=False)
+        s = TDLRStructure(pair, corpus.get_coalgebra("tensor-ab-2"))
+        with pytest.raises(AxiomError, match="too long to print"):
+            check_subcomplex(s, 1)
+
     def test_batched_solve_reports_first_escaping_image(self, monkeypatch):
         """With one vector cut from the degree-2 linear basis, the second and
         sixth degree-1 images escape; the one batched solve must report the

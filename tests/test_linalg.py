@@ -451,25 +451,21 @@ class TestEchelonAgainstDenseOracle:
             assert solve(m, [int(q) for q in scaled]) == \
                 [q * 10 ** 6 for q in solve(m, consistent)]
 
-        # with rhs[i] = {i: 1}, the residue of each dependent row writes it
-        # in the pivot rows; the int rows the matrix stores, which the
-        # elimination copies and leaves as they are, and the same rows
-        # times one nonzero int give the same residues
+        # the elimination copies the int rows the matrix stores and leaves
+        # them as they are; the same rows times one nonzero int have the
+        # same pivots, and with rhs[i] = {i: 1} some right-hand side is
+        # inconsistent exactly when the rows are dependent
         stored_rows = [dict(row) for row in m._rows]
         ech = Echelon(cols, m._rows, [{i: 1} for i in range(rows)])
         assert m._rows == stored_rows
-        assert len(ech.residues) == rows - len(pivots)
-        for i, residue in ech.residues.items():
-            assert residue[i] == 1
-            assert all_fractions(residue.values())
-            assert all(sum((a * m.get(r, j) for r, a in residue.items()),
-                           Fraction(0)) == 0 for j in range(cols))
+        assert ech.pivot_columns() == pivots
+        assert bool(ech.inconsistent) == (len(pivots) < rows)
         factor = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool),
                            label="factor")
         scaled = Echelon(cols, [{j: v * factor for j, v in row.items()}
                                 for row in m._rows],
                          [{i: 1} for i in range(rows)])
-        assert scaled.residues == ech.residues
+        assert scaled.inconsistent == ech.inconsistent
         assert scaled.pivot_columns() == pivots
 
         other = draw_matrix(data, cols, data.draw(st.integers(0, 4)), density, size)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
-from tdhom.convolution import _map_sum
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
 from tdhom.linalg import BasedSpace, Permutation, all_permutations
 from tdhom.maps import (
@@ -234,16 +233,6 @@ class TestTrustedResults:
     def test_add_sub_scale(self, f, g, q):
         for r in (f.add(g), f.sub(g), f.scale(q), f.sub(f), f.add(f.scale(-1))):
             assert_checked_form(r)
-
-    @given(maps_on((L, L), L), maps_on((L, L), L))
-    @settings(max_examples=50)
-    def test_map_sum(self, f, g):
-        r = _map_sum(f, g)
-        assert_checked_form(r)
-        assert r.entries == f.add(g).entries
-        r = _map_sum(f, f.scale(-1))
-        assert_checked_form(r)
-        assert r.is_zero()
 
     def test_checked_constructor_stores_fractions(self):
         m = MultilinearMap((L,), L, {((0,), 1): 2, ((1,), 1): "1/3", ((2,), 0): 0})

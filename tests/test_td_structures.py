@@ -7,6 +7,7 @@ triple (E[e,x], E[f,x], E[h,x]) over the word xxx, the shortest word whose
 triple coproduct survives.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdhom
-from tdhom import corpus, lie_rinehart, td_structures
+from tdhom import corpus, lie_rinehart
 from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
 from tdhom.coalgebra import (
     Coalgebra,
@@ -28,9 +29,10 @@ from tdhom.convolution import (
     InducedOperator,
     check_td_skew,
     induced,
-    operator_identity_check,
+    zero_check,
 )
 from tdhom.errors import AxiomError, ShapeError
+from tdhom.files import parse_structure
 from tdhom.lie_rinehart import (
     LieRinehartPair,
     TDLRStructure,
@@ -50,14 +52,17 @@ from tdhom.td_structures import (
     self_module,
 )
 from td_oracle import (
+    enumerated_td_skew,
     operator_check_collapse,
     operator_check_jordan,
     operator_check_td_lie,
     operator_check_td_lr,
     operator_check_td_module,
     operator_check_td_poisson,
+    operator_identity_check,
     td_jacobi_sum,
 )
+from test_convolution import NONCOASSOCIATIVE
 from test_cohomology import (b_adjoint, gl_adjoint, incidence_coalgebra,
                               rebased_adjoint)
 
@@ -91,7 +96,8 @@ class TestTDLie:
     def test_broken_bracket_cyclic_witness(self, broken):
         # bypass the classical precondition to reach the twisted identity
         total = td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-x-3"))
-        r = operator_identity_check("td-jacobi", total, total.scale(0))
+        r = zero_check("td-jacobi", total)
+        assert r == operator_identity_check("td-jacobi", total)
         assert not r.ok
         assert r.witness.args == ("E[e,x]", "E[f,x]", "E[h,x]", "xxx")
         assert r.witness.residual == (("h", Fraction(-1)),)
@@ -104,7 +110,7 @@ class TestTDLie:
     def test_cyclic_vacuous_below_three_letters(self, broken):
         # no word of length three, no triple coproduct, nothing to check
         total = td_jacobi_sum(broken.bracket, corpus.get_coalgebra("tensor-ab-2"))
-        assert total.is_zero()
+        assert total.first_entry() is None
 
     def test_structure_eager_check(self, sl2, broken):
         C = corpus.get_coalgebra("tensor-ab-2")
@@ -210,18 +216,6 @@ class TestJordan:
                 assert op.apply([f, g]) == op.apply([g, f])
 
 
-# cocommutative and skew-cocommutative coalgebras that are not
-# coassociative: Delta(a) = b b, Delta(b) = a a, and Delta(a) = b c - c b,
-# Delta(b) = a c - c a on a, b, c
-NONCOASSOCIATIVE = {
-    "cocommutative": Coalgebra(BasedSpace("V", ("a", "b")),
-                               {(0, 1, 1): 1, (1, 0, 0): 1}, check=False),
-    "skew": Coalgebra(BasedSpace("W", ("a", "b", "c")),
-                      {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): 1,
-                       (1, 2, 0): -1}, check=False),
-}
-
-
 def _degenerate_cases():
     """(checker, oracle, coalgebra name, coalgebra) for collapse over the
     cocommutative coassociative coalgebras and Jordan over the
@@ -249,17 +243,17 @@ def _degenerate_lies():
 
 
 @pytest.fixture
-def operator_checks(monkeypatch):
-    """The identities td_structures decides on operators, by name."""
-    names = []
-    real = td_structures.operator_identity_check
+def operators_built(monkeypatch):
+    """Every InducedOperator built, as (base map, twist)."""
+    built = []
+    init = InducedOperator.__init__
 
-    def counted(name, lhs, rhs):
-        names.append(name)
-        return real(name, lhs, rhs)
+    def recording(self, coalgebra, base, twist):
+        built.append((base, twist))
+        init(self, coalgebra, base, twist)
 
-    monkeypatch.setattr(td_structures, "operator_identity_check", counted)
-    return names
+    monkeypatch.setattr(InducedOperator, "__init__", recording)
+    return built
 
 
 class TestDegenerateReadOff:
@@ -270,30 +264,32 @@ class TestDegenerateReadOff:
                              ids=["%s-%s" % (case[0].__name__, case[2])
                                   for case in DEGENERATE_CASES])
     def test_read_off_equals_operators(self, checker, oracle, cname, C,
-                                       operator_checks):
+                                       operators_built):
         assert check_coassociativity(C).ok
         for lie in _degenerate_lies():
             result = checker(lie, C)
             assert result.ok and result.detail == "2 checks"
-            assert operator_checks == []
+            assert operators_built == []
             assert result == oracle(lie, C), (lie.name, cname)
+            del operators_built[:]
 
     @pytest.mark.parametrize("kind", sorted(NONCOASSOCIATIVE))
-    def test_noncoassociative_goes_to_operators(self, kind, operator_checks):
+    def test_noncoassociative_refused(self, kind, operators_built):
+        # as check_td_lie refuses it; over such a C the operators are
+        # decided only by the oracle, and sl2 fails the plain cyclic
+        # identity there
         C = NONCOASSOCIATIVE[kind]
         assert not check_coassociativity(C).ok
         checker, oracle = ((check_cocommutative_collapse,
                             operator_check_collapse) if kind == "cocommutative"
                            else (check_jordan, operator_check_jordan))
-        outcomes = {}
         for name in corpus.LIE_NAMES:
-            lie = corpus.load(name)
-            del operator_checks[:]
-            result = checker(lie, C)
-            assert len(operator_checks) == 2
-            assert result == oracle(lie, C)
-            outcomes[name] = result.ok
-        # sl2 fails the plain cyclic identity there, with its witness
+            with pytest.raises(AxiomError,
+                               match=r"^precondition failed \(coassociativity\): "):
+                checker(corpus.load(name), C)
+        assert operators_built == []
+        outcomes = {name: oracle(corpus.load(name), C).ok
+                    for name in corpus.LIE_NAMES}
         assert outcomes == {"sl2": False, "heisenberg": True, "abelian2": True}
 
     def test_precondition_still_required(self):
@@ -445,11 +441,12 @@ class TestKeptClassicalResults:
 
 
 def count_calls(monkeypatch, calls):
-    """Record every MultilinearMap.compose_at, maps.term_sum and
-    InducedOperator.reduced call in calls, wherever the package reads
-    term_sum from."""
+    """Record every MultilinearMap.compose_at, maps.term_sum,
+    InducedOperator.first_entry and InducedOperator.materialize call in
+    calls, wherever the package reads term_sum from."""
     for owner, name in ((MultilinearMap, "compose_at"),
-                        (InducedOperator, "reduced")):
+                        (InducedOperator, "first_entry"),
+                        (InducedOperator, "materialize")):
         def counting(*args, original=getattr(owner, name), name=name):
             calls.append(name)
             return original(*args)
@@ -490,10 +487,54 @@ class TestBuildsNothingOnceKept:
         pair = doubled_bmodule("lr-derx3")
         reached = []
 
-        def counting(name, lhs, rhs):
+        def counting(name, op):
             reached.append(name)
-            return operator_identity_check(name, lhs, rhs)
-        monkeypatch.setattr(lie_rinehart, "operator_identity_check", counting)
+            return zero_check(name, op)
+        monkeypatch.setattr(lie_rinehart, "zero_check", counting)
         r = check_td_lr(TDLRStructure(pair, corpus.get_coalgebra("tensor-ab-3")))
         assert not r and r.detail == "td-action-linearity"
         assert reached == ["td-action-linearity", "td-bmodule-associative"]
+
+
+@pytest.fixture
+def materialized(monkeypatch):
+    """Every InducedOperator.materialize call, by operator."""
+    calls = []
+    original = InducedOperator.materialize
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(InducedOperator, "materialize", counting)
+    return calls
+
+
+def derivation_broken_pair():
+    """lr-dualnum with D(1) = x added to its action: only the derivation
+    rule fails, classically and, over tensor-x-3, twisted."""
+    doc = json.loads(corpus.fixture_text("lr-dualnum"))
+    for m in doc["maps"]:
+        if m["name"] == "action":
+            m["entries"].append([[0, 0], 1, "1"])
+    return parse_structure(json.dumps(doc), unsafe_skip_axioms=True)
+
+
+class TestFailuresLayNothingOut:
+    """A failing identity is decided and witnessed in closed form; only
+    the oracle lays it out."""
+
+    def test_td_skew(self, materialized):
+        bracket = corpus.load("broken-skew", unsafe_skip_axioms=True).bracket
+        C = corpus.get_coalgebra("tensor-x-3")
+        result = check_td_skew(bracket, C)
+        assert not result and materialized == []
+        assert result == enumerated_td_skew(bracket, C)
+
+    def test_td_lr_failing_row(self, materialized):
+        s = TDLRStructure(derivation_broken_pair(),
+                          corpus.get_coalgebra("tensor-x-3"))
+        result = check_td_lr(s)
+        assert not result and result.detail == "td-derivation"
+        assert materialized == []
+        assert result == operator_check_td_lr(s)
