@@ -75,25 +75,29 @@ class LieModule:
             require(check_module(self), "module axiom fails: ")
 
     def cleared_constants(self):
-        """(N, pairs, acting): the bracket and action constants as ints.
+        """(N, pairs, acting): the bracket and action constants as ints,
+        indexed by bits for cohomology._pushed, which holds an increasing
+        tuple S as the mask sum_{s in S} 2^s.
 
-        N is the least common denominator of all of them.  pairs[a] lists
-        (x, y, N c) for each bracket constant [e_x, e_y] = c e_a with
-        x < y, and acting[b] lists (t, ((o, N r), ..)), t ascending, for
-        each e_t that moves e_b, by e_t . e_b = r e_o: the push-forward
-        cohomology._pushed visits only those.  Built on first use and
-        cached, like the maps' own groupings: neither map changes after
-        construction.
+        N is the least common denominator of all of them.  pairs[2^a]
+        lists (2^x | 2^y, 2^y - 2^x, N c) for each bracket constant
+        [e_x, e_y] = c e_a with x < y, and acting[b] lists (2^t, 2^t - 1,
+        ((o, N r), ..)), t ascending, for each e_t that moves e_b, by
+        e_t . e_b = r e_o: the push-forward visits only those.  Built on
+        first use and cached, like the maps' own groupings: neither map
+        changes after construction.
         """
         if self._cleared is None:
             (bracket, action), N = common_ints([self.base.bracket, self.action])
             pairs, by_module = {}, {}
             for ((x, y), a), c in bracket.items():
                 if x < y:
-                    pairs.setdefault(a, []).append((x, y, c))
+                    pairs.setdefault(1 << a, []).append(
+                        (1 << x | 1 << y, (1 << y) - (1 << x), c))
             for ((t, b), o), r in action.items():
                 by_module.setdefault(b, {}).setdefault(t, []).append((o, r))
-            acting = {b: [(t, tuple(images[t])) for t in sorted(images)]
+            acting = {b: [(1 << t, (1 << t) - 1, tuple(images[t]))
+                          for t in sorted(images)]
                       for b, images in by_module.items()}
             self._cleared = N, pairs, acting
         return self._cleared

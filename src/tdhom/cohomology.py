@@ -10,8 +10,9 @@ not the number of tuples.  The push-forward runs in ints, over the
 bracket and action constants cleared by their common denominator N, so
 d_k is assembled as the int matrix N d_k, which has the same rank and
 squares to zero with its neighbours exactly when d_k does; no Fraction
-is made on the way.  Once d squared is checked to vanish, each d_k is
-ranked by its columns off the pivot coordinates of d_(k-1) (clearing).
+is made on the way, and each tuple is held as a bitmask (_pushed).  Once
+d squared is checked to vanish, each d_k is ranked by its columns off
+the pivot coordinates of d_(k-1) (clearing).
 
 A torus element is a basis element h of L acting diagonally on L and M,
 [h, e_s] = lam(s) e_s and h . m_b = mu(b) m_b, with a weight nonzero.  Under
@@ -50,7 +51,6 @@ constants, as the vectors every e_t kills.  The size guard of both
 routes is classical_complex's: the keys it pushes.
 """
 
-from bisect import bisect_left
 from itertools import combinations, permutations
 from math import comb
 from operator import lt
@@ -236,14 +236,34 @@ def ce_differential(f, M):
     """The degree-raising double sum, pushed forward from f's stored values
     by _pushed: its int sums over N times f's denominator."""
     _check_module_shapes(f, M)
+    images = _pushed({(_mask(S), b): q for (S, b), q in f._ints.items()}, M)
     return AltCochain._from_ints(M.base.space, M.space, f.degree + 1,
-                                 _pushed(f._ints, M),
+                                 {(_bits(T), o): v for (T, o), v in images.items()},
                                  f._denominator * M.cleared_constants()[0])
+
+
+def _mask(S):
+    """The increasing tuple S as the int sum_{s in S} 2^s."""
+    m = 0
+    for s in S:
+        m |= 1 << s
+    return m
+
+
+def _bits(m):
+    """The mask m as its increasing tuple of set bits."""
+    S = []
+    while m:
+        low = m & -m
+        S.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(S)
 
 
 def _pushed(ints, M):
     """{(T, o): int}, maybe holding zeros: N times d of the cochain whose
-    stored ints are ints, over the N of M.cleared_constants().
+    stored ints are ints, over the N of M.cleared_constants().  Keys hold
+    each increasing tuple S as its mask m = sum_{s in S} 2^s.
 
     On an increasing tuple T = (t_0 < .. < t_n) the differential is
 
@@ -254,38 +274,41 @@ def _pushed(ints, M):
     to the tuples whose summands read it:
 
     - action: each t outside S that moves e_b lands at position i of
-      T = sorted(S + t) and gives (-1)^i q (t . e_b) at T;
+      T = m | 2^t, i = popcount(m & (2^t - 1)) the elements of S below t,
+      and gives (-1)^i q (t . e_b) at T;
     - bracket: each a at position p of S may be the bracket of a pair
-      x < y outside S - a, with coefficient c.  Then T = sorted(S - a + x
-      + y), x and y sit at positions j < k of T, and the (j, k) summand
-      reads f(a, S - a), which sorting turns into (-1)^p f(S); so it gives
-      (-1)^(p+j+k) q c e_b at T.
+      x < y outside rest = m - 2^a, with coefficient c.  Then T = rest |
+      2^x | 2^y, x and y sit at positions j < k of T, and the (j, k)
+      summand reads f(a, S - a), which sorting turns into (-1)^p f(S); so
+      it gives (-1)^(p+j+k) q c e_b at T.  Here j and k - 1 count the
+      elements of rest below x and below y, so, x not being in rest,
+      j + k - 1 has the parity of popcount(rest & (2^y - 2^x)).
 
     Only bracket entries with x < y are read, exactly the pairs the sum
     over j < k evaluates, so the result does not assume a skew bracket.
     """
     _, pairs, acting = M.cleared_constants()
     acc = {}
-    for (S, b), q in ints.items():
-        for t, images in acting.get(b, ()):
-            if t in S:
+    for (m, b), q in ints.items():
+        for bit, below, images in acting.get(b, ()):
+            if m & bit:
                 continue
-            i = bisect_left(S, t)
-            T = S[:i] + (t,) + S[i:]
-            sq = q if i % 2 == 0 else -q
+            T = m | bit
+            sq = -q if (m & below).bit_count() & 1 else q
             for o, r in images:
                 acc[(T, o)] = acc.get((T, o), 0) + sq * r
-        for p, a in enumerate(S):
-            rest = S[:p] + S[p + 1:]
-            for x, y, c in pairs.get(a, ()):
-                if x in rest or y in rest:
-                    continue
-                j = bisect_left(rest, x)
-                k = bisect_left(rest, y)
-                # x lands at position j of T and y at position k + 1
-                T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
-                sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
-                acc[(T, b)] = acc.get((T, b), 0) + sq
+        rem, p = m, 0
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            rest = m ^ low
+            for xy, between, c in pairs.get(low, ()):
+                if not rest & xy:
+                    key = (rest | xy, b)
+                    sq = q * c
+                    acc[key] = acc.get(key, 0) + (
+                        sq if (p + (rest & between).bit_count()) & 1 else -sq)
+            p += 1
     return acc
 
 
@@ -353,34 +376,40 @@ def _certified_ranks(transposes, message):
     return ranks
 
 
-def _differential_matrix(M, k, source=None, target=None):
-    """d_k transposed, or its block from source keys to target keys, which
-    no image may leave, in the increasing-tuple bases: row j is d_k of the
-    basis cochain j, held as the ints of N d_k over the N of the module's
-    cleared constants.  The whole d_k pushes each basis cochain through
-    ce_differential; a block pushes each key through _pushed."""
+def _differential_matrix(M, k):
+    """d_k transposed in the increasing-tuple bases: row j is d_k of the
+    basis cochain j, pushed through ce_differential and held as the ints of
+    N d_k over the N of the module's cleared constants."""
     L, B = M.base.space, M.space
     N = M.cleared_constants()[0]
-    whole = source is None
-    if whole:
-        source, target = alt_basis(L, B, k), alt_basis(L, B, k + 1)
+    target_index = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
+    columns = []
+    for key in alt_basis(L, B, k):
+        df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
+        # df's canonical denominator divides N
+        scale = N // df._denominator
+        columns.append({target_index[out_key]: v * scale
+                        for out_key, v in df._ints.items()})
+    return RationalMatrix._from_int_rows(len(target_index), columns, N)
+
+
+def _weight_block(M, source, target):
+    """The block of d transposed from the source keys (mask, b) to the
+    target keys, which no image may leave: row j is N d of source key j
+    (_pushed), over the N of M.cleared_constants()."""
+    N = M.cleared_constants()[0]
     target_index = {key: i for i, key in enumerate(target)}
     columns = []
     for key in source:
-        if whole:
-            df = ce_differential(AltCochain._from_ints(L, B, k, {key: 1}, 1), M)
-            # df's canonical denominator divides N
-            image, scale = df._ints, N // df._denominator
-        else:
-            image, scale = _pushed({key: 1}, M), 1
         column = {}
-        for out_key, v in image.items():
+        for out_key, v in _pushed({key: 1}, M).items():
             if v:
                 i = target_index.get(out_key)
                 if i is None:
-                    raise AxiomError("d of the basis cochain %r leaves its "
-                                     "weight block at %r" % (key, out_key))
-                column[i] = v * scale
+                    raise AxiomError(
+                        "d of the basis cochain %r leaves its weight block at %r"
+                        % ((_bits(key[0]), key[1]), (_bits(out_key[0]), out_key[1])))
+                column[i] = v
         columns.append(column)
     return RationalMatrix._from_int_rows(len(target), columns, N)
 
@@ -412,13 +441,14 @@ def torus(M):
 
 
 def weight_zero_keys(M, weights, top):
-    """Basis keys (S, b) of C^0 .. C^top in alt_basis order with mu(b) =
-    sum_{s in S} lam(s) for every (lam, mu) in weights.  The increasing
-    tuples S grow degree by degree with their running weight sums, each
-    packed into one int as sum_c entry_c B^c, B above twice any |entry| of
-    a module weight or of a sum of up to top weights, so that sums pack
-    equal exactly when they are.  The module basis is grouped by packed
-    weight, and a tuple of degree top is built only when its sum is one."""
+    """Basis keys (m, b) of C^0 .. C^top in alt_basis order, the increasing
+    tuple S held as the mask m = sum_{s in S} 2^s, with mu(b) = sum_{s in
+    S} lam(s) for every (lam, mu) in weights.  The tuples grow degree by
+    degree as (mask, running weight sum, next index), each sum packed into
+    one int as sum_c entry_c B^c, B above twice any |entry| of a module
+    weight or of a sum of up to top weights, so that sums pack equal
+    exactly when they are.  The module basis is grouped by packed weight,
+    and a tuple of degree top is built only when its sum is one."""
     n = M.base.space.dim
     B = 2 * max([1] + [abs(v) * (top + 1) for lam, mu in weights for v in lam + mu]) + 1
     step = [sum(lam[s] * B ** c for c, (lam, _) in enumerate(weights)) for s in range(n)]
@@ -426,12 +456,12 @@ def weight_zero_keys(M, weights, top):
     for b in range(M.space.dim):
         w = sum(mu[b] * B ** c for c, (_, mu) in enumerate(weights))
         by_weight.setdefault(w, []).append(b)
-    level, keys = [((), 0)], [[((), b) for b in by_weight.get(0, ())]]
+    level, keys = [(0, 0, 0)], [[(0, b) for b in by_weight.get(0, ())]]
     for k in range(1, top + 1):
-        level = [(S + (t,), w + step[t]) for S, w in level
-                 for t in range(S[-1] + 1 if S else 0, n)
+        level = [(m | 1 << t, w + step[t], t + 1) for m, w, start in level
+                 for t in range(start, n)
                  if k < top or w + step[t] in by_weight]
-        keys.append([(S, b) for S, w in level for b in by_weight.get(w, ())])
+        keys.append([(m, b) for m, w, _ in level for b in by_weight.get(w, ())])
     return keys
 
 
@@ -449,7 +479,7 @@ def classical_complex(M, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
         return ce_complex(M, maxdeg)
     keys = weight_zero_keys(M, weights, maxdeg + 1)
     check_size(sum(map(len, keys[:-1])), guard_limit)
-    return ComplexMatrices((_differential_matrix(M, k, keys[k], keys[k + 1])
+    return ComplexMatrices((_weight_block(M, keys[k], keys[k + 1])
                             for k in range(maxdeg + 1)),
                            [alt_dim(L, B, k) for k in range(maxdeg + 2)])
 

@@ -18,13 +18,14 @@ difference of its sides is again one part.  Such a part has one entry per
 pair of a psi entry and a coproduct term, no two on one key, so it is zero
 exactly when psi or Delta^(n) is, and its first entry, the witness of a
 failing identity, is read off those pairs (zero_check): no identity is laid
-out.  materialize() lays an operator out as a sparse table keyed by
-matrix-unit argument tuples; that table (MaterializedOperator, and
-twisted_term, which builds one) is the library API and the test oracle for
-the closed form, and tests/td_oracle.py sums such tables to decide
-identities of several parts.  All of it runs on ints, the n-fold
-coproduct's times the base maps', and builds results unchecked from checked
-operands through _stored and _trusted.
+out, and apply contracts the pairs with its arguments.  materialize()
+lays an operator out as a sparse table keyed by matrix-unit argument
+tuples; that table (MaterializedOperator, and twisted_term, which builds
+one) is the library API and the test oracle for the closed form, and
+tests/td_oracle.py sums such tables to decide identities of several parts
+and contracts one with arguments as apply's oracle.  All of it runs on
+ints, the n-fold coproduct's times the base maps', and builds results
+unchecked from checked operands through _stored and _trusted.
 """
 
 import itertools
@@ -212,14 +213,15 @@ class InducedOperator:
             if f.target.dim != space.dim:
                 raise ShapeError("argument target %s does not fit %s"
                                  % (f.target.name, space.name))
-        # contract the laid-out table: argument i is the matrix unit cols[i]
-        table = self.materialize()
+        # contract each pair of the table: argument i is the matrix unit
+        # cols[i]; no table is laid out
+        den, pairs = self._pairs()
         out = {}
-        for (o, c, cols), v in table._ints.items():
+        for (o, c, cols), v in pairs:
             for f, unit in zip(fs, cols):
                 v *= f._ints.get(unit, 0)
             out[(o, c)] = out.get((o, c), 0) + v
-        den = table._denominator * math.prod(f._denominator for f in fs)
+        den *= math.prod(f._denominator for f in fs)
         return HomElement._stored(out, den, source=self.coalgebra,
                                   target=self.codomain)
 

@@ -33,6 +33,10 @@ that replaced, now the one way to decide an identity of several parts:
 each side laid out (materialize), the tables summed, scaled and permuted
 as MaterializedOperators, and compared by first_difference.
 
+InducedOperator.apply contracts the pairs of psi entries and coproduct
+terms with its arguments; laid_out_apply keeps the contraction of the
+laid-out table it replaced.
+
 check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
 permutations it replaced, on laid-out tables.
@@ -58,6 +62,9 @@ replaced.
 ce_parts_unshuffle and ce_differential_unshuffle keep the unshuffle form of
 the classical differential, which evaluates full maps and checks the
 result is skew; ce_differential pushes stored values forward instead.
+The package pushes them forward on bitmask keys (cohomology._pushed);
+tuple_pushed keeps the push-forward on increasing tuples it replaced,
+positions found by bisect, over its own cleared constants.
 differentials reads a ComplexMatrices, which holds each d_k transposed,
 back as the d_k.
 
@@ -69,6 +76,7 @@ Nothing in the package uses this module; tests compare against it.
 """
 
 import math
+from bisect import bisect_left
 
 from tdhom.algebra import (
     JACOBI_ROTATIONS,
@@ -96,6 +104,7 @@ from tdhom.cohomology import (
 )
 from tdhom.convolution import (
     DEFAULT_GUARD_LIMIT,
+    HomElement,
     InducedOperator,
     check_size,
     induced,
@@ -371,6 +380,18 @@ def factored_term(phi, C, sigma):
 def laid_out(op):
     """op's table: an InducedOperator materialized, a table as it is."""
     return op.materialize() if isinstance(op, InducedOperator) else op
+
+
+def laid_out_apply(op, fs):
+    """op.apply(fs) on op's laid-out table, the route apply replaced: each
+    table value times argument i's coefficient at the matrix unit cols[i],
+    summed in Fractions per (output, source) key."""
+    out = {}
+    for (o, c, cols), v in op.materialize().entries.items():
+        for f, (t, leg) in zip(fs, cols):
+            v *= f.coefficient(t, leg)
+        out[(o, c)] = out.get((o, c), 0) + v
+    return HomElement(op.coalgebra, op.codomain, out)
 
 
 def operator_identity_check(name, lhs, rhs=None):
@@ -673,6 +694,42 @@ def ce_parts_unshuffle(f, M):
     part2 = table_sum(bracketed.precompose_perm(s).scale(s.sign())
                       for s in unshuffles(2, n - 1))
     return part1, part2
+
+
+def tuple_pushed(ints, M):
+    """cohomology._pushed on increasing-tuple keys, {(T, o): int} maybe
+    holding zeros, in the same order: N times d of the cochain whose
+    stored ints are ints, N the common denominator of the bracket and
+    action constants."""
+    (bracket, action), _ = common_ints([M.base.bracket, M.action])
+    pairs, acting = {}, {}
+    for ((x, y), a), c in bracket.items():
+        if x < y:
+            pairs.setdefault(a, []).append((x, y, c))
+    for ((t, b), o), r in action.items():
+        acting.setdefault(b, {}).setdefault(t, []).append((o, r))
+    acc = {}
+    for (S, b), q in ints.items():
+        for t, images in sorted(acting.get(b, {}).items()):
+            if t in S:
+                continue
+            i = bisect_left(S, t)
+            T = S[:i] + (t,) + S[i:]
+            sq = q if i % 2 == 0 else -q
+            for o, r in images:
+                acc[(T, o)] = acc.get((T, o), 0) + sq * r
+        for p, a in enumerate(S):
+            rest = S[:p] + S[p + 1:]
+            for x, y, c in pairs.get(a, ()):
+                if x in rest or y in rest:
+                    continue
+                j = bisect_left(rest, x)
+                k = bisect_left(rest, y)
+                # x lands at position j of T and y at position k + 1
+                T = rest[:j] + (x,) + rest[j:k] + (y,) + rest[k:]
+                sq = q * c if (p + j + k + 1) % 2 == 0 else -q * c
+                acc[(T, b)] = acc.get((T, b), 0) + sq
+    return acc
 
 
 def ce_differential_unshuffle(f, M):

@@ -88,6 +88,7 @@ from td_oracle import (
     materialized_same_as,
     materialized_td_differential_direct,
     matrix_unit_invariants,
+    tuple_pushed,
 )
 from test_convolution import materialized_sum
 
@@ -1144,10 +1145,10 @@ class TestCutRoute:
         # d_0 .. d_2 are ranked, each on its weight-0 block
         M = gl_adjoint(3)
         columns, eliminations = [], []
-        assemble = cohomology._differential_matrix
+        assemble = cohomology._weight_block
 
-        def counted(M, k, source=None, target=None):
-            m = assemble(M, k, source, target)
+        def counted(M, source, target):
+            m = assemble(M, source, target)
             columns.append(m.rows)
             return m
 
@@ -1156,7 +1157,7 @@ class TestCutRoute:
                 eliminations.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(cohomology, "_differential_matrix", counted)
+        monkeypatch.setattr(cohomology, "_weight_block", counted)
         monkeypatch.setattr(linalg, "Echelon", Counted)
         data = TDComplexData(td_module_over(M, "tensor-ab-3"), 3, 10 ** 12)
         assert data.depth == 4
@@ -1586,6 +1587,20 @@ class TestTorus:
         assert ce_calls == []
 
 
+def mask_of(tup):
+    return sum(1 << s for s in tup)
+
+
+def tuple_of(m):
+    return tuple(s for s in range(m.bit_length()) if m >> s & 1)
+
+
+def tuple_keys(blocks):
+    """weight_zero_keys's blocks with each mask read back as its increasing
+    tuple of bits."""
+    return [[(tuple_of(m), b) for m, b in keys] for keys in blocks]
+
+
 def brute_force_weight_zero_keys(M, weights, top):
     """weight_zero_keys as it was, and its oracle: every increasing tuple of
     each degree with its weights summed, the module basis grouped by
@@ -1612,7 +1627,7 @@ class TestWeightZeroKeys:
         weights = torus(M)
         assert len(weights) == n
         for t in (0, 1, top):
-            assert weight_zero_keys(M, weights, t) \
+            assert tuple_keys(weight_zero_keys(M, weights, t)) \
                 == brute_force_weight_zero_keys(M, weights, t)
 
     def test_fraction_weights_and_empty_block(self):
@@ -1626,7 +1641,7 @@ class TestWeightZeroKeys:
         for module in (M, plane):
             weights = torus(module)
             assert weights
-            assert weight_zero_keys(module, weights, 2) \
+            assert tuple_keys(weight_zero_keys(module, weights, 2)) \
                 == brute_force_weight_zero_keys(module, weights, 2)
         assert weight_zero_keys(plane, torus(plane), 2) == [[], [], []]
 
@@ -1654,7 +1669,7 @@ class TestWeightZeroRoute:
         # no weight-0 cochain anywhere else
         M = gl_adjoint(3) if seed is None else rebased_adjoint(gl_adjoint(3), seed)
         L, B = M.base.space, M.space
-        blocks = weight_zero_keys(M, torus(M), 3)
+        blocks = tuple_keys(weight_zero_keys(M, torus(M), 3))
         assert [len(keys) for keys in blocks] == [3, 15, 42, 84]
         cx = classical_complex(M, 2)
         whole = differentials(ce_complex(M, 2))
@@ -1685,14 +1700,86 @@ class TestWeightZeroRoute:
         assert ce_calls == []
 
     def test_column_off_its_block_is_an_axiom_error(self):
+        # d of the degree-0 cochain e meets f . e = -h at ((1,), 2) first;
+        # keys are named by increasing tuples, not by masks
         M = corpus.load("sl2-adjoint")
-        with pytest.raises(AxiomError, match="leaves its weight block"):
-            cohomology._differential_matrix(M, 0, [((), 0)], [((), 1)])
+        with pytest.raises(AxiomError) as refused:
+            cohomology._weight_block(M, [(0, 0)], [(0, 1)])
+        assert str(refused.value) == ("d of the basis cochain ((), 0) leaves "
+                                      "its weight block at ((1,), 2)")
+        with pytest.raises(AxiomError) as refused:
+            cohomology._weight_block(M, [(mask_of((0,)), 0)],
+                                     [(mask_of((0, 1)), 1)])
+        assert str(refused.value) == ("d of the basis cochain ((0,), 0) leaves "
+                                      "its weight block at ((0, 1), 2)")
+        # gl3 acting by zero: only bracket terms, named in _pushed's order,
+        # [E12, E21] = E11 before [E13, E31] = E11
+        M = matrix_unit_trivial("gl3", [(i, j) for i in range(3) for j in range(3)])
+        for S, T in (((0,), (1, 3)), ((0, 4), (1, 3, 4))):
+            with pytest.raises(AxiomError) as refused:
+                cohomology._weight_block(M, [(mask_of(S), 0)], [])
+            assert str(refused.value) == (
+                "d of the basis cochain (%r, 0) leaves its weight block at "
+                "(%r, 0)" % (S, T))
 
     def test_maxdeg_bounds(self, adjoint):
         for maxdeg in (-1, 4):
             with pytest.raises(ValueError):
                 classical_complex(adjoint, maxdeg)
+
+
+# (family, n): corpus modules by name, and the matrix-unit adjoints
+MASK_SWEEP = [(name, None) for name in sorted(corpus.MODULE_NAMES)] + [
+    (family, n) for family in ("gl", "b", "n") for n in (2, 3, 4)]
+
+
+@lru_cache(maxsize=None)
+def mask_sweep_module(family, n, seed):
+    if n is None:
+        return corpus.load(family)
+    M = (gl_adjoint(n) if family == "gl" else
+         matrix_unit_adjoint("%s%d" % (family, n), upper_units(n, family == "n")))
+    return M if seed is None else rebased_adjoint(M, seed)
+
+
+class TestMaskPushForward:
+    """The push-forward on mask keys against the one on increasing tuples
+    it replaced, on every key of a degree, weight 0 or not: the whole of
+    C^k taken as one block, which no image leaves."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_key_matches_the_tuple_push_forward(self, data):
+        family, n = data.draw(st.sampled_from(MASK_SWEEP))
+        seed = None if n is None else data.draw(st.one_of(
+            st.none(), st.integers(0, 50)))
+        M = mask_sweep_module(family, n, seed)
+        L, B = M.base.space, M.space
+        N = M.cleared_constants()[0]
+        degree = data.draw(st.integers(0, min(L.dim, 3)))
+        source, target = (alt_basis(L, B, k) for k in (degree, degree + 1))
+        index = {key: i for i, key in enumerate(target)}
+        # the whole of C^degree as one block, target masks in alt_basis order
+        block = cohomology._weight_block(
+            M, [(mask_of(S), b) for S, b in source],
+            [(mask_of(T), o) for T, o in target])
+        assert (block.rows, block.cols) == (len(source), len(target))
+        for key, row in zip(source, block._rows):
+            assert {i: Fraction(v, block._den) for i, v in row.items()} == {
+                index[out]: Fraction(v, N) for out, v in
+                tuple_pushed({key: 1}, M).items() if v}
+        # a cochain of several keys with int values: the same sums, zeros
+        # and order included
+        ints = data.draw(st.dictionaries(st.sampled_from(source),
+                                         st.integers(-5, 5), max_size=4))
+        assert [((tuple_of(T), o), v) for (T, o), v in cohomology._pushed(
+            {(mask_of(S), b): q for (S, b), q in ints.items()}, M).items()] \
+            == list(tuple_pushed(ints, M).items())
+        maxdeg = max(k for k in range(L.dim + 1)
+                     if sum(alt_dim(L, B, i) for i in range(k + 2)) <= 1500)
+        maxdeg = data.draw(st.integers(0, maxdeg))
+        assert_same_complex(classical_complex(M, maxdeg, 10 ** 6),
+                            ce_complex(M, maxdeg))
 
 
 # source keys of d_0 .. d_2: the weight-0 block under a torus, else the
@@ -1723,7 +1810,8 @@ class TestSizeGuard:
             raise AssertionError("a refused job assembled a differential")
 
         M = priced_module(name)
-        monkeypatch.setattr(cohomology, "_differential_matrix", forbidden)
+        for assembler in ("_differential_matrix", "_weight_block", "_pushed"):
+            monkeypatch.setattr(cohomology, assembler, forbidden)
         with pytest.raises(GuardError):
             classical_complex(M, 2, PRICED[name] - 1)
         with pytest.raises(AssertionError):

@@ -42,7 +42,12 @@ from tdhom.linalg import (
     table_sum,
 )
 from tdhom.maps import MultilinearMap, signed, term_sum
-from td_oracle import enumerated_td_skew, factored_term, operator_identity_check
+from td_oracle import (
+    enumerated_td_skew,
+    factored_term,
+    laid_out_apply,
+    operator_identity_check,
+)
 
 
 def unit(C, target, label_t, label_c):
@@ -672,6 +677,29 @@ class TestClosedFormOracle:
         assert failing == (set() if lname != "broken-skew" else {
             name for name, C in corpus.coalgebras().items()
             if C.iterated_terms(2)})
+
+    @pytest.mark.parametrize("cname", sorted(ORACLE_COALGEBRAS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_apply_matches_the_laid_out_contraction(self, cname, data):
+        # apply contracts each pair of a psi entry and a coproduct term
+        # with dense arguments; the oracle lays the table out first
+        C = ORACLE_COALGEBRAS[cname]
+        n = data.draw(st.integers(1, 3))
+        domain = [data.draw(st.sampled_from(SMALL_SPACES)) for _ in range(n)]
+        codomain = data.draw(st.sampled_from(SMALL_SPACES))
+        phi = data.draw(base_maps(domain, codomain)).scale(
+            Fraction(1, data.draw(st.integers(1, 3))))
+        op = twisted(phi, C, data.draw(st.sampled_from(all_permutations(n))))
+        scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        fs = [HomElement(C, space, [[data.draw(scalars) for _ in range(C.space.dim)]
+                                    for _ in range(space.dim)])
+              for space in domain]
+        out = op.apply(fs)
+        expected = laid_out_apply(op, fs)
+        assert (out.source, out.target) == (expected.source, expected.target)
+        assert out == expected
+        assert out.entries == expected.entries
 
     def test_zero_coproduct_leaves_nothing(self, sl2):
         op = induced(sl2.bracket, corpus.get_coalgebra("zero-ab"))

@@ -164,7 +164,6 @@ def test_package_lays_operators_out_only_on_request():
     assert sorted(set(_enclosing_calls("materialize"))) == [
         "cohomology.py:induction_matrix",
         "cohomology.py:operator",
-        "convolution.py:apply",
         "convolution.py:twisted_term"]
 
 
