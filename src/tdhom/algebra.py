@@ -5,17 +5,23 @@ check=False to build a deliberately broken structure (the test suite and the
 CLI's unsafe flag need that).  Checkers verify identities on every basis
 tuple and report the lexicographically first failing tuple.
 
-Skew symmetry and Jacobi say that a map f summed over the rotations of
-its arguments vanishes: f = bracket on two arguments, f = [x, [y, z]] on
-three.  That sum is the same at every rotation of a tuple, so each term of
-f is added once, at the least rotation of its tuple, times the number of
-rotations fixing the tuple (2 at (x, x), 3 at (x, x, x), else 1): the sum
-there is the identity's value, and the least failing key is the least
-failing tuple.  This holds for any binary map, skew or not.  The module
-law [x,y].m - x.(y.m) + y.(x.m) is summed in one pass from the bracket and
-the grouped action, or read off a kept passing check_lie when the action
-is stored as the bracket.  composite_check sums associativity, Leibniz
-and the pair rows term by term the same way.  None of them builds a map.
+Each identity is decided by its int defect, the difference of its sides
+summed in one pass over the maps' int stores, at the lexicographically
+first tuple where it is nonzero (_decide); none of them builds a map.
+Skew symmetry and commutativity are one swap pass, f(y, x) + sign f(x, y)
+added once at (min, max) (swap_defect); the bracket's symmetric part,
+sign 1, is also what cohomology reads to decide the direct twisted
+differential.  Jacobi says that [x, [y, z]] summed over the rotations of
+its arguments vanishes; that sum is the same at every rotation of a
+tuple, so each term is added once, at the least rotation of its tuple,
+times the number of rotations fixing it (3 at (x, x, x), else 1), and
+the least failing key is the least failing tuple.  Both hold for any
+binary map, skew or not.  The module law [x,y].m - x.(y.m) + y.(x.m) is
+summed in one pass from the bracket and the grouped action, or read off a
+kept passing check_lie when the action is stored as the bracket.
+composite_defect sums associativity, Leibniz and the pair rows term by
+term the same way; lie_rinehart keeps a pair's row defects and induces a
+failing one as its twisted operator.
 
 Results are kept.  A structure's maps are never reassigned after
 construction, so check_lie, check_module and check_poisson decide once per
@@ -28,7 +34,7 @@ decides on first use.
 from .checks import CheckResult, Witness, combine, decided_once, kept, require
 from .errors import ShapeError
 from .linalg import Permutation, SparseTable, common_ints, getter
-from .maps import composite_into, map_identity_check
+from .maps import composite_into
 
 # cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
 JACOBI_CYCLE = Permutation([1, 2, 0])
@@ -37,7 +43,6 @@ JACOBI_ROTATIONS = (JACOBI_CYCLE, JACOBI_CYCLE.then(JACOBI_CYCLE))
 # the inverse cycle: moves the last argument in front, fixing the order of
 # the other two; this is the twist in the bracket/product compatibility law
 PRODUCT_CYCLE = Permutation([2, 0, 1])
-SWAP = Permutation([1, 0])
 SWAP_FIRST_TWO = Permutation([1, 0, 2])
 
 
@@ -153,15 +158,28 @@ def _one_space(f, name):
     return f.domain[0]
 
 
-def skew_symmetry_check(bracket):
-    """bracket(x, y) + bracket(y, x) is zero, by rotation classes."""
-    _one_space(bracket, "skew-symmetry")
-    (b,), den = common_ints([bracket])
+def swap_defect(f, sign):
+    """({((x, y), out): int}, den): f(y, x) + sign f(x, y) at each x <= y,
+    for a binary f, in one pass over its store: an entry at (x, y) is
+    added at (min, max) with weight sign if x < y, 1 if x > y and
+    1 + sign if x = y.  Sign 1 is the symmetric part, sign -1 the
+    commutator."""
+    (b,), den = common_ints([f])
     acc = {}
     for ((x, y), out), v in b.items():
-        key = ((min(x, y), max(x, y)), out)
-        acc[key] = acc.get(key, 0) + (2 if x == y else 1) * v
-    return _decide("skew-symmetry", bracket.domain, bracket.codomain, acc, den)
+        key = ((x, y), out) if x <= y else ((y, x), out)
+        acc[key] = acc.get(key, 0) + (sign if x < y else 1 if x > y else 1 + sign) * v
+    return acc, den
+
+
+def _swap_check(name, f, sign):
+    _one_space(f, name)
+    return _decide(name, f.domain, f.codomain, *swap_defect(f, sign))
+
+
+def skew_symmetry_check(bracket):
+    """bracket(x, y) + bracket(y, x) is zero."""
+    return _swap_check("skew-symmetry", bracket, 1)
 
 
 def jacobi_check(bracket):
@@ -182,11 +200,12 @@ def jacobi_check(bracket):
     return _decide("jacobi", (space,) * 3, bracket.codomain, acc, den * den)
 
 
-def composite_check(name, left, right):
-    """CheckResult for an identity whose sides sum terms (outer, inner,
-    slot, p, sign): sign * (outer . inner at slot) . p, p None for none.
-    One int pass over the maps' common denominator adds sign q v, left
-    minus right, at each moved key (p(tup), out); no map is built."""
+def composite_defect(left, right):
+    """(domain, codomain, ints, den): the defect of an identity whose
+    sides sum terms (outer, inner, slot, p, sign), each sign * (outer .
+    inner at slot) . p, p None for none.  One int pass over the maps'
+    common denominator adds sign q v, left minus right, at each moved key
+    (p(tup), out); no map is built.  The domain is the left side's."""
     stores, den = common_ints([m for term in (*left, *right) for m in term[:2]])
     stores, acc, shapes = iter(stores), {}, []
     for side, terms in ((1, left), (-1, right)):
@@ -197,7 +216,7 @@ def composite_check(name, left, right):
             composite_into(acc, next(stores), next(stores), slot, move, side * sign)
     if shapes.count(shapes[0]) != len(shapes):
         raise ShapeError("maps on different spaces do not add")
-    return _decide(name, *shapes[0], acc, den * den)
+    return (*shapes[0], acc, den * den)
 
 
 @decided_once
@@ -234,17 +253,18 @@ def check_module(M):
 
 
 def check_associative(product):
-    return composite_check("associativity", ((product, product, 0, None, 1),),
-                           ((product, product, 1, None, 1),))
+    return _decide("associativity", *composite_defect(
+        ((product, product, 0, None, 1),), ((product, product, 1, None, 1),)))
 
 
 def check_commutative(product):
-    return map_identity_check("commutativity", product.precompose_perm(SWAP), product)
+    """product(y, x) - product(x, y) is zero."""
+    return _swap_check("commutativity", product, -1)
 
 
 def leibniz_identity(bracket, product):
     """bracket(1 x product) = product(1 x bracket) . rot + product(1 x bracket) . swap01,
-    as (left terms, right terms) for composite_check.
+    as (left terms, right terms) for composite_defect.
 
     rot moves the last factor in front: evaluated on (x, y, z) the right side
     is product(z, bracket(x, y)) + product(y, bracket(x, z)), which together
@@ -256,7 +276,7 @@ def leibniz_identity(bracket, product):
 
 
 def leibniz_check(bracket, product):
-    return composite_check("leibniz", *leibniz_identity(bracket, product))
+    return _decide("leibniz", *composite_defect(*leibniz_identity(bracket, product)))
 
 
 @decided_once

@@ -40,13 +40,15 @@ per-cochain library API, and they decide by the same injectivity without
 laying an operator out.  Two names of degree n >= 1 are the same cochain
 exactly when they are equal or Delta^(n) is zero.  The displayed twisted
 formula is one induced map psi (x) Delta^(n+1), psi its unshuffle terms
-summed as maps (twisted_sum), so it names psi when psi is skew and zero
-where Delta^(n+1) is.  td_differential_induced is the classical
-differential: the same depth argument shows that its legality check
-cannot fail.  induction_matrix and TDCochain.operator lay operators out
-for a caller that asks for the table; tests/td_oracle.py keeps the
-formula materialized and solved against induction_matrix as the oracle
-of td_differential_direct.  invariants_h0 reads H^0 off the action
+summed as maps; psi is d f on increasing tuples, and skew exactly when f
+reads nothing of the bracket's symmetric part (algebra.swap_defect), so
+the formula names d f then, and zero where Delta^(n+1) is.
+td_differential_induced is the classical differential: the same depth
+argument shows that its legality check cannot fail.  induction_matrix
+and TDCochain.operator lay operators out for a caller that asks for the
+table; tests/td_oracle.py keeps psi built from its unshuffle maps, and
+the formula materialized and solved against induction_matrix, as the
+oracles of td_differential_direct.  invariants_h0 reads H^0 off the action
 constants, as the vectors every e_t kills.  The size guard of both
 routes is classical_complex's: the keys it pushes.
 """
@@ -55,13 +57,12 @@ from itertools import combinations, permutations
 from math import comb
 from operator import lt
 
-from .algebra import check_lie, check_module
+from .algebra import check_lie, check_module, swap_defect
 from .checks import kept
 from .convolution import DEFAULT_GUARD_LIMIT, check_size, induced
 from .errors import AxiomError, ShapeError
 from .linalg import (
     ZERO,
-    Permutation,
     RationalMatrix,
     SparseColumns,
     SparseTable,
@@ -70,7 +71,7 @@ from .linalg import (
     pivot_columns,
     rank,
 )
-from .maps import MultilinearMap, _check_int, is_skew, term_sum
+from .maps import MultilinearMap, _check_int
 
 
 def increasing_tuples(dim, n):
@@ -102,20 +103,6 @@ def sorting_sign(tup):
             sign = -sign
             j -= 1
     return sign, tuple(lst)
-
-
-def unshuffles(k, m):
-    """Permutations of k+m symbols ascending on the first k slots and on
-    the last m, lexicographic; these index the differential's summands."""
-    if k < 0 or m < 0:
-        raise ValueError("block sizes must be nonnegative, got (%d, %d)" % (k, m))
-    n = k + m
-    out = []
-    for first in combinations(range(n), k):
-        chosen = set(first)
-        rest = [i for i in range(n) if i not in chosen]
-        out.append(Permutation(list(first) + rest))
-    return out
 
 
 class AltCochain(SparseTable):
@@ -165,14 +152,18 @@ class AltCochain(SparseTable):
 
     @classmethod
     def from_map(cls, m, check=True):
-        """Compress a full skew map; checks all adjacent transpositions."""
+        """Compress a full skew map; checks every adjacent transposition
+        t = (i i+1) on the int store: each value's t-swapped key holds its
+        negative, on slots of one dimension."""
         n = m.arity
         if n < 1:
             raise ShapeError("degree-0 cochains have no map form")
         if check:
+            ints = m._ints
             for i in range(n - 1):
-                t = Permutation.transposition(i, i + 1, n)
-                if m.precompose_perm(t) != m.scale(-1):
+                if m.domain[i].dim != m.domain[i + 1].dim or any(
+                        ints.get((tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2:], o)) != -v
+                        for (tup, o), v in ints.items()):
                     raise AxiomError(
                         "map is not skew under the (%d %d) transposition" % (i, i + 1))
         values = {
@@ -548,44 +539,52 @@ def td_differential_induced(F, tdm):
     return TDCochain(ce_differential(F.inducing, tdm.module), tdm.coalgebra)
 
 
-def _twisted_map(f, tdm):
-    """The one map psi whose induced operator is the displayed twisted
-    formula applied to the cochain f: its unshuffle terms, each
-    rearrangement twisted, sum to induced(psi) (twisted_sum), psi their
-    classical sum.  In degree 0 psi is d f as a map."""
-    M, n = tdm.module, f.degree
-    if n == 0:
-        return ce_differential(f, M).as_map()
-    L, B = M.base.space, M.space
-    fmap = MultilinearMap([L] * n, B, f.as_map().entries)
-    acted = M.action.compose_at(fmap, 1)
-    bracketed = fmap.compose_at(M.base.bracket, 0)
-    return term_sum([(acted, s, s.sign()) for s in unshuffles(1, n)]
-                    + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
+def _reads_symmetric_part(f, bracket):
+    """True when f(S(a, b), R) is nonzero for some a <= b and R, S(a, b) =
+    [a, b] + [b, a] the bracket's symmetric part (swap_defect at sign 1).
+    Each stored f(T) = q e_o is pushed through T's elements: for c at
+    position p of T, f(e_c, T - c) = (-1)^p q e_o, and S(a, b) = s e_c
+    adds s times that at (a, b, T - c, o).  f alternates in R, so the
+    increasing R, the T - c, decide."""
+    reading = {}
+    for ((a, b), c), s in swap_defect(bracket, 1)[0].items():
+        if s:
+            reading.setdefault(c, []).append(((a, b), s))
+    acc = {}
+    for (T, o), q in f._ints.items():
+        for p, c in enumerate(T):
+            for ab, s in reading.get(c, ()):
+                key = (ab, T[:p] + T[p + 1:], o)
+                acc[key] = acc.get(key, 0) + (-s if p & 1 else s) * q
+    return any(acc.values())
 
 
 def td_differential_direct(F, tdm):
-    """The displayed twisted formula as a Hom-space cochain: the inducing
-    cochain g with g (x) Delta^(n+1) = psi (x) Delta^(n+1), psi the map
-    _twisted_map gives.
+    """The displayed twisted formula as a Hom-space cochain.
 
-    Where Delta^(n+1) is zero every name names the zero cochain, and the
-    zero name is returned.  Elsewhere the outer product with Delta^(n+1)
-    is injective, so the only candidate is g = psi, and psi names a
-    cochain exactly when it is skew.  A psi that is not would falsify the
+    The formula is psi (x) Delta^(n+1), psi = part1 - part2 its unshuffle
+    terms summed as maps, each rearrangement twisted (twisting and then
+    rearranging cancel).  Where Delta^(n+1) is zero every name names the
+    zero cochain, and the zero name is returned.  Elsewhere the outer
+    product with Delta^(n+1) is injective, so psi names a cochain exactly
+    when it is skew, and that cochain is d f, which psi is on increasing
+    tuples.  part1 is skew, and swapping adjacent arguments of part2
+    leaves -f(S(x, y), rest) over, S(x, y) = [x, y] + [y, x], so for
+    n >= 1 psi is skew exactly when f reads no value of S
+    (_reads_symmetric_part).  A psi that is not would falsify the
     containment the construction rests on, so that case raises instead of
-    reporting.  tests/td_oracle.py keeps the materialized formula, solved
-    against the induction matrix, as the oracle.
+    reporting.  tests/td_oracle.py keeps psi built from its unshuffle
+    maps, and the formula materialized and solved against the induction
+    matrix, as the oracles.
     """
     M, C, n = tdm.module, tdm.coalgebra, F.degree
-    L, B = M.base.space, M.space
     if not C.iterated_terms(n + 1):
-        return TDCochain(AltCochain(L, B, n + 1, {}), C)
-    psi = _twisted_map(F.inducing, tdm)
-    if not is_skew(psi):
+        return TDCochain(AltCochain(M.base.space, M.space, n + 1, {}), C)
+    df = ce_differential(F.inducing, M)
+    if n >= 1 and _reads_symmetric_part(F.inducing, M.base.bracket):
         raise AxiomError(
             "twisted differential output is not induced at degree %d" % (n + 1))
-    return TDCochain(AltCochain.from_map(psi, check=False), C)
+    return TDCochain(df, C)
 
 
 class TDComplexData:
@@ -649,9 +648,7 @@ class TDComplexData:
         are the same operator.  tests/test_cohomology.py keeps the
         per-cochain skewness test as the oracle.
         """
-        bracket = self.tdm.module.base.bracket._ints
-        symmetric = any(v + bracket.get(((y, x), o), 0)
-                        for ((x, y), o), v in bracket.items())
+        symmetric = any(swap_defect(self.tdm.module.base.bracket, 1)[0].values())
         for k in range(1, self.maxdeg + 1):
             if symmetric and self.alt_dims[k] and k + 1 < self.depth:
                 raise AxiomError(

@@ -13,8 +13,9 @@ D_sigma, and InducedOperator is that one part: induced(phi, C) is (phi,
 identity) and twisted(phi, C, sigma) is (phi, sigma).  A twisted identity is
 the classical one with each rearranged term f . p twisted by p; twisting by
 p and then rearranging by p cancel, so its side is the classical side
-induced (twisted_sum), it holds when the classical identity does, and the
-difference of its sides is again one part.  Such a part has one entry per
+induced, it holds when the classical identity does, and the difference of
+its sides is the classical defect induced, one part (tests/td_oracle.py
+keeps the per-term sum as the oracle).  Such a part has one entry per
 pair of a psi entry and a coproduct term, no two on one key, so it is zero
 exactly when psi or Delta^(n) is, and its first entry, the witness of a
 failing identity, is read off those pairs (zero_check): no identity is laid
@@ -41,7 +42,7 @@ from .linalg import (
     getter,
     tensor_space,
 )
-from .maps import MultilinearMap, _check_index, term_sum
+from .maps import MultilinearMap, _check_index
 
 DEFAULT_GUARD_LIMIT = 50000
 
@@ -323,22 +324,11 @@ def twisted_term(phi, C, sigma):
     This is the twisted-domain image of the classical term phi . sigma, and
     the shape every summand of a twisted identity takes.  It equals
     induced(phi.precompose_perm(sigma), C).materialize(), which is how
-    twisted_sum states it, so nothing in the package calls it.  It stays
+    the checkers state it, so nothing in the package calls it.  It stays
     as the library API and the test oracle, and perfbench's tracer looks
     it up by name.
     """
     return twisted(phi, C, sigma).materialize().argument_permute(sigma)
-
-
-def twisted_sum(terms, C):
-    """maps.term_sum(terms) over C, each rearrangement f . p replaced by
-    its twisted counterpart, twisted by p and then rearranged by p.  The
-    two cancel, so the counterpart is induced(f . p, C) and the sum is
-    the classical side induced: (term_sum(terms), identity).  So a twisted
-    identity holds when its classical one does; only a classically failing
-    pair row is induced.  tests/td_oracle.py keeps the sum of the terms,
-    each twisted and rearranged, as the oracle."""
-    return induced(term_sum(terms), C)
 
 
 def compose_induced(outer, inner, slot):

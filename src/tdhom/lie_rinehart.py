@@ -6,12 +6,14 @@ together by two compatibility identities (the action is B-linear in its L
 argument; the bracket interacts with the module structure through a twisted
 Leibniz rule).  Everything is decided exactly.
 
-Each identity is stated once, in PAIR_IDENTITIES, and decided once in an
-int pass building no map (classical_rows, reported by check_lr).
-check_td_lr decides the rows as operators out of a coalgebra, each
-rearrangement twisted; a twisted row holds when its classical row does
-(twisted_sum), so only a classically failing row is composed as maps,
-and decided, with its witness, on the one operator its sides differ by
+Each identity is stated once, in PAIR_IDENTITIES, and its int defect,
+the difference of its sides, is summed once in an int pass building no
+map (row_defects, through algebra.composite_defect); check_lr decides the
+rows off it.  check_td_lr decides the rows as operators out of a
+coalgebra, each rearrangement twisted.  Twisting by p and then
+rearranging by p cancel, so a twisted row's sides differ by its classical
+defect induced: a row whose defect is zero passes with no map built, and
+a failing row is decided, with its witness, on that one operator
 (convolution.zero_check), which is never laid out.
 """
 
@@ -20,22 +22,19 @@ from .algebra import (
     SWAP_FIRST_TWO,
     LieAlgebra,
     LieModule,
+    _decide,
     check_associative,
     check_commutative,
     check_lie,
     check_module,
-    composite_check,
+    composite_defect,
 )
 from .checks import CheckResult, Witness, combine, decided_once, require
 from .cohomology import AltCochain, alt_basis, ce_differential, increasing_tuples
-from .convolution import (
-    DEFAULT_GUARD_LIMIT,
-    check_size,
-    twisted_sum,
-    zero_check,
-)
+from .convolution import DEFAULT_GUARD_LIMIT, check_size, induced, zero_check
 from .errors import AxiomError, ShapeError
 from .linalg import RationalMatrix, SparseColumns, common_ints, solve
+from .maps import MultilinearMap
 
 # (name, left terms, right terms); a term (outer, inner, slot, p, sign) is
 # sign * (outer . inner at slot) . p, maps named by pair attribute, p None
@@ -102,31 +101,25 @@ class LieRinehartPair:
         self.lie = LieAlgebra(lie_space, bracket, check=False, name=name)
         self.ring_module = LieModule(self.lie, ring_space, action, check=False,
                                      name="%s-ring" % name)
-        self._composites = {}
         if check:
             require(check_lr(self), "pair axioms fail: ")
 
-    def terms(self, side):
-        """A side of a PAIR_IDENTITIES row as (map, p, sign) terms, for a
-        failing row's operators; each composite is built once and kept."""
-        out = []
-        for outer, inner, slot, p, sign in side:
-            key = outer, inner, slot
-            if key not in self._composites:
-                self._composites[key] = getattr(self, outer).compose_at(
-                    getattr(self, inner), slot)
-            out.append((self._composites[key], p, sign))
-        return out
-
 
 @decided_once
-def classical_rows(pair):
-    """Every PAIR_IDENTITIES row, in table order, by composite_check."""
+def row_defects(pair):
+    """Every PAIR_IDENTITIES row's defect (domain, codomain, ints, den), in
+    table order, by composite_defect."""
     def named(side):
         return [(getattr(pair, outer), getattr(pair, inner), *rest)
                 for outer, inner, *rest in side]
-    return [composite_check(name, named(left), named(right))
-            for name, left, right in PAIR_IDENTITIES]
+    return [composite_defect(named(left), named(right))
+            for _name, left, right in PAIR_IDENTITIES]
+
+
+def classical_rows(pair):
+    """Every PAIR_IDENTITIES row decided off its kept defect."""
+    return [_decide(name, *defect)
+            for (name, _, _), defect in zip(PAIR_IDENTITIES, row_defects(pair))]
 
 
 @decided_once
@@ -157,27 +150,17 @@ class TDLRStructure:
         self.coalgebra = coalgebra
 
 
-def _twisted_row(pair, C, row, classical):
-    """A PAIR_IDENTITIES row over C: passing with its classical result,
-    else decided on the one operator its sides differ by, the classical
-    left side minus the right induced (twisted_sum), which is zero where
-    Delta^(n) is (zero_check)."""
-    name, left, right = row
-    if classical:
-        return CheckResult("td-" + name, True)
-    negated = [(f, p, -sign) for f, p, sign in pair.terms(right)]
-    return zero_check("td-" + name, twisted_sum(pair.terms(left) + negated, C))
-
-
 @decided_once
 def check_td_lr(s):
     """The twisted pair identities, every row of PAIR_IDENTITIES but the
-    classical last.  They are decided once per structure; later calls
-    return the kept result."""
-    pair, C = s.pair, s.coalgebra
+    classical last, each passing where its kept defect is zero and else
+    decided on that defect induced.  They are decided once per structure;
+    later calls return the kept result."""
+    C = s.coalgebra
     return combine("td-lie-rinehart", [
-        _twisted_row(pair, C, row, classical)
-        for row, classical in zip(PAIR_IDENTITIES[:-1], classical_rows(pair))])
+        zero_check("td-" + name, induced(MultilinearMap._trusted(*defect), C))
+        if any(defect[2].values()) else CheckResult("td-" + name, True)
+        for (name, _, _), defect in zip(PAIR_IDENTITIES[:-1], row_defects(s.pair))])
 
 
 def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):

@@ -26,7 +26,6 @@ dense fraction-free elimination that preceded the sparse one is the test
 oracle in tests/linalg_oracle.py.
 """
 
-import functools
 import itertools
 import numbers
 from fractions import Fraction
@@ -514,11 +513,6 @@ def common_ints(tables):
     return [t._ints if t._denominator == den else
             {k: v * (den // t._denominator) for k, v in t._ints.items()}
             for t in tables], den
-
-
-def table_sum(terms):
-    """The sum of a nonempty iterable of SparseTables of one shape."""
-    return functools.reduce(lambda a, b: a.add(b), terms)
 
 
 def _eliminate(target, b, a, source):

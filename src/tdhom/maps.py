@@ -10,15 +10,17 @@ index must be an int (not a bool) in the range of its space, and every
 scalar an exact rational, so a float raises ScalarError.  A file reader
 that has checked every index and scalar itself stores its table through
 SparseTable._read, unchecked.  Arithmetic on maps (add, sub, scale,
-precompose_perm, compose_at, and the part sums of convolution) runs on the
-stored ints and builds its result through _trusted, unchecked, since the
-operands were checked already; no Fraction is made on the way.  Equal maps
-have equal stores, so first_difference subtracts only unequal maps.
+precompose_perm, compose_at) runs on the stored ints and builds its
+result through _trusted, unchecked, since the operands were checked
+already; no Fraction is made on the way.  The checkers compose no maps:
+they sum each identity's int defect (algebra), and composite_into is the
+one loop composing stores, for compose_at and algebra.composite_defect.
+The map-level identity route they replaced (is_skew, first_difference,
+term_sum, map_identity_check) lives on in the test oracles.
 """
 
-from .checks import CheckResult, Witness
 from .errors import MalformedInput, ShapeError
-from .linalg import ZERO, Permutation, SparseTable, _exact, getter, table_sum
+from .linalg import ZERO, SparseTable, _exact, getter
 
 
 def _check_int(i, role, space):
@@ -149,52 +151,3 @@ def composite_into(acc, outer, inner, slot, move, coeff):
             t = head + itup + tail
             key = (t if move is None else move(t), out)
             acc[key] = acc.get(key, 0) + q * p
-
-
-def is_skew(f):
-    """True iff f . t = -f for every adjacent transposition t (hence all of S_n)."""
-    for i in range(f.arity - 1):
-        t = Permutation.transposition(i, i + 1, f.arity)
-        if not f.precompose_perm(t).add(f).is_zero():
-            return False
-    return True
-
-
-def first_difference(f, g):
-    """Lexicographically first (input tuple, residual) where f and g differ.
-
-    Returns None when equal.  Residual is a sorted tuple of
-    (output index, Fraction) pairs.  Stores are canonical, so equal maps
-    have equal stores; only unequal ones are subtracted.
-    """
-    f._check_compatible(g)
-    if f == g:
-        return None
-    diff = f.sub(g)
-    tuples = sorted({tup for (tup, _out) in diff.entries})
-    first = tuples[0]
-    residual = tuple(sorted((out, q) for (tup, out), q in diff.entries.items() if tup == first))
-    return first, residual
-
-
-def signed(x, sign):
-    """sign * x, or x itself for sign 1."""
-    return x if sign == 1 else x.scale(sign)
-
-
-def term_sum(terms):
-    """One side of an identity as a map: the sum over its terms (f, p,
-    sign) of sign * (f . p), where p None leaves f's arguments in place."""
-    return table_sum(signed(f if p is None else f.precompose_perm(p), sign)
-                     for f, p, sign in terms)
-
-
-def map_identity_check(name, lhs, rhs):
-    """CheckResult for lhs == rhs with a labeled first-failure witness."""
-    found = first_difference(lhs, rhs)
-    if found is None:
-        return CheckResult(name, True)
-    tup, residual = found
-    args = tuple(space.labels[i] for space, i in zip(lhs.domain, tup))
-    labeled = tuple((lhs.codomain.labels[out], q) for out, q in residual)
-    return CheckResult(name, False, Witness(args, labeled))

@@ -9,10 +9,11 @@ algebra appears, and over a skew-cocommutative one the induced product
 turns symmetric and satisfies Jordan-style cube identities instead,
 which follow from its symmetry and the plain cyclic identity, so
 check_jordan decides those two.  A twisted identity holds when its
-classical one does (convolution.twisted_sum), so check_td_lie,
-check_td_module and check_td_poisson read theirs off the kept classical
-preconditions and build no operator; tests/td_oracle.py keeps the
-operator route as the oracle.  Collapse and Jordan read theirs off
+classical one does (its sides differ by the classical defect induced),
+so check_td_lie, check_td_module and check_td_poisson read theirs off
+the kept classical preconditions and build no operator;
+tests/td_oracle.py keeps the operator route as the oracle.  Collapse
+and Jordan read theirs off
 check_lie and, like check_td_lie and check_td_poisson, refuse a
 non-coassociative C.
 """

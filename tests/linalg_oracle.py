@@ -4,10 +4,12 @@ The package eliminates sparse row dicts (linalg.Echelon).  This module
 keeps the dense Bareiss elimination it replaced, with dense
 back-substitution, working on plain lists of Fractions read off a
 RationalMatrix row by row; transposed reads a matrix held by columns back
-by rows.  Nothing in the package uses it; tests compare the sparse echelon
-form against it.
+by rows.  table_sum adds SparseTables one by one, as the map-level
+identity routes the package's int defects replaced did.  Nothing in the
+package uses it; tests compare the sparse echelon form against it.
 """
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -111,3 +113,8 @@ def oracle_solve(m, b):
             (work[r][j] * x[j] for j in range(c + 1, m.cols)), Fraction(0))
         x[c] = s / work[r][c]
     return x
+
+
+def table_sum(terms):
+    """The sum of a nonempty iterable of SparseTables of one shape."""
+    return functools.reduce(lambda a, b: a.add(b), terms)

@@ -13,9 +13,14 @@ oracle_lr_results and oracle_td_lr_results list the sub-results in the
 checkers' order; the package's checkers must fold exactly these, name,
 detail and witness included.
 
-map_classical_rows, map_associative, map_leibniz and map_poisson keep the
-map route composite_check replaced: every composite built with
-compose_at, rearranged, summed and compared as maps.
+map_classical_rows, map_associative, map_leibniz, map_commutative and
+map_poisson keep the map route the int defects (algebra.composite_defect,
+algebra.swap_defect) replaced: every composite built with compose_at,
+rearranged, summed and compared as maps by map_identity_check, whose
+witness is first_difference's; no checker in the package uses either.
+composite_td_lr_results keeps the route check_td_lr's kept row defects
+replaced: each row's two sides composed (pair_terms), summed as maps and
+induced (twisted_sum), then decided by convolution.zero_check.
 
 Nothing in the package uses this module; tests compare against it.
 """
@@ -23,18 +28,56 @@ Nothing in the package uses this module; tests compare against it.
 from tdhom.algebra import (
     PRODUCT_CYCLE,
     SWAP_FIRST_TWO,
-    check_commutative,
     check_lie,
     check_module,
     jacobi_check,
     skew_symmetry_check,
 )
-from tdhom.checks import combine
-from tdhom.convolution import compose_induced, induced
+from tdhom.checks import CheckResult, Witness, combine
+from tdhom.convolution import compose_induced, induced, zero_check
 from tdhom.lie_rinehart import PAIR_IDENTITIES
-from tdhom.linalg import table_sum
-from tdhom.maps import map_identity_check, term_sum
-from td_oracle import factored_term, operator_identity_check
+from linalg_oracle import table_sum
+from td_oracle import (
+    SWAP,
+    factored_term,
+    operator_identity_check,
+    pair_terms,
+    term_sum,
+    twisted_sum,
+)
+
+
+def first_difference(f, g):
+    """Lexicographically first (input tuple, residual) where f and g differ.
+
+    Returns None when equal.  Residual is a sorted tuple of
+    (output index, Fraction) pairs.  Stores are canonical, so equal maps
+    have equal stores; only unequal ones are subtracted.
+    """
+    f._check_compatible(g)
+    if f == g:
+        return None
+    diff = f.sub(g)
+    tuples = sorted({tup for (tup, _out) in diff.entries})
+    first = tuples[0]
+    residual = tuple(sorted((out, q) for (tup, out), q in diff.entries.items() if tup == first))
+    return first, residual
+
+
+def map_identity_check(name, lhs, rhs):
+    """CheckResult for lhs == rhs with a labeled first-failure witness."""
+    found = first_difference(lhs, rhs)
+    if found is None:
+        return CheckResult(name, True)
+    tup, residual = found
+    args = tuple(space.labels[i] for space, i in zip(lhs.domain, tup))
+    labeled = tuple((lhs.codomain.labels[out], q) for out, q in residual)
+    return CheckResult(name, False, Witness(args, labeled))
+
+
+def map_commutative(product):
+    """product . swap = product, as maps."""
+    return map_identity_check("commutativity", product.precompose_perm(SWAP), product)
 
 
 def map_associative(product):
@@ -54,21 +97,32 @@ def map_leibniz(bracket, product):
 
 
 def map_poisson(P):
-    """check_poisson with associativity and Leibniz decided as maps."""
+    """check_poisson with associativity, commutativity and Leibniz decided
+    as maps."""
     return combine("poisson", [
         skew_symmetry_check(P.bracket),
         jacobi_check(P.bracket),
         map_associative(P.product),
-        check_commutative(P.product),
+        map_commutative(P.product),
         map_leibniz(P.bracket, P.product),
     ])
 
 
 def map_classical_rows(pair):
     """classical_rows with each side's composites built and summed."""
-    return [map_identity_check(name, term_sum(pair.terms(left)),
-                               term_sum(pair.terms(right)))
+    return [map_identity_check(name, term_sum(pair_terms(pair, left)),
+                               term_sum(pair_terms(pair, right)))
             for name, left, right in PAIR_IDENTITIES]
+
+
+def composite_td_lr_results(s):
+    """check_td_lr's sub-results on composed maps: each row's left side
+    minus its right, summed as maps and induced, decided by zero_check."""
+    pair, C = s.pair, s.coalgebra
+    return [zero_check("td-" + name, twisted_sum(
+                pair_terms(pair, left)
+                + [(f, p, -sign) for f, p, sign in pair_terms(pair, right)], C))
+            for name, left, right in PAIR_IDENTITIES[:-1]]
 
 
 def derivation_check(pair):
@@ -138,7 +192,7 @@ def oracle_lr_results(pair):
     return [
         check_lie(pair.lie),
         map_associative(pair.product),
-        check_commutative(pair.product),
+        map_commutative(pair.product),
         bmodule_assoc_check(pair),
         check_module(pair.ring_module),
         derivation_check(pair),

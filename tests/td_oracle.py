@@ -17,10 +17,13 @@ arrangement of its arguments.  The factored_* functions keep the sweep
 before that, which decides the defect of every slot, read through
 linearity_twist, and the induction kernel, on laid-out operators.
 
-td_differential_direct names the twisted formula's one map when that map
-is skew, and TDCochain.same_as compares names by the injectivity of
-induction.  materialized_td_differential_direct keeps the route they
-replaced: the formula laid out term by term (materialized_twisted_formula)
+td_differential_direct returns d f unless f reads the bracket's
+symmetric part, and TDCochain.same_as compares names by the injectivity
+of induction.  unshuffle_td_differential_direct keeps the route the
+closed form replaced: the formula's one map psi summed from its unshuffle
+maps (unshuffle_map, unshuffles, term_sum) and tested for skewness by
+is_skew.  materialized_td_differential_direct keeps the route before
+that: the formula laid out term by term (materialized_twisted_formula)
 and solved against the induction matrix; materialized_same_as keeps the
 test on the laid-out difference.
 
@@ -41,9 +44,11 @@ check_td_skew decides twisted skew symmetry on the adjacent
 transpositions; enumerated_td_skew keeps the enumeration of all n!
 permutations it replaced, on laid-out tables.
 
-algebra.composite_check takes its terms uncomposed; composed builds
-their maps for the operator routes.  twisted_sum induces the classical
-side of an identity as one map;
+algebra.composite_defect takes its terms uncomposed; composed and
+pair_terms build their maps for the operator routes.  A twisted side is
+the classical side induced: twisted_sum builds that side as one map
+(term_sum) and induces it, where the package induces the kept int defect
+of a failing pair row only;
 factored_term keeps the per-term form it replaced, each rearranged term
 twisted and rearranged as an operator.  The twisted checkers read each
 identity off its kept classical result; operator_check_td_lie,
@@ -68,6 +73,10 @@ positions found by bisect, over its own cleared constants.
 differentials reads a ComplexMatrices, which holds each d_k transposed,
 back as the d_k.
 
+SWAP, unshuffles, is_skew, signed, term_sum and twisted_sum are map
+arithmetic no checker in the package uses any more: each identity there
+is decided on its int defect.  They stay here as the oracles' tools.
+
 The oracles price what they materialize by their own arithmetic
 (check_materialization_size); each route in the package prices what it
 builds instead.
@@ -77,10 +86,10 @@ Nothing in the package uses this module; tests compare against it.
 
 import math
 from bisect import bisect_left
+from itertools import combinations
 
 from tdhom.algebra import (
     JACOBI_ROTATIONS,
-    SWAP,
     SWAP_FIRST_TWO,
     LieAlgebra,
     LieModule,
@@ -100,7 +109,6 @@ from tdhom.cohomology import (
     alt_dim,
     ce_differential,
     induction_matrix,
-    unshuffles,
 )
 from tdhom.convolution import (
     DEFAULT_GUARD_LIMIT,
@@ -111,7 +119,6 @@ from tdhom.convolution import (
     matrix_units,
     operator_witness,
     twisted,
-    twisted_sum,
 )
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import PAIR_IDENTITIES, check_td_lr
@@ -125,11 +132,57 @@ from tdhom.linalg import (
     kernel_basis,
     rank,
     solve,
-    table_sum,
 )
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
-from linalg_oracle import transposed
+from linalg_oracle import table_sum, transposed
+
+
+SWAP = Permutation([1, 0])
+
+
+def unshuffles(k, m):
+    """Permutations of k+m symbols ascending on the first k slots and on
+    the last m, lexicographic; these index the differential's summands."""
+    if k < 0 or m < 0:
+        raise ValueError("block sizes must be nonnegative, got (%d, %d)" % (k, m))
+    n = k + m
+    out = []
+    for first in combinations(range(n), k):
+        chosen = set(first)
+        rest = [i for i in range(n) if i not in chosen]
+        out.append(Permutation(list(first) + rest))
+    return out
+
+
+def is_skew(f):
+    """True iff f . t = -f for every adjacent transposition t (hence all of S_n)."""
+    for i in range(f.arity - 1):
+        t = Permutation.transposition(i, i + 1, f.arity)
+        if not f.precompose_perm(t).add(f).is_zero():
+            return False
+    return True
+
+
+def signed(x, sign):
+    """sign * x, or x itself for sign 1."""
+    return x if sign == 1 else x.scale(sign)
+
+
+def term_sum(terms):
+    """One side of an identity as a map: the sum over its terms (f, p,
+    sign) of sign * (f . p), where p None leaves f's arguments in place."""
+    return table_sum(signed(f if p is None else f.precompose_perm(p), sign)
+                     for f, p, sign in terms)
+
+
+def twisted_sum(terms, C):
+    """term_sum(terms) over C, each rearrangement f . p replaced by its
+    twisted counterpart, twisted by p and then rearranged by p.  The two
+    cancel, so the counterpart is induced(f . p, C) and the sum is the
+    classical side induced; factored_term keeps the sum of the twisted
+    and rearranged terms."""
+    return induced(term_sum(terms), C)
 
 
 def check_materialization_size(domain, coalgebra, limit):
@@ -319,6 +372,37 @@ def materialized_twisted_formula(f, tdm):
            for s in unshuffles(2, n - 1)])
 
 
+def unshuffle_map(f, tdm):
+    """The one map psi whose induced operator is the displayed twisted
+    formula applied to the cochain f: its unshuffle terms, each
+    rearrangement twisted, sum to induced(psi) (twisted_sum), psi their
+    classical sum.  In degree 0 psi is d f as a map."""
+    M, n = tdm.module, f.degree
+    if n == 0:
+        return ce_differential(f, M).as_map()
+    L, B = M.base.space, M.space
+    fmap = MultilinearMap([L] * n, B, f.as_map().entries)
+    acted = M.action.compose_at(fmap, 1)
+    bracketed = fmap.compose_at(M.base.bracket, 0)
+    return term_sum([(acted, s, s.sign()) for s in unshuffles(1, n)]
+                    + [(bracketed, s, -s.sign()) for s in unshuffles(2, n - 1)])
+
+
+def unshuffle_td_differential_direct(F, tdm):
+    """td_differential_direct as the map route built it: psi summed from
+    its unshuffle maps (unshuffle_map), a cochain exactly when is_skew
+    holds, and the zero name where Delta^(n+1) is zero."""
+    M, C, n = tdm.module, tdm.coalgebra, F.degree
+    L, B = M.base.space, M.space
+    if not C.iterated_terms(n + 1):
+        return TDCochain(AltCochain(L, B, n + 1, {}), C)
+    psi = unshuffle_map(F.inducing, tdm)
+    if not is_skew(psi):
+        raise AxiomError(
+            "twisted differential output is not induced at degree %d" % (n + 1))
+    return TDCochain(AltCochain.from_map(psi, check=False), C)
+
+
 def materialized_td_differential_direct(F, tdm):
     """td_differential_direct as it was built: the twisted formula laid
     out, then an inducing cochain recovered by solving against the
@@ -414,6 +498,13 @@ def composed(side):
             for outer, inner, slot, p, sign in side]
 
 
+def pair_terms(pair, side):
+    """A side of a PAIR_IDENTITIES row, maps named by pair attribute, as
+    (map, p, sign) terms with each composite built."""
+    return composed([(getattr(pair, outer), getattr(pair, inner), *rest)
+                     for outer, inner, *rest in side])
+
+
 def td_jacobi_sum(bracket, C):
     """The cyclic identity's three summands: the plain nested operator,
     then its twisted rearrangements along the rotation and its square."""
@@ -497,8 +588,8 @@ def operator_check_td_lr(s):
     pair, C = s.pair, s.coalgebra
     return combine("td-lie-rinehart", [
         operator_identity_check("td-" + name,
-                                twisted_sum(pair.terms(left), C),
-                                twisted_sum(pair.terms(right), C))
+                                twisted_sum(pair_terms(pair, left), C),
+                                twisted_sum(pair_terms(pair, right), C))
         for name, left, right in PAIR_IDENTITIES[:-1]])
 
 

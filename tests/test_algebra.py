@@ -16,7 +16,6 @@ from tdhom.algebra import (
     JACOBI_CYCLE,
     JACOBI_ROTATIONS,
     PRODUCT_CYCLE,
-    SWAP,
     SWAP_FIRST_TWO,
     AssociativeAlgebra,
     LieAlgebra,
@@ -36,10 +35,18 @@ from tdhom.checks import combine, kept
 from tdhom.errors import AxiomError, ShapeError
 from tdhom.files import parse_structure
 from tdhom.lie_rinehart import LieRinehartPair, check_lr
-from tdhom.linalg import BasedSpace, table_sum
-from tdhom.maps import MultilinearMap, map_identity_check
+from tdhom.linalg import BasedSpace
+from tdhom.maps import MultilinearMap
 from tdhom.td_structures import check_td_lie
-from lr_oracle import map_associative, map_leibniz, map_poisson
+from linalg_oracle import table_sum
+from lr_oracle import (
+    map_associative,
+    map_commutative,
+    map_identity_check,
+    map_leibniz,
+    map_poisson,
+)
+from td_oracle import SWAP
 from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
 
 L3 = BasedSpace("L", ("e", "f", "h"))
@@ -527,6 +534,53 @@ class TestCompositeChecksAgainstMaps:
             for check in (leibniz_check, map_leibniz):
                 with pytest.raises(ShapeError):
                     check(square, product)
+
+
+@st.composite
+def partly_symmetric_products(draw):
+    """(kind, product) on a space of dim 1 to 4: a random symmetric table
+    (commutative), the same with random entries added (partly
+    symmetric), or random entries alone."""
+    V = BasedSpace("V", ["v%d" % i for i in range(draw(st.integers(1, 4)))])
+    index = st.integers(0, V.dim - 1)
+    entries = st.dictionaries(st.tuples(st.tuples(index, index), index),
+                              SCALARS, max_size=8)
+    kind = draw(st.sampled_from(["symmetric", "partly", "any"]))
+    table = {}
+    if kind != "any":
+        for ((x, y), o), q in draw(entries).items():
+            for key in (((x, y), o), ((y, x), o)):
+                table[key] = table.get(key, 0) + q
+    if kind != "symmetric":
+        for key, q in draw(entries).items():
+            table[key] = table.get(key, 0) + q
+    return kind, MultilinearMap((V, V), V, table)
+
+
+class TestSwapPassAgainstMaps:
+    """Commutativity decided by the swap pass (algebra.swap_defect at sign
+    -1) gives the result of the map route it replaced (tests/lr_oracle.py
+    map_commutative): same ok and witness, failing or not."""
+
+    @given(partly_symmetric_products())
+    @settings(max_examples=400, deadline=None)
+    def test_commutativity_sweep(self, drawn):
+        kind, product = drawn
+        result = check_commutative(product)
+        assert result == map_commutative(product)
+        if kind == "symmetric":
+            assert result.ok
+
+    def test_sweep_reaches_both_outcomes(self):
+        seen = set()
+
+        @given(partly_symmetric_products())
+        @settings(max_examples=200, deadline=None)
+        def collect(drawn):
+            seen.add(check_commutative(drawn[1]).ok)
+
+        collect()
+        assert seen == {True, False}
 
 
 def gl_adjoint_module(n):

@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from tdhom import cli, cohomology, corpus, linalg
 from tdhom.algebra import (
     JACOBI_ROTATIONS,
-    SWAP,
     SWAP_FIRST_TWO,
     LieAlgebra,
     LieModule,
@@ -40,7 +39,7 @@ from tdhom.algebra import (
     check_module,
 )
 from tdhom.checks import CheckResult, Witness, combine
-from tdhom.coalgebra import Coalgebra
+from tdhom.coalgebra import Coalgebra, build_tensor_coalgebra
 from tdhom.cohomology import (
     AltCochain,
     ComplexMatrices,
@@ -59,7 +58,6 @@ from tdhom.cohomology import (
     td_differential_direct,
     td_differential_induced,
     torus,
-    unshuffles,
     weight_zero_keys,
 )
 from tdhom.convolution import DEFAULT_GUARD_LIMIT, induced, operator_witness
@@ -67,7 +65,7 @@ from tdhom.errors import AxiomError, GuardError, MalformedInput, ShapeError
 from tdhom.files import parse_structure
 from tdhom.lie_rinehart import TDLRStructure, blinear_subspace, check_td_lr
 from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, kernel_basis, rank
-from tdhom.maps import MultilinearMap, is_skew
+from tdhom.maps import MultilinearMap
 from tdhom.td_structures import (
     TDLieStructure,
     TDModuleStructure,
@@ -78,6 +76,7 @@ from tdhom.td_structures import (
 from linalg_oracle import bareiss_echelon, transposed
 from lr_oracle import oracle_check_td_lr
 from td_oracle import (
+    SWAP,
     MaterializedTDComplexData,
     ce_differential_unshuffle,
     ce_parts_unshuffle,
@@ -85,10 +84,13 @@ from td_oracle import (
     eager_quotient,
     factored_blinear_subspace,
     factored_td_differential_induced,
+    is_skew,
     materialized_same_as,
     materialized_td_differential_direct,
     matrix_unit_invariants,
     tuple_pushed,
+    unshuffle_td_differential_direct,
+    unshuffles,
 )
 from test_convolution import materialized_sum
 
@@ -1866,3 +1868,106 @@ class TestTheoremOracles:
         top = M.base.space.dim
         assert classical_complex(M, top).cohomology_dims() == inversion_counts(n)
         assert ce_calls == [M]
+
+
+def symmetric_perturbed(M, x, y, o, q):
+    """M with q e_o added to both [e_x, e_y] and [e_y, e_x] of its
+    bracket, action kept: a bracket with a nonzero symmetric part."""
+    L = M.base.space
+    entries = dict(M.base.bracket.entries)
+    for key in {((x, y), o), ((y, x), o)}:
+        entries[key] = entries.get(key, 0) + q
+    lie = LieAlgebra(L, MultilinearMap([L, L], L, entries), check=False)
+    return LieModule(lie, M.space, M.action, check=False)
+
+
+DIRECT_MODULES = (
+    [corpus.load(name) for name in corpus.MODULE_NAMES]
+    + [heis_adjoint_with(*HEIS_VARIANTS[name]) for name in
+       ("bracket-x<y", "bracket-symmetric", "bracket-extra")]
+    + [gl_adjoint(2), gl_adjoint(3), b_adjoint(2), b_adjoint(3),
+       matrix_unit_adjoint("n3", upper_units(3, True)),
+       matrix_unit_adjoint("n4", upper_units(4, True))])
+
+
+DIRECT_COALGEBRAS = dict(
+    {name: sweep_coalgebra(name) for name in SWEEP_COALGEBRAS},
+    T4ab=build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4))
+
+
+@st.composite
+def direct_cases(draw):
+    """(tdm, F): a module (corpus, gl_n, b_n or n_n adjoint, a heis-adjoint
+    variant, any of those with a symmetric part added to its bracket, or
+    random unchecked tables), a sweep coalgebra or T4(ab), and a sparse
+    random cochain of degree 0 to 3 on it."""
+    kind = draw(st.sampled_from(["listed", "symmetric", "random"]))
+    if kind == "random":
+        M, f = draw(unchecked_module_cochain())
+    else:
+        M = draw(st.sampled_from(DIRECT_MODULES))
+        L, B = M.base.space, M.space
+        if kind == "symmetric":
+            index = st.integers(0, L.dim - 1)
+            M = symmetric_perturbed(M, draw(index), draw(index), draw(index),
+                                    draw(st.sampled_from([1, -1, Fraction(1, 2)])))
+        basis = alt_basis(L, B, draw(st.integers(0, min(3, L.dim))))
+        values = draw(st.dictionaries(st.sampled_from(basis), st.integers(-2, 2),
+                                      min_size=1, max_size=4))
+        f = AltCochain(L, B, len(basis[0][0]), values)
+    # mostly a coalgebra whose Delta^(n+1) lives, where the formula bites
+    coalgebras = [DIRECT_COALGEBRAS[name] for name in sorted(DIRECT_COALGEBRAS)]
+    if draw(st.integers(0, 3)):
+        coalgebras = [C for C in coalgebras if C.iterated_terms(f.degree + 1)]
+    C = draw(st.sampled_from(coalgebras))
+    tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                            check=False)
+    return tdm, TDCochain(f, C)
+
+
+class TestDirectClosedFormAgainstUnshuffleMaps:
+    """td_differential_direct, d f unless f reads the bracket's symmetric
+    part, against the map route it replaced (tests/td_oracle.py
+    unshuffle_td_differential_direct): the same inducing cochain, or the
+    same error type and message."""
+
+    @given(direct_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_direct_sweep(self, case):
+        tdm, F = case
+        assert raised_or(lambda: td_differential_direct(F, tdm).inducing) \
+            == raised_or(lambda: unshuffle_td_differential_direct(F, tdm).inducing)
+
+    def test_reads_of_the_symmetric_part_cancel_by_position(self):
+        # S(e2, e2) = 2 e0 + 2 e3, and f(e0, e1) = f(e1, e3) = 1: f(S, e1)
+        # is f(e0, e1) - f(e1, e3) = 0, the two reads at positions 0 and 1
+        # of their tuples, so psi is skew and names d f
+        L, B = BasedSpace("L", "wxyz"), BasedSpace("B", "b")
+        bracket = MultilinearMap([L, L], L, {((2, 2), 0): 1, ((2, 2), 3): 1})
+        M = LieModule(LieAlgebra(L, bracket, check=False), B,
+                      MultilinearMap([L, B], B, {}), check=False)
+        C = corpus.get_coalgebra("tensor-ab-3")
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        F = TDCochain(AltCochain(L, B, 2, {((0, 1), 0): 1, ((1, 3), 0): 1}), C)
+        assert td_differential_direct(F, tdm).inducing \
+            == unshuffle_td_differential_direct(F, tdm).inducing \
+            == ce_differential(F.inducing, M)
+        G = TDCochain(AltCochain(L, B, 2, {((0, 1), 0): 1, ((1, 3), 0): -1}), C)
+        with pytest.raises(AxiomError, match="not induced at degree 3"):
+            td_differential_direct(G, tdm)
+        with pytest.raises(AxiomError, match="not induced at degree 3"):
+            unshuffle_td_differential_direct(G, tdm)
+
+    def test_sweep_reaches_both_outcomes(self):
+        seen = set()
+
+        @given(direct_cases())
+        @settings(max_examples=200, deadline=None)
+        def collect(case):
+            tdm, F = case
+            seen.add(type(raised_or(
+                lambda: unshuffle_td_differential_direct(F, tdm))))
+
+        collect()
+        assert seen == {TDCochain, tuple}

@@ -29,7 +29,6 @@ from tdhom.convolution import (
     interchange,
     matrix_units,
     twisted,
-    twisted_sum,
     twisted_term,
     zero_check,
 )
@@ -39,14 +38,17 @@ from tdhom.linalg import (
     Permutation,
     all_permutations,
     gather,
-    table_sum,
 )
-from tdhom.maps import MultilinearMap, signed, term_sum
+from tdhom.maps import MultilinearMap
+from linalg_oracle import table_sum
 from td_oracle import (
     enumerated_td_skew,
     factored_term,
     laid_out_apply,
     operator_identity_check,
+    signed,
+    term_sum,
+    twisted_sum,
 )
 
 

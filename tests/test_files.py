@@ -351,7 +351,7 @@ class TestCorpus:
             corpus.load("broken-jacobi")
 
     def test_skew_maps_are_skew(self):
-        from tdhom.maps import is_skew
+        from td_oracle import is_skew
         for name, m in corpus.skew_maps().items():
             assert is_skew(m), name
 

@@ -32,11 +32,13 @@ from hypothesis import strategies as st
 
 import tdhom
 from tdhom import corpus
+from tdhom.algebra import check_commutative
 from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.errors import AxiomError, MalformedInput, ParseError
+from tdhom.errors import AxiomError, MalformedInput, ParseError, ShapeError
 from tdhom.files import parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace
+from tdhom.maps import MultilinearMap
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdhom"
 
@@ -138,22 +140,34 @@ def test_package_induces_each_twisted_identity_from_its_classical_sum():
     assert _enclosing_calls("factored_term") == []
 
 
-def test_package_induces_a_twisted_identity_only_where_its_classical_one_fails():
-    # a twisted identity holds when its classical identity does, and the
-    # checkers read that off the kept result; only a classically failing
-    # pair row is induced, to decide it on operators and name its witness;
-    # its two sides are induced as one operator, their difference
-    assert _enclosing_calls("twisted_sum") == ["lie_rinehart.py:_twisted_row"]
+def test_checkers_rearrange_and_compose_no_maps():
+    # every identity is decided on its int defect: commutativity and skew
+    # symmetry by one swap pass, the pair rows by their kept defects (a
+    # failing row induces its defect), the direct twisted differential by
+    # the bracket's symmetric part; no checker builds a rearranged or a
+    # composed map
+    checkers = ("algebra.py", "lie_rinehart.py", "cohomology.py")
+    for name in ("precompose_perm", "compose_at"):
+        assert [call for call in _enclosing_calls(name)
+                if call.startswith(checkers)] == [], name
 
 
 def test_package_composes_maps_only_to_induce_operators():
     # every classical composite identity, the pair rows, associativity and
-    # Leibniz, is summed in one int pass (algebra.composite_check), and the
-    # linear subspace is written from the constants; a composite map is
-    # built only to be induced as an operator
-    assert _enclosing_calls("compose_at") == [
-        "cohomology.py:_twisted_map", "cohomology.py:_twisted_map",
-        "convolution.py:compose_induced", "lie_rinehart.py:terms"]
+    # Leibniz, is summed in one int pass (algebra.composite_defect), and
+    # the linear subspace is written from the constants; a composite map
+    # is built only by compose_induced, the library's operator composition
+    assert _enclosing_calls("compose_at") == ["convolution.py:compose_induced"]
+
+
+def test_commutativity_refuses_a_product_on_two_spaces():
+    # the swap pass needs one binary map on one space
+    A, A2 = BasedSpace("A", "ab"), BasedSpace("A2", "ab")
+    for product in (MultilinearMap((A, A2), A, {}),
+                    MultilinearMap((A, A, A), A, {})):
+        with pytest.raises(ShapeError) as raised:
+            check_commutative(product)
+        assert str(raised.value) == "commutativity needs a binary map on one space"
 
 
 def test_package_lays_operators_out_only_on_request():

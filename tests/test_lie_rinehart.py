@@ -41,6 +41,7 @@ from tdhom.linalg import BasedSpace, Permutation, RationalMatrix, solve
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import TDLieStructure, TDModuleStructure
 from lr_oracle import (
+    composite_td_lr_results,
     map_classical_rows,
     oracle_check_lr,
     oracle_check_td_lr,
@@ -223,21 +224,77 @@ class TestSharedComposites:
                 pair, corpus.get_coalgebra(cname))).ok
         assert calls == []
 
-    def test_broken_pair_builds_only_its_failing_rows(self, monkeypatch):
-        # only a classically failing row is decided on operators, and its
-        # composites are built once for every coalgebra
+    def test_broken_pair_builds_no_composite(self, monkeypatch):
+        # a classically failing row is decided on its kept int defect,
+        # induced as one operator: no composite map is built for it
         pair = bad_derivation_pair()
         calls = counted_composites(monkeypatch)
         rows = lie_rinehart.classical_rows(pair)
-        assert calls == []
+        assert not all(rows[:-1])
         for cname in ("tensor-ab-3", "tensor-x-3"):
-            check_td_lr(TDLRStructure(pair, corpus.get_coalgebra(cname)))
-        expected = {term[:3] for (_name, left, right), row
-                    in zip(lie_rinehart.PAIR_IDENTITIES[:-1], rows)
-                    if not row for term in left + right}
-        named = {id(getattr(pair, name)): name for name in PAIR_MAPS}
-        built = [(named[id(o)], named[id(i)], k) for o, i, k in calls]
-        assert expected and sorted(built) == sorted(expected)
+            assert not check_td_lr(TDLRStructure(pair, corpus.get_coalgebra(cname)))
+        assert calls == []
+
+
+ROW_COALGEBRAS = dict(
+    corpus.coalgebras(),
+    T4ab=build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4))
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """perturbed_pair drawn by hypothesis: a corpus pair with one entry of
+    one of its four maps moved by a small nonzero amount, or two such."""
+    good = corpus.load(draw(st.sampled_from(corpus.PAIR_NAMES)))
+    maps = {name: getattr(good, name) for name in PAIR_MAPS}
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(PAIR_MAPS))
+        m = maps[name]
+        key = (tuple(draw(st.integers(0, space.dim - 1)) for space in m.domain),
+               draw(st.integers(0, m.codomain.dim - 1)))
+        entries = dict(m.entries)
+        entries[key] = entries.get(key, ZERO) + draw(st.sampled_from(
+            (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))))
+        maps[name] = MultilinearMap(m.domain, m.codomain, entries)
+    return LieRinehartPair(good.lie_space, good.ring_space, check=False,
+                           **maps)
+
+
+class TestKeptDefectsAgainstComposites:
+    """check_td_lr, each row induced from its kept int defect, against the
+    composite route it replaced (tests/lr_oracle.py
+    composite_td_lr_results): every sub-result, witnesses included, on
+    broken pairs over every corpus coalgebra and T4(ab)."""
+
+    @given(perturbed_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_composite_route(self, pair):
+        folded = []
+
+        def recording(name, results):
+            folded.append(results)
+            return combine(name, results)
+
+        for C in ROW_COALGEBRAS.values():
+            s = TDLRStructure(pair, C)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lie_rinehart, "combine", recording)
+                r = check_td_lr.__wrapped__(s)
+            expected = composite_td_lr_results(s)
+            assert folded.pop() == expected
+            assert r == combine("td-lie-rinehart", expected)
+
+    def test_sweep_reaches_failing_rows(self):
+        seen = set()
+
+        @given(perturbed_pairs())
+        @settings(max_examples=100, deadline=None)
+        def collect(pair):
+            s = TDLRStructure(pair, ROW_COALGEBRAS["T4ab"])
+            seen.update(r.name for r in composite_td_lr_results(s) if not r)
+
+        collect()
+        assert len(seen) >= 3
 
 
 class TestLinearityTwist:
@@ -513,7 +570,7 @@ class TestMapRouteOracle:
     @given(swept_pairs())
     @settings(max_examples=150, deadline=None)
     def test_classical_rows(self, pair):
-        rows = lie_rinehart.classical_rows.__wrapped__(pair)
+        rows = lie_rinehart.classical_rows(pair)
         assert rows == map_classical_rows(pair)
         explicit = oracle_lr_results(pair)
         assert rows == [explicit[k] for k in (6, 7, 8, 5, 3, 9)]
@@ -538,7 +595,7 @@ class TestMapRouteOracle:
         @settings(max_examples=150, deadline=None)
         def collect(pair):
             seen.update((r.name, r.ok)
-                        for r in lie_rinehart.classical_rows.__wrapped__(pair))
+                        for r in lie_rinehart.classical_rows(pair))
 
         collect()
         assert seen == {(name, ok) for name, _left, _right

@@ -1,4 +1,5 @@
-"""Sparse multilinear maps: composition, argument rearrangement, skewness."""
+"""Sparse multilinear maps: composition, argument rearrangement, and the
+oracles' map-level skewness and first-difference helpers."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,12 +11,9 @@ from hypothesis import strategies as st
 from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
 from tdhom.linalg import BasedSpace, Permutation, all_permutations
-from tdhom.maps import (
-    MultilinearMap,
-    first_difference,
-    is_skew,
-    map_identity_check,
-)
+from tdhom.maps import MultilinearMap
+from lr_oracle import first_difference, map_identity_check
+from td_oracle import is_skew
 
 L = BasedSpace("L", ("e", "f", "h"))
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import tdhom
 from tdhom import corpus, lie_rinehart
-from tdhom.algebra import JACOBI_CYCLE, SWAP, LieAlgebra, PoissonAlgebra
+from tdhom.algebra import JACOBI_CYCLE, LieAlgebra, PoissonAlgebra
 from tdhom.coalgebra import (
     Coalgebra,
     build_exterior_square_coalgebra,
@@ -40,7 +40,7 @@ from tdhom.lie_rinehart import (
     classical_rows,
 )
 from tdhom.linalg import BasedSpace
-from tdhom.maps import MultilinearMap, term_sum
+from tdhom.maps import MultilinearMap
 from tdhom.td_structures import (
     TDLieStructure,
     TDModuleStructure,
@@ -52,6 +52,7 @@ from tdhom.td_structures import (
     self_module,
 )
 from td_oracle import (
+    SWAP,
     enumerated_td_skew,
     operator_check_collapse,
     operator_check_jordan,
@@ -441,9 +442,9 @@ class TestKeptClassicalResults:
 
 
 def count_calls(monkeypatch, calls):
-    """Record every MultilinearMap.compose_at, maps.term_sum,
+    """Record every MultilinearMap.compose_at, MultilinearMap._trusted,
     InducedOperator.first_entry and InducedOperator.materialize call in
-    calls, wherever the package reads term_sum from."""
+    calls: any map built, composed or induced."""
     for owner, name in ((MultilinearMap, "compose_at"),
                         (InducedOperator, "first_entry"),
                         (InducedOperator, "materialize")):
@@ -451,13 +452,12 @@ def count_calls(monkeypatch, calls):
             calls.append(name)
             return original(*args)
         monkeypatch.setattr(owner, name, counting)
+    trusted = MultilinearMap.__dict__["_trusted"].__func__
 
-    def counting_sum(terms):
-        calls.append("term_sum")
-        return term_sum(terms)
-    for module in vars(tdhom).values():
-        if getattr(module, "term_sum", None) is term_sum:
-            monkeypatch.setattr(module, "term_sum", counting_sum)
+    def counting_trusted(cls, *args):
+        calls.append("_trusted")
+        return trusted(cls, *args)
+    monkeypatch.setattr(MultilinearMap, "_trusted", classmethod(counting_trusted))
 
 
 class TestBuildsNothingOnceKept:
