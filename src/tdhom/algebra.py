@@ -52,9 +52,16 @@ def _require_binary(op, space, what):
         raise ShapeError("%s must be a binary map into %s" % (what, space.name))
 
 
+def _require_operation(op, space, what):
+    """ShapeError unless op is a binary map space x space -> space."""
+    _require_binary(op, space, what)
+    if op.domain[0] is not space or op.domain[1] is not space:
+        raise ShapeError("%s must take both arguments in %s" % (what, space.name))
+
+
 class LieAlgebra:
     def __init__(self, space, bracket, check=True, name=""):
-        _require_binary(bracket, space, "bracket")
+        _require_operation(bracket, space, "bracket")
         self.space = space
         self.bracket = bracket
         self.name = name or space.name
@@ -113,7 +120,7 @@ class LieModule:
 
 class AssociativeAlgebra:
     def __init__(self, space, product, check=True, name=""):
-        _require_binary(product, space, "product")
+        _require_operation(product, space, "product")
         self.space = space
         self.product = product
         self.name = name or space.name
@@ -123,8 +130,8 @@ class AssociativeAlgebra:
 
 class PoissonAlgebra:
     def __init__(self, space, bracket, product, check=True, name=""):
-        _require_binary(bracket, space, "bracket")
-        _require_binary(product, space, "product")
+        _require_operation(bracket, space, "bracket")
+        _require_operation(product, space, "product")
         self.space = space
         self.bracket = bracket
         self.product = product

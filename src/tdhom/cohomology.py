@@ -10,19 +10,21 @@ not the number of tuples.  The push-forward runs in ints, over the
 bracket and action constants cleared by their common denominator N, so
 d_k is assembled as the int matrix N d_k, which has the same rank and
 squares to zero with its neighbours exactly when d_k does; no Fraction
-is made on the way, and each tuple is held as a bitmask (_pushed).  Once
-d squared is checked to vanish, each d_k is ranked by its columns off
-the pivot coordinates of d_(k-1) (clearing).
+is made on the way, and each tuple is held as a bitmask (_pushed).  With
+d squared zero, each d_k is ranked by its columns off the pivot
+coordinates of d_(k-1) (clearing, _cleared_ranks).
 
 A torus element is a basis element h of L acting diagonally on L and M,
 [h, e_s] = lam(s) e_s and h . m_b = mu(b) m_b, with a weight nonzero.  Under
 theta_h = d iota_h + iota_h d (Cartan; Hochschild & Serre 1953) e^S (x) m_b
 has weight w = mu(b) - sum_{s in S} lam(s), so d keeps weights and iota_h / w
-contracts each block with w != 0.  classical_complex assembles, squares (so
-certifies d squared = 0 only there) and ranks the block of weight 0 under
-every torus element, then rank d_k = rank d_k^0 + sum_{i <= k} (-1)^(k-i)
-(dim C^i - dim C^i_0).  That needs the axioms: without kept passing checks
-(check=False, --unsafe-skip-axioms) the route is ce_complex, the oracle.
+contracts each block with w != 0.  classical_complex ranks the block of
+weight 0 under every torus element, then rank d_k = rank d_k^0 + sum_{i <=
+k} (-1)^(k-i) (dim C^i - dim C^i_0).  That needs the axioms, which also
+make d squared zero, so the block takes no product and pushes only the
+rows clearing ranks.  Without kept passing checks (check=False,
+--unsafe-skip-axioms) the route is ce_complex, the oracle, which
+certifies d squared = 0 by products.
 
 A Hom-space cochain is named by an inducing classical cochain, two names
 being equal when their difference is killed by the induction map, and the
@@ -31,9 +33,9 @@ induction map is the outer product f (x) Delta^(n), so it is injective
 while the n-fold coproduct is nonzero and zero from the cut depth D, the
 first n >= 1 where it dies: the Hom-space complex is the classical one cut
 below degree D.  TDComplexData ranks it by classical_complex to degree
-D - 2, so d squared = 0 is certified on the weight-0 block when M has a
-torus.  The eager assembly and the materializing construction it
-replaced are the test oracles in tests/td_oracle.py.
+D - 2, so d squared = 0 holds by theorem when M has a torus.  The eager
+assembly and the materializing construction it replaced are the test
+oracles in tests/td_oracle.py.
 
 TDCochain, td_differential_direct and td_differential_induced are the
 per-cochain library API, and they decide by the same injectivity without
@@ -50,7 +52,7 @@ table; tests/td_oracle.py keeps psi built from its unshuffle maps, and
 the formula materialized and solved against induction_matrix, as the
 oracles of td_differential_direct.  invariants_h0 reads H^0 off the action
 constants, as the vectors every e_t kills.  The size guard of both
-routes is classical_complex's: the keys it pushes.
+routes is classical_complex's: the keys it may push.
 """
 
 from itertools import combinations, permutations
@@ -310,21 +312,25 @@ class ComplexMatrices:
 
     Construction verifies shapes chain and that consecutive products vanish
     exactly, then ranks them: holding one is holding a certified complex.
-    Given dims, the matrices are the weight-0 block of a complex with
-    those cochain dims, exact off that block, and report for all of it.
+    _from_block holds no matrix (transposes is None): the ranks of the
+    weight-0 block of a complex with the given cochain dims, which the
+    caller certified, exact off that block, reported for all of it.
     """
 
-    def __init__(self, transposes, dims=None):
+    def __init__(self, transposes):
         self.transposes = list(transposes)
-        ranks = _certified_ranks(
+        self._ranks = _certified_ranks(
             self.transposes, "consecutive differentials do not compose to zero")
-        block = [t.rows for t in self.transposes] + [t.cols for t in self.transposes[-1:]]
-        self._dims = list(dims or block)
-        exact = 0  # the rank of d_k off the block
-        for k, r in enumerate(ranks):
-            exact = self._dims[k] - block[k] - exact
-            ranks[k] = r + exact
-        self._ranks = ranks
+        self._dims = [t.rows for t in self.transposes] + [t.cols for t in self.transposes[-1:]]
+
+    @classmethod
+    def _from_block(cls, dims, block, ranks):
+        cx = cls.__new__(cls)
+        cx.transposes, cx._dims, cx._ranks, exact = None, dims, [], 0
+        for n, m, r in zip(dims, block, ranks):
+            exact = n - m - exact  # the rank of d_k off the block
+            cx._ranks.append(r + exact)
+        return cx
 
     def cochain_dims(self):
         return list(self._dims)
@@ -343,27 +349,35 @@ def _certified_ranks(transposes, message):
     """Ranks of consecutive differentials d_0, d_1, .., given as their
     transposes T_k, taken only once their shapes chain and each T_k T_(k+1)
     = (d_(k+1) d_k)^T vanishes: ShapeError, or AxiomError(message), comes
-    before any elimination.
-
-    By clearing: eliminating T_(k-1), the columns of d_(k-1), picks pivot
-    coordinates P of C^k that im d_(k-1) fills one to one, so, as d_k
-    kills im d_(k-1), rank d_k is the rank of T_k with the rows in P
-    emptied.  The last T_k, whose pivots nothing reads, is only ranked.
+    before any elimination.  Then each T_k is ranked by _cleared_ranks,
+    its rows in P_(k-1) emptied.
     """
     for a, b in zip(transposes, transposes[1:]):
         if a.cols != b.rows:
             raise ShapeError("differential shapes do not chain: %r then %r" % (a, b))
         if not a.matmul(b).is_zero():
             raise AxiomError(message)
+    return _cleared_ranks(len(transposes), lambda k, cleared: RationalMatrix._from_int_rows(
+        transposes[k].cols,
+        [{} if i in cleared else row for i, row in enumerate(transposes[k]._rows)], 1))
+
+
+def _cleared_ranks(count, held):
+    """Ranks of d_0 .. d_(count-1) of a complex, d squared being zero, by
+    clearing: eliminating T_(k-1), the columns of d_(k-1), picks pivot
+    coordinates P_(k-1) of C^k that im d_(k-1) fills one to one, so, as d_k
+    kills im d_(k-1), rank d_k is the rank of the rows of T_k outside
+    P_(k-1): held(k, P_(k-1)) is T_k with the rows in P_(k-1) emptied or
+    left out.  The last T_k, whose pivots nothing reads, is only ranked.
+    """
     ranks, cleared = [], set()
-    for k, t in enumerate(transposes):
-        held = RationalMatrix._from_int_rows(
-            t.cols, [{} if i in cleared else row for i, row in enumerate(t._rows)], 1)
-        if k + 1 < len(transposes):
-            cleared = set(pivot_columns(held))
+    for k in range(count):
+        m = held(k, cleared)
+        if k + 1 < count:
+            cleared = set(pivot_columns(m))
             ranks.append(len(cleared))
         else:
-            ranks.append(rank(held))
+            ranks.append(rank(m))
     return ranks
 
 
@@ -460,8 +474,12 @@ def classical_complex(M, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     """The classical complex to degree maxdeg, ranked on its weight-0 block
     (ce_complex, which refuses a maxdeg out of range, without a torus).
 
+    A torus needs kept passing axioms, which make d squared zero
+    (Chevalley & Eilenberg 1948): the block takes no product, and C^k
+    pushes only its keys off the pivots of d_(k-1) (_cleared_ranks).
+
     Priced before anything is assembled by the basis keys whose images it
-    pushes, those of C^0 .. C^maxdeg in the block or the whole complex,
+    may push, those of C^0 .. C^maxdeg in the block or the whole complex,
     and refused by check_size above guard_limit."""
     weights, L, B = torus(M), M.base.space, M.space
     if not weights or not 0 <= maxdeg <= L.dim:
@@ -470,9 +488,11 @@ def classical_complex(M, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
         return ce_complex(M, maxdeg)
     keys = weight_zero_keys(M, weights, maxdeg + 1)
     check_size(sum(map(len, keys[:-1])), guard_limit)
-    return ComplexMatrices((_weight_block(M, keys[k], keys[k + 1])
-                            for k in range(maxdeg + 1)),
-                           [alt_dim(L, B, k) for k in range(maxdeg + 2)])
+    ranks = _cleared_ranks(maxdeg + 1, lambda k, cleared: _weight_block(
+        M, [key for i, key in enumerate(keys[k]) if i not in cleared],
+        keys[k + 1]))
+    return ComplexMatrices._from_block([alt_dim(L, B, k) for k in range(maxdeg + 2)],
+                                       list(map(len, keys)), ranks)
 
 
 def induction_matrix(n, L, B, C):
@@ -596,11 +616,11 @@ class TDComplexData:
     - the quotient differential is d_k for k <= D - 2 and zero after, so
       q_ranks, which the report also gives as the composite ranks, are
       classical_complex's ranks to degree min(maxdeg, D - 2, dim L),
-      padded with zeros.  A failed d squared check, on the weight-0 block
-      when M has a torus, reads "quotient differentials do not square to
-      zero".
+      padded with zeros.  A failed d squared check, which only the
+      ce_complex route takes, reads "quotient differentials do not square
+      to zero".
 
-    The size guard is classical_complex's, priced by the keys it pushes
+    The size guard is classical_complex's, priced by the keys it may push
     below the cut; errors keep the messages of the materializing
     construction, tests/td_oracle.py's oracle.
     """

@@ -20,8 +20,9 @@ fraction-free echelon form (Echelon) of int rows, fed shortest first and
 reduced by their leading column.  Its answers are the unique ones fixed by
 the lexicographically first independent column set, so they are
 reproducible bit for bit whatever the row order.  A complex with d squared
-zero is ranked by clearing (cohomology._certified_ranks): im d_(k-1) fills
-the pivot columns of d_(k-1) transposed, so d_k is ranked off them.  The
+zero is ranked by clearing (cohomology._cleared_ranks): im d_(k-1) fills
+the pivot columns of d_(k-1) transposed, so d_k is ranked off them, and
+the weight-0 route never assembles the rows there.  The
 dense fraction-free elimination that preceded the sparse one is the test
 oracle in tests/linalg_oracle.py.
 """

@@ -17,11 +17,12 @@ import pytest
 from tdhom import cli, cohomology, corpus
 from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
+from tdhom.cohomology import torus, weight_zero_keys
 from tdhom.coalgebra import build_tensor_coalgebra
 from tdhom.convolution import DEFAULT_GUARD_LIMIT, InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.lie_rinehart import TDLRStructure
-from tdhom.linalg import BasedSpace
+from tdhom.linalg import BasedSpace, RationalMatrix, rank
 from tdhom.maps import MultilinearMap
 from test_cohomology import (b_adjoint, gl_adjoint, matrix_unit_adjoint,
                               rebased_adjoint, upper_units)
@@ -1361,6 +1362,55 @@ class TestClassicalRoute:
         assert ce_calls == []
         assert run(argv + ["--unsafe-skip-axioms"], capsys)[:2] == checked[:2]
         assert ce_calls == [3]
+
+    @pytest.fixture
+    def gl3_products(self, tmp_path, monkeypatch):
+        """(argv, products, pushed): the gl3-adjoint report, written to the
+        working directory, with the shapes of every RationalMatrix.matmul
+        and the degree of every key _pushed pushes, counted."""
+        (tmp_path / "gl3-adjoint.json").write_text(
+            serialize_structure(gl_adjoint(3), "gl3-adjoint"), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        products, pushed = [], Counter()
+        multiply, push = RationalMatrix.matmul, cohomology._pushed
+
+        def counted_matmul(a, b):
+            products.append(((a.rows, a.cols), (b.rows, b.cols)))
+            return multiply(a, b)
+
+        def counted_push(ints, M):
+            pushed.update(m.bit_count() for m, _ in ints)
+            return push(ints, M)
+
+        monkeypatch.setattr(RationalMatrix, "matmul", counted_matmul)
+        monkeypatch.setattr(cohomology, "_pushed", counted_push)
+        return (["cohomology", "gl3-adjoint.json", "--maxdeg", "2", "--json"],
+                products, pushed)
+
+    def test_checked_route_pushes_only_ranked_rows(self, gl3_products,
+                                                   ce_calls, capsys):
+        # kept passing axioms make d squared zero, so no product is taken,
+        # and C^k_0 pushes only its keys off the pivots of d_(k-1)^0
+        argv, products, pushed = gl3_products
+        M = gl_adjoint(3)
+        keys = weight_zero_keys(M, torus(M), 2)
+        r0, r1 = (rank(cohomology._weight_block(M, keys[k], keys[k + 1]))
+                  for k in range(2))
+        pushed.clear()
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["differential_ranks"] == [8, 72, 252]
+        assert ce_calls == [] and products == []
+        assert [pushed[k] for k in range(4)] == [3, 15 - r0, 42 - r1, 0] \
+            == [3, 13, 30, 0]
+
+    def test_unsafe_route_takes_both_products(self, gl3_products, ce_calls,
+                                              capsys):
+        argv, products, _ = gl3_products
+        checked = run(argv, capsys)[:2]
+        assert run(argv + ["--unsafe-skip-axioms"], capsys)[:2] == checked
+        assert ce_calls == [2]
+        assert products == [((9, 81), (81, 324)), ((81, 324), (324, 756))]
 
     def test_jacobi_breaking_variant_keeping_h_diagonal(self, tmp_path,
                                                         ce_calls, capsys):

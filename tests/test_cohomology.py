@@ -1144,8 +1144,12 @@ class TestCutRoute:
 
     def test_assembles_only_the_weight_zero_block(self, monkeypatch):
         # over T3(ab) Delta^(4) is zero, so the cut depth is 4 and only
-        # d_0 .. d_2 are ranked, each on its weight-0 block
+        # d_0 .. d_2 are ranked, each on its weight-0 block, from the keys
+        # of C^k_0 outside the pivots of d_(k-1)^0: |C^k_0| - rank d_(k-1)^0
         M = gl_adjoint(3)
+        keys = weight_zero_keys(M, torus(M), 2)
+        r0, r1 = (rank(cohomology._weight_block(M, keys[k], keys[k + 1]))
+                  for k in range(2))
         columns, eliminations = [], []
         assemble = cohomology._weight_block
 
@@ -1163,8 +1167,8 @@ class TestCutRoute:
         monkeypatch.setattr(linalg, "Echelon", Counted)
         data = TDComplexData(td_module_over(M, "tensor-ab-3"), 3, 10 ** 12)
         assert data.depth == 4
-        assert columns == [len(keys) for keys in
-                           weight_zero_keys(M, torus(M), 2)] == [3, 15, 42]
+        assert [len(block) for block in keys] == [3, 15, 42]
+        assert columns == [3, 15 - r0, 42 - r1] == [3, 13, 30]
         assert data.alt_dims[:3] == [9, 81, 324]
         route = len(eliminations)
         classical_complex(M, 2)
@@ -1671,11 +1675,12 @@ class TestWeightZeroRoute:
         # no weight-0 cochain anywhere else
         M = gl_adjoint(3) if seed is None else rebased_adjoint(gl_adjoint(3), seed)
         L, B = M.base.space, M.space
-        blocks = tuple_keys(weight_zero_keys(M, torus(M), 3))
+        masks = weight_zero_keys(M, torus(M), 3)
+        blocks = tuple_keys(masks)
         assert [len(keys) for keys in blocks] == [3, 15, 42, 84]
-        cx = classical_complex(M, 2)
         whole = differentials(ce_complex(M, 2))
-        for k, (d0, d) in enumerate(zip(differentials(cx), whole)):
+        for k, d in enumerate(whole):
+            d0 = transposed(cohomology._weight_block(M, masks[k], masks[k + 1]))
             row_of = {key: i for i, key in enumerate(alt_basis(L, B, k + 1))}
             col_of = {key: j for j, key in enumerate(alt_basis(L, B, k))}
             rows = [row_of[key] for key in blocks[k + 1]]
@@ -1695,8 +1700,11 @@ class TestWeightZeroRoute:
                                                  ((0, 1), 1): 3, ((1, 1), 1): 1}))
         assert torus(M) == [([0, 0], [1, 6]), ([0, 0], [0, 2])]
         for maxdeg in range(3):
+            keys = weight_zero_keys(M, torus(M), maxdeg + 1)
+            assert all((m.rows, m.cols) == (0, 0) for m in (
+                cohomology._weight_block(M, keys[k], keys[k + 1])
+                for k in range(maxdeg + 1)))
             cx = classical_complex(M, maxdeg)
-            assert all((m.rows, m.cols) == (0, 0) for m in differentials(cx))
             assert_same_complex(cx, ce_complex(M, maxdeg))
             assert cx.cohomology_dims() == [0] * (maxdeg + 1)
         assert ce_calls == []
@@ -1782,6 +1790,45 @@ class TestMaskPushForward:
         maxdeg = data.draw(st.integers(0, maxdeg))
         assert_same_complex(classical_complex(M, maxdeg, 10 ** 6),
                             ce_complex(M, maxdeg))
+
+
+# (family, n, seed, maxdeg) for mask_sweep_module: every corpus module
+# with a torus, and gl_n and b_n adjoints for n <= 4, each to its top
+# degree but gl4, whose weight-0 blocks pass 3,000 keys above degree 5
+SQUARE_ZERO_CASES = [
+    (name, None, None, corpus.load(name).base.space.dim)
+    for name in sorted(corpus.MODULE_NAMES) if torus(corpus.load(name))] + [
+    (family, n, seed, maxdeg)
+    for family, n, maxdeg in (("gl", 2, 4), ("gl", 3, 9), ("gl", 4, 5),
+                              ("b", 2, 3), ("b", 3, 6), ("b", 4, 10))
+    for seed in (None, 5)]
+
+
+class TestSquareZeroByTheorem:
+    """The weight-0 route takes no product: the kept axioms make d squared
+    zero.  Here the full weight-0 blocks are assembled and multiplied, and
+    the route's block ranks, from only the rows it pushes, are the
+    clearing ranks of those full blocks."""
+
+    @pytest.mark.parametrize("family,n,seed,maxdeg", SQUARE_ZERO_CASES)
+    def test_full_blocks_square_to_zero(self, family, n, seed, maxdeg,
+                                        monkeypatch):
+        M = mask_sweep_module(family, n, seed)
+        keys = weight_zero_keys(M, torus(M), maxdeg + 1)
+        blocks = [cohomology._weight_block(M, keys[k], keys[k + 1])
+                  for k in range(maxdeg + 1)]
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.matmul(b).is_zero()
+        lazy, cleared = [], cohomology._cleared_ranks
+
+        def recorded(count, held):
+            lazy.append(cleared(count, held))
+            return lazy[-1]
+
+        monkeypatch.setattr(cohomology, "_cleared_ranks", recorded)
+        classical_complex(M, maxdeg, 10 ** 6)
+        monkeypatch.undo()
+        assert lazy == [cohomology._certified_ranks(blocks, "not a complex")]
 
 
 # source keys of d_0 .. d_2: the weight-0 block under a torus, else the

@@ -32,10 +32,13 @@ from hypothesis import strategies as st
 
 import tdhom
 from tdhom import corpus
-from tdhom.algebra import check_commutative
+from tdhom.algebra import (AssociativeAlgebra, LieAlgebra, LieModule,
+                           PoissonAlgebra, check_commutative)
 from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.errors import AxiomError, MalformedInput, ParseError, ShapeError
+from tdhom.cohomology import classical_complex
+from tdhom.errors import (AxiomError, MalformedInput, ParseError, ShapeError,
+                          TdhomError)
 from tdhom.files import parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
@@ -160,6 +163,13 @@ def test_package_composes_maps_only_to_induce_operators():
     assert _enclosing_calls("compose_at") == ["convolution.py:compose_induced"]
 
 
+def test_package_multiplies_differentials_only_on_the_whole_route():
+    # d squared is checked by products only on the whole-complex route
+    # (ce_complex, through ComplexMatrices); the weight-0 route has it by
+    # theorem, and nothing else multiplies matrices
+    assert _enclosing_calls("matmul") == ["cohomology.py:_certified_ranks"]
+
+
 def test_commutativity_refuses_a_product_on_two_spaces():
     # the swap pass needs one binary map on one space
     A, A2 = BasedSpace("A", "ab"), BasedSpace("A2", "ab")
@@ -168,6 +178,35 @@ def test_commutativity_refuses_a_product_on_two_spaces():
         with pytest.raises(ShapeError) as raised:
             check_commutative(product)
         assert str(raised.value) == "commutativity needs a binary map on one space"
+
+
+def test_operations_refuse_arguments_off_their_own_space():
+    # checked or not, a bracket or a product takes both arguments in the
+    # structure's space, the same object, before any axiom is read
+    A, B, A2 = BasedSpace("A", "ab"), BasedSpace("B", "xyz"), BasedSpace("A", "ab")
+    zero = MultilinearMap((A, A), A, {})
+    for op in (MultilinearMap((A, B), A, {((0, 2), 1): 1}),
+               MultilinearMap((B, A), A, {}), MultilinearMap((A, A2), A, {})):
+        for check in (True, False):
+            for what, build in (
+                    ("bracket", lambda: LieAlgebra(A, op, check=check)),
+                    ("product", lambda: AssociativeAlgebra(A, op, check=check)),
+                    ("bracket", lambda: PoissonAlgebra(A, op, zero, check=check)),
+                    ("product", lambda: PoissonAlgebra(A, zero, op, check=check))):
+                with pytest.raises(ShapeError) as raised:
+                    build()
+                assert str(raised.value) == (
+                    "%s must take both arguments in A" % what)
+
+
+def test_unchecked_bracket_on_two_spaces_ends_in_a_typed_error():
+    # this bracket once reached classical_complex, which then raised a
+    # bare KeyError on the missing ((0, 2), 0) action constant
+    A, B = BasedSpace("A", "ab"), BasedSpace("B", "xyz")
+    with pytest.raises(TdhomError):
+        L = LieAlgebra(A, MultilinearMap((A, B), A, {((0, 2), 1): 1}),
+                       check=False)
+        classical_complex(LieModule(L, A, MultilinearMap((A, A), A, {})), 1)
 
 
 def test_package_lays_operators_out_only_on_request():
