@@ -12,9 +12,16 @@ Reports exist in two renderings of the same data: --json prints the machine
 body (sorted keys, no timestamps, identical bytes for identical inputs), the
 default layout is a pure function of that body.  Elapsed time goes to stderr
 so it never perturbs the report.
+
+main may be called repeatedly in one process: it parses with one parser,
+built on its first call, and each call gets a fresh namespace.  A single
+command-line invocation calls main once and builds that parser once, as
+before; only a process that calls main again (a test suite, a timing loop)
+saves the rebuild.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -343,7 +350,11 @@ def non_negative_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The one parser main reads, built on the first call and shared after
+    it: parse_args leaves it unchanged and formats --help when it prints,
+    so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="tdhom",
         description="Exact checkers and cohomology for twisted operator "
@@ -391,10 +402,10 @@ def main(argv=None):
             return run_examples(args)
         if args.command == "verify":
             report = build_verify_report(args)
-            rendered = render_verify(report)
+            render = render_verify
         else:
             report = build_cohomology_report(args)
-            rendered = render_cohomology(report)
+            render = render_cohomology
     except GuardError as exc:
         print("guard refused: %s (see --guard-limit)" % exc, file=sys.stderr)
         return EXIT_GUARD
@@ -405,7 +416,7 @@ def main(argv=None):
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        print(rendered)
+        print(render(report))
     print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
     if report["status"] == "fail":
         return EXIT_FAIL

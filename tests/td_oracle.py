@@ -77,6 +77,9 @@ SWAP, unshuffles, is_skew, signed, term_sum and twisted_sum are map
 arithmetic no checker in the package uses any more: each identity there
 is decided on its int defect.  They stay here as the oracles' tools.
 
+dual_module builds the coefficients of Hazewinkel duality from M's
+constants alone, sharing no code with the complex it checks.
+
 The oracles price what they materialize by their own arithmetic
 (check_materialization_size); each route in the package prices what it
 builds instead.
@@ -124,6 +127,7 @@ from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import PAIR_IDENTITIES, check_td_lr
 from tdhom.linalg import (
     ZERO,
+    BasedSpace,
     Permutation,
     RationalMatrix,
     SparseColumns,
@@ -836,3 +840,24 @@ def ce_differential_unshuffle(f, M):
         return AltCochain(M.base.space, M.space, 1, values)
     part1, part2 = ce_parts_unshuffle(f, M)
     return AltCochain.from_map(part1.sub(part2), check=True)
+
+
+def dual_module(M):
+    """M* (x) k_tr: e_t . m^o = -sum_b r m^b, over every e_t . m_b = r m_o
+    (the action transposed and negated), plus tr ad_(e_t) m^o.  Hazewinkel
+    duality ("A duality theorem for cohomology of Lie algebras", Math. USSR
+    Sbornik 12, 1970): dim H^k(L, M) = dim H^(n-k)(L, dual_module(M)) for
+    n = dim L."""
+    L, V = M.base.space, M.space
+    dual = BasedSpace(V.name + "*", [label + "*" for label in V.labels])
+    trace = [0] * L.dim
+    for ((t, a), o), c in M.base.bracket.entries.items():
+        if a == o:
+            trace[t] += c
+    entries = {}
+    for ((t, b), o), r in M.action.entries.items():
+        entries[((t, o), b)] = entries.get(((t, o), b), 0) - r
+    for t, c in enumerate(trace):
+        for o in range(V.dim):
+            entries[((t, o), o)] = entries.get(((t, o), o), 0) + c
+    return LieModule(M.base, dual, MultilinearMap([L, dual], dual, entries))

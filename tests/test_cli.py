@@ -6,6 +6,7 @@ runs on identical inputs, and the human rendering must be a function of
 the machine body alone.
 """
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -1278,6 +1279,90 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sl2" in proc.stdout
+
+
+class TestParserReuse:
+    """main parses with one parser, built on its first call, and no call
+    leaves anything behind for the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+
+    def test_calls_build_one_parser(self, exported, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["examples", "list"], capsys)[0] == 0
+        assert run(["cohomology", "--module", "sl2-trivial", "--json"],
+                   capsys)[0] == 0
+        assert run(["verify", exported["sl2"], "--suite", "lie", "--json"],
+                   capsys)[0] == 0
+        # one parser and its three subparsers, for all three calls
+        assert len(built) == 4
+
+    def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gl3-adjoint.json").write_text(
+            serialize_structure(gl_adjoint(3), "gl3-adjoint"), encoding="utf-8")
+        plain = ["cohomology", "gl3-adjoint.json", "--maxdeg", "2", "--json"]
+        first = run(plain, capsys)
+        assert first[0] == 0
+        cli.build_parser.cache_clear()
+        run(["cohomology", "--td", "--module", "sl2-adjoint", "--coalgebra",
+             "tensor-ab-3", "--maxdeg", "1", "--guard-limit", "5",
+             "--unsafe-skip-axioms"], capsys)
+        assert run(plain, capsys)[:2] == first[:2]
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", "--maxdeg", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(plain, capsys)[:2] == first[:2]
+
+    @staticmethod
+    def help_text(parser, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_help_is_formatted_when_printed(self, monkeypatch, capsys):
+        texts = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            run(["cohomology", "--module", "sl2-trivial", "--json"], capsys)
+            text = self.help_text(cli.build_parser(), capsys)
+            fresh = cli.build_parser.__wrapped__()
+            assert text == self.help_text(fresh, capsys)
+            texts.append(text)
+        assert texts[0] != texts[1]
+
+    def test_import_builds_no_parser(self):
+        # setup time is the import alone; the parser waits for main
+        script = "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counted(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counted",
+            "import tdhom.cli",
+            "imported = len(built)",
+            "for _ in range(2):",
+            "    tdhom.cli.main(['examples', 'list'])",
+            "print(imported, len(built))"])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # one parser and its three subparsers, for both calls
+        assert proc.stdout.splitlines()[-1] == "0 4"
 
 
 class TestClassicalRoute:

@@ -14,7 +14,9 @@ complex dies above degree one and H^1 = 9 - 3 by hand.
 
 The weight-0 route of the classical complex is checked against ce_complex
 and against two closed forms: Kostant's inversion counts for n_n acting
-trivially, and the Poincare polynomial of H*(gl_n, gl_n).
+trivially, and the Poincare polynomial of H*(gl_n, gl_n).  Both routes are
+checked against Hazewinkel duality, which mirrors the dims of M in those of
+its dual module.
 """
 
 import json
@@ -81,6 +83,7 @@ from td_oracle import (
     ce_differential_unshuffle,
     ce_parts_unshuffle,
     differentials,
+    dual_module,
     eager_quotient,
     factored_blinear_subspace,
     factored_td_differential_induced,
@@ -1475,11 +1478,15 @@ class TestSquareZeroCheckedFirst:
         assert str(exc.value) == "quotient differentials do not square to zero"
 
 
-def matrix_unit_trivial(name, units):
-    """The algebra of matrix_unit_adjoint acting by zero on a line."""
-    A = matrix_unit_adjoint(name, units).base
+def trivial_module(A):
+    """The Lie algebra A acting by zero on a line."""
     line = BasedSpace("k", ["1"])
     return LieModule(A, line, MultilinearMap([A.space, line], line, {}))
+
+
+def matrix_unit_trivial(name, units):
+    """The algebra of matrix_unit_adjoint acting by zero on a line."""
+    return trivial_module(matrix_unit_adjoint(name, units).base)
 
 
 def upper_units(n, strict):
@@ -1915,6 +1922,38 @@ class TestTheoremOracles:
         top = M.base.space.dim
         assert classical_complex(M, top).cohomology_dims() == inversion_counts(n)
         assert ce_calls == [M]
+
+
+# algebra name -> its adjoint module; heis and n4 have no torus
+DUALITY_ADJOINTS = {
+    "gl2": lambda: gl_adjoint(2), "gl3": lambda: gl_adjoint(3),
+    "b3": lambda: b_adjoint(3),
+    "n4": lambda: matrix_unit_adjoint("n4", upper_units(4, strict=True)),
+    "sl2": lambda: corpus.load("sl2-adjoint"),
+    "heis": lambda: corpus.load("heis-adjoint")}
+DUALITY_CASES = [("trivial", name) for name in ("gl2", "gl3", "b3", "n4")] + [
+    ("adjoint", name) for name in ("sl2", "heis", "b3", "n4", "gl2")]
+
+
+class TestDuality:
+    """An oracle that shares no code with assembly: the dims of M and of
+    its Hazewinkel dual, both computed to full degree, mirror each other."""
+
+    @pytest.mark.parametrize("seed", [None, 3, 7])
+    @pytest.mark.parametrize("coefficients,algebra", DUALITY_CASES)
+    def test_hazewinkel(self, coefficients, algebra, seed, ce_calls):
+        # dim H^k(L, M) = dim H^(n-k)(L, M* (x) k_tr), n = dim L; without
+        # k_tr it fails on b3, which is not unimodular
+        adjoint = DUALITY_ADJOINTS[algebra]()
+        if seed is not None:
+            adjoint = rebased_adjoint(adjoint, seed)
+        M = adjoint if coefficients == "adjoint" else trivial_module(adjoint.base)
+        D = dual_module(M)
+        n = M.base.space.dim
+        assert classical_complex(M, n).cohomology_dims() \
+            == classical_complex(D, n).cohomology_dims()[::-1]
+        # both routes: the torus one and, off a torus, the whole complex
+        assert ce_calls == ([M, D] if algebra in ("heis", "n4") else [])
 
 
 def symmetric_perturbed(M, x, y, o, q):
