@@ -71,7 +71,10 @@ def fixture_text(name):
 
 
 def load(name, unsafe_skip_axioms=False):
-    """A fixture structure by name, freshly parsed (axioms checked)."""
+    """A fixture structure by name, parsed on first use and then cached in
+    _cache per (name, unsafe_skip_axioms); every call with the same pair
+    returns the same object.  Its axioms are checked unless
+    unsafe_skip_axioms is set."""
     key = ("F", name, unsafe_skip_axioms)
     if key not in _cache:
         _cache[key] = parse_structure(

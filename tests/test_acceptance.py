@@ -26,7 +26,6 @@ from tdhom.cohomology import (
     td_differential_induced,
 )
 from tdhom.convolution import (
-    HomElement,
     check_td_skew,
     compose_induced,
     induced,
@@ -42,11 +41,9 @@ from tdhom.linalg import (
     Permutation,
     RationalMatrix,
     all_permutations,
-    gather,
     kernel_basis,
     rank,
 )
-from tdhom.maps import MultilinearMap
 from tdhom.td_structures import (
     TDLieStructure,
     TDModuleStructure,
@@ -55,6 +52,7 @@ from tdhom.td_structures import (
     check_td_lie,
     check_td_poisson,
 )
+from structures import permute_target_legs, source_square, target_square
 from td_oracle import differentials, eager_quotient, td_jacobi_sum
 
 GUARD = 200_000
@@ -144,44 +142,6 @@ def test_criterion_05_td_poisson(capfd):
             assert r.ok, (cname, r.describe())
 
 
-def _compose_hom(f, zeta, A):
-    entries = {}
-    for (t, c), value in f.entries.items():
-        for (zc, a), p in zeta.items():
-            if zc == c:
-                key = (t, a)
-                entries[key] = entries.get(key, Fraction(0)) + value * p
-    return HomElement(A, f.target, entries)
-
-
-def _post_hom(psi, f, B):
-    entries = {}
-    for (t, c), value in f.entries.items():
-        for (b, p), q in psi.items():
-            if p == t:
-                key = (b, c)
-                entries[key] = entries.get(key, Fraction(0)) + value * q
-    return HomElement(f.source, B, entries)
-
-
-def _permute_target_legs(m, sigma, dim):
-    n = sigma.size
-    table = {}
-    for (tup, flat), q in m.entries.items():
-        digits = []
-        rest = flat
-        for _ in range(n):
-            digits.append(rest % dim)
-            rest //= dim
-        digits.reverse()
-        moved = gather(sigma, tuple(digits))
-        out = 0
-        for d in moved:
-            out = out * dim + d
-        table[(tup, out)] = q
-    return MultilinearMap(m.domain, m.codomain, table)
-
-
 def test_criterion_06_interchange_lemmas(capfd):
     with reported(capfd, 6, "interchange lemmas"):
         # naturality: fixed source and target changes slide through the
@@ -202,38 +162,12 @@ def test_criterion_06_interchange_lemmas(capfd):
             {(1, 0): Fraction(5)},
         ]
         for f, g in itertools.product(units, repeat=2):
-            base = interchange([f, g])
             for zeta in zetas:
-                lhs = interchange([_compose_hom(f, zeta, A),
-                                   _compose_hom(g, zeta, A)])
-                rhs = {}
-                for (tup, out), val in base.entries.items():
-                    c1, c2 = tup
-                    for (zc1, a1), p1 in zeta.items():
-                        if zc1 != c1:
-                            continue
-                        for (zc2, a2), p2 in zeta.items():
-                            if zc2 != c2:
-                                continue
-                            key = ((a1, a2), out)
-                            rhs[key] = rhs.get(key, Fraction(0)) + val * p1 * p2
-                assert lhs == MultilinearMap(
-                    (A.space, A.space), base.codomain, rhs)
+                lhs, rhs = source_square(f, g, zeta, A)
+                assert lhs == rhs
             for psi in psis:
-                lhs = interchange([_post_hom(psi, f, B), _post_hom(psi, g, B)])
-                rhs = {}
-                for (tup, out), val in base.entries.items():
-                    t1, t2 = out // L.dim, out % L.dim
-                    for (b1, p1), q1 in psi.items():
-                        if p1 != t1:
-                            continue
-                        for (b2, p2), q2 in psi.items():
-                            if p2 != t2:
-                                continue
-                            key = (tup, b1 * B.dim + b2)
-                            rhs[key] = rhs.get(key, Fraction(0)) + val * q1 * q2
-                assert lhs == MultilinearMap(
-                    (C.space, C.space), lhs.codomain, rhs)
+                lhs, rhs = target_square(f, g, psi, B)
+                assert lhs == rhs
 
         # symmetry: permuting the hom arguments = inverse-permuting the
         # coalgebra legs and permuting the target legs
@@ -243,7 +177,7 @@ def test_criterion_06_interchange_lemmas(capfd):
             base = interchange(list(fs))
             for sigma in all_permutations(3):
                 lhs = interchange([fs[sigma(i)] for i in range(3)])
-                rhs = _permute_target_legs(
+                rhs = permute_target_legs(
                     base.precompose_perm(sigma.inverse()), sigma, L.dim)
                 assert lhs == rhs, sigma.images
 

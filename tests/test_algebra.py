@@ -47,7 +47,8 @@ from lr_oracle import (
     map_poisson,
 )
 from td_oracle import SWAP
-from test_cohomology import b_adjoint, gl_adjoint, rebased_adjoint
+from structures import (adjoint_module, matrix_unit_adjoint, matrix_unit_lie,
+                        rebased_adjoint)
 
 L3 = BasedSpace("L", ("e", "f", "h"))
 
@@ -583,25 +584,9 @@ class TestSwapPassAgainstMaps:
         assert seen == {True, False}
 
 
-def gl_adjoint_module(n):
-    """gl_n acting on itself, by its matrix-unit structure constants."""
-    units = [(i, j) for i in range(n) for j in range(n)]
-    gl = BasedSpace("gl%d" % n, ["E%d%d" % u for u in units])
-    entries = {}
-    for x, (i, j) in enumerate(units):
-        for y, (k, l) in enumerate(units):
-            for hit, out, sign in ((j == k, (i, l), 1), (l == i, (k, j), -1)):
-                if hit:
-                    key = ((x, y), units.index(out))
-                    entries[key] = entries.get(key, 0) + sign
-    bracket = MultilinearMap([gl, gl], gl, entries)
-    return LieModule(LieAlgebra(gl, bracket, check=False), gl, bracket,
-                     check=False)
-
-
 def test_gl3_adjoint_decides_without_intermediate_maps(monkeypatch):
     # every map the old routes built went through _trusted or compose_at
-    M = gl_adjoint_module(3)
+    M = adjoint_module(matrix_unit_lie("gl", 3, check=False), check=False)
 
     def refused(*args, **kwargs):
         raise AssertionError("intermediate map built")
@@ -668,7 +653,7 @@ class TestAdjointReadOff:
     @pytest.mark.parametrize("family,n", [("gl", 2), ("gl", 3), ("b", 3),
                                           ("b", 4)])
     def test_rebased_adjoints(self, family, n, sums):
-        adjoint = gl_adjoint(n) if family == "gl" else b_adjoint(n)
+        adjoint = matrix_unit_adjoint(family, n)
         denominators = set()
         for seed in range(4):
             M = rebased_adjoint(adjoint, seed)

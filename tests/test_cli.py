@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 from tdhom import cli, cohomology, corpus
-from tdhom.algebra import LieAlgebra, LieModule
 from tdhom.cli import main, render_cohomology, render_verify
 from tdhom.cohomology import torus, weight_zero_keys
 from tdhom.coalgebra import build_tensor_coalgebra
@@ -24,9 +23,8 @@ from tdhom.convolution import DEFAULT_GUARD_LIMIT, InducedOperator
 from tdhom.files import load_path, parse_structure, serialize_structure
 from tdhom.lie_rinehart import TDLRStructure
 from tdhom.linalg import BasedSpace, RationalMatrix, rank
-from tdhom.maps import MultilinearMap
-from test_cohomology import (b_adjoint, gl_adjoint, matrix_unit_adjoint,
-                              rebased_adjoint, upper_units)
+from structures import (adjoint_module, matrix_unit_adjoint, matrix_unit_lie,
+                        rebased_adjoint)
 from td_oracle import operator_check_td_lr
 
 
@@ -720,7 +718,8 @@ b4-adjoint  tensor-ab-3 3 0 e6b66f38c7aedefb900bba71bdbcc12cd7211e231d733600ea3b
                          ids=lambda row: "-".join(row.split()[:3]))
 def test_td_rungs_are_pinned(row, tmp_path, capsys):
     mname, cname, maxdeg, code, digest = row.split()
-    M = gl_adjoint(3) if mname == "gl3-adjoint" else b_adjoint(4)
+    M = matrix_unit_adjoint("gl", 3) if mname == "gl3-adjoint" \
+        else matrix_unit_adjoint("b", 4)
     path = tmp_path / "module.json"
     path.write_text(serialize_structure(M, "m"), encoding="utf-8")
     got_code, out, _ = run(["cohomology", str(path), "--coalgebra", cname,
@@ -1087,23 +1086,6 @@ def test_verify_table_is_pinned(row, verify_dir, monkeypatch, capsys):
     else:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-def matrix_unit_lie(name, units):
-    """The span of the matrix units E_ij, (i, j) in units, under the
-    commutator; the units must be closed under the nonzero brackets."""
-    pos = {u: k for k, u in enumerate(units)}
-    table = {}
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):
-            if j == k:
-                key = ((a, b), pos[(i, l)])
-                table[key] = table.get(key, 0) + 1
-            if l == i:
-                key = ((a, b), pos[(k, j)])
-                table[key] = table.get(key, 0) - 1
-    L = BasedSpace("L", ["E%d%d" % (i + 1, j + 1) for i, j in units])
-    return LieAlgebra(L, MultilinearMap([L, L], L, table), name=name)
-
-
 TWISTED_VERIFY_ARGV = [
     "verify", "gl3.json", "n5.json", "gl3-adjoint.json", "lr-derx3.json",
     "lr-dualnum.json", "poisson3.json", "T4ab.json", "--subcomplex-maxdeg",
@@ -1112,14 +1094,12 @@ TWISTED_VERIFY_ARGV = [
 
 def write_twisted_verify_inputs(directory):
     """The files TWISTED_VERIFY_ARGV names: gl3, n5, gl3's adjoint module
-    and T4(ab) built here, the rest shipped fixtures."""
-    gl3 = matrix_unit_lie("gl3", [(i, j) for i in range(3) for j in range(3)])
+    and T4(ab) built here, on a space named L, the rest shipped fixtures."""
+    gl3 = matrix_unit_lie("gl", 3, space="L")
     structures = {
         "gl3": gl3,
-        "n5": matrix_unit_lie("n5", [(i, j) for i in range(5)
-                                     for j in range(i + 1, 5)]),
-        "gl3-adjoint": LieModule(gl3, gl3.space, gl3.bracket,
-                                 name="gl3-adjoint"),
+        "n5": matrix_unit_lie("n", 5, space="L"),
+        "gl3-adjoint": adjoint_module(gl3),
         "T4ab": build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4),
     }
     for name, obj in structures.items():
@@ -1310,7 +1290,8 @@ class TestParserReuse:
                                           capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "gl3-adjoint.json").write_text(
-            serialize_structure(gl_adjoint(3), "gl3-adjoint"), encoding="utf-8")
+            serialize_structure(matrix_unit_adjoint("gl", 3), "gl3-adjoint"),
+            encoding="utf-8")
         plain = ["cohomology", "gl3-adjoint.json", "--maxdeg", "2", "--json"]
         first = run(plain, capsys)
         assert first[0] == 0
@@ -1399,9 +1380,7 @@ class TestClassicalRoute:
         ("gl", 3, None), ("gl", 3, 7), ("gl", 4, 3), ("b", 4, 5), ("b", 5, 2)])
     def test_json_bytes_on_rebased_adjoints(self, family, n, seed, tmp_path,
                                             monkeypatch, ce_calls, capsys):
-        M = (gl_adjoint if family == "gl" else b_adjoint)(n)
-        if seed is not None:
-            M = rebased_adjoint(M, seed)
+        M = rebased_adjoint(matrix_unit_adjoint(family, n), seed)
         path = tmp_path / "module.json"
         path.write_text(serialize_structure(M, "m"), encoding="utf-8")
         argv = ["cohomology", str(path), "--maxdeg", "2", "--json"]
@@ -1427,10 +1406,10 @@ class TestClassicalRoute:
 
     @pytest.mark.parametrize("mname", sorted(CLASSICAL_PINS))
     def test_json_bytes_are_pinned(self, mname, tmp_path, ce_calls, capsys):
-        M = {"gl4-adjoint": lambda: gl_adjoint(4),
-             "b4-adjoint-rebased-5": lambda: rebased_adjoint(b_adjoint(4), 5),
-             "n5-adjoint": lambda: matrix_unit_adjoint(
-                 "n5", upper_units(5, strict=True))}[mname]()
+        M = {"gl4-adjoint": matrix_unit_adjoint("gl", 4),
+             "b4-adjoint-rebased-5": rebased_adjoint(
+                 matrix_unit_adjoint("b", 4), 5),
+             "n5-adjoint": matrix_unit_adjoint("n", 5)}[mname]
         path = tmp_path / "module.json"
         path.write_text(serialize_structure(M, "m"), encoding="utf-8")
         code, out, _ = run(["cohomology", str(path), "--maxdeg", "4",
@@ -1454,7 +1433,8 @@ class TestClassicalRoute:
         working directory, with the shapes of every RationalMatrix.matmul
         and the degree of every key _pushed pushes, counted."""
         (tmp_path / "gl3-adjoint.json").write_text(
-            serialize_structure(gl_adjoint(3), "gl3-adjoint"), encoding="utf-8")
+            serialize_structure(matrix_unit_adjoint("gl", 3), "gl3-adjoint"),
+            encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         products, pushed = [], Counter()
         multiply, push = RationalMatrix.matmul, cohomology._pushed
@@ -1477,7 +1457,7 @@ class TestClassicalRoute:
         # kept passing axioms make d squared zero, so no product is taken,
         # and C^k_0 pushes only its keys off the pivots of d_(k-1)^0
         argv, products, pushed = gl3_products
-        M = gl_adjoint(3)
+        M = matrix_unit_adjoint("gl", 3)
         keys = weight_zero_keys(M, torus(M), 2)
         r0, r1 = (rank(cohomology._weight_block(M, keys[k], keys[k + 1]))
                   for k in range(2))

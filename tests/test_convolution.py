@@ -37,10 +37,18 @@ from tdhom.linalg import (
     BasedSpace,
     Permutation,
     all_permutations,
-    gather,
 )
 from tdhom.maps import MultilinearMap
 from linalg_oracle import table_sum
+from structures import (
+    NONCOASSOCIATIVE,
+    SMALL_SPACES,
+    base_maps,
+    legs_table,
+    permute_target_legs,
+    source_square,
+    target_square,
+)
 from td_oracle import (
     enumerated_td_skew,
     factored_term,
@@ -111,30 +119,6 @@ class TestInterchange:
             interchange([])
 
 
-def _compose_hom(f, zeta, A):
-    """f . zeta as a HomElement on A; zeta: {(c_index, a_index): q}."""
-    entries = {}
-    for (t, c), q in f.entries.items():
-        for (zc, a), p in zeta.items():
-            if zc != c:
-                continue
-            key = (t, a)
-            entries[key] = entries.get(key, Fraction(0)) + q * p
-    return HomElement(A, f.target, entries)
-
-
-def _post_hom(psi, f, B):
-    """psi . f; psi: {(b_index, t_index): q} into the space B."""
-    entries = {}
-    for (t, c), q in f.entries.items():
-        for (b, pt), p in psi.items():
-            if pt != t:
-                continue
-            key = (b, c)
-            entries[key] = entries.get(key, Fraction(0)) + q * p
-    return HomElement(f.source, B, entries)
-
-
 class TestNaturality:
     """Random linear source and target changes slide through the interchange
     map on both sides; checked entrywise at n=2 with dims at most 3."""
@@ -161,58 +145,13 @@ class TestNaturality:
 
         # source square: interchange after precomposition = transport of
         # interchange through zeta in each argument
-        lhs = interchange([_compose_hom(f, zeta, A), _compose_hom(g, zeta, A)])
-        base = interchange([f, g])
-        rhs_entries = {}
-        for (tup, out), val in base.entries.items():
-            c1, c2 = tup
-            for (zc1, a1), p1 in zeta.items():
-                if zc1 != c1:
-                    continue
-                for (zc2, a2), p2 in zeta.items():
-                    if zc2 != c2:
-                        continue
-                    key = ((a1, a2), out)
-                    rhs_entries[key] = rhs_entries.get(key, Fraction(0)) + val * p1 * p2
-        rhs = MultilinearMap((A.space, A.space), base.codomain, rhs_entries)
+        lhs, rhs = source_square(f, g, zeta, A)
         assert lhs == rhs
 
         # target square: interchange of pushed-forward elements = tensor
         # square of psi applied to the interchange output
-        lhs2 = interchange([_post_hom(psi, f, B), _post_hom(psi, g, B)])
-        rhs2_entries = {}
-        for (tup, out), val in base.entries.items():
-            t1, t2 = out // L.dim, out % L.dim
-            for (b1, p1), q1 in psi.items():
-                if p1 != t1:
-                    continue
-                for (b2, p2), q2 in psi.items():
-                    if p2 != t2:
-                        continue
-                    key = (tup, b1 * B.dim + b2)
-                    rhs2_entries[key] = rhs2_entries.get(key, Fraction(0)) + val * q1 * q2
-        rhs2 = MultilinearMap((C.space, C.space), lhs2.codomain, rhs2_entries)
-        assert lhs2 == rhs2
-
-
-def _permute_target_legs(m, sigma, dim):
-    """Push the tensor factors of the codomain through sigma; all factors
-    share one dimension."""
-    n = sigma.size
-    table = {}
-    for (tup, flat), q in m.entries.items():
-        digits = []
-        rest = flat
-        for _ in range(n):
-            digits.append(rest % dim)
-            rest //= dim
-        digits.reverse()
-        moved = gather(sigma, tuple(digits))
-        out = 0
-        for d in moved:
-            out = out * dim + d
-        table[(tup, out)] = q
-    return MultilinearMap(m.domain, m.codomain, table)
+        lhs, rhs = target_square(f, g, psi, B)
+        assert lhs == rhs
 
 
 class TestSymmetryLemma:
@@ -232,7 +171,7 @@ class TestSymmetryLemma:
         base = interchange(fs)
         for sigma in all_permutations(3):
             lhs = interchange([fs[sigma(i)] for i in range(3)])
-            rhs = _permute_target_legs(
+            rhs = permute_target_legs(
                 base.precompose_perm(sigma.inverse()), sigma, L.dim)
             assert lhs == rhs, sigma.images
 
@@ -463,30 +402,11 @@ class TestMaterialized:
                 assert ab == mat.argument_permute(s.then(r))
 
 
-# one- and two-dimensional argument and target spaces: with a single basis
-# vector every base map is a multiple of one entry, so sums of twisted terms
-# cancel through dependent D_rho often
-SMALL_SPACES = (BasedSpace("U", ("u",)), BasedSpace("V", ("v", "w")))
 ORACLE_COALGEBRAS = dict(
     corpus.coalgebras(),
     T4ab=build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4))
 # distinct leg orders give dependent but nonzero D_rho here
 DEPENDENT_TWISTS = ("exterior-ab", "symmetric-xy-2", "tensor-x-3")
-
-
-def base_maps(domain, codomain):
-    keys = st.tuples(
-        st.tuples(*[st.integers(0, space.dim - 1) for space in domain]),
-        st.integers(0, codomain.dim - 1))
-    return st.dictionaries(keys, st.sampled_from((-1, 1, 2)), min_size=1,
-                           max_size=3).map(
-        lambda entries: MultilinearMap(domain, codomain, entries))
-
-
-def legs_table(C, n, rho):
-    """D_rho: the n-fold coproduct with its legs permuted by rho."""
-    return {(c, gather(rho, legs)): q for c, expansion in C.iterated_terms(n).items()
-            for legs, q in expansion}
 
 
 SKEW_COALGEBRAS = dict(
@@ -585,21 +505,6 @@ def term_sums(draw):
     return C, lhs, rhs
 
 
-def materialized_sum(C, terms):
-    return table_sum(twisted(phi, C, sigma).materialize().argument_permute(pi)
-                     .scale(sign) for phi, sigma, pi, sign in terms)
-
-
-# cocommutative and skew-cocommutative coalgebras that are not
-# coassociative: Delta(a) = b b, Delta(b) = a a, and Delta(a) = b c - c b,
-# Delta(b) = a c - c a on a, b, c; their iterated coproducts never die
-NONCOASSOCIATIVE = {
-    "cocommutative": Coalgebra(BasedSpace("V", ("a", "b")),
-                               {(0, 1, 1): 1, (1, 0, 0): 1}, check=False),
-    "skew": Coalgebra(BasedSpace("W", ("a", "b", "c")),
-                      {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): 1,
-                       (1, 2, 0): -1}, check=False),
-}
 CLOSED_FORM_COALGEBRAS = dict(
     ORACLE_COALGEBRAS,
     **{"noncoassociative-" + kind: C for kind, C in NONCOASSOCIATIVE.items()})

@@ -14,7 +14,8 @@ loads dataclasses or the modules it pulls in, which cost more start-up time
 than a small job.  The last three fail on GuardError raised anywhere but
 the one size guard, on that size guard called from anything but the two
 routes that price what they build, and on any read of the process
-environment.
+environment.  One more, over the tests themselves, fails on any test
+module importing another.
 """
 
 import ast
@@ -103,6 +104,25 @@ def test_package_imports_its_modules_at_module_top():
                      if isinstance(node, ast.ImportFrom) and node.level
                      and id(node) not in top)
     assert found == [], "intra-package imports below module top: %s" % found
+
+
+def test_no_test_module_imports_another():
+    # what test modules share lives in tests/structures.py and the
+    # *_oracle.py files; a test module importing another runs that one's
+    # module-level setup and ties the two together
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found.extend("%s:%d %s" % (path.name, node.lineno, name)
+                         for name in names if name.startswith("test_"))
+    assert found == [], "test modules importing test modules: %s" % found
 
 
 def _enclosing_calls(name):

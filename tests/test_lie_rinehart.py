@@ -9,8 +9,6 @@ reversing the slot-3 reading cycle destroys exactly this space, which is
 what pins the convention down.
 """
 
-import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -55,6 +53,7 @@ from td_oracle import (
     linearity_twist,
     map_blinear_subspace,
 )
+from structures import rebased
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -504,23 +503,6 @@ def random_pairs(draw):
                            draw(bilinear([B, L], L)), check=False, name="random")
 
 
-def rebased(m, L, P, Q):
-    """m in the basis P e_0, P e_1, .. of L, Q the inverse of P: each L
-    argument is fed through P, and an L value is read back through Q."""
-    table = {}
-    for (tup, o), q in m.entries.items():
-        legs = [[(i, P[j][i]) for i in range(L.dim) if P[j][i]]
-                if space is L else [(j, 1)]
-                for j, space in zip(tup, m.domain)]
-        outs = [(r, Q[r][o]) for r in range(L.dim) if Q[r][o]] \
-            if m.codomain is L else [(o, 1)]
-        for choice in itertools.product(*legs, outs):
-            key = (tuple(i for i, _w in choice[:-1]), choice[-1][0])
-            table[key] = table.get(key, 0) + q * math.prod(
-                w for _i, w in choice)
-    return MultilinearMap(m.domain, m.codomain, table)
-
-
 @st.composite
 def rebased_pairs(draw):
     """A corpus pair, or the free rank-three one, in a unipotent basis of
@@ -531,12 +513,8 @@ def rebased_pairs(draw):
     L, d = pair.lie_space, pair.lie_space.dim
     P = [[int(i == j) or (draw(st.integers(-2, 2)) if i < j else 0)
           for j in range(d)] for i in range(d)]
-    Q = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(d):  # (1 + N)^-1 = 1 - N + N^2 - .. for nilpotent N
-        Q = [[int(i == j) - sum(P[i][k] * Q[k][j] for k in range(d) if k != i)
-              for j in range(d)] for i in range(d)]
     return LieRinehartPair(L, pair.ring_space, check=False, name="rebased",
-                           **{name: rebased(getattr(pair, name), L, P, Q)
+                           **{name: rebased(getattr(pair, name), P, L)
                               for name in PAIR_MAPS})
 
 

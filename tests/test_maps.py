@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdhom.algebra import LieAlgebra, LieModule, check_lie, check_module
+from tdhom import corpus
+from tdhom.algebra import check_lie, check_module
 from tdhom.errors import MalformedInput, ScalarError, ShapeError
 from tdhom.linalg import BasedSpace, Permutation, all_permutations
 from tdhom.maps import MultilinearMap
 from lr_oracle import first_difference, map_identity_check
 from td_oracle import is_skew
+from structures import adjoint_module, matrix_unit_lie, rebased
 
 L = BasedSpace("L", ("e", "f", "h"))
 
@@ -241,20 +243,7 @@ class TestTrustedResults:
 class TestSignedSum:
     def test_int_constant_checks_make_no_fraction(self, monkeypatch):
         # gl3 acting on itself: its compositions and defects stay ints
-        units = [(i, j) for i in range(3) for j in range(3)]
-        gl3 = BasedSpace("gl3", ["E%d%d" % u for u in units])
-        entries = {}
-        for x, (i, j) in enumerate(units):
-            for y, (k, l) in enumerate(units):
-                if j == k:
-                    key = ((x, y), units.index((i, l)))
-                    entries[key] = entries.get(key, 0) + 1
-                if l == i:
-                    key = ((x, y), units.index((k, j)))
-                    entries[key] = entries.get(key, 0) - 1
-        bracket = MultilinearMap([gl3, gl3], gl3, entries)
-        M = LieModule(LieAlgebra(gl3, bracket, check=False), gl3, bracket,
-                      check=False)
+        M = adjoint_module(matrix_unit_lie("gl", 3, check=False), check=False)
 
         def refused(*args, **kwargs):
             raise AssertionError("Fraction built")
@@ -287,3 +276,22 @@ class TestFirstDifference:
             first_difference(f, MultilinearMap.zero((L, M), L))
         with pytest.raises(ShapeError):
             first_difference(f, MultilinearMap.zero((L, L), M))
+
+
+class TestRebased:
+    """The tests' one change of basis (tests/structures.py)."""
+
+    def test_inverse_basis_restores_the_map(self):
+        # f_0 = e_0, f_1 = 2 e_0 + e_1, f_2 = e_2, and back
+        sl2 = corpus.load("sl2")
+        P = [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
+        there = rebased(sl2.bracket, P, sl2.space)
+        assert there != sl2.bracket
+        assert rebased(sl2, P).bracket == there
+        back = [[1, -2, 0], [0, 1, 0], [0, 0, 1]]
+        assert rebased(there, back, sl2.space) == sl2.bracket
+
+    def test_singular_basis_is_refused(self):
+        sl2 = corpus.load("sl2")
+        with pytest.raises(ValueError, match="singular"):
+            rebased(sl2.bracket, [[1, 1, 0], [1, 1, 0], [0, 0, 1]], sl2.space)

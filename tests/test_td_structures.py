@@ -63,9 +63,8 @@ from td_oracle import (
     operator_identity_check,
     td_jacobi_sum,
 )
-from test_convolution import NONCOASSOCIATIVE
-from test_cohomology import (b_adjoint, gl_adjoint, incidence_coalgebra,
-                              rebased_adjoint)
+from structures import (NONCOASSOCIATIVE, incidence_coalgebra,
+                        matrix_unit_adjoint, rebased_adjoint)
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +238,9 @@ DEGENERATE_CASES = _degenerate_cases()
 
 def _degenerate_lies():
     return ([corpus.load(name) for name in corpus.LIE_NAMES]
-            + [gl_adjoint(2).base, b_adjoint(3).base,
-               rebased_adjoint(gl_adjoint(2), 5).base])
+            + [matrix_unit_adjoint("gl", 2).base,
+               matrix_unit_adjoint("b", 3).base,
+               rebased_adjoint(matrix_unit_adjoint("gl", 2), 5).base])
 
 
 @pytest.fixture
