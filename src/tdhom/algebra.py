@@ -11,14 +11,13 @@ first tuple where it is nonzero (_decide); none of them builds a map.
 Skew symmetry and commutativity are one swap pass, f(y, x) + sign f(x, y)
 added once at (min, max) (swap_defect); the bracket's symmetric part,
 sign 1, is also what cohomology reads to decide the direct twisted
-differential.  Jacobi says that [x, [y, z]] summed over the rotations of
-its arguments vanishes; that sum is the same at every rotation of a
-tuple, so each term is added once, at the least rotation of its tuple,
-times the number of rotations fixing it (3 at (x, x, x), else 1), and
-the least failing key is the least failing tuple.  Both hold for any
-binary map, skew or not.  The module law [x,y].m - x.(y.m) + y.(x.m) is
-summed in one pass from the bracket and the grouped action, or read off a
-kept passing check_lie when the action is stored as the bracket.
+differential.  Jacobi, [x, [y, z]] summed over the rotations of its
+arguments, is decided only once skew symmetry holds (_lie_checks): the sum
+then alternates, so it is summed at increasing triples alone, and the
+least failing one is the least failing tuple (de Graaf, Lie Algebras:
+Theory and Algorithms, 2000).  The module law [x,y].m - x.(y.m) +
+y.(x.m) is summed in one pass from the bracket and the grouped action, or
+read off a kept passing check_lie when the action is stored as the bracket.
 composite_defect sums associativity, Leibniz and the pair rows term by
 term the same way; lie_rinehart keeps a pair's row defects and induces a
 failing one as its twisted operator.
@@ -36,12 +35,8 @@ from .errors import ShapeError
 from .linalg import Permutation, SparseTable, common_ints, getter
 from .maps import composite_into
 
-# cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
-JACOBI_CYCLE = Permutation([1, 2, 0])
-# its two nontrivial powers, the rearrangements added to the nested term
-JACOBI_ROTATIONS = (JACOBI_CYCLE, JACOBI_CYCLE.then(JACOBI_CYCLE))
-# the inverse cycle: moves the last argument in front, fixing the order of
-# the other two; this is the twist in the bracket/product compatibility law
+# moves the last of three arguments in front, fixing the order of the
+# other two; this is the twist in the bracket/product compatibility law
 PRODUCT_CYCLE = Permutation([2, 0, 1])
 SWAP_FIRST_TWO = Permutation([1, 0, 2])
 
@@ -158,13 +153,6 @@ def _decide(name, domain, codomain, acc, den):
         tuple((codomain.labels[out], q) for out, q in residual)))
 
 
-def _one_space(f, name):
-    """The space of a binary f on one space; ShapeError otherwise."""
-    if f.arity != 2 or f.domain[0] is not f.domain[1]:
-        raise ShapeError("%s needs a binary map on one space" % name)
-    return f.domain[0]
-
-
 def swap_defect(f, sign):
     """({((x, y), out): int}, den): f(y, x) + sign f(x, y) at each x <= y,
     for a binary f, in one pass over its store: an entry at (x, y) is
@@ -180,7 +168,8 @@ def swap_defect(f, sign):
 
 
 def _swap_check(name, f, sign):
-    _one_space(f, name)
+    if f.arity != 2 or f.domain[0] is not f.domain[1]:
+        raise ShapeError("%s needs a binary map on one space" % name)
     return _decide(name, f.domain, f.codomain, *swap_defect(f, sign))
 
 
@@ -189,22 +178,28 @@ def skew_symmetry_check(bracket):
     return _swap_check("skew-symmetry", bracket, 1)
 
 
-def jacobi_check(bracket):
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] is zero, by rotation classes."""
-    space = _one_space(bracket, "jacobi")
-    if bracket.codomain.dim != space.dim:
-        raise ShapeError("codomain %s does not fit slot 1 (%s)"
-                         % (bracket.codomain.name, space.name))
+def _lie_checks(bracket):
+    """[skew symmetry, Jacobi] for bracket, Jacobi only once skew symmetry
+    holds.  Then [x,[y,z]] + [y,[z,x]] + [z,[x,y]] alternates and is summed
+    at increasing triples: each stored [y, z] = p e_m, y < z, meets each
+    stored [x, m] = q e_out once, as the first, second (sign -1) or third
+    term at x, y, z sorted, and adds nothing at a repeated index."""
+    skew = skew_symmetry_check(bracket)
+    if not skew:
+        return [skew]
     (b,), den = common_ints([bracket])
     feeding = {}
     for ((y, z), m), p in b.items():
-        feeding.setdefault(m, []).append((y, z, p))
+        if y < z:
+            feeding.setdefault(m, []).append((y, z, p))
     acc = {}
     for ((x, m), out), q in b.items():
         for y, z, p in feeding.get(m, ()):
-            key = (min((x, y, z), (y, z, x), (z, x, y)), out)
-            acc[key] = acc.get(key, 0) + (3 if x == y == z else 1) * q * p
-    return _decide("jacobi", (space,) * 3, bracket.codomain, acc, den * den)
+            if x != y and x != z:
+                key = ((x, y, z) if x < y else (y, x, z) if x < z else (y, z, x), out)
+                acc[key] = acc.get(key, 0) + (-p * q if y < x < z else p * q)
+    return [skew, _decide("jacobi", (bracket.domain[0],) * 3, bracket.codomain,
+                          acc, den * den)]
 
 
 def composite_defect(left, right):
@@ -228,7 +223,7 @@ def composite_defect(left, right):
 
 @decided_once
 def check_lie(L):
-    return combine("lie", [skew_symmetry_check(L.bracket), jacobi_check(L.bracket)])
+    return combine("lie", _lie_checks(L.bracket))
 
 
 @decided_once
@@ -289,8 +284,7 @@ def leibniz_check(bracket, product):
 @decided_once
 def check_poisson(P):
     return combine("poisson", [
-        skew_symmetry_check(P.bracket),
-        jacobi_check(P.bracket),
+        *_lie_checks(P.bracket),
         check_associative(P.product),
         check_commutative(P.product),
         leibniz_check(P.bracket, P.product),

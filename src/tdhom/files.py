@@ -15,8 +15,8 @@ Coefficients are fraction strings ("-3/2"), never floats.  One checked
 row loop (_table) reads every table, a map's, a coproduct's or a Hom
 element's: each index and coefficient is checked once, inline, a row's
 path is formatted only to refuse it, and linalg._exact reads a strict
-"-?digits(/digits)" coefficient without Fraction(str).  The table is
-then stored without a second check.
+"-?digits(/digits)" coefficient without Fraction(str), once per distinct
+string in a table.  The table is stored without a second check.
 Roles and their required maps:
 
     coalgebra      "coproduct": {"space": ..., "entries": [[i, j, k, q], ...]}
@@ -119,7 +119,7 @@ def _table(obj, path, layout, dims, nested=False):
     [*indices, coefficient] keyed by the indices or, nested (a map's),
     [argument indices, out, coefficient] keyed (arguments, out), the
     indices below dims in order; path.entries[pos] names a refused row."""
-    table = {}
+    table, read = {}, {}  # read: each distinct coefficient string's value
     width, arity = (3, len(dims) - 1) if nested else (len(dims) + 1, None)
     for pos, row in enumerate(_field(obj, "entries", list, path)):
         if type(row) is not list or len(row) != width:
@@ -139,10 +139,12 @@ def _table(obj, path, layout, dims, nested=False):
         if type(raw) is not str:
             _refuse(path, pos, "coefficients must be fraction strings, got %s"
                     % type(raw).__name__)
-        try:
-            q = _exact(raw)
-        except ScalarError:
-            _refuse(path, pos, "not a fraction: %r" % raw)
+        if raw not in read:
+            try:
+                read[raw] = _exact(raw)
+            except ScalarError:
+                _refuse(path, pos, "not a fraction: %r" % raw)
+        q = read[raw]
         table[key] = table[key] + q if key in table else q
     return table
 

@@ -13,11 +13,14 @@ oracle_lr_results and oracle_td_lr_results list the sub-results in the
 checkers' order; the package's checkers must fold exactly these, name,
 detail and witness included.
 
-map_classical_rows, map_associative, map_leibniz, map_commutative and
-map_poisson keep the map route the int defects (algebra.composite_defect,
-algebra.swap_defect) replaced: every composite built with compose_at,
-rearranged, summed and compared as maps by map_identity_check, whose
-witness is first_difference's; no checker in the package uses either.
+map_classical_rows, map_associative, map_leibniz, map_commutative,
+flipped_skew, table_sum_jacobi and map_poisson keep the map route the int
+defects (algebra.composite_defect, algebra.swap_defect and Jacobi's int
+sum) replaced: every composite built with compose_at, rearranged, summed
+and compared as maps by map_identity_check, whose witness is
+first_difference's; no checker in the package uses them.
+rotation_jacobi keeps the int Jacobi sum by rotation classes, which the
+package replaced by a sum at increasing triples run only on skew brackets.
 composite_td_lr_results keeps the route check_td_lr's kept row defects
 replaced: each row's two sides composed (pair_terms), summed as maps and
 induced (twisted_sum), then decided by convolution.zero_check.
@@ -25,19 +28,22 @@ induced (twisted_sum), then decided by convolution.zero_check.
 Nothing in the package uses this module; tests compare against it.
 """
 
+from fractions import Fraction
+
 from tdhom.algebra import (
     PRODUCT_CYCLE,
     SWAP_FIRST_TWO,
     check_lie,
     check_module,
-    jacobi_check,
-    skew_symmetry_check,
 )
 from tdhom.checks import CheckResult, Witness, combine
 from tdhom.convolution import compose_induced, induced, zero_check
+from tdhom.errors import ShapeError
 from tdhom.lie_rinehart import PAIR_IDENTITIES
+from tdhom.linalg import common_ints
 from linalg_oracle import table_sum
 from td_oracle import (
+    JACOBI_ROTATIONS,
     SWAP,
     factored_term,
     operator_identity_check,
@@ -96,12 +102,60 @@ def map_leibniz(bracket, product):
             mixed.precompose_perm(SWAP_FIRST_TWO)))
 
 
+def flipped_skew(bracket):
+    """Skew symmetry as it was before the swap pass: the bracket with its
+    arguments swapped against minus the bracket."""
+    return map_identity_check("skew-symmetry", bracket.precompose_perm(SWAP),
+                              bracket.scale(-1))
+
+
+def table_sum_jacobi(bracket):
+    """Jacobi as it was before it summed in ints: the nested map and its
+    two rotations added as Fraction tables."""
+    nested = bracket.compose_at(bracket, 1)
+    total = table_sum([nested] + [nested.precompose_perm(r) for r in JACOBI_ROTATIONS])
+    return map_identity_check("jacobi", total, total.scale(0))
+
+
+def rotation_jacobi(bracket):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] is zero, summed in ints by
+    rotation classes, for any binary map on one space, skew or not.  The
+    sum is the same at every rotation of a tuple, so each term is added
+    once, at the least rotation of its tuple, times the number of
+    rotations fixing it (3 at (x, x, x), else 1), and the least failing
+    key is the least failing tuple."""
+    if bracket.arity != 2 or bracket.domain[0] is not bracket.domain[1]:
+        raise ShapeError("jacobi needs a binary map on one space")
+    space = bracket.domain[0]
+    if bracket.codomain.dim != space.dim:
+        raise ShapeError("codomain %s does not fit slot 1 (%s)"
+                         % (bracket.codomain.name, space.name))
+    (b,), den = common_ints([bracket])
+    feeding = {}
+    for ((y, z), m), p in b.items():
+        feeding.setdefault(m, []).append((y, z, p))
+    acc = {}
+    for ((x, m), out), q in b.items():
+        for y, z, p in feeding.get(m, ()):
+            key = (min((x, y, z), (y, z, x), (z, x, y)), out)
+            acc[key] = acc.get(key, 0) + (3 if x == y == z else 1) * q * p
+    failing = [key for key, v in acc.items() if v]
+    if not failing:
+        return CheckResult("jacobi", True)
+    tup = min(failing)[0]
+    residual = sorted((out, Fraction(v, den * den))
+                      for (t, out), v in acc.items() if t == tup and v)
+    return CheckResult("jacobi", False, Witness(
+        tuple(space.labels[i] for i in tup),
+        tuple((bracket.codomain.labels[out], q) for out, q in residual)))
+
+
 def map_poisson(P):
-    """check_poisson with associativity, commutativity and Leibniz decided
-    as maps."""
+    """check_poisson with every sub-identity decided as maps, Jacobi
+    included whether skew symmetry holds or not."""
     return combine("poisson", [
-        skew_symmetry_check(P.bracket),
-        jacobi_check(P.bracket),
+        flipped_skew(P.bracket),
+        table_sum_jacobi(P.bracket),
         map_associative(P.product),
         map_commutative(P.product),
         map_leibniz(P.bracket, P.product),

@@ -73,9 +73,11 @@ positions found by bisect, over its own cleared constants.
 differentials reads a ComplexMatrices, which holds each d_k transposed,
 back as the d_k.
 
-SWAP, unshuffles, is_skew, signed, term_sum and twisted_sum are map
-arithmetic no checker in the package uses any more: each identity there
-is decided on its int defect.  They stay here as the oracles' tools.
+SWAP, JACOBI_CYCLE, JACOBI_ROTATIONS, unshuffles, is_skew, signed,
+term_sum and twisted_sum are map arithmetic no checker in the package uses
+any more: each identity there is decided on its int defect, and Jacobi on
+increasing triples once skew symmetry holds.  They stay here as the
+oracles' tools.
 
 dual_module builds the coefficients of Hazewinkel duality from M's
 constants alone, sharing no code with the complex it checks.
@@ -92,7 +94,6 @@ from bisect import bisect_left
 from itertools import combinations
 
 from tdhom.algebra import (
-    JACOBI_ROTATIONS,
     SWAP_FIRST_TWO,
     LieAlgebra,
     LieModule,
@@ -143,6 +144,10 @@ from linalg_oracle import table_sum, transposed
 
 
 SWAP = Permutation([1, 0])
+# cycle 0 -> 1 -> 2 -> 0 on three slots: the Jacobi sum runs over its powers
+JACOBI_CYCLE = Permutation([1, 2, 0])
+# its two nontrivial powers, the rearrangements added to the nested term
+JACOBI_ROTATIONS = (JACOBI_CYCLE, JACOBI_CYCLE.then(JACOBI_CYCLE))
 
 
 def unshuffles(k, m):

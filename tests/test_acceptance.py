@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from tdhom import corpus
-from tdhom.algebra import LieAlgebra
 from tdhom.cohomology import (
     AltCochain,
     TDCochain,

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from tdhom import algebra, corpus
 from tdhom.algebra import (
-    JACOBI_CYCLE,
-    JACOBI_ROTATIONS,
     PRODUCT_CYCLE,
     SWAP_FIRST_TWO,
     AssociativeAlgebra,
@@ -26,7 +24,6 @@ from tdhom.algebra import (
     check_lie,
     check_module,
     check_poisson,
-    jacobi_check,
     leibniz_check,
     skew_symmetry_check,
 )
@@ -38,15 +35,17 @@ from tdhom.lie_rinehart import LieRinehartPair, check_lr
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
 from tdhom.td_structures import check_td_lie
-from linalg_oracle import table_sum
 from lr_oracle import (
+    flipped_skew,
     map_associative,
     map_commutative,
     map_identity_check,
     map_leibniz,
     map_poisson,
+    rotation_jacobi,
+    table_sum_jacobi,
 )
-from td_oracle import SWAP
+from td_oracle import JACOBI_CYCLE, SWAP
 from structures import (adjoint_module, matrix_unit_adjoint, matrix_unit_lie,
                         rebased_adjoint)
 
@@ -56,6 +55,17 @@ L3 = BasedSpace("L", ("e", "f", "h"))
 def bilinear(entries, space=L3):
     return MultilinearMap((space, space), space,
                           {(t, o): Fraction(q) for t, o, q in entries})
+
+
+def decided_lie(bracket):
+    """check_lie decided afresh on bracket, an unchecked Lie algebra's."""
+    return check_lie.__wrapped__(LieAlgebra(bracket.codomain, bracket, check=False))
+
+
+def oracle_lie(bracket):
+    """check_lie by the map route: skew symmetry and Jacobi both decided,
+    as maps, whether skew symmetry holds or not."""
+    return combine("lie", [flipped_skew(bracket), table_sum_jacobi(bracket)])
 
 
 class TestLie:
@@ -85,7 +95,7 @@ class TestLie:
 
     def test_scaling_preserves_jacobi(self):
         b = corpus.load("sl2").bracket
-        assert jacobi_check(b.scale(Fraction(7, 3))).ok
+        assert decided_lie(b.scale(Fraction(7, 3))).ok
 
     @given(st.lists(
         st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -267,14 +277,6 @@ class TestKeptResults:
             "precondition failed (Lie axioms): lie: FAIL (skew-symmetry)")
 
 
-def table_sum_jacobi(bracket):
-    """jacobi_check as it was before it summed in ints: the nested map and
-    its two rotations added as Fraction tables; kept as its oracle."""
-    nested = bracket.compose_at(bracket, 1)
-    total = table_sum([nested] + [nested.precompose_perm(r) for r in JACOBI_ROTATIONS])
-    return map_identity_check("jacobi", total, total.scale(0))
-
-
 def table_sum_module(M):
     """check_module as it was before it summed in ints; its oracle."""
     lhs = M.action.compose_at(M.base.bracket, 0)
@@ -292,24 +294,68 @@ def perturbed(m):
             yield MultilinearMap(m.domain, m.codomain, table)
 
 
-class TestIntSumsAgainstFractionSums:
-    """jacobi_check and check_module sum in ints; on every corpus structure,
-    the broken ones included, and on perturbed copies of each, they give
-    the result the Fraction-table route gives: same ok, detail and
-    witness."""
+def skew_perturbed(m):
+    """perturbed, with each change made at (x, y) and (y, x) alike: a skew
+    m stays skew, and its Jacobi sum breaks at varied witnesses."""
+    for (x, y), o in sorted({(tuple(sorted(t)), o) for t, o in m.entries}):
+        pair = {((x, y), o), ((y, x), o)}
+        for factor in (Fraction(3, 2), 0):
+            table = {k: q * factor if k in pair else q
+                     for k, q in m.entries.items()}
+            yield MultilinearMap(m.domain, m.codomain, table)
 
-    def test_jacobi_check(self):
+
+def outcome(result):
+    """A folded result's outcome: "pass", or the sub-check that fails."""
+    return result.detail if not result.ok else "pass"
+
+
+class TestIntSumsAgainstFractionSums:
+    """check_lie and check_module sum in ints, check_lie Jacobi only once
+    skew symmetry holds; on every corpus structure, the broken ones
+    included, and on perturbed copies of each, they give the result the
+    Fraction-table route gives: same ok, detail and witness."""
+
+    def test_check_lie(self):
         brackets = []
         for _label, obj in corpus_structures():
             for checker, structure in kept_checks(obj):
                 if checker is check_lie:
                     brackets.append(structure.bracket)
-        failing = 0
-        for bracket in brackets + [b for m in brackets for b in perturbed(m)]:
-            result = jacobi_check(bracket)
-            assert result == table_sum_jacobi(bracket)
-            failing += not result.ok
-        assert len(brackets) >= 20 and failing >= 20
+        variants = list(brackets)
+        for m in brackets:
+            variants += [*perturbed(m), *skew_perturbed(m)]
+        outcomes = []
+        for bracket in variants:
+            result = decided_lie(bracket)
+            assert result == oracle_lie(bracket)
+            assert rotation_jacobi(bracket) == table_sum_jacobi(bracket)
+            outcomes.append(outcome(result))
+        assert len(brackets) >= 20
+        assert min(outcomes.count(o) for o in ("pass", "skew-symmetry",
+                                               "jacobi")) >= 20
+
+    def test_check_poisson(self):
+        # poisson3's product under every corpus bracket of its dimension,
+        # moved onto its space, and under perturbed copies of each
+        P = corpus.load("poisson3")
+        A = P.space
+        brackets = [MultilinearMap((A, A), A, dict(structure.bracket.entries))
+                    for _label, obj in corpus_structures()
+                    for checker, structure in kept_checks(obj)
+                    if checker is check_lie and structure.space.dim == A.dim]
+        variants = [PoissonAlgebra(A, P.bracket, p, check=False)
+                    for p in perturbed(P.product)]
+        for m in brackets:
+            variants += [PoissonAlgebra(A, b, P.product, check=False)
+                         for b in (m, *perturbed(m), *skew_perturbed(m))]
+        outcomes = []
+        for Q in variants:
+            result = check_poisson.__wrapped__(Q)
+            assert result == map_poisson(Q)
+            outcomes.append(outcome(result))
+        assert set(outcomes) == {"pass", "skew-symmetry", "jacobi",
+                                 "associativity", "commutativity", "leibniz"}
 
     def test_check_module(self):
         modules = []
@@ -327,13 +373,6 @@ class TestIntSumsAgainstFractionSums:
             assert result == table_sum_module(M)
             failing += not result.ok
         assert len(modules) >= 10 and failing >= 20
-
-
-def flipped_skew(bracket):
-    """skew_symmetry_check as it was before it summed by rotation classes:
-    the bracket with its arguments swapped against minus the bracket."""
-    return map_identity_check("skew-symmetry", bracket.precompose_perm(SWAP),
-                              bracket.scale(-1))
 
 
 # [e_x, e_y] = c e_o with x < y: abelian, the plane r2, Heisenberg, sl2
@@ -396,20 +435,21 @@ def modules(draw):
 
 
 class TestFusedChecksAgainstTableSums:
-    """Skew symmetry, Jacobi and the module law decided in one int pass
-    give the results of the map-building routes they replaced: same ok,
-    detail and witness, on Lie brackets and on brackets that are not even
-    skew."""
+    """check_lie (skew symmetry, then Jacobi on increasing triples) and the
+    module law decided in int passes give the results of the map-building
+    routes they replaced: same ok, detail and witness, on Lie brackets and
+    on brackets that are not even skew."""
 
     @given(brackets())
     @settings(max_examples=200, deadline=None)
     def test_bracket_sweep(self, drawn):
         kind, bracket = drawn
-        jacobi, skew = jacobi_check(bracket), skew_symmetry_check(bracket)
-        assert jacobi == table_sum_jacobi(bracket)
-        assert skew == flipped_skew(bracket)
+        result = decided_lie(bracket)
+        assert result == oracle_lie(bracket)
+        assert skew_symmetry_check(bracket) == flipped_skew(bracket)
+        assert rotation_jacobi(bracket) == table_sum_jacobi(bracket)
         if kind == "lie":
-            assert jacobi.ok and skew.ok
+            assert result.ok
 
     @given(modules())
     @settings(max_examples=200, deadline=None)
@@ -427,11 +467,14 @@ class TestFusedChecksAgainstTableSums:
         @settings(max_examples=200, deadline=None)
         def collect(drawn):
             kind, M = drawn
-            seen.add(("jacobi", jacobi_check(M.base.bracket).ok))
+            seen.add(("lie", outcome(check_lie.__wrapped__(M.base))))
             seen.add(("module", check_module.__wrapped__(M).ok))
 
         collect()
-        assert seen == {(c, ok) for c in ("jacobi", "module") for ok in (True, False)}
+        # a Lie bracket, a skew one failing Jacobi and one not skew
+        assert seen == {("lie", "pass"), ("lie", "jacobi"),
+                        ("lie", "skew-symmetry"),
+                        ("module", True), ("module", False)}
 
     def test_ill_shaped_maps_raise(self):
         A, B, C = (BasedSpace(name, labels) for name, labels in
@@ -439,10 +482,9 @@ class TestFusedChecksAgainstTableSums:
         for m in (MultilinearMap((A,), A, {}), MultilinearMap((A, A, A), A, {}),
                   MultilinearMap((A, B), B, {((0, 1), 1): 1}),
                   MultilinearMap((A, A), C, {})):
-            with pytest.raises(ShapeError):
-                jacobi_check(m)
-            with pytest.raises(ShapeError):
-                table_sum_jacobi(m)
+            for check in (rotation_jacobi, table_sum_jacobi):
+                with pytest.raises(ShapeError):
+                    check(m)
         skewed = MultilinearMap((A, B), B, {((0, 1), 1): 1})
         for check in (skew_symmetry_check, flipped_skew):
             with pytest.raises(ShapeError):
@@ -609,20 +651,57 @@ def accumulated(M):
         LieModule(base, M.space, M.action, check=False))
 
 
-@pytest.fixture
-def sums(monkeypatch):
-    """The module laws check_module sums, counted through the _decide call
-    that ends the accumulator (check_lie's are named otherwise)."""
+def recorded_decisions(monkeypatch, kept_name):
+    """The names of the identities algebra decides from here on, in order,
+    those kept_name keeps, recorded through the _decide call that ends
+    each int pass."""
     calls = []
     real = algebra._decide
 
     def counted(name, *args):
-        if name == "module":
+        if kept_name(name):
             calls.append(name)
         return real(name, *args)
 
     monkeypatch.setattr(algebra, "_decide", counted)
     return calls
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """The module laws check_module sums (check_lie's are named otherwise)."""
+    return recorded_decisions(monkeypatch, lambda name: name == "module")
+
+
+class TestJacobiOnlyOnSkew:
+    """check_lie and check_poisson sum Jacobi only once skew symmetry
+    holds: a bracket that is not skew fails there, and no Jacobi pass
+    runs."""
+
+    @pytest.mark.parametrize("name,decided", [
+        ("sl2", ["skew-symmetry", "jacobi"]),
+        ("broken-jacobi", ["skew-symmetry", "jacobi"]),
+        ("broken-skew", ["skew-symmetry"])])
+    def test_check_lie(self, name, decided, monkeypatch):
+        L = corpus.load(name, unsafe_skip_axioms=True)
+        decisions = recorded_decisions(monkeypatch, lambda _name: True)
+        result = check_lie.__wrapped__(L)
+        assert decisions == decided
+        assert result == oracle_lie(L.bracket)
+
+    def test_check_poisson(self, monkeypatch):
+        P = corpus.load("poisson3")
+        A = P.space
+        symmetric = MultilinearMap((A, A), A, {((1, 2), 1): 1, ((2, 1), 1): 1})
+        rest = ["associativity", "commutativity", "leibniz"]
+        for bracket, decided in ((P.bracket, ["skew-symmetry", "jacobi", *rest]),
+                                 (symmetric, ["skew-symmetry", *rest])):
+            Q = PoissonAlgebra(A, bracket, P.product, check=False)
+            decisions = recorded_decisions(monkeypatch, lambda _name: True)
+            result = check_poisson.__wrapped__(Q)
+            monkeypatch.undo()
+            assert decisions == decided
+            assert result == map_poisson(Q)
 
 
 def stored_as_bracket(M):

@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from tdhom import cli, cohomology, corpus, linalg
 from tdhom.algebra import (
-    JACOBI_ROTATIONS,
     SWAP_FIRST_TWO,
     LieAlgebra,
     LieModule,
@@ -78,6 +77,7 @@ from tdhom.td_structures import (
 from linalg_oracle import bareiss_echelon, transposed
 from lr_oracle import oracle_check_td_lr
 from td_oracle import (
+    JACOBI_ROTATIONS,
     SWAP,
     MaterializedTDComplexData,
     ce_differential_unshuffle,

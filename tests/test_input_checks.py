@@ -14,8 +14,11 @@ loads dataclasses or the modules it pulls in, which cost more start-up time
 than a small job.  The last three fail on GuardError raised anywhere but
 the one size guard, on that size guard called from anything but the two
 routes that price what they build, and on any read of the process
-environment.  One more, over the tests themselves, fails on any test
-module importing another.
+environment.  Two more, over the tests themselves, fail on any test
+module importing another and on an imported name a test file never reads.
+A sweep builds maps of random spaces, arities and flawed entries and sends
+them through the Lie and Poisson constructors and checkers, checked or
+not: each call ends in a result or a TdhomError.
 """
 
 import ast
@@ -34,7 +37,8 @@ from hypothesis import strategies as st
 import tdhom
 from tdhom import corpus
 from tdhom.algebra import (AssociativeAlgebra, LieAlgebra, LieModule,
-                           PoissonAlgebra, check_commutative)
+                           PoissonAlgebra, check_commutative, check_lie,
+                           check_poisson, skew_symmetry_check)
 from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import build_tensor_coalgebra
 from tdhom.cohomology import classical_complex
@@ -73,12 +77,11 @@ def test_package_has_no_assert_statements():
     assert found == [], "assert statements vanish under python -O: %s" % found
 
 
-def test_package_reads_every_name_it_imports():
-    # __init__.py imports to re-export, so it is exempt
+def _unread_imports(paths, root):
+    """A "file:line name" entry for each name an import in paths binds
+    and its module never reads."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -87,8 +90,22 @@ def test_package_reads_every_name_it_imports():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in read:
-                        found.append("%s:%d %s" % (path.relative_to(PACKAGE),
+                        found.append("%s:%d %s" % (path.relative_to(root),
                                                    node.lineno, bound))
+    return found
+
+
+def test_package_reads_every_name_it_imports():
+    # __init__.py imports to re-export, so it is exempt
+    found = _unread_imports([path for path in sorted(PACKAGE.rglob("*.py"))
+                             if path.name != "__init__.py"], PACKAGE)
+    assert found == [], "imported names never read: %s" % found
+
+
+def test_every_test_file_reads_every_name_it_imports():
+    # an import a test module never reads only ties it to a name
+    tests = Path(__file__).resolve().parent
+    found = _unread_imports(sorted(tests.glob("*.py")), tests)
     assert found == [], "imported names never read: %s" % found
 
 
@@ -227,6 +244,110 @@ def test_unchecked_bracket_on_two_spaces_ends_in_a_typed_error():
         L = LieAlgebra(A, MultilinearMap((A, B), A, {((0, 2), 1): 1}),
                        check=False)
         classical_complex(LieModule(L, A, MultilinearMap((A, A), A, {})), 1)
+
+
+@st.composite
+def loose_maps(draw, spaces, space):
+    """(domain, codomain, entries) for a MultilinearMap among spaces, of
+    arity 0 to 3 or binary on space (skew or not), whose entries may hold
+    one flaw: a key of the wrong arity, an index out of range or an
+    inexact scalar."""
+    pick = st.sampled_from(spaces)
+    shape = draw(st.sampled_from(["skew", "binary", "any"]))
+    if shape == "any":
+        domain, codomain = draw(st.lists(pick, max_size=3)), draw(pick)
+    else:
+        domain, codomain = [space, space], space
+    entries = {}
+    for _ in range(draw(st.integers(0, 8))):
+        args = tuple(draw(st.integers(0, s.dim - 1)) for s in domain)
+        out = draw(st.integers(0, codomain.dim - 1))
+        q = draw(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)))
+        if shape != "skew":
+            entries[args, out] = q
+        elif args[0] != args[1]:
+            entries[args, out], entries[args[::-1], out] = q, -q
+    flaw = draw(st.sampled_from([None, None, "arity", "index", "scalar"]))
+    zeros = (0,) * len(domain)
+    if flaw == "arity":
+        entries[draw(st.sampled_from([zeros[1:], zeros + (0,)])), 0] = 1
+    elif flaw == "index":
+        entries[tuple(s.dim for s in domain), 0] = 1
+        entries[zeros, draw(st.sampled_from([-1, codomain.dim]))] = 1
+    elif flaw == "scalar":
+        entries[zeros, 0] = draw(st.sampled_from([0.5, None, "x"]))
+    return domain, codomain, entries
+
+
+def _value_or_typed_error(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except TdhomError as error:
+        return error
+
+
+def lie_and_poisson_outcomes(data):
+    """Every outcome of the Lie and Poisson routes on two drawn maps, a
+    bracket and a product, among spaces of drawn dimensions: each map's
+    construction, skew symmetry on it, the two structures built unchecked
+    or checked, and check_lie and check_poisson on the structures built.
+    A route ends in a CheckResult, a structure or a TdhomError."""
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    spaces = [BasedSpace("S%d" % i, ["s%d" % j for j in range(dim)])
+              for i, dim in enumerate(dims)]
+    space = data.draw(st.sampled_from(spaces))
+    check = data.draw(st.booleans())
+    bracket, product = (_value_or_typed_error(
+        MultilinearMap, *data.draw(loose_maps(spaces, space))) for _ in "bp")
+    out = [("map", bracket), ("map", product)]
+    if isinstance(bracket, MultilinearMap):
+        out.append(("skew-symmetry", _value_or_typed_error(skew_symmetry_check, bracket)))
+        L = _value_or_typed_error(LieAlgebra, space, bracket, check=check)
+        out.append(("LieAlgebra", L))
+        if isinstance(L, LieAlgebra):
+            out.append(("lie", _value_or_typed_error(check_lie, L)))
+        if isinstance(product, MultilinearMap):
+            P = _value_or_typed_error(PoissonAlgebra, space, bracket, product,
+                                      check=check)
+            out.append(("PoissonAlgebra", P))
+            if isinstance(P, PoissonAlgebra):
+                out += [("lie", _value_or_typed_error(check_lie, P)),
+                        ("poisson", _value_or_typed_error(check_poisson, P))]
+    return out
+
+
+ROUTE_RESULTS = {"map": MultilinearMap, "skew-symmetry": CheckResult,
+                 "LieAlgebra": LieAlgebra, "lie": CheckResult,
+                 "PoissonAlgebra": PoissonAlgebra, "poisson": CheckResult}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_lie_and_poisson_routes_end_in_results_or_typed_errors(data):
+    for route, value in lie_and_poisson_outcomes(data):
+        assert isinstance(value, (ROUTE_RESULTS[route], TdhomError)), (route, value)
+
+
+def test_lie_and_poisson_sweep_reaches_every_outcome():
+    seen = set()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def collect(data):
+        seen.update((route, type(value).__name__ if not isinstance(value, CheckResult)
+                     else "pass" if value.ok else value.detail or value.name)
+                    for route, value in lie_and_poisson_outcomes(data))
+
+    collect()
+    # failing Jacobi and Poisson rows are rare here; the sweeps in
+    # test_algebra.py reach each of them
+    for route, reached in (
+            ("map", {"MultilinearMap", "MalformedInput", "ShapeError", "ScalarError"}),
+            ("skew-symmetry", {"pass", "skew-symmetry", "ShapeError"}),
+            ("LieAlgebra", {"LieAlgebra", "ShapeError", "AxiomError"}),
+            ("PoissonAlgebra", {"PoissonAlgebra", "ShapeError", "AxiomError"}),
+            ("lie", {"pass", "skew-symmetry"}), ("poisson", {"pass"})):
+        assert reached <= {what for r, what in seen if r == route}, route
 
 
 def test_package_lays_operators_out_only_on_request():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdhom
-from tdhom.errors import InvalidPermutation, ScalarError, ShapeError, TdhomError
+from tdhom.errors import InvalidPermutation, ScalarError, TdhomError
 from tdhom.linalg import (
     Echelon,
     Permutation,

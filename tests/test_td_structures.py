@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tdhom
 from tdhom import corpus, lie_rinehart
-from tdhom.algebra import JACOBI_CYCLE, LieAlgebra, PoissonAlgebra
+from tdhom.algebra import PoissonAlgebra
 from tdhom.coalgebra import (
     Coalgebra,
     build_exterior_square_coalgebra,
@@ -52,6 +51,7 @@ from tdhom.td_structures import (
     self_module,
 )
 from td_oracle import (
+    JACOBI_CYCLE,
     SWAP,
     enumerated_td_skew,
     operator_check_collapse,
