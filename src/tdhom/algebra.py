@@ -18,9 +18,10 @@ least failing one is the least failing tuple (de Graaf, Lie Algebras:
 Theory and Algorithms, 2000).  The module law [x,y].m - x.(y.m) +
 y.(x.m) is summed in one pass from the bracket and the grouped action, or
 read off a kept passing check_lie when the action is stored as the bracket.
-composite_defect sums associativity, Leibniz and the pair rows term by
-term the same way; lie_rinehart keeps a pair's row defects and induces a
-failing one as its twisted operator.
+check_poisson decides its rows in order and stops at the first failure,
+the one combine reports.  composite_defect sums associativity, Leibniz
+and the pair rows term by term the same way; lie_rinehart keeps a pair's
+row defects and induces a failing one as its twisted operator.
 
 Results are kept.  A structure's maps are never reassigned after
 construction, so check_lie, check_module and check_poisson decide once per
@@ -281,11 +282,14 @@ def leibniz_check(bracket, product):
     return _decide("leibniz", *composite_defect(*leibniz_identity(bracket, product)))
 
 
+def _poisson_checks(P):
+    """The Poisson rows in order, each decided only when read."""
+    yield from _lie_checks(P.bracket)
+    yield check_associative(P.product)
+    yield check_commutative(P.product)
+    yield leibniz_check(P.bracket, P.product)
+
+
 @decided_once
 def check_poisson(P):
-    return combine("poisson", [
-        *_lie_checks(P.bracket),
-        check_associative(P.product),
-        check_commutative(P.product),
-        leibniz_check(P.bracket, P.product),
-    ])
+    return combine("poisson", _poisson_checks(P))

@@ -85,11 +85,13 @@ class CheckResult(_Frozen):
 
 
 def combine(name, results):
-    """Fold sub-results into one: first failure wins, detail lists sub-names."""
-    for r in results:
+    """Fold sub-results into one: first failure wins, detail lists sub-names.
+    results may be lazy: nothing after the first failure is read."""
+    count = 0
+    for count, r in enumerate(results, 1):
         if not r.ok:
             return CheckResult(name, False, r.witness, detail=r.name)
-    return CheckResult(name, True, detail="%d checks" % len(results))
+    return CheckResult(name, True, detail="%d checks" % count)
 
 
 def require(result, prefix):

@@ -5,8 +5,11 @@ A coalgebra is a based space C with a coproduct given as quadruples
 basis vector contains q * c_j (x) c_k, and held in a SparseTable store:
 ints over one denominator d, with coproduct its read-only Fraction view.
 The checks and the induced operators run on those ints and on the n-fold
-expansion's, over d^(n-1).  No counit anywhere: the constructions never
-need one, and the exterior-square example admits none.
+expansion's, over d^(n-1).  The expansions are kept per source, one chain
+Delta^(1)(c), Delta^(2)(c), ... each, so lives(n) can decide whether
+Delta^(n) is nonzero at the first source that shows it.  No counit
+anywhere: the constructions never need one, and the exterior-square
+example admits none.
 """
 
 import itertools
@@ -42,7 +45,7 @@ class Coalgebra:
         self._splits = {}
         for (i, j, k), q in sorted(self._store._ints.items()):
             self._splits.setdefault(i, []).append((j, k, q))
-        self._expanded = {1: ({i: [((i,), 1)] for i in range(space.dim)}, 1)}
+        self._chains = [[[((i,), 1)]] for i in range(space.dim)]
         if check:
             require(check_coassociativity(self), "not coassociative: ")
 
@@ -57,24 +60,37 @@ class Coalgebra:
 
     def splits(self, i):
         """Sorted [(j, k, q)] with the coproduct of basis vector i."""
-        return [(j, k, q) for (j, k), q in self.iterated_terms(2).get(i, ())]
+        den = self._store._denominator
+        return [(j, k, ratio(q, den)) for (j, k), q in self._chain(i, 2)]
+
+    def _chain(self, c, n):
+        """Delta^(n)(c) as sorted [(legs, int)] over d^(n-1), n >= 1.  Each
+        source keeps its own chain Delta^(1)(c), Delta^(2)(c), ..., grown
+        by expanding the first leg: Delta^(n)(c) = (Delta (x) id)
+        Delta^(n-1)(c)."""
+        chain = self._chains[c]
+        while len(chain) < n:
+            acc = {}
+            for legs, q in chain[-1]:
+                for j, k, p in self._splits.get(legs[0], ()):
+                    key = (j, k) + legs[1:]
+                    acc[key] = acc.get(key, 0) + q * p
+            chain.append(sorted(kv for kv in acc.items() if kv[1]))
+        return chain[n - 1]
 
     def _expansion(self, n):
-        """(terms, den), n >= 1: {source: sorted [(legs, int)]} over den."""
-        if n not in self._expanded:
-            prev, den = self._expansion(n - 1)
-            terms = {}
-            for c, entries in prev.items():
-                acc = {}
-                for legs, q in entries:
-                    for j, k, p in self._splits.get(legs[0], ()):
-                        key = (j, k) + legs[1:]
-                        acc[key] = acc.get(key, 0) + q * p
-                expansion = sorted(kv for kv in acc.items() if kv[1])
-                if expansion:
-                    terms[c] = expansion
-            self._expanded[n] = terms, den * self._store._denominator
-        return self._expanded[n]
+        """(terms, den), n >= 1: (source, sorted [(legs, int)]) over den for
+        every source whose expansion is nonzero, in source order."""
+        chains = ((c, self._chain(c, n)) for c in range(self.dim))
+        return ((c, e) for c, e in chains if e), self._store._denominator ** (n - 1)
+
+    def lives(self, n):
+        """True when Delta^(n) is nonzero, decided source by source: it
+        stops at the first source c with Delta^(n)(c) nonzero, having
+        grown only the chains of the sources before it and c's own."""
+        if n < 1:
+            raise ValueError("order must be >= 1")
+        return any(self._chain(c, n) for c in range(self.dim))
 
     def iterated_terms(self, n):
         """Sparse n-fold expansion: {source index: [(leg index tuple, q)]}.
@@ -82,15 +98,15 @@ class Coalgebra:
         n = 1 is the identity.  For n >= 2 the first leg is expanded each
         time, matching the left-iterated composite; coassociativity makes
         every other association order agree (tested, not assumed here).
-        Exact values: the cached ints themselves over an integral coproduct.
+        Exact values: the kept ints themselves over an integral coproduct.
         """
         if n < 1:
             raise ValueError("order must be >= 1")
         terms, den = self._expansion(n)
         if den == 1:
-            return terms
+            return dict(terms)
         return {c: [(legs, ratio(q, den)) for legs, q in expansion]
-                for c, expansion in terms.items()}
+                for c, expansion in terms}
 
     def __repr__(self):
         return "Coalgebra(%s, %d splits)" % (self.space.name, len(self._store._ints))

@@ -32,10 +32,12 @@ twisted differential is the classical one pushed to the quotient.  The
 induction map is the outer product f (x) Delta^(n), so it is injective
 while the n-fold coproduct is nonzero and zero from the cut depth D, the
 first n >= 1 where it dies: the Hom-space complex is the classical one cut
-below degree D.  TDComplexData ranks it by classical_complex to degree
-D - 2, so d squared = 0 holds by theorem when M has a torus.  The eager
-assembly and the materializing construction it replaced are the test
-oracles in tests/td_oracle.py.
+below degree D.  D is the first n where C.lives(n) is false, decided
+source by source: a live Delta^(n) is seen at its first nonzero source,
+and no full expansion is built.  TDComplexData ranks the complex by
+classical_complex to degree D - 2, so d squared = 0 holds by theorem when
+M has a torus.  The eager assembly and the materializing construction it
+replaced are the test oracles in tests/td_oracle.py.
 
 TDCochain, td_differential_direct and td_differential_induced are the
 per-cochain library API, and they decide by the same injectivity without
@@ -542,7 +544,7 @@ class TDCochain:
         if self.degree != other.degree or self.coalgebra is not other.coalgebra:
             return False
         return (self.inducing.sub(other.inducing).is_zero()
-                or self.degree >= 1 and not self.coalgebra.iterated_terms(self.degree))
+                or self.degree >= 1 and not self.coalgebra.lives(self.degree))
 
     def __repr__(self):
         return "TDCochain(degree=%d over %s)" % (self.degree, self.coalgebra.space.name)
@@ -598,7 +600,7 @@ def td_differential_direct(F, tdm):
     matrix, as the oracles.
     """
     M, C, n = tdm.module, tdm.coalgebra, F.degree
-    if not C.iterated_terms(n + 1):
+    if not C.lives(n + 1):
         return TDCochain(AltCochain(M.base.space, M.space, n + 1, {}), C)
     df = ce_differential(F.inducing, M)
     if n >= 1 and _reads_symmetric_part(F.inducing, M.base.bracket):
@@ -609,8 +611,8 @@ def td_differential_direct(F, tdm):
 
 class TDComplexData:
     """Dimensions and ranks of one Hom-space complex: the classical complex
-    cut below the depth D, the first k >= 1 with Delta^(k) zero (maxdeg + 2
-    when none up to maxdeg + 1 is).
+    cut below the depth D, the first k >= 1 where C.lives(k) is false,
+    decided source by source (maxdeg + 2 when none up to maxdeg + 1 is).
 
     - td_dims[k] is alt_dims[k] for k < D, else 0; ker_dims[k] is the rest;
     - the quotient differential is d_k for k <= D - 2 and zero after, so
@@ -636,7 +638,7 @@ class TDComplexData:
         self.maxdeg = maxdeg
         self.alt_dims = [alt_dim(L, B, k) for k in range(maxdeg + 2)]
         self.depth = next((k for k in range(1, maxdeg + 2)
-                           if not C.iterated_terms(k)), maxdeg + 2)
+                           if not C.lives(k)), maxdeg + 2)
         self.td_dims = [n if k < self.depth else 0
                         for k, n in enumerate(self.alt_dims)]
         self.ker_dims = [a - t for a, t in zip(self.alt_dims, self.td_dims)]

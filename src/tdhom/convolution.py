@@ -184,7 +184,7 @@ class InducedOperator:
         move = getter(self.twist)
         psi = self.base._ints.items()
         entries = (((o, c, tuple(zip(tup, routed))), q * p)
-                   for c, expansion in terms.items()
+                   for c, expansion in terms
                    for legs, q in expansion
                    for routed in (move(legs),)
                    for (tup, o), p in psi)

@@ -185,7 +185,7 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
     L, B = pair.lie_space, pair.ring_space
     basis = alt_basis(L, B, n)
     stacked = SparseColumns(len(basis))
-    if n >= 1 and basis and C.iterated_terms(n + 1):
+    if n >= 1 and basis and C.lives(n + 1):
         check_size(len(basis), guard_limit)
         # over one common denominator: the matrix is scaled, its kernel is not
         (bm, pr), _ = common_ints([pair.bmodule, pair.product])

@@ -176,6 +176,16 @@ def incidence_coalgebra(n, relations):
                      triples)
 
 
+def cancelling_coalgebra():
+    """c0 -> c1(x)c3 - c2(x)c3, c1 -> c4(x)c4, c2 -> c4(x)c4, unchecked:
+    expanding the first leg of c0 twice gives c4(x)c4(x)c3 with
+    coefficients 1 and -1: Delta^(3) is zero while Delta^(2) is not, and
+    at c0 it dies by cancelling, not by running out of splits."""
+    return Coalgebra(BasedSpace("C", ["c0", "c1", "c2", "c3", "c4"]),
+                     [(0, 1, 3, 1), (0, 2, 3, -1), (1, 4, 4, 1), (2, 4, 4, 1)],
+                     check=False)
+
+
 # cocommutative and skew-cocommutative coalgebras that are not
 # coassociative: Delta(a) = b b, Delta(b) = a a, and Delta(a) = b c - c b,
 # Delta(b) = a c - c a on a, b, c; their iterated coproducts never die

@@ -693,9 +693,14 @@ class TestJacobiOnlyOnSkew:
         P = corpus.load("poisson3")
         A = P.space
         symmetric = MultilinearMap((A, A), A, {((1, 2), 1): 1, ((2, 1), 1): 1})
+        # [e0, e1] = e1, [e1, e2] = e0: skew, and Jacobi fails at (0, 1, 2)
+        no_jacobi = MultilinearMap((A, A), A, {((0, 1), 1): 1, ((1, 0), 1): -1,
+                                               ((1, 2), 0): 1, ((2, 1), 0): -1})
         rest = ["associativity", "commutativity", "leibniz"]
+        # the rows are decided in order, and none after the first failure
         for bracket, decided in ((P.bracket, ["skew-symmetry", "jacobi", *rest]),
-                                 (symmetric, ["skew-symmetry", *rest])):
+                                 (no_jacobi, ["skew-symmetry", "jacobi"]),
+                                 (symmetric, ["skew-symmetry"])):
             Q = PoissonAlgebra(A, bracket, P.product, check=False)
             decisions = recorded_decisions(monkeypatch, lambda _name: True)
             result = check_poisson.__wrapped__(Q)

@@ -1,4 +1,5 @@
-"""Coalgebra builders, coassociativity, iterated coproducts, symmetry classes.
+"""Coalgebra builders, coassociativity, iterated coproducts, symmetry classes,
+and lives(n), whose oracle is the full n-fold expansion tested for truth.
 
 The iterated-coproduct oracles are hand expansions of deconcatenation and
 deshuffle splits, written down before the implementation ran.
@@ -6,11 +7,13 @@ deshuffle splits, written down before the implementation ran.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tdhom import corpus
 from tdhom.checks import CheckResult, Witness
 from tdhom.coalgebra import (
     COCOMMUTATIVE,
@@ -26,7 +29,8 @@ from tdhom.coalgebra import (
 from tdhom.convolution import HomElement, twisted
 from tdhom.errors import MalformedInput, TdhomError
 from tdhom.linalg import ZERO, BasedSpace, all_permutations
-from structures import SMALL_SPACES, base_maps, diagonal, legs_table, rebased
+from structures import (SMALL_SPACES, base_maps, cancelling_coalgebra, diagonal,
+                        legs_table, rebased)
 
 V2 = BasedSpace("V", ["a", "b"])
 V1 = BasedSpace("V", ["x"])
@@ -172,6 +176,8 @@ class TestIteratedCoproduct:
         C = build_tensor_coalgebra(V2, 2)
         with pytest.raises(ValueError):
             C.iterated_terms(0)
+        with pytest.raises(ValueError):
+            C.lives(0)
 
     def test_association_orders_agree(self):
         # expand the last leg instead of the first; coassociativity says equal
@@ -374,3 +380,68 @@ class TestRebasedCoalgebra:
         diff = op.materialize().sub(twisted(phi, R, other).materialize())
         assert diff.is_zero() == twisted(phi, C, rho).materialize().sub(
             twisted(phi, C, other).materialize()).is_zero()
+
+
+ORDERS = range(1, 7)
+VABC = BasedSpace("V", ["a", "b", "c"])
+LIVES_CASES = {
+    **{name: partial(corpus.get_coalgebra, name) for name in corpus.coalgebra_names()},
+    **{"T%d(ab)" % d: partial(build_tensor_coalgebra, V2, d) for d in range(1, 6)},
+    **{"T%d(ab) counital" % d: partial(build_tensor_coalgebra, V2, d, True)
+       for d in range(1, 6)},
+    **{"S%d(xy)" % d: partial(build_symmetric_coalgebra, VXY, d) for d in range(1, 6)},
+    "Ext(ab)": partial(build_exterior_square_coalgebra, V2),
+    "Ext(abc)": partial(build_exterior_square_coalgebra, VABC),
+    "cancelling": cancelling_coalgebra,
+}
+
+
+def fresh(C):
+    """A new coalgebra with C's space and coproduct and nothing expanded."""
+    return Coalgebra(C.space, C.coproduct, check=False)
+
+
+def assert_lives_is_the_full_expansion(C):
+    """lives(n) == bool(iterated_terms(n)) for n = 1..6, asked in rising
+    and in falling order, and every expansion read after lives is the one
+    a fresh coalgebra gives."""
+    oracle = fresh(C)
+    expansions = [oracle.iterated_terms(n) for n in ORDERS]
+    rising, falling = fresh(C), fresh(C)
+    assert [rising.lives(n) for n in ORDERS] == [bool(e) for e in expansions]
+    assert [falling.lives(n) for n in reversed(ORDERS)] == [
+        bool(e) for e in reversed(expansions)]
+    for D in (rising, falling):
+        assert [D.iterated_terms(n) for n in ORDERS] == expansions
+
+
+class TestLives:
+    """lives(n) decides whether Delta^(n) is nonzero source by source."""
+
+    @pytest.mark.parametrize("name", sorted(LIVES_CASES))
+    def test_builders_and_corpus(self, name):
+        assert_lives_is_the_full_expansion(LIVES_CASES[name]())
+
+    def test_cancelling_source(self):
+        C = cancelling_coalgebra()
+        assert C.lives(2) and not C.lives(3)
+
+    @given(rebasings())
+    @settings(max_examples=30, deadline=None)
+    def test_rebased(self, case):
+        _C, _s, R = case
+        assert_lives_is_the_full_expansion(R)
+
+    @given(random_coproducts())
+    @settings(max_examples=100, deadline=None)
+    def test_unchecked_coproducts(self, C):
+        assert_lives_is_the_full_expansion(C)
+
+    def test_stops_at_the_first_live_source(self):
+        C = build_tensor_coalgebra(V2, 4)
+        assert C.lives(3)
+        grown = [c for c, chain in enumerate(C._chains) if len(chain) > 1]
+        # the six words of length <= 2 have no Delta^(3); "aaa" is the first
+        # source that does, and no later source is expanded
+        assert grown == list(range(7)) and C.space.labels[6] == "aaa"
+        assert len(grown) < C.dim == 30

@@ -18,7 +18,12 @@ environment.  Two more, over the tests themselves, fail on any test
 module importing another and on an imported name a test file never reads.
 A sweep builds maps of random spaces, arities and flawed entries and sends
 them through the Lie and Poisson constructors and checkers, checked or
-not: each call ends in a result or a TdhomError.
+not: each call ends in a result or a TdhomError.  Another builds unchecked
+coalgebras from random triples and sends them through lives,
+iterated_terms, the coassociativity check, the symmetry class and the
+Hom-space complex, with the same demand.  One more lint fails on any call
+in the package that builds a whole iterated coproduct (iterated_terms):
+whether it is zero is decided source by source (Coalgebra.lives).
 """
 
 import ast
@@ -40,13 +45,15 @@ from tdhom.algebra import (AssociativeAlgebra, LieAlgebra, LieModule,
                            PoissonAlgebra, check_commutative, check_lie,
                            check_poisson, skew_symmetry_check)
 from tdhom.checks import CheckResult, Witness
-from tdhom.coalgebra import build_tensor_coalgebra
-from tdhom.cohomology import classical_complex
+from tdhom.coalgebra import (Coalgebra, build_tensor_coalgebra,
+                             check_coassociativity, symmetry_class)
+from tdhom.cohomology import TDComplexData, classical_complex
 from tdhom.errors import (AxiomError, MalformedInput, ParseError, ShapeError,
                           TdhomError)
 from tdhom.files import parse_structure, serialize_structure
 from tdhom.linalg import BasedSpace
 from tdhom.maps import MultilinearMap
+from tdhom.td_structures import TDLieStructure, TDModuleStructure
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tdhom"
 
@@ -178,6 +185,12 @@ def test_package_induces_each_twisted_identity_from_its_classical_sum():
     # builds its terms one by one; the per-term forms are the oracles'
     assert _enclosing_calls("twisted_term") == []
     assert _enclosing_calls("factored_term") == []
+
+
+def test_package_tests_no_full_expansion_for_truth():
+    # whether Delta^(n) is zero is decided source by source (Coalgebra.lives);
+    # the whole expansion is built only for a caller that reads every term
+    assert _enclosing_calls("iterated_terms") == []
 
 
 def test_checkers_rearrange_and_compose_no_maps():
@@ -348,6 +361,72 @@ def test_lie_and_poisson_sweep_reaches_every_outcome():
             ("PoissonAlgebra", {"PoissonAlgebra", "ShapeError", "AxiomError"}),
             ("lie", {"pass", "skew-symmetry"}), ("poisson", {"pass"})):
         assert reached <= {what for r, what in seen if r == route}, route
+
+
+@st.composite
+def loose_coalgebras(draw):
+    """Coalgebra(space, triples, check=False), or the typed error it
+    raises, on a space of drawn dimension: random triples, which may
+    cancel or break coassociativity, and maybe one flaw, an index out of
+    range or an inexact scalar."""
+    dim = draw(st.integers(1, 4))
+    space = BasedSpace("C", ["c%d" % i for i in range(dim)])
+    index = st.integers(0, dim - 1)
+    q = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    triples = draw(st.lists(st.tuples(index, index, index, q), max_size=8))
+    flaw = draw(st.sampled_from([None, None, "index", "scalar"]))
+    if flaw == "index":
+        triples.append((0, draw(st.sampled_from([-1, dim])), 0, 1))
+    elif flaw == "scalar":
+        triples.append((0, 0, 0, draw(st.sampled_from([0.5, None, "x"]))))
+    return _value_or_typed_error(Coalgebra, space, triples, check=False)
+
+
+def coalgebra_outcomes(data):
+    """Every outcome of the coalgebra routes on one drawn unchecked
+    coalgebra: its construction, lives and iterated_terms at a drawn
+    order, the coassociativity check, the symmetry class, and the
+    Hom-space complex of a corpus module over it."""
+    C = data.draw(loose_coalgebras())
+    out = [("Coalgebra", C)]
+    if isinstance(C, Coalgebra):
+        n = data.draw(st.integers(1, 4))
+        M = corpus.load(data.draw(st.sampled_from(corpus.MODULE_NAMES)))
+        tdm = TDModuleStructure(TDLieStructure(M.base, C, check=False), M,
+                                check=False)
+        out += [("lives", _value_or_typed_error(C.lives, n)),
+                ("iterated_terms", _value_or_typed_error(C.iterated_terms, n)),
+                ("coassociativity", _value_or_typed_error(check_coassociativity, C)),
+                ("symmetry_class", _value_or_typed_error(symmetry_class, C)),
+                ("TDComplexData", _value_or_typed_error(
+                    TDComplexData, tdm, data.draw(st.integers(0, 2))))]
+    return out
+
+
+COALGEBRA_RESULTS = {"Coalgebra": Coalgebra, "lives": bool, "iterated_terms": dict,
+                     "coassociativity": CheckResult, "symmetry_class": str,
+                     "TDComplexData": TDComplexData}
+
+
+def test_coalgebra_routes_end_in_results_or_typed_errors():
+    seen = set()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def sweep(data):
+        for route, value in coalgebra_outcomes(data):
+            assert isinstance(value, (COALGEBRA_RESULTS[route], TdhomError)), (
+                route, value)
+            seen.add((route, value if route == "lives" else value.ok
+                      if isinstance(value, CheckResult) else type(value).__name__))
+
+    sweep()
+    # the sweep reaches the flaws, a dead and a live Delta^(n), and both
+    # outcomes of the coassociativity check
+    assert {("Coalgebra", "Coalgebra"), ("Coalgebra", "MalformedInput"),
+            ("Coalgebra", "ScalarError"), ("lives", True), ("lives", False),
+            ("coassociativity", True), ("coassociativity", False),
+            ("TDComplexData", "TDComplexData")} <= seen
 
 
 def test_package_lays_operators_out_only_on_request():
@@ -735,6 +814,7 @@ cases = [
     (ShapeError, lambda: op.apply(matrix_units(t2, sl2.space)[:1])),
     (ShapeError, lambda: op.apply(matrix_units(t2, V)[:2])),
     (ValueError, lambda: t2.iterated_terms(0)),
+    (ValueError, lambda: t2.lives(0)),
     (ShapeError, lambda: sl2.bracket.apply_basis((0,))),
     (ShapeError, lambda: sl2.bracket.precompose_perm(Permutation.identity(3))),
     (ShapeError, lambda: op.materialize().argument_permute(Permutation.identity(3))),

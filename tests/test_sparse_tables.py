@@ -30,17 +30,11 @@ from tdhom.td_structures import (
     check_td_lie,
     check_td_module,
 )
+from structures import cancelling_coalgebra
 
 V5 = BasedSpace("C", ["c0", "c1", "c2", "c3", "c4"])
 W1 = BasedSpace("W", ["w"])
 U2 = BasedSpace("U", ["u", "v"])
-
-
-def cancelling_coalgebra():
-    """c0 -> c1(x)c3 - c2(x)c3, c1 -> c4(x)c4, c2 -> c4(x)c4: expanding the
-    first leg of c0 twice gives c4(x)c4(x)c3 with coefficients 1 and -1."""
-    return Coalgebra(V5, [(0, 1, 3, 1), (0, 2, 3, -1),
-                          (1, 4, 4, 1), (2, 4, 4, 1)], check=False)
 
 
 class TestPruningAtTheEnd:
