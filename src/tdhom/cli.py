@@ -3,10 +3,12 @@ the shipped examples.
 
 Exit codes are a stable contract:
 
-    0  every requested check passed
-    1  at least one check failed
-    2  unusable input (parse error, missing file, unknown name, bad flags)
-    3  a size guard refused the computation
+      0  every requested check passed
+      1  at least one check failed
+      2  unusable input (parse error, missing file, unknown name, bad flags)
+      3  a size guard refused the computation
+    141  the reader closed stdout (128 + SIGPIPE, as a shell reports a
+         writer SIGPIPE killed); the rest of the output is dropped quietly
 
 Reports exist in two renderings of the same data: --json prints the machine
 body (sorted keys, no timestamps, identical bytes for identical inputs), the
@@ -23,6 +25,7 @@ saves the rebuild.
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -64,6 +67,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 REPORT_TAG = "tdhom-report/1"
 
@@ -399,13 +403,25 @@ def main(argv=None):
     started = time.monotonic()
     try:
         if args.command == "examples":
-            return run_examples(args)
-        if args.command == "verify":
-            report = build_verify_report(args)
-            render = render_verify
+            code = run_examples(args)
         else:
-            report = build_cohomology_report(args)
-            render = render_cohomology
+            if args.command == "verify":
+                report, render = build_verify_report(args), render_verify
+            else:
+                report, render = build_cohomology_report(args), render_cohomology
+            print(json.dumps(report, sort_keys=True, indent=2) if args.json
+                  else render(report))
+            print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
+            code = {"fail": EXIT_FAIL, "guarded": EXIT_GUARD}.get(
+                report["status"], EXIT_PASS)
+        # a reader that closed stdout is found here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what Python still flushes at exit goes to devnull, as the SIGPIPE
+        # note in the Python docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except GuardError as exc:
         print("guard refused: %s (see --guard-limit)" % exc, file=sys.stderr)
         return EXIT_GUARD
@@ -413,16 +429,6 @@ def main(argv=None):
             KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render(report))
-    print("elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
-    if report["status"] == "fail":
-        return EXIT_FAIL
-    if report["status"] == "guarded":
-        return EXIT_GUARD
-    return EXIT_PASS
 
 
 if __name__ == "__main__":

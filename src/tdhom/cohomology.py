@@ -452,12 +452,15 @@ def weight_zero_keys(M, weights, top):
     tuple S held as the mask m = sum_{s in S} 2^s, with mu(b) = sum_{s in
     S} lam(s) for every (lam, mu) in weights.  The tuples grow degree by
     degree as (mask, running weight sum, next index), each sum packed into
-    one int as sum_c entry_c B^c, B above twice any |entry| of a module
-    weight or of a sum of up to top weights, so that sums pack equal
-    exactly when they are.  The module basis is grouped by packed weight,
-    and a tuple of degree top is built only when its sum is one."""
+    one int as sum_c entry_c B^c, B = (top + 1) max |v| + 1 over the weight
+    entries v.  The module basis is grouped by packed weight, and a tuple of
+    degree top is built only when its sum is one.  Each lookup compares a
+    sum of at most top weights with a module weight, so their difference
+    has digits of size at most (top + 1) max |v| < B; a lowest digit below
+    B in size that is 0 mod B is 0, so digit by digit the packed sums are
+    equal exactly when the vectors are."""
     n = M.base.space.dim
-    B = 2 * max([1] + [abs(v) * (top + 1) for lam, mu in weights for v in lam + mu]) + 1
+    B = max([1] + [abs(v) * (top + 1) for lam, mu in weights for v in lam + mu]) + 1
     step = [sum(lam[s] * B ** c for c, (lam, _) in enumerate(weights)) for s in range(n)]
     by_weight = {}
     for b in range(M.space.dim):

@@ -43,5 +43,5 @@ class GuardError(TdhomError):
 
     Raised only by convolution.check_size, whose message names the size
     and the limit, for the two routes that price what they build
-    (cohomology.classical_complex and lie_rinehart.blinear_subspace).
+    (cohomology.classical_complex and lie_rinehart.blinear_defects).
     """

@@ -40,6 +40,7 @@ byte-identical files.
 """
 
 import json
+import sys
 
 from .algebra import AssociativeAlgebra, LieAlgebra, LieModule, PoissonAlgebra
 from .coalgebra import Coalgebra
@@ -306,8 +307,18 @@ def _space_doc(space):
     return {"name": space.name, "labels": list(space.labels)}
 
 
+def _written(q):
+    """str(q), refused as MalformedInput past str()'s limit on the decimal
+    digits of an int, which no reader could take back."""
+    try:
+        return str(q)
+    except ValueError:
+        raise MalformedInput("a coefficient has more than %d decimal digits, "
+                             "str()'s limit" % sys.get_int_max_str_digits()) from None
+
+
 def _map_doc(name, m):
-    entries = sorted(((list(tup), out, str(q))
+    entries = sorted(((list(tup), out, _written(q))
                       for (tup, out), q in m.entries.items()),
                      key=lambda row: (row[0], row[1]))
     return {
@@ -319,7 +330,7 @@ def _map_doc(name, m):
 
 
 def _coproduct_doc(C):
-    entries = sorted([i, j, k, str(q)]
+    entries = sorted([i, j, k, _written(q)]
                      for (i, j, k), q in C.coproduct.items())
     return {"space": C.space.name, "entries": entries}
 
@@ -372,7 +383,7 @@ def serialize_structure(obj, name=None):
         doc["coproduct"] = _coproduct_doc(obj.source)
         doc["matrix"] = {
             "target": obj.target.name,
-            "entries": sorted([t, c, str(q)]
+            "entries": sorted([t, c, _written(q)]
                               for (t, c), q in obj.entries.items()),
         }
     else:

@@ -15,6 +15,10 @@ rearranging by p cancel, so a twisted row's sides differ by its classical
 defect induced: a row whose defect is zero passes with no map built, and
 a failing row is decided, with its witness, on that one operator
 (convolution.zero_check), which is never laid out.
+
+check_subcomplex shows that d keeps ring-linear cochains ring-linear: by
+Rinehart's theorem where the pair's kept check_lr passes, ranking the
+slot-1 defects only, and else by the sweep the tests keep as its oracle.
 """
 
 from .algebra import (
@@ -29,7 +33,7 @@ from .algebra import (
     check_module,
     composite_defect,
 )
-from .checks import CheckResult, Witness, combine, decided_once, require
+from .checks import CheckResult, Witness, combine, decided_once, kept, require
 from .cohomology import AltCochain, alt_basis, ce_differential, increasing_tuples
 from .convolution import DEFAULT_GUARD_LIMIT, check_size, induced, zero_check
 from .errors import AxiomError, ShapeError
@@ -163,22 +167,22 @@ def check_td_lr(s):
         for (name, _, _), defect in zip(PAIR_IDENTITIES[:-1], row_defects(s.pair))])
 
 
-def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
-    """Basis, in cochain coordinates, of the degree-n cochains whose
-    induced operators let ring factors pass out through every slot.
+def blinear_defects(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
+    """The slot-1 defects of the degree-n basis cochains, one column each,
+    whose kernel is blinear_subspace and whose rank is its codimension.
 
     The slot-1 scaling identity compares two untwisted induced operators,
     so it holds exactly when Delta^(n+1) or its base map, the defect
     f(bmodule(a, x1), R) - product(a, f(x1, R)), is zero.  For a skew f
     the slot-i defect is (-1)^(i-1) times this one with the i-th Lie
     argument moved to the front, so slot 1 decides every slot.  Degree 0
-    has no slots: all of B qualifies.  While Delta^(n+1) lives, the
-    subspace is the kernel of the basis cochains' defects, priced by their
-    number for check_size: column (S, b) gets sign bm[a, x1]^t at row
-    (a, x1, R, b) and -sign pr[a, b]^o at (a, t, R, o), for each t not in
-    R with (t, R) sorting to S by sign.  The defect alternates in R, so a
-    row with R not increasing is +- a row kept and only increasing R are
-    written (the map route in tests/td_oracle.py writes them all)."""
+    has no slots, and no column has an entry there or where Delta^(n+1)
+    is zero.  Elsewhere the columns are priced by their number for
+    check_size: column (S, b) gets sign bm[a, x1]^t at row (a, x1, R, b)
+    and -sign pr[a, b]^o at (a, t, R, o), for each t not in R with (t, R)
+    sorting to S by sign.  The defect alternates in R, so a row with R not
+    increasing is +- a row kept and only increasing R are written (the map
+    route in tests/td_oracle.py writes them all)."""
     if n < 0:
         raise ValueError("degree must be nonnegative, got %d" % n)
     pair, C = s.pair, s.coalgebra
@@ -200,21 +204,39 @@ def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
                             stacked.add(col + b, (a, x1, R, b), sign * v)
                 for ((a, b), o), v in pr.items():
                     stacked.add(col + b, (a, t, R, o), -sign * v)
-    return stacked.kernel_basis()
+    return stacked
+
+
+def blinear_subspace(n, s, guard_limit=DEFAULT_GUARD_LIMIT):
+    """Basis, in cochain coordinates, of the degree-n cochains whose
+    induced operators let ring factors pass out through every slot: the
+    kernel of their slot-1 defects (blinear_defects)."""
+    return blinear_defects(n, s, guard_limit).kernel_basis()
 
 
 def check_subcomplex(s, maxdeg, guard_limit=DEFAULT_GUARD_LIMIT):
     """The differential keeps ring-linear cochains ring-linear, degree by
-    degree up to maxdeg; membership is decided by one exact solve per degree.
+    degree up to maxdeg, counting the images d f, f in a basis of the
+    linear degree-n cochains V_n, n <= maxdeg.
 
-    The images are classical differentials, which td_differential_induced
-    would return.  A cochain escaping the subspace would be a
-    counterexample to the underlying structure theorem, so that raises
-    instead of reporting; the subspace is cut out by the slot-1 defects,
-    so the error names slot 1.
+    Where the pair's kept check_lr passes this is Rinehart's theorem
+    (Trans. AMS 108, 1963): action-linearity, the derivation rule and
+    module-Leibniz make d f linear whenever f is.  So dim V_n, dim C^n less
+    the rank of the slot-1 defects, is counted, and degree maxdeg + 1 is
+    stacked only so that the guard refuses where the sweep would.
+
+    Any other pair is swept, the tests' oracle: the images are classical
+    differentials, which td_differential_induced would return, and
+    membership is decided by one exact solve per degree.  An image escaping
+    the subspace, cut out by the slot-1 defects, would be a counterexample
+    to the theorem, so that raises, naming slot 1, instead of reporting.
     """
     require(check_td_lr(s), "precondition failed (td-lie-rinehart): ")
     pair = s.pair
+    if kept(pair, check_lr):
+        stacks = [blinear_defects(n, s, guard_limit) for n in range(maxdeg + 2)]
+        return CheckResult("td-subcomplex", True, detail="%d images checked"
+                           % sum(d.ncols - d.rank() for d in stacks[:-1]))
     L, B = pair.lie_space, pair.ring_space
     M = pair.ring_module
     checked = 0

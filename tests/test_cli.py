@@ -9,6 +9,7 @@ the machine body alone.
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -1259,6 +1260,26 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sl2" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "list"],
+    ["cohomology", "--module", "sl2-trivial", "--maxdeg", "3", "--json"]])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the process starts, so the first write
+    # to stdout meets a broken pipe: exit 141 and no traceback or error
+    # line, where a traceback with exit 1, or exit 2 for the report of
+    # unusable input, once came out
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tdhom.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert [line for line in proc.stderr.splitlines()
+            if not line.startswith("elapsed ")] == []
 
 
 class TestParserReuse:

@@ -1574,6 +1574,34 @@ class TestWeightZeroKeys:
                 == brute_force_weight_zero_keys(module, weights, 2)
         assert weight_zero_keys(plane, torus(plane), 2) == [[], [], []]
 
+    def test_packing_base_just_above_the_digit_bound(self):
+        # top 1 and entries of size 1 pack in base 3: lam(h) = (1, 0) and
+        # mu(w) = (-1, 1) differ by digits (2, -1), which base 2 would
+        # carry into one packed value, 1 = -1 + 1 * 2
+        L, V = BasedSpace("a", ["h"]), BasedSpace("V", ["v", "w"])
+        M = LieModule(LieAlgebra(L, MultilinearMap([L, L], L, {})), V,
+                      MultilinearMap([L, V], V, {}))
+        weights = [([1], [0, -1]), ([0], [0, 1])]
+        assert tuple_keys(weight_zero_keys(M, weights, 1)) == [[((), 0)], []] \
+            == brute_force_weight_zero_keys(M, weights, 1)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 4),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_integer_weights(self, ldim, vdim, top, data):
+        # weight_zero_keys reads only the dimensions and the weights
+        L = BasedSpace("a", ["x%d" % i for i in range(ldim)])
+        V = BasedSpace("V", ["v%d" % i for i in range(vdim)])
+        M = LieModule(LieAlgebra(L, MultilinearMap([L, L], L, {}), check=False),
+                      V, MultilinearMap([L, V], V, {}), check=False)
+        entries = st.integers(-3, 3)
+        weights = data.draw(st.lists(st.tuples(
+            st.lists(entries, min_size=ldim, max_size=ldim),
+            st.lists(entries, min_size=vdim, max_size=vdim)),
+            min_size=1, max_size=3))
+        assert tuple_keys(weight_zero_keys(M, weights, top)) \
+            == brute_force_weight_zero_keys(M, weights, top)
+
 
 class TestWeightZeroRoute:
     @pytest.mark.parametrize("name", sorted(corpus.MODULE_NAMES))

@@ -1,6 +1,7 @@
 """Structure-file parsing, canonical serialization, and the shipped fixtures."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -497,6 +498,23 @@ class TestOnePassReader:
         with pytest.raises(AxiomError) as info:
             parse_structure(json.dumps(doc))
         assert str(info.value).endswith("residual {too long to print}")
+
+    def test_writing_past_the_digit_limit_is_malformed_input(self):
+        # str() of a coefficient past the limit once escaped serialize as a
+        # bare ValueError, from a map, a coproduct and a matrix row alike
+        huge = 10 ** 5000
+        L = BasedSpace("L", ("x", "y"))
+        big_bracket = LieAlgebra(L, MultilinearMap(
+            [L, L], L, {((0, 1), 0): huge, ((1, 0), 0): -huge}), name="big")
+        V = BasedSpace("V", ("v",))
+        big_coproduct = Coalgebra(V, {(0, 0, 0): huge}, check=False)
+        big_matrix = HomElement(corpus.get_coalgebra("zero-ab"),
+                                BasedSpace("W", ("w",)),
+                                {(0, 0): Fraction(1, huge)})
+        for obj in (big_bracket, big_coproduct, big_matrix):
+            with pytest.raises(MalformedInput, match="more than %d decimal "
+                               "digits" % sys.get_int_max_str_digits()):
+                serialize_structure(obj)
 
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):

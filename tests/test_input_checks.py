@@ -177,7 +177,7 @@ def test_package_prices_only_the_two_routes_that_refuse():
     # a size guard anywhere else would refuse a job no CLI route runs
     assert sorted(set(_enclosing_calls("check_size"))) == [
         "cohomology.py:classical_complex",
-        "lie_rinehart.py:blinear_subspace"]
+        "lie_rinehart.py:blinear_defects"]
 
 
 def test_package_induces_each_twisted_identity_from_its_classical_sum():

@@ -26,6 +26,7 @@ from tdhom.cohomology import (
     ce_differential,
     td_differential_induced,
 )
+from tdhom.convolution import DEFAULT_GUARD_LIMIT
 from tdhom.errors import AxiomError, GuardError, ShapeError
 from tdhom.lie_rinehart import (
     LieRinehartPair,
@@ -66,6 +67,14 @@ def bad_derivation_pair():
                             dict(good.action.entries) | {((0, 0), 0): ONE})
     return LieRinehartPair(good.lie_space, good.ring_space, good.bracket,
                            good.product, action, good.bmodule, check=False)
+
+
+def unchecked_twin(pair):
+    """pair's four maps built check=False: a pair with no kept check_lr,
+    on which check_subcomplex runs the sweep."""
+    return LieRinehartPair(pair.lie_space, pair.ring_space, pair.bracket,
+                           pair.product, pair.action, pair.bmodule,
+                           check=False, name=pair.name)
 
 
 def free_rank3_pair():
@@ -435,8 +444,10 @@ class TestSubcomplex:
     def test_batched_solve_reports_first_escaping_image(self, monkeypatch):
         """With one vector cut from the degree-2 linear basis, the second and
         sixth degree-1 images escape; the one batched solve must report the
-        image that one solve per image finds first, at slot 1."""
-        s = TDLRStructure(corpus.load("lr-derx3"), corpus.get_coalgebra("zero-ab"))
+        image that one solve per image finds first, at slot 1.  The pair is
+        built unchecked, so check_subcomplex sweeps it."""
+        s = TDLRStructure(unchecked_twin(corpus.load("lr-derx3")),
+                          corpus.get_coalgebra("zero-ab"))
         L, B = s.pair.lie_space, s.pair.ring_space
         full = lie_rinehart.blinear_subspace
         cut = full(2, s)[:2] + full(2, s)[3:]
@@ -461,6 +472,74 @@ class TestSubcomplex:
         with pytest.raises(AxiomError) as info:
             check_subcomplex(s, 1)
         assert str(info.value) == expected
+
+
+# TestSubcomplex's coalgebras and four-letter words on two letters, over
+# which every degree up to 3 keeps its defects
+ROUTE_COALGEBRAS = {
+    **{name: corpus.get_coalgebra(name)
+       for name in ("tensor-ab-2", "tensor-x-3", "exterior-ab", "zero-ab")},
+    "T4ab": build_tensor_coalgebra(BasedSpace("V", ("a", "b")), 4)}
+
+
+def subcomplex_outcome(s, maxdeg, guard_limit):
+    """check_subcomplex's result, or the text of its guard refusal."""
+    try:
+        return check_subcomplex(s, maxdeg, guard_limit)
+    except GuardError as exc:
+        return "refused: %s" % exc
+
+
+class TestTheoremRoute:
+    """A pair whose kept check_lr passes takes the td-subcomplex count from
+    Rinehart's theorem; the sweep on its unchecked twin, which pushes every
+    image, is the oracle: same result, same refusals."""
+
+    @pytest.mark.parametrize("cname", ROUTE_COALGEBRAS)
+    @pytest.mark.parametrize("pname", corpus.PAIR_NAMES)
+    def test_agrees_with_the_sweep(self, pname, cname):
+        pair, C = corpus.load(pname), ROUTE_COALGEBRAS[cname]
+        theorem = TDLRStructure(pair, C)
+        sweep = TDLRStructure(unchecked_twin(pair), C)
+        assert check_lr(pair).ok
+        for maxdeg in range(3):
+            for limit in (0, 1, 2, 3, 4, DEFAULT_GUARD_LIMIT):
+                assert subcomplex_outcome(theorem, maxdeg, limit) \
+                    == subcomplex_outcome(sweep, maxdeg, limit), (maxdeg, limit)
+
+    def test_refuses_where_the_sweep_refuses(self):
+        # over T4(ab) lr-derx3 stacks 6 degree-1 defects, so a limit of 5
+        # refuses at degree 1 = maxdeg + 1 although the count reads degree 0
+        pair = corpus.load("lr-derx3")
+        for s in (TDLRStructure(pair, ROUTE_COALGEBRAS["T4ab"]),
+                  TDLRStructure(unchecked_twin(pair), ROUTE_COALGEBRAS["T4ab"])):
+            with pytest.raises(GuardError, match="size 6 exceeds limit 5"):
+                check_subcomplex(s, 0, 5)
+
+    def test_route_is_taken_by_kept_passing_check_lr_only(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(lie_rinehart, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(lie_rinehart, name, call)
+
+        counted("ce_differential")
+        counted("solve")
+        pair, C = corpus.load("lr-derx3"), ROUTE_COALGEBRAS["T4ab"]
+        assert check_subcomplex(TDLRStructure(pair, C), 2).ok
+        assert calls == []
+        assert check_subcomplex(TDLRStructure(unchecked_twin(pair), C), 2).ok
+        assert set(calls) == {"ce_differential", "solve"}
+        # a kept failing check_lr sweeps too, and the sweep finds the escape
+        broken = bad_derivation_pair()
+        assert not check_lr(broken)
+        with pytest.raises(AxiomError, match="slot 1"):
+            check_subcomplex(TDLRStructure(
+                broken, corpus.get_coalgebra("tensor-ab-2")), 1)
 
 
 # three-letter words on one and two letters, and four on one, where the
